@@ -129,7 +129,8 @@ def signed_area_quadrature(curve: SampledCurve) -> float:
 
     The derivatives are spectral, so periodic grids of a couple thousand
     points resolve analytic curves to machine precision.  The grid must be
-    uniform and must cover exactly one period.
+    uniform and must cover exactly one period.  An area that overflows to a
+    non-finite value raises QuadratureError.
     """
     step = _uniform_step(curve.params)
     n = len(curve)
@@ -139,7 +140,11 @@ def signed_area_quadrature(curve: SampledCurve) -> float:
     y = curve.points[:, 1]
     dx = _fft_derivative(x)
     dy = _fft_derivative(y)
-    return float(0.5 * step * np.sum(x * dy - y * dx))
+    with np.errstate(over="ignore", invalid="ignore"):
+        area = float(0.5 * step * np.sum(x * dy - y * dx))
+    if not math.isfinite(area):
+        raise QuadratureError(f"quadrature area is not finite ({area})")
+    return area
 
 
 def perimeter_quadrature(curve: SampledCurve) -> float:

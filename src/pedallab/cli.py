@@ -246,12 +246,11 @@ def cmd_area(args) -> int:
 def cmd_scan(args) -> int:
     e = _ellipse(args)
     _validated_grid_args(args)
-    if args.locus == "circle" and not args.r > 0:
-        raise UsageProblem(f"--r must be positive, got {args.r}")
-    if args.count < 1:
-        raise UsageProblem(f"--count must be >= 1, got {args.count}")
+    try:
+        locus = LocusSpec(kind=args.locus, r=args.r, count=args.count, phase=args.phase)
+    except DomainError as exc:
+        raise UsageProblem(f"bad --r, --count or --phase: {exc}") from None
     tol = args.tol if args.tol is not None else _default_tol(1e-8)
-    locus = LocusSpec(kind=args.locus, r=args.r, count=args.count, phase=args.phase)
     report = scan(e, args.family, locus, n=args.n, theta=args.theta, mu=args.mu, tol=tol)
     text = json.dumps(report.to_dict(), indent=2) + "\n"
     if args.output:

@@ -69,6 +69,9 @@ class LocusSpec:
     def __post_init__(self):
         if self.kind not in ("circle", "boundary"):
             raise DomainError(f"locus kind must be 'circle' or 'boundary', got {self.kind!r}")
+        if not (math.isfinite(self.r) and math.isfinite(self.phase)):
+            raise DomainError(
+                f"locus r and phase must be finite, got r={self.r}, phase={self.phase}")
         if self.kind == "circle" and not self.r > 0:
             raise DomainError(f"circle locus needs r > 0, got {self.r}")
         if self.count < 1:

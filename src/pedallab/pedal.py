@@ -386,6 +386,11 @@ def _golden_min(f: Callable, lo: float, hi: float, xtol: float = 1e-10) -> float
     return 0.5 * (lo + hi)
 
 
+def _require_finite(curve: SampledCurve, what: str) -> None:
+    if not np.all(np.isfinite(curve.points)):
+        raise DomainError(f"{what} needs finite sample points")
+
+
 def find_cusps(curve: SampledCurve, tol: float = 1e-5) -> np.ndarray:
     """Parameters (mod 2*pi) where the curve has a cusp.
 
@@ -401,6 +406,7 @@ def find_cusps(curve: SampledCurve, tol: float = 1e-5) -> np.ndarray:
     n = len(curve)
     if n < 8:
         raise DomainError("cusp detection needs at least 8 samples")
+    _require_finite(curve, "cusp detection")
     t = curve.params
     pts = curve.points
     step = t[1] - t[0]
@@ -487,47 +493,85 @@ def _segment_hits(a1, d1, a2, d2):
     return ok, s, u
 
 
+def _candidate_hits(a, d, order, first, k0: int, k1: int):
+    """Hits among the sweep's candidate pairs k0 .. k1-1, as (i, j, s, u) with i < j.
+
+    Candidate k pairs the segments at sorted positions p and p + 1 + k -
+    first[p], where first[p] <= k < first[p + 1].  Adjacent pairs and the
+    wrap pair are dropped before the exact test.
+    """
+    # each index array is dropped once used, so a full chunk's peak memory
+    # stays near that of the coordinate arrays of its pairs
+    k = np.arange(k0, k1)
+    p = np.searchsorted(first, k, side="right") - 1
+    u, v = order[p], order[p + 1 + k - first[p]]
+    del k, p
+    i, j = np.minimum(u, v), np.maximum(u, v)
+    del u, v
+    keep = (j > i + 1) & ~((i == 0) & (j == len(a) - 1))
+    i, j = i[keep], j[keep]
+    del keep
+    ok, s, w = _segment_hits(a[i], d[i], a[j], d[j])
+    return i[ok], j[ok], s[ok], w[ok]
+
+
 def self_intersections(curve: SampledCurve, refine: bool = True,
                        block: int = 512) -> List[Crossing]:
     """Transversal self-crossings of the closed polyline through the samples.
 
-    Non-adjacent segment pairs are intersected block-wise; with an attached
-    evaluator each hit is polished by re-intersecting locally resampled
-    arcs.  Parameters are reported inside the sampled window (the second one
-    may exceed the start by up to a full period at the wrap segment).
+    A sort-and-sweep prefilter (Shamos & Hoey 1976) picks the candidate
+    pairs: the segments are sorted by the left end of their x-extent, and a
+    binary search on each right end finds the segments that start before it
+    ends.  Only these overlapping, non-adjacent pairs go through the exact
+    intersection test, so the cost is about O(n log n + candidates) instead
+    of n^2/2 tests; a smooth curve has a few candidates per segment.  The
+    extents are padded by 1e-12 * max|x|, so a pair whose segments touch
+    up to roundoff stays a candidate.
+
+    The candidates are tested in chunks of at most block * block pairs,
+    which bounds the memory even when every x-extent overlaps.  Hits come
+    in the order of a block-wise scan of the pairs i < j: sorted by
+    (i // block, j // block, i, j).  With an attached evaluator each hit is
+    polished by re-intersecting locally resampled arcs.  Parameters are
+    reported inside the sampled window (the second one may exceed the start
+    by up to a full period at the wrap segment).
     """
     pts = curve.points
     n = len(pts)
     if n < 8:
         raise DomainError("self-intersection scan needs at least 8 samples")
+    if block < 1:
+        raise DomainError(f"block must be >= 1, got {block}")
+    _require_finite(curve, "self-intersection scan")
     t = curve.params
+    step = t[1] - t[0]
     a = pts
     d = np.roll(pts, -1, axis=0) - pts
-    tseg = t
-    tlen = np.full(n, t[1] - t[0])
 
-    hits: List[Crossing] = []
-    for i0 in range(0, n, block):
-        i1 = min(i0 + block, n)
-        for j0 in range(i0, n, block):
-            j1 = min(j0 + block, n)
-            ii, jj = np.meshgrid(np.arange(i0, i1), np.arange(j0, j1), indexing="ij")
-            mask = (jj > ii + 1) & ~((ii == 0) & (jj == n - 1))
-            if not np.any(mask):
-                continue
-            ok, s, u = _segment_hits(a[ii], d[ii], a[jj], d[jj])
-            ok &= mask
-            for i, j in zip(*np.nonzero(ok)):
-                si, ui = s[i, j], u[i, j]
-                gi, gj = ii[i, j], jj[i, j]
-                hits.append(Crossing(
-                    point=a[gi] + si * d[gi],
-                    t1=float(tseg[gi] + si * tlen[gi]),
-                    t2=float(tseg[gj] + ui * tlen[gj]),
-                ))
+    pad = 1e-12 * float(np.max(np.abs(pts[:, 0])))
+    x_end = a[:, 0] + d[:, 0]
+    lo = np.minimum(a[:, 0], x_end) - pad
+    hi = np.maximum(a[:, 0], x_end) + pad
+    order = np.argsort(lo, kind="stable")
+    # the segment at sorted position p overlaps those at positions p+1 .. stop[p]-1
+    stop = np.searchsorted(lo[order], hi[order], side="right")
+    count = stop - np.arange(n) - 1
+    first = np.cumsum(count) - count
+    total = int(first[-1] + count[-1])
+
+    found = [_candidate_hits(a, d, order, first, k0, min(k0 + block * block, total))
+             for k0 in range(0, total, block * block)]
+
+    # never empty: neighbouring segments share a vertex, so their extents overlap
+    i, j, s, u = (np.concatenate(col) for col in zip(*found))
+    emit = np.lexsort((j, i, j // block, i // block))
+    hits = [Crossing(point=a[gi] + si * d[gi],
+                     t1=float(t[gi] + si * step),
+                     t2=float(t[gj] + ui * step))
+            for gi, gj, si, ui in zip(i[emit], j[emit], s[emit], u[emit])]
 
     if refine and curve.evaluator is not None:
-        hits = [_polish_crossing(curve.evaluator, c, float(tlen[0])) for c in hits]
+        hits = [_polish_crossing(curve.evaluator, c, float(step)) for c in hits]
     return hits
 
 

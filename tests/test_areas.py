@@ -143,6 +143,11 @@ class TestSignedAreaQuadrature:
         with pytest.raises(QuadratureError):
             signed_area_quadrature(SampledCurve(params=t, points=pts))
 
+    def test_rejects_overflowing_area(self):
+        curve = sample_curve(lambda t: 1e300 * ellipse_point(E21, t), ParamGrid(64))
+        with pytest.raises(QuadratureError):
+            signed_area_quadrature(curve)
+
     def test_rejects_partial_window(self):
         t = np.linspace(0, math.pi, 64, endpoint=False)
         pts = np.stack([np.cos(t), np.sin(t)], axis=-1)

@@ -50,6 +50,11 @@ class TestUsageErrors:
         rc, _, _ = run(capsys, "scan", "--family", "pedal", "--locus", "circle", "--r", "-1")
         assert rc == 2
 
+    @pytest.mark.parametrize("bad", [("--r", "inf"), ("--phase", "nan"), ("--count", "0")])
+    def test_scan_locus_out_of_domain(self, capsys, bad):
+        rc, _, _ = run(capsys, "scan", "--family", "pedal", "--locus", "circle", *bad)
+        assert rc == 2
+
     def test_env_tolerance_validated(self, capsys, monkeypatch):
         monkeypatch.setenv("PEDALLAB_TOL", "banana")
         rc, _, err = run(capsys, "identities", "--n", "64")

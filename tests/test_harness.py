@@ -29,6 +29,13 @@ class TestLocusSpec:
         with pytest.raises(DomainError):
             LocusSpec(kind="circle", count=0)
 
+    @pytest.mark.parametrize("kind", ["circle", "boundary"])
+    @pytest.mark.parametrize("bad", [dict(r=math.inf), dict(r=math.nan),
+                                     dict(phase=math.nan), dict(phase=-math.inf)])
+    def test_rejects_non_finite_radius_and_phase(self, kind, bad):
+        with pytest.raises(DomainError):
+            LocusSpec(kind=kind, **bad)
+
     def test_circle_poles(self):
         poles = LocusSpec(kind="circle", r=2.5, count=16, phase=0.1).poles(E21)
         assert poles.shape == (16, 2)
@@ -94,6 +101,13 @@ class TestScan:
         assert not rep.passed
         assert all(a is None for a in rep.areas)
         assert all(err for err in rep.errors)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_area_is_a_per_pole_error(self):
+        rep = scan(E21, "pedal", LocusSpec(kind="circle", r=1e300, count=2), n=64)
+        assert not rep.passed
+        assert rep.areas == [None, None]
+        assert all("not finite" in err for err in rep.errors)
 
     def test_pedal_boundary_locus_is_not_invariant(self):
         # pedal area varies with rho, and the boundary is not a circle

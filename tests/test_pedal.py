@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pedallab import (
@@ -38,6 +39,7 @@ from pedallab import (
     support_pedal_point,
     support_point,
 )
+from pedallab.pedal import _segment_hits
 
 TWO_PI = 2.0 * math.pi
 E21 = Ellipse(2.0, 1.0)
@@ -356,6 +358,13 @@ class TestFindCusps:
         with pytest.raises(DomainError):
             find_cusps(SampledCurve(params=t, points=np.stack([np.cos(t), np.sin(t)], axis=-1)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_points(self, bad):
+        curve = sample_curve(lambda t: ellipse_point(E21, t), ParamGrid(64))
+        curve.points[5, 1] = bad
+        with pytest.raises(DomainError):
+            find_cusps(curve)
+
 
 # ---------------------------------------------------------------------------
 # self intersections
@@ -364,6 +373,83 @@ class TestFindCusps:
 def fig8(t):
     t = np.asarray(t)
     return np.stack([np.sin(2 * t), np.sin(t)], axis=-1)
+
+
+def brute_force_crossings(curve, block):
+    """Raw hits of every non-adjacent segment pair, in block-scan order:
+    sorted by (i // block, j // block, i, j) for the pair i < j."""
+    pts, t = curve.points, curve.params
+    n = len(pts)
+    d = np.roll(pts, -1, axis=0) - pts
+    ii, jj = np.triu_indices(n, 2)
+    keep = ~((ii == 0) & (jj == n - 1))
+    ii, jj = ii[keep], jj[keep]
+    ok, s, u = _segment_hits(pts[ii], d[ii], pts[jj], d[jj])
+    hits = sorted(zip(ii[ok], jj[ok], s[ok], u[ok]),
+                  key=lambda h: (h[0] // block, h[1] // block, h[0], h[1]))
+    step = t[1] - t[0]
+    return [(pts[i] + si * d[i], float(t[i] + si * step), float(t[j] + ui * step))
+            for i, j, si, ui in hits]
+
+
+def zigzag(n, seed):
+    """Closed zigzag between x = -1 and x = 1: every segment's x-extent
+    overlaps every other's."""
+    rng = np.random.default_rng(seed)
+    k = np.arange(n)
+    x = np.where(k % 2, 1.0, -1.0) + 0.1 * rng.standard_normal(n)
+    y = k + 0.3 * rng.standard_normal(n)
+    return SampledCurve(params=ParamGrid(n).nodes(), points=np.stack([x, y], axis=-1))
+
+
+def _figure_eight_case(data):
+    return sample_curve(fig8, ParamGrid(data.draw(st.integers(8, 400), label="n"), offset=0.5))
+
+
+def _contrapedal_case(data):
+    # interior poles off the symmetry axes, inside and outside the astroid
+    m = (data.draw(st.floats(-1.9, 1.9), label="x"), data.draw(st.floats(-0.95, 0.95), label="y"))
+    assume(min(abs(m[0]), abs(m[1])) > 0.05 and E21.implicit(m) < 0.95)
+    n = data.draw(st.integers(8, 400), label="n")
+    return sample_curve(lambda t: contrapedal_point(E21, t, m), ParamGrid(n, offset=0.5))
+
+
+def _ellipse_case(data):
+    n = data.draw(st.integers(8, 400), label="n")
+    return sample_curve(lambda t: ellipse_point(E21, t), ParamGrid(n))
+
+
+def _zigzag_case(data):
+    n = data.draw(st.integers(8, 128), label="n")
+    return zigzag(n, data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+
+
+def _staircase_case(data):
+    # each figure-eight step split into a vertical and a horizontal segment
+    n = data.draw(st.integers(8, 200), label="n")
+    p = fig8(ParamGrid(n, offset=0.5).nodes())
+    corner = np.stack([p[:, 0], np.roll(p[:, 1], -1)], axis=-1)
+    pts = np.stack([p, corner], axis=1).reshape(-1, 2)
+    return SampledCurve(params=ParamGrid(2 * n, offset=0.5).nodes(), points=pts)
+
+
+def _tied_extents_case(data):
+    # x snapped to a coarse lattice: many segments share an x-extent end
+    n = data.draw(st.integers(8, 400), label="n")
+    q = data.draw(st.sampled_from([4, 8, 16, 32]), label="lattice")
+    p = fig8(ParamGrid(n, offset=0.5).nodes())
+    p[:, 0] = np.round(p[:, 0] * q) / q
+    return SampledCurve(params=ParamGrid(n, offset=0.5).nodes(), points=p)
+
+
+CURVE_CASES = {
+    "figure_eight": _figure_eight_case,
+    "contrapedal": _contrapedal_case,
+    "ellipse": _ellipse_case,
+    "zigzag": _zigzag_case,
+    "staircase": _staircase_case,
+    "tied_extents": _tied_extents_case,
+}
 
 
 class TestSelfIntersections:
@@ -393,3 +479,44 @@ class TestSelfIntersections:
         b = self_intersections(curve, refine=False, block=4096)
         assert len(a) == len(b) == 1
         np.testing.assert_allclose(a[0].point, b[0].point, atol=1e-15)
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_rejects_non_finite_points(self, bad):
+        curve = sample_curve(fig8, ParamGrid(64, offset=0.5))
+        curve.points[7, 0] = bad
+        with pytest.raises(DomainError):
+            self_intersections(curve)
+
+    @pytest.mark.parametrize("block", [0, -4])
+    def test_rejects_empty_block(self, block):
+        with pytest.raises(DomainError):
+            self_intersections(sample_curve(fig8, ParamGrid(64, offset=0.5)), block=block)
+
+    def test_contrapedal_raw_hits_inside_and_outside_astroid(self):
+        # 4 normals pass through a pole inside the astroid, 2 outside it
+        for m, count in (((0.7, -0.4), 8), ((1.5, 0.6), 3)):
+            curve = sample_curve(lambda t: contrapedal_point(E21, t, m),
+                                 ParamGrid(2048, offset=0.5))
+            assert len(self_intersections(curve, refine=False)) == count
+
+    @pytest.mark.parametrize("case", sorted(CURVE_CASES))
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_matches_brute_force_bitwise(self, case, data):
+        curve = CURVE_CASES[case](data)
+        block = data.draw(st.integers(1, 600), label="block")
+        got = self_intersections(curve, refine=False, block=block)
+        want = brute_force_crossings(curve, block)
+        assert len(got) == len(want)
+        for c, (point, t1, t2) in zip(got, want):
+            assert np.array_equal(c.point, point) and c.t1 == t1 and c.t2 == t2
+
+    def test_memory_stays_bounded_when_all_extents_overlap(self):
+        curve = zigzag(1024, seed=0)  # every x-extent overlaps: ~520k candidate pairs
+        tracemalloc.start()
+        try:
+            self_intersections(curve, block=32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
