@@ -26,7 +26,7 @@ BOUNDARY_FAMILIES = ("hybrid", "pseudo_talbot", "negative_pedal")
 
 
 def write(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2) + "\n")
+    path.write_text(json.dumps(obj, indent=2, allow_nan=False) + "\n")
 
 
 def main(argv=None) -> int:

@@ -60,6 +60,21 @@ def as_xy(m) -> np.ndarray:
     return arr
 
 
+def pole_xy(m):
+    """Coordinates (x, y) of a pole, or of a chunk of k poles.
+
+    A single pole is anything as_xy takes.  A chunk is a pair of (k, 1)
+    arrays: its coordinates broadcast against a parameter axis of length n,
+    so an evaluator returns (k, n, 2) points, one curve per pole.
+    """
+    arr = m.as_array() if isinstance(m, Point2) else np.asarray(m, dtype=float)
+    if arr.shape != (2,) and not (arr.ndim == 3 and arr.shape[0] == 2 and arr.shape[2] == 1):
+        raise DomainError(f"expected a 2d point or a pair of (k, 1) arrays, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise DomainError("point components must be finite")
+    return arr[0], arr[1]
+
+
 @dataclass(frozen=True)
 class Ellipse:
     """Ellipse x^2/a^2 + y^2/b^2 = 1 with a >= b > 0."""
@@ -167,7 +182,9 @@ class ParamGrid:
     The fractional offset shifts every node by the same sub-step amount,
     which keeps quadrature weights uniform while dodging isolated singular
     parameters (the hybrid curve with M on the ellipse is singular exactly
-    at t = s, so its grids use start=s, offset=1/2).
+    at t = s, so its grids use start=s, offset=1/2).  A (k, 1) array of
+    starts stands for k grids of one step, whose nodes form a (k, count)
+    array.
     """
 
     count: int
@@ -179,7 +196,7 @@ class ParamGrid:
             raise DomainError(f"grid count must be >= 8, got {self.count}")
         if not 0.0 <= self.offset < 1.0:
             raise DomainError(f"grid offset must lie in [0, 1), got {self.offset}")
-        if not math.isfinite(self.start):
+        if not np.all(np.isfinite(self.start)):
             raise DomainError("grid start must be finite")
 
     def nodes(self) -> np.ndarray:
@@ -195,7 +212,10 @@ class SampledCurve:
     """Closed polyline of curve samples, the exchange format for quadrature.
 
     The optional evaluator is the function the samples came from; detectors
-    use it to refine features below the grid resolution.
+    use it to refine features below the grid resolution.  A stack of k
+    curves has params of shape (k, n) and points of shape (k, n, 2); only
+    signed_area_quadrature takes stacks, and len() counts the samples of
+    all of them.
     """
 
     params: np.ndarray
@@ -206,10 +226,10 @@ class SampledCurve:
     def __post_init__(self):
         self.params = np.asarray(self.params, dtype=float)
         self.points = np.asarray(self.points, dtype=float)
-        if self.points.shape != (self.params.size, 2):
+        if self.points.shape != self.params.shape + (2,) or self.params.ndim not in (1, 2):
             raise DomainError(
-                f"points shape {self.points.shape} does not match {self.params.size} params")
-        if self.params.size >= 2 and not np.all(np.diff(self.params) > 0):
+                f"points shape {self.points.shape} does not match params shape {self.params.shape}")
+        if self.params.shape[-1] >= 2 and not np.all(np.diff(self.params, axis=-1) > 0):
             raise DomainError("params must be strictly increasing")
 
     def __len__(self) -> int:

@@ -17,7 +17,10 @@ ellipse P(t) = (a cos t, b sin t) and a fixed pole M:
   tangent (angle 0 gives the curve back, pi/2 the evolute)
 
 Point evaluators are vectorized over t and complex-safe, so the cusp finder
-can differentiate them by complex step.
+can differentiate them by complex step.  The ellipse evaluators with a pole
+M also take a chunk of k poles as a pair of (k, 1) coordinate arrays (see
+curves.pole_xy) and then return one curve per pole, so a scan samples many
+poles in one call.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .curves import (
     as_xy,
     ellipse_point,
     ellipse_velocity,
+    pole_xy,
 )
 from .errors import (
     DegenerateLine,
@@ -51,18 +55,24 @@ TWO_PI = 2.0 * math.pi
 # perpendicular feet
 
 
+def _param_at(t, mask) -> float:
+    """Real part of the parameter at the first true entry of mask."""
+    return float(np.real(np.broadcast_to(t, np.shape(mask)).flat[np.argmax(mask)]))
+
+
 def perpendicular_foot(m, p, d):
     """Foot of the perpendicular from m onto the line p + u d.
 
-    Broadcasts over leading axes of p and d; m is a single pole.
+    Broadcasts over leading axes of p and d; m is a pole, or a chunk of
+    poles whose (k, 1) coordinates broadcast against those axes.
     """
-    m = as_xy(m)
+    x0, y0 = pole_xy(m)
     p = np.asarray(p)
     d = np.asarray(d)
     dd = d[..., 0] ** 2 + d[..., 1] ** 2
     if np.min(np.abs(dd)) < 1e-24:
         raise DegenerateLine("line direction vanishes")
-    u = ((m[0] - p[..., 0]) * d[..., 0] + (m[1] - p[..., 1]) * d[..., 1]) / dd
+    u = ((x0 - p[..., 0]) * d[..., 0] + (y0 - p[..., 1]) * d[..., 1]) / dd
     return p + u[..., None] * d
 
 
@@ -133,26 +143,36 @@ class LineFamily:
     doffset: Callable
 
 
+def _envelope_solve(t, nx, ny, mx, my, d, dd):
+    """Solve n . X = d, n' . X = d' for X, with n = (nx, ny), n' = (mx, my).
+
+    Raises SingularFamily, naming the first parameter of t where the two
+    lines are parallel.
+    """
+    # as arrays, never numpy scalars: scalar arithmetic can round a complex
+    # product differently from the array loops, and complex-step callers pass
+    # a scalar t
+    nx, ny, mx, my, d, dd = (np.asarray(v) for v in (nx, ny, mx, my, d, dd))
+    det = nx * my - ny * mx
+    scale2 = nx * nx + ny * ny + mx * mx + my * my
+    bad = np.abs(det) < 1e-12 * np.abs(scale2)
+    if np.any(bad):
+        t_bad = _param_at(t, bad)
+        raise SingularFamily(
+            f"envelope is singular near t={t_bad:.6g} (parallel line pencil)", t=t_bad)
+    x = (d * my - dd * ny) / det
+    y = (nx * dd - mx * d) / det
+    return np.stack([x, y], axis=-1)
+
+
 def envelope_point(fam: LineFamily, t):
     """Characteristic point of the family at t; raises SingularFamily when
     the line and its derivative line are parallel (zero determinant)."""
     t = np.asarray(t)
     n = np.asarray(fam.normal(t))
     dn = np.asarray(fam.dnormal(t))
-    d = np.asarray(fam.offset(t))
-    dd = np.asarray(fam.doffset(t))
-    nx, ny = n[..., 0], n[..., 1]
-    mx, my = dn[..., 0], dn[..., 1]
-    det = nx * my - ny * mx
-    scale2 = nx * nx + ny * ny + mx * mx + my * my
-    bad = np.abs(det) < 1e-12 * np.abs(scale2)
-    if np.any(bad):
-        t_bad = float(np.real(np.atleast_1d(t)[np.argmax(np.atleast_1d(bad))]))
-        raise SingularFamily(
-            f"envelope is singular near t={t_bad:.6g} (parallel line pencil)", t=t_bad)
-    x = (d * my - dd * ny) / det
-    y = (nx * dd - mx * d) / det
-    return np.stack([x, y], axis=-1)
+    return _envelope_solve(t, n[..., 0], n[..., 1], dn[..., 0], dn[..., 1],
+                           fam.offset(t), fam.doffset(t))
 
 
 def negative_pedal_family(e: Ellipse, m) -> LineFamily:
@@ -179,8 +199,19 @@ def negative_pedal_family(e: Ellipse, m) -> LineFamily:
 
 
 def negative_pedal_point(e: Ellipse, t, m):
-    """Envelope point of the lines through P(t) perpendicular to P(t) - m."""
-    return envelope_point(negative_pedal_family(e, m), t)
+    """Envelope point of the lines through P(t) perpendicular to P(t) - m.
+
+    The same numbers as envelope_point(negative_pedal_family(e, m), t), with
+    P(t) and P'(t) evaluated once.
+    """
+    x0, y0 = pole_xy(m)
+    t = np.asarray(t)
+    p = ellipse_point(e, t)
+    v = ellipse_velocity(e, t)
+    px, py, vx, vy = p[..., 0], p[..., 1], v[..., 0], v[..., 1]
+    nx, ny = px - x0, py - y0
+    return _envelope_solve(t, nx, ny, vx, vy, nx * px + ny * py,
+                           vx * (2 * px - x0) + vy * (2 * py - y0))
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +220,7 @@ def negative_pedal_point(e: Ellipse, t, m):
 
 def _hybrid_parts(e: Ellipse, t, m):
     a, b = e.a, e.b
-    x0, y0 = as_xy(m)
+    x0, y0 = pole_xy(m)
     c2 = e.c2
     t = np.asarray(t)
     ct, st = np.cos(t), np.sin(t)
@@ -214,7 +245,7 @@ def hybrid_point(e: Ellipse, t, m):
     eps = 1e-9 * 4.0 * e.a * e.b
     small = np.abs(den) <= eps
     if np.any(small):
-        t_bad = float(np.real(np.atleast_1d(np.asarray(t))[np.argmax(np.atleast_1d(small))]))
+        t_bad = _param_at(t, small)
         raise SingularParameter(
             f"hybrid point undefined near t={t_bad:.6g} (pole on the tangent line)", t=t_bad)
     return np.stack([nx / den, ny / den], axis=-1)
@@ -223,7 +254,7 @@ def hybrid_point(e: Ellipse, t, m):
 def hybrid_velocity(e: Ellipse, t, m):
     """t-derivative of hybrid_point by the quotient rule."""
     a, b = e.a, e.b
-    x0, y0 = as_xy(m)
+    x0, y0 = pole_xy(m)
     c2 = e.c2
     t = np.asarray(t)
     ct, st = np.cos(t), np.sin(t)
@@ -253,13 +284,13 @@ def pseudo_talbot_point(e: Ellipse, s: float, u):
     The pole is P(s).  The traversal parameter u runs the curve so that its
     signed area matches the orientation of the supporting line family, which
     is opposite to the raw harmonic angle; internally the formula is
-    evaluated at angle -u.
+    evaluated at angle -u.  A (k, 1) array s stands for k poles.
     """
     a, b = e.a, e.b
     a2, b2 = a * a, b * b
     a4, b4 = a2 * a2, b2 * b2
     c4 = e.c2 * e.c2
-    cs, ss = math.cos(s), math.sin(s)
+    cs, ss = np.cos(s), np.sin(s)
     t = -np.asarray(u)
     ct, st = np.cos(t), np.sin(t)
     ct2 = ct * ct

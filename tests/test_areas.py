@@ -38,8 +38,24 @@ from pedallab import (
     support_pedal_area,
 )
 
+from pedallab.areas import DOUBLING_RTOL, settled, settled_area
+from pedallab.pedal import hybrid_point, negative_pedal_point
+
 TWO_PI = 2.0 * math.pi
 E21 = Ellipse(2.0, 1.0)
+
+
+def shoelace_spectral_derivative(curve):
+    """The quadrature before its Parseval form: 1/2 sum(x y' - y x') h with
+    derivatives by FFT, the Nyquist mode zeroed."""
+    n = len(curve)
+    k = 1j * np.fft.fftfreq(n, d=1.0 / n)
+    if n % 2 == 0:
+        k[n // 2] = 0.0
+    x, y = curve.points[:, 0], curve.points[:, 1]
+    dx = np.fft.ifft(k * np.fft.fft(x)).real
+    dy = np.fft.ifft(k * np.fft.fft(y)).real
+    return float(0.5 * (TWO_PI / n) * np.sum(x * dy - y * dx))
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +164,44 @@ class TestSignedAreaQuadrature:
         with pytest.raises(QuadratureError):
             signed_area_quadrature(curve)
 
+    @pytest.mark.parametrize("n", [64, 65, 512, 2048])
+    @pytest.mark.parametrize("make", [
+        lambda t: pedal_point(E21, t, (0.7, -0.4)),
+        lambda t: contrapedal_point(E21, t, (2.5, 1.0)),
+        lambda t: hybrid_point(E21, t, (0.3, 0.2)),
+        lambda t: negative_pedal_point(E21, t, (0.7, -0.4))])
+    def test_parseval_form_matches_the_spectral_derivative_shoelace(self, n, make):
+        curve = sample_curve(make, ParamGrid(n, start=0.3, offset=0.5))
+        want = shoelace_spectral_derivative(curve)
+        # both sum about n products of size |area|: a few hundred ulps apart at most
+        assert abs(signed_area_quadrature(curve) - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_stack_gives_each_curve_its_own_area_bitwise(self):
+        starts = np.array([[0.0], [0.4], [1.1], [2.9], [5.0]])
+        poles = np.array([[0.7, -0.4], [-1.2, 0.3], [0.1, 0.9], [2.5, -1.5], [0.0, 0.0]])
+        t = starts + (np.arange(256) + 0.5) * (TWO_PI / 256)
+        pts = pedal_point(E21, t, (poles[:, :1], poles[:, 1:]))
+        areas = signed_area_quadrature(SampledCurve(t, pts))
+        assert areas.shape == (5,)
+        for j, m in enumerate(poles):
+            alone = sample_curve(lambda u: pedal_point(E21, u, m),
+                                 ParamGrid(256, start=float(starts[j, 0]), offset=0.5))
+            assert areas[j] == signed_area_quadrature(alone)
+
+    def test_stack_with_an_overflowing_curve_is_rejected(self):
+        t = np.broadcast_to(ParamGrid(64).nodes(), (2, 64))
+        pts = np.stack([ellipse_point(E21, t[0]), 1e300 * ellipse_point(E21, t[0])])
+        with pytest.raises(QuadratureError, match="not finite"):
+            signed_area_quadrature(SampledCurve(t, pts))
+
+    def test_single_curve_consumers_reject_stacks(self):
+        t = np.broadcast_to(ParamGrid(64).nodes(), (2, 64))
+        stack = SampledCurve(t, np.stack([ellipse_point(E21, t[0])] * 2))
+        with pytest.raises(DomainError):
+            perimeter_quadrature(stack)
+        with pytest.raises(DomainError):
+            curvature_centroid_samples(stack)
+
     def test_rejects_partial_window(self):
         t = np.linspace(0, math.pi, 64, endpoint=False)
         pts = np.stack([np.cos(t), np.sin(t)], axis=-1)
@@ -184,6 +238,26 @@ def cos3_support():
     return SupportCurve(h=lambda t: 10.0 + np.cos(3 * t),
                         dh=lambda t: -3.0 * np.sin(3 * t),
                         d2h=lambda t: -9.0 * np.cos(3 * t))
+
+
+class TestDoublingGate:
+    def test_bound(self):
+        assert DOUBLING_RTOL == 1e-9
+        assert settled(10.0, 10.0 + 9e-9)
+        assert not settled(10.0, 10.0 + 11e-9)
+        # absolute below unit area
+        assert settled(1e-3, 1e-3 + 0.9e-9)
+        assert not settled(1e-3, 1e-3 + 1.1e-9)
+        assert not settled(math.nan, 1.0)
+
+    def test_elementwise(self):
+        got = settled(np.array([1.0, 1.0, 5.0]), np.array([1.0, 1.1, 5.0 + 1e-12]))
+        assert got.tolist() == [True, False, True]
+
+    def test_settled_area(self):
+        assert settled_area(2.0, 2.0 + 1e-12) == 2.0
+        with pytest.raises(QuadratureError, match=r"quadrature not settled \(gap 1\.000e-03\)"):
+            settled_area(2.0, 2.001)
 
 
 class TestSupportAreas:

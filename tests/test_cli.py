@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pedallab import Ellipse, closed_form_area, ellipse_point
-from pedallab.cli import main
+from pedallab.cli import MAX_COUNT, MAX_N, build_parser, main
 
 E21 = Ellipse(2.0, 1.0)
 
@@ -67,6 +67,34 @@ class TestUsageErrors:
     def test_support_centroid_is_ellipse_only(self, capsys):
         rc, _, _ = run(capsys, "centroid", "--family", "pedal", "--source", "support")
         assert rc == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--n", str(MAX_N + 1)],
+        ["area", "--n", str(MAX_N + 1)],
+        ["scan", "--locus", "circle", "--n", str(MAX_N + 1)],
+        ["identities", "--n", str(MAX_N + 1)],
+        ["centroid", "--n", str(MAX_N + 1)],
+        ["conjecture", "--n", str(MAX_N + 1)],
+        ["scan", "--locus", "circle", "--count", str(MAX_COUNT + 1)],
+        ["conjecture", "--count", str(MAX_COUNT + 1)]])
+    def test_grid_and_count_upper_bounds(self, capsys, argv):
+        # checked by the parser alone: nothing of that size is ever run
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[-2]}: must be at most" in err
+
+    def test_bounds_themselves_parse(self):
+        args = build_parser().parse_args(["scan", "--locus", "circle", "--n", str(MAX_N),
+                                          "--count", str(MAX_COUNT)])
+        assert (args.n, args.count) == (2 ** 20, 2 ** 16)
+
+    def test_non_integer_grid_size(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(["area", "--n", "lots"])
+        assert info.value.code == 2
+        assert "invalid int value" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +175,12 @@ class TestArea:
         assert obj["closed"] == pytest.approx(-9 * math.pi / 4, rel=1e-12)
         assert obj["quadrature"] == pytest.approx(-9 * math.pi / 4, rel=1e-9)
 
+    def test_unsettled_area_is_reported_then_exits_one(self, capsys):
+        rc, out, err = run(capsys, "area", "--family", "hybrid", "--m", "3,0", "--n", "64")
+        assert rc == 1
+        assert json.loads(out)["doubling_gap"] > 1.0
+        assert err.startswith("error: quadrature not settled (gap ")
+
     def test_no_closed_form_for_interior_pole(self, capsys):
         rc, out, _ = run(capsys, "area", "--family", "hybrid", "--m", "0.3,0.2",
                          "--n", "1024")
@@ -172,6 +206,17 @@ class TestScan:
                          "--count", "6", "--n", "512")
         assert rc == 1
         assert "passed=False" in out
+
+    def test_all_failed_scan_writes_strict_json(self, capsys, tmp_path):
+        target = tmp_path / "report.json"
+        rc, out, _ = run(capsys, "scan", "--family", "hybrid", "--locus", "circle",
+                         "--r", "3", "--count", "6", "--n", "512", "--output", str(target))
+        assert rc == 1
+        assert "mean=None max_rel_dev=None passed=False" in out
+        text = target.read_text()
+        assert "NaN" not in text and "Infinity" not in text
+        rep = json.loads(text)
+        assert rep["mean"] is None and rep["max_rel_dev"] is None and rep["passed"] is False
 
     def test_report_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"

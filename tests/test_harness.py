@@ -1,12 +1,16 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pedallab import (
     DomainError,
     Ellipse,
+    GeometryError,
     LocusSpec,
     ParamGrid,
     closed_form_area,
@@ -14,8 +18,12 @@ from pedallab import (
     family_evaluator,
     family_grid,
     identity_suite,
+    sample_curve,
     scan,
+    signed_area_quadrature,
 )
+from pedallab.areas import settled_area
+from pedallab.harness import SCANNABLE
 
 E21 = Ellipse(2.0, 1.0)
 
@@ -109,6 +117,20 @@ class TestScan:
         assert rep.areas == [None, None]
         assert all("not finite" in err for err in rep.errors)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_samples_are_a_per_pole_error(self):
+        rep = scan(E21, "pedal", LocusSpec(kind="circle", r=1e308, count=3), n=64)
+        assert rep.areas == [None] * 3
+        assert "non-finite point" in rep.errors[0]
+        assert all("not finite" in err for err in rep.errors[1:])
+
+    def test_all_failed_scan_is_strict_json(self):
+        rep = scan(E21, "hybrid", LocusSpec("circle", r=3.0, count=6), n=512)
+        assert rep.mean is None and rep.max_rel_dev is None
+        assert rep.passed is False
+        d = json.loads(json.dumps(rep.to_dict(), allow_nan=False))
+        assert d["mean"] is None and d["max_rel_dev"] is None and d["passed"] is False
+
     def test_pedal_boundary_locus_is_not_invariant(self):
         # pedal area varies with rho, and the boundary is not a circle
         rep = scan(E21, "pedal", LocusSpec(kind="boundary", count=8), n=512)
@@ -122,6 +144,69 @@ class TestScan:
         d2 = scan(E21, "contrapedal", locus, n=512).to_dict()
         assert json.dumps(d1) == json.dumps(d2)
         assert list(d1)[:6] == ["family", "a", "b", "locus", "n", "params"]
+
+
+def scan_alone(e, fam, locus, j, n, theta=0.0, mu=0.5):
+    """(area, error) of pole j of the locus, sampled and integrated by itself."""
+    pole = tuple(float(v) for v in locus.poles(e)[j])
+    s = float(locus.angles()[j]) if locus.kind == "boundary" else 0.0
+    try:
+        ev = family_evaluator(e, fam, pole, theta=theta, mu=mu, s=s)
+        a1 = signed_area_quadrature(sample_curve(ev, family_grid(fam, n, s)))
+        a2 = signed_area_quadrature(sample_curve(ev, family_grid(fam, 2 * n, s)))
+        return settled_area(a1, a2), None
+    except GeometryError as exc:
+        return None, str(exc)
+
+
+class TestBatchedScan:
+    """Scans sample and integrate poles in chunks; each pole's area and error
+    are bitwise those of the pole alone."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(fam=st.sampled_from(SCANNABLE), kind=st.sampled_from(["circle", "boundary"]),
+           count=st.integers(1, 40), n=st.sampled_from([64, 256, 1024]),
+           phase=st.floats(0.0, 2 * math.pi), r=st.floats(0.1, 3.0))
+    def test_areas_and_errors_equal_each_pole_alone(self, fam, kind, count, n, phase, r):
+        assume(not (fam.value == "pseudo_talbot" and kind == "circle"))
+        locus = LocusSpec(kind, r=r, count=count, phase=phase)
+        rep = scan(E21, fam, locus, n=n, theta=0.6, mu=1 / 3)
+        for j in range(count):
+            area, err = scan_alone(E21, fam, locus, j, n, theta=0.6, mu=1 / 3)
+            assert rep.errors[j] == err
+            assert rep.areas[j] == area
+
+    def test_mixed_failures_in_one_chunk_match_poles_scanned_alone(self):
+        # pole 0 sits on the tangent line at a node of the n-grid, so the
+        # chunk's evaluation raises; poles outside the ellipse do not settle
+        n, count, phase = 256, 12, 0.3
+        t_node = 14.5 * 2 * math.pi / n
+        r = E21.a * E21.b / (E21.a * math.sin(phase) * math.sin(t_node)
+                             + E21.b * math.cos(phase) * math.cos(t_node))
+        rep = scan(E21, "hybrid", LocusSpec("circle", r=r, count=count, phase=phase), n=n)
+        assert "curve evaluation failed" in rep.errors[0]
+        assert any("not settled" in (err or "") for err in rep.errors)
+        assert any(err is None for err in rep.errors)
+        alone = [scan(E21, "hybrid", LocusSpec("circle", r=r, count=1,
+                                               phase=phase + j * (2 * math.pi / count)), n=n)
+                 for j in range(count)]
+        assert [a.poles[0] for a in alone] == rep.poles
+        assert [a.errors[0] for a in alone] == rep.errors
+        assert [a.areas[0] for a in alone] == rep.areas
+
+    def test_chunk_cap_bounds_memory(self):
+        # all 256 poles at 2n = 4096 points at once would take 16 MiB for the
+        # sample points alone
+        locus = LocusSpec("boundary", count=256)
+        scan(E21, "negative_pedal", LocusSpec("boundary", count=4), n=64)
+        tracemalloc.start()
+        try:
+            rep = scan(E21, "negative_pedal", locus, n=2048)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.passed
+        assert peak < 2 * 2 ** 20
 
 
 class TestIdentitySuite:

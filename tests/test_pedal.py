@@ -169,6 +169,16 @@ class TestEnvelopes:
         with pytest.raises(SingularFamily):
             negative_pedal_point(E21, s, m)
 
+    @pytest.mark.parametrize("t", [
+        0.3, 0.3 + 1e-200j, np.linspace(0.1, TWO_PI, 40),
+        np.linspace(0.1, TWO_PI, 40) + 1e-200j, np.linspace(0.1, 6.0, 12).reshape(3, 4)])
+    @pytest.mark.parametrize("m", [M, (3.0, 0.5), tuple(ellipse_point(E21, 0.7))])
+    def test_negative_pedal_point_is_the_family_envelope_bitwise(self, t, m):
+        got = negative_pedal_point(E21, t, m)
+        want = envelope_point(negative_pedal_family(E21, m), t)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
     def test_envelope_rejects_parallel_pencil(self):
         fam = LineFamily(normal=lambda t: np.stack([np.ones_like(t), np.zeros_like(t)], axis=-1),
                          offset=lambda t: np.asarray(t),
@@ -176,6 +186,53 @@ class TestEnvelopes:
                          doffset=lambda t: np.ones_like(t))
         with pytest.raises(SingularFamily):
             envelope_point(fam, np.array([0.0, 1.0]))
+
+
+# ---------------------------------------------------------------------------
+# chunks of poles
+
+
+class TestPoleChunks:
+    """A chunk of k poles, given as (k, 1) coordinate arrays, yields one curve
+    per pole, bitwise equal to evaluating each pole alone."""
+
+    POLES = np.array([[0.7, -0.4], [-1.2, 0.3], [0.1, 0.9], [2.5, -1.5]])
+
+    @pytest.mark.parametrize("ev", [
+        pedal_point, contrapedal_point, hybrid_point, negative_pedal_point,
+        lambda e, t, m: rotated_pedal_point(e, t, m, 0.6),
+        lambda e, t, m: interpolated_pedal_point(e, t, m, 1.0 / 3.0)])
+    @pytest.mark.parametrize("per_pole_grid", [False, True])
+    def test_rows_equal_single_poles(self, ev, per_pole_grid):
+        base = (np.arange(64) + 0.5) * (TWO_PI / 64)
+        starts = np.array([[0.0], [0.4], [1.1], [2.9]])
+        t = starts + base if per_pole_grid else base
+        got = ev(E21, t, (self.POLES[:, :1], self.POLES[:, 1:]))
+        assert got.shape == (4, 64, 2)
+        for j, (x, y) in enumerate(self.POLES):
+            assert np.array_equal(got[j], ev(E21, t[j] if per_pole_grid else t, (x, y)))
+
+    def test_pseudo_talbot_rows_equal_single_poles(self):
+        s = np.array([[0.0], [0.4], [1.1], [2.9]])
+        u = s + (np.arange(64) + 0.5) * (TWO_PI / 64)
+        got = pseudo_talbot_point(E21, s, u)
+        for j in range(4):
+            assert np.array_equal(got[j], pseudo_talbot_point(E21, float(s[j, 0]), u[j]))
+
+    def test_singular_pole_names_its_parameter(self):
+        # one pole of the chunk sits on the tangent line at t = 0.9
+        t = np.linspace(0.0, 1.8, 9)
+        m_bad = ellipse_point(E21, 0.9) + 0.5 * ellipse_velocity(E21, 0.9)
+        poles = np.array([[0.1, 0.2], m_bad])
+        with pytest.raises(SingularParameter) as info:
+            hybrid_point(E21, t, (poles[:, :1], poles[:, 1:]))
+        assert info.value.t == pytest.approx(0.9)
+
+    @pytest.mark.parametrize("bad", [np.zeros((2, 3)), np.zeros((3, 2, 1)),
+                                     np.full((2, 2, 1), np.nan)])
+    def test_rejects_malformed_chunks(self, bad):
+        with pytest.raises(DomainError):
+            pedal_point(E21, 0.3, bad)
 
 
 # ---------------------------------------------------------------------------
