@@ -60,17 +60,31 @@ class UsageProblem(Exception):
     """Bad command line input; maps to exit code 2."""
 
 
+def _checked(kind, ok, want: str):
+    """argparse type: kind(raw), refused unless ok(value); want says what it must be."""
+    def parse(raw: str):
+        val = kind(raw)
+        if not ok(val):
+            raise argparse.ArgumentTypeError(f"must be {want}, got {raw}")
+        return val
+    parse.__name__ = kind.__name__  # argparse names the type in its "invalid int value" message
+    return parse
+
+
+GRID = _checked(int, lambda v: 8 <= v <= MAX_N, f"at most {MAX_N} and at least 8")
+COUNT = _checked(int, lambda v: 1 <= v <= MAX_COUNT, f"at most {MAX_COUNT} and at least 1")
+FINITE = _checked(float, math.isfinite, "finite")
+POSITIVE = _checked(float, lambda v: math.isfinite(v) and v > 0, "finite and > 0")
+
+
 def _default_tol(fallback: float) -> float:
     raw = os.environ.get("PEDALLAB_TOL")
     if raw is None:
         return fallback
     try:
-        val = float(raw)
-    except ValueError:
-        raise UsageProblem(f"PEDALLAB_TOL is not a number: {raw!r}") from None
-    if not (math.isfinite(val) and val > 0):
-        raise UsageProblem(f"PEDALLAB_TOL must be a positive number, got {raw!r}")
-    return val
+        return POSITIVE(raw)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise UsageProblem(f"PEDALLAB_TOL must be a positive number, got {raw!r}") from None
 
 
 def _parse_xy(raw: str) -> Tuple[float, float]:
@@ -94,17 +108,6 @@ def _parse_vertices(raw: str) -> np.ndarray:
     if len(rows) < 3:
         raise UsageProblem("a polygon needs at least 3 vertices")
     return np.array(rows, dtype=float)
-
-
-def _at_most(limit: int):
-    """argparse type: an int no larger than limit."""
-    def parse(raw: str) -> int:
-        val = int(raw)
-        if val > limit:
-            raise argparse.ArgumentTypeError(f"must be at most {limit}, got {val}")
-        return val
-    parse.__name__ = "int"  # argparse names the type in its "invalid int value" message
-    return parse
 
 
 def _json(obj, **kwargs) -> str:
@@ -141,17 +144,10 @@ def _resolve_pole(args, e: Ellipse):
     return (0.0, 0.0), None
 
 
-def _validated_grid_args(args) -> None:
-    if args.n < 8:
-        raise UsageProblem(f"--n must be >= 8, got {args.n}")
-    off = getattr(args, "offset", None)
-    if off is not None and not 0.0 <= off < 1.0:
-        raise UsageProblem(f"--offset must lie in [0, 1), got {off}")
-
-
 def _build_curve(args, e: Ellipse):
     """Sampled curve plus serializable metadata for the chosen family."""
-    _validated_grid_args(args)
+    if args.offset is not None and not 0.0 <= args.offset < 1.0:
+        raise UsageProblem(f"--offset must lie in [0, 1), got {args.offset}")
     fam = args.family
     if fam == "evolutoid":
         ev = lambda t: evolutoid_point(e, args.theta, t)
@@ -266,7 +262,6 @@ def cmd_area(args) -> int:
 
 def cmd_scan(args) -> int:
     e = _ellipse(args)
-    _validated_grid_args(args)
     try:
         locus = LocusSpec(kind=args.locus, r=args.r, count=args.count, phase=args.phase)
     except DomainError as exc:
@@ -285,8 +280,6 @@ def cmd_scan(args) -> int:
 
 def cmd_identities(args) -> int:
     e = _ellipse(args)
-    if args.n < 8:
-        raise UsageProblem(f"--n must be >= 8, got {args.n}")
     tol = args.tol if args.tol is not None else _default_tol(1e-8)
     m = _parse_xy(args.m)
     checks = identity_suite(e, m, n=args.n, tol=tol)
@@ -346,8 +339,6 @@ def cmd_polygon(args) -> int:
 
 def cmd_conjecture(args) -> int:
     e = _ellipse(args)
-    if args.n < 8:
-        raise UsageProblem(f"--n must be >= 8, got {args.n}")
     tol = args.tol if args.tol is not None else _default_tol(1e-4)
     if args.m is not None:
         poles = [_parse_xy(args.m)]
@@ -385,9 +376,9 @@ def _add_pole(p):
 
 def _add_family(p, choices):
     p.add_argument("--family", choices=choices, default="pedal")
-    p.add_argument("--theta", type=float, default=0.0,
+    p.add_argument("--theta", type=FINITE, default=0.0,
                    help="line rotation / tangent crossing angle")
-    p.add_argument("--mu", type=float, default=0.5, help="pedal-contrapedal blend")
+    p.add_argument("--mu", type=FINITE, default=0.5, help="pedal-contrapedal blend")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -400,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ellipse(p)
     _add_pole(p)
     _add_family(p, FAMILIES)
-    p.add_argument("--n", type=_at_most(MAX_N), default=512, help="number of samples")
+    p.add_argument("--n", type=GRID, default=512, help="number of samples")
     p.add_argument("--offset", type=float, default=None,
                    help="fractional grid offset in [0, 1)")
     p.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
@@ -411,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ellipse(p)
     _add_pole(p)
     _add_family(p, FAMILIES)
-    p.add_argument("--n", type=_at_most(MAX_N), default=2048)
+    p.add_argument("--n", type=GRID, default=2048)
     p.add_argument("--offset", type=float, default=None)
     p.add_argument("--output", type=str, default=None)
     p.set_defaults(func=cmd_area)
@@ -421,18 +412,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family(p, SCAN_FAMILIES)
     p.add_argument("--locus", choices=("circle", "boundary"), required=True)
     p.add_argument("--r", type=float, default=1.0, help="circle locus radius")
-    p.add_argument("--count", type=_at_most(MAX_COUNT), default=64, help="poles on the locus")
+    p.add_argument("--count", type=COUNT, default=64, help="poles on the locus")
     p.add_argument("--phase", type=float, default=0.0, help="locus angular offset")
-    p.add_argument("--n", type=_at_most(MAX_N), default=2048)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--n", type=GRID, default=2048)
+    p.add_argument("--tol", type=POSITIVE, default=None)
     p.add_argument("--output", type=str, default=None, help="write the full JSON report")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("identities", help="pedal-family area identity suite")
     _add_ellipse(p)
     p.add_argument("--m", type=str, default="0.7,-0.4", help="pole as 'x,y'")
-    p.add_argument("--n", type=_at_most(MAX_N), default=2048)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--n", type=GRID, default=2048)
+    p.add_argument("--tol", type=POSITIVE, default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--output", type=str, default=None)
     p.set_defaults(func=cmd_identities)
@@ -441,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ellipse(p)
     _add_pole(p)
     _add_family(p, FAMILIES)
-    p.add_argument("--n", type=_at_most(MAX_N), default=2048)
+    p.add_argument("--n", type=GRID, default=2048)
     p.add_argument("--offset", type=float, default=None)
     p.add_argument("--source", choices=("samples", "support"), default="samples")
     p.add_argument("--output", type=str, default=None)
@@ -458,10 +449,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ellipse(p)
     p.add_argument("--m", type=str, default=None,
                    help="pole as 'x,y'; omitted: random interior poles")
-    p.add_argument("--count", type=_at_most(MAX_COUNT), default=10, help="random poles when --m is omitted")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n", type=_at_most(MAX_N), default=2048)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--count", type=COUNT, default=10, help="random poles when --m is omitted")
+    p.add_argument("--seed", type=_checked(int, lambda v: v >= 0, "at least 0"), default=0)
+    p.add_argument("--n", type=GRID, default=2048)
+    p.add_argument("--tol", type=POSITIVE, default=None)
     p.add_argument("--output", type=str, default=None)
     p.set_defaults(func=cmd_conjecture)
 
@@ -469,8 +460,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # a usage error (2), or --help (0)
+        return exc.code
     try:
         return args.func(args)
     except UsageProblem as exc:

@@ -7,7 +7,11 @@ all while it stays on the ellipse (boundary locus).  A scan certifies such
 a claim numerically: it computes the signed area for every sampled pole at
 grid size n, re-checks each at 2n, and reports the spread.  Poles are
 sampled and integrated in chunks, one batched evaluator call and one stacked
-quadrature per grid size and chunk.
+quadrature per grid size and chunk.  Each family's evaluator is split
+(family_frame) into a frame, the work that depends on the parameters alone,
+and the points for a pole; a grid that is the same for every pole (every
+circle locus) builds its frame once per grid size, so the ellipse trig of
+the Steiner families is not redone for every chunk.
 
 Reports carry plain Python data and serialize to JSON deterministically:
 same inputs, byte-identical files.
@@ -40,13 +44,13 @@ from .curves import (
 )
 from .errors import DomainError, GeometryError
 from .pedal import (
-    contrapedal_point,
+    contrapedal_frame,
     hybrid_point,
-    interpolated_pedal_point,
+    interpolated_frame,
     negative_pedal_point,
-    pedal_point,
+    pedal_frame,
     pseudo_talbot_point,
-    rotated_pedal_point,
+    rotated_frame,
     self_intersections,
 )
 
@@ -69,9 +73,29 @@ OFFSET_FAMILIES = (AreaFamily.HYBRID, AreaFamily.PSEUDO_TALBOT, AreaFamily.NEGAT
 
 # a scan evaluates at most this many grid points at once (a chunk of k poles
 # at 2n points each), so batching never grows its working set with the pole
-# count; at up to ~130 bytes of temporaries per point, 2**13 points fit in
-# memory the process already holds, where 2**16 raised peak RSS by ~8 MB
+# count; at up to ~125 bytes per point (tracemalloc peak of a 256-pole
+# n=2048 scan, shared frame included), 2**13 points fit in memory the
+# process already holds, where 2**16 raised peak RSS by ~8 MB
 CHUNK_POINTS = 2 ** 13
+
+
+def _require_count(what: str, value, least: int) -> None:
+    # reports carry the value as it is, so it must be a Python int, not a bool
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DomainError(f"{what} must be an int, got {value!r}")
+    if value < least:
+        raise DomainError(f"{what} must be >= {least}, got {value}")
+
+
+def _require_finite(what: str, *values) -> None:
+    bad = [v for v in values if not math.isfinite(v)]
+    if bad:
+        raise DomainError(f"{what} must be finite, got {bad[0]}")
+
+
+def _require_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"tol must be finite and > 0, got {tol}")
 
 
 @dataclass(frozen=True)
@@ -91,8 +115,7 @@ class LocusSpec:
                 f"locus r and phase must be finite, got r={self.r}, phase={self.phase}")
         if self.kind == "circle" and not self.r > 0:
             raise DomainError(f"circle locus needs r > 0, got {self.r}")
-        if self.count < 1:
-            raise DomainError("locus needs at least one sample")
+        _require_count("locus count", self.count, 1)
 
     def angles(self) -> np.ndarray:
         return self.phase + np.arange(self.count) * (TWO_PI / self.count)
@@ -110,6 +133,45 @@ class LocusSpec:
         return d
 
 
+def _feet_of(build: Callable) -> Callable:
+    """frame(t) of a Steiner family whose FootFrame at t is build(t)."""
+    def frame(t):
+        feet = build(t).feet
+        return lambda m, s: feet(m)
+    return frame
+
+
+def family_frame(e: Ellipse, family, theta: float = 0.0, mu: float = 0.5) -> Callable:
+    """A family's point evaluator, split at its parameters.
+
+    Returns frame(t), which does the work that depends on the parameters t
+    alone and gives back points(m, s): the points for the pole m whose
+    boundary parameter is s (one pole, or a chunk as family_evaluator takes
+    it).  For the Steiner families (pedal, contrapedal, rotated,
+    interpolated) frame(t) builds the FootFrame, P(t), P'(t) and the line
+    directions, and points() drops the feet from the pole; the other
+    families do all their work in points().
+    """
+    fam = AreaFamily.coerce(family)
+    if fam is AreaFamily.ELLIPSE:
+        return lambda t: lambda m, s: ellipse_point(e, t)
+    if fam is AreaFamily.PEDAL:
+        return _feet_of(lambda t: pedal_frame(e, t))
+    if fam is AreaFamily.CONTRAPEDAL:
+        return _feet_of(lambda t: contrapedal_frame(e, t))
+    if fam is AreaFamily.ROTATED:
+        return _feet_of(lambda t: rotated_frame(e, t, theta))
+    if fam is AreaFamily.INTERPOLATED:
+        return _feet_of(lambda t: interpolated_frame(e, t, mu))
+    if fam is AreaFamily.HYBRID:
+        return lambda t: lambda m, s: hybrid_point(e, t, m)
+    if fam is AreaFamily.NEGATIVE_PEDAL:
+        return lambda t: lambda m, s: negative_pedal_point(e, t, m)
+    if fam is AreaFamily.PSEUDO_TALBOT:
+        return lambda u: lambda m, s: pseudo_talbot_point(e, s, u)
+    raise DomainError(f"no point evaluator for family {family!r}")
+
+
 def family_evaluator(e: Ellipse, family, m, theta: float = 0.0, mu: float = 0.5,
                      s: Optional[float] = None) -> Callable:
     """Point evaluator t -> (x, y) for a family with a fixed pole.
@@ -117,28 +179,13 @@ def family_evaluator(e: Ellipse, family, m, theta: float = 0.0, mu: float = 0.5,
     s is the boundary parameter of the pole; pseudo-Talbot requires it
     because its pole lives on the ellipse by construction.  For a chunk of
     k poles, m is a pair of (k, 1) coordinate arrays and s a (k, 1) array;
-    the evaluator then returns (k, n, 2) points for n parameters.
+    the evaluator then returns (k, n, 2) points for n parameters.  It is
+    family_frame's frame and points in one call.
     """
-    fam = AreaFamily.coerce(family)
-    if fam is AreaFamily.ELLIPSE:
-        return lambda t: ellipse_point(e, t)
-    if fam is AreaFamily.PEDAL:
-        return lambda t: pedal_point(e, t, m)
-    if fam is AreaFamily.CONTRAPEDAL:
-        return lambda t: contrapedal_point(e, t, m)
-    if fam is AreaFamily.ROTATED:
-        return lambda t: rotated_pedal_point(e, t, m, theta)
-    if fam is AreaFamily.INTERPOLATED:
-        return lambda t: interpolated_pedal_point(e, t, m, mu)
-    if fam is AreaFamily.HYBRID:
-        return lambda t: hybrid_point(e, t, m)
-    if fam is AreaFamily.NEGATIVE_PEDAL:
-        return lambda t: negative_pedal_point(e, t, m)
-    if fam is AreaFamily.PSEUDO_TALBOT:
-        if s is None:
-            raise DomainError("pseudo-Talbot needs the boundary parameter of its pole")
-        return lambda u: pseudo_talbot_point(e, s, u)
-    raise DomainError(f"no point evaluator for family {family!r}")
+    frame = family_frame(e, family, theta=theta, mu=mu)
+    if s is None and AreaFamily.coerce(family) is AreaFamily.PSEUDO_TALBOT:
+        raise DomainError("pseudo-Talbot needs the boundary parameter of its pole")
+    return lambda t: frame(t)(m, s)
 
 
 def family_grid(family, n: int, s=0.0) -> ParamGrid:
@@ -198,25 +245,40 @@ def _pole_areas(e: Ellipse, fam: AreaFamily, m, s: float, n: int, theta: float, 
                  for count in (n, 2 * n))
 
 
-def _chunk_areas(e: Ellipse, fam: AreaFamily, poles: np.ndarray, s, n: int,
-                 theta: float, mu: float) -> np.ndarray:
-    """Areas at n and 2n points, shape (2, k), of a chunk of k poles.
+def _chunk_areas(points: Callable, t: np.ndarray, poles: np.ndarray, s) -> np.ndarray:
+    """Areas of a chunk of k poles on the nodes t: one points() call and one
+    stacked quadrature.  Rows whose points are not all finite come back NaN."""
+    k, size = len(poles), t.shape[-1]
+    # the ellipse family has no pole: its one curve stands for all k
+    pts = np.broadcast_to(np.asarray(points((poles[:, :1], poles[:, 1:]), s), dtype=float),
+                          (k, size, 2))
+    ok = np.all(np.isfinite(pts), axis=(1, 2))
+    out = np.full(k, np.nan)
+    if ok.any():
+        out[ok] = signed_area_quadrature(SampledCurve(np.broadcast_to(t, (k, size))[ok], pts[ok]))
+    return out
 
-    One evaluator call and one stacked quadrature per grid size; s is 0.0 or
-    a (k, 1) array of boundary parameters.  Rows whose points are not all
-    finite come back NaN.
+
+def _sweep(frame: Callable, fam: AreaFamily, poles: np.ndarray, s_all, size: int,
+           per_chunk: int) -> np.ndarray:
+    """Areas on grids of the given size of all poles, in chunks of per_chunk.
+
+    s_all is 0.0 or a (count, 1) array of boundary parameters.  A grid that
+    is the same for every pole (one row of nodes) builds its frame once for
+    all chunks.  Poles whose chunk raised come back NaN.
     """
-    k = len(poles)
-    ev = family_evaluator(e, fam, (poles[:, :1], poles[:, 1:]), theta=theta, mu=mu, s=s)
-    out = np.full((2, k), np.nan)
-    for row, count in enumerate((n, 2 * n)):
-        t = family_grid(fam, count, s).nodes()
-        # the ellipse family has no pole: its one curve stands for all k
-        pts = np.broadcast_to(np.asarray(ev(t), dtype=float), (k, count, 2))
-        ok = np.all(np.isfinite(pts), axis=(1, 2))
-        if ok.any():
-            t = np.broadcast_to(t, (k, count))
-            out[row, ok] = signed_area_quadrature(SampledCurve(t[ok], pts[ok]))
+    out = np.full(len(poles), np.nan)
+    points = None
+    for c0 in range(0, len(poles), per_chunk):
+        chunk = slice(c0, c0 + per_chunk)
+        s = s_all[chunk] if np.ndim(s_all) else s_all
+        t = family_grid(fam, size, s).nodes()
+        try:
+            if points is None or t.ndim > 1:
+                points = frame(t)
+            out[chunk] = _chunk_areas(points, t, poles[chunk], s)
+        except GeometryError:
+            pass
     return out
 
 
@@ -229,10 +291,13 @@ def scan(e: Ellipse, family, locus: LocusSpec, n: int = 2048,
     marked and excluded from the spread.  The scan passes when areas exist
     for all poles, their relative spread about the mean stays within tol,
     and, where a closed form applies, they match it to tol as well.  With no
-    area at all, mean and max_rel_dev are None.
+    area at all, mean and max_rel_dev are None.  A grid size n below 8, a
+    non-finite theta or mu, or a tol that is not finite and positive raises
+    DomainError.
 
-    Poles go through _chunk_areas in chunks of at most CHUNK_POINTS points
-    at 2n.  A pole whose chunk raised, or whose row came back non-finite, is
+    _sweep takes all poles at n, then all at 2n, in chunks of at most
+    CHUNK_POINTS points at 2n; only one grid size's frame is alive at a
+    time.  A pole whose chunk raised, or whose row came back non-finite, is
     re-run alone by _pole_areas, so its error reads as if it had been
     scanned by itself; every area is bitwise that of its pole alone.
     """
@@ -242,38 +307,39 @@ def scan(e: Ellipse, family, locus: LocusSpec, n: int = 2048,
     if fam is AreaFamily.PSEUDO_TALBOT and locus.kind != "boundary":
         raise DomainError("pseudo-Talbot poles live on the ellipse; use a boundary locus")
 
+    _require_count("grid size n", n, 8)
+    _require_finite("theta and mu", theta, mu)
+    _require_tol(tol)
+
     boundary = locus.kind == "boundary"
     angles = locus.angles()
     poles = locus.poles(e)
+    frame = family_frame(e, fam, theta=theta, mu=mu)
+    per_chunk = max(1, CHUNK_POINTS // (2 * n))
+    s_all = angles[:, None] if boundary else 0.0
+    coarse = _sweep(frame, fam, poles, s_all, n, per_chunk)
+    fine = _sweep(frame, fam, poles, s_all, 2 * n, per_chunk)
+
     areas: List[Optional[float]] = []
     errors: List[Optional[str]] = []
     closed_vals: List[Optional[float]] = []
     max_gap = 0.0
-
-    per_chunk = max(1, CHUNK_POINTS // (2 * n))
-    for c0 in range(0, locus.count, per_chunk):
-        chunk = slice(c0, c0 + per_chunk)
+    for pole, s_j, a1, a2 in zip(poles, angles, coarse, fine):
+        m = (float(pole[0]), float(pole[1]))
         try:
-            pair = _chunk_areas(e, fam, poles[chunk], angles[chunk, None] if boundary else 0.0,
-                                n, theta, mu)
-        except GeometryError:
-            pair = np.full((2, len(poles[chunk])), np.nan)
-        for pole, s_j, a1, a2 in zip(poles[chunk], angles[chunk], *pair):
-            m = (float(pole[0]), float(pole[1]))
-            try:
-                if not (math.isfinite(a1) and math.isfinite(a2)):
-                    a1, a2 = _pole_areas(e, fam, m, float(s_j) if boundary else 0.0,
-                                         n, theta, mu)
-                max_gap = max(max_gap, abs(a1 - a2))
-                areas.append(float(settled_area(a1, a2)))
-                errors.append(None)
-            except GeometryError as exc:
-                areas.append(None)
-                errors.append(str(exc))
-            try:
-                closed_vals.append(closed_form_area(fam, e, m=m, theta=theta, mu=mu))
-            except DomainError:
-                closed_vals.append(None)
+            if not (math.isfinite(a1) and math.isfinite(a2)):
+                a1, a2 = _pole_areas(e, fam, m, float(s_j) if boundary else 0.0,
+                                     n, theta, mu)
+            max_gap = max(max_gap, abs(a1 - a2))
+            areas.append(float(settled_area(a1, a2)))
+            errors.append(None)
+        except GeometryError as exc:
+            areas.append(None)
+            errors.append(str(exc))
+        try:
+            closed_vals.append(closed_form_area(fam, e, m=m, theta=theta, mu=mu))
+        except DomainError:
+            closed_vals.append(None)
 
     good = [x for x in areas if x is not None]
     mean: Optional[float] = None
@@ -341,7 +407,12 @@ def identity_suite(e: Ellipse, m=(0.7, -0.4), n: int = 2048,
     (closed forms, then quadrature, then the support-function route); the
     rotated-pedal deficit A_pedal - A_rot = A sin^2(theta) per theta; the
     blend law A_mu = (1-2mu)((1-mu)A_pedal - mu A_contra) + mu(1-mu)A per mu.
+    A grid size n below 8, a non-finite theta or mu, or a tol that is not
+    finite and positive raises DomainError.
     """
+    _require_count("grid size n", n, 8)
+    _require_finite("thetas and mus", *thetas, *mus)
+    _require_tol(tol)
     x0, y0 = as_xy(m)
     mm = (float(x0), float(y0))
     base = closed_form_area(AreaFamily.ELLIPSE, e)

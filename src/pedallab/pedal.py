@@ -20,14 +20,17 @@ Point evaluators are vectorized over t and complex-safe, so the cusp finder
 can differentiate them by complex step.  The ellipse evaluators with a pole
 M also take a chunk of k poles as a pair of (k, 1) coordinate arrays (see
 curves.pole_xy) and then return one curve per pole, so a scan samples many
-poles in one call.
+poles in one call.  The pedal, contrapedal, rotated and interpolated
+evaluators split into a FootFrame, which holds the part that depends on t
+alone (P(t) and the line directions), and its feet() from the pole, so a
+scan can share one frame among all the poles of a grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -76,16 +79,69 @@ def perpendicular_foot(m, p, d):
     return p + u[..., None] * d
 
 
+@dataclass(frozen=True)
+class FootFrame:
+    """The pole-free part of a Steiner-family evaluator at parameters t.
+
+    p holds P(t) and d the direction of the line through each point; a blend
+    also holds a second direction d2 and its weight mu.  None of it depends
+    on the pole, so a scan whose grid stays put builds one frame per grid
+    size and calls feet() for every chunk of poles.
+    """
+
+    p: np.ndarray
+    d: np.ndarray
+    d2: Optional[np.ndarray] = None
+    mu: float = 0.0
+
+    def feet(self, m):
+        """Feet of the perpendiculars from m (a pole, or a chunk of poles as
+        perpendicular_foot takes it), blended as (1 - mu) * foot on d +
+        mu * foot on d2 when the frame has a second line."""
+        foot = perpendicular_foot(m, self.p, self.d)
+        if self.d2 is None:
+            return foot
+        return (1.0 - self.mu) * foot + self.mu * perpendicular_foot(m, self.p, self.d2)
+
+
+def _normal(v):
+    """v turned a quarter turn counterclockwise."""
+    return np.stack([-v[..., 1], v[..., 0]], axis=-1)
+
+
+def pedal_frame(e: Ellipse, t) -> FootFrame:
+    """Tangent lines at P(t)."""
+    return FootFrame(ellipse_point(e, t), ellipse_velocity(e, t))
+
+
+def contrapedal_frame(e: Ellipse, t) -> FootFrame:
+    """Normal lines at P(t)."""
+    return FootFrame(ellipse_point(e, t), _normal(ellipse_velocity(e, t)))
+
+
+def rotated_frame(e: Ellipse, t, theta: float) -> FootFrame:
+    """Lines through P(t) along the tangent turned by theta."""
+    v = ellipse_velocity(e, t)
+    ct, st = math.cos(theta), math.sin(theta)
+    d = np.stack([ct * v[..., 0] - st * v[..., 1],
+                  st * v[..., 0] + ct * v[..., 1]], axis=-1)
+    return FootFrame(ellipse_point(e, t), d)
+
+
+def interpolated_frame(e: Ellipse, t, mu: float) -> FootFrame:
+    """Tangent and normal lines at P(t), blended with weight mu on the normal."""
+    v = ellipse_velocity(e, t)
+    return FootFrame(ellipse_point(e, t), v, _normal(v), mu)
+
+
 def pedal_point(e: Ellipse, t, m):
     """Foot of the perpendicular from m onto the tangent line at P(t)."""
-    return perpendicular_foot(m, ellipse_point(e, t), ellipse_velocity(e, t))
+    return pedal_frame(e, t).feet(m)
 
 
 def contrapedal_point(e: Ellipse, t, m):
     """Foot of the perpendicular from m onto the normal line at P(t)."""
-    v = ellipse_velocity(e, t)
-    n = np.stack([-v[..., 1], v[..., 0]], axis=-1)
-    return perpendicular_foot(m, ellipse_point(e, t), n)
+    return contrapedal_frame(e, t).feet(m)
 
 
 def rotated_pedal_point(e: Ellipse, t, m, theta: float):
@@ -93,16 +149,12 @@ def rotated_pedal_point(e: Ellipse, t, m, theta: float):
 
     theta = 0 reproduces the pedal, theta = pi/2 the contrapedal.
     """
-    v = ellipse_velocity(e, t)
-    ct, st = math.cos(theta), math.sin(theta)
-    d = np.stack([ct * v[..., 0] - st * v[..., 1],
-                  st * v[..., 0] + ct * v[..., 1]], axis=-1)
-    return perpendicular_foot(m, ellipse_point(e, t), d)
+    return rotated_frame(e, t, theta).feet(m)
 
 
 def interpolated_pedal_point(e: Ellipse, t, m, mu: float):
     """(1 - mu) * pedal + mu * contrapedal; mu may lie outside [0, 1]."""
-    return (1.0 - mu) * pedal_point(e, t, m) + mu * contrapedal_point(e, t, m)
+    return interpolated_frame(e, t, mu).feet(m)
 
 
 def support_pedal_point(s: SupportCurve, t, m):

@@ -85,6 +85,30 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert f"argument {argv[-2]}: must be at most" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--locus", "circle", "--theta", "nan"],
+        ["scan", "--locus", "circle", "--mu", "inf"],
+        ["scan", "--locus", "circle", "--tol", "nan"],
+        ["scan", "--locus", "circle", "--tol", "0"],
+        ["identities", "--tol", "-1"],
+        ["conjecture", "--tol", "inf"],
+        ["sample", "--theta", "inf"],
+        ["area", "--mu", "nan"],
+        ["scan", "--locus", "circle", "--n", "2"],
+        ["identities", "--n", "4"],
+        ["conjecture", "--n", "7"],
+        ["conjecture", "--count", "0"],
+        ["conjecture", "--seed", "-1"]])
+    def test_flag_out_of_range_exits_2_naming_the_flag(self, capsys, argv):
+        # refused by the parser, before anything is computed
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == ""
+        assert f"argument {argv[-2]}: must be" in err
+
+    def test_help_exits_0(self, capsys):
+        rc, out, _ = run(capsys, "scan", "--help")
+        assert rc == 0 and "--theta" in out
+
     def test_bounds_themselves_parse(self):
         args = build_parser().parse_args(["scan", "--locus", "circle", "--n", str(MAX_N),
                                           "--count", str(MAX_COUNT)])

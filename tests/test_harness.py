@@ -22,8 +22,9 @@ from pedallab import (
     scan,
     signed_area_quadrature,
 )
+from pedallab import pedal
 from pedallab.areas import settled_area
-from pedallab.harness import SCANNABLE
+from pedallab.harness import SCANNABLE, family_frame
 
 E21 = Ellipse(2.0, 1.0)
 
@@ -43,6 +44,11 @@ class TestLocusSpec:
     def test_rejects_non_finite_radius_and_phase(self, kind, bad):
         with pytest.raises(DomainError):
             LocusSpec(kind=kind, **bad)
+
+    @pytest.mark.parametrize("count", [True, 2.5, "4", None, np.int64(4)])
+    def test_count_must_be_an_int(self, count):
+        with pytest.raises(DomainError):
+            LocusSpec(kind="circle", count=count)
 
     def test_circle_poles(self):
         poles = LocusSpec(kind="circle", r=2.5, count=16, phase=0.1).poles(E21)
@@ -66,6 +72,12 @@ class TestFamilyPlumbing:
     def test_unknown_family(self):
         with pytest.raises(DomainError):
             family_evaluator(E21, "osculating", (0.0, 0.0))
+
+    def test_evolutoid_has_no_point_evaluator(self):
+        with pytest.raises(DomainError):
+            family_evaluator(E21, "evolutoid", (0.0, 0.0))
+        with pytest.raises(DomainError):
+            family_frame(E21, "evolutoid")
 
     def test_singular_families_get_offset_grids(self):
         g = family_grid("hybrid", 512, s=0.7)
@@ -146,6 +158,59 @@ class TestScan:
         assert list(d1)[:6] == ["family", "a", "b", "locus", "n", "params"]
 
 
+class TestScanEdge:
+    """Bad scan and identity-suite arguments raise DomainError before any
+    pole is sampled."""
+
+    LOCUS = LocusSpec("circle", r=0.5, count=4)
+
+    @pytest.mark.parametrize("bad", [
+        dict(n=4), dict(n=2.5), dict(n=True), dict(n="64"), dict(n=np.int64(64)),
+        dict(theta=math.nan), dict(theta=math.inf), dict(mu=-math.inf), dict(mu=math.nan),
+        dict(tol=math.nan), dict(tol=math.inf), dict(tol=0.0), dict(tol=-1e-8)])
+    def test_scan_rejects(self, bad):
+        with pytest.raises(DomainError):
+            scan(E21, "rotated", self.LOCUS, **{"n": 64, **bad})
+
+    @pytest.mark.parametrize("bad", [
+        dict(n=4), dict(n=2.5), dict(thetas=(0.0, math.nan)), dict(mus=(math.inf,)),
+        dict(tol=math.nan), dict(tol=0.0)])
+    def test_identity_suite_rejects(self, bad):
+        with pytest.raises(DomainError):
+            identity_suite(E21, **{"n": 64, **bad})
+
+
+def count_trig_points(monkeypatch):
+    """Patch ellipse_point and ellipse_velocity where the Steiner frames call
+    them; the returned list gathers the number of parameters of every call."""
+    sizes = []
+    for name in ("ellipse_point", "ellipse_velocity"):
+        def counted(e, t, fn=getattr(pedal, name)):
+            sizes.append(np.size(t))
+            return fn(e, t)
+        monkeypatch.setattr(pedal, name, counted)
+    return sizes
+
+
+class TestSharedFrames:
+    """A circle scan builds each grid size's ellipse frame once, whatever
+    the number of poles."""
+
+    @pytest.mark.parametrize("fam", ["pedal", "contrapedal", "rotated", "interpolated"])
+    def test_trig_work_does_not_grow_with_the_pole_count(self, monkeypatch, fam):
+        sizes = count_trig_points(monkeypatch)
+        totals = []
+        for count in (2, 64):
+            sizes.clear()
+            rep = scan(E21, fam, LocusSpec("circle", r=0.8, count=count), n=2048,
+                       theta=0.6, mu=1 / 3)
+            assert rep.passed
+            totals.append(sum(sizes))
+        # 64 poles at n=2048 make 32 chunks of 2 poles
+        assert totals[0] > 0
+        assert totals[1] == totals[0]
+
+
 def scan_alone(e, fam, locus, j, n, theta=0.0, mu=0.5):
     """(area, error) of pole j of the locus, sampled and integrated by itself."""
     pole = tuple(float(v) for v in locus.poles(e)[j])
@@ -202,6 +267,19 @@ class TestBatchedScan:
         tracemalloc.start()
         try:
             rep = scan(E21, "negative_pedal", locus, n=2048)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.passed
+        assert peak < 2 * 2 ** 20
+
+    def test_interpolated_circle_scan_bounds_memory(self):
+        # the one frame alive holds P, P' and the normal at 2n = 4096 points
+        locus = LocusSpec("circle", r=0.8, count=256)
+        scan(E21, "interpolated", LocusSpec("circle", r=0.8, count=4), n=64)
+        tracemalloc.start()
+        try:
+            rep = scan(E21, "interpolated", locus, n=2048, mu=1 / 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

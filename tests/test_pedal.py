@@ -39,7 +39,13 @@ from pedallab import (
     support_pedal_point,
     support_point,
 )
-from pedallab.pedal import _segment_hits
+from pedallab.pedal import (
+    _segment_hits,
+    contrapedal_frame,
+    interpolated_frame,
+    pedal_frame,
+    rotated_frame,
+)
 
 TWO_PI = 2.0 * math.pi
 E21 = Ellipse(2.0, 1.0)
@@ -233,6 +239,69 @@ class TestPoleChunks:
     def test_rejects_malformed_chunks(self, bad):
         with pytest.raises(DomainError):
             pedal_point(E21, 0.3, bad)
+
+
+# ---------------------------------------------------------------------------
+# foot frames
+
+
+def steiner_reference(e, t, m, kind, theta=0.6, mu=1.0 / 3.0):
+    """The Steiner feet written out in one piece, with P(t) and P'(t)
+    evaluated on every call."""
+    p, v = ellipse_point(e, t), ellipse_velocity(e, t)
+    normal = np.stack([-v[..., 1], v[..., 0]], axis=-1)
+    if kind == "pedal":
+        return perpendicular_foot(m, p, v)
+    if kind == "contrapedal":
+        return perpendicular_foot(m, p, normal)
+    if kind == "rotated":
+        ct, st = math.cos(theta), math.sin(theta)
+        d = np.stack([ct * v[..., 0] - st * v[..., 1],
+                      st * v[..., 0] + ct * v[..., 1]], axis=-1)
+        return perpendicular_foot(m, p, d)
+    return (1.0 - mu) * perpendicular_foot(m, p, v) + mu * perpendicular_foot(m, p, normal)
+
+
+STEINER = {
+    "pedal": (pedal_point, pedal_frame),
+    "contrapedal": (contrapedal_point, contrapedal_frame),
+    "rotated": (lambda e, t, m: rotated_pedal_point(e, t, m, 0.6),
+                lambda e, t: rotated_frame(e, t, 0.6)),
+    "interpolated": (lambda e, t, m: interpolated_pedal_point(e, t, m, 1.0 / 3.0),
+                     lambda e, t: interpolated_frame(e, t, 1.0 / 3.0)),
+}
+
+
+class TestFootFrames:
+    """The Steiner evaluators are a pole-free frame plus the feet from the
+    pole; a frame built once serves any number of poles."""
+
+    CHUNK = (np.array([[0.7], [-1.2], [2.5]]), np.array([[-0.4], [0.3], [-1.5]]))
+
+    @pytest.mark.parametrize("kind", sorted(STEINER))
+    @pytest.mark.parametrize("t", [
+        0.3, 0.3 + 1e-200j, np.linspace(0.1, TWO_PI, 40),
+        np.linspace(0.1, TWO_PI, 40) + 1e-200j, np.linspace(0.1, 6.0, 12).reshape(3, 4)])
+    @pytest.mark.parametrize("m", [M, (3.0, 0.5), CHUNK])
+    def test_points_equal_the_formulas_in_one_piece_bitwise(self, kind, t, m):
+        got = STEINER[kind][0](E21, t, m)
+        want = steiner_reference(E21, t, m, kind)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("kind", sorted(STEINER))
+    def test_one_frame_serves_every_pole(self, kind):
+        point, frame = STEINER[kind]
+        t = (np.arange(64) + 0.5) * (TWO_PI / 64)
+        fr = frame(E21, t)
+        for x, y in zip(*self.CHUNK):
+            assert np.array_equal(fr.feet((float(x[0]), float(y[0]))),
+                                  point(E21, t, (float(x[0]), float(y[0]))))
+        assert np.array_equal(fr.feet(self.CHUNK), point(E21, t, self.CHUNK))
+
+    def test_feet_validate_the_pole(self):
+        with pytest.raises(DomainError):
+            pedal_frame(E21, np.linspace(0.0, 1.0, 8)).feet((math.nan, 0.0))
 
 
 # ---------------------------------------------------------------------------
