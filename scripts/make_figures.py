@@ -11,6 +11,9 @@ import math
 import sys
 from pathlib import Path
 
+# a checkout runs without installing: the package falls back on ../src
+sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
+
 from pedallab import Ellipse
 from pedallab.cli import main as cli
 

@@ -62,16 +62,12 @@ from .harness import (
 )
 from .pedal import (
     Crossing,
-    LineFamily,
     contrapedal_point,
-    envelope_point,
     evolutoid_point,
     evolutoid_support,
     find_cusps,
     hybrid_point,
-    hybrid_velocity,
     interpolated_pedal_point,
-    negative_pedal_family,
     negative_pedal_point,
     pedal_point,
     perpendicular_foot,
@@ -83,27 +79,3 @@ from .pedal import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AreaFamily", "Polygon", "SupportAreas", "circumcenter", "closed_form_area",
-    "curvature_centroid_polygon", "curvature_centroid_samples",
-    "curvature_centroid_support", "internal_angles", "pedal_polygon",
-    "perimeter_quadrature", "polygon_signed_area", "signed_area_quadrature",
-    "support_areas", "support_contrapedal_area", "support_pedal_area",
-    "Ellipse", "ParamGrid", "Point2", "SampledCurve", "SupportCurve",
-    "ellipse_point", "ellipse_support", "ellipse_velocity", "sample_curve",
-    "support_point",
-    "CollinearVertices", "DegenerateLine", "DomainError", "EvaluationError",
-    "GeometryError", "QuadratureError", "SingularFamily", "SingularParameter",
-    "ZeroRotationIndex", "ZeroTotalWeight",
-    "ConjectureReport", "IdentityCheck", "InvarianceReport", "LocusSpec",
-    "conjecture_check_contrapedal", "family_evaluator", "family_grid",
-    "identity_suite", "scan",
-    "Crossing", "LineFamily", "contrapedal_point", "envelope_point",
-    "evolutoid_point", "evolutoid_support", "find_cusps", "hybrid_point",
-    "hybrid_velocity", "interpolated_pedal_point", "negative_pedal_family",
-    "negative_pedal_point", "pedal_point", "perpendicular_foot",
-    "pseudo_talbot_point", "rotated_pedal_point", "self_intersections",
-    "support_contrapedal_point", "support_pedal_point",
-    "__version__",
-]

@@ -1,11 +1,13 @@
-"""Signed areas, perimeters and curvature-weighted centroids.
+"""The curve-family registry; signed areas, perimeters and curvature-weighted
+centroids.
 
-Closed-form area constants live next to the quadrature that checks them.
-The quadrature is spectral: the shoelace integral 1/2 int(x y' - y x') is
-taken in Fourier space by Parseval's identity, from the real FFTs of the two
-coordinate sample sequences, so it is exact for band-limited curves and
-converges geometrically for analytic ones (Trefethen & Weideman, SIAM Rev.
-2014).  A plain finite-difference shoelace stalls near 1e-6 relative error
+FAMILIES declares each curve family once: its closed-form area, its point
+evaluator and where its pole lives.  The closed forms live next to the
+quadrature that checks them.  The quadrature is spectral: the shoelace
+integral 1/2 int(x y' - y x') is taken in Fourier space by Parseval's
+identity, from the real FFTs of the two coordinate sample sequences, so it
+is exact for band-limited curves and converges geometrically for analytic
+ones (Trefethen & Weideman, SIAM Rev. 2014).  A plain finite-difference shoelace stalls near 1e-6 relative error
 at two thousand points, which is not enough to certify the invariants this
 package is about.  Every certified area is re-run on a grid twice as fine;
 settled() is that doubling test.
@@ -16,10 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, Optional
 
 import numpy as np
 
-from .curves import Ellipse, SampledCurve, SupportCurve, as_xy, Point2
+from .curves import Ellipse, SampledCurve, SupportCurve, as_xy, ellipse_point, Point2
 from .errors import (
     CollinearVertices,
     DegenerateLine,
@@ -27,6 +30,15 @@ from .errors import (
     QuadratureError,
     ZeroRotationIndex,
     ZeroTotalWeight,
+)
+from .pedal import (
+    contrapedal_frame,
+    hybrid_point,
+    interpolated_frame,
+    negative_pedal_point,
+    pedal_frame,
+    pseudo_talbot_point,
+    rotated_frame,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -36,18 +48,90 @@ TWO_PI = 2.0 * math.pi
 DOUBLING_RTOL = 1e-9
 
 
-class AreaFamily(str, Enum):
-    """Curve families with a known closed-form signed area."""
+# ---------------------------------------------------------------------------
+# the family registry
 
-    ELLIPSE = "ellipse"
-    PEDAL = "pedal"
-    CONTRAPEDAL = "contrapedal"
-    ROTATED = "rotated"
-    INTERPOLATED = "interpolated"
-    HYBRID = "hybrid"
-    PSEUDO_TALBOT = "pseudo_talbot"
-    EVOLUTOID = "evolutoid"
-    NEGATIVE_PEDAL = "negative_pedal"
+
+@dataclass(frozen=True)
+class Family:
+    """One curve family, declared once.
+
+    name is the family's command-line name.  area(a, b, rho, theta, mu) is
+    its closed-form signed area for a pole at squared distance rho from the
+    center.  frame(e, t, theta, mu) does the family's work on the parameters
+    t alone and returns points(m, s), the points for the pole m whose
+    boundary parameter is s (see harness.family_frame); the evolutoid has no
+    pole and no frame.  on_ellipse marks the families whose closed form
+    holds only for poles on the ellipse; the same families are singular at
+    their pole's parameter s, so their grids start at s, half a step off.
+    pole_by_s marks the family whose points take the pole as s alone.
+    """
+
+    name: str
+    area: Callable
+    frame: Optional[Callable]
+    on_ellipse: bool = False
+    pole_by_s: bool = False
+
+    @staticmethod
+    def of(value) -> "Family":
+        """The entry of a family given by name or AreaFamily member."""
+        return FAMILIES[AreaFamily.coerce(value).value]
+
+
+def _feet(frame) -> Callable:
+    """points(m, s) of a Steiner family: the feet of its FootFrame from the pole."""
+    return lambda m, s: frame.feet(m)
+
+
+def _interpolated_area(a, b, rho, theta, mu):
+    ap = 0.5 * math.pi * (a * a + b * b + rho)
+    ac = 0.5 * math.pi * ((a - b) ** 2 + rho)
+    base = math.pi * a * b
+    return (1 - 2 * mu) * ((1 - mu) * ap - mu * ac) + mu * (1 - mu) * base
+
+
+def _pseudo_talbot_area(a, b, rho, theta, mu):
+    return (math.pi * (3 * a ** 4 + 2 * a * a * b * b + 3 * b ** 4)
+            * (a * a - 2 * a * b - b * b) * (a * a + 2 * a * b - b * b)
+            / (8 * a ** 3 * b ** 3))
+
+
+def _evolutoid_area(a, b, rho, theta, mu):
+    c2 = a * a - b * b
+    c4 = c2 * c2
+    return (math.pi * a * b * math.cos(theta) ** 2
+            - (3 * math.pi * c4 / (8 * a * b)) * math.sin(theta) ** 2)
+
+
+# in command-line order; AreaFamily, harness.SCANNABLE, the CLI's --family
+# choices and family_grid's offset rule are derived from it
+FAMILIES = {f.name: f for f in (
+    Family("ellipse", lambda a, b, rho, theta, mu: math.pi * a * b,
+           lambda e, t, theta, mu: lambda m, s: ellipse_point(e, t)),
+    Family("pedal", lambda a, b, rho, theta, mu: 0.5 * math.pi * (a * a + b * b + rho),
+           lambda e, t, theta, mu: _feet(pedal_frame(e, t))),
+    Family("contrapedal", lambda a, b, rho, theta, mu: 0.5 * math.pi * ((a - b) ** 2 + rho),
+           lambda e, t, theta, mu: _feet(contrapedal_frame(e, t))),
+    Family("rotated", lambda a, b, rho, theta, mu: 0.5 * math.pi * (
+               a * a + b * b - 2 * a * b * math.sin(theta) ** 2 + rho),
+           lambda e, t, theta, mu: _feet(rotated_frame(e, t, theta))),
+    Family("interpolated", _interpolated_area,
+           lambda e, t, theta, mu: _feet(interpolated_frame(e, t, mu))),
+    Family("hybrid", lambda a, b, rho, theta, mu: (
+               math.pi * (3 * a ** 4 + 2 * a * a * b * b + 3 * b ** 4) / (2 * a * b)),
+           lambda e, t, theta, mu: lambda m, s: hybrid_point(e, t, m), on_ellipse=True),
+    Family("pseudo_talbot", _pseudo_talbot_area,
+           lambda e, u, theta, mu: lambda m, s: pseudo_talbot_point(e, s, u),
+           on_ellipse=True, pole_by_s=True),
+    Family("negative_pedal", lambda a, b, rho, theta, mu: -math.pi * (a + b) ** 2 / 4,
+           lambda e, t, theta, mu: lambda m, s: negative_pedal_point(e, t, m), on_ellipse=True),
+    Family("evolutoid", _evolutoid_area, None),
+)}
+
+
+class _FamilyName(str, Enum):
+    """Base of AreaFamily, whose members come from the registry."""
 
     @classmethod
     def coerce(cls, value) -> "AreaFamily":
@@ -57,11 +141,9 @@ class AreaFamily(str, Enum):
             raise DomainError(f"unknown curve family: {value!r}") from None
 
 
-def _require_pole_on_boundary(e: Ellipse, m, family: str):
-    if abs(e.implicit(m) - 1.0) > 1e-9:
-        raise DomainError(
-            f"{family} area constant holds only for poles on the ellipse; "
-            f"got implicit value {e.implicit(m):.12g}")
+# one member per registry entry, valued by its name: AreaFamily.PEDAL == "pedal"
+AreaFamily = _FamilyName("AreaFamily", [(name.upper(), name) for name in FAMILIES],
+                         module=__name__)
 
 
 def closed_form_area(family, e: Ellipse, m=(0.0, 0.0),
@@ -73,39 +155,13 @@ def closed_form_area(family, e: Ellipse, m=(0.0, 0.0),
     whose constant only holds for poles on the ellipse (hybrid,
     pseudo-Talbot, negative pedal) reject other poles with DomainError.
     """
-    fam = AreaFamily.coerce(family)
-    a, b = e.a, e.b
+    fam = Family.of(family)
     x0, y0 = as_xy(m)
-    rho = x0 * x0 + y0 * y0
-    base = math.pi * a * b
-    if fam is AreaFamily.ELLIPSE:
-        return base
-    if fam is AreaFamily.PEDAL:
-        return 0.5 * math.pi * (a * a + b * b + rho)
-    if fam is AreaFamily.CONTRAPEDAL:
-        return 0.5 * math.pi * ((a - b) ** 2 + rho)
-    if fam is AreaFamily.ROTATED:
-        return 0.5 * math.pi * (a * a + b * b - 2 * a * b * math.sin(theta) ** 2 + rho)
-    if fam is AreaFamily.INTERPOLATED:
-        ap = 0.5 * math.pi * (a * a + b * b + rho)
-        ac = 0.5 * math.pi * ((a - b) ** 2 + rho)
-        return (1 - 2 * mu) * ((1 - mu) * ap - mu * ac) + mu * (1 - mu) * base
-    if fam is AreaFamily.HYBRID:
-        _require_pole_on_boundary(e, m, "hybrid")
-        return math.pi * (3 * a ** 4 + 2 * a * a * b * b + 3 * b ** 4) / (2 * a * b)
-    if fam is AreaFamily.PSEUDO_TALBOT:
-        _require_pole_on_boundary(e, m, "pseudo-Talbot")
-        return (math.pi * (3 * a ** 4 + 2 * a * a * b * b + 3 * b ** 4)
-                * (a * a - 2 * a * b - b * b) * (a * a + 2 * a * b - b * b)
-                / (8 * a ** 3 * b ** 3))
-    if fam is AreaFamily.EVOLUTOID:
-        c4 = e.c2 * e.c2
-        return (base * math.cos(theta) ** 2
-                - (3 * math.pi * c4 / (8 * a * b)) * math.sin(theta) ** 2)
-    if fam is AreaFamily.NEGATIVE_PEDAL:
-        _require_pole_on_boundary(e, m, "negative pedal")
-        return -math.pi * (a + b) ** 2 / 4
-    raise DomainError(f"no closed-form area for family {family!r}")
+    if fam.on_ellipse and abs(e.implicit(m) - 1.0) > 1e-9:
+        raise DomainError(
+            f"{fam.name} area constant holds only for poles on the ellipse; "
+            f"got implicit value {e.implicit(m):.12g}")
+    return fam.area(e.a, e.b, x0 * x0 + y0 * y0, theta, mu)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ fails the command instead of being written as NaN or Infinity.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -25,6 +26,7 @@ from xml.etree import ElementTree as ET
 import numpy as np
 
 from .areas import (
+    FAMILIES,
     Polygon,
     closed_form_area,
     curvature_centroid_polygon,
@@ -38,19 +40,16 @@ from .areas import (
 from .curves import Ellipse, ParamGrid, SampledCurve, ellipse_point, ellipse_support, sample_curve
 from .errors import DomainError, GeometryError, ZeroTotalWeight
 from .harness import (
+    SCANNABLE,
     LocusSpec,
     conjecture_check_contrapedal,
     family_evaluator,
+    family_grid,
     identity_suite,
     scan,
 )
 from .pedal import evolutoid_point
 
-FAMILIES = ("ellipse", "pedal", "contrapedal", "rotated", "interpolated",
-            "hybrid", "pseudo_talbot", "negative_pedal", "evolutoid")
-SCAN_FAMILIES = ("ellipse", "pedal", "contrapedal", "rotated", "interpolated",
-                 "hybrid", "pseudo_talbot", "negative_pedal")
-OFFSET_FAMILIES = ("hybrid", "pseudo_talbot", "negative_pedal")
 # upper bounds of the grid size and pole count flags
 MAX_N = 2 ** 20
 MAX_COUNT = 2 ** 16
@@ -148,22 +147,20 @@ def _build_curve(args, e: Ellipse):
     """Sampled curve plus serializable metadata for the chosen family."""
     if args.offset is not None and not 0.0 <= args.offset < 1.0:
         raise UsageProblem(f"--offset must lie in [0, 1), got {args.offset}")
-    fam = args.family
-    if fam == "evolutoid":
+    fam, spec = args.family, FAMILIES[args.family]
+    if spec.frame is None:  # the evolutoid has no pole
         ev = lambda t: evolutoid_point(e, args.theta, t)
         m, s = None, None
-        start = 0.0
-        offset = args.offset if args.offset is not None else 0.0
     else:
         m, s = _resolve_pole(args, e)
-        if fam == "pseudo_talbot" and s is None:
-            raise UsageProblem("pseudo_talbot needs its pole on the ellipse: give --s")
+        if spec.pole_by_s and s is None:
+            raise UsageProblem(f"{fam} needs its pole on the ellipse: give --s")
         ev = family_evaluator(e, fam, m, theta=args.theta, mu=args.mu,
                               s=0.0 if s is None else s)
-        on_boundary = fam in OFFSET_FAMILIES and s is not None
-        start = s if on_boundary else 0.0
-        offset = args.offset if args.offset is not None else (0.5 if on_boundary else 0.0)
-    grid = ParamGrid(count=args.n, start=start, offset=offset)
+    # a pole given by --m gets the plain grid, even where it sits on the ellipse
+    grid = ParamGrid(count=args.n) if s is None else family_grid(fam, args.n, s)
+    if args.offset is not None:
+        grid = dataclasses.replace(grid, offset=args.offset)
     curve = sample_curve(ev, grid)
     meta = {
         "family": fam,
@@ -171,7 +168,7 @@ def _build_curve(args, e: Ellipse):
         "b": e.b,
         "m": None if m is None else [m[0], m[1]],
         "params": {"theta": args.theta, "mu": args.mu, "s": s,
-                   "n": args.n, "offset": offset},
+                   "n": args.n, "offset": grid.offset},
     }
     return curve, meta, grid
 
@@ -239,16 +236,12 @@ def cmd_area(args) -> int:
     e = _ellipse(args)
     curve, meta, grid = _build_curve(args, e)
     quad = signed_area_quadrature(curve)
-    grid2 = ParamGrid(count=2 * grid.count, start=grid.start, offset=grid.offset)
+    grid2 = dataclasses.replace(grid, count=2 * grid.count)
     quad2 = signed_area_quadrature(sample_curve(curve.evaluator, grid2))
     try:
-        if args.family == "evolutoid":
-            closed = closed_form_area("evolutoid", e, theta=args.theta)
-        elif args.family == "ellipse":
-            closed = closed_form_area("ellipse", e)
-        else:
-            closed = closed_form_area(args.family, e, m=tuple(meta["m"]),
-                                      theta=args.theta, mu=args.mu)
+        # the evolutoid has no pole, and its closed form takes none
+        closed = closed_form_area(args.family, e, m=meta["m"] or (0.0, 0.0),
+                                  theta=args.theta, mu=args.mu)
     except DomainError:
         closed = None
     out = dict(meta)
@@ -390,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="dump curve samples as csv, json or svg")
     _add_ellipse(p)
     _add_pole(p)
-    _add_family(p, FAMILIES)
+    _add_family(p, list(FAMILIES))
     p.add_argument("--n", type=GRID, default=512, help="number of samples")
     p.add_argument("--offset", type=float, default=None,
                    help="fractional grid offset in [0, 1)")
@@ -401,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("area", help="closed-form vs quadrature signed area")
     _add_ellipse(p)
     _add_pole(p)
-    _add_family(p, FAMILIES)
+    _add_family(p, list(FAMILIES))
     p.add_argument("--n", type=GRID, default=2048)
     p.add_argument("--offset", type=float, default=None)
     p.add_argument("--output", type=str, default=None)
@@ -409,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="area invariance over a pole locus")
     _add_ellipse(p)
-    _add_family(p, SCAN_FAMILIES)
+    _add_family(p, [f.value for f in SCANNABLE])
     p.add_argument("--locus", choices=("circle", "boundary"), required=True)
     p.add_argument("--r", type=float, default=1.0, help="circle locus radius")
     p.add_argument("--count", type=COUNT, default=64, help="poles on the locus")
@@ -431,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("centroid", help="curvature-weighted centroid of a curve")
     _add_ellipse(p)
     _add_pole(p)
-    _add_family(p, FAMILIES)
+    _add_family(p, list(FAMILIES))
     p.add_argument("--n", type=GRID, default=2048)
     p.add_argument("--offset", type=float, default=None)
     p.add_argument("--source", choices=("samples", "support"), default="samples")

@@ -14,6 +14,7 @@ cusp finder.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -39,13 +40,6 @@ class Point2:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y])
-
-    @staticmethod
-    def of(obj) -> "Point2":
-        if isinstance(obj, Point2):
-            return obj
-        x, y = obj
-        return Point2(float(x), float(y))
 
 
 def as_xy(m) -> np.ndarray:
@@ -92,12 +86,6 @@ class Ellipse:
     def c2(self) -> float:
         """Squared linear eccentricity a^2 - b^2 (>= 0; circles allowed)."""
         return self.a * self.a - self.b * self.b
-
-    @property
-    def delta(self) -> float:
-        """sqrt(a^4 - a^2 b^2 + b^4), a scale constant of the hybrid-curve area."""
-        a2, b2 = self.a * self.a, self.b * self.b
-        return math.sqrt(a2 * a2 - a2 * b2 + b2 * b2)
 
     def implicit(self, m) -> float:
         """x^2/a^2 + y^2/b^2 at m; 1 on the boundary."""
@@ -192,6 +180,8 @@ class ParamGrid:
     offset: float = 0.0
 
     def __post_init__(self):
+        if not isinstance(self.count, numbers.Integral):
+            raise DomainError(f"grid count must be an int, got {self.count!r}")
         if self.count < 8:
             raise DomainError(f"grid count must be >= 8, got {self.count}")
         if not 0.0 <= self.offset < 1.0:
@@ -220,7 +210,6 @@ class SampledCurve:
 
     params: np.ndarray
     points: np.ndarray
-    closed: bool = True
     evaluator: Optional[Callable] = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -255,4 +244,4 @@ def sample_curve(f: Callable, grid: ParamGrid) -> SampledCurve:
                 raise EvaluationError(
                     f"curve evaluation failed at t={tk!r}: {exc}", node=tk) from exc
             pts[k] = row
-    return SampledCurve(params=t, points=pts, closed=True, evaluator=f)
+    return SampledCurve(params=t, points=pts, evaluator=f)

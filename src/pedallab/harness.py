@@ -26,7 +26,9 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .areas import (
+    FAMILIES,
     AreaFamily,
+    Family,
     closed_form_area,
     settled_area,
     signed_area_quadrature,
@@ -43,33 +45,12 @@ from .curves import (
     sample_curve,
 )
 from .errors import DomainError, GeometryError
-from .pedal import (
-    contrapedal_frame,
-    hybrid_point,
-    interpolated_frame,
-    negative_pedal_point,
-    pedal_frame,
-    pseudo_talbot_point,
-    rotated_frame,
-    self_intersections,
-)
+from .pedal import self_intersections
 
 TWO_PI = 2.0 * math.pi
 
-SCANNABLE = (
-    AreaFamily.ELLIPSE,
-    AreaFamily.PEDAL,
-    AreaFamily.CONTRAPEDAL,
-    AreaFamily.ROTATED,
-    AreaFamily.INTERPOLATED,
-    AreaFamily.HYBRID,
-    AreaFamily.PSEUDO_TALBOT,
-    AreaFamily.NEGATIVE_PEDAL,
-)
-
-# poles on the ellipse make these families singular at the pole's parameter,
-# so their grids start there and sit half a step off every multiple of it
-OFFSET_FAMILIES = (AreaFamily.HYBRID, AreaFamily.PSEUDO_TALBOT, AreaFamily.NEGATIVE_PEDAL)
+# the families with a pole, in registry order
+SCANNABLE = tuple(AreaFamily(f.name) for f in FAMILIES.values() if f.frame is not None)
 
 # a scan evaluates at most this many grid points at once (a chunk of k poles
 # at 2n points each), so batching never grows its working set with the pole
@@ -133,14 +114,6 @@ class LocusSpec:
         return d
 
 
-def _feet_of(build: Callable) -> Callable:
-    """frame(t) of a Steiner family whose FootFrame at t is build(t)."""
-    def frame(t):
-        feet = build(t).feet
-        return lambda m, s: feet(m)
-    return frame
-
-
 def family_frame(e: Ellipse, family, theta: float = 0.0, mu: float = 0.5) -> Callable:
     """A family's point evaluator, split at its parameters.
 
@@ -152,24 +125,10 @@ def family_frame(e: Ellipse, family, theta: float = 0.0, mu: float = 0.5) -> Cal
     directions, and points() drops the feet from the pole; the other
     families do all their work in points().
     """
-    fam = AreaFamily.coerce(family)
-    if fam is AreaFamily.ELLIPSE:
-        return lambda t: lambda m, s: ellipse_point(e, t)
-    if fam is AreaFamily.PEDAL:
-        return _feet_of(lambda t: pedal_frame(e, t))
-    if fam is AreaFamily.CONTRAPEDAL:
-        return _feet_of(lambda t: contrapedal_frame(e, t))
-    if fam is AreaFamily.ROTATED:
-        return _feet_of(lambda t: rotated_frame(e, t, theta))
-    if fam is AreaFamily.INTERPOLATED:
-        return _feet_of(lambda t: interpolated_frame(e, t, mu))
-    if fam is AreaFamily.HYBRID:
-        return lambda t: lambda m, s: hybrid_point(e, t, m)
-    if fam is AreaFamily.NEGATIVE_PEDAL:
-        return lambda t: lambda m, s: negative_pedal_point(e, t, m)
-    if fam is AreaFamily.PSEUDO_TALBOT:
-        return lambda u: lambda m, s: pseudo_talbot_point(e, s, u)
-    raise DomainError(f"no point evaluator for family {family!r}")
+    build = Family.of(family).frame
+    if build is None:
+        raise DomainError(f"no point evaluator for family {family!r}")
+    return lambda t: build(e, t, theta, mu)
 
 
 def family_evaluator(e: Ellipse, family, m, theta: float = 0.0, mu: float = 0.5,
@@ -183,16 +142,16 @@ def family_evaluator(e: Ellipse, family, m, theta: float = 0.0, mu: float = 0.5,
     family_frame's frame and points in one call.
     """
     frame = family_frame(e, family, theta=theta, mu=mu)
-    if s is None and AreaFamily.coerce(family) is AreaFamily.PSEUDO_TALBOT:
-        raise DomainError("pseudo-Talbot needs the boundary parameter of its pole")
+    fam = Family.of(family)
+    if s is None and fam.pole_by_s:
+        raise DomainError(f"{fam.name} needs the boundary parameter of its pole")
     return lambda t: frame(t)(m, s)
 
 
 def family_grid(family, n: int, s=0.0) -> ParamGrid:
     """Default sampling grid for a family whose pole parameter is s (a
     float, or a (k, 1) array for a chunk of poles)."""
-    fam = AreaFamily.coerce(family)
-    if fam in OFFSET_FAMILIES:
+    if Family.of(family).on_ellipse:
         return ParamGrid(count=n, start=s, offset=0.5)
     return ParamGrid(count=n)
 
@@ -237,7 +196,7 @@ class InvarianceReport:
         }
 
 
-def _pole_areas(e: Ellipse, fam: AreaFamily, m, s: float, n: int, theta: float, mu: float):
+def _pole_areas(e: Ellipse, fam: str, m, s: float, n: int, theta: float, mu: float):
     """Areas at n and 2n points of one pole, sampled through sample_curve,
     whose errors name the node that failed."""
     ev = family_evaluator(e, fam, m, theta=theta, mu=mu, s=s)
@@ -259,7 +218,7 @@ def _chunk_areas(points: Callable, t: np.ndarray, poles: np.ndarray, s) -> np.nd
     return out
 
 
-def _sweep(frame: Callable, fam: AreaFamily, poles: np.ndarray, s_all, size: int,
+def _sweep(frame: Callable, fam: str, poles: np.ndarray, s_all, size: int,
            per_chunk: int) -> np.ndarray:
     """Areas on grids of the given size of all poles, in chunks of per_chunk.
 
@@ -289,9 +248,11 @@ def scan(e: Ellipse, family, locus: LocusSpec, n: int = 2048,
     Every pole gets a signed-area quadrature at n and at 2n samples; a pole
     whose evaluation fails or whose two quadratures are not settled() is
     marked and excluded from the spread.  The scan passes when areas exist
-    for all poles, their relative spread about the mean stays within tol,
-    and, where a closed form applies, they match it to tol as well.  With no
-    area at all, mean and max_rel_dev are None.  A grid size n below 8, a
+    for all poles, their spread about the mean stays within tol, and, where
+    a closed form applies, they match it to tol as well.  Both deviations
+    follow the doubling gate's rule: relative to the mean (the closed form)
+    above unit area, absolute below it, so a family whose area is zero can
+    certify.  With no area at all, mean and max_rel_dev are None.  A grid size n below 8, a
     non-finite theta or mu, or a tol that is not finite and positive raises
     DomainError.
 
@@ -301,11 +262,12 @@ def scan(e: Ellipse, family, locus: LocusSpec, n: int = 2048,
     re-run alone by _pole_areas, so its error reads as if it had been
     scanned by itself; every area is bitwise that of its pole alone.
     """
-    fam = AreaFamily.coerce(family)
-    if fam not in SCANNABLE:
-        raise DomainError(f"family {fam.value!r} has no pole to scan")
-    if fam is AreaFamily.PSEUDO_TALBOT and locus.kind != "boundary":
-        raise DomainError("pseudo-Talbot poles live on the ellipse; use a boundary locus")
+    spec = Family.of(family)
+    fam = spec.name
+    if spec.frame is None:
+        raise DomainError(f"family {fam!r} has no pole to scan")
+    if spec.pole_by_s and locus.kind != "boundary":
+        raise DomainError(f"{fam} poles live on the ellipse; use a boundary locus")
 
     _require_count("grid size n", n, 8)
     _require_finite("theta and mu", theta, mu)
@@ -346,22 +308,21 @@ def scan(e: Ellipse, family, locus: LocusSpec, n: int = 2048,
     max_rel_dev: Optional[float] = None
     if good:
         mean = float(np.mean(good))
-        denom = max(abs(mean), 1e-30)
-        max_rel_dev = float(max(abs(x - mean) for x in good) / denom)
+        max_rel_dev = float(max(abs(x - mean) for x in good) / max(abs(mean), 1.0))
 
     closed_ref: Optional[float] = None
     max_closed_dev: Optional[float] = None
     pairs = [(x, c) for x, c in zip(areas, closed_vals) if x is not None and c is not None]
     if pairs:
         closed_ref = pairs[0][1]
-        max_closed_dev = max(abs(x - c) / max(abs(c), 1e-30) for x, c in pairs)
+        max_closed_dev = max(abs(x - c) / max(abs(c), 1.0) for x, c in pairs)
 
     passed = (all(err is None for err in errors)
               and max_rel_dev is not None and max_rel_dev <= tol
               and (max_closed_dev is None or max_closed_dev <= tol))
 
     return InvarianceReport(
-        family=fam.value, a=e.a, b=e.b, locus=locus.to_dict(), n=n,
+        family=fam, a=e.a, b=e.b, locus=locus.to_dict(), n=n,
         params={"theta": theta, "mu": mu},
         poles=[[float(p[0]), float(p[1])] for p in poles],
         areas=areas, errors=errors, mean=mean, max_rel_dev=max_rel_dev,

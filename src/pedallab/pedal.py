@@ -181,20 +181,6 @@ def support_contrapedal_point(s: SupportCurve, t, m):
 # envelopes of line families
 
 
-@dataclass
-class LineFamily:
-    """One-parameter family of lines n(t) . X = d(t) with derivative data.
-
-    The envelope point at t solves the 2x2 system stacking the line with its
-    t-derivative.
-    """
-
-    normal: Callable
-    offset: Callable
-    dnormal: Callable
-    doffset: Callable
-
-
 def _envelope_solve(t, nx, ny, mx, my, d, dd):
     """Solve n . X = d, n' . X = d' for X, with n = (nx, ny), n' = (mx, my).
 
@@ -217,44 +203,12 @@ def _envelope_solve(t, nx, ny, mx, my, d, dd):
     return np.stack([x, y], axis=-1)
 
 
-def envelope_point(fam: LineFamily, t):
-    """Characteristic point of the family at t; raises SingularFamily when
-    the line and its derivative line are parallel (zero determinant)."""
-    t = np.asarray(t)
-    n = np.asarray(fam.normal(t))
-    dn = np.asarray(fam.dnormal(t))
-    return _envelope_solve(t, n[..., 0], n[..., 1], dn[..., 0], dn[..., 1],
-                           fam.offset(t), fam.doffset(t))
-
-
-def negative_pedal_family(e: Ellipse, m) -> LineFamily:
-    """Lines through P(t) perpendicular to P(t) - m, as an envelope family."""
-    mx, my = as_xy(m)
-
-    def normal(t):
-        p = ellipse_point(e, t)
-        return np.stack([p[..., 0] - mx, p[..., 1] - my], axis=-1)
-
-    def offset(t):
-        p = ellipse_point(e, t)
-        return (p[..., 0] - mx) * p[..., 0] + (p[..., 1] - my) * p[..., 1]
-
-    def dnormal(t):
-        return ellipse_velocity(e, t)
-
-    def doffset(t):
-        p = ellipse_point(e, t)
-        v = ellipse_velocity(e, t)
-        return v[..., 0] * (2 * p[..., 0] - mx) + v[..., 1] * (2 * p[..., 1] - my)
-
-    return LineFamily(normal=normal, offset=offset, dnormal=dnormal, doffset=doffset)
-
-
 def negative_pedal_point(e: Ellipse, t, m):
     """Envelope point of the lines through P(t) perpendicular to P(t) - m.
 
-    The same numbers as envelope_point(negative_pedal_family(e, m), t), with
-    P(t) and P'(t) evaluated once.
+    The point solves the line n(t) . X = d(t) together with its
+    t-derivative, for n = P(t) - m and d = n . P(t); P(t) and P'(t) are
+    evaluated once.
     """
     x0, y0 = pole_xy(m)
     t = np.asarray(t)
@@ -270,7 +224,13 @@ def negative_pedal_point(e: Ellipse, t, m):
 # hybrid curve
 
 
-def _hybrid_parts(e: Ellipse, t, m):
+def hybrid_point(e: Ellipse, t, m):
+    """Intersection of the perpendicular to the tangent direction through m
+    with the perpendicular to m - P(t) through P(t).
+
+    Blows up where m sits on the tangent line at P(t); for m on the ellipse
+    that happens only at the parameter of m itself.
+    """
     a, b = e.a, e.b
     x0, y0 = pole_xy(m)
     c2 = e.c2
@@ -279,51 +239,16 @@ def _hybrid_parts(e: Ellipse, t, m):
     c2t, s2t = np.cos(2 * t), np.sin(2 * t)
     c3t, s3t = np.cos(3 * t), np.sin(3 * t)
     den = 4.0 * (a * y0 * st + b * x0 * ct - a * b)
-    nx = (-b * (3 * a * a + b * b + 4 * y0 * y0) * ct + 4 * a * b * x0 * c2t
-          - b * c2 * c3t + 4 * a * x0 * y0 * st + 4 * b * b * y0 * s2t)
-    ny = (-a * (a * a + 3 * b * b + 4 * x0 * x0) * st + 4 * a * a * x0 * s2t
-          - a * c2 * s3t + 4 * b * x0 * y0 * ct - 4 * a * b * y0 * c2t)
-    return nx, ny, den
-
-
-def hybrid_point(e: Ellipse, t, m):
-    """Intersection of the perpendicular to the tangent direction through m
-    with the perpendicular to m - P(t) through P(t).
-
-    Blows up where m sits on the tangent line at P(t); for m on the ellipse
-    that happens only at the parameter of m itself.
-    """
-    nx, ny, den = _hybrid_parts(e, t, m)
-    eps = 1e-9 * 4.0 * e.a * e.b
-    small = np.abs(den) <= eps
+    small = np.abs(den) <= 1e-9 * 4.0 * a * b
     if np.any(small):
         t_bad = _param_at(t, small)
         raise SingularParameter(
             f"hybrid point undefined near t={t_bad:.6g} (pole on the tangent line)", t=t_bad)
+    nx = (-b * (3 * a * a + b * b + 4 * y0 * y0) * ct + 4 * a * b * x0 * c2t
+          - b * c2 * c3t + 4 * a * x0 * y0 * st + 4 * b * b * y0 * s2t)
+    ny = (-a * (a * a + 3 * b * b + 4 * x0 * x0) * st + 4 * a * a * x0 * s2t
+          - a * c2 * s3t + 4 * b * x0 * y0 * ct - 4 * a * b * y0 * c2t)
     return np.stack([nx / den, ny / den], axis=-1)
-
-
-def hybrid_velocity(e: Ellipse, t, m):
-    """t-derivative of hybrid_point by the quotient rule."""
-    a, b = e.a, e.b
-    x0, y0 = pole_xy(m)
-    c2 = e.c2
-    t = np.asarray(t)
-    ct, st = np.cos(t), np.sin(t)
-    c2t, s2t = np.cos(2 * t), np.sin(2 * t)
-    c3t, s3t = np.cos(3 * t), np.sin(3 * t)
-    nx, ny, den = _hybrid_parts(e, t, m)
-    eps = 1e-9 * 4.0 * a * b
-    if np.min(np.abs(den)) <= eps:
-        raise SingularParameter("hybrid velocity undefined (pole on the tangent line)")
-    dnx = (b * (3 * a * a + b * b + 4 * y0 * y0) * st - 8 * a * b * x0 * s2t
-           + 3 * b * c2 * s3t + 4 * a * x0 * y0 * ct + 8 * b * b * y0 * c2t)
-    dny = (-a * (a * a + 3 * b * b + 4 * x0 * x0) * ct + 8 * a * a * x0 * c2t
-           - 3 * a * c2 * c3t - 4 * b * x0 * y0 * st + 8 * a * b * y0 * s2t)
-    dden = 4.0 * (a * y0 * ct - b * x0 * st)
-    vx = (dnx * den - nx * dden) / den ** 2
-    vy = (dny * den - ny * dden) / den ** 2
-    return np.stack([vx, vy], axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,54 @@
+import argparse
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from xml.etree import ElementTree as ET
 
 import numpy as np
 import pytest
 
 from pedallab import Ellipse, closed_form_area, ellipse_point
+from pedallab.areas import FAMILIES
 from pedallab.cli import MAX_COUNT, MAX_N, build_parser, main
+from pedallab.harness import SCANNABLE
 
 E21 = Ellipse(2.0, 1.0)
+REPO = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
     rc = main(list(argv))
     out = capsys.readouterr()
     return rc, out.out, out.err
+
+
+def family_choices(command):
+    """The --family choices of a subcommand, as its parser holds them."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a.choices for a in sub.choices[command]._actions if a.dest == "family")
+
+
+class TestFamilyChoices:
+    @pytest.mark.parametrize("command", ["sample", "area", "centroid"])
+    def test_curve_commands_offer_every_registered_family(self, command):
+        assert family_choices(command) == list(FAMILIES)
+
+    def test_scan_offers_the_scannable_families(self):
+        assert family_choices("scan") == [f.value for f in SCANNABLE]
+
+
+def test_make_figures_renders_every_family(tmp_path):
+    # run from an uninstalled checkout: the script must find ../src itself
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "make_figures.py"),
+         "--outdir", str(tmp_path / "figures"), "--n", "64"],
+        capture_output=True, text=True, cwd=tmp_path, env=env)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert len(list((tmp_path / "figures").glob("*.svg"))) == 12
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,6 @@ class TestEllipse:
     def test_scale_constants(self):
         e = Ellipse(2.0, 1.0)
         assert e.c2 == 3.0
-        assert e.delta == pytest.approx(math.sqrt(13.0), abs=0, rel=1e-15)
 
     def test_circle_allowed(self):
         e = Ellipse(1.5, 1.5)
@@ -97,6 +96,15 @@ class TestParamGrid:
             ParamGrid(count=16, offset=1.0)
         with pytest.raises(DomainError):
             ParamGrid(count=16, offset=-0.1)
+
+    @pytest.mark.parametrize("count", [8.5, 64.0, "64", None])
+    def test_count_must_be_an_integer(self, count):
+        # a fractional count gave nodes that do not cover one period
+        with pytest.raises(DomainError):
+            ParamGrid(count=count)
+
+    def test_numpy_integer_count(self):
+        assert ParamGrid(count=np.int64(16)).nodes().shape == (16,)
 
     def test_nodes_uniform_and_shifted(self):
         g = ParamGrid(count=16, start=0.5, offset=0.25)

@@ -22,8 +22,8 @@ from pedallab import (
     scan,
     signed_area_quadrature,
 )
-from pedallab import pedal
-from pedallab.areas import settled_area
+from pedallab import ellipse_point, pedal
+from pedallab.areas import FAMILIES, Family, settled_area
 from pedallab.harness import SCANNABLE, family_frame
 
 E21 = Ellipse(2.0, 1.0)
@@ -85,6 +85,34 @@ class TestFamilyPlumbing:
         assert family_grid("pedal", 512).offset == 0.0
 
 
+class TestFamilyRegistry:
+    """Each family is declared once, in areas.FAMILIES; what the harness and
+    the CLI know of it is derived from its entry."""
+
+    def test_scannable_families_are_those_with_a_pole(self):
+        assert [f.value for f in SCANNABLE] == [n for n in FAMILIES if n != "evolutoid"]
+
+    def test_on_ellipse_families(self):
+        on = [n for n, f in FAMILIES.items() if f.on_ellipse]
+        assert on == ["hybrid", "pseudo_talbot", "negative_pedal"]
+
+    @pytest.mark.parametrize("name", list(FAMILIES))
+    def test_grid_is_offset_exactly_for_on_ellipse_families(self, name):
+        g = family_grid(name, 64, s=0.7)
+        want = (0.7, 0.5) if FAMILIES[name].on_ellipse else (0.0, 0.0)
+        assert (g.count, g.start, g.offset) == (64, *want)
+
+    @pytest.mark.parametrize("fam", SCANNABLE)
+    def test_quadrature_matches_closed_form(self, fam):
+        on_ellipse = Family.of(fam).on_ellipse
+        s = 0.7 if on_ellipse else 0.0
+        m = tuple(float(v) for v in ellipse_point(E21, s)) if on_ellipse else (0.7, -0.4)
+        ev = family_evaluator(E21, fam, m, theta=0.6, mu=1 / 3, s=s)
+        area = signed_area_quadrature(sample_curve(ev, family_grid(fam, 1024, s)))
+        assert area == pytest.approx(closed_form_area(fam, E21, m, theta=0.6, mu=1 / 3),
+                                     rel=1e-12)
+
+
 class TestScan:
     def test_pedal_circle_certifies(self):
         locus = LocusSpec(kind="circle", r=1.3, count=12)
@@ -107,6 +135,16 @@ class TestScan:
         rep = scan(E21, "negative_pedal", LocusSpec(kind="boundary", count=8), n=1024)
         assert rep.passed
         assert rep.closed_form == pytest.approx(-9 * math.pi / 4, rel=1e-12)
+
+    def test_zero_area_family_certifies(self):
+        # at a = (1 + sqrt 2) b the pseudo-Talbot factor a^2 - 2ab - b^2
+        # vanishes, so the true area is 0; below unit area the spread and the
+        # closed-form deviation are absolute, as in the doubling gate
+        e = Ellipse(1 + math.sqrt(2), 1.0)
+        rep = scan(e, "pseudo_talbot", LocusSpec("boundary", count=16), n=512, tol=1e-6)
+        assert rep.passed
+        assert abs(rep.mean) < 1e-13 and abs(rep.closed_form) < 1e-13
+        assert rep.max_rel_dev < 1e-12 and rep.max_closed_dev < 1e-12
 
     def test_pseudo_talbot_rejects_circle_locus(self):
         with pytest.raises(DomainError):
