@@ -146,6 +146,11 @@ AreaFamily = _FamilyName("AreaFamily", [(name.upper(), name) for name in FAMILIE
                          module=__name__)
 
 
+def pole_on_ellipse(e: Ellipse, m) -> bool:
+    """Whether the pole m lies on the ellipse: its implicit value is 1 to 1e-9."""
+    return abs(e.implicit(m) - 1.0) <= 1e-9
+
+
 def closed_form_area(family, e: Ellipse, m=(0.0, 0.0),
                      theta: float = 0.0, mu: float = 0.5) -> float:
     """Signed area of the family member, from the closed-form constants.
@@ -157,7 +162,7 @@ def closed_form_area(family, e: Ellipse, m=(0.0, 0.0),
     """
     fam = Family.of(family)
     x0, y0 = as_xy(m)
-    if fam.on_ellipse and abs(e.implicit(m) - 1.0) > 1e-9:
+    if fam.on_ellipse and not pole_on_ellipse(e, m):
         raise DomainError(
             f"{fam.name} area constant holds only for poles on the ellipse; "
             f"got implicit value {e.implicit(m):.12g}")

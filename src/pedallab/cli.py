@@ -33,6 +33,7 @@ from .areas import (
     curvature_centroid_samples,
     curvature_centroid_support,
     pedal_polygon,
+    pole_on_ellipse,
     polygon_signed_area,
     settled_area,
     signed_area_quadrature,
@@ -153,11 +154,14 @@ def _build_curve(args, e: Ellipse):
         m, s = None, None
     else:
         m, s = _resolve_pole(args, e)
+        if s is None and spec.on_ellipse and pole_on_ellipse(e, m):
+            # an --m on the ellipse names the same pole as --s at its parameter
+            s = math.atan2(m[1] / e.b, m[0] / e.a)
         if spec.pole_by_s and s is None:
             raise UsageProblem(f"{fam} needs its pole on the ellipse: give --s")
         ev = family_evaluator(e, fam, m, theta=args.theta, mu=args.mu,
                               s=0.0 if s is None else s)
-    # a pole given by --m gets the plain grid, even where it sits on the ellipse
+    # a pole off the ellipse gets the plain grid
     grid = ParamGrid(count=args.n) if s is None else family_grid(fam, args.n, s)
     if args.offset is not None:
         grid = dataclasses.replace(grid, offset=args.offset)

@@ -203,9 +203,10 @@ class SampledCurve:
 
     The optional evaluator is the function the samples came from; detectors
     use it to refine features below the grid resolution.  A stack of k
-    curves has params of shape (k, n) and points of shape (k, n, 2); only
-    signed_area_quadrature takes stacks, and len() counts the samples of
-    all of them.
+    curves has points of shape (k, n, 2) and params of shape (k, n), or
+    (n,) when all k share one row of parameters, which is then checked
+    once; only signed_area_quadrature takes stacks, and len() counts the
+    samples of all of them.
     """
 
     params: np.ndarray
@@ -215,14 +216,16 @@ class SampledCurve:
     def __post_init__(self):
         self.params = np.asarray(self.params, dtype=float)
         self.points = np.asarray(self.points, dtype=float)
-        if self.points.shape != self.params.shape + (2,) or self.params.ndim not in (1, 2):
+        # a stack of curves on one shared row of params has one more leading axis
+        lead = 1 if self.params.ndim == 1 and self.points.ndim == 3 else 0
+        if self.points.shape[lead:] != self.params.shape + (2,) or self.params.ndim not in (1, 2):
             raise DomainError(
                 f"points shape {self.points.shape} does not match params shape {self.params.shape}")
         if self.params.shape[-1] >= 2 and not np.all(np.diff(self.params, axis=-1) > 0):
             raise DomainError("params must be strictly increasing")
 
     def __len__(self) -> int:
-        return self.params.size
+        return self.points.size // 2
 
 
 def sample_curve(f: Callable, grid: ParamGrid) -> SampledCurve:
@@ -242,6 +245,6 @@ def sample_curve(f: Callable, grid: ParamGrid) -> SampledCurve:
                     raise ValueError("non-finite point")
             except Exception as exc:
                 raise EvaluationError(
-                    f"curve evaluation failed at t={tk!r}: {exc}", node=tk) from exc
+                    f"curve evaluation failed at t={float(tk)!r}: {exc}", node=tk) from exc
             pts[k] = row
     return SampledCurve(params=t, points=pts, evaluator=f)

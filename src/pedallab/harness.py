@@ -6,12 +6,14 @@ hybrid, pseudo-Talbot and negative-pedal areas do not depend on the pole at
 all while it stays on the ellipse (boundary locus).  A scan certifies such
 a claim numerically: it computes the signed area for every sampled pole at
 grid size n, re-checks each at 2n, and reports the spread.  Poles are
-sampled and integrated in chunks, one batched evaluator call and one stacked
-quadrature per grid size and chunk.  Each family's evaluator is split
-(family_frame) into a frame, the work that depends on the parameters alone,
-and the points for a pole; a grid that is the same for every pole (every
-circle locus) builds its frame once per grid size, so the ellipse trig of
-the Steiner families is not redone for every chunk.
+sampled and integrated in chunks, one stacked quadrature per grid size and
+chunk.  Each family's evaluator is split (family_frame) into a frame, the
+work that depends on the parameters alone, and the points for a pole; a
+grid that is the same for every pole builds its nodes and frame once, so
+the ellipse trig of the Steiner families is not redone for every chunk.
+Where that grid has no offset (every family but the on_ellipse ones), the
+n grid is the even half of the 2n grid, so a chunk is sampled once, at 2n,
+and its n-point areas are taken from the even samples.
 
 Reports carry plain Python data and serialize to JSON deterministically:
 same inputs, byte-identical files.
@@ -54,9 +56,11 @@ SCANNABLE = tuple(AreaFamily(f.name) for f in FAMILIES.values() if f.frame is no
 
 # a scan evaluates at most this many grid points at once (a chunk of k poles
 # at 2n points each), so batching never grows its working set with the pole
-# count; at up to ~125 bytes per point (tracemalloc peak of a 256-pole
-# n=2048 scan, shared frame included), 2**13 points fit in memory the
-# process already holds, where 2**16 raised peak RSS by ~8 MB
+# count; at up to ~135 bytes per point (tracemalloc peak of a 256-pole
+# n=2048 scan over 2**13 points, shared frame included: 82 for the pedal,
+# 126 for the interpolated circle scan, 135 for the negative pedal on the
+# boundary), 2**13 points fit in memory the process already holds, where
+# 2**16 raised peak RSS by ~8 MB
 CHUNK_POINTS = 2 ** 13
 
 
@@ -121,9 +125,9 @@ def family_frame(e: Ellipse, family, theta: float = 0.0, mu: float = 0.5) -> Cal
     alone and gives back points(m, s): the points for the pole m whose
     boundary parameter is s (one pole, or a chunk as family_evaluator takes
     it).  For the Steiner families (pedal, contrapedal, rotated,
-    interpolated) frame(t) builds the FootFrame, P(t), P'(t) and the line
-    directions, and points() drops the feet from the pole; the other
-    families do all their work in points().
+    interpolated) frame(t) builds the FootFrame, P(t), the line directions
+    and their squared lengths, and points() drops the feet from the pole;
+    the other families do all their work in points().
     """
     build = Family.of(family).frame
     if build is None:
@@ -204,38 +208,62 @@ def _pole_areas(e: Ellipse, fam: str, m, s: float, n: int, theta: float, mu: flo
                  for count in (n, 2 * n))
 
 
-def _chunk_areas(points: Callable, t: np.ndarray, poles: np.ndarray, s) -> np.ndarray:
-    """Areas of a chunk of k poles on the nodes t: one points() call and one
-    stacked quadrature.  Rows whose points are not all finite come back NaN."""
-    k, size = len(poles), t.shape[-1]
-    # the ellipse family has no pole: its one curve stands for all k
-    pts = np.broadcast_to(np.asarray(points((poles[:, :1], poles[:, 1:]), s), dtype=float),
-                          (k, size, 2))
-    ok = np.all(np.isfinite(pts), axis=(1, 2))
-    out = np.full(k, np.nan)
+def _stack_areas(t: np.ndarray, pts: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """Areas of the rows of pts (k curves on the nodes t, one row shared by
+    all or one row each) in one stacked quadrature; rows not ok come back
+    NaN."""
+    if ok.all():
+        return signed_area_quadrature(SampledCurve(t, pts))
+    out = np.full(len(pts), np.nan)
     if ok.any():
-        out[ok] = signed_area_quadrature(SampledCurve(np.broadcast_to(t, (k, size))[ok], pts[ok]))
+        out[ok] = signed_area_quadrature(SampledCurve(t if t.ndim == 1 else t[ok], pts[ok]))
     return out
 
 
-def _sweep(frame: Callable, fam: str, poles: np.ndarray, s_all, size: int,
+def _sweep(frame: Callable, fam: str, poles: np.ndarray, s_all, n: int,
            per_chunk: int) -> np.ndarray:
-    """Areas on grids of the given size of all poles, in chunks of per_chunk.
+    """Areas at n and at 2n points of all poles, in chunks of per_chunk, as
+    a (2, count) array: the coarse row, then the fine one.
 
     s_all is 0.0 or a (count, 1) array of boundary parameters.  A grid that
-    is the same for every pole (one row of nodes) builds its frame once for
-    all chunks.  Poles whose chunk raised come back NaN.
+    is the same for every pole (one row of nodes) has its nodes and its
+    frame built once for all chunks.  A one-row grid with no offset nests:
+    its n nodes are the even nodes of its 2n nodes, bit for bit, so a chunk
+    makes one points() call at 2n and its n-point areas come from the even
+    samples.  The half-step grids of the on_ellipse families do not nest;
+    their chunks are sampled at both sizes.  A chunk makes one stacked
+    quadrature per grid size.  Poles whose chunk raised, or whose samples
+    are not all finite, come back NaN.
     """
-    out = np.full(len(poles), np.nan)
-    points = None
+    grids = [family_grid(fam, size, s_all) for size in (n, 2 * n)]
+    nested = all(g.offset == 0.0 and np.ndim(g.start) == 0 for g in grids)
+    if nested:
+        grids = grids[1:]
+    rows = [g.nodes() if np.ndim(g.start) == 0 else None for g in grids]
+    frames = [None] * len(grids)
+    out = np.full((2, len(poles)), np.nan)
     for c0 in range(0, len(poles), per_chunk):
         chunk = slice(c0, c0 + per_chunk)
         s = s_all[chunk] if np.ndim(s_all) else s_all
-        t = family_grid(fam, size, s).nodes()
+        m = (poles[chunk, :1], poles[chunk, 1:])
         try:
-            if points is None or t.ndim > 1:
-                points = frame(t)
-            out[chunk] = _chunk_areas(points, t, poles[chunk], s)
+            for i, grid in enumerate(grids):
+                if rows[i] is None:  # each pole's grid starts at its own s
+                    t = family_grid(fam, grid.count, s).nodes()
+                    frames[i] = frame(t)
+                else:
+                    t = rows[i]
+                    if frames[i] is None:
+                        frames[i] = frame(t)
+                # the ellipse family has no pole: its one curve stands for all k
+                pts = np.broadcast_to(np.asarray(frames[i](m, s), dtype=float),
+                                      (len(m[0]), grid.count, 2))
+                ok = np.all(np.isfinite(pts), axis=(1, 2))
+                if nested:
+                    out[0, chunk] = _stack_areas(t[::2], pts[:, ::2], ok)
+                    out[1, chunk] = _stack_areas(t, pts, ok)
+                else:
+                    out[i, chunk] = _stack_areas(t, pts, ok)
         except GeometryError:
             pass
     return out
@@ -256,11 +284,15 @@ def scan(e: Ellipse, family, locus: LocusSpec, n: int = 2048,
     non-finite theta or mu, or a tol that is not finite and positive raises
     DomainError.
 
-    _sweep takes all poles at n, then all at 2n, in chunks of at most
-    CHUNK_POINTS points at 2n; only one grid size's frame is alive at a
-    time.  A pole whose chunk raised, or whose row came back non-finite, is
-    re-run alone by _pole_areas, so its error reads as if it had been
-    scanned by itself; every area is bitwise that of its pole alone.
+    _sweep takes the poles in chunks of at most CHUNK_POINTS points at 2n
+    and gives each chunk its areas at n and at 2n before the next.  A grid
+    with no offset nests: its n nodes are the even nodes of the 2n grid,
+    bit for bit, so the chunk is sampled once, at 2n, and its n-point areas
+    come from the even samples; the on_ellipse families' half-step grids do
+    not nest and are sampled at both sizes.  A pole whose chunk raised, or
+    whose row came back non-finite, is re-run alone by _pole_areas, so its
+    error reads as if it had been scanned by itself; every area is bitwise
+    that of its pole alone.
     """
     spec = Family.of(family)
     fam = spec.name
@@ -279,8 +311,7 @@ def scan(e: Ellipse, family, locus: LocusSpec, n: int = 2048,
     frame = family_frame(e, fam, theta=theta, mu=mu)
     per_chunk = max(1, CHUNK_POINTS // (2 * n))
     s_all = angles[:, None] if boundary else 0.0
-    coarse = _sweep(frame, fam, poles, s_all, n, per_chunk)
-    fine = _sweep(frame, fam, poles, s_all, 2 * n, per_chunk)
+    coarse, fine = _sweep(frame, fam, poles, s_all, n, per_chunk)
 
     areas: List[Optional[float]] = []
     errors: List[Optional[str]] = []

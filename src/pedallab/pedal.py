@@ -22,8 +22,9 @@ M also take a chunk of k poles as a pair of (k, 1) coordinate arrays (see
 curves.pole_xy) and then return one curve per pole, so a scan samples many
 poles in one call.  The pedal, contrapedal, rotated and interpolated
 evaluators split into a FootFrame, which holds the part that depends on t
-alone (P(t) and the line directions), and its feet() from the pole, so a
-scan can share one frame among all the poles of a grid.
+alone (P(t), the line directions and their squared lengths), and its
+feet() from the pole, so a scan can share one frame among all the poles of
+a grid.
 """
 
 from __future__ import annotations
@@ -79,29 +80,49 @@ def perpendicular_foot(m, p, d):
     return p + u[..., None] * d
 
 
-@dataclass(frozen=True)
 class FootFrame:
     """The pole-free part of a Steiner-family evaluator at parameters t.
 
-    p holds P(t) and d the direction of the line through each point; a blend
-    also holds a second direction d2 and its weight mu.  None of it depends
-    on the pole, so a scan whose grid stays put builds one frame per grid
-    size and calls feet() for every chunk of poles.
+    FootFrame(p, d) holds P(t) and the direction d of the line through each
+    point; a blend FootFrame(p, d, d2, mu) also holds a second direction d2
+    and its weight mu on it.  None of it depends on the pole, so a scan
+    whose grid stays put builds one frame per grid size and calls feet() for
+    every chunk of poles.  The frame keeps what perpendicular_foot computes
+    before it reads the pole: contiguous x and y columns of p and of each
+    direction, and each direction's squared length, checked here once (a
+    direction that vanishes raises DegenerateLine).
     """
 
-    p: np.ndarray
-    d: np.ndarray
-    d2: Optional[np.ndarray] = None
-    mu: float = 0.0
+    def __init__(self, p, d, d2=None, mu: float = 0.0):
+        p = np.asarray(p)
+        self.px, self.py = p[..., 0].copy(), p[..., 1].copy()
+        self.mu = mu
+        # (dx, dy, dx**2 + dy**2) of d, then of d2
+        self.lines = []
+        for v in (d,) if d2 is None else (d, d2):
+            v = np.asarray(v)
+            dx, dy = v[..., 0].copy(), v[..., 1].copy()
+            dd = dx ** 2 + dy ** 2
+            if np.min(np.abs(dd)) < 1e-24:
+                raise DegenerateLine("line direction vanishes")
+            self.lines.append((dx, dy, dd))
+
+    def _foot(self, x0, y0, line):
+        """perpendicular_foot's arithmetic in its order, so each foot is
+        bitwise the same."""
+        dx, dy, dd = line
+        u = ((x0 - self.px) * dx + (y0 - self.py) * dy) / dd
+        return np.stack([self.px + u * dx, self.py + u * dy], axis=-1)
 
     def feet(self, m):
         """Feet of the perpendiculars from m (a pole, or a chunk of poles as
         perpendicular_foot takes it), blended as (1 - mu) * foot on d +
         mu * foot on d2 when the frame has a second line."""
-        foot = perpendicular_foot(m, self.p, self.d)
-        if self.d2 is None:
+        x0, y0 = pole_xy(m)
+        foot = self._foot(x0, y0, self.lines[0])
+        if len(self.lines) == 1:
             return foot
-        return (1.0 - self.mu) * foot + self.mu * perpendicular_foot(m, self.p, self.d2)
+        return (1.0 - self.mu) * foot + self.mu * self._foot(x0, y0, self.lines[1])
 
 
 def _normal(v):

@@ -188,6 +188,15 @@ class TestSignedAreaQuadrature:
                                  ParamGrid(256, start=float(starts[j, 0]), offset=0.5))
             assert areas[j] == signed_area_quadrature(alone)
 
+    def test_stack_on_a_shared_row_equals_the_broadcast_rows_bitwise(self):
+        poles = np.array([[0.7, -0.4], [-1.2, 0.3], [2.5, -1.5]])
+        t = ParamGrid(256).nodes()
+        pts = pedal_point(E21, t, (poles[:, :1], poles[:, 1:]))
+        shared = signed_area_quadrature(SampledCurve(t, pts))
+        rows = signed_area_quadrature(SampledCurve(np.broadcast_to(t, (3, 256)), pts))
+        assert shared.shape == (3,)
+        assert np.array_equal(shared, rows)
+
     def test_stack_with_an_overflowing_curve_is_rejected(self):
         t = np.broadcast_to(ParamGrid(64).nodes(), (2, 64))
         pts = np.stack([ellipse_point(E21, t[0]), 1e300 * ellipse_point(E21, t[0])])

@@ -200,6 +200,13 @@ class TestSample:
         assert rc == 0 and out == ""
         assert target.read_text().startswith("t,x,y\n")
 
+    def test_evaluation_error_prints_the_node_as_a_plain_float(self, capsys):
+        rc, out, err = run(capsys, "sample", "--family", "hybrid", "--s", "0",
+                           "--offset", "0")
+        assert rc == 1 and out == ""
+        assert err == ("error: curve evaluation failed at t=0.0: hybrid point undefined "
+                       "near t=0 (pole on the tangent line)\n")
+
     def test_boundary_pole_families_get_shifted_grid(self, capsys):
         rc, out, _ = run(capsys, "sample", "--family", "hybrid", "--s", "0.7",
                          "--n", "16", "--format", "json")
@@ -232,6 +239,18 @@ class TestArea:
         obj = json.loads(out)
         assert obj["closed"] == pytest.approx(-9 * math.pi / 4, rel=1e-12)
         assert obj["quadrature"] == pytest.approx(-9 * math.pi / 4, rel=1e-9)
+
+    @pytest.mark.parametrize("fam", ["hybrid", "negative_pedal", "pseudo_talbot"])
+    def test_pole_on_the_ellipse_given_by_m(self, capsys, fam):
+        # --m 2,0 is the pole --s 0 names: same grid, same report
+        rc, out, _ = run(capsys, "area", "--family", fam, "--m", "2,0", "--n", "1024")
+        assert rc == 0
+        obj = json.loads(out)
+        want = closed_form_area(fam, E21, (2.0, 0.0))
+        assert obj["closed"] == want
+        assert obj["quadrature"] == pytest.approx(want, rel=1e-9)
+        assert obj["params"]["s"] == 0.0 and obj["params"]["offset"] == 0.5
+        assert run(capsys, "area", "--family", fam, "--s", "0", "--n", "1024") == (0, out, "")
 
     def test_unsettled_area_is_reported_then_exits_one(self, capsys):
         rc, out, err = run(capsys, "area", "--family", "hybrid", "--m", "3,0", "--n", "64")

@@ -106,6 +106,11 @@ class TestParamGrid:
     def test_numpy_integer_count(self):
         assert ParamGrid(count=np.int64(16)).nodes().shape == (16,)
 
+    def test_grid_nests_in_its_double_bitwise(self):
+        # a scan reads its n-point areas from the even samples of the 2n grid
+        for n in [*range(8, 513), 2048, 2 ** 19 + 1]:
+            assert np.array_equal(ParamGrid(n).nodes(), ParamGrid(2 * n).nodes()[::2]), n
+
     def test_nodes_uniform_and_shifted(self):
         g = ParamGrid(count=16, start=0.5, offset=0.25)
         t = g.nodes()
@@ -122,6 +127,15 @@ class TestSampledCurve:
     def test_params_must_increase(self):
         with pytest.raises(DomainError):
             SampledCurve(params=np.array([0.0, 2.0, 1.0]), points=np.zeros((3, 2)))
+
+    def test_stack_on_one_shared_row(self):
+        stack = SampledCurve(params=np.arange(4.0), points=np.zeros((3, 4, 2)))
+        assert stack.params.shape == (4,)
+        assert len(stack) == 12
+        with pytest.raises(DomainError):
+            SampledCurve(params=np.arange(5.0), points=np.zeros((3, 4, 2)))
+        with pytest.raises(DomainError):
+            SampledCurve(params=np.array([0.0, 2.0, 1.0]), points=np.zeros((2, 3, 2)))
 
 
 class TestSampleCurve:
@@ -144,6 +158,16 @@ class TestSampleCurve:
         with pytest.raises(EvaluationError) as exc:
             sample_curve(patchy, g)
         assert exc.value.node == pytest.approx(bad_node)
+
+    def test_failure_message_prints_the_node_as_a_plain_float(self):
+        def pole_at_zero(t):
+            if np.any(np.asarray(t) == 0.0):
+                raise ValueError("singular at 0")
+            return ellipse_point(Ellipse(2.0, 1.0), t)
+
+        with pytest.raises(EvaluationError) as exc:
+            sample_curve(pole_at_zero, ParamGrid(16))
+        assert str(exc.value) == "curve evaluation failed at t=0.0: singular at 0"
 
 
 class TestSupportCurve:

@@ -249,6 +249,20 @@ class TestSharedFrames:
         assert totals[1] == totals[0]
 
 
+class TestNestedGrids:
+    """The n grid of a Steiner circle scan is the even half of its 2n grid,
+    so each pole is sampled once, at 2n."""
+
+    @pytest.mark.parametrize("fam", ["pedal", "contrapedal", "rotated", "interpolated"])
+    def test_circle_scan_builds_only_the_2n_frame(self, monkeypatch, fam):
+        sizes = count_trig_points(monkeypatch)
+        rep = scan(E21, fam, LocusSpec("circle", r=0.8, count=64), n=2048,
+                   theta=0.6, mu=1 / 3)
+        assert rep.passed
+        # P(t) and P'(t) on the 4096 nodes, once each; no 2048-point frame
+        assert sizes == [4096, 4096]
+
+
 def scan_alone(e, fam, locus, j, n, theta=0.0, mu=0.5):
     """(area, error) of pole j of the locus, sampled and integrated by itself."""
     pole = tuple(float(v) for v in locus.poles(e)[j])

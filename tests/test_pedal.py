@@ -39,6 +39,7 @@ from pedallab import (
 )
 from pedallab.curves import as_xy
 from pedallab.pedal import (
+    FootFrame,
     _envelope_solve,
     _segment_hits,
     contrapedal_frame,
@@ -343,6 +344,15 @@ class TestFootFrames:
             assert np.array_equal(fr.feet((float(x[0]), float(y[0]))),
                                   point(E21, t, (float(x[0]), float(y[0]))))
         assert np.array_equal(fr.feet(self.CHUNK), point(E21, t, self.CHUNK))
+
+    @pytest.mark.parametrize("second", [False, True])
+    def test_vanishing_direction_raises(self, second):
+        t = np.linspace(0.0, 1.0, 8)
+        p, v = ellipse_point(E21, t), ellipse_velocity(E21, t)
+        v0 = v.copy()
+        v0[3] = 0.0
+        with pytest.raises(DegenerateLine):
+            (FootFrame(p, v, v0, 0.5) if second else FootFrame(p, v0)).feet(M)
 
     def test_feet_validate_the_pole(self):
         with pytest.raises(DomainError):
