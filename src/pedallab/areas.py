@@ -33,11 +33,11 @@ from .errors import (
 )
 from .pedal import (
     contrapedal_frame,
-    hybrid_point,
+    hybrid_frame,
     interpolated_frame,
-    negative_pedal_point,
+    negative_pedal_frame,
     pedal_frame,
-    pseudo_talbot_point,
+    pseudo_talbot_frame,
     rotated_frame,
 )
 
@@ -62,15 +62,18 @@ class Family:
     t alone and returns points(m, s), the points for the pole m whose
     boundary parameter is s (see harness.family_frame); the evolutoid has no
     pole and no frame.  on_ellipse marks the families whose closed form
-    holds only for poles on the ellipse; the same families are singular at
-    their pole's parameter s, so their grids start at s, half a step off.
-    pole_by_s marks the family whose points take the pole as s alone.
+    holds only for poles on the ellipse.  singular_at_pole marks those
+    singular at their pole's parameter s: their frames run in the
+    pole-relative parameter tau = t - s, on a grid half a step off tau = 0
+    (harness.family_grid); every other family's grid starts at 0.  pole_by_s
+    marks the family whose points take the pole as s alone.
     """
 
     name: str
     area: Callable
     frame: Optional[Callable]
     on_ellipse: bool = False
+    singular_at_pole: bool = False
     pole_by_s: bool = False
 
     @staticmethod
@@ -120,12 +123,12 @@ FAMILIES = {f.name: f for f in (
            lambda e, t, theta, mu: _feet(interpolated_frame(e, t, mu))),
     Family("hybrid", lambda a, b, rho, theta, mu: (
                math.pi * (3 * a ** 4 + 2 * a * a * b * b + 3 * b ** 4) / (2 * a * b)),
-           lambda e, t, theta, mu: lambda m, s: hybrid_point(e, t, m), on_ellipse=True),
+           lambda e, t, theta, mu: hybrid_frame(e, t), on_ellipse=True, singular_at_pole=True),
     Family("pseudo_talbot", _pseudo_talbot_area,
-           lambda e, u, theta, mu: lambda m, s: pseudo_talbot_point(e, s, u),
-           on_ellipse=True, pole_by_s=True),
+           lambda e, u, theta, mu: pseudo_talbot_frame(e, u), on_ellipse=True, pole_by_s=True),
     Family("negative_pedal", lambda a, b, rho, theta, mu: -math.pi * (a + b) ** 2 / 4,
-           lambda e, t, theta, mu: lambda m, s: negative_pedal_point(e, t, m), on_ellipse=True),
+           lambda e, t, theta, mu: negative_pedal_frame(e, t), on_ellipse=True,
+           singular_at_pole=True),
     Family("evolutoid", _evolutoid_area, None),
 )}
 
@@ -370,8 +373,10 @@ def polygon_signed_area(poly: Polygon) -> float:
     return float(0.5 * np.sum(v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]))
 
 
-def internal_angles(poly: Polygon) -> np.ndarray:
-    """Unsigned vertex angles via the adjacent edge directions."""
+def _corners(poly: Polygon):
+    """|back x fwd|, back . fwd, |back|^2 and |fwd|^2 at each vertex, for
+    the edges back to the previous vertex and forward to the next; a
+    repeated vertex raises CollinearVertices."""
     v = poly.vertices
     back = np.roll(v, 1, axis=0) - v
     fwd = np.roll(v, -1, axis=0) - v
@@ -380,10 +385,17 @@ def internal_angles(poly: Polygon) -> np.ndarray:
     scale = float(np.max(np.abs(v))) or 1.0
     if np.min(nb) < 1e-12 * scale or np.min(nf) < 1e-12 * scale:
         raise CollinearVertices("polygon has a repeated vertex")
+    cross = back[:, 0] * fwd[:, 1] - back[:, 1] * fwd[:, 0]
+    return (np.abs(cross), back[:, 0] * fwd[:, 0] + back[:, 1] * fwd[:, 1],
+            back[:, 0] ** 2 + back[:, 1] ** 2, fwd[:, 0] ** 2 + fwd[:, 1] ** 2)
+
+
+def internal_angles(poly: Polygon) -> np.ndarray:
+    """Unsigned vertex angles via the adjacent edge directions."""
+    cross, dot, _, _ = _corners(poly)
     # atan2 of |cross| and dot keeps angles near 0 and pi accurate, where
     # arccos of their cosine loses half the digits
-    cross = back[:, 0] * fwd[:, 1] - back[:, 1] * fwd[:, 0]
-    return np.arctan2(np.abs(cross), back[:, 0] * fwd[:, 0] + back[:, 1] * fwd[:, 1])
+    return np.arctan2(cross, dot)
 
 
 def curvature_centroid_polygon(poly: Polygon) -> Point2:
@@ -392,8 +404,10 @@ def curvature_centroid_polygon(poly: Polygon) -> Point2:
     For a triangle this is the circumcenter.  Weights can cancel exactly
     (every rectangle does it), which raises ZeroTotalWeight.
     """
-    ang = internal_angles(poly)
-    w = np.sin(2.0 * ang)
+    cross, dot, bb, ff = _corners(poly)
+    # sin 2A = 2 sin A cos A, taken from the edges: going through the angle
+    # A itself costs about eps * pi absolute per weight near A = pi
+    w = 2.0 * cross * dot / (bb * ff)
     total = float(np.sum(w))
     if abs(total) <= 1e-12 * len(poly):
         raise ZeroTotalWeight(f"sin(2 angle) weights cancel (total {total:.3e})")

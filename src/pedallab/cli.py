@@ -45,7 +45,6 @@ from .harness import (
     LocusSpec,
     conjecture_check_contrapedal,
     family_evaluator,
-    family_grid,
     identity_suite,
     scan,
 )
@@ -161,8 +160,14 @@ def _build_curve(args, e: Ellipse):
             raise UsageProblem(f"{fam} needs its pole on the ellipse: give --s")
         ev = family_evaluator(e, fam, m, theta=args.theta, mu=args.mu,
                               s=0.0 if s is None else s)
-    # a pole off the ellipse gets the plain grid
-    grid = ParamGrid(count=args.n) if s is None else family_grid(fam, args.n, s)
+    if s is not None and spec.on_ellipse:
+        # a pole on the ellipse: nodes in the ellipse parameter t, half a step
+        # off the pole's own parameter s
+        grid = ParamGrid(count=args.n, start=s, offset=0.5)
+        if spec.singular_at_pole:  # the family's evaluator runs in tau = t - s
+            ev = lambda t, ev=ev, s=s: ev(np.asarray(t) - s)
+    else:
+        grid = ParamGrid(count=args.n)
     if args.offset is not None:
         grid = dataclasses.replace(grid, offset=args.offset)
     curve = sample_curve(ev, grid)
@@ -366,9 +371,9 @@ def _add_ellipse(p):
 
 
 def _add_pole(p):
-    p.add_argument("--m", type=str, default=None, help="pole as 'x,y'")
+    p.add_argument("--m", type=str, default=None, help="pole as 'x,y' (excludes --s)")
     p.add_argument("--s", type=float, default=None,
-                   help="pole on the ellipse at parameter s (overrides --m)")
+                   help="pole on the ellipse at parameter s (excludes --m)")
 
 
 def _add_family(p, choices):

@@ -170,9 +170,7 @@ class ParamGrid:
     The fractional offset shifts every node by the same sub-step amount,
     which keeps quadrature weights uniform while dodging isolated singular
     parameters (the hybrid curve with M on the ellipse is singular exactly
-    at t = s, so its grids use start=s, offset=1/2).  A (k, 1) array of
-    starts stands for k grids of one step, whose nodes form a (k, count)
-    array.
+    at t = s, so it is sampled at tau = t - s with offset=1/2).
     """
 
     count: int
@@ -186,7 +184,7 @@ class ParamGrid:
             raise DomainError(f"grid count must be >= 8, got {self.count}")
         if not 0.0 <= self.offset < 1.0:
             raise DomainError(f"grid offset must lie in [0, 1), got {self.offset}")
-        if not np.all(np.isfinite(self.start)):
+        if not math.isfinite(self.start):
             raise DomainError("grid start must be finite")
 
     def nodes(self) -> np.ndarray:

@@ -8,12 +8,16 @@ a claim numerically: it computes the signed area for every sampled pole at
 grid size n, re-checks each at 2n, and reports the spread.  Poles are
 sampled and integrated in chunks, one stacked quadrature per grid size and
 chunk.  Each family's evaluator is split (family_frame) into a frame, the
-work that depends on the parameters alone, and the points for a pole; a
-grid that is the same for every pole builds its nodes and frame once, so
-the ellipse trig of the Steiner families is not redone for every chunk.
-Where that grid has no offset (every family but the on_ellipse ones), the
-n grid is the even half of the 2n grid, so a chunk is sampled once, at 2n,
-and its n-point areas are taken from the even samples.
+work that depends on the parameters alone, and the points for a pole.
+Every family's grid is the same for every pole, so a scan builds its nodes
+and frame once per grid size and no trig is redone for a chunk: the
+Steiner families' frames hold the ellipse at t, pseudo-Talbot's its three
+columns in (cos s, sin s), and the families singular at their pole
+(hybrid, negative pedal) run in tau = t - s, their frames holding the
+harmonics of tau that each pole turns by s.  Where the grid has no offset
+(every family but those singular at their pole), the n grid is the even
+half of the 2n grid, so a chunk is sampled once, at 2n, and its n-point
+areas are taken from the even samples.
 
 Reports carry plain Python data and serialize to JSON deterministically:
 same inputs, byte-identical files.
@@ -56,11 +60,11 @@ SCANNABLE = tuple(AreaFamily(f.name) for f in FAMILIES.values() if f.frame is no
 
 # a scan evaluates at most this many grid points at once (a chunk of k poles
 # at 2n points each), so batching never grows its working set with the pole
-# count; at up to ~135 bytes per point (tracemalloc peak of a 256-pole
-# n=2048 scan over 2**13 points, shared frame included: 82 for the pedal,
-# 126 for the interpolated circle scan, 135 for the negative pedal on the
-# boundary), 2**13 points fit in memory the process already holds, where
-# 2**16 raised peak RSS by ~8 MB
+# count; at up to ~133 bytes per point (tracemalloc peak of a 256-pole
+# n=2048 scan over 2**13 points, shared frames included: 72 for the pedal,
+# 110 for the interpolated circle scan, 76 for pseudo-Talbot, 125 for the
+# negative pedal and 133 for the hybrid on the boundary), 2**13 points fit
+# in memory the process already holds, where 2**16 raised peak RSS by ~8 MB
 CHUNK_POINTS = 2 ** 13
 
 
@@ -126,8 +130,10 @@ def family_frame(e: Ellipse, family, theta: float = 0.0, mu: float = 0.5) -> Cal
     boundary parameter is s (one pole, or a chunk as family_evaluator takes
     it).  For the Steiner families (pedal, contrapedal, rotated,
     interpolated) frame(t) builds the FootFrame, P(t), the line directions
-    and their squared lengths, and points() drops the feet from the pole;
-    the other families do all their work in points().
+    and their squared lengths, and points() drops the feet from the pole.
+    Pseudo-Talbot's frame holds its columns in (cos s, sin s), and the
+    frames of the families singular at their pole hold the harmonics of
+    tau = t - s, which points() turns by s (see family_grid).
     """
     build = Family.of(family).frame
     if build is None:
@@ -143,7 +149,9 @@ def family_evaluator(e: Ellipse, family, m, theta: float = 0.0, mu: float = 0.5,
     because its pole lives on the ellipse by construction.  For a chunk of
     k poles, m is a pair of (k, 1) coordinate arrays and s a (k, 1) array;
     the evaluator then returns (k, n, 2) points for n parameters.  It is
-    family_frame's frame and points in one call.
+    family_frame's frame and points in one call.  For the families singular
+    at their pole (hybrid, negative pedal) the evaluator's parameter is
+    tau = t - s, the parameter family_grid's nodes stand for.
     """
     frame = family_frame(e, family, theta=theta, mu=mu)
     fam = Family.of(family)
@@ -153,10 +161,15 @@ def family_evaluator(e: Ellipse, family, m, theta: float = 0.0, mu: float = 0.5,
 
 
 def family_grid(family, n: int, s=0.0) -> ParamGrid:
-    """Default sampling grid for a family whose pole parameter is s (a
-    float, or a (k, 1) array for a chunk of poles)."""
-    if Family.of(family).on_ellipse:
-        return ParamGrid(count=n, start=s, offset=0.5)
+    """Default sampling grid of a family, one row of nodes for every pole.
+
+    A family singular at its pole (Family.singular_at_pole) is sampled in
+    tau = t - s, half a step off the singular tau = 0; every other family
+    on ParamGrid(n), whose n nodes are the even nodes of its 2n grid.  The
+    pole's parameter s does not move either grid.
+    """
+    if Family.of(family).singular_at_pole:
+        return ParamGrid(count=n, offset=0.5)
     return ParamGrid(count=n)
 
 
@@ -209,15 +222,27 @@ def _pole_areas(e: Ellipse, fam: str, m, s: float, n: int, theta: float, mu: flo
 
 
 def _stack_areas(t: np.ndarray, pts: np.ndarray, ok: np.ndarray) -> np.ndarray:
-    """Areas of the rows of pts (k curves on the nodes t, one row shared by
-    all or one row each) in one stacked quadrature; rows not ok come back
-    NaN."""
+    """Areas of the rows of pts (k curves on the one row of nodes t) in one
+    stacked quadrature; rows not ok come back NaN."""
     if ok.all():
         return signed_area_quadrature(SampledCurve(t, pts))
     out = np.full(len(pts), np.nan)
     if ok.any():
-        out[ok] = signed_area_quadrature(SampledCurve(t if t.ndim == 1 else t[ok], pts[ok]))
+        out[ok] = signed_area_quadrature(SampledCurve(t, pts[ok]))
     return out
+
+
+def _chunk_areas(points: Callable, m, s, t: np.ndarray, nested: bool) -> List[np.ndarray]:
+    """Areas of a chunk's curves on the nodes t: [coarse, fine] from one
+    points() call when the grid nests (the coarse ones on the even nodes),
+    else [areas].  Rows not all finite come back NaN; the samples are
+    released on return."""
+    # the ellipse family has no pole: its one curve stands for all k
+    pts = np.broadcast_to(np.asarray(points(m, s), dtype=float), (len(m[0]), t.size, 2))
+    ok = np.all(np.isfinite(pts), axis=(1, 2))
+    if nested:
+        return [_stack_areas(t[::2], pts[:, ::2], ok), _stack_areas(t, pts, ok)]
+    return [_stack_areas(t, pts, ok)]
 
 
 def _sweep(frame: Callable, fam: str, poles: np.ndarray, s_all, n: int,
@@ -225,45 +250,31 @@ def _sweep(frame: Callable, fam: str, poles: np.ndarray, s_all, n: int,
     """Areas at n and at 2n points of all poles, in chunks of per_chunk, as
     a (2, count) array: the coarse row, then the fine one.
 
-    s_all is 0.0 or a (count, 1) array of boundary parameters.  A grid that
-    is the same for every pole (one row of nodes) has its nodes and its
-    frame built once for all chunks.  A one-row grid with no offset nests:
-    its n nodes are the even nodes of its 2n nodes, bit for bit, so a chunk
-    makes one points() call at 2n and its n-point areas come from the even
-    samples.  The half-step grids of the on_ellipse families do not nest;
-    their chunks are sampled at both sizes.  A chunk makes one stacked
-    quadrature per grid size.  Poles whose chunk raised, or whose samples
-    are not all finite, come back NaN.
+    s_all is 0.0 or a (count, 1) array of boundary parameters.  Every
+    family's grid is one row of nodes for all poles, so each grid size has
+    its nodes and its frame built once for all chunks.  A grid with no
+    offset nests: its n nodes are the even nodes of its 2n nodes, bit for
+    bit, so a chunk makes one points() call at 2n and its n-point areas
+    come from the even samples.  The half-step grids of the families
+    singular at their pole do not nest; their chunks are sampled at both
+    sizes.  A chunk makes one stacked quadrature per grid size.  Poles
+    whose chunk raised, or whose samples are not all finite, come back NaN.
     """
-    grids = [family_grid(fam, size, s_all) for size in (n, 2 * n)]
-    nested = all(g.offset == 0.0 and np.ndim(g.start) == 0 for g in grids)
-    if nested:
-        grids = grids[1:]
-    rows = [g.nodes() if np.ndim(g.start) == 0 else None for g in grids]
-    frames = [None] * len(grids)
+    grids = [family_grid(fam, size) for size in (n, 2 * n)]
+    nested = grids[0].offset == 0.0
+    rows = [g.nodes() for g in (grids[1:] if nested else grids)]
+    frames = [None] * len(rows)
     out = np.full((2, len(poles)), np.nan)
     for c0 in range(0, len(poles), per_chunk):
         chunk = slice(c0, c0 + per_chunk)
         s = s_all[chunk] if np.ndim(s_all) else s_all
         m = (poles[chunk, :1], poles[chunk, 1:])
         try:
-            for i, grid in enumerate(grids):
-                if rows[i] is None:  # each pole's grid starts at its own s
-                    t = family_grid(fam, grid.count, s).nodes()
+            for i, t in enumerate(rows):
+                if frames[i] is None:
                     frames[i] = frame(t)
-                else:
-                    t = rows[i]
-                    if frames[i] is None:
-                        frames[i] = frame(t)
-                # the ellipse family has no pole: its one curve stands for all k
-                pts = np.broadcast_to(np.asarray(frames[i](m, s), dtype=float),
-                                      (len(m[0]), grid.count, 2))
-                ok = np.all(np.isfinite(pts), axis=(1, 2))
-                if nested:
-                    out[0, chunk] = _stack_areas(t[::2], pts[:, ::2], ok)
-                    out[1, chunk] = _stack_areas(t, pts, ok)
-                else:
-                    out[i, chunk] = _stack_areas(t, pts, ok)
+                areas = _chunk_areas(frames[i], m, s, t, nested)
+                out[i:i + len(areas), chunk] = areas
         except GeometryError:
             pass
     return out
@@ -288,11 +299,11 @@ def scan(e: Ellipse, family, locus: LocusSpec, n: int = 2048,
     and gives each chunk its areas at n and at 2n before the next.  A grid
     with no offset nests: its n nodes are the even nodes of the 2n grid,
     bit for bit, so the chunk is sampled once, at 2n, and its n-point areas
-    come from the even samples; the on_ellipse families' half-step grids do
-    not nest and are sampled at both sizes.  A pole whose chunk raised, or
-    whose row came back non-finite, is re-run alone by _pole_areas, so its
-    error reads as if it had been scanned by itself; every area is bitwise
-    that of its pole alone.
+    come from the even samples; the half-step grids of the families
+    singular at their pole do not nest and are sampled at both sizes.  A
+    pole whose chunk raised, or whose row came back non-finite, is re-run
+    alone by _pole_areas, so its error reads as if it had been scanned by
+    itself; every area is bitwise that of its pole alone.
     """
     spec = Family.of(family)
     fam = spec.name

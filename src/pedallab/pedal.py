@@ -20,11 +20,20 @@ Point evaluators are vectorized over t and complex-safe, so the cusp finder
 can differentiate them by complex step.  The ellipse evaluators with a pole
 M also take a chunk of k poles as a pair of (k, 1) coordinate arrays (see
 curves.pole_xy) and then return one curve per pole, so a scan samples many
-poles in one call.  The pedal, contrapedal, rotated and interpolated
-evaluators split into a FootFrame, which holds the part that depends on t
-alone (P(t), the line directions and their squared lengths), and its
-feet() from the pole, so a scan can share one frame among all the poles of
-a grid.
+poles in one call.  Every ellipse evaluator with a pole splits into a
+frame, the part that depends on the parameters alone, and the points for a
+pole, so a scan can share one frame among all the poles of a grid:
+
+* pedal, contrapedal, rotated and interpolated: a FootFrame holds P(t), the
+  line directions and their squared lengths, and feet() drops the feet
+  from the pole;
+* pseudo-Talbot is affine in (cos s, sin s) of its pole P(s), so its frame
+  holds three columns per coordinate;
+* hybrid and negative pedal are singular at the pole's own parameter s,
+  so their frames run in tau = t - s and hold the harmonics of tau, which
+  the points for a pole turn by s with angle addition; at s = 0 the turn
+  is exact, and hybrid_point and negative_pedal_point are those frames
+  turned by 0.
 """
 
 from __future__ import annotations
@@ -224,25 +233,91 @@ def _envelope_solve(t, nx, ny, mx, my, d, dd):
     return np.stack([x, y], axis=-1)
 
 
-def negative_pedal_point(e: Ellipse, t, m):
-    """Envelope point of the lines through P(t) perpendicular to P(t) - m.
+def _turned(c, sn, angle):
+    """cos and sin of tau + angle from c = cos tau and sn = sin tau, by angle
+    addition.  At angle 0 they are c and s, bit for bit."""
+    ca, sa = np.cos(angle), np.sin(angle)
+    return c * ca - sn * sa, sn * ca + c * sa
 
-    The point solves the line n(t) . X = d(t) together with its
-    t-derivative, for n = P(t) - m and d = n . P(t); P(t) and P'(t) are
-    evaluated once.
+
+def negative_pedal_frame(e: Ellipse, tau) -> Callable:
+    """The negative pedal of a pole at the ellipse parameter s, sampled at
+    tau = t - s.
+
+    Returns points(m, s), the envelope points of the lines through P(s + tau)
+    perpendicular to P(s + tau) - m.  The frame holds cos tau and sin tau;
+    points() turns them by s and solves each line n . X = d together with
+    its t-derivative, for n = P(t) - m and d = n . P(t).  A chunk of poles
+    takes (k, 1) arrays m and s.  SingularFamily names the parameter s + tau.
     """
-    x0, y0 = pole_xy(m)
-    t = np.asarray(t)
-    p = ellipse_point(e, t)
-    v = ellipse_velocity(e, t)
-    px, py, vx, vy = p[..., 0], p[..., 1], v[..., 0], v[..., 1]
-    nx, ny = px - x0, py - y0
-    return _envelope_solve(t, nx, ny, vx, vy, nx * px + ny * py,
-                           vx * (2 * px - x0) + vy * (2 * py - y0))
+    tau = np.asarray(tau)
+    ct, st = np.cos(tau), np.sin(tau)
+
+    def points(m, s):
+        x0, y0 = pole_xy(m)
+        c, sn = _turned(ct, st, s)
+        # P(t) and P'(t) as arrays, as ellipse_point and ellipse_velocity
+        # give them: a scalar tau must not switch the rest to scalar arithmetic
+        px, py = np.asarray(e.a * c), np.asarray(e.b * sn)
+        vx, vy = np.asarray(-e.a * sn), np.asarray(e.b * c)
+        # each (k, n) array is dropped once used, so a chunk's peak memory
+        # stays near that of the solve
+        del c, sn
+        nx, ny = px - x0, py - y0
+        d = nx * px + ny * py
+        dd = vx * (2 * px - x0) + vy * (2 * py - y0)
+        del px, py
+        return _envelope_solve(s + tau, nx, ny, vx, vy, d, dd)
+
+    return points
+
+
+def negative_pedal_point(e: Ellipse, t, m):
+    """Envelope point of the lines through P(t) perpendicular to P(t) - m."""
+    return negative_pedal_frame(e, t)(m, 0.0)
 
 
 # ---------------------------------------------------------------------------
 # hybrid curve
+
+
+def hybrid_frame(e: Ellipse, tau) -> Callable:
+    """The hybrid curve of a pole at the ellipse parameter s, sampled at
+    tau = t - s.
+
+    Returns points(m, s): the intersections of the perpendicular to the
+    tangent direction at P(s + tau) drawn through m with the perpendicular
+    to m - P(s + tau) drawn through P(s + tau).  The frame holds cos j tau
+    and sin j tau for j = 1, 2, 3; points() turns them by s and goes on with
+    the harmonics of t.  A chunk of poles takes (k, 1) arrays m and s.  The
+    point blows up where m sits on the tangent line at P(t), which for m on
+    the ellipse happens only at t = s; SingularParameter names s + tau.
+    """
+    tau = np.asarray(tau)
+    harmonics = [(np.cos(tau), np.sin(tau)), (np.cos(2 * tau), np.sin(2 * tau)),
+                 (np.cos(3 * tau), np.sin(3 * tau))]
+
+    def points(m, s):
+        a, b = e.a, e.b
+        x0, y0 = pole_xy(m)
+        c2 = e.c2
+        (ct, st), (c2t, s2t), (c3t, s3t) = (
+            _turned(c, sn, j * s) for j, (c, sn) in enumerate(harmonics, 1))
+        den = 4.0 * (a * y0 * st + b * x0 * ct - a * b)
+        small = np.abs(den) <= 1e-9 * 4.0 * a * b
+        if np.any(small):
+            t_bad = _param_at(s + tau, small)
+            raise SingularParameter(
+                f"hybrid point undefined near t={t_bad:.6g} (pole on the tangent line)",
+                t=t_bad)
+        nx = (-b * (3 * a * a + b * b + 4 * y0 * y0) * ct + 4 * a * b * x0 * c2t
+              - b * c2 * c3t + 4 * a * x0 * y0 * st + 4 * b * b * y0 * s2t)
+        ny = (-a * (a * a + 3 * b * b + 4 * x0 * x0) * st + 4 * a * a * x0 * s2t
+              - a * c2 * s3t + 4 * b * x0 * y0 * ct - 4 * a * b * y0 * c2t)
+        del ct, st, c2t, s2t, c3t, s3t  # before the division makes two more (k, n) arrays
+        return np.stack([nx / den, ny / den], axis=-1)
+
+    return points
 
 
 def hybrid_point(e: Ellipse, t, m):
@@ -252,28 +327,44 @@ def hybrid_point(e: Ellipse, t, m):
     Blows up where m sits on the tangent line at P(t); for m on the ellipse
     that happens only at the parameter of m itself.
     """
-    a, b = e.a, e.b
-    x0, y0 = pole_xy(m)
-    c2 = e.c2
-    t = np.asarray(t)
-    ct, st = np.cos(t), np.sin(t)
-    c2t, s2t = np.cos(2 * t), np.sin(2 * t)
-    c3t, s3t = np.cos(3 * t), np.sin(3 * t)
-    den = 4.0 * (a * y0 * st + b * x0 * ct - a * b)
-    small = np.abs(den) <= 1e-9 * 4.0 * a * b
-    if np.any(small):
-        t_bad = _param_at(t, small)
-        raise SingularParameter(
-            f"hybrid point undefined near t={t_bad:.6g} (pole on the tangent line)", t=t_bad)
-    nx = (-b * (3 * a * a + b * b + 4 * y0 * y0) * ct + 4 * a * b * x0 * c2t
-          - b * c2 * c3t + 4 * a * x0 * y0 * st + 4 * b * b * y0 * s2t)
-    ny = (-a * (a * a + 3 * b * b + 4 * x0 * x0) * st + 4 * a * a * x0 * s2t
-          - a * c2 * s3t + 4 * b * x0 * y0 * ct - 4 * a * b * y0 * c2t)
-    return np.stack([nx / den, ny / den], axis=-1)
+    return hybrid_frame(e, t)(m, 0.0)
 
 
 # ---------------------------------------------------------------------------
 # pseudo-Talbot curve
+
+
+def pseudo_talbot_frame(e: Ellipse, u) -> Callable:
+    """The pseudo-Talbot curve at the traversal parameters u, for any pole.
+
+    Returns points(m, s) for the pole P(s); m is not read.  The curve is
+    affine in (cos s, sin s): each coordinate is F0(u) + cos s Fc(u) +
+    sin s Fs(u), and the frame holds the three columns of each.  A (k, 1)
+    array s stands for k poles.  See pseudo_talbot_point.
+    """
+    a, b = e.a, e.b
+    a2, b2 = a * a, b * b
+    a4, b4 = a2 * a2, b2 * b2
+    c4 = e.c2 * e.c2
+    t = -np.asarray(u)
+    ct, st = np.cos(t), np.sin(t)
+    ct2 = ct * ct
+    kx = 2 * ct2 * ct2 - 3 * ct2
+    ky = 2 * ct2 * ct2 - ct2
+    # (F0, Fc, Fs) of x, then of y
+    fx = [ct * (a2 + b2) * (-a2 * st ** 2 - b2 * ct2 + 2 * b2) / (a * b2),
+          -((kx + 1) * a4 - 2 * (kx + 1) * a2 * b2 + kx * b4) / (a * b2),
+          -2 * c4 * st ** 3 * ct / (a * b2)]
+    fy = [st * (a2 + b2) * ((a2 - b2) * ct2 + a2) / (a2 * b),
+          -2 * c4 * st * ct ** 3 / (a2 * b),
+          -((ky - 1) * a4 - 2 * ky * a2 * b2 + ky * b4) / (a2 * b)]
+
+    def points(m, s):
+        cs, ss = np.cos(s), np.sin(s)
+        return np.stack([fx[0] + cs * fx[1] + ss * fx[2],
+                         fy[0] + cs * fy[1] + ss * fy[2]], axis=-1)
+
+    return points
 
 
 def pseudo_talbot_point(e: Ellipse, s: float, u):
@@ -284,23 +375,7 @@ def pseudo_talbot_point(e: Ellipse, s: float, u):
     is opposite to the raw harmonic angle; internally the formula is
     evaluated at angle -u.  A (k, 1) array s stands for k poles.
     """
-    a, b = e.a, e.b
-    a2, b2 = a * a, b * b
-    a4, b4 = a2 * a2, b2 * b2
-    c4 = e.c2 * e.c2
-    cs, ss = np.cos(s), np.sin(s)
-    t = -np.asarray(u)
-    ct, st = np.cos(t), np.sin(t)
-    ct2 = ct * ct
-    kx = 2 * ct2 * ct2 - 3 * ct2
-    ky = 2 * ct2 * ct2 - ct2
-    x = (-((kx + 1) * a4 - 2 * (kx + 1) * a2 * b2 + kx * b4) * cs
-         - 2 * c4 * st ** 3 * ct * ss
-         + ct * (a2 + b2) * (-a2 * st ** 2 - b2 * ct2 + 2 * b2)) / (a * b2)
-    y = (-2 * c4 * st * ct ** 3 * cs
-         - ((ky - 1) * a4 - 2 * ky * a2 * b2 + ky * b4) * ss
-         + st * (a2 + b2) * ((a2 - b2) * ct2 + a2)) / (a2 * b)
-    return np.stack([x, y], axis=-1)
+    return pseudo_talbot_frame(e, u)(None, s)
 
 
 # ---------------------------------------------------------------------------

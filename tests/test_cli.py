@@ -64,6 +64,15 @@ class TestUsageErrors:
         rc, _, err = run(capsys, "sample", "--m", "0,0", "--s", "0.5")
         assert rc == 2 and "not both" in err
 
+    @pytest.mark.parametrize("command", ["sample", "area", "centroid"])
+    def test_help_says_m_and_s_exclude_each_other(self, capsys, command):
+        rc, out, _ = run(capsys, command, "--help")
+        assert rc == 0
+        text = " ".join(out.split())
+        assert "pole as 'x,y' (excludes --s)" in text
+        assert "pole on the ellipse at parameter s (excludes --m)" in text
+        assert "overrides" not in text
+
     def test_malformed_pole(self, capsys):
         rc, _, err = run(capsys, "sample", "--m", "1;2")
         assert rc == 2

@@ -22,7 +22,7 @@ from pedallab import (
     scan,
     signed_area_quadrature,
 )
-from pedallab import ellipse_point, pedal
+from pedallab import areas, ellipse_point, pedal
 from pedallab.areas import FAMILIES, Family, settled_area
 from pedallab.harness import SCANNABLE, family_frame
 
@@ -80,8 +80,10 @@ class TestFamilyPlumbing:
             family_frame(E21, "evolutoid")
 
     def test_singular_families_get_offset_grids(self):
-        g = family_grid("hybrid", 512, s=0.7)
-        assert (g.start, g.offset, g.count) == (0.7, 0.5, 512)
+        # hybrid runs in tau = t - s, half a step off tau = 0, whatever the pole
+        for s in (0.0, 0.7):
+            g = family_grid("hybrid", 512, s=s)
+            assert (g.start, g.offset, g.count) == (0.0, 0.5, 512)
         assert family_grid("pedal", 512).offset == 0.0
 
 
@@ -97,10 +99,12 @@ class TestFamilyRegistry:
         assert on == ["hybrid", "pseudo_talbot", "negative_pedal"]
 
     @pytest.mark.parametrize("name", list(FAMILIES))
-    def test_grid_is_offset_exactly_for_on_ellipse_families(self, name):
+    def test_grid_is_offset_exactly_for_families_singular_at_their_pole(self, name):
+        singular = [n for n, f in FAMILIES.items() if f.singular_at_pole]
+        assert singular == ["hybrid", "negative_pedal"]
         g = family_grid(name, 64, s=0.7)
-        want = (0.7, 0.5) if FAMILIES[name].on_ellipse else (0.0, 0.0)
-        assert (g.count, g.start, g.offset) == (64, *want)
+        want = 0.5 if name in singular else 0.0
+        assert (g.count, g.start, g.offset) == (64, 0.0, want)
 
     @pytest.mark.parametrize("fam", SCANNABLE)
     def test_quadrature_matches_closed_form(self, fam):
@@ -261,6 +265,29 @@ class TestNestedGrids:
         assert rep.passed
         # P(t) and P'(t) on the 4096 nodes, once each; no 2048-point frame
         assert sizes == [4096, 4096]
+
+
+class TestBoundaryFrames:
+    """A boundary scan builds one frame per grid size for all its poles:
+    hybrid and negative pedal at n and at 2n (their half-step grids do not
+    nest), pseudo-Talbot at 2n only."""
+
+    @pytest.mark.parametrize("fam, builder, points", [
+        ("hybrid", "hybrid_frame", 3 * 2048),
+        ("negative_pedal", "negative_pedal_frame", 3 * 2048),
+        ("pseudo_talbot", "pseudo_talbot_frame", 2 * 2048)])
+    def test_frame_points_do_not_grow_with_the_pole_count(self, monkeypatch, fam, builder,
+                                                           points):
+        sizes = []
+
+        def counted(e, t, fn=getattr(areas, builder)):
+            sizes.append(np.size(t))
+            return fn(e, t)
+        monkeypatch.setattr(areas, builder, counted)
+        rep = scan(E21, fam, LocusSpec("boundary", count=64), n=2048, tol=1e-6)
+        assert rep.passed
+        # 64 poles at n=2048 make 32 chunks of 2 poles
+        assert sum(sizes) == points
 
 
 def scan_alone(e, fam, locus, j, n, theta=0.0, mu=0.5):

@@ -43,8 +43,11 @@ from pedallab.pedal import (
     _envelope_solve,
     _segment_hits,
     contrapedal_frame,
+    hybrid_frame,
     interpolated_frame,
+    negative_pedal_frame,
     pedal_frame,
+    pseudo_talbot_frame,
     rotated_frame,
 )
 
@@ -451,6 +454,99 @@ class TestPseudoTalbot:
                                    [-0.9327821188390966, -2.1050097766271143], atol=1e-12)
         np.testing.assert_allclose(pseudo_talbot_point(E21, 0.3, 2.5),
                                    [0.6069271532577322, -4.694731636361474], atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# frames of the boundary families
+
+
+def hybrid_reference(e, t, m):
+    """The hybrid point written out at the absolute parameter t, with the
+    harmonics of t evaluated directly."""
+    a, b = e.a, e.b
+    x0, y0 = as_xy(m)
+    c2 = e.c2
+    t = np.asarray(t)
+    ct, st = np.cos(t), np.sin(t)
+    c2t, s2t = np.cos(2 * t), np.sin(2 * t)
+    c3t, s3t = np.cos(3 * t), np.sin(3 * t)
+    den = 4.0 * (a * y0 * st + b * x0 * ct - a * b)
+    nx = (-b * (3 * a * a + b * b + 4 * y0 * y0) * ct + 4 * a * b * x0 * c2t
+          - b * c2 * c3t + 4 * a * x0 * y0 * st + 4 * b * b * y0 * s2t)
+    ny = (-a * (a * a + 3 * b * b + 4 * x0 * x0) * st + 4 * a * a * x0 * s2t
+          - a * c2 * s3t + 4 * b * x0 * y0 * ct - 4 * a * b * y0 * c2t)
+    return np.stack([nx / den, ny / den], axis=-1)
+
+
+def pseudo_talbot_reference(e, s, u):
+    """The pseudo-Talbot point written out in one piece, (cos s, sin s)
+    inside each coordinate's sum."""
+    a, b = e.a, e.b
+    a2, b2 = a * a, b * b
+    a4, b4 = a2 * a2, b2 * b2
+    c4 = e.c2 * e.c2
+    cs, ss = np.cos(s), np.sin(s)
+    t = -np.asarray(u)
+    ct, st = np.cos(t), np.sin(t)
+    ct2 = ct * ct
+    kx = 2 * ct2 * ct2 - 3 * ct2
+    ky = 2 * ct2 * ct2 - ct2
+    x = (-((kx + 1) * a4 - 2 * (kx + 1) * a2 * b2 + kx * b4) * cs
+         - 2 * c4 * st ** 3 * ct * ss
+         + ct * (a2 + b2) * (-a2 * st ** 2 - b2 * ct2 + 2 * b2)) / (a * b2)
+    y = (-2 * c4 * st * ct ** 3 * cs
+         - ((ky - 1) * a4 - 2 * ky * a2 * b2 + ky * b4) * ss
+         + st * (a2 + b2) * ((a2 - b2) * ct2 + a2)) / (a2 * b)
+    return np.stack([x, y], axis=-1)
+
+
+# family -> (frame builder, reference at the absolute parameter, relative bound)
+BOUNDARY = {
+    "hybrid": (hybrid_frame, lambda e, s, tau, m: hybrid_reference(e, s + tau, m), 1e-11),
+    "negative_pedal": (negative_pedal_frame, lambda e, s, tau, m: envelope_point(
+        negative_pedal_family(e, m), s + tau), 1e-11),
+    "pseudo_talbot": (pseudo_talbot_frame,
+                      lambda e, s, tau, m: pseudo_talbot_reference(e, s, tau), 1e-14),
+}
+
+
+class TestBoundaryFrames:
+    """The frames of the boundary families, built at the pole-relative
+    parameter and turned by the pole's s, agree with their formulas at the
+    absolute parameter to roundoff; pseudo-Talbot's runs at u itself."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(fam=st.sampled_from(list(BOUNDARY)), e=st.sampled_from([E21, Ellipse(3.0, 2.0)]),
+           s=st.floats(-TWO_PI, TWO_PI), tau=st.floats(0.1, TWO_PI - 0.1))
+    def test_frame_turned_by_s_matches_the_absolute_formula(self, fam, e, s, tau):
+        # tau stays 0.1 away from the singular tau = 0 of hybrid and negative
+        # pedal, where their points grow like 1 / tau^2
+        build, reference, rel = BOUNDARY[fam]
+        m = tuple(float(v) for v in ellipse_point(e, s))
+        got = build(e, tau)(m, s)
+        want = reference(e, s, tau, m)
+        assert np.max(np.abs(got - want)) <= rel * (1.0 + np.max(np.abs(want)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(fam=st.sampled_from(list(BOUNDARY)), s=st.floats(-TWO_PI, TWO_PI),
+           tau=st.floats(0.3, TWO_PI - 0.3))
+    def test_complex_step_derivative_matches_central_difference(self, fam, s, tau):
+        build, _, _ = BOUNDARY[fam]
+        m = tuple(float(v) for v in ellipse_point(E21, s))
+        h, dt = 1e-200, 1e-6
+        got = np.asarray(build(E21, tau + 1j * h)(m, s)).imag / h
+        want = (build(E21, tau + dt)(m, s) - build(E21, tau - dt)(m, s)) / (2 * dt)
+        scale = 1.0 + np.max(np.abs(build(E21, tau)(m, s))) + np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= 1e-6 * scale
+
+    @pytest.mark.parametrize("fam", ["hybrid", "negative_pedal"])
+    def test_singular_error_names_the_absolute_parameter(self, fam):
+        s = 0.7
+        m = tuple(float(v) for v in ellipse_point(E21, s))
+        tau = np.array([-0.5, 0.0, 0.5])
+        with pytest.raises((SingularParameter, SingularFamily)) as info:
+            BOUNDARY[fam][0](E21, tau)(m, s)
+        assert info.value.t == pytest.approx(s, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
