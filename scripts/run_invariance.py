@@ -4,7 +4,8 @@
 Reports land in --outdir: one file per pole scan, one for the identity
 suite, one for the contrapedal crossing check, and a summary with the
 pass/fail roll-up.  Runs are deterministic: identical arguments produce
-byte-identical files.  Exit code 0 only when every certificate passes.
+byte-identical files.  Exit code 0 only when every certificate passes;
+bad arguments exit 2 before any report is written.
 """
 
 import argparse
@@ -23,6 +24,7 @@ from pedallab import (
     identity_suite,
     scan,
 )
+from pedallab.cli import COUNT, GRID, POSITIVE
 
 STEINER_FAMILIES = ("pedal", "contrapedal", "rotated", "interpolated")
 BOUNDARY_FAMILIES = ("hybrid", "pseudo_talbot", "negative_pedal")
@@ -35,14 +37,16 @@ def write(path: Path, obj) -> None:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--outdir", required=True)
-    ap.add_argument("--a", type=float, default=2.0)
-    ap.add_argument("--b", type=float, default=1.0)
-    ap.add_argument("--n", type=int, default=2048)
-    ap.add_argument("--count", type=int, default=64)
-    ap.add_argument("--radii", type=float, nargs="+", default=(0.1, 0.5, 1.0, 3.0))
+    ap.add_argument("--a", type=POSITIVE, default=2.0)
+    ap.add_argument("--b", type=POSITIVE, default=1.0)
+    ap.add_argument("--n", type=GRID, default=2048)
+    ap.add_argument("--count", type=COUNT, default=64)
+    ap.add_argument("--radii", type=POSITIVE, nargs="+", default=(0.1, 0.5, 1.0, 3.0))
     ap.add_argument("--quick", action="store_true",
                     help="small grids: n=512, count=8, radii 0.5 and 1.0")
     args = ap.parse_args(argv)
+    if args.a < args.b:
+        ap.error(f"require semi-axes a >= b, got a={args.a}, b={args.b}")
 
     if args.quick:
         args.n, args.count, args.radii = 512, 8, (0.5, 1.0)

@@ -62,17 +62,9 @@ from .harness import (
 )
 from .pedal import (
     Crossing,
-    contrapedal_point,
     evolutoid_point,
     evolutoid_support,
     find_cusps,
-    hybrid_point,
-    interpolated_pedal_point,
-    negative_pedal_point,
-    pedal_point,
-    perpendicular_foot,
-    pseudo_talbot_point,
-    rotated_pedal_point,
     self_intersections,
     support_contrapedal_point,
     support_pedal_point,

@@ -60,13 +60,16 @@ class Family:
     its closed-form signed area for a pole at squared distance rho from the
     center.  frame(e, t, theta, mu) does the family's work on the parameters
     t alone and returns points(m, s), the points for the pole m whose
-    boundary parameter is s (see harness.family_frame); the evolutoid has no
-    pole and no frame.  on_ellipse marks the families whose closed form
-    holds only for poles on the ellipse.  singular_at_pole marks those
-    singular at their pole's parameter s: their frames run in the
-    pole-relative parameter tau = t - s, on a grid half a step off tau = 0
-    (harness.family_grid); every other family's grid starts at 0.  pole_by_s
-    marks the family whose points take the pole as s alone.
+    boundary parameter is s: one pole, or a chunk of k poles as (k, 1)
+    coordinate arrays with a (k, 1) array s.  It is the family's one point
+    evaluator, which harness.family_evaluator and harness.scan call; the
+    evolutoid has no pole and no frame.  on_ellipse marks the families
+    whose closed form holds only for poles on the ellipse.
+    singular_at_pole marks those singular at their pole's parameter s:
+    their frames run in the pole-relative parameter tau = t - s, on a grid
+    half a step off tau = 0 (harness.family_grid); every other family's
+    grid starts at 0.  pole_by_s marks the family whose points take the
+    pole as s alone.
     """
 
     name: str
@@ -80,11 +83,6 @@ class Family:
     def of(value) -> "Family":
         """The entry of a family given by name or AreaFamily member."""
         return FAMILIES[AreaFamily.coerce(value).value]
-
-
-def _feet(frame) -> Callable:
-    """points(m, s) of a Steiner family: the feet of its FootFrame from the pole."""
-    return lambda m, s: frame.feet(m)
 
 
 def _interpolated_area(a, b, rho, theta, mu):
@@ -113,14 +111,14 @@ FAMILIES = {f.name: f for f in (
     Family("ellipse", lambda a, b, rho, theta, mu: math.pi * a * b,
            lambda e, t, theta, mu: lambda m, s: ellipse_point(e, t)),
     Family("pedal", lambda a, b, rho, theta, mu: 0.5 * math.pi * (a * a + b * b + rho),
-           lambda e, t, theta, mu: _feet(pedal_frame(e, t))),
+           lambda e, t, theta, mu: pedal_frame(e, t)),
     Family("contrapedal", lambda a, b, rho, theta, mu: 0.5 * math.pi * ((a - b) ** 2 + rho),
-           lambda e, t, theta, mu: _feet(contrapedal_frame(e, t))),
+           lambda e, t, theta, mu: contrapedal_frame(e, t)),
     Family("rotated", lambda a, b, rho, theta, mu: 0.5 * math.pi * (
                a * a + b * b - 2 * a * b * math.sin(theta) ** 2 + rho),
-           lambda e, t, theta, mu: _feet(rotated_frame(e, t, theta))),
+           lambda e, t, theta, mu: rotated_frame(e, t, theta)),
     Family("interpolated", _interpolated_area,
-           lambda e, t, theta, mu: _feet(interpolated_frame(e, t, mu))),
+           lambda e, t, theta, mu: interpolated_frame(e, t, mu)),
     Family("hybrid", lambda a, b, rho, theta, mu: (
                math.pi * (3 * a ** 4 + 2 * a * a * b * b + 3 * b ** 4) / (2 * a * b)),
            lambda e, t, theta, mu: hybrid_frame(e, t), on_ellipse=True, singular_at_pole=True),

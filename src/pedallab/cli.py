@@ -7,9 +7,8 @@ curvature centroids, ``polygon`` handles the discrete analogue, and
 ``conjecture`` measures the contrapedal crossing claim.
 
 Exit codes: 0 success, 1 a computation or certification failed, 2 bad
-arguments.  PEDALLAB_TOL overrides the default tolerance wherever a --tol
-flag is not given explicitly.  Reports are strict JSON: a non-finite number
-fails the command instead of being written as NaN or Infinity.
+arguments.  Reports are strict JSON: a non-finite number fails the
+command instead of being written as NaN or Infinity.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 from typing import Optional, Tuple
 from xml.etree import ElementTree as ET
@@ -74,16 +72,6 @@ GRID = _checked(int, lambda v: 8 <= v <= MAX_N, f"at most {MAX_N} and at least 8
 COUNT = _checked(int, lambda v: 1 <= v <= MAX_COUNT, f"at most {MAX_COUNT} and at least 1")
 FINITE = _checked(float, math.isfinite, "finite")
 POSITIVE = _checked(float, lambda v: math.isfinite(v) and v > 0, "finite and > 0")
-
-
-def _default_tol(fallback: float) -> float:
-    raw = os.environ.get("PEDALLAB_TOL")
-    if raw is None:
-        return fallback
-    try:
-        return POSITIVE(raw)
-    except (ValueError, argparse.ArgumentTypeError):
-        raise UsageProblem(f"PEDALLAB_TOL must be a positive number, got {raw!r}") from None
 
 
 def _parse_xy(raw: str) -> Tuple[float, float]:
@@ -158,8 +146,7 @@ def _build_curve(args, e: Ellipse):
             s = math.atan2(m[1] / e.b, m[0] / e.a)
         if spec.pole_by_s and s is None:
             raise UsageProblem(f"{fam} needs its pole on the ellipse: give --s")
-        ev = family_evaluator(e, fam, m, theta=args.theta, mu=args.mu,
-                              s=0.0 if s is None else s)
+        ev = family_evaluator(e, fam, m, theta=args.theta, mu=args.mu, s=s)
     if s is not None and spec.on_ellipse:
         # a pole on the ellipse: nodes in the ellipse parameter t, half a step
         # off the pole's own parameter s
@@ -268,8 +255,7 @@ def cmd_scan(args) -> int:
         locus = LocusSpec(kind=args.locus, r=args.r, count=args.count, phase=args.phase)
     except DomainError as exc:
         raise UsageProblem(f"bad --r, --count or --phase: {exc}") from None
-    tol = args.tol if args.tol is not None else _default_tol(1e-8)
-    report = scan(e, args.family, locus, n=args.n, theta=args.theta, mu=args.mu, tol=tol)
+    report = scan(e, args.family, locus, n=args.n, theta=args.theta, mu=args.mu, tol=args.tol)
     text = _json(report.to_dict(), indent=2)
     if args.output:
         _emit(text, args.output)
@@ -282,9 +268,8 @@ def cmd_scan(args) -> int:
 
 def cmd_identities(args) -> int:
     e = _ellipse(args)
-    tol = args.tol if args.tol is not None else _default_tol(1e-8)
     m = _parse_xy(args.m)
-    checks = identity_suite(e, m, n=args.n, tol=tol)
+    checks = identity_suite(e, m, n=args.n, tol=args.tol)
     if args.format == "json":
         text = _json([c.to_dict() for c in checks], indent=2)
     else:
@@ -341,7 +326,6 @@ def cmd_polygon(args) -> int:
 
 def cmd_conjecture(args) -> int:
     e = _ellipse(args)
-    tol = args.tol if args.tol is not None else _default_tol(1e-4)
     if args.m is not None:
         poles = [_parse_xy(args.m)]
     else:
@@ -353,9 +337,9 @@ def cmd_conjecture(args) -> int:
             # interior with margin; off the axes so crossings stay transversal
             if e.implicit((x, y)) <= 0.92 and abs(x) > 0.05 * e.a and abs(y) > 0.05 * e.b:
                 poles.append((float(x), float(y)))
-    reports = [conjecture_check_contrapedal(e, m, n=args.n, tol=tol) for m in poles]
+    reports = [conjecture_check_contrapedal(e, m, n=args.n, tol=args.tol) for m in poles]
     ok = all(r.passed for r in reports)
-    out = {"a": e.a, "b": e.b, "tol": tol, "passed": ok,
+    out = {"a": e.a, "b": e.b, "tol": args.tol, "passed": ok,
            "reports": [r.to_dict() for r in reports]}
     _emit(_json(out, indent=2), args.output)
     return 0 if ok else 1
@@ -372,7 +356,7 @@ def _add_ellipse(p):
 
 def _add_pole(p):
     p.add_argument("--m", type=str, default=None, help="pole as 'x,y' (excludes --s)")
-    p.add_argument("--s", type=float, default=None,
+    p.add_argument("--s", type=FINITE, default=None,
                    help="pole on the ellipse at parameter s (excludes --m)")
 
 
@@ -417,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=COUNT, default=64, help="poles on the locus")
     p.add_argument("--phase", type=float, default=0.0, help="locus angular offset")
     p.add_argument("--n", type=GRID, default=2048)
-    p.add_argument("--tol", type=POSITIVE, default=None)
+    p.add_argument("--tol", type=POSITIVE, default=1e-8)
     p.add_argument("--output", type=str, default=None, help="write the full JSON report")
     p.set_defaults(func=cmd_scan)
 
@@ -425,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ellipse(p)
     p.add_argument("--m", type=str, default="0.7,-0.4", help="pole as 'x,y'")
     p.add_argument("--n", type=GRID, default=2048)
-    p.add_argument("--tol", type=POSITIVE, default=None)
+    p.add_argument("--tol", type=POSITIVE, default=1e-8)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--output", type=str, default=None)
     p.set_defaults(func=cmd_identities)
@@ -454,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=COUNT, default=10, help="random poles when --m is omitted")
     p.add_argument("--seed", type=_checked(int, lambda v: v >= 0, "at least 0"), default=0)
     p.add_argument("--n", type=GRID, default=2048)
-    p.add_argument("--tol", type=POSITIVE, default=None)
+    p.add_argument("--tol", type=POSITIVE, default=1e-4)
     p.add_argument("--output", type=str, default=None)
     p.set_defaults(func=cmd_conjecture)
 

@@ -7,17 +7,18 @@ all while it stays on the ellipse (boundary locus).  A scan certifies such
 a claim numerically: it computes the signed area for every sampled pole at
 grid size n, re-checks each at 2n, and reports the spread.  Poles are
 sampled and integrated in chunks, one stacked quadrature per grid size and
-chunk.  Each family's evaluator is split (family_frame) into a frame, the
-work that depends on the parameters alone, and the points for a pole.
-Every family's grid is the same for every pole, so a scan builds its nodes
-and frame once per grid size and no trig is redone for a chunk: the
-Steiner families' frames hold the ellipse at t, pseudo-Talbot's its three
-columns in (cos s, sin s), and the families singular at their pole
-(hybrid, negative pedal) run in tau = t - s, their frames holding the
-harmonics of tau that each pole turns by s.  Where the grid has no offset
-(every family but those singular at their pole), the n grid is the even
-half of the 2n grid, so a chunk is sampled once, at 2n, and its n-point
-areas are taken from the even samples.
+chunk.  Each family's one evaluator, its registry frame
+(areas.Family.frame), does the work that depends on the parameters alone
+and returns the points for a pole.  Every family's grid is the same for
+every pole, so a scan builds its nodes and frame once per grid size and no
+trig is redone for a chunk: the Steiner families' frames hold the ellipse
+at t, pseudo-Talbot's its three columns in (cos s, sin s), and the
+families singular at their pole (hybrid, negative pedal) run in
+tau = t - s, their frames holding the harmonics of tau that each pole
+turns by s.  Where the grid has no offset (every family but those singular
+at their pole), the n grid is the even half of the 2n grid, so a chunk is
+sampled once, at 2n, and its n-point areas are taken from the even
+samples.
 
 Reports carry plain Python data and serialize to JSON deterministically:
 same inputs, byte-identical files.
@@ -122,42 +123,29 @@ class LocusSpec:
         return d
 
 
-def family_frame(e: Ellipse, family, theta: float = 0.0, mu: float = 0.5) -> Callable:
-    """A family's point evaluator, split at its parameters.
-
-    Returns frame(t), which does the work that depends on the parameters t
-    alone and gives back points(m, s): the points for the pole m whose
-    boundary parameter is s (one pole, or a chunk as family_evaluator takes
-    it).  For the Steiner families (pedal, contrapedal, rotated,
-    interpolated) frame(t) builds the FootFrame, P(t), the line directions
-    and their squared lengths, and points() drops the feet from the pole.
-    Pseudo-Talbot's frame holds its columns in (cos s, sin s), and the
-    frames of the families singular at their pole hold the harmonics of
-    tau = t - s, which points() turns by s (see family_grid).
-    """
-    build = Family.of(family).frame
-    if build is None:
-        raise DomainError(f"no point evaluator for family {family!r}")
-    return lambda t: build(e, t, theta, mu)
-
-
 def family_evaluator(e: Ellipse, family, m, theta: float = 0.0, mu: float = 0.5,
                      s: Optional[float] = None) -> Callable:
     """Point evaluator t -> (x, y) for a family with a fixed pole.
 
-    s is the boundary parameter of the pole; pseudo-Talbot requires it
-    because its pole lives on the ellipse by construction.  For a chunk of
-    k poles, m is a pair of (k, 1) coordinate arrays and s a (k, 1) array;
-    the evaluator then returns (k, n, 2) points for n parameters.  It is
-    family_frame's frame and points in one call.  For the families singular
-    at their pole (hybrid, negative pedal) the evaluator's parameter is
-    tau = t - s, the parameter family_grid's nodes stand for.
+    It is the family's registry frame (areas.Family.frame) built at t and
+    called for the pole, the one way to evaluate a family with a pole.  s
+    is the boundary parameter of the pole, 0 when omitted; pseudo-Talbot
+    requires it because its pole lives on the ellipse by construction.  For
+    a chunk of k poles, m is a pair of (k, 1) coordinate arrays and s a
+    (k, 1) array; the evaluator then returns (k, n, 2) points for n
+    parameters.  For the families singular at their pole (hybrid, negative
+    pedal) the evaluator's parameter is tau = t - s, the parameter
+    family_grid's nodes stand for; at s = 0 that is t itself.
     """
-    frame = family_frame(e, family, theta=theta, mu=mu)
     fam = Family.of(family)
-    if s is None and fam.pole_by_s:
-        raise DomainError(f"{fam.name} needs the boundary parameter of its pole")
-    return lambda t: frame(t)(m, s)
+    build = fam.frame
+    if build is None:
+        raise DomainError(f"no point evaluator for family {family!r}")
+    if s is None:
+        if fam.pole_by_s:
+            raise DomainError(f"{fam.name} needs the boundary parameter of its pole")
+        s = 0.0
+    return lambda t: build(e, t, theta, mu)(m, s)
 
 
 def family_grid(family, n: int, s=0.0) -> ParamGrid:
@@ -250,15 +238,16 @@ def _sweep(frame: Callable, fam: str, poles: np.ndarray, s_all, n: int,
     """Areas at n and at 2n points of all poles, in chunks of per_chunk, as
     a (2, count) array: the coarse row, then the fine one.
 
-    s_all is 0.0 or a (count, 1) array of boundary parameters.  Every
-    family's grid is one row of nodes for all poles, so each grid size has
-    its nodes and its frame built once for all chunks.  A grid with no
-    offset nests: its n nodes are the even nodes of its 2n nodes, bit for
-    bit, so a chunk makes one points() call at 2n and its n-point areas
-    come from the even samples.  The half-step grids of the families
-    singular at their pole do not nest; their chunks are sampled at both
-    sizes.  A chunk makes one stacked quadrature per grid size.  Poles
-    whose chunk raised, or whose samples are not all finite, come back NaN.
+    frame(t) builds the family's frame on the nodes t.  s_all is 0.0 or a
+    (count, 1) array of boundary parameters.  Every family's grid is one
+    row of nodes for all poles, so each grid size has its nodes and its
+    frame built once for all chunks.  A grid with no offset nests: its n
+    nodes are the even nodes of its 2n nodes, bit for bit, so a chunk makes
+    one points() call at 2n and its n-point areas come from the even
+    samples.  The half-step grids of the families singular at their pole do
+    not nest; their chunks are sampled at both sizes.  A chunk makes one
+    stacked quadrature per grid size.  Poles whose chunk raised, or whose
+    samples are not all finite, come back NaN.
     """
     grids = [family_grid(fam, size) for size in (n, 2 * n)]
     nested = grids[0].offset == 0.0
@@ -319,10 +308,10 @@ def scan(e: Ellipse, family, locus: LocusSpec, n: int = 2048,
     boundary = locus.kind == "boundary"
     angles = locus.angles()
     poles = locus.poles(e)
-    frame = family_frame(e, fam, theta=theta, mu=mu)
     per_chunk = max(1, CHUNK_POINTS // (2 * n))
     s_all = angles[:, None] if boundary else 0.0
-    coarse, fine = _sweep(frame, fam, poles, s_all, n, per_chunk)
+    coarse, fine = _sweep(lambda t: spec.frame(e, t, theta, mu), fam, poles, s_all, n,
+                          per_chunk)
 
     areas: List[Optional[float]] = []
     errors: List[Optional[str]] = []

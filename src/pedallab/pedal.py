@@ -17,30 +17,34 @@ ellipse P(t) = (a cos t, b sin t) and a fixed pole M:
   tangent (angle 0 gives the curve back, pi/2 the evolute)
 
 Point evaluators are vectorized over t and complex-safe, so the cusp finder
-can differentiate them by complex step.  The ellipse evaluators with a pole
-M also take a chunk of k poles as a pair of (k, 1) coordinate arrays (see
-curves.pole_xy) and then return one curve per pole, so a scan samples many
-poles in one call.  Every ellipse evaluator with a pole splits into a
-frame, the part that depends on the parameters alone, and the points for a
-pole, so a scan can share one frame among all the poles of a grid:
+can differentiate them by complex step.  Every ellipse family with a pole M
+is evaluated in two steps: a frame builder does the work that depends on
+the parameters alone and returns points(m, s), the points for the pole m
+whose boundary parameter is s, so a scan can share one frame among all the
+poles of a grid.  points() also takes a chunk of k poles as a pair of
+(k, 1) coordinate arrays (see curves.pole_xy) with a (k, 1) array s, and
+then returns one curve per pole.  The frames are called through the
+registry, areas.FAMILIES, and harness.family_evaluator:
 
 * pedal, contrapedal, rotated and interpolated: a FootFrame holds P(t), the
-  line directions and their squared lengths, and feet() drops the feet
-  from the pole;
+  line directions and their squared lengths, and its points drop the feet
+  from the pole (s is not read);
 * pseudo-Talbot is affine in (cos s, sin s) of its pole P(s), so its frame
-  holds three columns per coordinate;
+  holds three columns per coordinate (m is not read);
 * hybrid and negative pedal are singular at the pole's own parameter s,
   so their frames run in tau = t - s and hold the harmonics of tau, which
   the points for a pole turn by s with angle addition; at s = 0 the turn
-  is exact, and hybrid_point and negative_pedal_point are those frames
-  turned by 0.
+  is exact, so a frame built at t and called with s = 0 gives the points
+  at t.
+
+The evolutoid has no pole and no frame: evolutoid_point evaluates it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 import numpy as np
 
@@ -73,33 +77,17 @@ def _param_at(t, mask) -> float:
     return float(np.real(np.broadcast_to(t, np.shape(mask)).flat[np.argmax(mask)]))
 
 
-def perpendicular_foot(m, p, d):
-    """Foot of the perpendicular from m onto the line p + u d.
-
-    Broadcasts over leading axes of p and d; m is a pole, or a chunk of
-    poles whose (k, 1) coordinates broadcast against those axes.
-    """
-    x0, y0 = pole_xy(m)
-    p = np.asarray(p)
-    d = np.asarray(d)
-    dd = d[..., 0] ** 2 + d[..., 1] ** 2
-    if np.min(np.abs(dd)) < 1e-24:
-        raise DegenerateLine("line direction vanishes")
-    u = ((x0 - p[..., 0]) * d[..., 0] + (y0 - p[..., 1]) * d[..., 1]) / dd
-    return p + u[..., None] * d
-
-
 class FootFrame:
     """The pole-free part of a Steiner-family evaluator at parameters t.
 
     FootFrame(p, d) holds P(t) and the direction d of the line through each
     point; a blend FootFrame(p, d, d2, mu) also holds a second direction d2
     and its weight mu on it.  None of it depends on the pole, so a scan
-    whose grid stays put builds one frame per grid size and calls feet() for
-    every chunk of poles.  The frame keeps what perpendicular_foot computes
-    before it reads the pole: contiguous x and y columns of p and of each
-    direction, and each direction's squared length, checked here once (a
-    direction that vanishes raises DegenerateLine).
+    whose grid stays put builds one frame per grid size and calls it for
+    every chunk of poles.  The frame keeps all a foot needs before it reads
+    the pole: contiguous x and y columns of p and of each direction, and
+    each direction's squared length, checked here once (a direction that
+    vanishes raises DegenerateLine).
     """
 
     def __init__(self, p, d, d2=None, mu: float = 0.0):
@@ -117,16 +105,17 @@ class FootFrame:
             self.lines.append((dx, dy, dd))
 
     def _foot(self, x0, y0, line):
-        """perpendicular_foot's arithmetic in its order, so each foot is
-        bitwise the same."""
+        """Foot of the perpendicular from (x0, y0) onto the line p + u d:
+        u = ((m - p) . d) / (d . d)."""
         dx, dy, dd = line
         u = ((x0 - self.px) * dx + (y0 - self.py) * dy) / dd
         return np.stack([self.px + u * dx, self.py + u * dy], axis=-1)
 
-    def feet(self, m):
+    def __call__(self, m, s=0.0):
         """Feet of the perpendiculars from m (a pole, or a chunk of poles as
-        perpendicular_foot takes it), blended as (1 - mu) * foot on d +
-        mu * foot on d2 when the frame has a second line."""
+        (k, 1) coordinate arrays), blended as (1 - mu) * foot on d +
+        mu * foot on d2 when the frame has a second line.  s, the pole's
+        boundary parameter, is not read: a foot depends on m alone."""
         x0, y0 = pole_xy(m)
         foot = self._foot(x0, y0, self.lines[0])
         if len(self.lines) == 1:
@@ -162,29 +151,6 @@ def interpolated_frame(e: Ellipse, t, mu: float) -> FootFrame:
     """Tangent and normal lines at P(t), blended with weight mu on the normal."""
     v = ellipse_velocity(e, t)
     return FootFrame(ellipse_point(e, t), v, _normal(v), mu)
-
-
-def pedal_point(e: Ellipse, t, m):
-    """Foot of the perpendicular from m onto the tangent line at P(t)."""
-    return pedal_frame(e, t).feet(m)
-
-
-def contrapedal_point(e: Ellipse, t, m):
-    """Foot of the perpendicular from m onto the normal line at P(t)."""
-    return contrapedal_frame(e, t).feet(m)
-
-
-def rotated_pedal_point(e: Ellipse, t, m, theta: float):
-    """Foot onto the line through P(t) whose direction is the tangent turned by theta.
-
-    theta = 0 reproduces the pedal, theta = pi/2 the contrapedal.
-    """
-    return rotated_frame(e, t, theta).feet(m)
-
-
-def interpolated_pedal_point(e: Ellipse, t, m, mu: float):
-    """(1 - mu) * pedal + mu * contrapedal; mu may lie outside [0, 1]."""
-    return interpolated_frame(e, t, mu).feet(m)
 
 
 def support_pedal_point(s: SupportCurve, t, m):
@@ -272,11 +238,6 @@ def negative_pedal_frame(e: Ellipse, tau) -> Callable:
     return points
 
 
-def negative_pedal_point(e: Ellipse, t, m):
-    """Envelope point of the lines through P(t) perpendicular to P(t) - m."""
-    return negative_pedal_frame(e, t)(m, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # hybrid curve
 
@@ -320,16 +281,6 @@ def hybrid_frame(e: Ellipse, tau) -> Callable:
     return points
 
 
-def hybrid_point(e: Ellipse, t, m):
-    """Intersection of the perpendicular to the tangent direction through m
-    with the perpendicular to m - P(t) through P(t).
-
-    Blows up where m sits on the tangent line at P(t); for m on the ellipse
-    that happens only at the parameter of m itself.
-    """
-    return hybrid_frame(e, t)(m, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # pseudo-Talbot curve
 
@@ -337,10 +288,14 @@ def hybrid_point(e: Ellipse, t, m):
 def pseudo_talbot_frame(e: Ellipse, u) -> Callable:
     """The pseudo-Talbot curve at the traversal parameters u, for any pole.
 
-    Returns points(m, s) for the pole P(s); m is not read.  The curve is
-    affine in (cos s, sin s): each coordinate is F0(u) + cos s Fc(u) +
-    sin s Fs(u), and the frame holds the three columns of each.  A (k, 1)
-    array s stands for k poles.  See pseudo_talbot_point.
+    The curve is the cubic-harmonic companion of the hybrid curve for a
+    pole on the ellipse.  Returns points(m, s) for the pole P(s); m is not
+    read.  The traversal parameter u runs the curve so that its signed area
+    matches the orientation of the supporting line family, which is
+    opposite to the raw harmonic angle; internally the formula is evaluated
+    at angle -u.  The curve is affine in (cos s, sin s): each coordinate is
+    F0(u) + cos s Fc(u) + sin s Fs(u), and the frame holds the three columns
+    of each.  A (k, 1) array s stands for k poles.
     """
     a, b = e.a, e.b
     a2, b2 = a * a, b * b
@@ -365,17 +320,6 @@ def pseudo_talbot_frame(e: Ellipse, u) -> Callable:
                          fy[0] + cs * fy[1] + ss * fy[2]], axis=-1)
 
     return points
-
-
-def pseudo_talbot_point(e: Ellipse, s: float, u):
-    """Cubic-harmonic companion of the hybrid curve for a pole on the ellipse.
-
-    The pole is P(s).  The traversal parameter u runs the curve so that its
-    signed area matches the orientation of the supporting line family, which
-    is opposite to the raw harmonic angle; internally the formula is
-    evaluated at angle -u.  A (k, 1) array s stands for k poles.
-    """
-    return pseudo_talbot_frame(e, u)(None, s)
 
 
 # ---------------------------------------------------------------------------

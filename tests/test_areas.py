@@ -20,14 +20,13 @@ from pedallab import (
     ZeroTotalWeight,
     circumcenter,
     closed_form_area,
-    contrapedal_point,
     curvature_centroid_polygon,
     curvature_centroid_samples,
     curvature_centroid_support,
     ellipse_point,
     ellipse_support,
+    family_evaluator,
     internal_angles,
-    pedal_point,
     pedal_polygon,
     perimeter_quadrature,
     polygon_signed_area,
@@ -39,7 +38,6 @@ from pedallab import (
 )
 
 from pedallab.areas import DOUBLING_RTOL, settled, settled_area
-from pedallab.pedal import hybrid_point, negative_pedal_point
 
 TWO_PI = 2.0 * math.pi
 E21 = Ellipse(2.0, 1.0)
@@ -142,7 +140,7 @@ class TestSignedAreaQuadrature:
 
     def test_pedal_matches_closed_form_to_machine_precision(self):
         m = (0.7, -0.4)
-        curve = sample_curve(lambda t: pedal_point(E21, t, m), ParamGrid(2048))
+        curve = sample_curve(family_evaluator(E21, "pedal", m), ParamGrid(2048))
         assert signed_area_quadrature(curve) == pytest.approx(
             closed_form_area("pedal", E21, m), abs=1e-11)
 
@@ -166,10 +164,10 @@ class TestSignedAreaQuadrature:
 
     @pytest.mark.parametrize("n", [64, 65, 512, 2048])
     @pytest.mark.parametrize("make", [
-        lambda t: pedal_point(E21, t, (0.7, -0.4)),
-        lambda t: contrapedal_point(E21, t, (2.5, 1.0)),
-        lambda t: hybrid_point(E21, t, (0.3, 0.2)),
-        lambda t: negative_pedal_point(E21, t, (0.7, -0.4))])
+        family_evaluator(E21, "pedal", (0.7, -0.4)),
+        family_evaluator(E21, "contrapedal", (2.5, 1.0)),
+        family_evaluator(E21, "hybrid", (0.3, 0.2)),
+        family_evaluator(E21, "negative_pedal", (0.7, -0.4))])
     def test_parseval_form_matches_the_spectral_derivative_shoelace(self, n, make):
         curve = sample_curve(make, ParamGrid(n, start=0.3, offset=0.5))
         want = shoelace_spectral_derivative(curve)
@@ -180,18 +178,18 @@ class TestSignedAreaQuadrature:
         starts = np.array([[0.0], [0.4], [1.1], [2.9], [5.0]])
         poles = np.array([[0.7, -0.4], [-1.2, 0.3], [0.1, 0.9], [2.5, -1.5], [0.0, 0.0]])
         t = starts + (np.arange(256) + 0.5) * (TWO_PI / 256)
-        pts = pedal_point(E21, t, (poles[:, :1], poles[:, 1:]))
+        pts = family_evaluator(E21, "pedal", (poles[:, :1], poles[:, 1:]))(t)
         areas = signed_area_quadrature(SampledCurve(t, pts))
         assert areas.shape == (5,)
         for j, m in enumerate(poles):
-            alone = sample_curve(lambda u: pedal_point(E21, u, m),
+            alone = sample_curve(family_evaluator(E21, "pedal", m),
                                  ParamGrid(256, start=float(starts[j, 0]), offset=0.5))
             assert areas[j] == signed_area_quadrature(alone)
 
     def test_stack_on_a_shared_row_equals_the_broadcast_rows_bitwise(self):
         poles = np.array([[0.7, -0.4], [-1.2, 0.3], [2.5, -1.5]])
         t = ParamGrid(256).nodes()
-        pts = pedal_point(E21, t, (poles[:, :1], poles[:, 1:]))
+        pts = family_evaluator(E21, "pedal", (poles[:, :1], poles[:, 1:]))(t)
         shared = signed_area_quadrature(SampledCurve(t, pts))
         rows = signed_area_quadrature(SampledCurve(np.broadcast_to(t, (3, 256)), pts))
         assert shared.shape == (3,)

@@ -1,4 +1,5 @@
 import argparse
+import importlib.util
 import json
 import math
 import os
@@ -51,6 +52,25 @@ def test_make_figures_renders_every_family(tmp_path):
     assert len(list((tmp_path / "figures").glob("*.svg"))) == 12
 
 
+def load_script(name):
+    """A script of scripts/ as a module, to call its main() in process."""
+    spec = importlib.util.spec_from_file_location(name, REPO / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("bad", [
+    ["--n", "4"], ["--count", "0"], ["--radii", "nan"], ["--a", "1", "--b", "2"],
+    ["--a", "inf"], ["--n", "64", "--count", "2", "--radii", "1", "-1"]])
+def test_run_invariance_refuses_bad_arguments_before_writing(tmp_path, capsys, bad):
+    with pytest.raises(SystemExit) as info:
+        load_script("run_invariance").main(["--outdir", str(tmp_path), *bad])
+    assert info.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # argument validation -> exit 2
 
@@ -59,6 +79,12 @@ class TestUsageErrors:
     def test_axis_order(self, capsys):
         rc, _, err = run(capsys, "sample", "--a", "1", "--b", "2")
         assert rc == 2 and "a >= b > 0" in err
+
+    @pytest.mark.parametrize("command", ["sample", "area", "centroid"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_s_must_be_finite(self, capsys, command, bad):
+        rc, _, err = run(capsys, command, "--family", "hybrid", f"--s={bad}")
+        assert rc == 2 and "--s" in err and "finite" in err
 
     def test_pole_given_twice(self, capsys):
         rc, _, err = run(capsys, "sample", "--m", "0,0", "--s", "0.5")
@@ -97,11 +123,6 @@ class TestUsageErrors:
     def test_scan_locus_out_of_domain(self, capsys, bad):
         rc, _, _ = run(capsys, "scan", "--family", "pedal", "--locus", "circle", *bad)
         assert rc == 2
-
-    def test_env_tolerance_validated(self, capsys, monkeypatch):
-        monkeypatch.setenv("PEDALLAB_TOL", "banana")
-        rc, _, err = run(capsys, "identities", "--n", "64")
-        assert rc == 2 and "PEDALLAB_TOL" in err
 
     def test_polygon_needs_three_vertices(self, capsys):
         rc, _, _ = run(capsys, "polygon", "--vertices", "0,0;1,0")
@@ -340,16 +361,10 @@ class TestIdentities:
         assert len(checks) == 14
         assert all(c["passed"] for c in checks)
 
-    def test_env_tolerance_applies(self, capsys, monkeypatch):
-        monkeypatch.setenv("PEDALLAB_TOL", "1e-20")
-        rc, out, _ = run(capsys, "identities", "--n", "512")
+    def test_tol_reaches_the_suite(self, capsys):
+        rc, out, _ = run(capsys, "identities", "--n", "512", "--tol", "1e-20")
         assert rc == 1
         assert "FAIL" in out
-
-    def test_flag_overrides_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("PEDALLAB_TOL", "1e-20")
-        rc, _, _ = run(capsys, "identities", "--n", "512", "--tol", "1e-6")
-        assert rc == 0
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from pedallab import (
 )
 from pedallab import areas, ellipse_point, pedal
 from pedallab.areas import FAMILIES, Family, settled_area
-from pedallab.harness import SCANNABLE, family_frame
+from pedallab.harness import SCANNABLE
 
 E21 = Ellipse(2.0, 1.0)
 
@@ -76,8 +76,20 @@ class TestFamilyPlumbing:
     def test_evolutoid_has_no_point_evaluator(self):
         with pytest.raises(DomainError):
             family_evaluator(E21, "evolutoid", (0.0, 0.0))
-        with pytest.raises(DomainError):
-            family_frame(E21, "evolutoid")
+
+    @pytest.mark.parametrize("fam", SCANNABLE)
+    def test_omitted_s_is_s_zero_bitwise(self, fam):
+        # an interior pole, off every tangent line: hybrid and negative pedal
+        # are regular on the whole grid
+        m, t = (0.3, 0.2), ParamGrid(64, offset=0.5).nodes()
+        want = Family.of(fam).frame(E21, t, 0.6, 1 / 3)(m, 0.0)
+        got = family_evaluator(E21, fam, m, theta=0.6, mu=1 / 3, s=0.0)(t)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        if Family.of(fam).pole_by_s:
+            with pytest.raises(DomainError):
+                family_evaluator(E21, fam, m, theta=0.6, mu=1 / 3)
+        else:
+            assert np.array_equal(family_evaluator(E21, fam, m, theta=0.6, mu=1 / 3)(t), want)
 
     def test_singular_families_get_offset_grids(self):
         # hybrid runs in tau = t - s, half a step off tau = 0, whatever the pole

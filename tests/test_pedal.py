@@ -16,20 +16,13 @@ from pedallab import (
     SampledCurve,
     SingularFamily,
     SingularParameter,
-    contrapedal_point,
     ellipse_point,
     ellipse_support,
     ellipse_velocity,
     evolutoid_point,
     evolutoid_support,
+    family_evaluator,
     find_cusps,
-    hybrid_point,
-    interpolated_pedal_point,
-    negative_pedal_point,
-    pedal_point,
-    perpendicular_foot,
-    pseudo_talbot_point,
-    rotated_pedal_point,
     sample_curve,
     self_intersections,
     support_areas,
@@ -37,7 +30,7 @@ from pedallab import (
     support_pedal_point,
     support_point,
 )
-from pedallab.curves import as_xy
+from pedallab.curves import as_xy, pole_xy
 from pedallab.pedal import (
     FootFrame,
     _envelope_solve,
@@ -61,6 +54,11 @@ def rot(v, theta):
     return np.array([c * v[0] - s * v[1], s * v[0] + c * v[1]])
 
 
+def point(fam, t, m, e=E21, **kw):
+    """The points of a family at t for the pole m, through family_evaluator."""
+    return family_evaluator(e, fam, m, **kw)(t)
+
+
 # ---------------------------------------------------------------------------
 # feet
 
@@ -68,10 +66,10 @@ def rot(v, theta):
 class TestFeet:
     def test_foot_on_degenerate_line(self):
         with pytest.raises(DegenerateLine):
-            perpendicular_foot((1.0, 1.0), np.zeros(2), np.zeros(2))
+            FootFrame(np.zeros(2), np.zeros(2))((1.0, 1.0))
 
     def test_contrapedal_quarter_turn_from_center(self):
-        got = contrapedal_point(E21, math.pi / 4, (0.0, 0.0))
+        got = point("contrapedal", math.pi / 4, (0.0, 0.0))
         want = np.array([3 * math.sqrt(2) / 5, -3 * math.sqrt(2) / 10])
         np.testing.assert_allclose(got, want, atol=1e-15)
 
@@ -87,7 +85,7 @@ class TestFeet:
                 (a * a * x0 * st * st - a * b * y0 * ct * st + a * b * b * ct) / den,
                 (b * b * y0 * ct * ct - a * b * x0 * ct * st + a * a * b * st) / den,
             ])
-            np.testing.assert_allclose(pedal_point(E21, t, M), want, atol=1e-13)
+            np.testing.assert_allclose(point("pedal", t, M), want, atol=1e-13)
 
     def test_contrapedal_rational_form(self):
         a, b = E21.a, E21.b
@@ -101,14 +99,14 @@ class TestFeet:
                 (b * b * x0 * ct * ct + ct * st * (a * b * y0 + a * c2 * st)) / den,
                 (a * a * y0 * st * st + ct * st * (a * b * x0 - b * c2 * ct)) / den,
             ])
-            np.testing.assert_allclose(contrapedal_point(E21, t, M), want, atol=1e-13)
+            np.testing.assert_allclose(point("contrapedal", t, M), want, atol=1e-13)
 
     @settings(max_examples=40, deadline=None)
     @given(t=st.floats(0, TWO_PI), theta=st.floats(-3.0, 3.0),
            mx=st.floats(-3.0, 3.0), my=st.floats(-3.0, 3.0))
     def test_rotated_foot_property(self, t, theta, mx, my):
         # the foot lies on the rotated tangent line and sees m orthogonally
-        q = rotated_pedal_point(E21, t, (mx, my), theta)
+        q = point("rotated", t, (mx, my), theta=theta)
         p = ellipse_point(E21, t)
         d = rot(ellipse_velocity(E21, t), theta)
         on_line = (q[0] - p[0]) * d[1] - (q[1] - p[1]) * d[0]
@@ -118,14 +116,14 @@ class TestFeet:
 
     def test_rotated_interpolates_pedal_and_contrapedal(self):
         t = np.linspace(0, TWO_PI, 33)
-        np.testing.assert_allclose(rotated_pedal_point(E21, t, M, 0.0),
-                                   pedal_point(E21, t, M), atol=1e-12)
-        np.testing.assert_allclose(rotated_pedal_point(E21, t, M, math.pi / 2),
-                                   contrapedal_point(E21, t, M), atol=1e-12)
-        np.testing.assert_allclose(interpolated_pedal_point(E21, t, M, 0.0),
-                                   pedal_point(E21, t, M), atol=1e-14)
-        np.testing.assert_allclose(interpolated_pedal_point(E21, t, M, 1.0),
-                                   contrapedal_point(E21, t, M), atol=1e-14)
+        np.testing.assert_allclose(point("rotated", t, M, theta=0.0),
+                                   point("pedal", t, M), atol=1e-12)
+        np.testing.assert_allclose(point("rotated", t, M, theta=math.pi / 2),
+                                   point("contrapedal", t, M), atol=1e-12)
+        np.testing.assert_allclose(point("interpolated", t, M, mu=0.0),
+                                   point("pedal", t, M), atol=1e-14)
+        np.testing.assert_allclose(point("interpolated", t, M, mu=1.0),
+                                   point("contrapedal", t, M), atol=1e-14)
 
     def test_support_feet_match_ellipse_geometry(self):
         # support-form pedal/contrapedal agree with direct projection onto the
@@ -215,21 +213,21 @@ class TestEnvelopes:
         # the envelope folds back onto the circle itself
         c = Ellipse(1.5, 1.5)
         t = np.linspace(0, TWO_PI, 64)
-        np.testing.assert_allclose(negative_pedal_point(c, t, (0.0, 0.0)),
+        np.testing.assert_allclose(point("negative_pedal", t, (0.0, 0.0), e=c),
                                    ellipse_point(c, t), atol=1e-12)
 
     def test_singular_at_pole_parameter(self):
         s = 0.7
         m = tuple(ellipse_point(E21, s))
         with pytest.raises(SingularFamily):
-            negative_pedal_point(E21, s, m)
+            point("negative_pedal", s, m)
 
     @pytest.mark.parametrize("t", [
         0.3, 0.3 + 1e-200j, np.linspace(0.1, TWO_PI, 40),
         np.linspace(0.1, TWO_PI, 40) + 1e-200j, np.linspace(0.1, 6.0, 12).reshape(3, 4)])
     @pytest.mark.parametrize("m", [M, (3.0, 0.5), tuple(ellipse_point(E21, 0.7))])
     def test_negative_pedal_point_is_the_family_envelope_bitwise(self, t, m):
-        got = negative_pedal_point(E21, t, m)
+        got = point("negative_pedal", t, m)
         want = envelope_point(negative_pedal_family(E21, m), t)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
@@ -254,25 +252,26 @@ class TestPoleChunks:
     POLES = np.array([[0.7, -0.4], [-1.2, 0.3], [0.1, 0.9], [2.5, -1.5]])
 
     @pytest.mark.parametrize("ev", [
-        pedal_point, contrapedal_point, hybrid_point, negative_pedal_point,
-        lambda e, t, m: rotated_pedal_point(e, t, m, 0.6),
-        lambda e, t, m: interpolated_pedal_point(e, t, m, 1.0 / 3.0)])
+        lambda t, m: point("pedal", t, m), lambda t, m: point("contrapedal", t, m),
+        lambda t, m: point("hybrid", t, m), lambda t, m: point("negative_pedal", t, m),
+        lambda t, m: point("rotated", t, m, theta=0.6),
+        lambda t, m: point("interpolated", t, m, mu=1.0 / 3.0)])
     @pytest.mark.parametrize("per_pole_grid", [False, True])
     def test_rows_equal_single_poles(self, ev, per_pole_grid):
         base = (np.arange(64) + 0.5) * (TWO_PI / 64)
         starts = np.array([[0.0], [0.4], [1.1], [2.9]])
         t = starts + base if per_pole_grid else base
-        got = ev(E21, t, (self.POLES[:, :1], self.POLES[:, 1:]))
+        got = ev(t, (self.POLES[:, :1], self.POLES[:, 1:]))
         assert got.shape == (4, 64, 2)
         for j, (x, y) in enumerate(self.POLES):
-            assert np.array_equal(got[j], ev(E21, t[j] if per_pole_grid else t, (x, y)))
+            assert np.array_equal(got[j], ev(t[j] if per_pole_grid else t, (x, y)))
 
     def test_pseudo_talbot_rows_equal_single_poles(self):
         s = np.array([[0.0], [0.4], [1.1], [2.9]])
         u = s + (np.arange(64) + 0.5) * (TWO_PI / 64)
-        got = pseudo_talbot_point(E21, s, u)
+        got = point("pseudo_talbot", u, None, s=s)
         for j in range(4):
-            assert np.array_equal(got[j], pseudo_talbot_point(E21, float(s[j, 0]), u[j]))
+            assert np.array_equal(got[j], point("pseudo_talbot", u[j], None, s=float(s[j, 0])))
 
     def test_singular_pole_names_its_parameter(self):
         # one pole of the chunk sits on the tangent line at t = 0.9
@@ -280,18 +279,34 @@ class TestPoleChunks:
         m_bad = ellipse_point(E21, 0.9) + 0.5 * ellipse_velocity(E21, 0.9)
         poles = np.array([[0.1, 0.2], m_bad])
         with pytest.raises(SingularParameter) as info:
-            hybrid_point(E21, t, (poles[:, :1], poles[:, 1:]))
+            point("hybrid", t, (poles[:, :1], poles[:, 1:]))
         assert info.value.t == pytest.approx(0.9)
 
     @pytest.mark.parametrize("bad", [np.zeros((2, 3)), np.zeros((3, 2, 1)),
                                      np.full((2, 2, 1), np.nan)])
     def test_rejects_malformed_chunks(self, bad):
         with pytest.raises(DomainError):
-            pedal_point(E21, 0.3, bad)
+            point("pedal", 0.3, bad)
 
 
 # ---------------------------------------------------------------------------
 # foot frames
+
+
+def perpendicular_foot(m, p, d):
+    """Foot of the perpendicular from m onto the line p + u d.
+
+    Broadcasts over leading axes of p and d; m is a pole, or a chunk of
+    poles whose (k, 1) coordinates broadcast against those axes.
+    """
+    x0, y0 = pole_xy(m)
+    p = np.asarray(p)
+    d = np.asarray(d)
+    dd = d[..., 0] ** 2 + d[..., 1] ** 2
+    if np.min(np.abs(dd)) < 1e-24:
+        raise DegenerateLine("line direction vanishes")
+    u = ((x0 - p[..., 0]) * d[..., 0] + (y0 - p[..., 1]) * d[..., 1]) / dd
+    return p + u[..., None] * d
 
 
 def steiner_reference(e, t, m, kind, theta=0.6, mu=1.0 / 3.0):
@@ -311,14 +326,19 @@ def steiner_reference(e, t, m, kind, theta=0.6, mu=1.0 / 3.0):
     return (1.0 - mu) * perpendicular_foot(m, p, v) + mu * perpendicular_foot(m, p, normal)
 
 
+# family -> frame builder, at steiner_reference's theta and mu
 STEINER = {
-    "pedal": (pedal_point, pedal_frame),
-    "contrapedal": (contrapedal_point, contrapedal_frame),
-    "rotated": (lambda e, t, m: rotated_pedal_point(e, t, m, 0.6),
-                lambda e, t: rotated_frame(e, t, 0.6)),
-    "interpolated": (lambda e, t, m: interpolated_pedal_point(e, t, m, 1.0 / 3.0),
-                     lambda e, t: interpolated_frame(e, t, 1.0 / 3.0)),
+    "pedal": pedal_frame,
+    "contrapedal": contrapedal_frame,
+    "rotated": lambda e, t: rotated_frame(e, t, 0.6),
+    "interpolated": lambda e, t: interpolated_frame(e, t, 1.0 / 3.0),
 }
+
+
+def steiner_point(kind, t, m):
+    """A Steiner family's points through family_evaluator, at steiner_reference's
+    theta and mu."""
+    return point(kind, t, m, theta=0.6, mu=1.0 / 3.0)
 
 
 class TestFootFrames:
@@ -333,20 +353,19 @@ class TestFootFrames:
         np.linspace(0.1, TWO_PI, 40) + 1e-200j, np.linspace(0.1, 6.0, 12).reshape(3, 4)])
     @pytest.mark.parametrize("m", [M, (3.0, 0.5), CHUNK])
     def test_points_equal_the_formulas_in_one_piece_bitwise(self, kind, t, m):
-        got = STEINER[kind][0](E21, t, m)
+        got = steiner_point(kind, t, m)
         want = steiner_reference(E21, t, m, kind)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("kind", sorted(STEINER))
     def test_one_frame_serves_every_pole(self, kind):
-        point, frame = STEINER[kind]
         t = (np.arange(64) + 0.5) * (TWO_PI / 64)
-        fr = frame(E21, t)
+        fr = STEINER[kind](E21, t)
         for x, y in zip(*self.CHUNK):
-            assert np.array_equal(fr.feet((float(x[0]), float(y[0]))),
-                                  point(E21, t, (float(x[0]), float(y[0]))))
-        assert np.array_equal(fr.feet(self.CHUNK), point(E21, t, self.CHUNK))
+            assert np.array_equal(fr((float(x[0]), float(y[0]))),
+                                  steiner_point(kind, t, (float(x[0]), float(y[0]))))
+        assert np.array_equal(fr(self.CHUNK), steiner_point(kind, t, self.CHUNK))
 
     @pytest.mark.parametrize("second", [False, True])
     def test_vanishing_direction_raises(self, second):
@@ -355,11 +374,11 @@ class TestFootFrames:
         v0 = v.copy()
         v0[3] = 0.0
         with pytest.raises(DegenerateLine):
-            (FootFrame(p, v, v0, 0.5) if second else FootFrame(p, v0)).feet(M)
+            (FootFrame(p, v, v0, 0.5) if second else FootFrame(p, v0))(M)
 
     def test_feet_validate_the_pole(self):
         with pytest.raises(DomainError):
-            pedal_frame(E21, np.linspace(0.0, 1.0, 8)).feet((math.nan, 0.0))
+            pedal_frame(E21, np.linspace(0.0, 1.0, 8))((math.nan, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -390,21 +409,21 @@ class TestHybrid:
             if E21.implicit(m) > 0.95:
                 continue
             t = rng.uniform(0, TWO_PI)
-            got = hybrid_point(E21, t, m)
+            got = point("hybrid", t, m)
             worst = max(worst, float(np.max(np.abs(got - hybrid_oracle(E21, t, m)))))
         assert worst < 1e-12
 
     def test_pole_on_boundary(self):
         s = 0.7
         m = tuple(ellipse_point(E21, s))
-        got = hybrid_point(E21, 1.9, m)
+        got = point("hybrid", 1.9, m)
         np.testing.assert_allclose(got, hybrid_oracle(E21, 1.9, m), atol=1e-11)
 
     def test_singular_on_tangent_line(self):
         s = 0.7
         m = tuple(ellipse_point(E21, s))
         with pytest.raises(SingularParameter):
-            hybrid_point(E21, s, m)
+            point("hybrid", s, m)
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +438,10 @@ class TestPseudoTalbot:
             m = ellipse_point(e, 0.7)
 
             def H(t):
-                return hybrid_point(e, t, m)
+                return point("hybrid", t, m, e=e)
 
             def V(t):
-                return hybrid_point(e, np.asarray(t) + 1e-200j, m).imag / 1e-200
+                return point("hybrid", np.asarray(t) + 1e-200j, m, e=e).imag / 1e-200
 
             fam = LineFamily(
                 normal=lambda t: H(t) - m,
@@ -436,7 +455,7 @@ class TestPseudoTalbot:
                 u = rng.uniform(0, TWO_PI)
                 if abs(math.remainder(u + 0.7, TWO_PI)) < 0.2:
                     continue  # hybrid pencil is singular where -u hits the pole
-                got = pseudo_talbot_point(e, 0.7, u)
+                got = point("pseudo_talbot", u, m, e=e, s=0.7)
                 ref = envelope_point(fam, -u)
                 worst = max(worst, float(np.max(np.abs(got - ref))))
             assert worst < 1e-10
@@ -445,14 +464,14 @@ class TestPseudoTalbot:
         rng = np.random.default_rng(10)
         for _ in range(20):
             s, u = rng.uniform(0, TWO_PI, 2)
-            p = pseudo_talbot_point(E21, s, u)
-            q = pseudo_talbot_point(E21, -s, -u)
+            p = point("pseudo_talbot", u, None, s=s)
+            q = point("pseudo_talbot", -u, None, s=-s)
             np.testing.assert_allclose(q, [p[0], -p[1]], atol=1e-12)
 
     def test_frozen_points(self):
-        np.testing.assert_allclose(pseudo_talbot_point(E21, 0.7, 1.1),
+        np.testing.assert_allclose(point("pseudo_talbot", 1.1, None, s=0.7),
                                    [-0.9327821188390966, -2.1050097766271143], atol=1e-12)
-        np.testing.assert_allclose(pseudo_talbot_point(E21, 0.3, 2.5),
+        np.testing.assert_allclose(point("pseudo_talbot", 2.5, None, s=0.3),
                                    [0.6069271532577322, -4.694731636361474], atol=1e-12)
 
 
@@ -679,7 +698,7 @@ def _contrapedal_case(data):
     m = (data.draw(st.floats(-1.9, 1.9), label="x"), data.draw(st.floats(-0.95, 0.95), label="y"))
     assume(min(abs(m[0]), abs(m[1])) > 0.05 and E21.implicit(m) < 0.95)
     n = data.draw(st.integers(8, 400), label="n")
-    return sample_curve(lambda t: contrapedal_point(E21, t, m), ParamGrid(n, offset=0.5))
+    return sample_curve(family_evaluator(E21, "contrapedal", m), ParamGrid(n, offset=0.5))
 
 
 def _ellipse_case(data):
@@ -733,7 +752,7 @@ class TestSelfIntersections:
 
     def test_contrapedal_crossings_on_axis_points(self):
         m = (0.7, -0.4)
-        curve = sample_curve(lambda t: contrapedal_point(E21, t, m), ParamGrid(1024, offset=0.5))
+        curve = sample_curve(family_evaluator(E21, "contrapedal", m), ParamGrid(1024, offset=0.5))
         hits = self_intersections(curve)
         assert len(hits) >= 2
         pts = np.array([h.point for h in hits])
@@ -763,7 +782,7 @@ class TestSelfIntersections:
     def test_contrapedal_raw_hits_inside_and_outside_astroid(self):
         # 4 normals pass through a pole inside the astroid, 2 outside it
         for m, count in (((0.7, -0.4), 8), ((1.5, 0.6), 3)):
-            curve = sample_curve(lambda t: contrapedal_point(E21, t, m),
+            curve = sample_curve(family_evaluator(E21, "contrapedal", m),
                                  ParamGrid(2048, offset=0.5))
             assert len(self_intersections(curve, refine=False)) == count
 
