@@ -15,6 +15,7 @@ from pathlib import Path
 sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
 
 from pedallab import Ellipse
+from pedallab.cli import GRID
 from pedallab.cli import main as cli
 
 
@@ -29,7 +30,7 @@ def run(outdir: Path, name: str, *argv: str) -> None:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--outdir", default="figures")
-    ap.add_argument("--n", type=int, default=720)
+    ap.add_argument("--n", type=GRID, default=720)
     args = ap.parse_args(argv)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -11,8 +11,10 @@ from .areas import (
     AreaFamily,
     Polygon,
     SupportAreas,
+    area_rule,
     circumcenter,
     closed_form_area,
+    closed_form_areas,
     curvature_centroid_polygon,
     curvature_centroid_samples,
     curvature_centroid_support,

@@ -9,8 +9,10 @@ identity, from the real FFTs of the two coordinate sample sequences, so it
 is exact for band-limited curves and converges geometrically for analytic
 ones (Trefethen & Weideman, SIAM Rev. 2014).  A plain finite-difference shoelace stalls near 1e-6 relative error
 at two thousand points, which is not enough to certify the invariants this
-package is about.  Every certified area is re-run on a grid twice as fine;
-settled() is that doubling test.
+package is about.  area_rule(params) checks a row of parameters once and
+returns the quadrature for any curve or stack of curves sampled on it;
+signed_area_quadrature is that rule for one SampledCurve.  Every certified
+area is re-run on a grid twice as fine; settled() is that doubling test.
 """
 
 from __future__ import annotations
@@ -40,12 +42,9 @@ from .pedal import (
     pseudo_talbot_frame,
     rotated_frame,
 )
+from .tolerances import DOUBLING_RTOL, GRID_STEP_TOL, ON_ELLIPSE_TOL, PERIOD_TOL
 
 TWO_PI = 2.0 * math.pi
-
-# an area on n points is settled when its re-run on 2n points agrees to this
-# relative tolerance (absolute below unit area)
-DOUBLING_RTOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -147,9 +146,27 @@ AreaFamily = _FamilyName("AreaFamily", [(name.upper(), name) for name in FAMILIE
                          module=__name__)
 
 
-def pole_on_ellipse(e: Ellipse, m) -> bool:
-    """Whether the pole m lies on the ellipse: its implicit value is 1 to 1e-9."""
-    return abs(e.implicit(m) - 1.0) <= 1e-9
+def pole_on_ellipse(e: Ellipse, m):
+    """Whether the pole m lies on the ellipse: its implicit value is 1 to
+    ON_ELLIPSE_TOL.  For a (k, 2) array of poles, a (k,) boolean array."""
+    return abs(e.implicit(m) - 1.0) <= ON_ELLIPSE_TOL
+
+
+def closed_form_areas(family, e: Ellipse, poles: np.ndarray,
+                      theta: float = 0.0, mu: float = 0.5):
+    """Closed-form signed areas of the family for a (k, 2) array of poles.
+
+    Returns (areas, holds), two (k,) arrays: the family's closed form at
+    each pole, and whether it holds there.  It holds everywhere except for
+    the families whose constant holds only for poles on the ellipse
+    (hybrid, pseudo-Talbot, negative pedal), at poles off it.  Each area
+    is bitwise closed_form_area of its pole alone.
+    """
+    fam = Family.of(family)
+    x, y = poles[:, 0], poles[:, 1]
+    areas = np.broadcast_to(fam.area(e.a, e.b, x * x + y * y, theta, mu), x.shape)
+    holds = pole_on_ellipse(e, poles) if fam.on_ellipse else np.ones(x.shape, dtype=bool)
+    return areas, holds
 
 
 def closed_form_area(family, e: Ellipse, m=(0.0, 0.0),
@@ -160,14 +177,16 @@ def closed_form_area(family, e: Ellipse, m=(0.0, 0.0),
     crossing angle (evolutoid), mu the pedal/contrapedal blend.  Families
     whose constant only holds for poles on the ellipse (hybrid,
     pseudo-Talbot, negative pedal) reject other poles with DomainError.
+    It is closed_form_areas for one pole.
     """
     fam = Family.of(family)
-    x0, y0 = as_xy(m)
-    if fam.on_ellipse and not pole_on_ellipse(e, m):
+    pole = as_xy(m)
+    areas, holds = closed_form_areas(fam.name, e, pole[None], theta, mu)
+    if not holds[0]:
         raise DomainError(
             f"{fam.name} area constant holds only for poles on the ellipse; "
-            f"got implicit value {e.implicit(m):.12g}")
-    return fam.area(e.a, e.b, x0 * x0 + y0 * y0, theta, mu)
+            f"got implicit value {e.implicit(pole):.12g}")
+    return float(areas[0])
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +198,8 @@ def _uniform_step(params: np.ndarray) -> float:
         raise QuadratureError("quadrature needs at least 8 samples")
     gaps = np.diff(params, axis=-1)
     step = gaps.flat[0]
-    # np.allclose(gaps, step, rtol=1e-12, atol=1e-12), without its temporaries
-    if not np.max(np.abs(gaps - step)) <= 1e-12 + 1e-12 * abs(step):
+    # np.allclose(gaps, step, rtol=GRID_STEP_TOL, atol=GRID_STEP_TOL), without its temporaries
+    if not np.max(np.abs(gaps - step)) <= GRID_STEP_TOL + GRID_STEP_TOL * abs(step):
         raise QuadratureError("quadrature requires a uniform parameter grid")
     return float(step)
 
@@ -200,34 +219,57 @@ def _fft_derivative(vals: np.ndarray) -> np.ndarray:
     return np.fft.ifft(k * np.fft.fft(vals)).real
 
 
-def signed_area_quadrature(curve: SampledCurve):
-    """Signed area 1/2 * integral(x y' - y x') of a closed sampled curve.
+def area_rule(params) -> Callable:
+    """The spectral area rule of one row of n parameters.
 
-    With X = rfft(x) and Y = rfft(y) over the n samples, Parseval's identity
-    turns the integral into A = -(4 pi / n^2) sum_k k Im(conj(X_k) Y_k); the
-    lone Nyquist mode of an even n is left out, as a spectral derivative
-    would zero it.  Periodic grids of a couple thousand points resolve
-    analytic curves to machine precision.  The grid must be uniform and must
-    cover exactly one period.  A stack of k curves (see SampledCurve) gives
-    an array of k areas, each bitwise equal to the area of its curve alone.
-    An area that overflows to a non-finite value raises QuadratureError.
+    The row is checked here, once: at least 8 samples, strictly increasing,
+    one uniform step, exactly one period.  Returns rule(points), the signed
+    area 1/2 * integral(x y' - y x') of the closed curve sampled at the row,
+    points of shape (n, 2), or an array of k areas for a stack of k curves
+    on the row, points of shape (k, n, 2); each is bitwise the area of its
+    curve alone.  With X = rfft(x) and Y = rfft(y) over the n samples,
+    Parseval's identity turns the integral into
+    A = -(4 pi / n^2) sum_k k Im(conj(X_k) Y_k); the lone Nyquist mode of an
+    even n is left out, as a spectral derivative would zero it.  Periodic
+    grids of a couple thousand points resolve analytic curves to machine
+    precision.  A row that fails a check raises DomainError (not
+    increasing) or QuadratureError; an area that overflows to a non-finite
+    value raises QuadratureError.  A scan builds one rule per grid size and
+    hands it every chunk of poles.
     """
-    step = _uniform_step(curve.params)
-    n = curve.params.shape[-1]
-    if abs(n * step - TWO_PI) > 1e-9:
+    params = np.asarray(params, dtype=float)
+    if params.shape[-1] >= 2 and not np.all(np.diff(params, axis=-1) > 0):
+        raise DomainError("params must be strictly increasing")
+    step = _uniform_step(params)
+    n = params.shape[-1]
+    if abs(n * step - TWO_PI) > PERIOD_TOL:
         raise QuadratureError("sampled window must cover one full period")
-    fx = np.fft.rfft(curve.points[..., 0], axis=-1)
-    fy = np.fft.rfft(curve.points[..., 1], axis=-1)
-    k = np.arange(fx.shape[-1], dtype=float)
+    k = np.arange(n // 2 + 1, dtype=float)
     if n % 2 == 0:
         k[-1] = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        cross = fx.real * fy.imag - fx.imag * fy.real  # Im(conj(X_k) Y_k)
-        area = np.asarray((-4.0 * math.pi / (n * n)) * np.sum(k * cross, axis=-1))
-    bad = area[~np.isfinite(area)]
-    if bad.size:
-        raise QuadratureError(f"quadrature area is not finite ({float(bad[0])})")
-    return float(area) if area.ndim == 0 else area
+    scale = -4.0 * math.pi / (n * n)
+
+    def rule(points):
+        # both coordinate planes in one rfft call
+        fx, fy = np.fft.rfft(np.moveaxis(points, -1, 0), axis=-1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            cross = fx.real * fy.imag - fx.imag * fy.real  # Im(conj(X_k) Y_k)
+            area = np.asarray(scale * np.sum(k * cross, axis=-1))
+        bad = area[~np.isfinite(area)]
+        if bad.size:
+            raise QuadratureError(f"quadrature area is not finite ({float(bad[0])})")
+        return float(area) if area.ndim == 0 else area
+
+    return rule
+
+
+def signed_area_quadrature(curve: SampledCurve):
+    """Signed area 1/2 * integral(x y' - y x') of a closed sampled curve, or
+    an array of k areas for a stack of k curves (see SampledCurve): the
+    area_rule of its params applied to its points.  The grid must be
+    uniform and must cover exactly one period.
+    """
+    return area_rule(curve.params)(curve.points)
 
 
 def settled(coarse, fine):

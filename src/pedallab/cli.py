@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -367,7 +368,10 @@ def _add_family(p, choices):
     p.add_argument("--mu", type=FINITE, default=0.5, help="pedal-contrapedal blend")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args leaves
+    it unchanged, so every main() call shares it."""
     parser = argparse.ArgumentParser(
         prog="pedallab",
         description="Numerical laboratory for pedal-type curves of an ellipse.")

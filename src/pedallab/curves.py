@@ -87,10 +87,16 @@ class Ellipse:
         """Squared linear eccentricity a^2 - b^2 (>= 0; circles allowed)."""
         return self.a * self.a - self.b * self.b
 
-    def implicit(self, m) -> float:
-        """x^2/a^2 + y^2/b^2 at m; 1 on the boundary."""
-        x, y = as_xy(m)
-        return (x / self.a) ** 2 + (y / self.b) ** 2
+    def implicit(self, m):
+        """x^2/a^2 + y^2/b^2 at m; 1 on the boundary.  For a (k, 2) array
+        of poles, a (k,) array, each value bitwise that of its pole alone."""
+        if np.ndim(m) == 2:
+            x, y = np.asarray(m, dtype=float).T
+        else:
+            x, y = as_xy(m)
+        # squares by np.square, not **: a scalar ** 2 goes through pow(),
+        # which can round differently from the array loop
+        return np.square(x / self.a) + np.square(y / self.b)
 
 
 def ellipse_point(e: Ellipse, t):

@@ -6,9 +6,11 @@ hybrid, pseudo-Talbot and negative-pedal areas do not depend on the pole at
 all while it stays on the ellipse (boundary locus).  A scan certifies such
 a claim numerically: it computes the signed area for every sampled pole at
 grid size n, re-checks each at 2n, and reports the spread.  Poles are
-sampled and integrated in chunks, one stacked quadrature per grid size and
-chunk.  Each family's one evaluator, its registry frame
-(areas.Family.frame), does the work that depends on the parameters alone
+sampled and integrated in chunks.  Each grid size has one area rule
+(areas.area_rule), whose row checks run once per scan, and each chunk's
+finite curves go to it in one stack.  Each family's one evaluator, its
+registry frame (areas.Family.frame), does the work that depends on the
+parameters alone
 and returns the points for a pole.  Every family's grid is the same for
 every pole, so a scan builds its nodes and frame once per grid size and no
 trig is redone for a chunk: the Steiner families' frames hold the ellipse
@@ -18,7 +20,9 @@ tau = t - s, their frames holding the harmonics of tau that each pole
 turns by s.  Where the grid has no offset (every family but those singular
 at their pole), the n grid is the even half of the 2n grid, so a chunk is
 sampled once, at 2n, and its n-point areas are taken from the even
-samples.
+samples.  The scan's epilogue (doubling gaps, the settled test, closed
+forms, spread) works on arrays over all poles; only a pole whose chunk
+failed is re-run by itself.
 
 Reports carry plain Python data and serialize to JSON deterministically:
 same inputs, byte-identical files.
@@ -36,7 +40,10 @@ from .areas import (
     FAMILIES,
     AreaFamily,
     Family,
+    area_rule,
     closed_form_area,
+    closed_form_areas,
+    settled,
     settled_area,
     signed_area_quadrature,
     support_contrapedal_area,
@@ -45,14 +52,14 @@ from .areas import (
 from .curves import (
     Ellipse,
     ParamGrid,
-    SampledCurve,
     as_xy,
     ellipse_point,
     ellipse_support,
     sample_curve,
 )
-from .errors import DomainError, GeometryError
+from .errors import DomainError, GeometryError, QuadratureError
 from .pedal import self_intersections
+from .tolerances import AXIS_TOL
 
 TWO_PI = 2.0 * math.pi
 
@@ -61,10 +68,10 @@ SCANNABLE = tuple(AreaFamily(f.name) for f in FAMILIES.values() if f.frame is no
 
 # a scan evaluates at most this many grid points at once (a chunk of k poles
 # at 2n points each), so batching never grows its working set with the pole
-# count; at up to ~133 bytes per point (tracemalloc peak of a 256-pole
-# n=2048 scan over 2**13 points, shared frames included: 72 for the pedal,
-# 110 for the interpolated circle scan, 76 for pseudo-Talbot, 125 for the
-# negative pedal and 133 for the hybrid on the boundary), 2**13 points fit
+# count; at up to ~136 bytes per point (tracemalloc peak of a 256-pole
+# n=2048 scan over 2**13 points, shared frames included: 78 for the pedal,
+# 119 for the interpolated circle scan, 78 for pseudo-Talbot, 128 for the
+# negative pedal and 136 for the hybrid on the boundary), 2**13 points fit
 # in memory the process already holds, where 2**16 raised peak RSS by ~8 MB
 CHUNK_POINTS = 2 ** 13
 
@@ -209,28 +216,20 @@ def _pole_areas(e: Ellipse, fam: str, m, s: float, n: int, theta: float, mu: flo
                  for count in (n, 2 * n))
 
 
-def _stack_areas(t: np.ndarray, pts: np.ndarray, ok: np.ndarray) -> np.ndarray:
-    """Areas of the rows of pts (k curves on the one row of nodes t) in one
-    stacked quadrature; rows not ok come back NaN."""
-    if ok.all():
-        return signed_area_quadrature(SampledCurve(t, pts))
-    out = np.full(len(pts), np.nan)
-    if ok.any():
-        out[ok] = signed_area_quadrature(SampledCurve(t, pts[ok]))
-    return out
-
-
-def _chunk_areas(points: Callable, m, s, t: np.ndarray, nested: bool) -> List[np.ndarray]:
-    """Areas of a chunk's curves on the nodes t: [coarse, fine] from one
-    points() call when the grid nests (the coarse ones on the even nodes),
-    else [areas].  Rows not all finite come back NaN; the samples are
-    released on return."""
+def _chunk_areas(points: Callable, m, s, size: int, rules) -> np.ndarray:
+    """Areas of a chunk's curves, sampled by one points() call on a row of
+    size nodes, as a (len(rules), k) array.  rules holds (rule, stride)
+    pairs: each area rule takes every stride-th sample.  Rows not all
+    finite come back NaN; the samples are released on return."""
     # the ellipse family has no pole: its one curve stands for all k
-    pts = np.broadcast_to(np.asarray(points(m, s), dtype=float), (len(m[0]), t.size, 2))
+    pts = np.broadcast_to(np.asarray(points(m, s), dtype=float), (len(m[0]), size, 2))
     ok = np.all(np.isfinite(pts), axis=(1, 2))
-    if nested:
-        return [_stack_areas(t[::2], pts[:, ::2], ok), _stack_areas(t, pts, ok)]
-    return [_stack_areas(t, pts, ok)]
+    out = np.full((len(rules), len(ok)), np.nan)
+    if ok.any():
+        pts = pts if ok.all() else pts[ok]
+        for i, (rule, stride) in enumerate(rules):
+            out[i, ok] = rule(pts[:, ::stride])
+    return out
 
 
 def _sweep(frame: Callable, fam: str, poles: np.ndarray, s_all, n: int,
@@ -240,19 +239,21 @@ def _sweep(frame: Callable, fam: str, poles: np.ndarray, s_all, n: int,
 
     frame(t) builds the family's frame on the nodes t.  s_all is 0.0 or a
     (count, 1) array of boundary parameters.  Every family's grid is one
-    row of nodes for all poles, so each grid size has its nodes and its
-    frame built once for all chunks.  A grid with no offset nests: its n
-    nodes are the even nodes of its 2n nodes, bit for bit, so a chunk makes
-    one points() call at 2n and its n-point areas come from the even
-    samples.  The half-step grids of the families singular at their pole do
-    not nest; their chunks are sampled at both sizes.  A chunk makes one
-    stacked quadrature per grid size.  Poles whose chunk raised, or whose
-    samples are not all finite, come back NaN.
+    row of nodes for all poles, so each grid size has its nodes, its frame
+    and its area rule (areas.area_rule, whose row checks run once) built
+    once for all chunks.  A grid with no offset nests: its n nodes are the
+    even nodes of its 2n nodes, bit for bit, so a chunk makes one points()
+    call at 2n and its n-point areas come from the even samples, by the
+    rule of t[::2].  The half-step grids of the families singular at their
+    pole do not nest; their chunks are sampled at both sizes.  A chunk's
+    finite rows go to the rule in one stack per grid size.  Poles whose
+    chunk raised, or whose samples are not all finite, come back NaN.
     """
     grids = [family_grid(fam, size) for size in (n, 2 * n)]
     nested = grids[0].offset == 0.0
     rows = [g.nodes() for g in (grids[1:] if nested else grids)]
-    frames = [None] * len(rows)
+    # per row: its frame and its (rule, stride) pairs, built by the first chunk
+    built = [None] * len(rows)
     out = np.full((2, len(poles)), np.nan)
     for c0 in range(0, len(poles), per_chunk):
         chunk = slice(c0, c0 + per_chunk)
@@ -260,10 +261,11 @@ def _sweep(frame: Callable, fam: str, poles: np.ndarray, s_all, n: int,
         m = (poles[chunk, :1], poles[chunk, 1:])
         try:
             for i, t in enumerate(rows):
-                if frames[i] is None:
-                    frames[i] = frame(t)
-                areas = _chunk_areas(frames[i], m, s, t, nested)
-                out[i:i + len(areas), chunk] = areas
+                if built[i] is None:
+                    strides = (2, 1) if nested else (1,)
+                    built[i] = frame(t), [(area_rule(t[::k]), k) for k in strides]
+                points, rules = built[i]
+                out[i:i + len(rules), chunk] = _chunk_areas(points, m, s, t.size, rules)
         except GeometryError:
             pass
     return out
@@ -285,14 +287,18 @@ def scan(e: Ellipse, family, locus: LocusSpec, n: int = 2048,
     DomainError.
 
     _sweep takes the poles in chunks of at most CHUNK_POINTS points at 2n
-    and gives each chunk its areas at n and at 2n before the next.  A grid
-    with no offset nests: its n nodes are the even nodes of the 2n grid,
-    bit for bit, so the chunk is sampled once, at 2n, and its n-point areas
-    come from the even samples; the half-step grids of the families
-    singular at their pole do not nest and are sampled at both sizes.  A
-    pole whose chunk raised, or whose row came back non-finite, is re-run
-    alone by _pole_areas, so its error reads as if it had been scanned by
-    itself; every area is bitwise that of its pole alone.
+    and gives each chunk its areas at n and at 2n before the next, through
+    one area rule per grid size (areas.area_rule), built with the grid
+    size's frame.  A grid with no offset nests: its n nodes are the even
+    nodes of the 2n grid, bit for bit, so the chunk is sampled once, at 2n,
+    and its n-point areas come from the even samples; the half-step grids
+    of the families singular at their pole do not nest and are sampled at
+    both sizes.  A pole whose chunk raised, or whose row came back
+    non-finite, is re-run alone by _pole_areas, so its error reads as if it
+    had been scanned by itself; every area is bitwise that of its pole
+    alone.  The rest is array work over all poles: the doubling gaps, the
+    settled() test (an unsettled pole takes settled_area's message), the
+    closed forms (areas.closed_form_areas) and the spread.
     """
     spec = Family.of(family)
     fam = spec.name
@@ -313,53 +319,52 @@ def scan(e: Ellipse, family, locus: LocusSpec, n: int = 2048,
     coarse, fine = _sweep(lambda t: spec.frame(e, t, theta, mu), fam, poles, s_all, n,
                           per_chunk)
 
-    areas: List[Optional[float]] = []
-    errors: List[Optional[str]] = []
-    closed_vals: List[Optional[float]] = []
-    max_gap = 0.0
-    for pole, s_j, a1, a2 in zip(poles, angles, coarse, fine):
-        m = (float(pole[0]), float(pole[1]))
+    # a pole whose row came back non-finite is re-run alone, so its error
+    # names the node that failed
+    errors: List[Optional[str]] = [None] * len(poles)
+    have = np.isfinite(coarse) & np.isfinite(fine)
+    for j in np.flatnonzero(~have):
         try:
-            if not (math.isfinite(a1) and math.isfinite(a2)):
-                a1, a2 = _pole_areas(e, fam, m, float(s_j) if boundary else 0.0,
-                                     n, theta, mu)
-            max_gap = max(max_gap, abs(a1 - a2))
-            areas.append(float(settled_area(a1, a2)))
-            errors.append(None)
+            coarse[j], fine[j] = _pole_areas(e, fam, tuple(poles[j].tolist()),
+                                             float(angles[j]) if boundary else 0.0,
+                                             n, theta, mu)
+            have[j] = True
         except GeometryError as exc:
-            areas.append(None)
-            errors.append(str(exc))
+            errors[j] = str(exc)
+    max_gap = float(np.max(np.abs(coarse[have] - fine[have]), initial=0.0))
+    good = have & settled(coarse, fine)
+    for j in np.flatnonzero(have & ~good):
         try:
-            closed_vals.append(closed_form_area(fam, e, m=m, theta=theta, mu=mu))
-        except DomainError:
-            closed_vals.append(None)
+            settled_area(coarse[j], fine[j])
+        except QuadratureError as exc:
+            errors[j] = str(exc)
+    areas: List[Optional[float]] = [a if g else None
+                                    for a, g in zip(coarse.tolist(), good.tolist())]
 
-    good = [x for x in areas if x is not None]
     mean: Optional[float] = None
     max_rel_dev: Optional[float] = None
-    if good:
-        mean = float(np.mean(good))
-        max_rel_dev = float(max(abs(x - mean) for x in good) / max(abs(mean), 1.0))
+    if good.any():
+        mean = float(np.mean(coarse[good]))
+        max_rel_dev = float(np.max(np.abs(coarse[good] - mean)) / max(abs(mean), 1.0))
 
     closed_ref: Optional[float] = None
     max_closed_dev: Optional[float] = None
-    pairs = [(x, c) for x, c in zip(areas, closed_vals) if x is not None and c is not None]
-    if pairs:
-        closed_ref = pairs[0][1]
-        max_closed_dev = max(abs(x - c) / max(abs(c), 1.0) for x, c in pairs)
+    closed, holds = closed_form_areas(fam, e, poles, theta=theta, mu=mu)
+    pairs = good & holds
+    if pairs.any():
+        c = closed[pairs]
+        closed_ref = float(c[0])
+        max_closed_dev = float(np.max(np.abs(coarse[pairs] - c) / np.maximum(np.abs(c), 1.0)))
 
-    passed = (all(err is None for err in errors)
-              and max_rel_dev is not None and max_rel_dev <= tol
+    passed = (good.all() and max_rel_dev is not None and max_rel_dev <= tol
               and (max_closed_dev is None or max_closed_dev <= tol))
 
     return InvarianceReport(
         family=fam, a=e.a, b=e.b, locus=locus.to_dict(), n=n,
         params={"theta": theta, "mu": mu},
-        poles=[[float(p[0]), float(p[1])] for p in poles],
-        areas=areas, errors=errors, mean=mean, max_rel_dev=max_rel_dev,
-        max_doubling_gap=float(max_gap), closed_form=closed_ref,
-        max_closed_dev=None if max_closed_dev is None else float(max_closed_dev),
-        passed=bool(passed),
+        poles=poles.tolist(), areas=areas, errors=errors, mean=mean,
+        max_rel_dev=max_rel_dev, max_doubling_gap=max_gap, closed_form=closed_ref,
+        max_closed_dev=max_closed_dev, passed=bool(passed),
     )
 
 
@@ -482,7 +487,7 @@ def conjecture_check_contrapedal(e: Ellipse, m, n: int = 2048,
     """
     x0, y0 = as_xy(m)
     pole = [float(x0), float(y0)]
-    if abs(x0) < 1e-9 or abs(y0) < 1e-9:
+    if abs(x0) < AXIS_TOL or abs(y0) < AXIS_TOL:
         return ConjectureReport(pole=pole, skipped=True,
                                 reason="pole on a symmetry axis: crossings degenerate",
                                 crossing_count=0, crossings=[],

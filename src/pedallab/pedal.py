@@ -64,6 +64,7 @@ from .errors import (
     SingularFamily,
     SingularParameter,
 )
+from .tolerances import PARALLEL_TOL, TANGENT_TOL
 
 TWO_PI = 2.0 * math.pi
 
@@ -106,10 +107,15 @@ class FootFrame:
 
     def _foot(self, x0, y0, line):
         """Foot of the perpendicular from (x0, y0) onto the line p + u d:
-        u = ((m - p) . d) / (d . d)."""
+        u = ((m - p) . d) / (d . d).  The coordinates are written into a
+        (2, ..., n) buffer of coordinate planes, and the (..., n, 2) view of
+        it is returned, so the quadrature reads each plane contiguously."""
         dx, dy, dd = line
         u = ((x0 - self.px) * dx + (y0 - self.py) * dy) / dd
-        return np.stack([self.px + u * dx, self.py + u * dy], axis=-1)
+        planes = np.empty((2,) + np.shape(u), dtype=u.dtype)
+        np.add(self.px, u * dx, out=planes[0, ...])
+        np.add(self.py, u * dy, out=planes[1, ...])
+        return np.moveaxis(planes, 0, -1)
 
     def __call__(self, m, s=0.0):
         """Feet of the perpendiculars from m (a pole, or a chunk of poles as
@@ -189,7 +195,7 @@ def _envelope_solve(t, nx, ny, mx, my, d, dd):
     nx, ny, mx, my, d, dd = (np.asarray(v) for v in (nx, ny, mx, my, d, dd))
     det = nx * my - ny * mx
     scale2 = nx * nx + ny * ny + mx * mx + my * my
-    bad = np.abs(det) < 1e-12 * np.abs(scale2)
+    bad = np.abs(det) < PARALLEL_TOL * np.abs(scale2)
     if np.any(bad):
         t_bad = _param_at(t, bad)
         raise SingularFamily(
@@ -265,7 +271,7 @@ def hybrid_frame(e: Ellipse, tau) -> Callable:
         (ct, st), (c2t, s2t), (c3t, s3t) = (
             _turned(c, sn, j * s) for j, (c, sn) in enumerate(harmonics, 1))
         den = 4.0 * (a * y0 * st + b * x0 * ct - a * b)
-        small = np.abs(den) <= 1e-9 * 4.0 * a * b
+        small = np.abs(den) <= TANGENT_TOL * 4.0 * a * b
         if np.any(small):
             t_bad = _param_at(s + tau, small)
             raise SingularParameter(

@@ -18,8 +18,10 @@ from pedallab import (
     SupportCurve,
     ZeroRotationIndex,
     ZeroTotalWeight,
+    area_rule,
     circumcenter,
     closed_form_area,
+    closed_form_areas,
     curvature_centroid_polygon,
     curvature_centroid_samples,
     curvature_centroid_support,
@@ -37,7 +39,8 @@ from pedallab import (
     support_pedal_area,
 )
 
-from pedallab.areas import DOUBLING_RTOL, settled, settled_area
+from pedallab.areas import DOUBLING_RTOL, FAMILIES, settled, settled_area
+from pedallab.harness import SCANNABLE
 
 TWO_PI = 2.0 * math.pi
 E21 = Ellipse(2.0, 1.0)
@@ -116,6 +119,38 @@ class TestClosedForm:
             AreaFamily.coerce("osculating")
         assert AreaFamily.coerce(AreaFamily.PEDAL) is AreaFamily.PEDAL
         assert AreaFamily.coerce("pedal") is AreaFamily.PEDAL
+
+
+class TestClosedFormArrays:
+    """closed_form_areas over an array of poles is closed_form_area of each
+    pole alone, bitwise; off-ellipse poles do not hold for the families
+    whose constant needs the pole on the ellipse."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(fam=st.sampled_from([f.value for f in SCANNABLE]),
+           a=st.floats(1.0, 3.0), ratio=st.floats(0.2, 1.0),
+           on=st.lists(st.floats(-2 * math.pi, 2 * math.pi), min_size=0, max_size=6),
+           off=st.lists(st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)),
+                        min_size=0, max_size=6),
+           theta=st.floats(-math.pi, math.pi), mu=st.floats(-1.0, 2.0))
+    def test_arrays_are_each_pole_alone_bitwise(self, fam, a, ratio, on, off, theta, mu):
+        e = Ellipse(a, a * ratio)
+        assume(all(abs(e.implicit(m) - 1.0) > 1e-6 for m in off))
+        poles = np.array([*ellipse_point(e, np.array(on)).reshape(-1, 2), *off]).reshape(-1, 2)
+        assume(len(poles))
+        areas, holds = closed_form_areas(fam, e, poles, theta=theta, mu=mu)
+        assert areas.shape == holds.shape == (len(poles),)
+        # the on-ellipse test reads the implicit value of each pole as if alone
+        assert e.implicit(poles).tolist() == [e.implicit(m) for m in poles]
+        for j, m in enumerate(poles):
+            try:
+                want = closed_form_area(fam, e, m, theta=theta, mu=mu)
+            except DomainError:
+                want = None
+            assert (float(areas[j]) if holds[j] else None) == want
+        # every pole on the ellipse holds; off it, only where no ellipse is needed
+        assert holds[:len(on)].all()
+        assert holds[len(on):].tolist() == [not FAMILIES[fam].on_ellipse] * len(off)
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +249,60 @@ class TestSignedAreaQuadrature:
         pts = np.stack([np.cos(t), np.sin(t)], axis=-1)
         with pytest.raises(QuadratureError):
             signed_area_quadrature(SampledCurve(params=t, points=pts))
+
+
+def two_rfft_area(t, points):
+    """The Parseval area in its two-rfft form, one call per coordinate, as
+    the quadrature took it before area_rule: the reference of TestAreaRule."""
+    n = t.shape[-1]
+    fx = np.fft.rfft(points[..., 0], axis=-1)
+    fy = np.fft.rfft(points[..., 1], axis=-1)
+    k = np.arange(fx.shape[-1], dtype=float)
+    if n % 2 == 0:
+        k[-1] = 0.0
+    cross = fx.real * fy.imag - fx.imag * fy.real
+    return (-4.0 * math.pi / (n * n)) * np.sum(k * cross, axis=-1)
+
+
+class TestAreaRule:
+    """area_rule(t)(points) is the two-rfft area bitwise, for one curve and
+    for stacks, whatever the memory layout of the points."""
+
+    @pytest.mark.parametrize("n", [8, 9, 64, 65, 2048])
+    @pytest.mark.parametrize("k", [None, 1, 2, 3, 7, 16])
+    @pytest.mark.parametrize("fam", ["pedal", "interpolated", "hybrid", "negative_pedal"])
+    def test_rule_is_the_two_rfft_area_bitwise(self, n, k, fam):
+        rng = np.random.default_rng(1000 * n + (k or 0))
+        # poles well inside the ellipse, where no family here is singular
+        poles = rng.uniform(-0.5, 0.5, (k or 1, 2))
+        m = tuple(poles[0]) if k is None else (poles[:, :1], poles[:, 1:])
+        ev = family_evaluator(E21, fam, m, mu=1 / 3)
+        t2 = ParamGrid(2 * n, offset=0.5).nodes()
+        t = t2[::2]
+        pts = ev(t)
+        for layout in (pts, np.ascontiguousarray(pts), ev(t2)[..., ::2, :]):
+            got = area_rule(t)(layout)
+            want = two_rfft_area(t, np.ascontiguousarray(layout))
+            assert np.shape(got) == (() if k is None else (k,))
+            assert np.array_equal(got, want)
+        assert np.array_equal(signed_area_quadrature(SampledCurve(t, pts)), got)
+
+    @pytest.mark.parametrize("params, error", [
+        (np.linspace(0, TWO_PI, 5)[:-1], QuadratureError),
+        (np.linspace(0, math.pi, 64, endpoint=False), QuadratureError),
+        (np.concatenate([np.linspace(0, 3, 32, endpoint=False),
+                         np.linspace(3.2, TWO_PI, 32, endpoint=False)]), QuadratureError),
+        (np.linspace(0, TWO_PI, 64, endpoint=False)[::-1], DomainError)])
+    def test_row_is_checked_when_the_rule_is_built(self, params, error):
+        with pytest.raises(error):
+            area_rule(params)
+
+    def test_rule_rejects_a_non_finite_area(self):
+        t = ParamGrid(64).nodes()
+        rule = area_rule(t)
+        pts = np.stack([ellipse_point(E21, t), 1e300 * ellipse_point(E21, t)])
+        with pytest.raises(QuadratureError, match="not finite"):
+            rule(pts)
 
 
 class TestPerimeter:

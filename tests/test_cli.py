@@ -71,6 +71,34 @@ def test_run_invariance_refuses_bad_arguments_before_writing(tmp_path, capsys, b
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("n", ["4", str(2 * MAX_N)])
+def test_make_figures_refuses_a_bad_grid_before_drawing(tmp_path, capsys, n):
+    with pytest.raises(SystemExit) as info:
+        load_script("make_figures").main(["--outdir", str(tmp_path), "--n", n])
+    assert info.value.code == 2
+    assert "argument --n" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.prog == "pedallab":  # the top-level parser, not a subcommand's
+            built.append(self)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    getattr(build_parser, "cache_clear", lambda: None)()
+    assert main(["polygon", "--vertices", "0,0;1,0;0,1"]) == 0
+    assert main(["scan", "--locus", "nowhere"]) == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert main(["sample", "--help"]) == 0
+    assert "--family" in capsys.readouterr().out
+    assert main(["area", "--n", "64", "--m", "0.7,-0.4"]) == 0
+    assert len(built) == 1
+
+
 # ---------------------------------------------------------------------------
 # argument validation -> exit 2
 

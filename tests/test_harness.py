@@ -302,6 +302,32 @@ class TestBoundaryFrames:
         assert sum(sizes) == points
 
 
+class TestRowChecks:
+    """A scan checks each grid size's row of nodes once, in its area rule,
+    whatever the number of poles."""
+
+    @pytest.mark.parametrize("fam, kind", [
+        ("pedal", "circle"), ("contrapedal", "circle"), ("rotated", "circle"),
+        ("interpolated", "circle"), ("hybrid", "boundary"), ("pseudo_talbot", "boundary"),
+        ("negative_pedal", "boundary")])
+    def test_row_checks_do_not_grow_with_the_pole_count(self, monkeypatch, fam, kind):
+        rows = []
+
+        def counted(params, fn=areas._uniform_step):
+            rows.append(np.shape(params)[-1])
+            return fn(params)
+        monkeypatch.setattr(areas, "_uniform_step", counted)
+        checked = []
+        for count in (2, 64):
+            rows.clear()
+            rep = scan(E21, fam, LocusSpec(kind, r=0.8, count=count), n=2048, theta=0.6,
+                       mu=1 / 3, tol=1e-6 if kind == "boundary" else 1e-8)
+            assert rep.passed
+            checked.append(sorted(rows))
+        # 64 poles at n=2048 make 32 chunks of 2 poles; one rule per grid size
+        assert checked == [[2048, 4096]] * 2
+
+
 def scan_alone(e, fam, locus, j, n, theta=0.0, mu=0.5):
     """(area, error) of pole j of the locus, sampled and integrated by itself."""
     pole = tuple(float(v) for v in locus.poles(e)[j])
