@@ -347,7 +347,9 @@ def evolutoid_point(e: Ellipse, theta: float, t):
     y = (a * sth * cth * ct
          - c2 * sth * ct * ct * (b * ct * cth - a * sth * st) / (a * b)
          + st * (b * b * cth * cth - c2 * sth * sth) / b)
-    return np.stack([x, y], axis=-1)
+    # not np.stack: on the few parameters of a cusp-refinement step it
+    # costs more than a tenth of the whole call
+    return np.concatenate((x[..., None], y[..., None]), axis=-1)
 
 
 def evolutoid_support(s: SupportCurve, theta: float) -> SupportCurve:
@@ -385,59 +387,152 @@ def evolutoid_support(s: SupportCurve, theta: float) -> SupportCurve:
 _CS_STEP = 1e-200
 
 
-def _velocity_of(evaluator: Callable, t: float) -> np.ndarray:
-    """Derivative of a point evaluator: complex step when the evaluator
-    supports it, otherwise central differences."""
+class _Lockstep:
+    """Error bookkeeping for candidates that are refined together.
+
+    The detectors refine all their candidates (cusp candidates, crossings)
+    in lock-step, one evaluator call per step for all of them, yet fail as
+    refining them one after another would.  A candidate whose evaluation
+    raises GeometryError stops, and so does every candidate after it; those
+    before it run on, and raise_first() re-raises the error of the first
+    candidate that failed, which is the error the one-by-one order meets
+    first.  Candidates are numbered 0 .. count-1 in that order.
+    """
+
+    def __init__(self, count: int):
+        self.live = count  # candidates below this index still run
+        self.error = None
+
+    def running(self, rows) -> list:
+        return [r for r in rows if r < self.live]
+
+    def call(self, f: Callable, rows: list, x):
+        """f(x) in one call, where x[i] is a probe of candidate rows[i]
+        (ascending; a candidate may own several consecutive probes) and f
+        returns a sequence over the first axis of x.  When the call raises
+        GeometryError, f runs on each probe alone, in order, up to the first
+        that raises; the values before it are returned, so the result may be
+        shorter than rows."""
+        if not len(rows):
+            return []
+        try:
+            return f(x)
+        except GeometryError:
+            out = []
+            for i, r in enumerate(rows):
+                try:
+                    out.extend(f(x[i:i + 1]))
+                except GeometryError as exc:
+                    self.live, self.error = r, exc
+                    break
+            return out
+
+    def raise_first(self) -> None:
+        if self.error is not None:
+            raise self.error
+
+
+def _points_at(evaluator: Callable, t) -> np.ndarray:
+    """Points of an evaluator at the parameters t, of any shape, as one call
+    on the flattened parameters; returns t.shape + (2,) floats."""
+    t = np.asarray(t)
+    return np.asarray(evaluator(t.ravel()), dtype=float).reshape(t.shape + (2,))
+
+
+def _velocity_of(evaluator: Callable, t) -> np.ndarray:
+    """Derivative of a point evaluator at the parameters t, of any shape;
+    returns t.shape + (2,).
+
+    All parameters go in one complex-step call when the evaluator supports
+    complex input.  An evaluator that discards the imaginary part gets
+    central differences, again in one call.  When the complex-step call
+    raises, each parameter is tried alone, so only a parameter whose own
+    complex step fails falls back to central differences.
+    """
+    t = np.asarray(t, dtype=float)
     try:
-        p = np.asarray(evaluator(t + 1j * _CS_STEP))
-        if not np.iscomplexobj(p):
-            raise TypeError("evaluator discarded the imaginary part")
-        return np.asarray(p.imag, dtype=float).reshape(2) / _CS_STEP
+        p = np.asarray(evaluator(t.ravel() + 1j * _CS_STEP))
     except Exception:
+        # any failure of the complex step, not only GeometryError: an
+        # evaluator may reject complex input outright
+        if t.size > 1:
+            return np.stack([_velocity_of(evaluator, x) for x in t.ravel()]).reshape(t.shape + (2,))
+        p = None
+    if p is None or p.dtype.kind != "c":
         dt = 1e-7
-        lo = np.asarray(evaluator(t - dt), dtype=float).reshape(2)
-        hi = np.asarray(evaluator(t + dt), dtype=float).reshape(2)
-        return (hi - lo) / (2 * dt)
+        pts = _points_at(evaluator, np.add.outer(t, (-dt, dt)))
+        return (pts[..., 1, :] - pts[..., 0, :]) / (2 * dt)
+    return np.asarray(p.imag, dtype=float).reshape(t.shape + (2,)) / _CS_STEP
 
 
-def _speed_of(evaluator: Callable, t: float) -> float:
-    v = _velocity_of(evaluator, t)
-    return float(math.hypot(v[0], v[1]))
+def _speed_of(evaluator: Callable, t) -> List[float]:
+    """Speeds at the 1-d parameters t, by math.hypot one pair at a time:
+    np.hypot rounds differently in the last bit now and then, which would
+    move the probes of a golden section."""
+    return [math.hypot(x, y) for x, y in _velocity_of(evaluator, t).tolist()]
 
 
-def _chord_speed(evaluator: Callable, t: float, delta: float = 1e-3) -> float:
-    """Secant slope |P(t+delta) - P(t-delta)| / (2 delta).
+def _chord_speed(evaluator: Callable, t, delta: float = 1e-3) -> List[float]:
+    """Secant slopes |P(t+delta) - P(t-delta)| / (2 delta) at the 1-d
+    parameters t.
 
     A robust stand-in for the speed: envelope evaluators lose their velocity
     to rounding noise near a singular family parameter while their positions
     stay clean, and a cusp pulls the two chord endpoints together anyway.
-    The chord is kept coarse so the position noise stays far below it; a
-    probe landing on the singular parameter itself counts as fast.
+    The chord is kept coarse so the position noise stays far below it.  All
+    chords take one evaluator call; when it raises GeometryError each chord
+    is tried alone, and one whose probe lands on the singular parameter
+    itself counts as fast (inf).
     """
+    t = np.asarray(t, dtype=float)
     try:
-        lo = np.asarray(evaluator(t - delta), dtype=float).reshape(2)
-        hi = np.asarray(evaluator(t + delta), dtype=float).reshape(2)
+        p = _points_at(evaluator, np.add.outer(t, (-delta, delta)))
     except GeometryError:
-        return math.inf
-    return float(math.hypot(hi[0] - lo[0], hi[1] - lo[1])) / (2 * delta)
+        if t.size == 1:
+            return [math.inf]
+        return [v for x in t for v in _chord_speed(evaluator, x[None], delta)]
+    d = (p[:, 1] - p[:, 0]).tolist()
+    return [math.hypot(x, y) / (2 * delta) for x, y in d]
 
 
-def _golden_min(f: Callable, lo: float, hi: float, xtol: float = 1e-10) -> float:
-    """Golden-section minimizer; assumes a single interior minimum."""
+def _golden_min(steps: _Lockstep, f: Callable, rows: list, lo: list, hi: list,
+                xtol: float = 1e-10) -> dict:
+    """Golden-section minimizers of f on [lo[i], hi[i]] for the candidates
+    rows[i], run in lock-step; assumes a single interior minimum in each.
+
+    Each step evaluates the one new probe of every section still wider than
+    xtol, all in one call f(probes) -> values.  Each section stops on its
+    own, so its probes are exactly those it would make alone.  Returns
+    {row: midpoint of the final bracket} for the rows still running.
+    """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > xtol:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = f(x2)
-    return 0.5 * (lo + hi)
+    # [lo, hi, x1, x2, f1, f2] of each section; f1 and f2 filled in below
+    sec = [[l, h, h - invphi * (h - l), l + invphi * (h - l), 0.0, 0.0] for l, h in zip(lo, hi)]
+    # the opening pair of each section, x1 then x2
+    vals = steps.call(f, [r for r in rows for _ in (0, 1)], np.array([s[2:4] for s in sec]).ravel())
+    for s, f12 in zip(sec, zip(vals[::2], vals[1::2])):
+        s[4:] = f12
+    active = list(zip(rows, sec))
+    while True:
+        active = [(r, s) for r, s in active if r < steps.live and s[1] - s[0] > xtol]
+        if not active:
+            break
+        probes, slots = [], []
+        for _, s in active:
+            if s[4] <= s[5]:
+                s[1], s[3], s[5] = s[3], s[2], s[4]
+                s[2] = s[1] - invphi * (s[1] - s[0])
+                probes.append(s[2])
+                slots.append(4)
+            else:
+                s[0], s[2], s[4] = s[2], s[3], s[5]
+                s[3] = s[0] + invphi * (s[1] - s[0])
+                probes.append(s[3])
+                slots.append(5)
+        vals = steps.call(f, [r for r, _ in active], np.array(probes))
+        for (_, s), slot, v in zip(active, slots, vals):
+            s[slot] = v
+    return {r: 0.5 * (s[0] + s[1]) for r, s in zip(rows, sec) if r < steps.live}
 
 
 def _require_finite(curve: SampledCurve, what: str) -> None:
@@ -456,6 +551,27 @@ def find_cusps(curve: SampledCurve, tol: float = 1e-5) -> np.ndarray:
     below 1e-13 of the median) counts regardless of reversal: there the
     velocity vanishes to even order, as at the parameter where a pair of
     cusps is born, and its direction comes back unflipped.
+
+    A candidate whose refined speed stays too high gets a second golden
+    section on chord speeds (_chord_speed), and is accepted when the chord
+    speed drops below the same bound and the chord direction reverses.
+    This retry is load-bearing: the deltoid of a boundary pole has a cusp
+    next to the pole's singular parameter, where the complex-step speed is
+    rounding noise, and only the retry finds it (the third cusp of the
+    negative pedal at s = 0, at tau ~ 2 pi).  Smooth slow spots reach it
+    too and are rejected there: the two candidates of an evolutoid below
+    the critical angle cost 82 chord evaluations.
+
+    With an evaluator, all candidates are refined in lock-step: each golden
+    step evaluates the one new probe of every candidate still refining, in
+    one evaluator call, and each candidate keeps its own stop, so it makes
+    the probes it would make alone.  The retry is a second lock-step pass
+    over the candidates that need it, and the final reversal checks are
+    batched too.  Evaluator errors stay per candidate: a chord probe on a
+    singular parameter counts as fast for its candidate alone, a failed
+    complex step falls back to central differences for its probe alone,
+    and any other GeometryError is raised for the first candidate, in grid
+    order, that meets one.
     """
     n = len(curve)
     if n < 8:
@@ -475,41 +591,20 @@ def find_cusps(curve: SampledCurve, tol: float = 1e-5) -> np.ndarray:
     candidates = np.nonzero((speed < prev) & (speed <= nxt))[0]
 
     ev = curve.evaluator
-    found: List[float] = []
-    for k in candidates:
-        lo, hi = t[k] - step, t[k] + step
-        if ev is not None:
-            tr = _golden_min(lambda x: _speed_of(ev, x), lo, hi)
-            s_min = _speed_of(ev, tr)
-        else:
-            tr = float(t[k])
-            s_min = float(speed[k])
-        if s_min >= tol * ref:
-            if ev is None:
+    if ev is not None:
+        found = _refine_cusps(ev, (t[candidates] - step).tolist(),
+                              (t[candidates] + step).tolist(), tol * ref, 1e-13 * ref)
+    else:
+        found = []
+        for k in candidates:
+            if speed[k] >= tol * ref:
                 continue
-            # retry on chord speeds: a cusp sitting where the evaluator is
-            # nearly singular shows a noisy velocity but clean positions
-            tr = _golden_min(lambda x: _chord_speed(ev, x), lo, hi)
-            if _chord_speed(ev, tr) >= tol * ref:
-                continue
-            u = (np.asarray(ev(tr - 1e-3), dtype=float).reshape(2)
-                 - np.asarray(ev(tr - 2e-3), dtype=float).reshape(2))
-            w = (np.asarray(ev(tr + 2e-3), dtype=float).reshape(2)
-                 - np.asarray(ev(tr + 1e-3), dtype=float).reshape(2))
-            if float(u @ w) >= 0.0:
-                continue
-            found.append(tr % TWO_PI)
-            continue
-        if s_min >= 1e-13 * ref:
-            if ev is not None:
-                va = _velocity_of(ev, tr - 1e-4)
-                vb = _velocity_of(ev, tr + 1e-4)
-            else:
+            if speed[k] >= 1e-13 * ref:
                 va = (pts[k] - pts[k - 1]) / step
                 vb = (pts[(k + 1) % n] - pts[k]) / step
-            if float(va @ vb) >= 0.0:
-                continue
-        found.append(tr % TWO_PI)
+                if float(va @ vb) >= 0.0:
+                    continue
+            found.append(float(t[k]) % TWO_PI)
 
     if not found:
         return np.empty(0)
@@ -521,6 +616,43 @@ def find_cusps(curve: SampledCurve, tol: float = 1e-5) -> np.ndarray:
     if len(merged) > 1 and (merged[0] + TWO_PI) - merged[-1] <= 1e-7:
         merged.pop()
     return np.asarray(merged)
+
+
+def _refine_cusps(ev: Callable, lo: list, hi: list, slow: float, zero: float) -> List[float]:
+    """The cusps among the candidates bracketed by [lo[i], hi[i]], by the
+    rules of find_cusps; each stage runs all its candidates in lock-step."""
+    steps = _Lockstep(len(lo))
+    speed = lambda x: _speed_of(ev, x)
+    chord = lambda x: _chord_speed(ev, x)
+    tr = _golden_min(steps, speed, list(range(len(lo))), lo, hi)
+    rows = list(tr)
+    s_min = dict(zip(rows, steps.call(speed, rows, np.array([tr[r] for r in rows]))))
+    found = []
+    # a refined speed too high gets a retry on chord speeds: a cusp sitting
+    # where the evaluator is nearly singular shows a noisy velocity but
+    # clean positions
+    retry = [r for r, s in s_min.items() if s >= slow]
+    tc = _golden_min(steps, chord, retry, [lo[r] for r in retry], [hi[r] for r in retry])
+    retry = list(tc)
+    c_min = steps.call(chord, retry, np.array([tc[r] for r in retry]))
+    retry = [r for r, c in zip(retry, c_min) if not c >= slow]
+    # the chord's direction must reverse across the point: u = P(t - 1e-3)
+    # - P(t - 2e-3) against w = P(t + 2e-3) - P(t + 1e-3), probed in that order
+    x = np.array([[tc[r] - 1e-3, tc[r] - 2e-3, tc[r] + 2e-3, tc[r] + 1e-3] for r in retry])
+    for r, q in zip(retry, steps.call(lambda x: _points_at(ev, x), retry, x.reshape(-1, 4))):
+        if not float((q[0] - q[1]) @ (q[2] - q[3])) >= 0.0:
+            found.append(tc[r] % TWO_PI)
+    # a refined speed low enough is a cusp when the velocity reverses
+    # across it, or outright when the speed vanishes
+    low = [r for r in steps.running(s_min) if not s_min[r] >= slow]
+    found += [tr[r] % TWO_PI for r in low if not s_min[r] >= zero]
+    low = [r for r in low if s_min[r] >= zero]
+    x = np.array([[tr[r] - 1e-4, tr[r] + 1e-4] for r in low])
+    for r, (va, vb) in zip(low, steps.call(lambda x: _velocity_of(ev, x), low, x.reshape(-1, 2))):
+        if not float(va @ vb) >= 0.0:
+            found.append(tr[r] % TWO_PI)
+    steps.raise_first()
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -585,10 +717,12 @@ def self_intersections(curve: SampledCurve, refine: bool = True,
     The candidates are tested in chunks of at most block * block pairs,
     which bounds the memory even when every x-extent overlaps.  Hits come
     in the order of a block-wise scan of the pairs i < j: sorted by
-    (i // block, j // block, i, j).  With an attached evaluator each hit is
-    polished by re-intersecting locally resampled arcs.  Parameters are
-    reported inside the sampled window (the second one may exceed the start
-    by up to a full period at the wrap segment).
+    (i // block, j // block, i, j).  With an attached evaluator the hits
+    are polished by re-intersecting locally resampled arcs, all hits
+    together: each of 3 rounds makes one evaluator call for every hit
+    (_polish_crossings).  Parameters are reported inside the sampled window
+    (the second one may exceed the start by up to a full period at the wrap
+    segment).
     """
     pts = curve.points
     n = len(pts)
@@ -625,29 +759,49 @@ def self_intersections(curve: SampledCurve, refine: bool = True,
             for gi, gj, si, ui in zip(i[emit], j[emit], s[emit], u[emit])]
 
     if refine and curve.evaluator is not None:
-        hits = [_polish_crossing(curve.evaluator, c, float(step)) for c in hits]
+        hits = _polish_crossings(curve.evaluator, hits, float(step))
     return hits
 
 
-def _polish_crossing(ev: Callable, c: Crossing, width: float) -> Crossing:
-    """Shrink the two parameter windows around a crossing by re-intersection."""
-    t1, t2 = c.t1, c.t2
-    best = c
+def _polish_crossings(ev: Callable, hits: List[Crossing], width: float) -> List[Crossing]:
+    """Shrink the two parameter windows around every crossing by
+    re-intersection, all crossings together.
+
+    Each of 3 rounds resamples both windows of every crossing still being
+    polished at 9 points, in one evaluator call for all of them, and
+    intersects the two 8-segment arcs of each; the first hit in row-major
+    (segment of the first arc, segment of the second) order becomes the
+    crossing, and the windows shrink 6-fold around it.  A crossing whose
+    arcs do not meet keeps its last estimate and stops.
+    """
+    best = list(hits)
+    steps = _Lockstep(len(hits))
+    tt = np.array([[c.t1, c.t2] for c in hits]).reshape(-1, 2)
+    rows = list(range(len(hits)))
     for _ in range(3):
-        g1 = np.linspace(t1 - width, t1 + width, 9)
-        g2 = np.linspace(t2 - width, t2 + width, 9)
-        p1 = np.asarray(ev(g1), dtype=float)
-        p2 = np.asarray(ev(g2), dtype=float)
-        a1, d1 = p1[:-1], np.diff(p1, axis=0)
-        a2, d2 = p2[:-1], np.diff(p2, axis=0)
-        ii, jj = np.meshgrid(np.arange(8), np.arange(8), indexing="ij")
-        ok, s, u = _segment_hits(a1[ii], d1[ii], a2[jj], d2[jj])
-        if not np.any(ok):
+        rows = steps.running(rows)
+        if not rows:
             break
-        i, j = next(zip(*np.nonzero(ok)))
-        si, ui = s[i, j], u[i, j]
-        t1 = float(g1[i] + si * (g1[i + 1] - g1[i]))
-        t2 = float(g2[j] + ui * (g2[j + 1] - g2[j]))
-        best = Crossing(point=a1[i] + si * d1[i], t1=t1, t2=t2)
+        g = np.linspace(tt[rows] - width, tt[rows] + width, 9, axis=-1)  # (m, 2, 9)
+        p = steps.call(lambda x: _points_at(ev, x), rows, g)
+        rows, g = rows[:len(p)], g[:len(p)]
+        if not rows:
+            break
+        p = np.asarray(p)
+        a, d = p[..., :-1, :], np.diff(p, axis=-2)
+        ok, s, u = _segment_hits(a[:, 0, :, None], d[:, 0, :, None],
+                                 a[:, 1, None, :], d[:, 1, None, :])
+        ok = ok.reshape(len(rows), 64)
+        k = np.nonzero(ok.any(axis=1))[0]
+        i, j = np.divmod(ok[k].argmax(axis=1), 8)
+        si, ui = s[k, i, j], u[k, i, j]
+        t1 = g[k, 0, i] + si * (g[k, 0, i + 1] - g[k, 0, i])
+        t2 = g[k, 1, j] + ui * (g[k, 1, j + 1] - g[k, 1, j])
+        point = a[k, 0, i] + si[:, None] * d[k, 0, i]
+        rows = [rows[q] for q in k]
+        for q, r in enumerate(rows):
+            best[r] = Crossing(point=point[q], t1=float(t1[q]), t2=float(t2[q]))
+        tt[rows, 0], tt[rows, 1] = t1, t2
         width /= 6.0
+    steps.raise_first()
     return best

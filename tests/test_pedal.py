@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from pedallab import (
     DegenerateLine,
     DomainError,
+    GeometryError,
     Ellipse,
     ParamGrid,
     SampledCurve,
@@ -22,6 +23,7 @@ from pedallab import (
     evolutoid_point,
     evolutoid_support,
     family_evaluator,
+    family_grid,
     find_cusps,
     sample_curve,
     self_intersections,
@@ -30,8 +32,10 @@ from pedallab import (
     support_pedal_point,
     support_point,
 )
+import pedallab.pedal as pedal_module
 from pedallab.curves import as_xy, pole_xy
 from pedallab.pedal import (
+    Crossing,
     FootFrame,
     _envelope_solve,
     _segment_hits,
@@ -807,3 +811,383 @@ class TestSelfIntersections:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# lock-step refinement against the one-by-one references
+#
+# The references below are the cusp and crossing refinements as they were
+# before they ran in lock-step: each candidate alone, one scalar evaluator
+# call per probe.  find_cusps and self_intersections must make the same
+# probes and return the same bits.
+
+_CS_STEP = 1e-200
+
+
+def reference_velocity_of(evaluator: Callable, t: float) -> np.ndarray:
+    """Derivative of a point evaluator: complex step when the evaluator
+    supports it, otherwise central differences."""
+    try:
+        p = np.asarray(evaluator(t + 1j * _CS_STEP))
+        if not np.iscomplexobj(p):
+            raise TypeError("evaluator discarded the imaginary part")
+        return np.asarray(p.imag, dtype=float).reshape(2) / _CS_STEP
+    except Exception:
+        dt = 1e-7
+        lo = np.asarray(evaluator(t - dt), dtype=float).reshape(2)
+        hi = np.asarray(evaluator(t + dt), dtype=float).reshape(2)
+        return (hi - lo) / (2 * dt)
+
+
+def reference_speed_of(evaluator: Callable, t: float) -> float:
+    v = reference_velocity_of(evaluator, t)
+    return float(math.hypot(v[0], v[1]))
+
+
+def reference_chord_speed(evaluator: Callable, t: float, delta: float = 1e-3) -> float:
+    """Secant slope |P(t+delta) - P(t-delta)| / (2 delta); a probe landing
+    on the singular parameter itself counts as fast."""
+    try:
+        lo = np.asarray(evaluator(t - delta), dtype=float).reshape(2)
+        hi = np.asarray(evaluator(t + delta), dtype=float).reshape(2)
+    except GeometryError:
+        return math.inf
+    return float(math.hypot(hi[0] - lo[0], hi[1] - lo[1])) / (2 * delta)
+
+
+def reference_golden_min(f: Callable, lo: float, hi: float, xtol: float = 1e-10) -> float:
+    """Golden-section minimizer; assumes a single interior minimum."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = hi - invphi * (hi - lo)
+    x2 = lo + invphi * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    while hi - lo > xtol:
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - invphi * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + invphi * (hi - lo)
+            f2 = f(x2)
+    return 0.5 * (lo + hi)
+
+
+def reference_find_cusps(curve: SampledCurve, tol: float = 1e-5) -> np.ndarray:
+    """find_cusps with every candidate refined alone."""
+    n = len(curve)
+    t = curve.params
+    pts = curve.points
+    step = t[1] - t[0]
+    diff = np.roll(pts, -1, axis=0) - np.roll(pts, 1, axis=0)
+    speed = np.hypot(diff[:, 0], diff[:, 1]) / (2 * step)
+    ref = float(np.median(speed))
+
+    prev = np.roll(speed, 1)
+    nxt = np.roll(speed, -1)
+    candidates = np.nonzero((speed < prev) & (speed <= nxt))[0]
+
+    ev = curve.evaluator
+    found = []
+    for k in candidates:
+        lo, hi = t[k] - step, t[k] + step
+        if ev is not None:
+            tr = reference_golden_min(lambda x: reference_speed_of(ev, x), lo, hi)
+            s_min = reference_speed_of(ev, tr)
+        else:
+            tr = float(t[k])
+            s_min = float(speed[k])
+        if s_min >= tol * ref:
+            if ev is None:
+                continue
+            tr = reference_golden_min(lambda x: reference_chord_speed(ev, x), lo, hi)
+            if reference_chord_speed(ev, tr) >= tol * ref:
+                continue
+            u = (np.asarray(ev(tr - 1e-3), dtype=float).reshape(2)
+                 - np.asarray(ev(tr - 2e-3), dtype=float).reshape(2))
+            w = (np.asarray(ev(tr + 2e-3), dtype=float).reshape(2)
+                 - np.asarray(ev(tr + 1e-3), dtype=float).reshape(2))
+            if float(u @ w) >= 0.0:
+                continue
+            found.append(tr % TWO_PI)
+            continue
+        if s_min >= 1e-13 * ref:
+            if ev is not None:
+                va = reference_velocity_of(ev, tr - 1e-4)
+                vb = reference_velocity_of(ev, tr + 1e-4)
+            else:
+                va = (pts[k] - pts[k - 1]) / step
+                vb = (pts[(k + 1) % n] - pts[k]) / step
+            if float(va @ vb) >= 0.0:
+                continue
+        found.append(tr % TWO_PI)
+
+    if not found:
+        return np.empty(0)
+    found.sort()
+    merged = [found[0]]
+    for x in found[1:]:
+        if x - merged[-1] > 1e-7:
+            merged.append(x)
+    if len(merged) > 1 and (merged[0] + TWO_PI) - merged[-1] <= 1e-7:
+        merged.pop()
+    return np.asarray(merged)
+
+
+def reference_polish_crossing(ev: Callable, c: Crossing, width: float) -> Crossing:
+    """Shrink the two parameter windows around a crossing by re-intersection."""
+    t1, t2 = c.t1, c.t2
+    best = c
+    for _ in range(3):
+        g1 = np.linspace(t1 - width, t1 + width, 9)
+        g2 = np.linspace(t2 - width, t2 + width, 9)
+        p1 = np.asarray(ev(g1), dtype=float)
+        p2 = np.asarray(ev(g2), dtype=float)
+        a1, d1 = p1[:-1], np.diff(p1, axis=0)
+        a2, d2 = p2[:-1], np.diff(p2, axis=0)
+        ii, jj = np.meshgrid(np.arange(8), np.arange(8), indexing="ij")
+        ok, s, u = _segment_hits(a1[ii], d1[ii], a2[jj], d2[jj])
+        if not np.any(ok):
+            break
+        i, j = next(zip(*np.nonzero(ok)))
+        si, ui = s[i, j], u[i, j]
+        t1 = float(g1[i] + si * (g1[i + 1] - g1[i]))
+        t2 = float(g2[j] + ui * (g2[j + 1] - g2[j]))
+        best = Crossing(point=a1[i] + si * d1[i], t1=t1, t2=t2)
+        width /= 6.0
+    return best
+
+
+def reference_crossings(curve: SampledCurve):
+    step = float(curve.params[1] - curve.params[0])
+    return [reference_polish_crossing(curve.evaluator, c, step)
+            for c in self_intersections(curve, refine=False)]
+
+
+THETA0 = math.atan2(2 * E21.a * E21.b, 3 * E21.c2)  # evolutoid cusp birth
+
+
+def evolutoid_ev(theta):
+    return lambda t: evolutoid_point(E21, theta, t)
+
+
+def negative_pedal_curve(s, n=2048, wrap=lambda ev: ev):
+    m = tuple(float(v) for v in ellipse_point(E21, s))
+    ev = wrap(family_evaluator(E21, "negative_pedal", m, s=s))
+    return sample_curve(ev, family_grid("negative_pedal", n, s))
+
+
+def as_arrays(ev):
+    """ev with a scalar parameter passed as a 1-element array, so that a
+    one-by-one caller gets the array arithmetic a lock-step caller gets."""
+    return lambda t: ev(np.reshape(t, -1)).reshape(np.shape(t) + (2,))
+
+
+class Counting:
+    """An evaluator that counts its calls and records their parameters."""
+
+    def __init__(self, ev, raise_at=(), complex_only=False, error=SingularParameter):
+        self.ev, self.raise_at, self.complex_only, self.error = ev, raise_at, complex_only, error
+        self.calls = []
+        self.raised = []
+
+    def __call__(self, t):
+        self.calls.append(np.array(t, copy=True))
+        if not self.complex_only or np.iscomplexobj(t):
+            for x in self.raise_at:
+                if np.any(np.real(t) == x):
+                    self.raised.append(np.size(t))
+                    raise self.error(f"stub fails at t={x!r}", t=x)
+        return self.ev(t)
+
+
+CUSP_CASES = {
+    "evolutoid_0.9_theta0": lambda: sample_curve(evolutoid_ev(0.9 * THETA0), ParamGrid(2048)),
+    "evolutoid_theta0": lambda: sample_curve(evolutoid_ev(THETA0), ParamGrid(2048)),
+    "evolutoid_1.2_theta0": lambda: sample_curve(evolutoid_ev(1.2 * THETA0), ParamGrid(2048)),
+    "evolute": lambda: sample_curve(evolutoid_ev(math.pi / 2), ParamGrid(2048)),
+    # the imaginary part is dropped, so every velocity is a central difference
+    "evolute_real_only": lambda: sample_curve(
+        lambda t: evolutoid_point(E21, math.pi / 2, np.real(t)), ParamGrid(2048)),
+    "negative_pedal_s0": lambda: negative_pedal_curve(0.0),
+    "negative_pedal_s1.0": lambda: negative_pedal_curve(1.0),
+    "negative_pedal_s3.4": lambda: negative_pedal_curve(3.4),
+}
+
+
+class TestLockstepCusps:
+    @pytest.mark.parametrize("case", sorted(CUSP_CASES))
+    def test_equal_to_one_by_one_reference_bitwise(self, case):
+        curve = CUSP_CASES[case]()
+        got = find_cusps(curve)
+        if case == "evolutoid_theta0":
+            # the cusp pair is born here, so the speed vanishes to second
+            # order and the last golden steps compare speeds that differ by
+            # rounding alone.  A scalar evolutoid call rounds differently
+            # from an array call, so the one-by-one reference, which passes
+            # 0-d parameters, ends 3.3e-9 away; with array arithmetic it
+            # matches.
+            want = reference_find_cusps(curve)
+            assert len(got) == len(want) == 2
+            assert np.max(np.abs(got - want)) <= 1e-8
+            curve.evaluator = as_arrays(curve.evaluator)
+            assert np.array_equal(got, reference_find_cusps(curve))
+        else:
+            assert np.array_equal(got, reference_find_cusps(curve))
+
+    def test_evolute_makes_one_call_per_step_for_all_candidates(self):
+        curve = sample_curve(evolutoid_ev(math.pi / 2), ParamGrid(2048))
+        ev = curve.evaluator = Counting(curve.evaluator)
+        assert len(find_cusps(curve)) == 4
+        # each of the 4 golden sections shrinks its 2-step bracket by the
+        # golden ratio ~38 times down to xtol; one by one that took 172 calls
+        step = TWO_PI / 2048
+        golden = math.ceil(math.log(2 * step / 1e-10) / math.log((1 + math.sqrt(5)) / 2))
+        # the opening pair, one call per step, the refined speeds, the
+        # velocity reversals
+        assert len(ev.calls) <= golden + 3
+        assert all(np.size(t) == 4 for t in ev.calls[1:-1])
+
+    def test_speeds_round_as_the_one_by_one_speeds(self):
+        # np.hypot and math.hypot differ in the last bit on about 1 pair in
+        # 2000 of these; a golden section would then probe elsewhere
+        rng = np.random.default_rng(7)
+        v = rng.standard_normal((20000, 2)) * np.exp(rng.uniform(-30, 30, (20000, 1)))
+        ev = lambda t: np.asarray(t)[..., None] * 0 + v * 1e-200j
+        got = pedal_module._speed_of(ev, np.zeros(len(v)))
+        vel = pedal_module._velocity_of(ev, np.zeros(len(v)))
+        assert got == [math.hypot(x, y) for x, y in vel.tolist()]
+
+    def test_c08_third_cusp_comes_from_the_lockstep_chord_retry(self, monkeypatch):
+        # the deltoid's cusp at tau ~ 2 pi sits next to the pole's singular
+        # parameter, where the complex-step speed is noise: the chord retry
+        # finds it
+        curve = negative_pedal_curve(0.0)
+        chord = pedal_module._chord_speed
+        sizes = []
+
+        def recording(ev, t, delta=1e-3):
+            sizes.append(np.size(t))
+            return chord(ev, t, delta)
+
+        monkeypatch.setattr(pedal_module, "_chord_speed", recording)
+        cusps = find_cusps(curve)
+        assert len(cusps) == 3
+        assert min(cusps[0], TWO_PI - cusps[-1]) < 1e-6
+        # the opening pair in one call, then one call per golden step and
+        # one for the refined chord
+        assert sizes[0] == 2 and 0 < len(sizes) < 45
+        monkeypatch.setattr(pedal_module, "_chord_speed",
+                            lambda ev, t, delta=1e-3: [math.inf] * np.size(t))
+        assert len(find_cusps(curve)) == 2
+
+
+class TestLockstepErrors:
+    """A GeometryError in a batched call is settled per candidate."""
+
+    def test_chord_probe_on_a_singular_parameter_is_fast_for_that_candidate_alone(self):
+        # velocities blurred by a constant imaginary offset: no refined speed
+        # is small, so all three deltoid cusps go through the chord retry
+        def blurred(ev):
+            def f(t):
+                p = ev(t)
+                return p + 1e-197j if np.iscomplexobj(t) else p
+            return f
+
+        curve = negative_pedal_curve(1.0, wrap=blurred)
+        clean = Counting(curve.evaluator)
+        curve.evaluator = clean
+        want = find_cusps(curve)
+        assert len(want) == 3
+        # a left chord end of the first candidate, from a step where all
+        # three candidates probe together
+        bad = next(float(t[0]) for t in clean.calls if np.size(t) == 6 and not np.iscomplexobj(t))
+        stub = Counting(clean.ev, raise_at=[bad])
+        curve.evaluator = stub
+        got = find_cusps(curve)
+        assert any(size > 2 for size in stub.raised)
+        assert np.array_equal(got, reference_find_cusps(curve))
+        assert len(got) == 3
+
+    def test_complex_step_failure_falls_back_for_that_probe_alone(self):
+        curve = negative_pedal_curve(3.4)
+        clean = Counting(curve.evaluator)
+        curve.evaluator = clean
+        find_cusps(curve)
+        # a speed probe of the second candidate, in the middle of the golden
+        # sections
+        bad = float(np.real(clean.calls[20][1]))
+        stub = Counting(clean.ev, raise_at=[bad], complex_only=True, error=TypeError)
+        curve.evaluator = stub
+        got = find_cusps(curve)
+        assert stub.raised and stub.raised[0] == 3
+        assert np.array_equal(got, reference_find_cusps(curve))
+        assert len(got) == 3
+
+    def test_batched_chord_is_inf_for_the_failing_candidate_alone(self):
+        ev = negative_pedal_curve(1.0).evaluator
+        x = [0.5, 2.5, 4.5]
+        stub = Counting(ev, raise_at=[x[1] + 1e-3])
+        got = pedal_module._chord_speed(stub, np.array(x))
+        assert stub.raised[0] == 6
+        assert got == [reference_chord_speed(ev, x[0]), math.inf, reference_chord_speed(ev, x[2])]
+
+    def test_batched_velocity_falls_back_to_central_differences_for_one_probe(self):
+        ev = negative_pedal_curve(1.0).evaluator
+        x = [0.5, 2.5, 4.5]
+        stub = Counting(ev, raise_at=[x[1]], complex_only=True, error=TypeError)
+        got = pedal_module._velocity_of(stub, np.array(x))
+        assert stub.raised[0] == 3
+        want = [reference_velocity_of(stub, t) for t in x]
+        assert np.array_equal(got, want)
+        # only the failing probe took central differences
+        assert not np.array_equal(want[1], reference_velocity_of(ev, x[1]))
+        assert np.array_equal(want[0], reference_velocity_of(ev, x[0]))
+
+    def test_polish_error_names_the_parameter_the_one_by_one_order_meets_first(self):
+        ev = family_evaluator(E21, "contrapedal", (0.7, -0.4))
+        curve = sample_curve(ev, ParamGrid(2048, offset=0.5))
+        clean = Counting(ev)
+        curve.evaluator = clean
+        assert len(self_intersections(curve)) == 8
+        # rounds lay out (crossing, arc, 9 nodes): the middle node of the
+        # first crossing's first arc in round 3, and of the second
+        # crossing's first arc in round 1
+        late, early = float(clean.calls[2][4]), float(clean.calls[0][18 + 4])
+        # one by one, the first crossing runs all its rounds before the
+        # second crossing starts
+        for raise_at, first in (([late, early], late), ([early], early)):
+            curve.evaluator = Counting(ev, raise_at=raise_at)
+            with pytest.raises(SingularParameter) as got:
+                self_intersections(curve)
+            with pytest.raises(SingularParameter) as want:
+                reference_crossings(curve)
+            assert got.value.t == want.value.t == first
+
+
+CROSSING_CASES = {
+    "contrapedal_inside_astroid": lambda: sample_curve(
+        family_evaluator(E21, "contrapedal", (0.7, -0.4)), ParamGrid(2048, offset=0.5)),
+    "contrapedal_outside_astroid": lambda: sample_curve(
+        family_evaluator(E21, "contrapedal", (1.5, 0.6)), ParamGrid(2048, offset=0.5)),
+    "figure_eight": lambda: sample_curve(fig8, ParamGrid(512, offset=0.5)),
+}
+
+
+class TestLockstepCrossings:
+    @pytest.mark.parametrize("case, count", [("contrapedal_inside_astroid", 8),
+                                             ("contrapedal_outside_astroid", 3),
+                                             ("figure_eight", 1)])
+    def test_equal_to_one_by_one_reference_bitwise(self, case, count):
+        curve = CROSSING_CASES[case]()
+        got, want = self_intersections(curve), reference_crossings(curve)
+        assert len(got) == len(want) == count
+        for c, w in zip(got, want):
+            assert np.array_equal(c.point, w.point) and c.t1 == w.t1 and c.t2 == w.t2
+
+    def test_polish_makes_one_call_per_round_for_all_crossings(self):
+        curve = CROSSING_CASES["contrapedal_inside_astroid"]()
+        ev = curve.evaluator = Counting(curve.evaluator)
+        assert len(self_intersections(curve)) == 8
+        # one-by-one: 8 crossings x 3 rounds x 2 arcs = 48 calls
+        assert len(ev.calls) <= 3
