@@ -3,13 +3,14 @@
 
 Reports land in --outdir: one file per pole scan, one for the identity
 suite, one for the contrapedal crossing check, and a summary with the
-pass/fail roll-up.  Runs are deterministic: identical arguments produce
-byte-identical files.  Exit code 0 only when every certificate passes;
+pass/fail roll-up, all written by the CLI's strict writer,
+pedallab.cli.report_json.  Runs are deterministic: identical arguments
+produce byte-identical files.  Exit code 0 only when every certificate
+passes; a failed computation, or a non-finite number in a report, exits 1;
 bad arguments exit 2 before any report is written.
 """
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -19,19 +20,21 @@ sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
 
 from pedallab import (
     Ellipse,
+    GeometryError,
     LocusSpec,
     conjecture_check_contrapedal,
     identity_suite,
     scan,
 )
-from pedallab.cli import COUNT, GRID, POSITIVE
+from pedallab.cli import COUNT, GRID, POSITIVE, report_json
 
 STEINER_FAMILIES = ("pedal", "contrapedal", "rotated", "interpolated")
 BOUNDARY_FAMILIES = ("hybrid", "pseudo_talbot", "negative_pedal")
 
 
 def write(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, allow_nan=False) + "\n")
+    """Write obj as strict JSON; a non-finite number raises DomainError."""
+    path.write_text(report_json(obj))
 
 
 def main(argv=None) -> int:
@@ -51,7 +54,16 @@ def main(argv=None) -> int:
     if args.quick:
         args.n, args.count, args.radii = 512, 8, (0.5, 1.0)
 
-    e = Ellipse(args.a, args.b)
+    try:
+        return battery(Ellipse(args.a, args.b), args)
+    except GeometryError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+def battery(e: Ellipse, args) -> int:
+    """Write every report of the battery for the parsed arguments; 0 when
+    all certificates pass, else 1."""
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     summary = {"a": e.a, "b": e.b, "n": args.n, "count": args.count, "reports": []}
@@ -68,7 +80,7 @@ def main(argv=None) -> int:
 
     for fam in BOUNDARY_FAMILIES:
         locus = LocusSpec(kind="boundary", count=args.count)
-        rep = scan(e, fam, locus, n=args.n, tol=1e-6)
+        rep = scan(e, fam, locus, n=args.n)
         record(f"scan_{fam}_boundary", rep.to_dict(), rep.passed)
 
     checks = identity_suite(e, n=args.n)

@@ -57,25 +57,23 @@ class Family:
 
     name is the family's command-line name.  area(a, b, rho, theta, mu) is
     its closed-form signed area for a pole at squared distance rho from the
-    center.  frame(e, t, theta, mu) does the family's work on the parameters
-    t alone and returns points(m, s), the points for the pole m whose
-    boundary parameter is s: one pole, or a chunk of k poles as (k, 1)
+    center.  frame(e, t, theta, mu) does the family's work on the ellipse
+    parameters t alone and returns points(m, s), the points for the pole m
+    whose boundary parameter is s: one pole, or a chunk of k poles as (k, 1)
     coordinate arrays with a (k, 1) array s.  It is the family's one point
     evaluator, which harness.family_evaluator and harness.scan call; the
-    evolutoid has no pole and no frame.  on_ellipse marks the families
-    whose closed form holds only for poles on the ellipse.
-    singular_at_pole marks those singular at their pole's parameter s:
-    their frames run in the pole-relative parameter tau = t - s, on a grid
-    half a step off tau = 0 (harness.family_grid); every other family's
-    grid starts at 0.  pole_by_s marks the family whose points take the
-    pole as s alone.
+    evolutoid has no pole and no frame.  Every family is sampled on
+    ParamGrid(n), whose n nodes are the even nodes of its 2n grid.
+    on_ellipse marks the families whose closed form holds only for poles
+    on the ellipse; hybrid and negative pedal serve a pole at P(s) from
+    their reduced form, finite at t = s (see pedal.hybrid_frame).
+    pole_by_s marks the family whose points take the pole as s alone.
     """
 
     name: str
     area: Callable
     frame: Optional[Callable]
     on_ellipse: bool = False
-    singular_at_pole: bool = False
     pole_by_s: bool = False
 
     @staticmethod
@@ -104,8 +102,8 @@ def _evolutoid_area(a, b, rho, theta, mu):
             - (3 * math.pi * c4 / (8 * a * b)) * math.sin(theta) ** 2)
 
 
-# in command-line order; AreaFamily, harness.SCANNABLE, the CLI's --family
-# choices and family_grid's offset rule are derived from it
+# in command-line order; AreaFamily, harness.SCANNABLE and the CLI's --family
+# choices are derived from it
 FAMILIES = {f.name: f for f in (
     Family("ellipse", lambda a, b, rho, theta, mu: math.pi * a * b,
            lambda e, t, theta, mu: lambda m, s: ellipse_point(e, t)),
@@ -120,12 +118,12 @@ FAMILIES = {f.name: f for f in (
            lambda e, t, theta, mu: interpolated_frame(e, t, mu)),
     Family("hybrid", lambda a, b, rho, theta, mu: (
                math.pi * (3 * a ** 4 + 2 * a * a * b * b + 3 * b ** 4) / (2 * a * b)),
-           lambda e, t, theta, mu: hybrid_frame(e, t), on_ellipse=True, singular_at_pole=True),
+           lambda e, t, theta, mu: hybrid_frame(e, t), on_ellipse=True),
     Family("pseudo_talbot", _pseudo_talbot_area,
            lambda e, u, theta, mu: pseudo_talbot_frame(e, u), on_ellipse=True, pole_by_s=True),
-    Family("negative_pedal", lambda a, b, rho, theta, mu: -math.pi * (a + b) ** 2 / 4,
-           lambda e, t, theta, mu: negative_pedal_frame(e, t), on_ellipse=True,
-           singular_at_pole=True),
+    Family("negative_pedal", lambda a, b, rho, theta, mu: (
+               -math.pi * (a * a - b * b) ** 2 / (2 * a * b)),
+           lambda e, t, theta, mu: negative_pedal_frame(e, t), on_ellipse=True),
     Family("evolutoid", _evolutoid_area, None),
 )}
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import sys
@@ -98,12 +99,83 @@ def _parse_vertices(raw: str) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-def _json(obj, **kwargs) -> str:
-    """Strict JSON text of a report, newline-terminated."""
-    try:
-        return json.dumps(obj, allow_nan=False, **kwargs) + "\n"
-    except ValueError as exc:
-        raise DomainError(f"report holds a non-finite number ({exc})") from None
+def _non_finite(value) -> DomainError:
+    return DomainError(f"report holds a non-finite number ({float(value)!r})")
+
+
+_float_text = float.__repr__
+_str_text = json.encoder.encode_basestring_ascii
+
+
+def _key_text(key) -> str:
+    if isinstance(key, str):
+        return _str_text(key)
+    if key is None or isinstance(key, (int, float)):
+        return '"' + _report_text(key, "") + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _report_text(obj, nl: str) -> str:
+    """JSON text of obj, whose closing bracket goes after nl, a newline and
+    the indentation of obj's own line; json.dumps' indent=2 layout and its
+    order of type tests."""
+    if isinstance(obj, str):
+        return _str_text(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise _non_finite(obj)
+        return _float_text(obj)
+    inner = nl + "  "
+    sep = "," + inner
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        try:
+            # a flat list of floats in one pass; no finite float's repr has an n
+            body = sep.join(map(_float_text, obj))
+        except TypeError:
+            body = None
+        if body is None and all(type(p) is list and len(p) == 2 for p in obj):
+            try:
+                # a list of float pairs (the poles) through one format string
+                pair = "[" + inner + "  {}," + inner + "  {}" + inner + "]"
+                body = sep.join([pair] * len(obj)).format(
+                    *map(_float_text, itertools.chain.from_iterable(obj)))
+            except TypeError:
+                pass
+        if body is None:
+            body = sep.join([_report_text(v, inner) for v in obj])
+        elif "n" in body:
+            raise _non_finite(next(v for v in np.ravel(obj) if not math.isfinite(v)))
+        return "[" + inner + body + nl + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        return "{" + inner + sep.join([_key_text(k) + ": " + _report_text(v, inner)
+                                       for k, v in obj.items()]) + nl + "}"
+    # anything else is json's to serialize or to refuse
+    return json.dumps(obj, indent=2, allow_nan=False).replace("\n", nl)
+
+
+def report_json(obj) -> str:
+    """Strict JSON text of a report: byte-identical to
+    json.dumps(obj, indent=2, allow_nan=False) + "\n", the one writer of
+    every report file.  A non-finite number raises DomainError.
+
+    With an indent, json.dumps runs its pure-Python encoder, one generator
+    step per value; this writer joins a flat list of floats in one pass and
+    a list of float pairs through one format string, and gives any type it
+    does not know to json.
+    """
+    return _report_text(obj, "\n") + "\n"
 
 
 def _emit(text: str, path: Optional[str]) -> None:
@@ -149,11 +221,8 @@ def _build_curve(args, e: Ellipse):
             raise UsageProblem(f"{fam} needs its pole on the ellipse: give --s")
         ev = family_evaluator(e, fam, m, theta=args.theta, mu=args.mu, s=s)
     if s is not None and spec.on_ellipse:
-        # a pole on the ellipse: nodes in the ellipse parameter t, half a step
-        # off the pole's own parameter s
+        # a pole on the ellipse: nodes half a step off its own parameter s
         grid = ParamGrid(count=args.n, start=s, offset=0.5)
-        if spec.singular_at_pole:  # the family's evaluator runs in tau = t - s
-            ev = lambda t, ev=ev, s=s: ev(np.asarray(t) - s)
     else:
         grid = ParamGrid(count=args.n)
     if args.offset is not None:
@@ -187,7 +256,10 @@ def _format_json(curve: SampledCurve, meta: dict) -> str:
         "points": [[float(t), float(x), float(y)]
                    for t, (x, y) in zip(curve.params, curve.points)],
     }
-    return _json(obj, separators=(",", ":"))
+    try:
+        return json.dumps(obj, allow_nan=False, separators=(",", ":")) + "\n"
+    except ValueError as exc:
+        raise DomainError(f"report holds a non-finite number ({exc})") from None
 
 
 def _format_svg(curve: SampledCurve) -> str:
@@ -245,7 +317,7 @@ def cmd_area(args) -> int:
     out["closed"] = closed
     out["quadrature"] = quad
     out["doubling_gap"] = abs(quad - quad2)
-    _emit(_json(out, indent=2), args.output)
+    _emit(report_json(out), args.output)
     settled_area(quad, quad2)  # after the report: an unsettled area still exits 1
     return 0
 
@@ -257,7 +329,7 @@ def cmd_scan(args) -> int:
     except DomainError as exc:
         raise UsageProblem(f"bad --r, --count or --phase: {exc}") from None
     report = scan(e, args.family, locus, n=args.n, theta=args.theta, mu=args.mu, tol=args.tol)
-    text = _json(report.to_dict(), indent=2)
+    text = report_json(report.to_dict())
     if args.output:
         _emit(text, args.output)
     dev = None if report.max_rel_dev is None else f"{report.max_rel_dev:.3e}"
@@ -272,7 +344,7 @@ def cmd_identities(args) -> int:
     m = _parse_xy(args.m)
     checks = identity_suite(e, m, n=args.n, tol=args.tol)
     if args.format == "json":
-        text = _json([c.to_dict() for c in checks], indent=2)
+        text = report_json([c.to_dict() for c in checks])
     else:
         rows = [f"{c.name:38s} residual={c.residual:.3e} tol={c.tol:.1e} "
                 f"{'PASS' if c.passed else 'FAIL'}" for c in checks]
@@ -295,7 +367,7 @@ def cmd_centroid(args) -> int:
     out = dict(meta)
     out["kx"] = k.x
     out["ky"] = k.y
-    _emit(_json(out, indent=2), args.output)
+    _emit(report_json(out), args.output)
     return 0
 
 
@@ -321,7 +393,7 @@ def cmd_polygon(args) -> int:
         "pedal_vertices": [[float(x), float(y)] for x, y in ped.vertices],
         "pedal_signed_area": polygon_signed_area(ped),
     }
-    _emit(_json(out, indent=2), args.output)
+    _emit(report_json(out), args.output)
     return 0
 
 
@@ -342,7 +414,7 @@ def cmd_conjecture(args) -> int:
     ok = all(r.passed for r in reports)
     out = {"a": e.a, "b": e.b, "tol": args.tol, "passed": ok,
            "reports": [r.to_dict() for r in reports]}
-    _emit(_json(out, indent=2), args.output)
+    _emit(report_json(out), args.output)
     return 0 if ok else 1
 
 

@@ -175,8 +175,9 @@ class ParamGrid:
 
     The fractional offset shifts every node by the same sub-step amount,
     which keeps quadrature weights uniform while dodging isolated singular
-    parameters (the hybrid curve with M on the ellipse is singular exactly
-    at t = s, so it is sampled at tau = t - s with offset=1/2).
+    parameters (the CLI samples a pole P(s) on the ellipse at start=s with
+    offset=1/2).  With offset 0 and start 0 the grid nests: its nodes are
+    the even nodes of the grid of twice the count, bit for bit.
     """
 
     count: int

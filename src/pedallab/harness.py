@@ -10,19 +10,16 @@ sampled and integrated in chunks.  Each grid size has one area rule
 (areas.area_rule), whose row checks run once per scan, and each chunk's
 finite curves go to it in one stack.  Each family's one evaluator, its
 registry frame (areas.Family.frame), does the work that depends on the
-parameters alone
-and returns the points for a pole.  Every family's grid is the same for
-every pole, so a scan builds its nodes and frame once per grid size and no
-trig is redone for a chunk: the Steiner families' frames hold the ellipse
-at t, pseudo-Talbot's its three columns in (cos s, sin s), and the
-families singular at their pole (hybrid, negative pedal) run in
-tau = t - s, their frames holding the harmonics of tau that each pole
-turns by s.  Where the grid has no offset (every family but those singular
-at their pole), the n grid is the even half of the 2n grid, so a chunk is
-sampled once, at 2n, and its n-point areas are taken from the even
-samples.  The scan's epilogue (doubling gaps, the settled test, closed
-forms, spread) works on arrays over all poles; only a pole whose chunk
-failed is re-run by itself.
+parameters alone and returns the points for a pole.  Every family is
+sampled on ParamGrid(n), the same row of nodes for every pole, so a scan
+builds its nodes and frame once per grid size and no trig is redone for a
+chunk: the Steiner families' frames hold the ellipse at t, and the
+boundary families' frames (hybrid, pseudo-Talbot, negative pedal) their
+three columns in (cos s, sin s).  The n grid is the even half of the 2n
+grid, so a chunk is sampled once, at 2n, and its n-point areas are taken
+from the even samples.  The scan's epilogue (doubling gaps, the settled
+test, closed forms, spread) works on arrays over all poles; only a pole
+whose chunk failed is re-run by itself.
 
 Reports carry plain Python data and serialize to JSON deterministically:
 same inputs, byte-identical files.
@@ -68,11 +65,11 @@ SCANNABLE = tuple(AreaFamily(f.name) for f in FAMILIES.values() if f.frame is no
 
 # a scan evaluates at most this many grid points at once (a chunk of k poles
 # at 2n points each), so batching never grows its working set with the pole
-# count; at up to ~136 bytes per point (tracemalloc peak of a 256-pole
-# n=2048 scan over 2**13 points, shared frames included: 78 for the pedal,
-# 119 for the interpolated circle scan, 78 for pseudo-Talbot, 128 for the
-# negative pedal and 136 for the hybrid on the boundary), 2**13 points fit
-# in memory the process already holds, where 2**16 raised peak RSS by ~8 MB
+# count; at up to ~119 bytes per point (tracemalloc peak of a 256-pole
+# n=2048 scan over 2**13 points, shared frames included: 77 for the pedal,
+# 119 for the interpolated circle scan, 78 for pseudo-Talbot and 77 for the
+# negative pedal and the hybrid on the boundary), 2**13 points fit in
+# memory the process already holds, where 2**16 raised peak RSS by ~8 MB
 CHUNK_POINTS = 2 ** 13
 
 
@@ -134,15 +131,15 @@ def family_evaluator(e: Ellipse, family, m, theta: float = 0.0, mu: float = 0.5,
                      s: Optional[float] = None) -> Callable:
     """Point evaluator t -> (x, y) for a family with a fixed pole.
 
-    It is the family's registry frame (areas.Family.frame) built at t and
-    called for the pole, the one way to evaluate a family with a pole.  s
-    is the boundary parameter of the pole, 0 when omitted; pseudo-Talbot
-    requires it because its pole lives on the ellipse by construction.  For
-    a chunk of k poles, m is a pair of (k, 1) coordinate arrays and s a
-    (k, 1) array; the evaluator then returns (k, n, 2) points for n
-    parameters.  For the families singular at their pole (hybrid, negative
-    pedal) the evaluator's parameter is tau = t - s, the parameter
-    family_grid's nodes stand for; at s = 0 that is t itself.
+    It is the family's registry frame (areas.Family.frame) built at the
+    ellipse parameters t and called for the pole, the one way to evaluate a
+    family with a pole.  s is the boundary parameter of the pole, 0 when
+    omitted; pseudo-Talbot requires it because its pole lives on the
+    ellipse by construction.  Hybrid and negative pedal take their reduced
+    form, finite at t = s, exactly when m is P(s) (pedal.pole_at), and
+    their rational form for any other pole, as a scan does.  For a chunk of
+    k poles, m is a pair of (k, 1) coordinate arrays and s a (k, 1) array;
+    the evaluator then returns (k, n, 2) points for n parameters.
     """
     fam = Family.of(family)
     build = fam.frame
@@ -156,15 +153,10 @@ def family_evaluator(e: Ellipse, family, m, theta: float = 0.0, mu: float = 0.5,
 
 
 def family_grid(family, n: int, s=0.0) -> ParamGrid:
-    """Default sampling grid of a family, one row of nodes for every pole.
-
-    A family singular at its pole (Family.singular_at_pole) is sampled in
-    tau = t - s, half a step off the singular tau = 0; every other family
-    on ParamGrid(n), whose n nodes are the even nodes of its 2n grid.  The
-    pole's parameter s does not move either grid.
-    """
-    if Family.of(family).singular_at_pole:
-        return ParamGrid(count=n, offset=0.5)
+    """Default sampling grid of a family: ParamGrid(n), one row of nodes for
+    every family and pole, whose n nodes are the even nodes of its 2n grid.
+    The family must exist; the pole's parameter s does not move the grid."""
+    Family.of(family)
     return ParamGrid(count=n)
 
 
@@ -238,34 +230,26 @@ def _sweep(frame: Callable, fam: str, poles: np.ndarray, s_all, n: int,
     a (2, count) array: the coarse row, then the fine one.
 
     frame(t) builds the family's frame on the nodes t.  s_all is 0.0 or a
-    (count, 1) array of boundary parameters.  Every family's grid is one
-    row of nodes for all poles, so each grid size has its nodes, its frame
-    and its area rule (areas.area_rule, whose row checks run once) built
-    once for all chunks.  A grid with no offset nests: its n nodes are the
-    even nodes of its 2n nodes, bit for bit, so a chunk makes one points()
-    call at 2n and its n-point areas come from the even samples, by the
-    rule of t[::2].  The half-step grids of the families singular at their
-    pole do not nest; their chunks are sampled at both sizes.  A chunk's
-    finite rows go to the rule in one stack per grid size.  Poles whose
-    chunk raised, or whose samples are not all finite, come back NaN.
+    (count, 1) array of boundary parameters.  The grid nests: its n nodes
+    are the even nodes of its 2n nodes, bit for bit, so the 2n nodes, their
+    frame and the area rules of both grid sizes (areas.area_rule, whose row
+    checks run once) are built once for all chunks.  A chunk makes one
+    points() call at 2n, and its n-point areas come from the even samples,
+    by the rule of t[::2]; its finite rows go to each rule in one stack.
+    Poles whose chunk raised, or whose samples are not all finite, come
+    back NaN.
     """
-    grids = [family_grid(fam, size) for size in (n, 2 * n)]
-    nested = grids[0].offset == 0.0
-    rows = [g.nodes() for g in (grids[1:] if nested else grids)]
-    # per row: its frame and its (rule, stride) pairs, built by the first chunk
-    built = [None] * len(rows)
+    t = family_grid(fam, 2 * n).nodes()
+    points, rules = None, [(area_rule(t[::2]), 2), (area_rule(t), 1)]
     out = np.full((2, len(poles)), np.nan)
     for c0 in range(0, len(poles), per_chunk):
         chunk = slice(c0, c0 + per_chunk)
         s = s_all[chunk] if np.ndim(s_all) else s_all
         m = (poles[chunk, :1], poles[chunk, 1:])
         try:
-            for i, t in enumerate(rows):
-                if built[i] is None:
-                    strides = (2, 1) if nested else (1,)
-                    built[i] = frame(t), [(area_rule(t[::k]), k) for k in strides]
-                points, rules = built[i]
-                out[i:i + len(rules), chunk] = _chunk_areas(points, m, s, t.size, rules)
+            if points is None:
+                points = frame(t)
+            out[:, chunk] = _chunk_areas(points, m, s, t.size, rules)
         except GeometryError:
             pass
     return out
@@ -288,17 +272,15 @@ def scan(e: Ellipse, family, locus: LocusSpec, n: int = 2048,
 
     _sweep takes the poles in chunks of at most CHUNK_POINTS points at 2n
     and gives each chunk its areas at n and at 2n before the next, through
-    one area rule per grid size (areas.area_rule), built with the grid
-    size's frame.  A grid with no offset nests: its n nodes are the even
-    nodes of the 2n grid, bit for bit, so the chunk is sampled once, at 2n,
-    and its n-point areas come from the even samples; the half-step grids
-    of the families singular at their pole do not nest and are sampled at
-    both sizes.  A pole whose chunk raised, or whose row came back
-    non-finite, is re-run alone by _pole_areas, so its error reads as if it
-    had been scanned by itself; every area is bitwise that of its pole
-    alone.  The rest is array work over all poles: the doubling gaps, the
-    settled() test (an unsettled pole takes settled_area's message), the
-    closed forms (areas.closed_form_areas) and the spread.
+    one area rule per grid size (areas.area_rule), built with the frame.
+    The grid nests: its n nodes are the even nodes of the 2n grid, bit for
+    bit, so the chunk is sampled once, at 2n, and its n-point areas come
+    from the even samples.  A pole whose chunk raised, or whose row came
+    back non-finite, is re-run alone by _pole_areas, so its error reads as
+    if it had been scanned by itself; every area is bitwise that of its
+    pole alone.  The rest is array work over all poles: the doubling gaps,
+    the settled() test (an unsettled pole takes settled_area's message),
+    the closed forms (areas.closed_form_areas) and the spread.
     """
     spec = Family.of(family)
     fam = spec.name

@@ -29,19 +29,21 @@ registry, areas.FAMILIES, and harness.family_evaluator:
 * pedal, contrapedal, rotated and interpolated: a FootFrame holds P(t), the
   line directions and their squared lengths, and its points drop the feet
   from the pole (s is not read);
-* pseudo-Talbot is affine in (cos s, sin s) of its pole P(s), so its frame
-  holds three columns per coordinate (m is not read);
-* hybrid and negative pedal are singular at the pole's own parameter s,
-  so their frames run in tau = t - s and hold the harmonics of tau, which
-  the points for a pole turn by s with angle addition; at s = 0 the turn
-  is exact, so a frame built at t and called with s = 0 gives the points
-  at t.
+* pseudo-Talbot, hybrid and negative pedal are affine in (cos s, sin s)
+  of their pole P(s): each coordinate is F0(t) + cos s Fc(t) + sin s Fs(t),
+  and their frames hold the three columns of each (_affine_frame).  For
+  hybrid and negative pedal this is the rational form with its removable
+  singularity at t = s divided out, a trigonometric polynomial of degree 2
+  in t, finite at t = s.  It serves exactly the poles at P(s) (pole_at);
+  any other pole takes the rational form, which keeps its singularity and
+  its SingularParameter / SingularFamily errors.
 
 The evolutoid has no pole and no frame: evolutoid_point evaluates it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, List
@@ -64,7 +66,7 @@ from .errors import (
     SingularFamily,
     SingularParameter,
 )
-from .tolerances import PARALLEL_TOL, TANGENT_TOL
+from .tolerances import ON_ELLIPSE_TOL, PARALLEL_TOL, TANGENT_TOL
 
 TWO_PI = 2.0 * math.pi
 
@@ -205,75 +207,154 @@ def _envelope_solve(t, nx, ny, mx, my, d, dd):
     return np.stack([x, y], axis=-1)
 
 
-def _turned(c, sn, angle):
-    """cos and sin of tau + angle from c = cos tau and sn = sin tau, by angle
-    addition.  At angle 0 they are c and s, bit for bit."""
-    ca, sa = np.cos(angle), np.sin(angle)
-    return c * ca - sn * sa, sn * ca + c * sa
+# ---------------------------------------------------------------------------
+# frames of the boundary families
 
 
-def negative_pedal_frame(e: Ellipse, tau) -> Callable:
-    """The negative pedal of a pole at the ellipse parameter s, sampled at
-    tau = t - s.
+def _affine_frame(fx, fy) -> Callable:
+    """points(m, s) of a curve whose coordinates are F0 + cos s Fc + sin s Fs.
 
-    Returns points(m, s), the envelope points of the lines through P(s + tau)
-    perpendicular to P(s + tau) - m.  The frame holds cos tau and sin tau;
-    points() turns them by s and solves each line n . X = d together with
-    its t-derivative, for n = P(t) - m and d = n . P(t).  A chunk of poles
-    takes (k, 1) arrays m and s.  SingularFamily names the parameter s + tau.
+    fx and fy are the columns (F0, Fc, Fs) of x and of y, arrays over the
+    parameters.  The points are written into a (2, ..., n) buffer of
+    coordinate planes, of the columns' dtype (complex under a complex step)
+    and of any shape, 0-d included; the (..., n, 2) view of it is returned,
+    so the quadrature reads each plane contiguously.  m is not read; a
+    (k, 1) array s stands for k poles.
     """
-    tau = np.asarray(tau)
-    ct, st = np.cos(tau), np.sin(tau)
+
+    def points(m, s):
+        cs, ss = np.cos(s), np.sin(s)
+        shape = np.broadcast_shapes(np.shape(fx[0]), np.shape(cs))
+        planes = np.empty((2,) + shape, dtype=np.result_type(*fx, *fy, cs))
+        for plane, (f0, fc, fs) in zip((planes[0, ...], planes[1, ...]), (fx, fy)):
+            np.add(f0, cs * fc, out=plane)
+            np.add(plane, ss * fs, out=plane)
+        return np.moveaxis(planes, 0, -1)
+
+    return points
+
+
+def pole_at(e: Ellipse, x0, y0, s):
+    """Whether the pole (x0, y0) is the ellipse point P(s): each coordinate
+    within ON_ELLIPSE_TOL * a of it.  Elementwise over a chunk of poles, so
+    a pole gets the same answer alone and in any chunk."""
+    return np.maximum(np.abs(x0 - e.a * np.cos(s)),
+                      np.abs(y0 - e.b * np.sin(s))) <= ON_ELLIPSE_TOL * e.a
+
+
+def _by_pole(e: Ellipse, t, reduced: Callable, rational: Callable) -> Callable:
+    """points(m, s) of a boundary family at the parameters t: the reduced
+    frame reduced(e, t) for a pole at P(s) (pole_at), the rational frame
+    rational(e, t) for any other pole.  Each frame is built on first use and
+    kept, so a call builds only the one it needs.  A chunk that mixes both
+    kinds of pole gets each row from its own frame."""
+    frame = functools.cache(lambda build: build(e, t))
 
     def points(m, s):
         x0, y0 = pole_xy(m)
-        c, sn = _turned(ct, st, s)
-        # P(t) and P'(t) as arrays, as ellipse_point and ellipse_velocity
-        # give them: a scalar tau must not switch the rest to scalar arithmetic
-        px, py = np.asarray(e.a * c), np.asarray(e.b * sn)
-        vx, vy = np.asarray(-e.a * sn), np.asarray(e.b * c)
-        # each (k, n) array is dropped once used, so a chunk's peak memory
-        # stays near that of the solve
-        del c, sn
+        on = pole_at(e, x0, y0, s)
+        if np.all(on):
+            return frame(reduced)(m, s)
+        if not np.any(on):
+            return frame(rational)(m, s)
+        rows = np.broadcast_to(on, np.shape(x0))[:, 0]
+        s = np.broadcast_to(s, np.shape(x0))
+        red = frame(reduced)((x0[rows], y0[rows]), s[rows])
+        rat = frame(rational)((x0[~rows], y0[~rows]), s[~rows])
+        out = np.empty((len(rows),) + red.shape[1:], dtype=np.result_type(red, rat))
+        out[rows], out[~rows] = red, rat
+        return out
+
+    return points
+
+
+# ---------------------------------------------------------------------------
+# negative pedal
+
+
+def negative_pedal_rational_frame(e: Ellipse, t) -> Callable:
+    """The negative pedal of any pole at the ellipse parameters t, as the
+    envelope of its line pencil.
+
+    Returns points(m, s), the envelope points of the lines through P(t)
+    perpendicular to P(t) - m: each line n . X = d, for n = P(t) - m and
+    d = n . P(t), solved together with its t-derivative.  s is not read.  A
+    chunk of poles takes (k, 1) arrays m.  For m on the ellipse at P(s) the
+    pencil is singular at t = s, where SingularFamily names t.
+    """
+    t = np.asarray(t)
+    ct, st = np.cos(t), np.sin(t)
+    # P(t) and P'(t) as arrays, as ellipse_point and ellipse_velocity give
+    # them: a scalar t must not switch the rest to scalar arithmetic
+    px, py = np.asarray(e.a * ct), np.asarray(e.b * st)
+    vx, vy = np.asarray(-e.a * st), np.asarray(e.b * ct)
+
+    def points(m, s):
+        x0, y0 = pole_xy(m)
         nx, ny = px - x0, py - y0
         d = nx * px + ny * py
         dd = vx * (2 * px - x0) + vy * (2 * py - y0)
-        del px, py
-        return _envelope_solve(s + tau, nx, ny, vx, vy, d, dd)
+        return _envelope_solve(t, nx, ny, vx, vy, d, dd)
 
     return points
+
+
+def _negative_pedal_reduced(e: Ellipse, t) -> Callable:
+    """The negative pedal of the pole P(s), with the removable singularity
+    of its pencil at t = s divided out (see negative_pedal_frame)."""
+    t = np.asarray(t)
+    al, be = (e.a * e.a + e.b * e.b) / (2 * e.a), (e.a * e.a + e.b * e.b) / (2 * e.b)
+    ga, de = e.c2 / (2 * e.a), e.c2 / (2 * e.b)
+    c1, s1, c2, s2 = np.cos(t), np.sin(t), np.cos(2 * t), np.sin(2 * t)
+    return _affine_frame((2 * ga * c1, ga * c2 - al, -ga * s2),
+                         (-2 * de * s1, de * s2, de * c2 - be))
+
+
+def negative_pedal_frame(e: Ellipse, t) -> Callable:
+    """The negative pedal at the ellipse parameters t: envelope of the lines
+    through P(t) perpendicular to P(t) - m.
+
+    Returns points(m, s).  For a pole at P(s) the determinant of the pencil
+    is ab (1 - cos(t - s)) and its numerators vanish there to the same
+    order; divided out, the curve is a trigonometric polynomial of degree 2
+    in t, affine in (cos s, sin s).  With alpha = (a^2 + b^2) / (2a),
+    beta = (a^2 + b^2) / (2b), gamma = c^2 / (2a) and delta = c^2 / (2b):
+    x = -alpha cos s + 2 gamma cos t + gamma cos(2t + s) and
+    y = -beta sin s - 2 delta sin t + delta sin(2t + s), finite at t = s.
+    Any other pole takes the pencil itself (negative_pedal_rational_frame).
+    """
+    return _by_pole(e, t, _negative_pedal_reduced, negative_pedal_rational_frame)
 
 
 # ---------------------------------------------------------------------------
 # hybrid curve
 
 
-def hybrid_frame(e: Ellipse, tau) -> Callable:
-    """The hybrid curve of a pole at the ellipse parameter s, sampled at
-    tau = t - s.
+def hybrid_rational_frame(e: Ellipse, t) -> Callable:
+    """The hybrid curve of any pole at the ellipse parameters t, as a
+    rational function of the harmonics of t.
 
     Returns points(m, s): the intersections of the perpendicular to the
-    tangent direction at P(s + tau) drawn through m with the perpendicular
-    to m - P(s + tau) drawn through P(s + tau).  The frame holds cos j tau
-    and sin j tau for j = 1, 2, 3; points() turns them by s and goes on with
-    the harmonics of t.  A chunk of poles takes (k, 1) arrays m and s.  The
-    point blows up where m sits on the tangent line at P(t), which for m on
-    the ellipse happens only at t = s; SingularParameter names s + tau.
+    tangent direction at P(t) drawn through m with the perpendicular to
+    m - P(t) drawn through P(t).  The frame holds cos j t and sin j t for
+    j = 1, 2, 3.  s is not read.  A chunk of poles takes (k, 1) arrays m.
+    The point blows up where m sits on the tangent line at P(t), which for
+    m on the ellipse at P(s) happens only at t = s; SingularParameter names
+    t.
     """
-    tau = np.asarray(tau)
-    harmonics = [(np.cos(tau), np.sin(tau)), (np.cos(2 * tau), np.sin(2 * tau)),
-                 (np.cos(3 * tau), np.sin(3 * tau))]
+    t = np.asarray(t)
+    ct, st = np.cos(t), np.sin(t)
+    c2t, s2t = np.cos(2 * t), np.sin(2 * t)
+    c3t, s3t = np.cos(3 * t), np.sin(3 * t)
 
     def points(m, s):
         a, b = e.a, e.b
         x0, y0 = pole_xy(m)
         c2 = e.c2
-        (ct, st), (c2t, s2t), (c3t, s3t) = (
-            _turned(c, sn, j * s) for j, (c, sn) in enumerate(harmonics, 1))
         den = 4.0 * (a * y0 * st + b * x0 * ct - a * b)
         small = np.abs(den) <= TANGENT_TOL * 4.0 * a * b
         if np.any(small):
-            t_bad = _param_at(s + tau, small)
+            t_bad = _param_at(t, small)
             raise SingularParameter(
                 f"hybrid point undefined near t={t_bad:.6g} (pole on the tangent line)",
                 t=t_bad)
@@ -281,10 +362,35 @@ def hybrid_frame(e: Ellipse, tau) -> Callable:
               - b * c2 * c3t + 4 * a * x0 * y0 * st + 4 * b * b * y0 * s2t)
         ny = (-a * (a * a + 3 * b * b + 4 * x0 * x0) * st + 4 * a * a * x0 * s2t
               - a * c2 * s3t + 4 * b * x0 * y0 * ct - 4 * a * b * y0 * c2t)
-        del ct, st, c2t, s2t, c3t, s3t  # before the division makes two more (k, n) arrays
         return np.stack([nx / den, ny / den], axis=-1)
 
     return points
+
+
+def _hybrid_reduced(e: Ellipse, t) -> Callable:
+    """The hybrid of the pole P(s), with its removable singularity at t = s
+    divided out (see hybrid_frame)."""
+    t = np.asarray(t)
+    al, be = (e.a * e.a + e.b * e.b) / (2 * e.a), (e.a * e.a + e.b * e.b) / (2 * e.b)
+    ga, de = e.c2 / (2 * e.a), e.c2 / (2 * e.b)
+    c1, s1, c2, s2 = np.cos(t), np.sin(t), np.cos(2 * t), np.sin(2 * t)
+    return _affine_frame((2 * al * c1, al - ga * c2, ga * s2),
+                         (2 * be * s1, -de * s2, be - de * c2))
+
+
+def hybrid_frame(e: Ellipse, t) -> Callable:
+    """The hybrid curve at the ellipse parameters t.
+
+    Returns points(m, s).  For a pole at P(s) the denominator of the
+    rational form is 4ab (cos(t - s) - 1) and its numerators vanish there
+    to the same order; divided out, the curve is a trigonometric polynomial
+    of degree 2 in t, affine in (cos s, sin s).  With alpha, beta, gamma
+    and delta as in negative_pedal_frame:
+    x = alpha cos s + 2 alpha cos t - gamma cos(2t + s) and
+    y = beta sin s + 2 beta sin t - delta sin(2t + s), finite at t = s.
+    Any other pole takes the rational form (hybrid_rational_frame).
+    """
+    return _by_pole(e, t, _hybrid_reduced, hybrid_rational_frame)
 
 
 # ---------------------------------------------------------------------------
@@ -312,20 +418,13 @@ def pseudo_talbot_frame(e: Ellipse, u) -> Callable:
     ct2 = ct * ct
     kx = 2 * ct2 * ct2 - 3 * ct2
     ky = 2 * ct2 * ct2 - ct2
-    # (F0, Fc, Fs) of x, then of y
-    fx = [ct * (a2 + b2) * (-a2 * st ** 2 - b2 * ct2 + 2 * b2) / (a * b2),
-          -((kx + 1) * a4 - 2 * (kx + 1) * a2 * b2 + kx * b4) / (a * b2),
-          -2 * c4 * st ** 3 * ct / (a * b2)]
-    fy = [st * (a2 + b2) * ((a2 - b2) * ct2 + a2) / (a2 * b),
-          -2 * c4 * st * ct ** 3 / (a2 * b),
-          -((ky - 1) * a4 - 2 * ky * a2 * b2 + ky * b4) / (a2 * b)]
-
-    def points(m, s):
-        cs, ss = np.cos(s), np.sin(s)
-        return np.stack([fx[0] + cs * fx[1] + ss * fx[2],
-                         fy[0] + cs * fy[1] + ss * fy[2]], axis=-1)
-
-    return points
+    return _affine_frame(
+        (ct * (a2 + b2) * (-a2 * st ** 2 - b2 * ct2 + 2 * b2) / (a * b2),
+         -((kx + 1) * a4 - 2 * (kx + 1) * a2 * b2 + kx * b4) / (a * b2),
+         -2 * c4 * st ** 3 * ct / (a * b2)),
+        (st * (a2 + b2) * ((a2 - b2) * ct2 + a2) / (a2 * b),
+         -2 * c4 * st * ct ** 3 / (a2 * b),
+         -((ky - 1) * a4 - 2 * ky * a2 * b2 + ky * b4) / (a2 * b)))
 
 
 # ---------------------------------------------------------------------------
@@ -555,12 +654,15 @@ def find_cusps(curve: SampledCurve, tol: float = 1e-5) -> np.ndarray:
     A candidate whose refined speed stays too high gets a second golden
     section on chord speeds (_chord_speed), and is accepted when the chord
     speed drops below the same bound and the chord direction reverses.
-    This retry is load-bearing: the deltoid of a boundary pole has a cusp
-    next to the pole's singular parameter, where the complex-step speed is
-    rounding noise, and only the retry finds it (the third cusp of the
-    negative pedal at s = 0, at tau ~ 2 pi).  Smooth slow spots reach it
-    too and are rejected there: the two candidates of an evolutoid below
-    the critical angle cost 82 chord evaluations.
+    This retry is load-bearing for an evaluator singular next to a cusp,
+    where its complex-step speed is rounding noise while its positions stay
+    clean: the deltoid of a boundary pole has a cusp at the pole's own
+    parameter s, where the rational negative pedal
+    (negative_pedal_rational_frame) is singular, and only the retry finds
+    it.  The reduced frame the registry gives such a pole has no
+    singularity, and its speeds find all three cusps.  Smooth slow spots
+    reach the retry too and are rejected there: the two candidates of an
+    evolutoid below the critical angle cost 82 chord evaluations.
 
     With an evaluator, all candidates are refined in lock-step: each golden
     step evaluates the one new probe of every candidate still refining, in

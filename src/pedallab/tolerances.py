@@ -10,7 +10,9 @@ module imports nothing, so every other module can import it.
 DOUBLING_RTOL = 1e-9
 
 # a pole lies on the ellipse when its implicit value x^2/a^2 + y^2/b^2 is 1
-# to this absolute tolerance
+# to this absolute tolerance; it is the ellipse point P(s), which the
+# hybrid and the negative pedal serve from their reduced form, when each
+# coordinate is within this fraction of a of P(s) (pedal.pole_at)
 ON_ELLIPSE_TOL = 1e-9
 
 # a quadrature grid is uniform when every step equals the first to this
@@ -25,8 +27,9 @@ PERIOD_TOL = 1e-9
 # below this fraction of their squared normals
 PARALLEL_TOL = 1e-12
 
-# a hybrid point is singular when its denominator 4 (a y0 sin t + b x0 cos t
-# - a b) is below this fraction of 4 a b: the pole sits on the tangent line
+# a point of the rational hybrid is singular when its denominator
+# 4 (a y0 sin t + b x0 cos t - a b) is below this fraction of 4 a b: the pole
+# sits on the tangent line
 TANGENT_TOL = 1e-9
 
 # the conjecture check skips a pole within this distance of a symmetry axis,

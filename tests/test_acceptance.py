@@ -150,7 +150,7 @@ def test_c08_negative_pedal_constant_and_three_cusps():
                n=2048, tol=1e-6)
     assert rep.passed
     assert rep.max_rel_dev < 1e-6
-    assert rep.closed_form == pytest.approx(-math.pi * (E.a + E.b) ** 2 / 4, rel=1e-12)
+    assert rep.closed_form == pytest.approx(-math.pi * E.c2 ** 2 / (2 * E.a * E.b), rel=1e-12)
     # the envelope for a boundary pole is a deltoid: three cusps
     m = tuple(ellipse_point(E, 0.0))
     ev = family_evaluator(E, "negative_pedal", m, s=0.0)

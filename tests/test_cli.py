@@ -10,11 +10,13 @@ from xml.etree import ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pedallab import Ellipse, closed_form_area, ellipse_point
+from pedallab import DomainError, Ellipse, closed_form_area, ellipse_point
 from pedallab.areas import FAMILIES
-from pedallab.cli import MAX_COUNT, MAX_N, build_parser, main
-from pedallab.harness import SCANNABLE
+from pedallab.cli import MAX_COUNT, MAX_N, build_parser, main, report_json
+from pedallab.harness import SCANNABLE, IdentityCheck
 
 E21 = Ellipse(2.0, 1.0)
 REPO = Path(__file__).resolve().parents[1]
@@ -259,7 +261,8 @@ class TestSample:
         assert target.read_text().startswith("t,x,y\n")
 
     def test_evaluation_error_prints_the_node_as_a_plain_float(self, capsys):
-        rc, out, err = run(capsys, "sample", "--family", "hybrid", "--s", "0",
+        # (2, 0.5) lies on the tangent line at P(0), the grid's first node
+        rc, out, err = run(capsys, "sample", "--family", "hybrid", "--m", "2,0.5",
                            "--offset", "0")
         assert rc == 1 and out == ""
         assert err == ("error: curve evaluation failed at t=0.0: hybrid point undefined "
@@ -451,3 +454,70 @@ class TestConjecture:
         assert rc == 0
         obj = json.loads(out)
         assert len(obj["reports"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# the report writer
+
+
+FINITE_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.sampled_from([-0.0, 5e-324, -5e-324, 1e16, 1e-7, 0.1]))
+SCALARS = st.one_of(FINITE_FLOATS, FINITE_FLOATS.map(np.float64), st.integers(),
+                    st.booleans(), st.none(), st.text())
+KEYS = st.one_of(st.text(), st.integers(), FINITE_FLOATS, st.booleans(), st.none())
+REPORTS = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5), st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(KEYS, inner, max_size=5),
+        # the shapes the writer takes in one pass: flat floats, float pairs
+        st.lists(FINITE_FLOATS, max_size=6),
+        st.lists(st.lists(FINITE_FLOATS, min_size=2, max_size=2), max_size=4)),
+    max_leaves=30)
+
+
+class TestReportWriter:
+    """report_json writes json.dumps(obj, indent=2, allow_nan=False)'s bytes,
+    and refuses a non-finite number with DomainError."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(obj=REPORTS)
+    def test_bytes_equal_json_dumps_with_indent_2(self, obj):
+        assert report_json(obj) == json.dumps(obj, indent=2, allow_nan=False) + "\n"
+
+    def test_a_scan_report(self):
+        from pedallab import LocusSpec, scan
+        rep = scan(E21, "hybrid", LocusSpec("circle", r=1.5, count=5), n=64).to_dict()
+        assert report_json(rep) == json.dumps(rep, indent=2, allow_nan=False) + "\n"
+
+    @pytest.mark.parametrize("obj", [
+        [math.nan], [1.0, -math.inf], {"a": math.inf}, [[1.0, math.nan]],
+        [[0.5, 1.0], [math.inf, 2.0]], {"x": [None, np.float64(math.nan)]},
+        {math.nan: 1}, {"a": [1, 2.0, -math.inf]}])
+    def test_non_finite_number_raises_domain_error(self, obj):
+        with pytest.raises(ValueError):
+            json.dumps(obj, indent=2, allow_nan=False)
+        with pytest.raises(DomainError, match="non-finite number"):
+            report_json(obj)
+
+    @pytest.mark.parametrize("obj", [{"x": np.int64(3)}, [np.bool_(True)], {(1, 2): 0}])
+    def test_unknown_types_are_refused_as_json_refuses_them(self, obj):
+        with pytest.raises(TypeError) as want:
+            json.dumps(obj, indent=2, allow_nan=False)
+        with pytest.raises(TypeError) as got:
+            report_json(obj)
+        assert str(got.value) == str(want.value)
+
+    def test_run_invariance_refuses_a_non_finite_report(self, tmp_path, capsys, monkeypatch):
+        mod = load_script("run_invariance")
+        with pytest.raises(DomainError):
+            mod.write(tmp_path / "x.json", {"x": math.nan})
+        assert not (tmp_path / "x.json").exists()
+        monkeypatch.setattr(mod, "STEINER_FAMILIES", ())
+        monkeypatch.setattr(mod, "BOUNDARY_FAMILIES", ())
+        monkeypatch.setattr(mod, "identity_suite", lambda e, n: [
+            IdentityCheck("nan", math.nan, 0.0, math.nan, 1e-8, False)])
+        rc = mod.main(["--outdir", str(tmp_path / "out"), "--quick"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: report holds a non-finite number (nan)\n"
+        assert not (tmp_path / "out" / "identities.json").exists()

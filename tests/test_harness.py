@@ -91,11 +91,11 @@ class TestFamilyPlumbing:
         else:
             assert np.array_equal(family_evaluator(E21, fam, m, theta=0.6, mu=1 / 3)(t), want)
 
-    def test_singular_families_get_offset_grids(self):
-        # hybrid runs in tau = t - s, half a step off tau = 0, whatever the pole
+    def test_boundary_families_get_the_nesting_grid(self):
+        # hybrid runs in t on ParamGrid(n), finite at t = s, whatever the pole
         for s in (0.0, 0.7):
             g = family_grid("hybrid", 512, s=s)
-            assert (g.start, g.offset, g.count) == (0.0, 0.5, 512)
+            assert (g.start, g.offset, g.count) == (0.0, 0.0, 512)
         assert family_grid("pedal", 512).offset == 0.0
 
 
@@ -111,12 +111,9 @@ class TestFamilyRegistry:
         assert on == ["hybrid", "pseudo_talbot", "negative_pedal"]
 
     @pytest.mark.parametrize("name", list(FAMILIES))
-    def test_grid_is_offset_exactly_for_families_singular_at_their_pole(self, name):
-        singular = [n for n, f in FAMILIES.items() if f.singular_at_pole]
-        assert singular == ["hybrid", "negative_pedal"]
+    def test_every_family_gets_the_nesting_grid(self, name):
         g = family_grid(name, 64, s=0.7)
-        want = 0.5 if name in singular else 0.0
-        assert (g.count, g.start, g.offset) == (64, 0.0, want)
+        assert (g.count, g.start, g.offset) == (64, 0.0, 0.0)
 
     @pytest.mark.parametrize("fam", SCANNABLE)
     def test_quadrature_matches_closed_form(self, fam):
@@ -151,6 +148,23 @@ class TestScan:
         rep = scan(E21, "negative_pedal", LocusSpec(kind="boundary", count=8), n=1024)
         assert rep.passed
         assert rep.closed_form == pytest.approx(-9 * math.pi / 4, rel=1e-12)
+
+    @pytest.mark.parametrize("a, b", [(3.0, 1.0), (1.5, 1.0), (5.0, 2.0)])
+    def test_negative_pedal_closed_form_off_a_equal_2b(self, a, b):
+        # -pi (a^2 - b^2)^2 / (2ab) agrees with -pi (a + b)^2 / 4 only at a = 2b
+        rep = scan(Ellipse(a, b), "negative_pedal", LocusSpec(kind="boundary", count=16),
+                   n=512)
+        assert rep.passed
+        assert rep.closed_form == pytest.approx(-math.pi * (a * a - b * b) ** 2 / (2 * a * b),
+                                                rel=1e-15)
+        assert rep.max_closed_dev <= 1e-15
+
+    def test_hybrid_boundary_scan_is_accurate_to_roundoff(self):
+        # the reduced frame has no singularity left to lose digits to
+        rep = scan(E21, "hybrid", LocusSpec(kind="boundary", count=64), n=2048)
+        assert rep.passed
+        assert rep.max_rel_dev <= 1e-15 and rep.max_closed_dev <= 1e-15
+        assert rep.max_doubling_gap <= 1e-14
 
     def test_zero_area_family_certifies(self):
         # at a = (1 + sqrt 2) b the pseudo-Talbot factor a^2 - 2ab - b^2
@@ -280,13 +294,12 @@ class TestNestedGrids:
 
 
 class TestBoundaryFrames:
-    """A boundary scan builds one frame per grid size for all its poles:
-    hybrid and negative pedal at n and at 2n (their half-step grids do not
-    nest), pseudo-Talbot at 2n only."""
+    """A boundary scan builds one frame for all its poles, at 2n only: every
+    boundary family's grid nests."""
 
     @pytest.mark.parametrize("fam, builder, points", [
-        ("hybrid", "hybrid_frame", 3 * 2048),
-        ("negative_pedal", "negative_pedal_frame", 3 * 2048),
+        ("hybrid", "hybrid_frame", 2 * 2048),
+        ("negative_pedal", "negative_pedal_frame", 2 * 2048),
         ("pseudo_talbot", "pseudo_talbot_frame", 2 * 2048)])
     def test_frame_points_do_not_grow_with_the_pole_count(self, monkeypatch, fam, builder,
                                                            points):
@@ -362,7 +375,7 @@ class TestBatchedScan:
         # pole 0 sits on the tangent line at a node of the n-grid, so the
         # chunk's evaluation raises; poles outside the ellipse do not settle
         n, count, phase = 256, 12, 0.3
-        t_node = 14.5 * 2 * math.pi / n
+        t_node = 14 * 2 * math.pi / n
         r = E21.a * E21.b / (E21.a * math.sin(phase) * math.sin(t_node)
                              + E21.b * math.cos(phase) * math.cos(t_node))
         rep = scan(E21, "hybrid", LocusSpec("circle", r=r, count=count, phase=phase), n=n)
@@ -375,6 +388,22 @@ class TestBatchedScan:
         assert [a.poles[0] for a in alone] == rep.poles
         assert [a.errors[0] for a in alone] == rep.errors
         assert [a.areas[0] for a in alone] == rep.areas
+
+    @pytest.mark.parametrize("fam", ["hybrid", "negative_pedal"])
+    def test_pole_at_p0_on_a_circle_locus_routes_as_alone(self, fam):
+        # r = a and phase 0 put pole 0 at P(0), the one pole of the circle
+        # whose s = 0 is its own parameter: it takes the reduced frame, in
+        # the chunk as alone, and the other poles the rational one
+        n, count = 256, 3
+        locus = LocusSpec("circle", r=E21.a, count=count, phase=0.0)
+        rep = scan(E21, fam, locus, n=n)
+        assert rep.poles[0] == [E21.a, 0.0]
+        assert rep.areas[0] == pytest.approx(closed_form_area(fam, E21, (E21.a, 0.0)),
+                                             rel=1e-14)
+        for j in range(count):
+            assert (rep.areas[j], rep.errors[j]) == scan_alone(E21, fam, locus, j, n)
+        alone = scan(E21, fam, LocusSpec("circle", r=E21.a, count=1, phase=0.0), n=n)
+        assert (alone.areas[0], alone.errors[0]) == (rep.areas[0], rep.errors[0])
 
     def test_chunk_cap_bounds_memory(self):
         # all 256 poles at 2n = 4096 points at once would take 16 MiB for the

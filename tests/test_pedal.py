@@ -23,7 +23,6 @@ from pedallab import (
     evolutoid_point,
     evolutoid_support,
     family_evaluator,
-    family_grid,
     find_cusps,
     sample_curve,
     self_intersections,
@@ -41,8 +40,10 @@ from pedallab.pedal import (
     _segment_hits,
     contrapedal_frame,
     hybrid_frame,
+    hybrid_rational_frame,
     interpolated_frame,
     negative_pedal_frame,
+    negative_pedal_rational_frame,
     pedal_frame,
     pseudo_talbot_frame,
     rotated_frame,
@@ -523,53 +524,116 @@ def pseudo_talbot_reference(e, s, u):
     return np.stack([x, y], axis=-1)
 
 
-# family -> (frame builder, reference at the absolute parameter, relative bound)
-BOUNDARY = {
-    "hybrid": (hybrid_frame, lambda e, s, tau, m: hybrid_reference(e, s + tau, m), 1e-11),
-    "negative_pedal": (negative_pedal_frame, lambda e, s, tau, m: envelope_point(
-        negative_pedal_family(e, m), s + tau), 1e-11),
-    "pseudo_talbot": (pseudo_talbot_frame,
-                      lambda e, s, tau, m: pseudo_talbot_reference(e, s, tau), 1e-14),
+def reduced_reference(fam, e, t, s):
+    """The reduced hybrid or negative pedal of the pole P(s) as trig sums in
+    t and 2t + s, written out apart from the frames' columns."""
+    al, be = (e.a ** 2 + e.b ** 2) / (2 * e.a), (e.a ** 2 + e.b ** 2) / (2 * e.b)
+    ga, de = e.c2 / (2 * e.a), e.c2 / (2 * e.b)
+    t = np.asarray(t)
+    if fam == "hybrid":
+        x = al * np.cos(s) + 2 * al * np.cos(t) - ga * np.cos(2 * t + s)
+        y = be * np.sin(s) + 2 * be * np.sin(t) - de * np.sin(2 * t + s)
+    else:
+        x = -al * np.cos(s) + 2 * ga * np.cos(t) + ga * np.cos(2 * t + s)
+        y = -be * np.sin(s) - 2 * de * np.sin(t) + de * np.sin(2 * t + s)
+    return np.stack([x, y], axis=-1)
+
+
+# the rational forms at the absolute parameter t, the reference of the
+# reduced frames away from t = s
+RATIONAL = {
+    "hybrid": hybrid_reference,
+    "negative_pedal": lambda e, t, m: envelope_point(negative_pedal_family(e, m), t),
 }
+FRAMES = {"hybrid": hybrid_frame, "negative_pedal": negative_pedal_frame,
+          "pseudo_talbot": pseudo_talbot_frame}
+ELLIPSES = [E21, Ellipse(3.0, 2.0), Ellipse(3.0, 1.0), Ellipse(1.5, 1.0)]
+
+
+def boundary_pole(e, s):
+    return tuple(float(v) for v in ellipse_point(e, s))
 
 
 class TestBoundaryFrames:
-    """The frames of the boundary families, built at the pole-relative
-    parameter and turned by the pole's s, agree with their formulas at the
-    absolute parameter to roundoff; pseudo-Talbot's runs at u itself."""
+    """For a pole at P(s), hybrid and negative pedal are trigonometric
+    polynomials of degree 2 in t: the reduced frames agree with the rational
+    forms away from t = s and stay finite at t = s."""
 
     @settings(max_examples=80, deadline=None)
-    @given(fam=st.sampled_from(list(BOUNDARY)), e=st.sampled_from([E21, Ellipse(3.0, 2.0)]),
+    @given(fam=st.sampled_from(list(RATIONAL)), e=st.sampled_from(ELLIPSES),
            s=st.floats(-TWO_PI, TWO_PI), tau=st.floats(0.1, TWO_PI - 0.1))
-    def test_frame_turned_by_s_matches_the_absolute_formula(self, fam, e, s, tau):
-        # tau stays 0.1 away from the singular tau = 0 of hybrid and negative
-        # pedal, where their points grow like 1 / tau^2
-        build, reference, rel = BOUNDARY[fam]
-        m = tuple(float(v) for v in ellipse_point(e, s))
-        got = build(e, tau)(m, s)
-        want = reference(e, s, tau, m)
-        assert np.max(np.abs(got - want)) <= rel * (1.0 + np.max(np.abs(want)))
+    def test_reduced_frame_matches_the_rational_form(self, fam, e, s, tau):
+        # tau = t - s stays 0.1 away from the removable singularity of the
+        # rational form, whose cancellation costs digits like 1 / tau^2
+        t = s + np.array([tau, TWO_PI - tau, tau - TWO_PI])
+        m = boundary_pole(e, s)
+        got = FRAMES[fam](e, t)(m, s)
+        want = RATIONAL[fam](e, t, m)
+        scale = np.max(np.abs(FRAMES[fam](e, ParamGrid(64).nodes())(m, s)))
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
     @settings(max_examples=40, deadline=None)
-    @given(fam=st.sampled_from(list(BOUNDARY)), s=st.floats(-TWO_PI, TWO_PI),
-           tau=st.floats(0.3, TWO_PI - 0.3))
-    def test_complex_step_derivative_matches_central_difference(self, fam, s, tau):
-        build, _, _ = BOUNDARY[fam]
-        m = tuple(float(v) for v in ellipse_point(E21, s))
-        h, dt = 1e-200, 1e-6
-        got = np.asarray(build(E21, tau + 1j * h)(m, s)).imag / h
-        want = (build(E21, tau + dt)(m, s) - build(E21, tau - dt)(m, s)) / (2 * dt)
-        scale = 1.0 + np.max(np.abs(build(E21, tau)(m, s))) + np.max(np.abs(want))
-        assert np.max(np.abs(got - want)) <= 1e-6 * scale
+    @given(e=st.sampled_from(ELLIPSES), s=st.floats(-TWO_PI, TWO_PI),
+           u=st.floats(0.0, TWO_PI))
+    def test_pseudo_talbot_frame_matches_its_formula(self, e, s, u):
+        got = pseudo_talbot_frame(e, u)(None, s)
+        want = pseudo_talbot_reference(e, s, u)
+        assert np.max(np.abs(got - want)) <= 1e-14 * (1.0 + np.max(np.abs(want)))
 
-    @pytest.mark.parametrize("fam", ["hybrid", "negative_pedal"])
-    def test_singular_error_names_the_absolute_parameter(self, fam):
-        s = 0.7
-        m = tuple(float(v) for v in ellipse_point(E21, s))
-        tau = np.array([-0.5, 0.0, 0.5])
+    @pytest.mark.parametrize("fam", list(RATIONAL))
+    @pytest.mark.parametrize("s", [0.0, 0.7, -2.4])
+    def test_finite_at_the_pole_parameter(self, fam, s):
+        m = boundary_pole(E21, s)
+        t = np.array([s - 0.5, s, s + 0.5])
+        got = FRAMES[fam](E21, t)(m, s)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, reduced_reference(fam, E21, t, s), rtol=0, atol=1e-14)
+        # a 0-d parameter gives one point
+        assert np.array_equal(FRAMES[fam](E21, s)(m, s), got[1])
+        # the rational frame keeps its singularity and names t = s
+        rational = {"hybrid": hybrid_rational_frame,
+                    "negative_pedal": negative_pedal_rational_frame}[fam]
         with pytest.raises((SingularParameter, SingularFamily)) as info:
-            BOUNDARY[fam][0](E21, tau)(m, s)
+            rational(E21, t)(m, s)
         assert info.value.t == pytest.approx(s, abs=1e-15)
+
+    @pytest.mark.parametrize("fam", list(RATIONAL))
+    @pytest.mark.parametrize("e", ELLIPSES)
+    def test_no_modes_above_two(self, fam, e):
+        s = 0.7
+        p = FRAMES[fam](e, ParamGrid(256).nodes())(boundary_pole(e, s), s)
+        modes = np.abs(np.fft.rfft(p, axis=0)) / 256
+        assert np.max(modes[3:]) < 1e-14 * np.max(np.abs(p))
+        assert np.min(np.max(modes[1:3], axis=1)) > 1e-3
+
+    @settings(max_examples=40, deadline=None)
+    @given(fam=st.sampled_from(list(FRAMES)), s=st.floats(-TWO_PI, TWO_PI),
+           tau=st.floats(-math.pi, math.pi))
+    def test_complex_step_derivative_matches_central_difference(self, fam, s, tau):
+        # t = s included: the reduced frames are smooth there
+        m = boundary_pole(E21, s)
+        h, dt = 1e-200, 1e-6
+        t = s + tau
+        frame = FRAMES[fam]
+        for arg in (t, np.array([t, t + 1.0])):
+            z = frame(E21, arg + 1j * h)(m, s)
+            assert z.dtype.kind == "c"
+            got = z.imag / h
+            want = (frame(E21, arg + dt)(m, s) - frame(E21, arg - dt)(m, s)) / (2 * dt)
+            scale = 1.0 + np.max(np.abs(frame(E21, arg)(m, s))) + np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= 1e-6 * scale
+
+    @pytest.mark.parametrize("fam", list(RATIONAL))
+    def test_mixed_chunk_rows_equal_single_poles(self, fam):
+        # with s = 0, only the pole P(0) takes the reduced frame
+        poles = np.array([[0.3, 0.2], [2.0, 0.0], [-0.5, -0.6]])
+        t = ParamGrid(64).nodes()
+        got = point(fam, t, (poles[:, :1], poles[:, 1:]))
+        assert got.shape == (3, 64, 2)
+        for j, m in enumerate(poles):
+            assert np.array_equal(got[j], point(fam, t, tuple(m)))
+        np.testing.assert_allclose(got[1], reduced_reference(fam, E21, t, 0.0),
+                                   rtol=0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -972,9 +1036,12 @@ def evolutoid_ev(theta):
 
 
 def negative_pedal_curve(s, n=2048, wrap=lambda ev: ev):
+    """The negative pedal of the pole P(s) from its rational frame, whose
+    pencil is singular at t = s, sampled half a step off it: an evaluator
+    that raises at one parameter and loses its velocity next to it."""
     m = tuple(float(v) for v in ellipse_point(E21, s))
-    ev = wrap(family_evaluator(E21, "negative_pedal", m, s=s))
-    return sample_curve(ev, family_grid("negative_pedal", n, s))
+    ev = wrap(lambda t: negative_pedal_rational_frame(E21, t)(m, s))
+    return sample_curve(ev, ParamGrid(n, start=s, offset=0.5))
 
 
 def as_arrays(ev):
@@ -1058,10 +1125,11 @@ class TestLockstepCusps:
         vel = pedal_module._velocity_of(ev, np.zeros(len(v)))
         assert got == [math.hypot(x, y) for x, y in vel.tolist()]
 
-    def test_c08_third_cusp_comes_from_the_lockstep_chord_retry(self, monkeypatch):
-        # the deltoid's cusp at tau ~ 2 pi sits next to the pole's singular
-        # parameter, where the complex-step speed is noise: the chord retry
-        # finds it
+    def test_cusp_at_the_singular_parameter_comes_from_the_lockstep_chord_retry(
+            self, monkeypatch):
+        # on the rational frame, the deltoid's cusp at t ~ 2 pi sits next to
+        # the pole's singular parameter, where the complex-step speed is
+        # noise: the chord retry finds it
         curve = negative_pedal_curve(0.0)
         chord = pedal_module._chord_speed
         sizes = []
