@@ -24,7 +24,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .curves import Ellipse, SampledCurve, SupportCurve, as_xy, ellipse_point, Point2
+from .curves import (
+    Ellipse,
+    Point2,
+    SampledCurve,
+    SupportCurve,
+    as_xy,
+    ellipse_point,
+    pole_on_ellipse,
+)
 from .errors import (
     CollinearVertices,
     DegenerateLine,
@@ -42,7 +50,7 @@ from .pedal import (
     pseudo_talbot_frame,
     rotated_frame,
 )
-from .tolerances import DOUBLING_RTOL, GRID_STEP_TOL, ON_ELLIPSE_TOL, PERIOD_TOL
+from .tolerances import DOUBLING_RTOL, GRID_STEP_TOL, PERIOD_TOL
 
 TWO_PI = 2.0 * math.pi
 
@@ -65,8 +73,9 @@ class Family:
     evolutoid has no pole and no frame.  Every family is sampled on
     ParamGrid(n), whose n nodes are the even nodes of its 2n grid.
     on_ellipse marks the families whose closed form holds only for poles
-    on the ellipse; hybrid and negative pedal serve a pole at P(s) from
-    their reduced form, finite at t = s (see pedal.hybrid_frame).
+    on the ellipse (curves.pole_on_ellipse); hybrid and negative pedal
+    serve such a pole from their reduced form, finite at its own parameter
+    (see pedal.hybrid_frame).
     pole_by_s marks the family whose points take the pole as s alone.
     """
 
@@ -142,12 +151,6 @@ class _FamilyName(str, Enum):
 # one member per registry entry, valued by its name: AreaFamily.PEDAL == "pedal"
 AreaFamily = _FamilyName("AreaFamily", [(name.upper(), name) for name in FAMILIES],
                          module=__name__)
-
-
-def pole_on_ellipse(e: Ellipse, m):
-    """Whether the pole m lies on the ellipse: its implicit value is 1 to
-    ON_ELLIPSE_TOL.  For a (k, 2) array of poles, a (k,) boolean array."""
-    return abs(e.implicit(m) - 1.0) <= ON_ELLIPSE_TOL
 
 
 def closed_form_areas(family, e: Ellipse, poles: np.ndarray,

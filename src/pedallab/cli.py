@@ -33,12 +33,19 @@ from .areas import (
     curvature_centroid_samples,
     curvature_centroid_support,
     pedal_polygon,
-    pole_on_ellipse,
     polygon_signed_area,
     settled_area,
     signed_area_quadrature,
 )
-from .curves import Ellipse, ParamGrid, SampledCurve, ellipse_point, ellipse_support, sample_curve
+from .curves import (
+    Ellipse,
+    ParamGrid,
+    SampledCurve,
+    ellipse_point,
+    ellipse_support,
+    pole_on_ellipse,
+    sample_curve,
+)
 from .errors import DomainError, GeometryError, ZeroTotalWeight
 from .harness import (
     SCANNABLE,

@@ -21,6 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, EvaluationError
+from .tolerances import ON_ELLIPSE_TOL
 
 TWO_PI = 2.0 * math.pi
 
@@ -64,7 +65,8 @@ def pole_xy(m):
     arr = m.as_array() if isinstance(m, Point2) else np.asarray(m, dtype=float)
     if arr.shape != (2,) and not (arr.ndim == 3 and arr.shape[0] == 2 and arr.shape[2] == 1):
         raise DomainError(f"expected a 2d point or a pair of (k, 1) arrays, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    # the method, not np.all: this check runs on every frame call
+    if not np.isfinite(arr).all():
         raise DomainError("point components must be finite")
     return arr[0], arr[1]
 
@@ -89,14 +91,23 @@ class Ellipse:
 
     def implicit(self, m):
         """x^2/a^2 + y^2/b^2 at m; 1 on the boundary.  For a (k, 2) array
-        of poles, a (k,) array, each value bitwise that of its pole alone."""
+        of poles, a (k,) array, and for a chunk of k poles as a pair of
+        (k, 1) arrays (pole_xy), a (k, 1) array; each value bitwise that of
+        its pole alone."""
         if np.ndim(m) == 2:
             x, y = np.asarray(m, dtype=float).T
         else:
-            x, y = as_xy(m)
+            x, y = pole_xy(m)
         # squares by np.square, not **: a scalar ** 2 goes through pow(),
         # which can round differently from the array loop
         return np.square(x / self.a) + np.square(y / self.b)
+
+
+def pole_on_ellipse(e: Ellipse, m):
+    """Whether the pole m lies on the ellipse: its implicit value is 1 to
+    ON_ELLIPSE_TOL.  Elementwise over the poles Ellipse.implicit takes, so
+    a pole gets the same answer alone and among others."""
+    return abs(e.implicit(m) - 1.0) <= ON_ELLIPSE_TOL
 
 
 def ellipse_point(e: Ellipse, t):

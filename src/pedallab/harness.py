@@ -135,11 +135,12 @@ def family_evaluator(e: Ellipse, family, m, theta: float = 0.0, mu: float = 0.5,
     ellipse parameters t and called for the pole, the one way to evaluate a
     family with a pole.  s is the boundary parameter of the pole, 0 when
     omitted; pseudo-Talbot requires it because its pole lives on the
-    ellipse by construction.  Hybrid and negative pedal take their reduced
-    form, finite at t = s, exactly when m is P(s) (pedal.pole_at), and
-    their rational form for any other pole, as a scan does.  For a chunk of
-    k poles, m is a pair of (k, 1) coordinate arrays and s a (k, 1) array;
-    the evaluator then returns (k, n, 2) points for n parameters.
+    ellipse by construction.  Hybrid and negative pedal do not read s: a
+    pole on the ellipse (curves.pole_on_ellipse) takes their reduced form
+    at its own parameter, finite there, and any other pole their rational
+    form, as in a scan.  For a chunk of k poles, m is a pair of (k, 1)
+    coordinate arrays and s a (k, 1) array; the evaluator then returns
+    (k, n, 2) points for n parameters.
     """
     fam = Family.of(family)
     build = fam.frame

@@ -34,9 +34,11 @@ registry, areas.FAMILIES, and harness.family_evaluator:
   and their frames hold the three columns of each (_affine_frame).  For
   hybrid and negative pedal this is the rational form with its removable
   singularity at t = s divided out, a trigonometric polynomial of degree 2
-  in t, finite at t = s.  It serves exactly the poles at P(s) (pole_at);
-  any other pole takes the rational form, which keeps its singularity and
-  its SingularParameter / SingularFamily errors.
+  in t, finite at t = s.  It serves exactly the poles on the ellipse
+  (curves.pole_on_ellipse), read as P(s) with (cos s, sin s) = (x/a, y/b),
+  so these two frames do not read s; any other pole takes the rational
+  form, which keeps its singularity and its SingularParameter /
+  SingularFamily errors.
 
 The evolutoid has no pole and no frame: evolutoid_point evaluates it.
 """
@@ -57,6 +59,7 @@ from .curves import (
     as_xy,
     ellipse_point,
     ellipse_velocity,
+    pole_on_ellipse,
     pole_xy,
 )
 from .errors import (
@@ -66,7 +69,7 @@ from .errors import (
     SingularFamily,
     SingularParameter,
 )
-from .tolerances import ON_ELLIPSE_TOL, PARALLEL_TOL, TANGENT_TOL
+from .tolerances import PARALLEL_TOL, TANGENT_TOL
 
 TWO_PI = 2.0 * math.pi
 
@@ -212,55 +215,49 @@ def _envelope_solve(t, nx, ny, mx, my, d, dd):
 
 
 def _affine_frame(fx, fy) -> Callable:
-    """points(m, s) of a curve whose coordinates are F0 + cos s Fc + sin s Fs.
+    """points(cs, ss) of a curve whose coordinates are F0 + cs Fc + ss Fs,
+    for (cs, ss) = (cos s, sin s) of its pole P(s).
 
     fx and fy are the columns (F0, Fc, Fs) of x and of y, arrays over the
     parameters.  The points are written into a (2, ..., n) buffer of
     coordinate planes, of the columns' dtype (complex under a complex step)
     and of any shape, 0-d included; the (..., n, 2) view of it is returned,
-    so the quadrature reads each plane contiguously.  m is not read; a
-    (k, 1) array s stands for k poles.
+    so the quadrature reads each plane contiguously.  (k, 1) arrays cs and
+    ss stand for k poles.
     """
 
-    def points(m, s):
-        cs, ss = np.cos(s), np.sin(s)
-        shape = np.broadcast_shapes(np.shape(fx[0]), np.shape(cs))
-        planes = np.empty((2,) + shape, dtype=np.result_type(*fx, *fy, cs))
-        for plane, (f0, fc, fs) in zip((planes[0, ...], planes[1, ...]), (fx, fy)):
-            np.add(f0, cs * fc, out=plane)
-            np.add(plane, ss * fs, out=plane)
-        return np.moveaxis(planes, 0, -1)
+    def points(cs, ss):
+        # F0 + cs Fc first, whose shape and dtype the planes take: the
+        # helpers that work them out from the columns cost more than the
+        # sums on the few parameters of a cusp-refinement step
+        x, y = fx[0] + cs * fx[1], fy[0] + cs * fy[1]
+        planes = np.empty((2,) + x.shape, dtype=np.result_type(x, y))
+        np.add(x, ss * fx[2], out=planes[0, ...])
+        np.add(y, ss * fy[2], out=planes[1, ...])
+        return planes.transpose((*range(1, planes.ndim), 0))
 
     return points
 
 
-def pole_at(e: Ellipse, x0, y0, s):
-    """Whether the pole (x0, y0) is the ellipse point P(s): each coordinate
-    within ON_ELLIPSE_TOL * a of it.  Elementwise over a chunk of poles, so
-    a pole gets the same answer alone and in any chunk."""
-    return np.maximum(np.abs(x0 - e.a * np.cos(s)),
-                      np.abs(y0 - e.b * np.sin(s))) <= ON_ELLIPSE_TOL * e.a
-
-
 def _by_pole(e: Ellipse, t, reduced: Callable, rational: Callable) -> Callable:
-    """points(m, s) of a boundary family at the parameters t: the reduced
-    frame reduced(e, t) for a pole at P(s) (pole_at), the rational frame
-    rational(e, t) for any other pole.  Each frame is built on first use and
-    kept, so a call builds only the one it needs.  A chunk that mixes both
-    kinds of pole gets each row from its own frame."""
+    """points(m, s) of a boundary family at the parameters t: for a pole on
+    the ellipse (curves.pole_on_ellipse), the reduced frame reduced(e, t)
+    at (cos s, sin s) = (x/a, y/b), the pole's own parameter; for any other
+    pole, the rational frame rational(e, t).  s is not read.  Each frame is
+    built on first use and kept, so a call builds only the one it needs.  A
+    chunk that mixes both kinds of pole gets each row from its own frame."""
     frame = functools.cache(lambda build: build(e, t))
 
     def points(m, s):
         x0, y0 = pole_xy(m)
-        on = pole_at(e, x0, y0, s)
-        if np.all(on):
-            return frame(reduced)(m, s)
-        if not np.any(on):
+        on = pole_on_ellipse(e, (x0, y0))
+        if on.all():
+            return frame(reduced)(x0 / e.a, y0 / e.b)
+        if not on.any():
             return frame(rational)(m, s)
-        rows = np.broadcast_to(on, np.shape(x0))[:, 0]
-        s = np.broadcast_to(s, np.shape(x0))
-        red = frame(reduced)((x0[rows], y0[rows]), s[rows])
-        rat = frame(rational)((x0[~rows], y0[~rows]), s[~rows])
+        rows = on[:, 0]
+        red = frame(reduced)(x0[rows] / e.a, y0[rows] / e.b)
+        rat = frame(rational)((x0[~rows], y0[~rows]), s)
         out = np.empty((len(rows),) + red.shape[1:], dtype=np.result_type(red, rat))
         out[rows], out[~rows] = red, rat
         return out
@@ -300,8 +297,9 @@ def negative_pedal_rational_frame(e: Ellipse, t) -> Callable:
 
 
 def _negative_pedal_reduced(e: Ellipse, t) -> Callable:
-    """The negative pedal of the pole P(s), with the removable singularity
-    of its pencil at t = s divided out (see negative_pedal_frame)."""
+    """points(cs, ss) of the negative pedal of the pole P(s), with the
+    removable singularity of its pencil at t = s divided out (see
+    negative_pedal_frame)."""
     t = np.asarray(t)
     al, be = (e.a * e.a + e.b * e.b) / (2 * e.a), (e.a * e.a + e.b * e.b) / (2 * e.b)
     ga, de = e.c2 / (2 * e.a), e.c2 / (2 * e.b)
@@ -314,14 +312,17 @@ def negative_pedal_frame(e: Ellipse, t) -> Callable:
     """The negative pedal at the ellipse parameters t: envelope of the lines
     through P(t) perpendicular to P(t) - m.
 
-    Returns points(m, s).  For a pole at P(s) the determinant of the pencil
-    is ab (1 - cos(t - s)) and its numerators vanish there to the same
-    order; divided out, the curve is a trigonometric polynomial of degree 2
-    in t, affine in (cos s, sin s).  With alpha = (a^2 + b^2) / (2a),
+    Returns points(m, s).  For a pole on the ellipse, at P(s), the
+    determinant of the pencil is ab (1 - cos(t - s)) and its numerators
+    vanish there to the same order; divided out, the curve is a
+    trigonometric polynomial of degree 2 in t, affine in (cos s, sin s).
+    With alpha = (a^2 + b^2) / (2a),
     beta = (a^2 + b^2) / (2b), gamma = c^2 / (2a) and delta = c^2 / (2b):
     x = -alpha cos s + 2 gamma cos t + gamma cos(2t + s) and
     y = -beta sin s - 2 delta sin t + delta sin(2t + s), finite at t = s.
-    Any other pole takes the pencil itself (negative_pedal_rational_frame).
+    The pole gives s: (cos s, sin s) = (x/a, y/b), and the argument s is
+    not read.  Any other pole takes the pencil itself
+    (negative_pedal_rational_frame).
     """
     return _by_pole(e, t, _negative_pedal_reduced, negative_pedal_rational_frame)
 
@@ -368,8 +369,8 @@ def hybrid_rational_frame(e: Ellipse, t) -> Callable:
 
 
 def _hybrid_reduced(e: Ellipse, t) -> Callable:
-    """The hybrid of the pole P(s), with its removable singularity at t = s
-    divided out (see hybrid_frame)."""
+    """points(cs, ss) of the hybrid of the pole P(s), with its removable
+    singularity at t = s divided out (see hybrid_frame)."""
     t = np.asarray(t)
     al, be = (e.a * e.a + e.b * e.b) / (2 * e.a), (e.a * e.a + e.b * e.b) / (2 * e.b)
     ga, de = e.c2 / (2 * e.a), e.c2 / (2 * e.b)
@@ -381,14 +382,16 @@ def _hybrid_reduced(e: Ellipse, t) -> Callable:
 def hybrid_frame(e: Ellipse, t) -> Callable:
     """The hybrid curve at the ellipse parameters t.
 
-    Returns points(m, s).  For a pole at P(s) the denominator of the
-    rational form is 4ab (cos(t - s) - 1) and its numerators vanish there
-    to the same order; divided out, the curve is a trigonometric polynomial
-    of degree 2 in t, affine in (cos s, sin s).  With alpha, beta, gamma
+    Returns points(m, s).  For a pole on the ellipse, at P(s), the
+    denominator of the rational form is 4ab (cos(t - s) - 1) and its
+    numerators vanish there to the same order; divided out, the curve is a
+    trigonometric polynomial of degree 2 in t, affine in (cos s, sin s).  With alpha, beta, gamma
     and delta as in negative_pedal_frame:
     x = alpha cos s + 2 alpha cos t - gamma cos(2t + s) and
     y = beta sin s + 2 beta sin t - delta sin(2t + s), finite at t = s.
-    Any other pole takes the rational form (hybrid_rational_frame).
+    The pole gives s: (cos s, sin s) = (x/a, y/b), and the argument s is
+    not read.  Any other pole takes the rational form
+    (hybrid_rational_frame).
     """
     return _by_pole(e, t, _hybrid_reduced, hybrid_rational_frame)
 
@@ -418,13 +421,14 @@ def pseudo_talbot_frame(e: Ellipse, u) -> Callable:
     ct2 = ct * ct
     kx = 2 * ct2 * ct2 - 3 * ct2
     ky = 2 * ct2 * ct2 - ct2
-    return _affine_frame(
+    points = _affine_frame(
         (ct * (a2 + b2) * (-a2 * st ** 2 - b2 * ct2 + 2 * b2) / (a * b2),
          -((kx + 1) * a4 - 2 * (kx + 1) * a2 * b2 + kx * b4) / (a * b2),
          -2 * c4 * st ** 3 * ct / (a * b2)),
         (st * (a2 + b2) * ((a2 - b2) * ct2 + a2) / (a2 * b),
          -2 * c4 * st * ct ** 3 / (a2 * b),
          -((ky - 1) * a4 - 2 * ky * a2 * b2 + ky * b4) / (a2 * b)))
+    return lambda m, s: points(np.cos(s), np.sin(s))
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,9 @@ module imports nothing, so every other module can import it.
 DOUBLING_RTOL = 1e-9
 
 # a pole lies on the ellipse when its implicit value x^2/a^2 + y^2/b^2 is 1
-# to this absolute tolerance; it is the ellipse point P(s), which the
-# hybrid and the negative pedal serve from their reduced form, when each
-# coordinate is within this fraction of a of P(s) (pedal.pole_at)
+# to this absolute tolerance (curves.pole_on_ellipse): the closed forms of
+# the on-ellipse families hold there, and the hybrid and the negative pedal
+# take their reduced form
 ON_ELLIPSE_TOL = 1e-9
 
 # a quadrature grid is uniform when every step equals the first to this

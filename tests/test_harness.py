@@ -24,6 +24,7 @@ from pedallab import (
 )
 from pedallab import areas, ellipse_point, pedal
 from pedallab.areas import FAMILIES, Family, settled_area
+from pedallab.curves import pole_on_ellipse
 from pedallab.harness import SCANNABLE
 
 E21 = Ellipse(2.0, 1.0)
@@ -390,20 +391,30 @@ class TestBatchedScan:
         assert [a.areas[0] for a in alone] == rep.areas
 
     @pytest.mark.parametrize("fam", ["hybrid", "negative_pedal"])
-    def test_pole_at_p0_on_a_circle_locus_routes_as_alone(self, fam):
-        # r = a and phase 0 put pole 0 at P(0), the one pole of the circle
-        # whose s = 0 is its own parameter: it takes the reduced frame, in
-        # the chunk as alone, and the other poles the rational one
-        n, count = 256, 3
-        locus = LocusSpec("circle", r=E21.a, count=count, phase=0.0)
-        rep = scan(E21, fam, locus, n=n)
-        assert rep.poles[0] == [E21.a, 0.0]
-        assert rep.areas[0] == pytest.approx(closed_form_area(fam, E21, (E21.a, 0.0)),
-                                             rel=1e-14)
+    @pytest.mark.parametrize("e, r, count, phase", [
+        (E21, E21.a, 3, 0.0),                          # P(0) only
+        (E21, E21.a, 2, 0.0),                          # P(0) and P(pi)
+        (E21, E21.b, 4, math.pi / 2),                  # P(pi/2) and P(3pi/2)
+        (Ellipse(1.5, 1.5), 1.5, 4, 0.0),              # every pole, at nodes
+        (Ellipse(1.5, 1.5), 1.5, 8, 0.0),
+    ])
+    def test_circle_locus_poles_on_the_ellipse_route_as_alone(self, fam, e, r, count, phase):
+        # a circle locus carries no boundary parameter, yet each of its poles
+        # on the ellipse takes the reduced frame, finite at the grid node of
+        # its own parameter, in the chunk as alone; the rest take the
+        # rational frame
+        n = 256
+        locus = LocusSpec("circle", r=r, count=count, phase=phase)
+        rep = scan(e, fam, locus, n=n)
+        on = pole_on_ellipse(e, locus.poles(e))
+        assert on.any()
         for j in range(count):
-            assert (rep.areas[j], rep.errors[j]) == scan_alone(E21, fam, locus, j, n)
-        alone = scan(E21, fam, LocusSpec("circle", r=E21.a, count=1, phase=0.0), n=n)
-        assert (alone.areas[0], alone.errors[0]) == (rep.areas[0], rep.errors[0])
+            assert (rep.areas[j], rep.errors[j]) == scan_alone(e, fam, locus, j, n)
+            if on[j]:
+                assert rep.errors[j] is None
+                assert rep.areas[j] == pytest.approx(
+                    closed_form_area(fam, e, tuple(rep.poles[j])), rel=1e-14, abs=1e-14)
+        assert rep.passed == bool(on.all())
 
     def test_chunk_cap_bounds_memory(self):
         # all 256 poles at 2n = 4096 points at once would take 16 MiB for the

@@ -32,7 +32,7 @@ from pedallab import (
     support_point,
 )
 import pedallab.pedal as pedal_module
-from pedallab.curves import as_xy, pole_xy
+from pedallab.curves import as_xy, pole_on_ellipse, pole_xy
 from pedallab.pedal import (
     Crossing,
     FootFrame,
@@ -222,20 +222,25 @@ class TestEnvelopes:
                                    ellipse_point(c, t), atol=1e-12)
 
     def test_singular_at_pole_parameter(self):
+        # the pencil itself; family_evaluator serves this pole from the
+        # reduced frame, finite at t = s
         s = 0.7
         m = tuple(ellipse_point(E21, s))
         with pytest.raises(SingularFamily):
-            point("negative_pedal", s, m)
+            negative_pedal_rational_frame(E21, s)(m, s)
 
     @pytest.mark.parametrize("t", [
         0.3, 0.3 + 1e-200j, np.linspace(0.1, TWO_PI, 40),
         np.linspace(0.1, TWO_PI, 40) + 1e-200j, np.linspace(0.1, 6.0, 12).reshape(3, 4)])
     @pytest.mark.parametrize("m", [M, (3.0, 0.5), tuple(ellipse_point(E21, 0.7))])
     def test_negative_pedal_point_is_the_family_envelope_bitwise(self, t, m):
-        got = point("negative_pedal", t, m)
+        got = negative_pedal_rational_frame(E21, t)(m, 0.0)
         want = envelope_point(negative_pedal_family(E21, m), t)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
+        if not pole_on_ellipse(E21, m):
+            # a pole off the ellipse is served by the pencil
+            assert np.array_equal(point("negative_pedal", t, m), got)
 
     def test_envelope_rejects_parallel_pencil(self):
         fam = LineFamily(normal=lambda t: np.stack([np.ones_like(t), np.zeros_like(t)], axis=-1),
@@ -425,10 +430,12 @@ class TestHybrid:
         np.testing.assert_allclose(got, hybrid_oracle(E21, 1.9, m), atol=1e-11)
 
     def test_singular_on_tangent_line(self):
+        # the rational form; family_evaluator serves this pole from the
+        # reduced frame, finite at t = s
         s = 0.7
         m = tuple(ellipse_point(E21, s))
         with pytest.raises(SingularParameter):
-            point("hybrid", s, m)
+            hybrid_rational_frame(E21, s)(m, s)
 
 
 # ---------------------------------------------------------------------------
@@ -624,8 +631,20 @@ class TestBoundaryFrames:
             assert np.max(np.abs(got - want)) <= 1e-6 * scale
 
     @pytest.mark.parametrize("fam", list(RATIONAL))
+    @pytest.mark.parametrize("s", [0.7, math.pi, -math.pi / 2])
+    def test_a_pole_on_the_ellipse_gives_its_own_parameter(self, fam, s):
+        # the argument s is not read: the pole alone routes to the reduced
+        # frame at its own parameter, whatever s it comes with
+        m = boundary_pole(E21, s)
+        t = np.array([s - 0.5, s, s + 0.5])
+        want = reduced_reference(fam, E21, t, s)
+        for given_s in (None, 0.0, s):
+            got = point(fam, t, m) if given_s is None else point(fam, t, m, s=given_s)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("fam", list(RATIONAL))
     def test_mixed_chunk_rows_equal_single_poles(self, fam):
-        # with s = 0, only the pole P(0) takes the reduced frame
+        # only the pole on the ellipse, P(0), takes the reduced frame
         poles = np.array([[0.3, 0.2], [2.0, 0.0], [-0.5, -0.6]])
         t = ParamGrid(64).nodes()
         got = point(fam, t, (poles[:, :1], poles[:, 1:]))
