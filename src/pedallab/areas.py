@@ -66,24 +66,24 @@ class Family:
     name is the family's command-line name.  area(a, b, rho, theta, mu) is
     its closed-form signed area for a pole at squared distance rho from the
     center.  frame(e, t, theta, mu) does the family's work on the ellipse
-    parameters t alone and returns points(m, s), the points for the pole m
-    whose boundary parameter is s: one pole, or a chunk of k poles as (k, 1)
-    coordinate arrays with a (k, 1) array s.  It is the family's one point
-    evaluator, which harness.family_evaluator and harness.scan call; the
-    evolutoid has no pole and no frame.  Every family is sampled on
-    ParamGrid(n), whose n nodes are the even nodes of its 2n grid.
-    on_ellipse marks the families whose closed form holds only for poles
-    on the ellipse (curves.pole_on_ellipse); hybrid and negative pedal
-    serve such a pole from their reduced form, finite at its own parameter
-    (see pedal.hybrid_frame).
-    pole_by_s marks the family whose points take the pole as s alone.
+    parameters t alone and returns points(m), the points for the pole m:
+    one pole, or a chunk of k poles as (k, 1) coordinate arrays.  It is the
+    family's one point evaluator, which harness.family_evaluator and
+    harness.scan call; the evolutoid has no pole and no frame.  Every
+    family is sampled on ParamGrid(n), whose n nodes are the even nodes of
+    its 2n grid.  on_ellipse marks the families whose closed form holds
+    only for poles on the ellipse (curves.pole_on_ellipse); hybrid and
+    negative pedal serve such a pole from their reduced form, finite at its
+    own parameter (see pedal.hybrid_frame).  ellipse_pole_only marks the
+    family that has no points at all for a pole off the ellipse
+    (pseudo-Talbot), which family_evaluator, scan and the CLI refuse.
     """
 
     name: str
     area: Callable
     frame: Optional[Callable]
     on_ellipse: bool = False
-    pole_by_s: bool = False
+    ellipse_pole_only: bool = False
 
     @staticmethod
     def of(value) -> "Family":
@@ -115,7 +115,7 @@ def _evolutoid_area(a, b, rho, theta, mu):
 # choices are derived from it
 FAMILIES = {f.name: f for f in (
     Family("ellipse", lambda a, b, rho, theta, mu: math.pi * a * b,
-           lambda e, t, theta, mu: lambda m, s: ellipse_point(e, t)),
+           lambda e, t, theta, mu: lambda m: ellipse_point(e, t)),
     Family("pedal", lambda a, b, rho, theta, mu: 0.5 * math.pi * (a * a + b * b + rho),
            lambda e, t, theta, mu: pedal_frame(e, t)),
     Family("contrapedal", lambda a, b, rho, theta, mu: 0.5 * math.pi * ((a - b) ** 2 + rho),
@@ -129,7 +129,8 @@ FAMILIES = {f.name: f for f in (
                math.pi * (3 * a ** 4 + 2 * a * a * b * b + 3 * b ** 4) / (2 * a * b)),
            lambda e, t, theta, mu: hybrid_frame(e, t), on_ellipse=True),
     Family("pseudo_talbot", _pseudo_talbot_area,
-           lambda e, u, theta, mu: pseudo_talbot_frame(e, u), on_ellipse=True, pole_by_s=True),
+           lambda e, u, theta, mu: pseudo_talbot_frame(e, u), on_ellipse=True,
+           ellipse_pole_only=True),
     Family("negative_pedal", lambda a, b, rho, theta, mu: (
                -math.pi * (a * a - b * b) ** 2 / (2 * a * b)),
            lambda e, t, theta, mu: negative_pedal_frame(e, t), on_ellipse=True),
@@ -195,20 +196,14 @@ def closed_form_area(family, e: Ellipse, m=(0.0, 0.0),
 
 
 def _uniform_step(params: np.ndarray) -> float:
-    if params.shape[-1] < 8:
+    if params.size < 8:
         raise QuadratureError("quadrature needs at least 8 samples")
-    gaps = np.diff(params, axis=-1)
-    step = gaps.flat[0]
+    gaps = np.diff(params)
+    step = gaps[0]
     # np.allclose(gaps, step, rtol=GRID_STEP_TOL, atol=GRID_STEP_TOL), without its temporaries
     if not np.max(np.abs(gaps - step)) <= GRID_STEP_TOL + GRID_STEP_TOL * abs(step):
         raise QuadratureError("quadrature requires a uniform parameter grid")
     return float(step)
-
-
-def _single_curve_step(curve: SampledCurve) -> float:
-    if curve.points.ndim != 2:
-        raise DomainError("expected one sampled curve, not a stack")
-    return _uniform_step(curve.params)
 
 
 def _fft_derivative(vals: np.ndarray) -> np.ndarray:
@@ -223,26 +218,29 @@ def _fft_derivative(vals: np.ndarray) -> np.ndarray:
 def area_rule(params) -> Callable:
     """The spectral area rule of one row of n parameters.
 
-    The row is checked here, once: at least 8 samples, strictly increasing,
-    one uniform step, exactly one period.  Returns rule(points), the signed
-    area 1/2 * integral(x y' - y x') of the closed curve sampled at the row,
-    points of shape (n, 2), or an array of k areas for a stack of k curves
-    on the row, points of shape (k, n, 2); each is bitwise the area of its
-    curve alone.  With X = rfft(x) and Y = rfft(y) over the n samples,
-    Parseval's identity turns the integral into
+    The row is checked here, once: one row, at least 8 samples, strictly
+    increasing, one uniform step, exactly one period.  Returns rule(points),
+    the signed area 1/2 * integral(x y' - y x') of the closed curve sampled
+    at the row, points of shape (n, 2), or an array of k areas for a stack
+    of k curves on the row, points of shape (k, n, 2); each is bitwise the
+    area of its curve alone.  With X = rfft(x) and Y = rfft(y) over the n
+    samples, Parseval's identity turns the integral into
     A = -(4 pi / n^2) sum_k k Im(conj(X_k) Y_k); the lone Nyquist mode of an
     even n is left out, as a spectral derivative would zero it.  Periodic
     grids of a couple thousand points resolve analytic curves to machine
-    precision.  A row that fails a check raises DomainError (not
-    increasing) or QuadratureError; an area that overflows to a non-finite
-    value raises QuadratureError.  A scan builds one rule per grid size and
-    hands it every chunk of poles.
+    precision.  A row that fails a check raises DomainError (not one row,
+    not increasing) or QuadratureError; points of another shape raise
+    DomainError, and an area that overflows to a non-finite value raises
+    QuadratureError.  A scan builds one rule per grid size and hands it
+    every chunk of poles.
     """
     params = np.asarray(params, dtype=float)
-    if params.shape[-1] >= 2 and not np.all(np.diff(params, axis=-1) > 0):
+    if params.ndim != 1:
+        raise DomainError(f"expected one row of params, got shape {params.shape}")
+    if not np.all(np.diff(params) > 0):
         raise DomainError("params must be strictly increasing")
     step = _uniform_step(params)
-    n = params.shape[-1]
+    n = params.size
     if abs(n * step - TWO_PI) > PERIOD_TOL:
         raise QuadratureError("sampled window must cover one full period")
     k = np.arange(n // 2 + 1, dtype=float)
@@ -251,6 +249,8 @@ def area_rule(params) -> Callable:
     scale = -4.0 * math.pi / (n * n)
 
     def rule(points):
+        if np.shape(points)[-2:] != (n, 2):
+            raise DomainError(f"points of shape {np.shape(points)} are not on {n} params")
         # both coordinate planes in one rfft call
         fx, fy = np.fft.rfft(np.moveaxis(points, -1, 0), axis=-1)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -264,10 +264,9 @@ def area_rule(params) -> Callable:
     return rule
 
 
-def signed_area_quadrature(curve: SampledCurve):
-    """Signed area 1/2 * integral(x y' - y x') of a closed sampled curve, or
-    an array of k areas for a stack of k curves (see SampledCurve): the
-    area_rule of its params applied to its points.  The grid must be
+def signed_area_quadrature(curve: SampledCurve) -> float:
+    """Signed area 1/2 * integral(x y' - y x') of a closed sampled curve:
+    the area_rule of its params applied to its points.  The grid must be
     uniform and must cover exactly one period.
     """
     return area_rule(curve.params)(curve.points)
@@ -291,7 +290,7 @@ def settled_area(coarse: float, fine: float) -> float:
 
 def perimeter_quadrature(curve: SampledCurve) -> float:
     """Closed-polyline length with one Richardson step against the half grid."""
-    _single_curve_step(curve)
+    _uniform_step(curve.params)
     pts = curve.points
     n = len(pts)
     seg = np.roll(pts, -1, axis=0) - pts
@@ -364,7 +363,7 @@ def curvature_centroid_samples(curve: SampledCurve) -> Point2:
     Curves of rotation index zero (figure-eights) have no such centroid and
     raise ZeroRotationIndex.
     """
-    step = _single_curve_step(curve)
+    step = _uniform_step(curve.params)
     x = curve.points[:, 0]
     y = curve.points[:, 1]
     dx, dy = _fft_derivative(x), _fft_derivative(y)

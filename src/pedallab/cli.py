@@ -224,9 +224,9 @@ def _build_curve(args, e: Ellipse):
         if s is None and spec.on_ellipse and pole_on_ellipse(e, m):
             # an --m on the ellipse names the same pole as --s at its parameter
             s = math.atan2(m[1] / e.b, m[0] / e.a)
-        if spec.pole_by_s and s is None:
+        if spec.ellipse_pole_only and s is None:  # the pole is off the ellipse
             raise UsageProblem(f"{fam} needs its pole on the ellipse: give --s")
-        ev = family_evaluator(e, fam, m, theta=args.theta, mu=args.mu, s=s)
+        ev = family_evaluator(e, fam, m, theta=args.theta, mu=args.mu)
     if s is not None and spec.on_ellipse:
         # a pole on the ellipse: nodes half a step off its own parameter s
         grid = ParamGrid(count=args.n, start=s, offset=0.5)

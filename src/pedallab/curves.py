@@ -217,12 +217,9 @@ class ParamGrid:
 class SampledCurve:
     """Closed polyline of curve samples, the exchange format for quadrature.
 
-    The optional evaluator is the function the samples came from; detectors
-    use it to refine features below the grid resolution.  A stack of k
-    curves has points of shape (k, n, 2) and params of shape (k, n), or
-    (n,) when all k share one row of parameters, which is then checked
-    once; only signed_area_quadrature takes stacks, and len() counts the
-    samples of all of them.
+    One curve: params of shape (n,), points of shape (n, 2).  The optional
+    evaluator is the function the samples came from; detectors use it to
+    refine features below the grid resolution.
     """
 
     params: np.ndarray
@@ -232,16 +229,14 @@ class SampledCurve:
     def __post_init__(self):
         self.params = np.asarray(self.params, dtype=float)
         self.points = np.asarray(self.points, dtype=float)
-        # a stack of curves on one shared row of params has one more leading axis
-        lead = 1 if self.params.ndim == 1 and self.points.ndim == 3 else 0
-        if self.points.shape[lead:] != self.params.shape + (2,) or self.params.ndim not in (1, 2):
+        if self.params.ndim != 1 or self.points.shape != self.params.shape + (2,):
             raise DomainError(
                 f"points shape {self.points.shape} does not match params shape {self.params.shape}")
-        if self.params.shape[-1] >= 2 and not np.all(np.diff(self.params, axis=-1) > 0):
+        if not np.all(np.diff(self.params) > 0):
             raise DomainError("params must be strictly increasing")
 
     def __len__(self) -> int:
-        return self.points.size // 2
+        return len(self.params)
 
 
 def sample_curve(f: Callable, grid: ParamGrid) -> SampledCurve:

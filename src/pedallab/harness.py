@@ -15,11 +15,12 @@ sampled on ParamGrid(n), the same row of nodes for every pole, so a scan
 builds its nodes and frame once per grid size and no trig is redone for a
 chunk: the Steiner families' frames hold the ellipse at t, and the
 boundary families' frames (hybrid, pseudo-Talbot, negative pedal) their
-three columns in (cos s, sin s).  The n grid is the even half of the 2n
-grid, so a chunk is sampled once, at 2n, and its n-point areas are taken
-from the even samples.  The scan's epilogue (doubling gaps, the settled
-test, closed forms, spread) works on arrays over all poles; only a pole
-whose chunk failed is re-run by itself.
+three columns in (cos s, sin s), which they read from each pole P(s) on
+the ellipse.  The n grid is the even half of the 2n grid, so a chunk is
+sampled once, at 2n, and its n-point areas are taken from the even
+samples.  The scan's epilogue (doubling gaps, the settled test, closed
+forms, spread) works on arrays over all poles; only a pole whose chunk
+failed is re-run by itself.
 
 Reports carry plain Python data and serialize to JSON deterministically:
 same inputs, byte-identical files.
@@ -52,6 +53,7 @@ from .curves import (
     as_xy,
     ellipse_point,
     ellipse_support,
+    pole_on_ellipse,
     sample_curve,
 )
 from .errors import DomainError, GeometryError, QuadratureError
@@ -133,24 +135,22 @@ def family_evaluator(e: Ellipse, family, m, theta: float = 0.0, mu: float = 0.5,
 
     It is the family's registry frame (areas.Family.frame) built at the
     ellipse parameters t and called for the pole, the one way to evaluate a
-    family with a pole.  s is the boundary parameter of the pole, 0 when
-    omitted; pseudo-Talbot requires it because its pole lives on the
-    ellipse by construction.  Hybrid and negative pedal do not read s: a
-    pole on the ellipse (curves.pole_on_ellipse) takes their reduced form
-    at its own parameter, finite there, and any other pole their rational
-    form, as in a scan.  For a chunk of k poles, m is a pair of (k, 1)
-    coordinate arrays and s a (k, 1) array; the evaluator then returns
-    (k, n, 2) points for n parameters.
+    family with a pole.  Hybrid and negative pedal serve a pole on the
+    ellipse (curves.pole_on_ellipse) from their reduced form at its own
+    parameter, finite there, and any other pole from their rational form,
+    as in a scan.  Pseudo-Talbot has points only for a pole on the ellipse;
+    any other pole raises DomainError here.  For a chunk of k poles, m is a
+    pair of (k, 1) coordinate arrays; the evaluator then returns (k, n, 2)
+    points for n parameters.  s is not read: it stays for callers that
+    still pass the pole's boundary parameter.
     """
     fam = Family.of(family)
     build = fam.frame
     if build is None:
         raise DomainError(f"no point evaluator for family {family!r}")
-    if s is None:
-        if fam.pole_by_s:
-            raise DomainError(f"{fam.name} needs the boundary parameter of its pole")
-        s = 0.0
-    return lambda t: build(e, t, theta, mu)(m, s)
+    if fam.ellipse_pole_only and not np.all(pole_on_ellipse(e, m)):
+        raise DomainError(f"{fam.name} needs its pole on the ellipse")
+    return lambda t: build(e, t, theta, mu)(m)
 
 
 def family_grid(family, n: int, s=0.0) -> ParamGrid:
@@ -201,21 +201,21 @@ class InvarianceReport:
         }
 
 
-def _pole_areas(e: Ellipse, fam: str, m, s: float, n: int, theta: float, mu: float):
+def _pole_areas(e: Ellipse, fam: str, m, n: int, theta: float, mu: float):
     """Areas at n and 2n points of one pole, sampled through sample_curve,
     whose errors name the node that failed."""
-    ev = family_evaluator(e, fam, m, theta=theta, mu=mu, s=s)
-    return tuple(signed_area_quadrature(sample_curve(ev, family_grid(fam, count, s)))
+    ev = family_evaluator(e, fam, m, theta=theta, mu=mu)
+    return tuple(signed_area_quadrature(sample_curve(ev, family_grid(fam, count)))
                  for count in (n, 2 * n))
 
 
-def _chunk_areas(points: Callable, m, s, size: int, rules) -> np.ndarray:
+def _chunk_areas(points: Callable, m, size: int, rules) -> np.ndarray:
     """Areas of a chunk's curves, sampled by one points() call on a row of
     size nodes, as a (len(rules), k) array.  rules holds (rule, stride)
     pairs: each area rule takes every stride-th sample.  Rows not all
     finite come back NaN; the samples are released on return."""
     # the ellipse family has no pole: its one curve stands for all k
-    pts = np.broadcast_to(np.asarray(points(m, s), dtype=float), (len(m[0]), size, 2))
+    pts = np.broadcast_to(np.asarray(points(m), dtype=float), (len(m[0]), size, 2))
     ok = np.all(np.isfinite(pts), axis=(1, 2))
     out = np.full((len(rules), len(ok)), np.nan)
     if ok.any():
@@ -225,32 +225,30 @@ def _chunk_areas(points: Callable, m, s, size: int, rules) -> np.ndarray:
     return out
 
 
-def _sweep(frame: Callable, fam: str, poles: np.ndarray, s_all, n: int,
+def _sweep(frame: Callable, fam: str, poles: np.ndarray, n: int,
            per_chunk: int) -> np.ndarray:
     """Areas at n and at 2n points of all poles, in chunks of per_chunk, as
     a (2, count) array: the coarse row, then the fine one.
 
-    frame(t) builds the family's frame on the nodes t.  s_all is 0.0 or a
-    (count, 1) array of boundary parameters.  The grid nests: its n nodes
-    are the even nodes of its 2n nodes, bit for bit, so the 2n nodes, their
-    frame and the area rules of both grid sizes (areas.area_rule, whose row
-    checks run once) are built once for all chunks.  A chunk makes one
-    points() call at 2n, and its n-point areas come from the even samples,
-    by the rule of t[::2]; its finite rows go to each rule in one stack.
-    Poles whose chunk raised, or whose samples are not all finite, come
-    back NaN.
+    frame(t) builds the family's frame on the nodes t.  The grid nests: its
+    n nodes are the even nodes of its 2n nodes, bit for bit, so the 2n
+    nodes, their frame and the area rules of both grid sizes
+    (areas.area_rule, whose row checks run once) are built once for all
+    chunks.  A chunk makes one points() call at 2n, and its n-point areas
+    come from the even samples, by the rule of t[::2]; its finite rows go
+    to each rule in one stack.  Poles whose chunk raised, or whose samples
+    are not all finite, come back NaN.
     """
     t = family_grid(fam, 2 * n).nodes()
     points, rules = None, [(area_rule(t[::2]), 2), (area_rule(t), 1)]
     out = np.full((2, len(poles)), np.nan)
     for c0 in range(0, len(poles), per_chunk):
         chunk = slice(c0, c0 + per_chunk)
-        s = s_all[chunk] if np.ndim(s_all) else s_all
         m = (poles[chunk, :1], poles[chunk, 1:])
         try:
             if points is None:
                 points = frame(t)
-            out[:, chunk] = _chunk_areas(points, m, s, t.size, rules)
+            out[:, chunk] = _chunk_areas(points, m, t.size, rules)
         except GeometryError:
             pass
     return out
@@ -287,20 +285,16 @@ def scan(e: Ellipse, family, locus: LocusSpec, n: int = 2048,
     fam = spec.name
     if spec.frame is None:
         raise DomainError(f"family {fam!r} has no pole to scan")
-    if spec.pole_by_s and locus.kind != "boundary":
+    poles = locus.poles(e)
+    if spec.ellipse_pole_only and not pole_on_ellipse(e, poles).all():
         raise DomainError(f"{fam} poles live on the ellipse; use a boundary locus")
 
     _require_count("grid size n", n, 8)
     _require_finite("theta and mu", theta, mu)
     _require_tol(tol)
 
-    boundary = locus.kind == "boundary"
-    angles = locus.angles()
-    poles = locus.poles(e)
     per_chunk = max(1, CHUNK_POINTS // (2 * n))
-    s_all = angles[:, None] if boundary else 0.0
-    coarse, fine = _sweep(lambda t: spec.frame(e, t, theta, mu), fam, poles, s_all, n,
-                          per_chunk)
+    coarse, fine = _sweep(lambda t: spec.frame(e, t, theta, mu), fam, poles, n, per_chunk)
 
     # a pole whose row came back non-finite is re-run alone, so its error
     # names the node that failed
@@ -308,9 +302,7 @@ def scan(e: Ellipse, family, locus: LocusSpec, n: int = 2048,
     have = np.isfinite(coarse) & np.isfinite(fine)
     for j in np.flatnonzero(~have):
         try:
-            coarse[j], fine[j] = _pole_areas(e, fam, tuple(poles[j].tolist()),
-                                             float(angles[j]) if boundary else 0.0,
-                                             n, theta, mu)
+            coarse[j], fine[j] = _pole_areas(e, fam, tuple(poles[j].tolist()), n, theta, mu)
             have[j] = True
         except GeometryError as exc:
             errors[j] = str(exc)

@@ -19,26 +19,26 @@ ellipse P(t) = (a cos t, b sin t) and a fixed pole M:
 Point evaluators are vectorized over t and complex-safe, so the cusp finder
 can differentiate them by complex step.  Every ellipse family with a pole M
 is evaluated in two steps: a frame builder does the work that depends on
-the parameters alone and returns points(m, s), the points for the pole m
-whose boundary parameter is s, so a scan can share one frame among all the
-poles of a grid.  points() also takes a chunk of k poles as a pair of
-(k, 1) coordinate arrays (see curves.pole_xy) with a (k, 1) array s, and
-then returns one curve per pole.  The frames are called through the
-registry, areas.FAMILIES, and harness.family_evaluator:
+the parameters alone and returns points(m), the points for the pole m, so
+a scan can share one frame among all the poles of a grid.  points() also
+takes a chunk of k poles as a pair of (k, 1) coordinate arrays (see
+curves.pole_xy), and then returns one curve per pole.  The frames are
+called through the registry, areas.FAMILIES, and harness.family_evaluator:
 
 * pedal, contrapedal, rotated and interpolated: a FootFrame holds P(t), the
   line directions and their squared lengths, and its points drop the feet
-  from the pole (s is not read);
+  from the pole;
 * pseudo-Talbot, hybrid and negative pedal are affine in (cos s, sin s)
-  of their pole P(s): each coordinate is F0(t) + cos s Fc(t) + sin s Fs(t),
-  and their frames hold the three columns of each (_affine_frame).  For
-  hybrid and negative pedal this is the rational form with its removable
-  singularity at t = s divided out, a trigonometric polynomial of degree 2
-  in t, finite at t = s.  It serves exactly the poles on the ellipse
-  (curves.pole_on_ellipse), read as P(s) with (cos s, sin s) = (x/a, y/b),
-  so these two frames do not read s; any other pole takes the rational
-  form, which keeps its singularity and its SingularParameter /
-  SingularFamily errors.
+  of a pole P(s) on the ellipse, read from the pole as
+  (cos s, sin s) = (x/a, y/b): each coordinate is
+  F0(t) + cos s Fc(t) + sin s Fs(t), and their frames hold the three
+  columns of each (_affine_frame).  For hybrid and negative pedal this is
+  the rational form with its removable singularity at t = s divided out, a
+  trigonometric polynomial of degree 2 in t, finite at t = s.  It serves
+  exactly the poles on the ellipse (curves.pole_on_ellipse); any other pole
+  takes the rational form, which keeps its singularity and its
+  SingularParameter / SingularFamily errors.  Pseudo-Talbot has no other
+  form: it has no points for a pole off the ellipse.
 
 The evolutoid has no pole and no frame: evolutoid_point evaluates it.
 """
@@ -122,11 +122,10 @@ class FootFrame:
         np.add(self.py, u * dy, out=planes[1, ...])
         return np.moveaxis(planes, 0, -1)
 
-    def __call__(self, m, s=0.0):
+    def __call__(self, m):
         """Feet of the perpendiculars from m (a pole, or a chunk of poles as
         (k, 1) coordinate arrays), blended as (1 - mu) * foot on d +
-        mu * foot on d2 when the frame has a second line.  s, the pole's
-        boundary parameter, is not read: a foot depends on m alone."""
+        mu * foot on d2 when the frame has a second line."""
         x0, y0 = pole_xy(m)
         foot = self._foot(x0, y0, self.lines[0])
         if len(self.lines) == 1:
@@ -214,19 +213,21 @@ def _envelope_solve(t, nx, ny, mx, my, d, dd):
 # frames of the boundary families
 
 
-def _affine_frame(fx, fy) -> Callable:
-    """points(cs, ss) of a curve whose coordinates are F0 + cs Fc + ss Fs,
-    for (cs, ss) = (cos s, sin s) of its pole P(s).
+def _affine_frame(e: Ellipse, fx, fy) -> Callable:
+    """points(x0, y0) of a curve whose coordinates are F0 + cos s Fc +
+    sin s Fs for its pole P(s) = (x0, y0) on the ellipse, which gives
+    (cos s, sin s) = (x0/a, y0/b).
 
     fx and fy are the columns (F0, Fc, Fs) of x and of y, arrays over the
     parameters.  The points are written into a (2, ..., n) buffer of
     coordinate planes, of the columns' dtype (complex under a complex step)
     and of any shape, 0-d included; the (..., n, 2) view of it is returned,
-    so the quadrature reads each plane contiguously.  (k, 1) arrays cs and
-    ss stand for k poles.
+    so the quadrature reads each plane contiguously.  (k, 1) arrays x0 and
+    y0 stand for k poles.
     """
 
-    def points(cs, ss):
+    def points(x0, y0):
+        cs, ss = x0 / e.a, y0 / e.b
         # F0 + cs Fc first, whose shape and dtype the planes take: the
         # helpers that work them out from the columns cost more than the
         # sums on the few parameters of a cusp-refinement step
@@ -240,24 +241,24 @@ def _affine_frame(fx, fy) -> Callable:
 
 
 def _by_pole(e: Ellipse, t, reduced: Callable, rational: Callable) -> Callable:
-    """points(m, s) of a boundary family at the parameters t: for a pole on
-    the ellipse (curves.pole_on_ellipse), the reduced frame reduced(e, t)
-    at (cos s, sin s) = (x/a, y/b), the pole's own parameter; for any other
-    pole, the rational frame rational(e, t).  s is not read.  Each frame is
-    built on first use and kept, so a call builds only the one it needs.  A
-    chunk that mixes both kinds of pole gets each row from its own frame."""
+    """points(m) of a boundary family at the parameters t: for a pole on
+    the ellipse (curves.pole_on_ellipse), the reduced frame reduced(e, t),
+    an _affine_frame; for any other pole, the rational frame rational(e, t).
+    Each frame is built on first use and kept, so a call builds only the
+    one it needs.  A chunk that mixes both kinds of pole gets each row from
+    its own frame."""
     frame = functools.cache(lambda build: build(e, t))
 
-    def points(m, s):
+    def points(m):
         x0, y0 = pole_xy(m)
         on = pole_on_ellipse(e, (x0, y0))
         if on.all():
-            return frame(reduced)(x0 / e.a, y0 / e.b)
+            return frame(reduced)(x0, y0)
         if not on.any():
-            return frame(rational)(m, s)
+            return frame(rational)(m)
         rows = on[:, 0]
-        red = frame(reduced)(x0[rows] / e.a, y0[rows] / e.b)
-        rat = frame(rational)((x0[~rows], y0[~rows]), s)
+        red = frame(reduced)(x0[rows], y0[rows])
+        rat = frame(rational)((x0[~rows], y0[~rows]))
         out = np.empty((len(rows),) + red.shape[1:], dtype=np.result_type(red, rat))
         out[rows], out[~rows] = red, rat
         return out
@@ -273,11 +274,11 @@ def negative_pedal_rational_frame(e: Ellipse, t) -> Callable:
     """The negative pedal of any pole at the ellipse parameters t, as the
     envelope of its line pencil.
 
-    Returns points(m, s), the envelope points of the lines through P(t)
+    Returns points(m), the envelope points of the lines through P(t)
     perpendicular to P(t) - m: each line n . X = d, for n = P(t) - m and
-    d = n . P(t), solved together with its t-derivative.  s is not read.  A
-    chunk of poles takes (k, 1) arrays m.  For m on the ellipse at P(s) the
-    pencil is singular at t = s, where SingularFamily names t.
+    d = n . P(t), solved together with its t-derivative.  A chunk of poles
+    takes (k, 1) arrays m.  For m on the ellipse at P(s) the pencil is
+    singular at t = s, where SingularFamily names t.
     """
     t = np.asarray(t)
     ct, st = np.cos(t), np.sin(t)
@@ -286,7 +287,7 @@ def negative_pedal_rational_frame(e: Ellipse, t) -> Callable:
     px, py = np.asarray(e.a * ct), np.asarray(e.b * st)
     vx, vy = np.asarray(-e.a * st), np.asarray(e.b * ct)
 
-    def points(m, s):
+    def points(m):
         x0, y0 = pole_xy(m)
         nx, ny = px - x0, py - y0
         d = nx * px + ny * py
@@ -297,22 +298,22 @@ def negative_pedal_rational_frame(e: Ellipse, t) -> Callable:
 
 
 def _negative_pedal_reduced(e: Ellipse, t) -> Callable:
-    """points(cs, ss) of the negative pedal of the pole P(s), with the
+    """points(x0, y0) of the negative pedal of the pole P(s), with the
     removable singularity of its pencil at t = s divided out (see
     negative_pedal_frame)."""
     t = np.asarray(t)
     al, be = (e.a * e.a + e.b * e.b) / (2 * e.a), (e.a * e.a + e.b * e.b) / (2 * e.b)
     ga, de = e.c2 / (2 * e.a), e.c2 / (2 * e.b)
     c1, s1, c2, s2 = np.cos(t), np.sin(t), np.cos(2 * t), np.sin(2 * t)
-    return _affine_frame((2 * ga * c1, ga * c2 - al, -ga * s2),
-                         (-2 * de * s1, de * s2, de * c2 - be))
+    return _affine_frame(e, (2 * ga * c1, ga * c2 - al, -ga * s2),
+                            (-2 * de * s1, de * s2, de * c2 - be))
 
 
 def negative_pedal_frame(e: Ellipse, t) -> Callable:
     """The negative pedal at the ellipse parameters t: envelope of the lines
     through P(t) perpendicular to P(t) - m.
 
-    Returns points(m, s).  For a pole on the ellipse, at P(s), the
+    Returns points(m).  For a pole on the ellipse, at P(s), the
     determinant of the pencil is ab (1 - cos(t - s)) and its numerators
     vanish there to the same order; divided out, the curve is a
     trigonometric polynomial of degree 2 in t, affine in (cos s, sin s).
@@ -320,9 +321,8 @@ def negative_pedal_frame(e: Ellipse, t) -> Callable:
     beta = (a^2 + b^2) / (2b), gamma = c^2 / (2a) and delta = c^2 / (2b):
     x = -alpha cos s + 2 gamma cos t + gamma cos(2t + s) and
     y = -beta sin s - 2 delta sin t + delta sin(2t + s), finite at t = s.
-    The pole gives s: (cos s, sin s) = (x/a, y/b), and the argument s is
-    not read.  Any other pole takes the pencil itself
-    (negative_pedal_rational_frame).
+    The pole gives s: (cos s, sin s) = (x/a, y/b).  Any other pole takes
+    the pencil itself (negative_pedal_rational_frame).
     """
     return _by_pole(e, t, _negative_pedal_reduced, negative_pedal_rational_frame)
 
@@ -335,10 +335,10 @@ def hybrid_rational_frame(e: Ellipse, t) -> Callable:
     """The hybrid curve of any pole at the ellipse parameters t, as a
     rational function of the harmonics of t.
 
-    Returns points(m, s): the intersections of the perpendicular to the
+    Returns points(m): the intersections of the perpendicular to the
     tangent direction at P(t) drawn through m with the perpendicular to
     m - P(t) drawn through P(t).  The frame holds cos j t and sin j t for
-    j = 1, 2, 3.  s is not read.  A chunk of poles takes (k, 1) arrays m.
+    j = 1, 2, 3.  A chunk of poles takes (k, 1) arrays m.
     The point blows up where m sits on the tangent line at P(t), which for
     m on the ellipse at P(s) happens only at t = s; SingularParameter names
     t.
@@ -348,7 +348,7 @@ def hybrid_rational_frame(e: Ellipse, t) -> Callable:
     c2t, s2t = np.cos(2 * t), np.sin(2 * t)
     c3t, s3t = np.cos(3 * t), np.sin(3 * t)
 
-    def points(m, s):
+    def points(m):
         a, b = e.a, e.b
         x0, y0 = pole_xy(m)
         c2 = e.c2
@@ -369,29 +369,28 @@ def hybrid_rational_frame(e: Ellipse, t) -> Callable:
 
 
 def _hybrid_reduced(e: Ellipse, t) -> Callable:
-    """points(cs, ss) of the hybrid of the pole P(s), with its removable
+    """points(x0, y0) of the hybrid of the pole P(s), with its removable
     singularity at t = s divided out (see hybrid_frame)."""
     t = np.asarray(t)
     al, be = (e.a * e.a + e.b * e.b) / (2 * e.a), (e.a * e.a + e.b * e.b) / (2 * e.b)
     ga, de = e.c2 / (2 * e.a), e.c2 / (2 * e.b)
     c1, s1, c2, s2 = np.cos(t), np.sin(t), np.cos(2 * t), np.sin(2 * t)
-    return _affine_frame((2 * al * c1, al - ga * c2, ga * s2),
-                         (2 * be * s1, -de * s2, be - de * c2))
+    return _affine_frame(e, (2 * al * c1, al - ga * c2, ga * s2),
+                            (2 * be * s1, -de * s2, be - de * c2))
 
 
 def hybrid_frame(e: Ellipse, t) -> Callable:
     """The hybrid curve at the ellipse parameters t.
 
-    Returns points(m, s).  For a pole on the ellipse, at P(s), the
+    Returns points(m).  For a pole on the ellipse, at P(s), the
     denominator of the rational form is 4ab (cos(t - s) - 1) and its
     numerators vanish there to the same order; divided out, the curve is a
     trigonometric polynomial of degree 2 in t, affine in (cos s, sin s).  With alpha, beta, gamma
     and delta as in negative_pedal_frame:
     x = alpha cos s + 2 alpha cos t - gamma cos(2t + s) and
     y = beta sin s + 2 beta sin t - delta sin(2t + s), finite at t = s.
-    The pole gives s: (cos s, sin s) = (x/a, y/b), and the argument s is
-    not read.  Any other pole takes the rational form
-    (hybrid_rational_frame).
+    The pole gives s: (cos s, sin s) = (x/a, y/b).  Any other pole takes
+    the rational form (hybrid_rational_frame).
     """
     return _by_pole(e, t, _hybrid_reduced, hybrid_rational_frame)
 
@@ -401,16 +400,19 @@ def hybrid_frame(e: Ellipse, t) -> Callable:
 
 
 def pseudo_talbot_frame(e: Ellipse, u) -> Callable:
-    """The pseudo-Talbot curve at the traversal parameters u, for any pole.
+    """The pseudo-Talbot curve at the traversal parameters u.
 
     The curve is the cubic-harmonic companion of the hybrid curve for a
-    pole on the ellipse.  Returns points(m, s) for the pole P(s); m is not
-    read.  The traversal parameter u runs the curve so that its signed area
-    matches the orientation of the supporting line family, which is
-    opposite to the raw harmonic angle; internally the formula is evaluated
-    at angle -u.  The curve is affine in (cos s, sin s): each coordinate is
+    pole on the ellipse.  Returns points(m) for the pole m = P(s), read as
+    (cos s, sin s) = (x/a, y/b) like the reduced frames of hybrid_frame;
+    the curve has no points for a pole off the ellipse, which
+    harness.family_evaluator and harness.scan refuse.  The traversal
+    parameter u runs the curve so that its signed area matches the
+    orientation of the supporting line family, which is opposite to the raw
+    harmonic angle; internally the formula is evaluated at angle -u.  The
+    curve is affine in (cos s, sin s): each coordinate is
     F0(u) + cos s Fc(u) + sin s Fs(u), and the frame holds the three columns
-    of each.  A (k, 1) array s stands for k poles.
+    of each.  A chunk of poles takes (k, 1) arrays m.
     """
     a, b = e.a, e.b
     a2, b2 = a * a, b * b
@@ -422,13 +424,14 @@ def pseudo_talbot_frame(e: Ellipse, u) -> Callable:
     kx = 2 * ct2 * ct2 - 3 * ct2
     ky = 2 * ct2 * ct2 - ct2
     points = _affine_frame(
+        e,
         (ct * (a2 + b2) * (-a2 * st ** 2 - b2 * ct2 + 2 * b2) / (a * b2),
          -((kx + 1) * a4 - 2 * (kx + 1) * a2 * b2 + kx * b4) / (a * b2),
          -2 * c4 * st ** 3 * ct / (a * b2)),
         (st * (a2 + b2) * ((a2 - b2) * ct2 + a2) / (a2 * b),
          -2 * c4 * st * ct ** 3 / (a2 * b),
          -((ky - 1) * a4 - 2 * ky * a2 * b2 + ky * b4) / (a2 * b)))
-    return lambda m, s: points(np.cos(s), np.sin(s))
+    return lambda m: points(*pole_xy(m))
 
 
 # ---------------------------------------------------------------------------
@@ -438,13 +441,18 @@ def pseudo_talbot_frame(e: Ellipse, u) -> Callable:
 def evolutoid_point(e: Ellipse, theta: float, t):
     """Envelope point of lines meeting the ellipse at angle theta to the tangent.
 
-    theta = 0 returns P(t); theta = pi/2 returns the evolute point.
+    theta = 0 returns P(t); theta = pi/2 returns the evolute point.  A
+    parameter gives bitwise the same point alone, 0-d or not, as among
+    others.
     """
     a, b = e.a, e.b
     c2 = e.c2
     cth, sth = math.cos(theta), math.sin(theta)
     t = np.asarray(t)
-    ct, st = np.cos(t), np.sin(t)
+    # on a 1-d array, reshaped on return: a 0-d t would turn the rest into
+    # numpy scalar arithmetic, which can round differently from the array
+    # loops
+    ct, st = np.cos(t.reshape(-1)), np.sin(t.reshape(-1))
     x = (a * cth * cth * ct + c2 * sth * sth * ct ** 3 / a
          - st * sth * cth * (b * b * ct * ct + a * a * st * st) / b)
     y = (a * sth * cth * ct
@@ -452,7 +460,7 @@ def evolutoid_point(e: Ellipse, theta: float, t):
          + st * (b * b * cth * cth - c2 * sth * sth) / b)
     # not np.stack: on the few parameters of a cusp-refinement step it
     # costs more than a tenth of the whole call
-    return np.concatenate((x[..., None], y[..., None]), axis=-1)
+    return np.concatenate((x[:, None], y[:, None]), axis=-1).reshape(t.shape + (2,))
 
 
 def evolutoid_support(s: SupportCurve, theta: float) -> SupportCurve:

@@ -47,9 +47,9 @@ E = Ellipse(2.0, 1.0)
 REPO = Path(__file__).resolve().parents[1]
 
 
-def quad_area(family, m, n=2048, theta=0.0, mu=0.5, s=0.0):
-    ev = family_evaluator(E, family, m, theta=theta, mu=mu, s=s)
-    return signed_area_quadrature(sample_curve(ev, family_grid(family, n, s)))
+def quad_area(family, m, n=2048, theta=0.0, mu=0.5):
+    ev = family_evaluator(E, family, m, theta=theta, mu=mu)
+    return signed_area_quadrature(sample_curve(ev, family_grid(family, n)))
 
 
 def cos3_support():
@@ -153,8 +153,8 @@ def test_c08_negative_pedal_constant_and_three_cusps():
     assert rep.closed_form == pytest.approx(-math.pi * E.c2 ** 2 / (2 * E.a * E.b), rel=1e-12)
     # the envelope for a boundary pole is a deltoid: three cusps
     m = tuple(ellipse_point(E, 0.0))
-    ev = family_evaluator(E, "negative_pedal", m, s=0.0)
-    curve = sample_curve(ev, family_grid("negative_pedal", 2048, 0.0))
+    ev = family_evaluator(E, "negative_pedal", m)
+    curve = sample_curve(ev, family_grid("negative_pedal", 2048))
     assert len(find_cusps(curve)) == 3
 
 

@@ -209,40 +209,20 @@ class TestSignedAreaQuadrature:
         # both sum about n products of size |area|: a few hundred ulps apart at most
         assert abs(signed_area_quadrature(curve) - want) <= 1e-12 * max(1.0, abs(want))
 
-    def test_stack_gives_each_curve_its_own_area_bitwise(self):
-        starts = np.array([[0.0], [0.4], [1.1], [2.9], [5.0]])
-        poles = np.array([[0.7, -0.4], [-1.2, 0.3], [0.1, 0.9], [2.5, -1.5], [0.0, 0.0]])
-        t = starts + (np.arange(256) + 0.5) * (TWO_PI / 256)
-        pts = family_evaluator(E21, "pedal", (poles[:, :1], poles[:, 1:]))(t)
-        areas = signed_area_quadrature(SampledCurve(t, pts))
-        assert areas.shape == (5,)
-        for j, m in enumerate(poles):
-            alone = sample_curve(family_evaluator(E21, "pedal", m),
-                                 ParamGrid(256, start=float(starts[j, 0]), offset=0.5))
-            assert areas[j] == signed_area_quadrature(alone)
-
-    def test_stack_on_a_shared_row_equals_the_broadcast_rows_bitwise(self):
+    def test_stack_on_a_shared_row_equals_each_curve_alone_bitwise(self):
         poles = np.array([[0.7, -0.4], [-1.2, 0.3], [2.5, -1.5]])
         t = ParamGrid(256).nodes()
         pts = family_evaluator(E21, "pedal", (poles[:, :1], poles[:, 1:]))(t)
-        shared = signed_area_quadrature(SampledCurve(t, pts))
-        rows = signed_area_quadrature(SampledCurve(np.broadcast_to(t, (3, 256)), pts))
+        shared = area_rule(t)(pts)
         assert shared.shape == (3,)
-        assert np.array_equal(shared, rows)
+        for j, m in enumerate(poles):
+            alone = sample_curve(family_evaluator(E21, "pedal", m), ParamGrid(256))
+            assert shared[j] == signed_area_quadrature(alone)
 
-    def test_stack_with_an_overflowing_curve_is_rejected(self):
-        t = np.broadcast_to(ParamGrid(64).nodes(), (2, 64))
-        pts = np.stack([ellipse_point(E21, t[0]), 1e300 * ellipse_point(E21, t[0])])
+    def test_overflowing_curve_is_rejected(self):
+        t = ParamGrid(64).nodes()
         with pytest.raises(QuadratureError, match="not finite"):
-            signed_area_quadrature(SampledCurve(t, pts))
-
-    def test_single_curve_consumers_reject_stacks(self):
-        t = np.broadcast_to(ParamGrid(64).nodes(), (2, 64))
-        stack = SampledCurve(t, np.stack([ellipse_point(E21, t[0])] * 2))
-        with pytest.raises(DomainError):
-            perimeter_quadrature(stack)
-        with pytest.raises(DomainError):
-            curvature_centroid_samples(stack)
+            signed_area_quadrature(SampledCurve(t, 1e300 * ellipse_point(E21, t)))
 
     def test_rejects_partial_window(self):
         t = np.linspace(0, math.pi, 64, endpoint=False)
@@ -285,7 +265,21 @@ class TestAreaRule:
             want = two_rfft_area(t, np.ascontiguousarray(layout))
             assert np.shape(got) == (() if k is None else (k,))
             assert np.array_equal(got, want)
-        assert np.array_equal(signed_area_quadrature(SampledCurve(t, pts)), got)
+        for j, curve in enumerate([pts] if k is None else pts):
+            assert signed_area_quadrature(SampledCurve(t, curve)) == np.reshape(got, -1)[j]
+
+    def test_stack_on_one_shared_row(self):
+        t = ParamGrid(8).nodes()
+        assert np.array_equal(area_rule(t)(np.zeros((3, 8, 2))), np.zeros(3))
+        # points off the row's length, and a row that is not one row
+        for pts in (np.zeros((3, 9, 2)), np.zeros((3, 8, 3)), np.zeros(8)):
+            with pytest.raises(DomainError):
+                area_rule(t)(pts)
+        with pytest.raises(DomainError):
+            area_rule(np.broadcast_to(t, (3, 8)))
+        # a SampledCurve holds one curve
+        with pytest.raises(DomainError):
+            SampledCurve(t, np.zeros((3, 8, 2)))
 
     @pytest.mark.parametrize("params, error", [
         (np.linspace(0, TWO_PI, 5)[:-1], QuadratureError),

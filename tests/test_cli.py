@@ -144,6 +144,10 @@ class TestUsageErrors:
     def test_pseudo_talbot_needs_s(self, capsys):
         rc, _, err = run(capsys, "sample", "--family", "pseudo_talbot")
         assert rc == 2 and "--s" in err
+        # a pole off the ellipse given by --m is refused the same way
+        for cmd in ("sample", "area", "centroid"):
+            rc, _, err = run(capsys, cmd, "--family", "pseudo_talbot", "--m", "2,0.1")
+            assert rc == 2 and "--s" in err
 
     def test_scan_radius(self, capsys):
         rc, _, _ = run(capsys, "scan", "--family", "pedal", "--locus", "circle", "--r", "-1")

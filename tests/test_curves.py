@@ -128,15 +128,6 @@ class TestSampledCurve:
         with pytest.raises(DomainError):
             SampledCurve(params=np.array([0.0, 2.0, 1.0]), points=np.zeros((3, 2)))
 
-    def test_stack_on_one_shared_row(self):
-        stack = SampledCurve(params=np.arange(4.0), points=np.zeros((3, 4, 2)))
-        assert stack.params.shape == (4,)
-        assert len(stack) == 12
-        with pytest.raises(DomainError):
-            SampledCurve(params=np.arange(5.0), points=np.zeros((3, 4, 2)))
-        with pytest.raises(DomainError):
-            SampledCurve(params=np.array([0.0, 2.0, 1.0]), points=np.zeros((2, 3, 2)))
-
 
 class TestSampleCurve:
     def test_attaches_evaluator(self):

@@ -68,7 +68,7 @@ class TestLocusSpec:
 class TestFamilyPlumbing:
     def test_pseudo_talbot_needs_boundary_parameter(self):
         with pytest.raises(DomainError):
-            family_evaluator(E21, "pseudo_talbot", (2.0, 0.0))
+            family_evaluator(E21, "pseudo_talbot", (0.3, 0.2))
 
     def test_unknown_family(self):
         with pytest.raises(DomainError):
@@ -79,18 +79,27 @@ class TestFamilyPlumbing:
             family_evaluator(E21, "evolutoid", (0.0, 0.0))
 
     @pytest.mark.parametrize("fam", SCANNABLE)
-    def test_omitted_s_is_s_zero_bitwise(self, fam):
+    def test_evaluator_is_the_registry_frame_on_the_pole_bitwise(self, fam):
         # an interior pole, off every tangent line: hybrid and negative pedal
-        # are regular on the whole grid
-        m, t = (0.3, 0.2), ParamGrid(64, offset=0.5).nodes()
-        want = Family.of(fam).frame(E21, t, 0.6, 1 / 3)(m, 0.0)
-        got = family_evaluator(E21, fam, m, theta=0.6, mu=1 / 3, s=0.0)(t)
+        # are regular on the whole grid; pseudo-Talbot needs a pole on the
+        # ellipse
+        spec, t = Family.of(fam), ParamGrid(64, offset=0.5).nodes()
+        m = tuple(ellipse_point(E21, 0.7).tolist()) if spec.ellipse_pole_only else (0.3, 0.2)
+        want = spec.frame(E21, t, 0.6, 1 / 3)(m)
+        got = family_evaluator(E21, fam, m, theta=0.6, mu=1 / 3)(t)
         assert got.dtype == want.dtype and np.array_equal(got, want)
-        if Family.of(fam).pole_by_s:
-            with pytest.raises(DomainError):
-                family_evaluator(E21, fam, m, theta=0.6, mu=1 / 3)
-        else:
-            assert np.array_equal(family_evaluator(E21, fam, m, theta=0.6, mu=1 / 3)(t), want)
+        # s, still accepted, is not read
+        got = family_evaluator(E21, fam, m, theta=0.6, mu=1 / 3, s=2.0)(t)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("m", [(0.3, 0.2), (2.0, 0.1), (0.0, 0.0),
+                                   (np.array([[2.0], [0.3]]), np.array([[0.0], [0.2]]))])
+    def test_pseudo_talbot_refuses_a_pole_off_the_ellipse(self, m):
+        # a chunk with one pole off the ellipse is refused as a whole, and
+        # so is a pole given with a boundary parameter
+        for kw in ({}, {"s": 0.7}):
+            with pytest.raises(DomainError, match="on the ellipse"):
+                family_evaluator(E21, "pseudo_talbot", m, **kw)
 
     def test_boundary_families_get_the_nesting_grid(self):
         # hybrid runs in t on ParamGrid(n), finite at t = s, whatever the pole
@@ -110,6 +119,7 @@ class TestFamilyRegistry:
     def test_on_ellipse_families(self):
         on = [n for n, f in FAMILIES.items() if f.on_ellipse]
         assert on == ["hybrid", "pseudo_talbot", "negative_pedal"]
+        assert [n for n, f in FAMILIES.items() if f.ellipse_pole_only] == ["pseudo_talbot"]
 
     @pytest.mark.parametrize("name", list(FAMILIES))
     def test_every_family_gets_the_nesting_grid(self, name):
@@ -121,8 +131,8 @@ class TestFamilyRegistry:
         on_ellipse = Family.of(fam).on_ellipse
         s = 0.7 if on_ellipse else 0.0
         m = tuple(float(v) for v in ellipse_point(E21, s)) if on_ellipse else (0.7, -0.4)
-        ev = family_evaluator(E21, fam, m, theta=0.6, mu=1 / 3, s=s)
-        area = signed_area_quadrature(sample_curve(ev, family_grid(fam, 1024, s)))
+        ev = family_evaluator(E21, fam, m, theta=0.6, mu=1 / 3)
+        area = signed_area_quadrature(sample_curve(ev, family_grid(fam, 1024)))
         assert area == pytest.approx(closed_form_area(fam, E21, m, theta=0.6, mu=1 / 3),
                                      rel=1e-12)
 
@@ -180,6 +190,9 @@ class TestScan:
     def test_pseudo_talbot_rejects_circle_locus(self):
         with pytest.raises(DomainError):
             scan(E21, "pseudo_talbot", LocusSpec(kind="circle", r=1.0, count=4))
+        # r = a puts the first pole, (2, 0), on the ellipse, and only it
+        with pytest.raises(DomainError, match="boundary locus"):
+            scan(E21, "pseudo_talbot", LocusSpec(kind="circle", r=2.0, count=4))
 
     def test_evolutoid_has_no_pole(self):
         with pytest.raises(DomainError):

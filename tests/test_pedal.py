@@ -227,14 +227,14 @@ class TestEnvelopes:
         s = 0.7
         m = tuple(ellipse_point(E21, s))
         with pytest.raises(SingularFamily):
-            negative_pedal_rational_frame(E21, s)(m, s)
+            negative_pedal_rational_frame(E21, s)(m)
 
     @pytest.mark.parametrize("t", [
         0.3, 0.3 + 1e-200j, np.linspace(0.1, TWO_PI, 40),
         np.linspace(0.1, TWO_PI, 40) + 1e-200j, np.linspace(0.1, 6.0, 12).reshape(3, 4)])
     @pytest.mark.parametrize("m", [M, (3.0, 0.5), tuple(ellipse_point(E21, 0.7))])
     def test_negative_pedal_point_is_the_family_envelope_bitwise(self, t, m):
-        got = negative_pedal_rational_frame(E21, t)(m, 0.0)
+        got = negative_pedal_rational_frame(E21, t)(m)
         want = envelope_point(negative_pedal_family(E21, m), t)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
@@ -279,9 +279,10 @@ class TestPoleChunks:
     def test_pseudo_talbot_rows_equal_single_poles(self):
         s = np.array([[0.0], [0.4], [1.1], [2.9]])
         u = s + (np.arange(64) + 0.5) * (TWO_PI / 64)
-        got = point("pseudo_talbot", u, None, s=s)
+        poles = ellipse_point(E21, s[:, 0])
+        got = point("pseudo_talbot", u, (poles[:, :1], poles[:, 1:]))
         for j in range(4):
-            assert np.array_equal(got[j], point("pseudo_talbot", u[j], None, s=float(s[j, 0])))
+            assert np.array_equal(got[j], point("pseudo_talbot", u[j], tuple(poles[j])))
 
     def test_singular_pole_names_its_parameter(self):
         # one pole of the chunk sits on the tangent line at t = 0.9
@@ -435,7 +436,7 @@ class TestHybrid:
         s = 0.7
         m = tuple(ellipse_point(E21, s))
         with pytest.raises(SingularParameter):
-            hybrid_rational_frame(E21, s)(m, s)
+            hybrid_rational_frame(E21, s)(m)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +468,7 @@ class TestPseudoTalbot:
                 u = rng.uniform(0, TWO_PI)
                 if abs(math.remainder(u + 0.7, TWO_PI)) < 0.2:
                     continue  # hybrid pencil is singular where -u hits the pole
-                got = point("pseudo_talbot", u, m, e=e, s=0.7)
+                got = point("pseudo_talbot", u, m, e=e)
                 ref = envelope_point(fam, -u)
                 worst = max(worst, float(np.max(np.abs(got - ref))))
             assert worst < 1e-10
@@ -476,14 +477,14 @@ class TestPseudoTalbot:
         rng = np.random.default_rng(10)
         for _ in range(20):
             s, u = rng.uniform(0, TWO_PI, 2)
-            p = point("pseudo_talbot", u, None, s=s)
-            q = point("pseudo_talbot", -u, None, s=-s)
+            p = point("pseudo_talbot", u, boundary_pole(E21, s))
+            q = point("pseudo_talbot", -u, boundary_pole(E21, -s))
             np.testing.assert_allclose(q, [p[0], -p[1]], atol=1e-12)
 
     def test_frozen_points(self):
-        np.testing.assert_allclose(point("pseudo_talbot", 1.1, None, s=0.7),
+        np.testing.assert_allclose(point("pseudo_talbot", 1.1, boundary_pole(E21, 0.7)),
                                    [-0.9327821188390966, -2.1050097766271143], atol=1e-12)
-        np.testing.assert_allclose(point("pseudo_talbot", 2.5, None, s=0.3),
+        np.testing.assert_allclose(point("pseudo_talbot", 2.5, boundary_pole(E21, 0.3)),
                                    [0.6069271532577322, -4.694731636361474], atol=1e-12)
 
 
@@ -574,41 +575,62 @@ class TestBoundaryFrames:
         # rational form, whose cancellation costs digits like 1 / tau^2
         t = s + np.array([tau, TWO_PI - tau, tau - TWO_PI])
         m = boundary_pole(e, s)
-        got = FRAMES[fam](e, t)(m, s)
+        got = FRAMES[fam](e, t)(m)
         want = RATIONAL[fam](e, t, m)
-        scale = np.max(np.abs(FRAMES[fam](e, ParamGrid(64).nodes())(m, s)))
+        scale = np.max(np.abs(FRAMES[fam](e, ParamGrid(64).nodes())(m)))
         assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
     @settings(max_examples=40, deadline=None)
     @given(e=st.sampled_from(ELLIPSES), s=st.floats(-TWO_PI, TWO_PI),
            u=st.floats(0.0, TWO_PI))
     def test_pseudo_talbot_frame_matches_its_formula(self, e, s, u):
-        got = pseudo_talbot_frame(e, u)(None, s)
+        got = pseudo_talbot_frame(e, u)(boundary_pole(e, s))
         want = pseudo_talbot_reference(e, s, u)
         assert np.max(np.abs(got - want)) <= 1e-14 * (1.0 + np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("e, ulps", [(E21, 0), (Ellipse(3.0, 1.0), 4),
+                                         (Ellipse(1.5, 1.0), 4), (Ellipse(5.0, 2.0), 4)])
+    def test_pseudo_talbot_reads_the_angle_of_its_pole(self, monkeypatch, e, ulps):
+        # the frame reads (cos s, sin s) of P(s) as (x/a, y/b): bitwise cos s
+        # and sin s at a=2, b=1; elsewhere within an ulp of them, which moves
+        # a point by at most 1.4 ulps of its curve's largest coordinate
+        columns = []
+        affine = pedal_module._affine_frame
+        monkeypatch.setattr(pedal_module, "_affine_frame",
+                            lambda e, fx, fy: columns.append((fx, fy)) or affine(e, fx, fy))
+        frame = pseudo_talbot_frame(e, ParamGrid(256).nodes())
+        (fx, fy), = columns
+        s = np.random.default_rng(5).uniform(-TWO_PI, TWO_PI, (400, 1))
+        poles = ellipse_point(e, s[:, 0])
+        got = frame((poles[:, :1], poles[:, 1:]))
+        cs, ss = np.cos(s), np.sin(s)
+        want = np.stack([fx[0] + cs * fx[1] + ss * fx[2], fy[0] + cs * fy[1] + ss * fy[2]],
+                        axis=-1)
+        scale = np.max(np.abs(want), axis=(1, 2), keepdims=True)
+        assert np.all(np.abs(got - want) <= ulps * np.finfo(float).eps * scale)
 
     @pytest.mark.parametrize("fam", list(RATIONAL))
     @pytest.mark.parametrize("s", [0.0, 0.7, -2.4])
     def test_finite_at_the_pole_parameter(self, fam, s):
         m = boundary_pole(E21, s)
         t = np.array([s - 0.5, s, s + 0.5])
-        got = FRAMES[fam](E21, t)(m, s)
+        got = FRAMES[fam](E21, t)(m)
         assert np.all(np.isfinite(got))
         np.testing.assert_allclose(got, reduced_reference(fam, E21, t, s), rtol=0, atol=1e-14)
         # a 0-d parameter gives one point
-        assert np.array_equal(FRAMES[fam](E21, s)(m, s), got[1])
+        assert np.array_equal(FRAMES[fam](E21, s)(m), got[1])
         # the rational frame keeps its singularity and names t = s
         rational = {"hybrid": hybrid_rational_frame,
                     "negative_pedal": negative_pedal_rational_frame}[fam]
         with pytest.raises((SingularParameter, SingularFamily)) as info:
-            rational(E21, t)(m, s)
+            rational(E21, t)(m)
         assert info.value.t == pytest.approx(s, abs=1e-15)
 
     @pytest.mark.parametrize("fam", list(RATIONAL))
     @pytest.mark.parametrize("e", ELLIPSES)
     def test_no_modes_above_two(self, fam, e):
         s = 0.7
-        p = FRAMES[fam](e, ParamGrid(256).nodes())(boundary_pole(e, s), s)
+        p = FRAMES[fam](e, ParamGrid(256).nodes())(boundary_pole(e, s))
         modes = np.abs(np.fft.rfft(p, axis=0)) / 256
         assert np.max(modes[3:]) < 1e-14 * np.max(np.abs(p))
         assert np.min(np.max(modes[1:3], axis=1)) > 1e-3
@@ -623,11 +645,11 @@ class TestBoundaryFrames:
         t = s + tau
         frame = FRAMES[fam]
         for arg in (t, np.array([t, t + 1.0])):
-            z = frame(E21, arg + 1j * h)(m, s)
+            z = frame(E21, arg + 1j * h)(m)
             assert z.dtype.kind == "c"
             got = z.imag / h
-            want = (frame(E21, arg + dt)(m, s) - frame(E21, arg - dt)(m, s)) / (2 * dt)
-            scale = 1.0 + np.max(np.abs(frame(E21, arg)(m, s))) + np.max(np.abs(want))
+            want = (frame(E21, arg + dt)(m) - frame(E21, arg - dt)(m)) / (2 * dt)
+            scale = 1.0 + np.max(np.abs(frame(E21, arg)(m))) + np.max(np.abs(want))
             assert np.max(np.abs(got - want)) <= 1e-6 * scale
 
     @pytest.mark.parametrize("fam", list(RATIONAL))
@@ -681,6 +703,18 @@ class TestEvolutoid:
         h = 1e-200
         v = evolutoid_point(E21, theta, t + 1j * h).imag / h
         assert abs(v[0] * d[1] - v[1] * d[0]) < 1e-8
+
+    @pytest.mark.parametrize("theta", [0.3, 1.1, math.pi / 2])
+    @pytest.mark.parametrize("step", [0.0, 1e-200])
+    def test_a_parameter_alone_or_among_others_bitwise(self, theta, step):
+        # a scalar, a 0-d array, a size-1 array and an element of a large
+        # array give the same point, complex steps included
+        t = np.random.default_rng(11).uniform(-TWO_PI, TWO_PI, 1000) + 1j * step
+        t = t if step else t.real
+        many = evolutoid_point(E21, theta, t)
+        for j, x in enumerate(t):
+            for alone in (x, x.item(), np.asarray(x), t[j:j + 1]):
+                assert np.array_equal(evolutoid_point(E21, theta, alone).reshape(2), many[j])
 
     def test_support_form_matches_parametric_form(self):
         # the point with outward normal angle phi(tau) + theta on the support
@@ -1059,14 +1093,8 @@ def negative_pedal_curve(s, n=2048, wrap=lambda ev: ev):
     pencil is singular at t = s, sampled half a step off it: an evaluator
     that raises at one parameter and loses its velocity next to it."""
     m = tuple(float(v) for v in ellipse_point(E21, s))
-    ev = wrap(lambda t: negative_pedal_rational_frame(E21, t)(m, s))
+    ev = wrap(lambda t: negative_pedal_rational_frame(E21, t)(m))
     return sample_curve(ev, ParamGrid(n, start=s, offset=0.5))
-
-
-def as_arrays(ev):
-    """ev with a scalar parameter passed as a 1-element array, so that a
-    one-by-one caller gets the array arithmetic a lock-step caller gets."""
-    return lambda t: ev(np.reshape(t, -1)).reshape(np.shape(t) + (2,))
 
 
 class Counting:
@@ -1104,22 +1132,12 @@ CUSP_CASES = {
 class TestLockstepCusps:
     @pytest.mark.parametrize("case", sorted(CUSP_CASES))
     def test_equal_to_one_by_one_reference_bitwise(self, case):
+        # at the cusp-birth angle theta0 the speed vanishes to second order
+        # and the last golden steps compare speeds that differ by rounding
+        # alone; they match because an evolutoid point rounds the same for
+        # the one-by-one reference's 0-d parameters as for arrays
         curve = CUSP_CASES[case]()
-        got = find_cusps(curve)
-        if case == "evolutoid_theta0":
-            # the cusp pair is born here, so the speed vanishes to second
-            # order and the last golden steps compare speeds that differ by
-            # rounding alone.  A scalar evolutoid call rounds differently
-            # from an array call, so the one-by-one reference, which passes
-            # 0-d parameters, ends 3.3e-9 away; with array arithmetic it
-            # matches.
-            want = reference_find_cusps(curve)
-            assert len(got) == len(want) == 2
-            assert np.max(np.abs(got - want)) <= 1e-8
-            curve.evaluator = as_arrays(curve.evaluator)
-            assert np.array_equal(got, reference_find_cusps(curve))
-        else:
-            assert np.array_equal(got, reference_find_cusps(curve))
+        assert np.array_equal(find_cusps(curve), reference_find_cusps(curve))
 
     def test_evolute_makes_one_call_per_step_for_all_candidates(self):
         curve = sample_curve(evolutoid_ev(math.pi / 2), ParamGrid(2048))
