@@ -69,7 +69,12 @@ class Family:
     parameters t alone and returns points(m), the points for the pole m:
     one pole, or a chunk of k poles as (k, 1) coordinate arrays.  It is the
     family's one point evaluator, which harness.family_evaluator and
-    harness.scan call; the evolutoid has no pole and no frame.  Every
+    harness.scan call; the evolutoid has no pole and no frame.  Every frame
+    has one shape: three columns per coordinate, F0 + c1 F1 + c2 F2, affine
+    in (c1, c2) = (x, y) of the pole for the Steiner families and in
+    (cos s, sin s) of a pole P(s) on the ellipse for the boundary families;
+    only the rational forms of hybrid and negative pedal, for a pole off
+    the ellipse, are not affine (see pedal._affine_frame).  Every
     family is sampled on ParamGrid(n), whose n nodes are the even nodes of
     its 2n grid.  on_ellipse marks the families whose closed form holds
     only for poles on the ellipse (curves.pole_on_ellipse); hybrid and

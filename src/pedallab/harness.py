@@ -13,14 +13,15 @@ registry frame (areas.Family.frame), does the work that depends on the
 parameters alone and returns the points for a pole.  Every family is
 sampled on ParamGrid(n), the same row of nodes for every pole, so a scan
 builds its nodes and frame once per grid size and no trig is redone for a
-chunk: the Steiner families' frames hold the ellipse at t, and the
-boundary families' frames (hybrid, pseudo-Talbot, negative pedal) their
-three columns in (cos s, sin s), which they read from each pole P(s) on
-the ellipse.  The n grid is the even half of the 2n grid, so a chunk is
-sampled once, at 2n, and its n-point areas are taken from the even
-samples.  The scan's epilogue (doubling gaps, the settled test, closed
-forms, spread) works on arrays over all poles; only a pole whose chunk
-failed is re-run by itself.
+chunk: a frame holds three columns per coordinate, F0 + c1 F1 + c2 F2,
+affine in two coordinates read from each pole, (x, y) itself for the
+Steiner families and (cos s, sin s) of a pole P(s) on the ellipse for
+hybrid, pseudo-Talbot and the negative pedal (the rational forms of a
+pole off the ellipse excepted).  The n grid is the even half of the 2n
+grid, so a chunk is sampled once, at 2n, and its n-point areas are taken
+from the even samples.  The scan's epilogue (doubling gaps, the settled
+test, closed forms, spread) works on arrays over all poles; only a pole
+whose chunk failed is re-run by itself.
 
 Reports carry plain Python data and serialize to JSON deterministically:
 same inputs, byte-identical files.
@@ -29,7 +30,7 @@ same inputs, byte-identical files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -67,11 +68,12 @@ SCANNABLE = tuple(AreaFamily(f.name) for f in FAMILIES.values() if f.frame is no
 
 # a scan evaluates at most this many grid points at once (a chunk of k poles
 # at 2n points each), so batching never grows its working set with the pole
-# count; at up to ~119 bytes per point (tracemalloc peak of a 256-pole
-# n=2048 scan over 2**13 points, shared frames included: 77 for the pedal,
-# 119 for the interpolated circle scan, 78 for pseudo-Talbot and 77 for the
-# negative pedal and the hybrid on the boundary), 2**13 points fit in
-# memory the process already holds, where 2**16 raised peak RSS by ~8 MB
+# count; at up to ~77 bytes per point (tracemalloc peak of a 256-pole
+# n=2048 scan over 2**13 points, shared frames included: on a circle 76 for
+# the pedal, 75 for the contrapedal, 73 for the rotated pedal and 77 for
+# the interpolated pedal; on the boundary 77 for the hybrid, pseudo-Talbot
+# and the negative pedal), 2**13 points fit in memory the process already
+# holds, where 2**16 raised peak RSS by ~8 MB
 CHUNK_POINTS = 2 ** 13
 
 
@@ -161,8 +163,17 @@ def family_grid(family, n: int, s=0.0) -> ParamGrid:
     return ParamGrid(count=n)
 
 
+class _Report:
+    """A report dataclass whose dict is its fields in declaration order."""
+
+    def to_dict(self) -> dict:
+        # not dataclasses.asdict: its deep copy of per-pole lists costs
+        # about a millisecond per scan report
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
 @dataclass
-class InvarianceReport:
+class InvarianceReport(_Report):
     """Result of one scan: per-pole areas and the certified spread."""
 
     family: str
@@ -171,34 +182,15 @@ class InvarianceReport:
     locus: dict
     n: int
     params: dict
-    poles: List[List[float]]
-    areas: List[Optional[float]]
-    errors: List[Optional[str]]
     mean: Optional[float]
     max_rel_dev: Optional[float]
     max_doubling_gap: float
     closed_form: Optional[float]
     max_closed_dev: Optional[float]
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "a": self.a,
-            "b": self.b,
-            "locus": self.locus,
-            "n": self.n,
-            "params": self.params,
-            "mean": self.mean,
-            "max_rel_dev": self.max_rel_dev,
-            "max_doubling_gap": self.max_doubling_gap,
-            "closed_form": self.closed_form,
-            "max_closed_dev": self.max_closed_dev,
-            "passed": self.passed,
-            "poles": self.poles,
-            "areas": self.areas,
-            "errors": self.errors,
-        }
+    poles: List[List[float]]
+    areas: List[Optional[float]]
+    errors: List[Optional[str]]
 
 
 def _pole_areas(e: Ellipse, fam: str, m, n: int, theta: float, mu: float):
@@ -348,7 +340,7 @@ def scan(e: Ellipse, family, locus: LocusSpec, n: int = 2048,
 
 
 @dataclass
-class IdentityCheck:
+class IdentityCheck(_Report):
     """One numerical identity: |lhs - rhs| measured against a tolerance."""
 
     name: str
@@ -357,10 +349,6 @@ class IdentityCheck:
     residual: float
     tol: float
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "lhs": self.lhs, "rhs": self.rhs,
-                "residual": self.residual, "tol": self.tol, "passed": self.passed}
 
 
 def _check(name: str, lhs: float, rhs: float, tol: float) -> IdentityCheck:
@@ -426,7 +414,7 @@ def identity_suite(e: Ellipse, m=(0.7, -0.4), n: int = 2048,
 
 
 @dataclass
-class ConjectureReport:
+class ConjectureReport(_Report):
     """Measured support for: contrapedal self-crossings hit (x0, 0) and (0, y0)."""
 
     pole: List[float]
@@ -438,19 +426,6 @@ class ConjectureReport:
     dist_to_y_axis_point: Optional[float]
     tol: float
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "pole": self.pole,
-            "skipped": self.skipped,
-            "reason": self.reason,
-            "crossing_count": self.crossing_count,
-            "crossings": self.crossings,
-            "dist_to_x_axis_point": self.dist_to_x_axis_point,
-            "dist_to_y_axis_point": self.dist_to_y_axis_point,
-            "tol": self.tol,
-            "passed": self.passed,
-        }
 
 
 def conjecture_check_contrapedal(e: Ellipse, m, n: int = 2048,

@@ -23,22 +23,26 @@ the parameters alone and returns points(m), the points for the pole m, so
 a scan can share one frame among all the poles of a grid.  points() also
 takes a chunk of k poles as a pair of (k, 1) coordinate arrays (see
 curves.pole_xy), and then returns one curve per pole.  The frames are
-called through the registry, areas.FAMILIES, and harness.family_evaluator:
+called through the registry, areas.FAMILIES, and harness.family_evaluator.
 
-* pedal, contrapedal, rotated and interpolated: a FootFrame holds P(t), the
-  line directions and their squared lengths, and its points drop the feet
-  from the pole;
-* pseudo-Talbot, hybrid and negative pedal are affine in (cos s, sin s)
-  of a pole P(s) on the ellipse, read from the pole as
-  (cos s, sin s) = (x/a, y/b): each coordinate is
-  F0(t) + cos s Fc(t) + sin s Fs(t), and their frames hold the three
-  columns of each (_affine_frame).  For hybrid and negative pedal this is
-  the rational form with its removable singularity at t = s divided out, a
-  trigonometric polynomial of degree 2 in t, finite at t = s.  It serves
-  exactly the poles on the ellipse (curves.pole_on_ellipse); any other pole
-  takes the rational form, which keeps its singularity and its
-  SingularParameter / SingularFamily errors.  Pseudo-Talbot has no other
-  form: it has no points for a pole off the ellipse.
+Every family with a pole is affine in two coordinates (c1, c2) read from
+the pole, the rational forms below excepted: each coordinate of a point is
+F0(t) + c1 F1(t) + c2 F2(t), and the frame holds the three columns of each
+(_affine_frame, the one writer of coordinate planes).
+
+* pedal, contrapedal, rotated and interpolated: the feet from the pole
+  (x, y) itself, (c1, c2) = (x, y).  A foot p + u d has u affine in the
+  pole (_feet), and the interpolated blend is one foot too, since the
+  pedal and contrapedal feet sum to P(t) + m.
+* pseudo-Talbot, hybrid and negative pedal: (c1, c2) = (cos s, sin s) of
+  a pole P(s) on the ellipse, read as (x/a, y/b).  For hybrid and
+  negative pedal this is the rational form with its removable singularity
+  at t = s divided out, a trigonometric polynomial of degree 2 in t,
+  finite at t = s.  It serves exactly the poles on the ellipse
+  (curves.pole_on_ellipse); any other pole takes the rational form, which
+  keeps its singularity and its SingularParameter / SingularFamily
+  errors.  Pseudo-Talbot has no other form: it has no points for a pole
+  off the ellipse.
 
 The evolutoid has no pole and no frame: evolutoid_point evaluates it.
 """
@@ -75,6 +79,39 @@ TWO_PI = 2.0 * math.pi
 
 
 # ---------------------------------------------------------------------------
+# affine frames
+
+
+def _affine_frame(fx, fy, sx: float = 1.0, sy: float = 1.0) -> Callable:
+    """points(m) of a curve affine in the scaled coordinates
+    (c1, c2) = (x/sx, y/sy) of its pole m = (x, y): each coordinate is
+    F0 + c1 F1 + c2 F2.
+
+    fx and fy are the columns (F0, F1, F2) of x and of y, arrays over the
+    parameters.  The Steiner feet take the pole as it is; a boundary family
+    passes (sx, sy) = (a, b) and so reads (cos s, sin s) of its pole P(s).
+    The points are written into a (2, ..., n) buffer of coordinate planes,
+    of the columns' dtype (complex under a complex step) and of any shape,
+    0-d included; the (..., n, 2) view of it is returned, so the quadrature
+    reads each plane contiguously.  A chunk of poles takes (k, 1) arrays m.
+    """
+
+    def points(m):
+        x0, y0 = pole_xy(m)
+        c1, c2 = x0 / sx, y0 / sy
+        # F0 + c1 F1 first, whose shape and dtype the planes take: the
+        # helpers that work them out from the columns cost more than the
+        # sums on the few parameters of a cusp-refinement step
+        x, y = fx[0] + c1 * fx[1], fy[0] + c1 * fy[1]
+        planes = np.empty((2,) + x.shape, dtype=np.result_type(x, y))
+        np.add(x, c2 * fx[2], out=planes[0, ...])
+        np.add(y, c2 * fy[2], out=planes[1, ...])
+        return planes.transpose((*range(1, planes.ndim), 0))
+
+    return points
+
+
+# ---------------------------------------------------------------------------
 # perpendicular feet
 
 
@@ -83,54 +120,25 @@ def _param_at(t, mask) -> float:
     return float(np.real(np.broadcast_to(t, np.shape(mask)).flat[np.argmax(mask)]))
 
 
-class FootFrame:
-    """The pole-free part of a Steiner-family evaluator at parameters t.
+def _feet(p, d):
+    """Columns of the feet of the perpendiculars from a pole (x, y) onto the
+    lines p + u d, one line per parameter.
 
-    FootFrame(p, d) holds P(t) and the direction d of the line through each
-    point; a blend FootFrame(p, d, d2, mu) also holds a second direction d2
-    and its weight mu on it.  None of it depends on the pole, so a scan
-    whose grid stays put builds one frame per grid size and calls it for
-    every chunk of poles.  The frame keeps all a foot needs before it reads
-    the pole: contiguous x and y columns of p and of each direction, and
-    each direction's squared length, checked here once (a direction that
-    vanishes raises DegenerateLine).
+    u = ((m - p) . d) / (d . d) is affine in the pole, so each foot is
+    F0 + x F1 + y F2 with F0 = p - ((p . d) / (d . d)) d,
+    F1 = (dx / (d . d)) d and F2 = (dy / (d . d)) d.  Returns the columns
+    (F0, F1, F2) of x and of y, as _affine_frame takes them.  A direction
+    that vanishes raises DegenerateLine.
     """
-
-    def __init__(self, p, d, d2=None, mu: float = 0.0):
-        p = np.asarray(p)
-        self.px, self.py = p[..., 0].copy(), p[..., 1].copy()
-        self.mu = mu
-        # (dx, dy, dx**2 + dy**2) of d, then of d2
-        self.lines = []
-        for v in (d,) if d2 is None else (d, d2):
-            v = np.asarray(v)
-            dx, dy = v[..., 0].copy(), v[..., 1].copy()
-            dd = dx ** 2 + dy ** 2
-            if np.min(np.abs(dd)) < 1e-24:
-                raise DegenerateLine("line direction vanishes")
-            self.lines.append((dx, dy, dd))
-
-    def _foot(self, x0, y0, line):
-        """Foot of the perpendicular from (x0, y0) onto the line p + u d:
-        u = ((m - p) . d) / (d . d).  The coordinates are written into a
-        (2, ..., n) buffer of coordinate planes, and the (..., n, 2) view of
-        it is returned, so the quadrature reads each plane contiguously."""
-        dx, dy, dd = line
-        u = ((x0 - self.px) * dx + (y0 - self.py) * dy) / dd
-        planes = np.empty((2,) + np.shape(u), dtype=u.dtype)
-        np.add(self.px, u * dx, out=planes[0, ...])
-        np.add(self.py, u * dy, out=planes[1, ...])
-        return np.moveaxis(planes, 0, -1)
-
-    def __call__(self, m):
-        """Feet of the perpendiculars from m (a pole, or a chunk of poles as
-        (k, 1) coordinate arrays), blended as (1 - mu) * foot on d +
-        mu * foot on d2 when the frame has a second line."""
-        x0, y0 = pole_xy(m)
-        foot = self._foot(x0, y0, self.lines[0])
-        if len(self.lines) == 1:
-            return foot
-        return (1.0 - self.mu) * foot + self.mu * self._foot(x0, y0, self.lines[1])
+    p, d = np.asarray(p), np.asarray(d)
+    px, py, dx, dy = p[..., 0], p[..., 1], d[..., 0], d[..., 1]
+    dd = dx ** 2 + dy ** 2
+    if np.min(np.abs(dd)) < 1e-24:
+        raise DegenerateLine("line direction vanishes")
+    w, gx, gy = (px * dx + py * dy) / dd, dx / dd, dy / dd
+    # the y of F1 and the x of F2 are both dx dy / (d . d): one array
+    q = gx * dy
+    return (px - w * dx, gx * dx, q), (py - w * dy, q, gy * dy)
 
 
 def _normal(v):
@@ -138,29 +146,37 @@ def _normal(v):
     return np.stack([-v[..., 1], v[..., 0]], axis=-1)
 
 
-def pedal_frame(e: Ellipse, t) -> FootFrame:
+def pedal_frame(e: Ellipse, t) -> Callable:
     """Tangent lines at P(t)."""
-    return FootFrame(ellipse_point(e, t), ellipse_velocity(e, t))
+    return _affine_frame(*_feet(ellipse_point(e, t), ellipse_velocity(e, t)))
 
 
-def contrapedal_frame(e: Ellipse, t) -> FootFrame:
+def contrapedal_frame(e: Ellipse, t) -> Callable:
     """Normal lines at P(t)."""
-    return FootFrame(ellipse_point(e, t), _normal(ellipse_velocity(e, t)))
+    return _affine_frame(*_feet(ellipse_point(e, t), _normal(ellipse_velocity(e, t))))
 
 
-def rotated_frame(e: Ellipse, t, theta: float) -> FootFrame:
+def rotated_frame(e: Ellipse, t, theta: float) -> Callable:
     """Lines through P(t) along the tangent turned by theta."""
     v = ellipse_velocity(e, t)
     ct, st = math.cos(theta), math.sin(theta)
     d = np.stack([ct * v[..., 0] - st * v[..., 1],
                   st * v[..., 0] + ct * v[..., 1]], axis=-1)
-    return FootFrame(ellipse_point(e, t), d)
+    return _affine_frame(*_feet(ellipse_point(e, t), d))
 
 
-def interpolated_frame(e: Ellipse, t, mu: float) -> FootFrame:
-    """Tangent and normal lines at P(t), blended with weight mu on the normal."""
-    v = ellipse_velocity(e, t)
-    return FootFrame(ellipse_point(e, t), v, _normal(v), mu)
+def interpolated_frame(e: Ellipse, t, mu: float) -> Callable:
+    """Tangent and normal lines at P(t), blended with weight mu on the normal.
+
+    The two feet from m sum to P(t) + m, as the lines are perpendicular and
+    meet at P(t), so the blend (1 - mu) pedal + mu contrapedal is
+    (1 - 2 mu) pedal + mu (P(t) + m): one foot per parameter.
+    """
+    p = ellipse_point(e, t)
+    fx, fy = _feet(p, ellipse_velocity(e, t))
+    k = 1.0 - 2.0 * mu
+    return _affine_frame((k * fx[0] + mu * p[..., 0], k * fx[1] + mu, k * fx[2]),
+                         (k * fy[0] + mu * p[..., 1], k * fy[1], k * fy[2] + mu))
 
 
 def support_pedal_point(s: SupportCurve, t, m):
@@ -210,34 +226,7 @@ def _envelope_solve(t, nx, ny, mx, my, d, dd):
 
 
 # ---------------------------------------------------------------------------
-# frames of the boundary families
-
-
-def _affine_frame(e: Ellipse, fx, fy) -> Callable:
-    """points(x0, y0) of a curve whose coordinates are F0 + cos s Fc +
-    sin s Fs for its pole P(s) = (x0, y0) on the ellipse, which gives
-    (cos s, sin s) = (x0/a, y0/b).
-
-    fx and fy are the columns (F0, Fc, Fs) of x and of y, arrays over the
-    parameters.  The points are written into a (2, ..., n) buffer of
-    coordinate planes, of the columns' dtype (complex under a complex step)
-    and of any shape, 0-d included; the (..., n, 2) view of it is returned,
-    so the quadrature reads each plane contiguously.  (k, 1) arrays x0 and
-    y0 stand for k poles.
-    """
-
-    def points(x0, y0):
-        cs, ss = x0 / e.a, y0 / e.b
-        # F0 + cs Fc first, whose shape and dtype the planes take: the
-        # helpers that work them out from the columns cost more than the
-        # sums on the few parameters of a cusp-refinement step
-        x, y = fx[0] + cs * fx[1], fy[0] + cs * fy[1]
-        planes = np.empty((2,) + x.shape, dtype=np.result_type(x, y))
-        np.add(x, ss * fx[2], out=planes[0, ...])
-        np.add(y, ss * fy[2], out=planes[1, ...])
-        return planes.transpose((*range(1, planes.ndim), 0))
-
-    return points
+# boundary families: the reduced or the rational form, by pole
 
 
 def _by_pole(e: Ellipse, t, reduced: Callable, rational: Callable) -> Callable:
@@ -253,11 +242,11 @@ def _by_pole(e: Ellipse, t, reduced: Callable, rational: Callable) -> Callable:
         x0, y0 = pole_xy(m)
         on = pole_on_ellipse(e, (x0, y0))
         if on.all():
-            return frame(reduced)(x0, y0)
+            return frame(reduced)(m)
         if not on.any():
             return frame(rational)(m)
         rows = on[:, 0]
-        red = frame(reduced)(x0[rows], y0[rows])
+        red = frame(reduced)((x0[rows], y0[rows]))
         rat = frame(rational)((x0[~rows], y0[~rows]))
         out = np.empty((len(rows),) + red.shape[1:], dtype=np.result_type(red, rat))
         out[rows], out[~rows] = red, rat
@@ -305,8 +294,8 @@ def _negative_pedal_reduced(e: Ellipse, t) -> Callable:
     al, be = (e.a * e.a + e.b * e.b) / (2 * e.a), (e.a * e.a + e.b * e.b) / (2 * e.b)
     ga, de = e.c2 / (2 * e.a), e.c2 / (2 * e.b)
     c1, s1, c2, s2 = np.cos(t), np.sin(t), np.cos(2 * t), np.sin(2 * t)
-    return _affine_frame(e, (2 * ga * c1, ga * c2 - al, -ga * s2),
-                            (-2 * de * s1, de * s2, de * c2 - be))
+    return _affine_frame((2 * ga * c1, ga * c2 - al, -ga * s2),
+                         (-2 * de * s1, de * s2, de * c2 - be), e.a, e.b)
 
 
 def negative_pedal_frame(e: Ellipse, t) -> Callable:
@@ -375,8 +364,8 @@ def _hybrid_reduced(e: Ellipse, t) -> Callable:
     al, be = (e.a * e.a + e.b * e.b) / (2 * e.a), (e.a * e.a + e.b * e.b) / (2 * e.b)
     ga, de = e.c2 / (2 * e.a), e.c2 / (2 * e.b)
     c1, s1, c2, s2 = np.cos(t), np.sin(t), np.cos(2 * t), np.sin(2 * t)
-    return _affine_frame(e, (2 * al * c1, al - ga * c2, ga * s2),
-                            (2 * be * s1, -de * s2, be - de * c2))
+    return _affine_frame((2 * al * c1, al - ga * c2, ga * s2),
+                         (2 * be * s1, -de * s2, be - de * c2), e.a, e.b)
 
 
 def hybrid_frame(e: Ellipse, t) -> Callable:
@@ -423,15 +412,14 @@ def pseudo_talbot_frame(e: Ellipse, u) -> Callable:
     ct2 = ct * ct
     kx = 2 * ct2 * ct2 - 3 * ct2
     ky = 2 * ct2 * ct2 - ct2
-    points = _affine_frame(
-        e,
+    return _affine_frame(
         (ct * (a2 + b2) * (-a2 * st ** 2 - b2 * ct2 + 2 * b2) / (a * b2),
          -((kx + 1) * a4 - 2 * (kx + 1) * a2 * b2 + kx * b4) / (a * b2),
          -2 * c4 * st ** 3 * ct / (a * b2)),
         (st * (a2 + b2) * ((a2 - b2) * ct2 + a2) / (a2 * b),
          -2 * c4 * st * ct ** 3 / (a2 * b),
-         -((ky - 1) * a4 - 2 * ky * a2 * b2 + ky * b4) / (a2 * b)))
-    return lambda m: points(*pole_xy(m))
+         -((ky - 1) * a4 - 2 * ky * a2 * b2 + ky * b4) / (a2 * b)),
+        a, b)
 
 
 # ---------------------------------------------------------------------------

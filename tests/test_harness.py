@@ -213,10 +213,10 @@ class TestScan:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_samples_are_a_per_pole_error(self):
-        rep = scan(E21, "pedal", LocusSpec(kind="circle", r=1e308, count=3), n=64)
+        # the rational hybrid squares the pole's coordinates, which overflow
+        rep = scan(E21, "hybrid", LocusSpec(kind="circle", r=1e200, count=3), n=64)
         assert rep.areas == [None] * 3
-        assert "non-finite point" in rep.errors[0]
-        assert all("not finite" in err for err in rep.errors[1:])
+        assert all("non-finite point" in err for err in rep.errors)
 
     def test_all_failed_scan_is_strict_json(self):
         rep = scan(E21, "hybrid", LocusSpec("circle", r=3.0, count=6), n=512)

@@ -35,8 +35,8 @@ import pedallab.pedal as pedal_module
 from pedallab.curves import as_xy, pole_on_ellipse, pole_xy
 from pedallab.pedal import (
     Crossing,
-    FootFrame,
     _envelope_solve,
+    _feet,
     _segment_hits,
     contrapedal_frame,
     hybrid_frame,
@@ -71,7 +71,7 @@ def point(fam, t, m, e=E21, **kw):
 class TestFeet:
     def test_foot_on_degenerate_line(self):
         with pytest.raises(DegenerateLine):
-            FootFrame(np.zeros(2), np.zeros(2))((1.0, 1.0))
+            _feet(np.zeros(2), np.zeros(2))
 
     def test_contrapedal_quarter_turn_from_center(self):
         got = point("contrapedal", math.pi / 4, (0.0, 0.0))
@@ -320,9 +320,10 @@ def perpendicular_foot(m, p, d):
     return p + u[..., None] * d
 
 
-def steiner_reference(e, t, m, kind, theta=0.6, mu=1.0 / 3.0):
-    """The Steiner feet written out in one piece, with P(t) and P'(t)
-    evaluated on every call."""
+def textbook_steiner(e, t, m, kind, theta=0.6, mu=1.0 / 3.0):
+    """The Steiner points as the textbook draws them: each foot dropped from
+    m onto its line (perpendicular_foot), the interpolated family as the
+    blend (1 - mu) pedal + mu contrapedal of two feet."""
     p, v = ellipse_point(e, t), ellipse_velocity(e, t)
     normal = np.stack([-v[..., 1], v[..., 0]], axis=-1)
     if kind == "pedal":
@@ -335,6 +336,33 @@ def steiner_reference(e, t, m, kind, theta=0.6, mu=1.0 / 3.0):
                       st * v[..., 0] + ct * v[..., 1]], axis=-1)
         return perpendicular_foot(m, p, d)
     return (1.0 - mu) * perpendicular_foot(m, p, v) + mu * perpendicular_foot(m, p, normal)
+
+
+def steiner_reference(e, t, m, kind, theta=0.6, mu=1.0 / 3.0):
+    """The Steiner points written out in one piece, with P(t) and P'(t)
+    evaluated on every call: F0 + x F1 + y F2 per coordinate for the pole
+    (x, y), with the foot columns F0 = p - ((p . d) / (d . d)) d,
+    F1 = (dx / (d . d)) d and F2 = (dy / (d . d)) d, the x of F2 taken as
+    the y of F1, and the interpolated blend as
+    (1 - 2 mu) pedal + mu (P(t) + m)."""
+    x, y = pole_xy(m)
+    p, d = ellipse_point(e, t), ellipse_velocity(e, t)
+    if kind == "contrapedal":
+        d = np.stack([-d[..., 1], d[..., 0]], axis=-1)
+    elif kind == "rotated":
+        ct, st = math.cos(theta), math.sin(theta)
+        d = np.stack([ct * d[..., 0] - st * d[..., 1],
+                      st * d[..., 0] + ct * d[..., 1]], axis=-1)
+    px, py, dx, dy = p[..., 0], p[..., 1], d[..., 0], d[..., 1]
+    dd = dx ** 2 + dy ** 2
+    w = (px * dx + py * dy) / dd
+    fx = [px - w * dx, dx / dd * dx, dx / dd * dy]
+    fy = [py - w * dy, dx / dd * dy, dy / dd * dy]
+    if kind == "interpolated":
+        k = 1.0 - 2.0 * mu
+        fx = [k * fx[0] + mu * px, k * fx[1] + mu, k * fx[2]]
+        fy = [k * fy[0] + mu * py, k * fy[1], k * fy[2] + mu]
+    return np.stack([fx[0] + x * fx[1] + y * fx[2], fy[0] + x * fy[1] + y * fy[2]], axis=-1)
 
 
 # family -> frame builder, at steiner_reference's theta and mu
@@ -378,14 +406,43 @@ class TestFootFrames:
                                   steiner_point(kind, t, (float(x[0]), float(y[0]))))
         assert np.array_equal(fr(self.CHUNK), steiner_point(kind, t, self.CHUNK))
 
-    @pytest.mark.parametrize("second", [False, True])
-    def test_vanishing_direction_raises(self, second):
+    @pytest.mark.parametrize("kind", sorted(STEINER))
+    def test_points_are_the_textbook_feet(self, kind):
+        # the affine columns against the feet dropped one by one: within
+        # 8 eps of |P(t)| + |m| for poles from 0.01 to 30 off the centre
+        t = ParamGrid(2048).nodes()
+        rng = np.random.default_rng(17)
+        r, ang = np.geomspace(0.01, 30.0, 100), rng.uniform(0.0, TWO_PI, 100)
+        m = ((r * np.cos(ang))[:, None], (r * np.sin(ang))[:, None])
+        for e in ELLIPSES + [Ellipse(5.0, 2.0)]:
+            got = STEINER[kind](e, t)(m)
+            want = textbook_steiner(e, t, m, kind)
+            err = np.hypot(*np.moveaxis(got - want, -1, 0))
+            scale = np.hypot(*np.moveaxis(ellipse_point(e, t), -1, 0)) + r[:, None]
+            assert np.all(err <= 8 * np.finfo(float).eps * scale)
+
+    @pytest.mark.parametrize("kind", sorted(STEINER))
+    @pytest.mark.parametrize("m", [(1e308, 0.0), (1.2e308, 1.2e308), (-1.2e308, 1.2e308),
+                                   (0.0, -1.7e308)])
+    def test_points_of_a_huge_pole_are_finite(self, kind, m):
+        # a foot is F0 + x F1 + y F2 with F0 = O(|P(t)|) and F1, F2 of
+        # entries at most 1 in size, so only a pole near the largest float
+        # can overflow it
+        assert np.all(np.isfinite(steiner_point(kind, ParamGrid(256).nodes(), m)))
+
+    @pytest.mark.parametrize("kind", sorted(STEINER))
+    def test_vanishing_direction_raises(self, monkeypatch, kind):
         t = np.linspace(0.0, 1.0, 8)
-        p, v = ellipse_point(E21, t), ellipse_velocity(E21, t)
-        v0 = v.copy()
-        v0[3] = 0.0
+        velocity = pedal_module.ellipse_velocity
+
+        def vanishing(e, t):
+            v = velocity(e, t)
+            v[3] = 0.0
+            return v
+
+        monkeypatch.setattr(pedal_module, "ellipse_velocity", vanishing)
         with pytest.raises(DegenerateLine):
-            (FootFrame(p, v, v0, 0.5) if second else FootFrame(p, v0))(M)
+            STEINER[kind](E21, t)
 
     def test_feet_validate_the_pole(self):
         with pytest.raises(DomainError):
@@ -597,7 +654,7 @@ class TestBoundaryFrames:
         columns = []
         affine = pedal_module._affine_frame
         monkeypatch.setattr(pedal_module, "_affine_frame",
-                            lambda e, fx, fy: columns.append((fx, fy)) or affine(e, fx, fy))
+                            lambda fx, fy, *scale: columns.append((fx, fy)) or affine(fx, fy, *scale))
         frame = pseudo_talbot_frame(e, ParamGrid(256).nodes())
         (fx, fy), = columns
         s = np.random.default_rng(5).uniform(-TWO_PI, TWO_PI, (400, 1))
