@@ -25,7 +25,9 @@ from .areas import (
     signed_area_quadrature,
     support_areas,
     support_contrapedal_area,
+    support_contrapedal_point,
     support_pedal_area,
+    support_pedal_point,
 )
 from .curves import (
     Ellipse,
@@ -68,8 +70,6 @@ from .pedal import (
     evolutoid_support,
     find_cusps,
     self_intersections,
-    support_contrapedal_point,
-    support_pedal_point,
 )
 
 __version__ = "0.1.0"

@@ -50,7 +50,7 @@ from .pedal import (
     pseudo_talbot_frame,
     rotated_frame,
 )
-from .tolerances import DOUBLING_RTOL, GRID_STEP_TOL, PERIOD_TOL
+from .tolerances import DOUBLING_RTOL, GRID_STEP_TOL, PERIOD_TOL, TURNING_TOL
 
 TWO_PI = 2.0 * math.pi
 
@@ -66,10 +66,12 @@ class Family:
     name is the family's command-line name.  area(a, b, rho, theta, mu) is
     its closed-form signed area for a pole at squared distance rho from the
     center.  frame(e, t, theta, mu) does the family's work on the ellipse
-    parameters t alone and returns points(m), the points for the pole m:
-    one pole, or a chunk of k poles as (k, 1) coordinate arrays.  It is the
-    family's one point evaluator, which harness.family_evaluator and
-    harness.scan call; the evolutoid has no pole and no frame.  Every frame
+    parameters t alone and returns points(x, y), the points for the pole at
+    the plain coordinates (x, y), which it trusts: floats for one pole, or
+    (k, 1) arrays for a chunk of k poles, one curve per pole.  It is the
+    family's one point evaluator, which harness.family_evaluator calls on
+    the one pole it has read and harness.scan on the coordinates of its
+    locus poles; the evolutoid has no pole and no frame.  Every frame
     has one shape: three columns per coordinate, F0 + c1 F1 + c2 F2, affine
     in (c1, c2) = (x, y) of the pole for the Steiner families and in
     (cos s, sin s) of a pole P(s) on the ellipse for the boundary families;
@@ -120,7 +122,7 @@ def _evolutoid_area(a, b, rho, theta, mu):
 # choices are derived from it
 FAMILIES = {f.name: f for f in (
     Family("ellipse", lambda a, b, rho, theta, mu: math.pi * a * b,
-           lambda e, t, theta, mu: lambda m: ellipse_point(e, t)),
+           lambda e, t, theta, mu: lambda x, y: ellipse_point(e, t)),
     Family("pedal", lambda a, b, rho, theta, mu: 0.5 * math.pi * (a * a + b * b + rho),
            lambda e, t, theta, mu: pedal_frame(e, t)),
     Family("contrapedal", lambda a, b, rho, theta, mu: 0.5 * math.pi * ((a - b) ** 2 + rho),
@@ -200,14 +202,26 @@ def closed_form_area(family, e: Ellipse, m=(0.0, 0.0),
 # spectral quadrature
 
 
-def _uniform_step(params: np.ndarray) -> float:
+def _periodic_step(params) -> float:
+    """The step of a periodic row of parameters, checked: one row, strictly
+    increasing (else DomainError), at least 8 samples, one uniform step and
+    exactly one period (else QuadratureError).  Every quadrature here
+    (area_rule, perimeter_quadrature, curvature_centroid_samples) assumes
+    all of it."""
+    params = np.asarray(params, dtype=float)
+    if params.ndim != 1:
+        raise DomainError(f"expected one row of params, got shape {params.shape}")
+    gaps = np.diff(params)
+    if not np.all(gaps > 0):
+        raise DomainError("params must be strictly increasing")
     if params.size < 8:
         raise QuadratureError("quadrature needs at least 8 samples")
-    gaps = np.diff(params)
     step = gaps[0]
     # np.allclose(gaps, step, rtol=GRID_STEP_TOL, atol=GRID_STEP_TOL), without its temporaries
     if not np.max(np.abs(gaps - step)) <= GRID_STEP_TOL + GRID_STEP_TOL * abs(step):
         raise QuadratureError("quadrature requires a uniform parameter grid")
+    if abs(params.size * step - TWO_PI) > PERIOD_TOL:
+        raise QuadratureError("sampled window must cover one full period")
     return float(step)
 
 
@@ -239,15 +253,8 @@ def area_rule(params) -> Callable:
     QuadratureError.  A scan builds one rule per grid size and hands it
     every chunk of poles.
     """
-    params = np.asarray(params, dtype=float)
-    if params.ndim != 1:
-        raise DomainError(f"expected one row of params, got shape {params.shape}")
-    if not np.all(np.diff(params) > 0):
-        raise DomainError("params must be strictly increasing")
-    step = _uniform_step(params)
-    n = params.size
-    if abs(n * step - TWO_PI) > PERIOD_TOL:
-        raise QuadratureError("sampled window must cover one full period")
+    _periodic_step(params)
+    n = np.shape(params)[0]
     k = np.arange(n // 2 + 1, dtype=float)
     if n % 2 == 0:
         k[-1] = 0.0
@@ -294,8 +301,9 @@ def settled_area(coarse: float, fine: float) -> float:
 
 
 def perimeter_quadrature(curve: SampledCurve) -> float:
-    """Closed-polyline length with one Richardson step against the half grid."""
-    _uniform_step(curve.params)
+    """Closed-polyline length with one Richardson step against the half grid.
+    The grid must be uniform and must cover exactly one period."""
+    _periodic_step(curve.params)
     pts = curve.points
     n = len(pts)
     seg = np.roll(pts, -1, axis=0) - pts
@@ -309,7 +317,7 @@ def perimeter_quadrature(curve: SampledCurve) -> float:
 
 
 # ---------------------------------------------------------------------------
-# support-function integrals
+# support-function curves and integrals
 
 
 @dataclass(frozen=True)
@@ -340,6 +348,26 @@ def support_areas(s: SupportCurve, n: int = 2048) -> SupportAreas:
     return SupportAreas(curve=float(a2), evolute=float(e2))
 
 
+def support_pedal_point(s: SupportCurve, t, m):
+    """Pedal of a support-function curve: foot from m onto the tangent with normal angle t."""
+    x0, y0 = as_xy(m)
+    t = np.asarray(t)
+    h = s.h(t)
+    ct, st = np.cos(t), np.sin(t)
+    return np.stack([x0 * st ** 2 + (h - y0 * st) * ct,
+                     (h - x0 * ct) * st + y0 * ct ** 2], axis=-1)
+
+
+def support_contrapedal_point(s: SupportCurve, t, m):
+    """Contrapedal of a support-function curve: foot from m onto the normal line."""
+    x0, y0 = as_xy(m)
+    t = np.asarray(t)
+    dh = s.dh(t)
+    ct, st = np.cos(t), np.sin(t)
+    return np.stack([x0 * ct ** 2 + y0 * ct * st - dh * st,
+                     y0 * st ** 2 + x0 * ct * st + dh * ct], axis=-1)
+
+
 def support_pedal_area(s: SupportCurve, m, n: int = 2048) -> float:
     """Pedal area about m in polar form: 1/2 int (h - m . n(t))^2 dt."""
     x0, y0 = as_xy(m)
@@ -364,18 +392,27 @@ def curvature_centroid_samples(curve: SampledCurve) -> Point2:
     """Centroid of a closed sampled curve weighted by curvature arc measure.
 
     The weight per node is kappa ds = (x' y'' - y' x'') / (x'^2 + y'^2) dt
-    with spectral derivatives; its total is 2*pi times the rotation index.
-    Curves of rotation index zero (figure-eights) have no such centroid and
-    raise ZeroRotationIndex.
+    with spectral derivatives, on a grid that covers one period.  The
+    tangent of a closed curve turns by 2 pi k, and each cusp flips it by
+    pi, so a resolved total is a multiple of pi; a total that is not, to
+    TURNING_TOL, raises QuadratureError.  That is the grid's failure, most
+    often a cusp on a node, where the weight's denominator vanishes.  A
+    total of zero turns (figure-eights) has no centroid and raises
+    ZeroRotationIndex.
     """
-    step = _uniform_step(curve.params)
+    step = _periodic_step(curve.params)
     x = curve.points[:, 0]
     y = curve.points[:, 1]
     dx, dy = _fft_derivative(x), _fft_derivative(y)
     ddx, ddy = _fft_derivative(dx), _fft_derivative(dy)
     w = (dx * ddy - dy * ddx) / (dx * dx + dy * dy)
     total = step * float(np.sum(w))
-    if abs(total) <= 1e-9:
+    turns = round(total / math.pi) if math.isfinite(total) else 0
+    if not abs(total - turns * math.pi) <= TURNING_TOL:
+        raise QuadratureError(
+            f"total signed curvature {total:.6g} is not a multiple of pi: the grid does "
+            "not resolve the curve's turning (a cusp on a node?)")
+    if turns == 0:
         raise ZeroRotationIndex(f"total signed curvature {total:.3e} is zero")
     kx = step * float(np.sum(w * x)) / total
     ky = step * float(np.sum(w * y)) / total

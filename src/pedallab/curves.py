@@ -9,6 +9,10 @@ point sets) are compared instead.
 All evaluators accept scalars or numpy arrays and are safe to call with
 complex parameter values, which enables complex-step differentiation in the
 cusp finder.
+
+A pole is a point at every public entry, read once by as_xy; past that
+read, code works on its plain coordinates (Ellipse.implicit_xy,
+xy_on_ellipse and the frames of pedallab.pedal), which it trusts.
 """
 
 from __future__ import annotations
@@ -47,28 +51,15 @@ def as_xy(m) -> np.ndarray:
     """Normalize a Point2 / pair / array into a shape-(2,) float array."""
     if isinstance(m, Point2):
         return m.as_array()
-    arr = np.asarray(m, dtype=float)
+    try:
+        arr = np.asarray(m, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError(f"expected a 2d point, got {m!r}") from None
     if arr.shape != (2,):
         raise DomainError(f"expected a 2d point, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise DomainError("point components must be finite")
     return arr
-
-
-def pole_xy(m):
-    """Coordinates (x, y) of a pole, or of a chunk of k poles.
-
-    A single pole is anything as_xy takes.  A chunk is a pair of (k, 1)
-    arrays: its coordinates broadcast against a parameter axis of length n,
-    so an evaluator returns (k, n, 2) points, one curve per pole.
-    """
-    arr = m.as_array() if isinstance(m, Point2) else np.asarray(m, dtype=float)
-    if arr.shape != (2,) and not (arr.ndim == 3 and arr.shape[0] == 2 and arr.shape[2] == 1):
-        raise DomainError(f"expected a 2d point or a pair of (k, 1) arrays, got shape {arr.shape}")
-    # the method, not np.all: this check runs on every frame call
-    if not np.isfinite(arr).all():
-        raise DomainError("point components must be finite")
-    return arr[0], arr[1]
 
 
 @dataclass(frozen=True)
@@ -90,24 +81,35 @@ class Ellipse:
         return self.a * self.a - self.b * self.b
 
     def implicit(self, m):
-        """x^2/a^2 + y^2/b^2 at m; 1 on the boundary.  For a (k, 2) array
-        of poles, a (k,) array, and for a chunk of k poles as a pair of
-        (k, 1) arrays (pole_xy), a (k, 1) array; each value bitwise that of
-        its pole alone."""
-        if np.ndim(m) == 2:
-            x, y = np.asarray(m, dtype=float).T
-        else:
-            x, y = pole_xy(m)
+        """x^2/a^2 + y^2/b^2 at the point m (as_xy), 1 on the boundary, or a
+        (k,) array of values at a (k, 2) array of points."""
+        return self.implicit_xy(*_points_xy(m))
+
+    def implicit_xy(self, x, y):
+        """x^2/a^2 + y^2/b^2 at plain coordinates x and y of any one shape,
+        unchecked: the one expression of the implicit value.  Elementwise,
+        so a point's value is bitwise the same alone and among others."""
         # squares by np.square, not **: a scalar ** 2 goes through pow(),
         # which can round differently from the array loop
         return np.square(x / self.a) + np.square(y / self.b)
 
 
+def _points_xy(m):
+    """x and y of the point m (as_xy), or the columns of a (k, 2) array."""
+    return np.asarray(m, dtype=float).T if np.ndim(m) == 2 else as_xy(m)
+
+
+def xy_on_ellipse(e: Ellipse, x, y):
+    """Whether the points at plain coordinates x and y lie on the ellipse:
+    their implicit value (Ellipse.implicit_xy) is 1 to ON_ELLIPSE_TOL.
+    Unchecked and elementwise, for callers that have read their poles."""
+    return abs(e.implicit_xy(x, y) - 1.0) <= ON_ELLIPSE_TOL
+
+
 def pole_on_ellipse(e: Ellipse, m):
-    """Whether the pole m lies on the ellipse: its implicit value is 1 to
-    ON_ELLIPSE_TOL.  Elementwise over the poles Ellipse.implicit takes, so
-    a pole gets the same answer alone and among others."""
-    return abs(e.implicit(m) - 1.0) <= ON_ELLIPSE_TOL
+    """xy_on_ellipse of the pole m, or of each row of a (k, 2) array of
+    poles, read as Ellipse.implicit reads them."""
+    return xy_on_ellipse(e, *_points_xy(m))
 
 
 def ellipse_point(e: Ellipse, t):

@@ -50,4 +50,6 @@ class CollinearVertices(DomainError):
 
 
 class QuadratureError(GeometryError):
-    """A quadrature value failed its grid-refinement agreement check."""
+    """A quadrature failed a check of its grid: the row of parameters, the
+    agreement of an area with its re-run at twice the points, or a total
+    curvature that the grid did not resolve."""

@@ -10,9 +10,12 @@ sampled and integrated in chunks.  Each grid size has one area rule
 (areas.area_rule), whose row checks run once per scan, and each chunk's
 finite curves go to it in one stack.  Each family's one evaluator, its
 registry frame (areas.Family.frame), does the work that depends on the
-parameters alone and returns the points for a pole.  Every family is
-sampled on ParamGrid(n), the same row of nodes for every pole, so a scan
-builds its nodes and frame once per grid size and no trig is redone for a
+parameters alone and returns the points for a pole's plain coordinates.
+family_evaluator reads its one pole once, when it is built (curves.as_xy);
+a scan hands the frame each chunk's (k, 1) coordinate views of its locus
+poles, which LocusSpec makes finite.  Every family is sampled on
+ParamGrid(n), the same row of nodes for every pole, so a scan builds its
+nodes and frame once, before its first chunk, and no trig is redone for a
 chunk: a frame holds three columns per coordinate, F0 + c1 F1 + c2 F2,
 affine in two coordinates read from each pole, (x, y) itself for the
 Steiner families and (cos s, sin s) of a pole P(s) on the ellipse for
@@ -21,7 +24,8 @@ pole off the ellipse excepted).  The n grid is the even half of the 2n
 grid, so a chunk is sampled once, at 2n, and its n-point areas are taken
 from the even samples.  The scan's epilogue (doubling gaps, the settled
 test, closed forms, spread) works on arrays over all poles; only a pole
-whose chunk failed is re-run by itself.
+whose chunk failed is re-run by itself.  The identity suite settles each
+area it certifies the same way, against its re-run at 2n.
 
 Reports carry plain Python data and serialize to JSON deterministically:
 same inputs, byte-identical files.
@@ -56,6 +60,7 @@ from .curves import (
     ellipse_support,
     pole_on_ellipse,
     sample_curve,
+    xy_on_ellipse,
 )
 from .errors import DomainError, GeometryError, QuadratureError
 from .pedal import self_intersections
@@ -133,32 +138,35 @@ class LocusSpec:
 
 def family_evaluator(e: Ellipse, family, m, theta: float = 0.0, mu: float = 0.5,
                      s: Optional[float] = None) -> Callable:
-    """Point evaluator t -> (x, y) for a family with a fixed pole.
+    """Point evaluator t -> (x, y) for a family with a fixed pole m.
 
     It is the family's registry frame (areas.Family.frame) built at the
-    ellipse parameters t and called for the pole, the one way to evaluate a
-    family with a pole.  Hybrid and negative pedal serve a pole on the
-    ellipse (curves.pole_on_ellipse) from their reduced form at its own
-    parameter, finite there, and any other pole from their rational form,
-    as in a scan.  Pseudo-Talbot has points only for a pole on the ellipse;
-    any other pole raises DomainError here.  For a chunk of k poles, m is a
-    pair of (k, 1) coordinate arrays; the evaluator then returns (k, n, 2)
-    points for n parameters.  s is not read: it stays for callers that
-    still pass the pole's boundary parameter.
+    ellipse parameters t and called on the pole's coordinates, the one way
+    to evaluate a family with a pole.  The pole is read here, once
+    (curves.as_xy): a pole that is not one finite point, a chunk of poles
+    included, raises DomainError, and a call of the evaluator reads it no
+    more.  Hybrid and negative pedal serve a pole on the ellipse
+    (curves.pole_on_ellipse) from their reduced form at its own parameter,
+    finite there, and any other pole from their rational form, as in a
+    scan.  Pseudo-Talbot has points only for a pole on the ellipse; any
+    other pole raises DomainError here.  s is not read: it stays for
+    callers that still pass the pole's boundary parameter.
     """
     fam = Family.of(family)
     build = fam.frame
     if build is None:
         raise DomainError(f"no point evaluator for family {family!r}")
-    if fam.ellipse_pole_only and not np.all(pole_on_ellipse(e, m)):
+    x, y = as_xy(m)
+    if fam.ellipse_pole_only and not xy_on_ellipse(e, x, y):
         raise DomainError(f"{fam.name} needs its pole on the ellipse")
-    return lambda t: build(e, t, theta, mu)(m)
+    return lambda t: build(e, t, theta, mu)(x, y)
 
 
 def family_grid(family, n: int, s=0.0) -> ParamGrid:
     """Default sampling grid of a family: ParamGrid(n), one row of nodes for
     every family and pole, whose n nodes are the even nodes of its 2n grid.
-    The family must exist; the pole's parameter s does not move the grid."""
+    The family must exist; the pole's parameter s does not move the grid.
+    The harness samples ParamGrid itself; this stays for callers."""
     Family.of(family)
     return ParamGrid(count=n)
 
@@ -197,17 +205,18 @@ def _pole_areas(e: Ellipse, fam: str, m, n: int, theta: float, mu: float):
     """Areas at n and 2n points of one pole, sampled through sample_curve,
     whose errors name the node that failed."""
     ev = family_evaluator(e, fam, m, theta=theta, mu=mu)
-    return tuple(signed_area_quadrature(sample_curve(ev, family_grid(fam, count)))
+    return tuple(signed_area_quadrature(sample_curve(ev, ParamGrid(count)))
                  for count in (n, 2 * n))
 
 
-def _chunk_areas(points: Callable, m, size: int, rules) -> np.ndarray:
-    """Areas of a chunk's curves, sampled by one points() call on a row of
-    size nodes, as a (len(rules), k) array.  rules holds (rule, stride)
-    pairs: each area rule takes every stride-th sample.  Rows not all
-    finite come back NaN; the samples are released on return."""
+def _chunk_areas(points: Callable, x, y, size: int, rules) -> np.ndarray:
+    """Areas of the curves of a chunk of poles at the (k, 1) coordinates x
+    and y, sampled by one points() call on a row of size nodes, as a
+    (len(rules), k) array.  rules holds (rule, stride) pairs: each area
+    rule takes every stride-th sample.  Rows not all finite come back NaN;
+    the samples are released on return."""
     # the ellipse family has no pole: its one curve stands for all k
-    pts = np.broadcast_to(np.asarray(points(m), dtype=float), (len(m[0]), size, 2))
+    pts = np.broadcast_to(np.asarray(points(x, y), dtype=float), (len(x), size, 2))
     ok = np.all(np.isfinite(pts), axis=(1, 2))
     out = np.full((len(rules), len(ok)), np.nan)
     if ok.any():
@@ -217,30 +226,29 @@ def _chunk_areas(points: Callable, m, size: int, rules) -> np.ndarray:
     return out
 
 
-def _sweep(frame: Callable, fam: str, poles: np.ndarray, n: int,
-           per_chunk: int) -> np.ndarray:
+def _sweep(frame: Callable, poles: np.ndarray, n: int, per_chunk: int) -> np.ndarray:
     """Areas at n and at 2n points of all poles, in chunks of per_chunk, as
     a (2, count) array: the coarse row, then the fine one.
 
-    frame(t) builds the family's frame on the nodes t.  The grid nests: its
-    n nodes are the even nodes of its 2n nodes, bit for bit, so the 2n
-    nodes, their frame and the area rules of both grid sizes
-    (areas.area_rule, whose row checks run once) are built once for all
-    chunks.  A chunk makes one points() call at 2n, and its n-point areas
+    frame(t) builds the family's frame on the nodes t, once, before the
+    first chunk: no registry frame raises on real nodes, where
+    |P'(t)|^2 >= b^2 > 0.  The grid nests: the n nodes of ParamGrid(n) are
+    the even nodes of ParamGrid(2n), bit for bit, so the 2n nodes, their
+    frame and the area rules of both grid sizes (areas.area_rule, whose row
+    checks run once) serve all chunks.  A chunk makes one points() call at
+    2n on the (k, 1) coordinate views of its poles, and its n-point areas
     come from the even samples, by the rule of t[::2]; its finite rows go
     to each rule in one stack.  Poles whose chunk raised, or whose samples
     are not all finite, come back NaN.
     """
-    t = family_grid(fam, 2 * n).nodes()
-    points, rules = None, [(area_rule(t[::2]), 2), (area_rule(t), 1)]
+    t = ParamGrid(2 * n).nodes()
+    points, rules = frame(t), [(area_rule(t[::2]), 2), (area_rule(t), 1)]
     out = np.full((2, len(poles)), np.nan)
     for c0 in range(0, len(poles), per_chunk):
         chunk = slice(c0, c0 + per_chunk)
-        m = (poles[chunk, :1], poles[chunk, 1:])
         try:
-            if points is None:
-                points = frame(t)
-            out[:, chunk] = _chunk_areas(points, m, t.size, rules)
+            out[:, chunk] = _chunk_areas(points, poles[chunk, :1], poles[chunk, 1:],
+                                         t.size, rules)
         except GeometryError:
             pass
     return out
@@ -263,7 +271,9 @@ def scan(e: Ellipse, family, locus: LocusSpec, n: int = 2048,
 
     _sweep takes the poles in chunks of at most CHUNK_POINTS points at 2n
     and gives each chunk its areas at n and at 2n before the next, through
-    one area rule per grid size (areas.area_rule), built with the frame.
+    one area rule per grid size (areas.area_rule), built with the frame;
+    the frame gets each chunk's coordinates as they are, since LocusSpec's
+    own checks make its poles finite.
     The grid nests: its n nodes are the even nodes of the 2n grid, bit for
     bit, so the chunk is sampled once, at 2n, and its n-point areas come
     from the even samples.  A pole whose chunk raised, or whose row came
@@ -286,7 +296,7 @@ def scan(e: Ellipse, family, locus: LocusSpec, n: int = 2048,
     _require_tol(tol)
 
     per_chunk = max(1, CHUNK_POINTS // (2 * n))
-    coarse, fine = _sweep(lambda t: spec.frame(e, t, theta, mu), fam, poles, n, per_chunk)
+    coarse, fine = _sweep(lambda t: spec.frame(e, t, theta, mu), poles, n, per_chunk)
 
     # a pole whose row came back non-finite is re-run alone, so its error
     # names the node that failed
@@ -367,8 +377,11 @@ def identity_suite(e: Ellipse, m=(0.7, -0.4), n: int = 2048,
     (closed forms, then quadrature, then the support-function route); the
     rotated-pedal deficit A_pedal - A_rot = A sin^2(theta) per theta; the
     blend law A_mu = (1-2mu)((1-mu)A_pedal - mu A_contra) + mu(1-mu)A per mu.
-    A grid size n below 8, a non-finite theta or mu, or a tol that is not
-    finite and positive raises DomainError.
+    Every area a check reads from n points, by quadrature (_pole_areas) or
+    by the support route, is settled against its re-run on 2n points
+    (areas.settled_area); one that is not raises QuadratureError.  A grid
+    size n below 8, a non-finite theta or mu, or a tol that is not finite
+    and positive raises DomainError.
     """
     _require_count("grid size n", n, 8)
     _require_finite("thetas and mus", *thetas, *mus)
@@ -379,9 +392,8 @@ def identity_suite(e: Ellipse, m=(0.7, -0.4), n: int = 2048,
     ap = closed_form_area(AreaFamily.PEDAL, e, m=mm)
     ac = closed_form_area(AreaFamily.CONTRAPEDAL, e, m=mm)
 
-    def quad(family, **kw):
-        ev = family_evaluator(e, family, mm, **kw)
-        return signed_area_quadrature(sample_curve(ev, ParamGrid(count=n)))
+    def quad(family, theta=0.0, mu=0.5):
+        return settled_area(*_pole_areas(e, family, mm, n, theta, mu))
 
     ap_q = quad(AreaFamily.PEDAL)
     ac_q = quad(AreaFamily.CONTRAPEDAL)
@@ -392,9 +404,9 @@ def identity_suite(e: Ellipse, m=(0.7, -0.4), n: int = 2048,
     ]
 
     sup = ellipse_support(e)
-    checks.append(_check("support_pedal_minus_contrapedal",
-                         support_pedal_area(sup, mm, n=n) - support_contrapedal_area(sup, mm, n=n),
-                         base, tol))
+    sp, sc = (settled_area(area(sup, mm, n=n), area(sup, mm, n=2 * n))
+              for area in (support_pedal_area, support_contrapedal_area))
+    checks.append(_check("support_pedal_minus_contrapedal", sp - sc, base, tol))
 
     for theta in thetas:
         at_q = quad(AreaFamily.ROTATED, theta=theta)

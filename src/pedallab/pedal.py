@@ -19,11 +19,13 @@ ellipse P(t) = (a cos t, b sin t) and a fixed pole M:
 Point evaluators are vectorized over t and complex-safe, so the cusp finder
 can differentiate them by complex step.  Every ellipse family with a pole M
 is evaluated in two steps: a frame builder does the work that depends on
-the parameters alone and returns points(m), the points for the pole m, so
-a scan can share one frame among all the poles of a grid.  points() also
-takes a chunk of k poles as a pair of (k, 1) coordinate arrays (see
-curves.pole_xy), and then returns one curve per pole.  The frames are
-called through the registry, areas.FAMILIES, and harness.family_evaluator.
+the parameters alone and returns points(x, y), the points for the pole at
+the plain coordinates (x, y), so a scan can share one frame among all the
+poles of a grid.  For a chunk of k poles, x and y are (k, 1) arrays, and
+points() returns one curve per pole.  No function here reads or checks a
+pole: harness.family_evaluator reads its pole once (curves.as_xy), and
+harness.scan hands over the coordinates of its locus poles, finite by
+construction.  The frames are called through the registry, areas.FAMILIES.
 
 Every family with a pole is affine in two coordinates (c1, c2) read from
 the pole, the rational forms below excepted: each coordinate of a point is
@@ -39,7 +41,7 @@ F0(t) + c1 F1(t) + c2 F2(t), and the frame holds the three columns of each
   negative pedal this is the rational form with its removable singularity
   at t = s divided out, a trigonometric polynomial of degree 2 in t,
   finite at t = s.  It serves exactly the poles on the ellipse
-  (curves.pole_on_ellipse); any other pole takes the rational form, which
+  (curves.xy_on_ellipse); any other pole takes the rational form, which
   keeps its singularity and its SingularParameter / SingularFamily
   errors.  Pseudo-Talbot has no other form: it has no points for a pole
   off the ellipse.
@@ -60,11 +62,9 @@ from .curves import (
     Ellipse,
     SampledCurve,
     SupportCurve,
-    as_xy,
     ellipse_point,
     ellipse_velocity,
-    pole_on_ellipse,
-    pole_xy,
+    xy_on_ellipse,
 )
 from .errors import (
     DegenerateLine,
@@ -83,8 +83,8 @@ TWO_PI = 2.0 * math.pi
 
 
 def _affine_frame(fx, fy, sx: float = 1.0, sy: float = 1.0) -> Callable:
-    """points(m) of a curve affine in the scaled coordinates
-    (c1, c2) = (x/sx, y/sy) of its pole m = (x, y): each coordinate is
+    """points(x, y) of a curve affine in the scaled coordinates
+    (c1, c2) = (x/sx, y/sy) of its pole (x, y): each coordinate is
     F0 + c1 F1 + c2 F2.
 
     fx and fy are the columns (F0, F1, F2) of x and of y, arrays over the
@@ -93,11 +93,10 @@ def _affine_frame(fx, fy, sx: float = 1.0, sy: float = 1.0) -> Callable:
     The points are written into a (2, ..., n) buffer of coordinate planes,
     of the columns' dtype (complex under a complex step) and of any shape,
     0-d included; the (..., n, 2) view of it is returned, so the quadrature
-    reads each plane contiguously.  A chunk of poles takes (k, 1) arrays m.
+    reads each plane contiguously.  A chunk of poles takes (k, 1) arrays.
     """
 
-    def points(m):
-        x0, y0 = pole_xy(m)
+    def points(x0, y0):
         c1, c2 = x0 / sx, y0 / sy
         # F0 + c1 F1 first, whose shape and dtype the planes take: the
         # helpers that work them out from the columns cost more than the
@@ -179,26 +178,6 @@ def interpolated_frame(e: Ellipse, t, mu: float) -> Callable:
                          (k * fy[0] + mu * p[..., 1], k * fy[1], k * fy[2] + mu))
 
 
-def support_pedal_point(s: SupportCurve, t, m):
-    """Pedal of a support-function curve: foot from m onto the tangent with normal angle t."""
-    x0, y0 = as_xy(m)
-    t = np.asarray(t)
-    h = s.h(t)
-    ct, st = np.cos(t), np.sin(t)
-    return np.stack([x0 * st ** 2 + (h - y0 * st) * ct,
-                     (h - x0 * ct) * st + y0 * ct ** 2], axis=-1)
-
-
-def support_contrapedal_point(s: SupportCurve, t, m):
-    """Contrapedal of a support-function curve: foot from m onto the normal line."""
-    x0, y0 = as_xy(m)
-    t = np.asarray(t)
-    dh = s.dh(t)
-    ct, st = np.cos(t), np.sin(t)
-    return np.stack([x0 * ct ** 2 + y0 * ct * st - dh * st,
-                     y0 * st ** 2 + x0 * ct * st + dh * ct], axis=-1)
-
-
 # ---------------------------------------------------------------------------
 # envelopes of line families
 
@@ -230,24 +209,23 @@ def _envelope_solve(t, nx, ny, mx, my, d, dd):
 
 
 def _by_pole(e: Ellipse, t, reduced: Callable, rational: Callable) -> Callable:
-    """points(m) of a boundary family at the parameters t: for a pole on
-    the ellipse (curves.pole_on_ellipse), the reduced frame reduced(e, t),
-    an _affine_frame; for any other pole, the rational frame rational(e, t).
-    Each frame is built on first use and kept, so a call builds only the
-    one it needs.  A chunk that mixes both kinds of pole gets each row from
-    its own frame."""
+    """points(x, y) of a boundary family at the parameters t: for a pole on
+    the ellipse (curves.xy_on_ellipse, one test on its coordinates), the
+    reduced frame reduced(e, t), an _affine_frame; for any other pole, the
+    rational frame rational(e, t).  Each frame is built on first use and
+    kept, so a call builds only the one it needs.  A chunk that mixes both
+    kinds of pole gets each row from its own frame."""
     frame = functools.cache(lambda build: build(e, t))
 
-    def points(m):
-        x0, y0 = pole_xy(m)
-        on = pole_on_ellipse(e, (x0, y0))
+    def points(x0, y0):
+        on = xy_on_ellipse(e, x0, y0)
         if on.all():
-            return frame(reduced)(m)
+            return frame(reduced)(x0, y0)
         if not on.any():
-            return frame(rational)(m)
+            return frame(rational)(x0, y0)
         rows = on[:, 0]
-        red = frame(reduced)((x0[rows], y0[rows]))
-        rat = frame(rational)((x0[~rows], y0[~rows]))
+        red = frame(reduced)(x0[rows], y0[rows])
+        rat = frame(rational)(x0[~rows], y0[~rows])
         out = np.empty((len(rows),) + red.shape[1:], dtype=np.result_type(red, rat))
         out[rows], out[~rows] = red, rat
         return out
@@ -263,11 +241,12 @@ def negative_pedal_rational_frame(e: Ellipse, t) -> Callable:
     """The negative pedal of any pole at the ellipse parameters t, as the
     envelope of its line pencil.
 
-    Returns points(m), the envelope points of the lines through P(t)
-    perpendicular to P(t) - m: each line n . X = d, for n = P(t) - m and
-    d = n . P(t), solved together with its t-derivative.  A chunk of poles
-    takes (k, 1) arrays m.  For m on the ellipse at P(s) the pencil is
-    singular at t = s, where SingularFamily names t.
+    Returns points(x, y), the envelope points of the lines through P(t)
+    perpendicular to P(t) - m for the pole m = (x, y): each line n . X = d,
+    for n = P(t) - m and d = n . P(t), solved together with its
+    t-derivative.  A chunk of poles takes (k, 1) arrays.  For m on the
+    ellipse at P(s) the pencil is singular at t = s, where SingularFamily
+    names t.
     """
     t = np.asarray(t)
     ct, st = np.cos(t), np.sin(t)
@@ -276,8 +255,7 @@ def negative_pedal_rational_frame(e: Ellipse, t) -> Callable:
     px, py = np.asarray(e.a * ct), np.asarray(e.b * st)
     vx, vy = np.asarray(-e.a * st), np.asarray(e.b * ct)
 
-    def points(m):
-        x0, y0 = pole_xy(m)
+    def points(x0, y0):
         nx, ny = px - x0, py - y0
         d = nx * px + ny * py
         dd = vx * (2 * px - x0) + vy * (2 * py - y0)
@@ -287,7 +265,7 @@ def negative_pedal_rational_frame(e: Ellipse, t) -> Callable:
 
 
 def _negative_pedal_reduced(e: Ellipse, t) -> Callable:
-    """points(x0, y0) of the negative pedal of the pole P(s), with the
+    """points(x, y) of the negative pedal of the pole P(s), with the
     removable singularity of its pencil at t = s divided out (see
     negative_pedal_frame)."""
     t = np.asarray(t)
@@ -302,7 +280,7 @@ def negative_pedal_frame(e: Ellipse, t) -> Callable:
     """The negative pedal at the ellipse parameters t: envelope of the lines
     through P(t) perpendicular to P(t) - m.
 
-    Returns points(m).  For a pole on the ellipse, at P(s), the
+    Returns points(x, y).  For a pole on the ellipse, at P(s), the
     determinant of the pencil is ab (1 - cos(t - s)) and its numerators
     vanish there to the same order; divided out, the curve is a
     trigonometric polynomial of degree 2 in t, affine in (cos s, sin s).
@@ -324,10 +302,10 @@ def hybrid_rational_frame(e: Ellipse, t) -> Callable:
     """The hybrid curve of any pole at the ellipse parameters t, as a
     rational function of the harmonics of t.
 
-    Returns points(m): the intersections of the perpendicular to the
-    tangent direction at P(t) drawn through m with the perpendicular to
-    m - P(t) drawn through P(t).  The frame holds cos j t and sin j t for
-    j = 1, 2, 3.  A chunk of poles takes (k, 1) arrays m.
+    Returns points(x, y): the intersections of the perpendicular to the
+    tangent direction at P(t) drawn through the pole m = (x, y) with the
+    perpendicular to m - P(t) drawn through P(t).  The frame holds cos j t
+    and sin j t for j = 1, 2, 3.  A chunk of poles takes (k, 1) arrays.
     The point blows up where m sits on the tangent line at P(t), which for
     m on the ellipse at P(s) happens only at t = s; SingularParameter names
     t.
@@ -337,9 +315,8 @@ def hybrid_rational_frame(e: Ellipse, t) -> Callable:
     c2t, s2t = np.cos(2 * t), np.sin(2 * t)
     c3t, s3t = np.cos(3 * t), np.sin(3 * t)
 
-    def points(m):
+    def points(x0, y0):
         a, b = e.a, e.b
-        x0, y0 = pole_xy(m)
         c2 = e.c2
         den = 4.0 * (a * y0 * st + b * x0 * ct - a * b)
         small = np.abs(den) <= TANGENT_TOL * 4.0 * a * b
@@ -358,7 +335,7 @@ def hybrid_rational_frame(e: Ellipse, t) -> Callable:
 
 
 def _hybrid_reduced(e: Ellipse, t) -> Callable:
-    """points(x0, y0) of the hybrid of the pole P(s), with its removable
+    """points(x, y) of the hybrid of the pole P(s), with its removable
     singularity at t = s divided out (see hybrid_frame)."""
     t = np.asarray(t)
     al, be = (e.a * e.a + e.b * e.b) / (2 * e.a), (e.a * e.a + e.b * e.b) / (2 * e.b)
@@ -371,7 +348,7 @@ def _hybrid_reduced(e: Ellipse, t) -> Callable:
 def hybrid_frame(e: Ellipse, t) -> Callable:
     """The hybrid curve at the ellipse parameters t.
 
-    Returns points(m).  For a pole on the ellipse, at P(s), the
+    Returns points(x, y).  For a pole on the ellipse, at P(s), the
     denominator of the rational form is 4ab (cos(t - s) - 1) and its
     numerators vanish there to the same order; divided out, the curve is a
     trigonometric polynomial of degree 2 in t, affine in (cos s, sin s).  With alpha, beta, gamma
@@ -392,8 +369,9 @@ def pseudo_talbot_frame(e: Ellipse, u) -> Callable:
     """The pseudo-Talbot curve at the traversal parameters u.
 
     The curve is the cubic-harmonic companion of the hybrid curve for a
-    pole on the ellipse.  Returns points(m) for the pole m = P(s), read as
-    (cos s, sin s) = (x/a, y/b) like the reduced frames of hybrid_frame;
+    pole on the ellipse.  Returns points(x, y) for the pole (x, y) = P(s),
+    read as (cos s, sin s) = (x/a, y/b) like the reduced frames of
+    hybrid_frame;
     the curve has no points for a pole off the ellipse, which
     harness.family_evaluator and harness.scan refuse.  The traversal
     parameter u runs the curve so that its signed area matches the
@@ -401,7 +379,7 @@ def pseudo_talbot_frame(e: Ellipse, u) -> Callable:
     harmonic angle; internally the formula is evaluated at angle -u.  The
     curve is affine in (cos s, sin s): each coordinate is
     F0(u) + cos s Fc(u) + sin s Fs(u), and the frame holds the three columns
-    of each.  A chunk of poles takes (k, 1) arrays m.
+    of each.  A chunk of poles takes (k, 1) arrays.
     """
     a, b = e.a, e.b
     a2, b2 = a * a, b * b

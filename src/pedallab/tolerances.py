@@ -23,6 +23,16 @@ GRID_STEP_TOL = 1e-12
 # absolute tolerance
 PERIOD_TOL = 1e-9
 
+# a sampled curve's total signed curvature is resolved when it is a multiple
+# of pi to this absolute tolerance (areas.curvature_centroid_samples).  A
+# cusp on a grid node misses by 0.13 or more (evolutoid at the cusp-birth
+# angle: 4.80, 6.41 and 6.50 at n = 64, 2048 and 512; the evolute and the
+# deltoid of a boundary pole: 1e5 to 1e14 off), while on the 2:1 ellipse,
+# at n = 64 to 2048 and 100 random grid offsets each, the evolute, the
+# evolutoid at 1.2 times that angle, the deltoids of P(0) and P(0.7) and
+# the negative pedal of (0.7, -0.4) all stay within 5e-5 of one
+TURNING_TOL = 1e-3
+
 # two lines of an envelope's pencil are parallel when their determinant is
 # below this fraction of their squared normals
 PARALLEL_TOL = 1e-12

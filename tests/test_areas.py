@@ -41,22 +41,38 @@ from pedallab import (
 
 from pedallab.areas import DOUBLING_RTOL, FAMILIES, settled, settled_area
 from pedallab.harness import SCANNABLE
+from pedallab.pedal import evolutoid_point
+from pedallab.tolerances import TURNING_TOL
 
 TWO_PI = 2.0 * math.pi
 E21 = Ellipse(2.0, 1.0)
 
 
-def shoelace_spectral_derivative(curve):
-    """The quadrature before its Parseval form: 1/2 sum(x y' - y x') h with
-    derivatives by FFT, the Nyquist mode zeroed."""
-    n = len(curve)
+def spectral_derivative(v):
+    """Derivative of a periodic sample sequence by FFT, the Nyquist mode zeroed."""
+    n = len(v)
     k = 1j * np.fft.fftfreq(n, d=1.0 / n)
     if n % 2 == 0:
         k[n // 2] = 0.0
+    return np.fft.ifft(k * np.fft.fft(v)).real
+
+
+def total_curvature(curve):
+    """Total signed curvature of a sampled curve: the sum of
+    (x' y'' - y' x'') / (x'^2 + y'^2) dt over its nodes."""
     x, y = curve.points[:, 0], curve.points[:, 1]
-    dx = np.fft.ifft(k * np.fft.fft(x)).real
-    dy = np.fft.ifft(k * np.fft.fft(y)).real
-    return float(0.5 * (TWO_PI / n) * np.sum(x * dy - y * dx))
+    dx, dy = spectral_derivative(x), spectral_derivative(y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = (dx * spectral_derivative(dy) - dy * spectral_derivative(dx)) / (dx * dx + dy * dy)
+    return float(np.sum(w)) * (TWO_PI / len(curve))
+
+
+def shoelace_spectral_derivative(curve):
+    """The quadrature before its Parseval form: 1/2 sum(x y' - y x') h with
+    derivatives by FFT, the Nyquist mode zeroed."""
+    x, y = curve.points[:, 0], curve.points[:, 1]
+    dx, dy = spectral_derivative(x), spectral_derivative(y)
+    return float(0.5 * (TWO_PI / len(curve)) * np.sum(x * dy - y * dx))
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +228,9 @@ class TestSignedAreaQuadrature:
     def test_stack_on_a_shared_row_equals_each_curve_alone_bitwise(self):
         poles = np.array([[0.7, -0.4], [-1.2, 0.3], [2.5, -1.5]])
         t = ParamGrid(256).nodes()
-        pts = family_evaluator(E21, "pedal", (poles[:, :1], poles[:, 1:]))(t)
+        # the chunk as harness.scan gives it: the registry frame on the
+        # poles' (k, 1) coordinates
+        pts = FAMILIES["pedal"].frame(E21, t, 0.0, 0.5)(poles[:, :1], poles[:, 1:])
         shared = area_rule(t)(pts)
         assert shared.shape == (3,)
         for j, m in enumerate(poles):
@@ -255,8 +273,11 @@ class TestAreaRule:
         rng = np.random.default_rng(1000 * n + (k or 0))
         # poles well inside the ellipse, where no family here is singular
         poles = rng.uniform(-0.5, 0.5, (k or 1, 2))
-        m = tuple(poles[0]) if k is None else (poles[:, :1], poles[:, 1:])
-        ev = family_evaluator(E21, fam, m, mu=1 / 3)
+        if k is None:
+            ev = family_evaluator(E21, fam, tuple(poles[0]), mu=1 / 3)
+        else:
+            # a chunk goes to the registry frame as harness.scan gives it
+            ev = lambda t: FAMILIES[fam].frame(E21, t, 0.0, 1 / 3)(poles[:, :1], poles[:, 1:])
         t2 = ParamGrid(2 * n, offset=0.5).nodes()
         t = t2[::2]
         pts = ev(t)
@@ -421,6 +442,39 @@ class TestCentroids:
             ParamGrid(512, offset=0.5))
         with pytest.raises(ZeroRotationIndex):
             curvature_centroid_samples(curve)
+
+    def test_turning_tol_separates_cusps_on_nodes_from_resolved_grids(self):
+        # a resolved total is a multiple of pi: 2 pi for the ellipse and the
+        # evolute, pi for the deltoid; a cusp on a node misses by 0.13 or
+        # more (the evolutoid at its cusp-birth angle: 4.80, 6.41, 6.50)
+        theta0 = math.atan2(2 * E21.a * E21.b, 3 * E21.c2)
+        evolutoid = lambda theta: lambda t: evolutoid_point(E21, theta, t)
+        deltoid = family_evaluator(E21, "negative_pedal", (2.0, 0.0))
+        on_nodes = [sample_curve(f, ParamGrid(n)) for f, n in [
+            (evolutoid(theta0), 64), (evolutoid(theta0), 512), (evolutoid(theta0), 2048),
+            (evolutoid(math.pi / 2), 2048), (deltoid, 512)]]
+        resolved = [sample_curve(f, ParamGrid(n, offset=0.5)) for f, n in [
+            (lambda t: ellipse_point(E21, t), 64), (evolutoid(math.pi / 2), 2048),
+            (deltoid, 512)]]
+        misses = [abs(math.remainder(total_curvature(c), math.pi)) for c in on_nodes]
+        assert min(misses) > 100 * TURNING_TOL
+        assert [round(total_curvature(c) / math.pi) for c in resolved] == [2, 2, 1]
+        assert max(abs(math.remainder(total_curvature(c), math.pi)) for c in resolved) < 1e-9
+        for c in on_nodes:
+            with pytest.raises(QuadratureError, match="not a multiple of pi"):
+                curvature_centroid_samples(c)
+        got = [curvature_centroid_samples(c) for c in resolved]
+        np.testing.assert_allclose([[k.x, k.y] for k in got],
+                                   [[0.0, 0.0], [0.0, 0.0], [-2 / 3, 0.0]], atol=1e-9)
+
+    def test_half_period_window_is_refused(self):
+        # every quadrature assumes its window is one period
+        t = np.arange(64) * (math.pi / 64)
+        curve = SampledCurve(t, ellipse_point(E21, t))
+        for quadrature in (curvature_centroid_samples, perimeter_quadrature,
+                           signed_area_quadrature):
+            with pytest.raises(QuadratureError, match="one full period"):
+                quadrature(curve)
 
 
 # ---------------------------------------------------------------------------

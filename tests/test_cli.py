@@ -401,6 +401,11 @@ class TestIdentities:
         assert rc == 1
         assert "FAIL" in out
 
+    def test_unsettled_area_exits_1(self, capsys):
+        rc, out, err = run(capsys, "identities", "--n", "8")
+        assert rc == 1 and out == ""
+        assert "quadrature not settled" in err
+
 
 # ---------------------------------------------------------------------------
 # centroid / polygon / conjecture
@@ -412,6 +417,29 @@ class TestCentroid:
         assert rc == 0
         obj = json.loads(out)
         assert math.hypot(obj["kx"], obj["ky"]) < 1e-10
+
+    def test_evolute_cusps_on_nodes_are_refused(self, capsys):
+        # the evolute's cusps at t = 0, pi/2, pi, 3pi/2 are nodes of the
+        # default grid; half a step off, every node misses them
+        argv = ["centroid", "--family", "evolutoid", "--theta", "1.5707963267948966"]
+        rc, out, err = run(capsys, *argv)
+        assert rc == 1 and out == ""
+        assert "not a multiple of pi" in err and "cusp on a node" in err
+        rc, out, _ = run(capsys, *argv, "--offset", "0.5")
+        assert rc == 0
+        obj = json.loads(out)
+        assert math.hypot(obj["kx"], obj["ky"]) < 3e-12
+
+    def test_deltoid_cusp_on_a_node_is_refused(self, capsys):
+        # the negative pedal of P(0) is a deltoid with a cusp at t = 0
+        argv = ["centroid", "--family", "negative_pedal", "--s", "0", "--n", "512"]
+        rc, out, err = run(capsys, *argv, "--offset", "0")
+        assert rc == 1 and out == "" and "not a multiple of pi" in err
+        rc, out, _ = run(capsys, *argv)
+        assert rc == 0
+        obj = json.loads(out)
+        assert obj["kx"] == pytest.approx(-2 / 3, abs=1e-9)
+        assert obj["ky"] == pytest.approx(0.0, abs=1e-9)
 
     def test_support_source(self, capsys):
         rc, out, _ = run(capsys, "centroid", "--source", "support", "--family", "ellipse")

@@ -19,6 +19,7 @@ from pedallab import (
     sample_curve,
     support_point,
 )
+from pedallab.curves import pole_on_ellipse, xy_on_ellipse
 
 TWO_PI = 2.0 * math.pi
 
@@ -55,6 +56,31 @@ class TestEllipse:
         e = Ellipse(2.0, 1.0)
         assert e.implicit((2.0, 0.0)) == pytest.approx(1.0, abs=1e-15)
         assert e.implicit((0.0, 0.0)) == 0.0
+
+    def test_implicit_takes_a_point_or_rows_of_points(self):
+        # a chunk of poles as a pair of (k, 1) arrays is no point: refused,
+        # as are malformed and non-finite points
+        e = Ellipse(2.0, 1.0)
+        chunk = (np.array([[2.0], [0.0]]), np.array([[0.0], [1.0]]))
+        for bad in (chunk, (1.0, 2.0, 3.0), (math.nan, 0.0)):
+            with pytest.raises(DomainError):
+                e.implicit(bad)
+            with pytest.raises(DomainError):
+                pole_on_ellipse(e, bad)
+
+    def test_coordinates_give_each_point_its_value_alone_bitwise(self):
+        # the one expression of the implicit value, on plain coordinates:
+        # a chunk's (k, 1) columns, as the boundary frames route them, give
+        # each pole bitwise its value alone, and so the same on-ellipse answer
+        e = Ellipse(3.0, 1.7)
+        poles = np.concatenate([ellipse_point(e, np.linspace(-4.0, 4.0, 33)),
+                                np.random.default_rng(3).uniform(-4.0, 4.0, (33, 2))])
+        got = e.implicit_xy(poles[:, :1], poles[:, 1:])
+        assert got.shape == (66, 1)
+        assert got[:, 0].tolist() == [e.implicit(m) for m in poles]
+        on = xy_on_ellipse(e, poles[:, :1], poles[:, 1:])[:, 0]
+        assert on.tolist() == [bool(pole_on_ellipse(e, m)) for m in poles]
+        assert on[:33].all() and not on[33:].any()
 
 
 class TestEllipseEvaluators:

@@ -11,6 +11,7 @@ from pedallab import (
     DomainError,
     Ellipse,
     GeometryError,
+    QuadratureError,
     LocusSpec,
     ParamGrid,
     closed_form_area,
@@ -22,7 +23,7 @@ from pedallab import (
     scan,
     signed_area_quadrature,
 )
-from pedallab import areas, ellipse_point, pedal
+from pedallab import areas, curves, ellipse_point, harness, pedal
 from pedallab.areas import FAMILIES, Family, settled_area
 from pedallab.curves import pole_on_ellipse
 from pedallab.harness import SCANNABLE
@@ -85,21 +86,27 @@ class TestFamilyPlumbing:
         # ellipse
         spec, t = Family.of(fam), ParamGrid(64, offset=0.5).nodes()
         m = tuple(ellipse_point(E21, 0.7).tolist()) if spec.ellipse_pole_only else (0.3, 0.2)
-        want = spec.frame(E21, t, 0.6, 1 / 3)(m)
+        want = spec.frame(E21, t, 0.6, 1 / 3)(*m)
         got = family_evaluator(E21, fam, m, theta=0.6, mu=1 / 3)(t)
         assert got.dtype == want.dtype and np.array_equal(got, want)
         # s, still accepted, is not read
         got = family_evaluator(E21, fam, m, theta=0.6, mu=1 / 3, s=2.0)(t)
         assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("m", [(0.3, 0.2), (2.0, 0.1), (0.0, 0.0),
-                                   (np.array([[2.0], [0.3]]), np.array([[0.0], [0.2]]))])
+    @pytest.mark.parametrize("m", [(0.3, 0.2), (2.0, 0.1), (0.0, 0.0)])
     def test_pseudo_talbot_refuses_a_pole_off_the_ellipse(self, m):
-        # a chunk with one pole off the ellipse is refused as a whole, and
-        # so is a pole given with a boundary parameter
+        # with or without a boundary parameter
         for kw in ({}, {"s": 0.7}):
             with pytest.raises(DomainError, match="on the ellipse"):
                 family_evaluator(E21, "pseudo_talbot", m, **kw)
+
+    @pytest.mark.parametrize("fam", SCANNABLE)
+    @pytest.mark.parametrize("m", [(math.nan, 0.0), (0.3, -math.inf), (0.3, 0.2, 0.1),
+                                   np.zeros((2, 2)), "ab", ((0.3, 0.2), 0.1)])
+    def test_the_one_read_refuses_a_bad_pole(self, fam, m):
+        # the pole is read when the evaluator is built, not when it is called
+        with pytest.raises(DomainError):
+            family_evaluator(E21, fam, m)
 
     def test_boundary_families_get_the_nesting_grid(self):
         # hybrid runs in t on ParamGrid(n), finite at t = s, whatever the pole
@@ -107,6 +114,41 @@ class TestFamilyPlumbing:
             g = family_grid("hybrid", 512, s=s)
             assert (g.start, g.offset, g.count) == (0.0, 0.0, 512)
         assert family_grid("pedal", 512).offset == 0.0
+
+
+class TestPoleReads:
+    """A pole is a point at the API, read once by curves.as_xy when its
+    evaluator is built; the frames work on its plain coordinates."""
+
+    @staticmethod
+    def count_reads(monkeypatch):
+        """Patch as_xy in every module that reads a pole; the returned list
+        gathers the pole of every read."""
+        reads, read = [], curves.as_xy
+        for module in (curves, areas, harness):
+            monkeypatch.setattr(module, "as_xy", lambda m: reads.append(m) or read(m))
+        return reads
+
+    # both routes of hybrid and negative pedal: the reduced frame for a pole
+    # on the ellipse, the rational one for any other; pseudo-Talbot has
+    # points only for a pole on the ellipse
+    @pytest.mark.parametrize("fam, m", [
+        (fam, m) for fam in SCANNABLE
+        for m in [(0.3, 0.2), tuple(ellipse_point(E21, 0.7).tolist())]
+        if not (Family.of(fam).ellipse_pole_only and m == (0.3, 0.2))])
+    def test_an_evaluator_call_reads_no_pole(self, monkeypatch, fam, m):
+        reads = self.count_reads(monkeypatch)
+        ev = family_evaluator(E21, fam, m, theta=0.6, mu=1 / 3)
+        assert reads == [m]
+        reads.clear()
+        t = ParamGrid(64, offset=0.5).nodes()
+        for arg in (0.3, 0.3 + 1e-200j, t, t + 1e-200j):
+            assert np.all(np.isfinite(ev(arg)))
+        assert reads == []
+
+    def test_pedal_has_no_pole_reader(self):
+        assert not any(hasattr(pedal, name) for name in ("as_xy", "pole_xy", "pole_on_ellipse"))
+        assert not hasattr(curves, "pole_xy")
 
 
 class TestFamilyRegistry:
@@ -340,10 +382,10 @@ class TestRowChecks:
     def test_row_checks_do_not_grow_with_the_pole_count(self, monkeypatch, fam, kind):
         rows = []
 
-        def counted(params, fn=areas._uniform_step):
+        def counted(params, fn=areas._periodic_step):
             rows.append(np.shape(params)[-1])
             return fn(params)
-        monkeypatch.setattr(areas, "_uniform_step", counted)
+        monkeypatch.setattr(areas, "_periodic_step", counted)
         checked = []
         for count in (2, 64):
             rows.clear()
@@ -471,6 +513,20 @@ class TestIdentitySuite:
     def test_tolerance_is_enforced(self):
         checks = identity_suite(E21, n=1024, tol=1e-16)
         assert any(not c.passed for c in checks)
+
+    def test_every_area_is_settled(self, monkeypatch):
+        # 13 quadratures (pedal, contrapedal, 5 rotated, 6 blends) and the
+        # support route's 2 areas, each against its re-run on 2n points
+        pairs = []
+        monkeypatch.setattr(harness, "settled_area",
+                            lambda a, b, fn=settled_area: pairs.append((a, b)) or fn(a, b))
+        identity_suite(E21, n=1024)
+        assert len(pairs) == 15
+
+    def test_an_unsettled_area_raises(self):
+        # at n = 8 the pedal quadrature's doubling gap is 0.63
+        with pytest.raises(QuadratureError, match="not settled"):
+            identity_suite(E21, n=8)
 
 
 class TestConjecture:

@@ -32,7 +32,8 @@ from pedallab import (
     support_point,
 )
 import pedallab.pedal as pedal_module
-from pedallab.curves import as_xy, pole_on_ellipse, pole_xy
+from pedallab.areas import Family
+from pedallab.curves import as_xy, pole_on_ellipse
 from pedallab.pedal import (
     Crossing,
     _envelope_solve,
@@ -62,6 +63,12 @@ def rot(v, theta):
 def point(fam, t, m, e=E21, **kw):
     """The points of a family at t for the pole m, through family_evaluator."""
     return family_evaluator(e, fam, m, **kw)(t)
+
+
+def frame_points(fam, t, xs, ys, e=E21, theta=0.0, mu=0.5):
+    """The points of a family at t for poles at the plain coordinates
+    (xs, ys), through its registry frame, as harness.scan calls it."""
+    return Family.of(fam).frame(e, t, theta, mu)(xs, ys)
 
 
 # ---------------------------------------------------------------------------
@@ -227,14 +234,14 @@ class TestEnvelopes:
         s = 0.7
         m = tuple(ellipse_point(E21, s))
         with pytest.raises(SingularFamily):
-            negative_pedal_rational_frame(E21, s)(m)
+            negative_pedal_rational_frame(E21, s)(*m)
 
     @pytest.mark.parametrize("t", [
         0.3, 0.3 + 1e-200j, np.linspace(0.1, TWO_PI, 40),
         np.linspace(0.1, TWO_PI, 40) + 1e-200j, np.linspace(0.1, 6.0, 12).reshape(3, 4)])
     @pytest.mark.parametrize("m", [M, (3.0, 0.5), tuple(ellipse_point(E21, 0.7))])
     def test_negative_pedal_point_is_the_family_envelope_bitwise(self, t, m):
-        got = negative_pedal_rational_frame(E21, t)(m)
+        got = negative_pedal_rational_frame(E21, t)(*m)
         want = envelope_point(negative_pedal_family(E21, m), t)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
@@ -256,31 +263,30 @@ class TestEnvelopes:
 
 
 class TestPoleChunks:
-    """A chunk of k poles, given as (k, 1) coordinate arrays, yields one curve
-    per pole, bitwise equal to evaluating each pole alone."""
+    """A chunk of k poles, given to a registry frame as (k, 1) coordinate
+    arrays as harness.scan gives it, yields one curve per pole, bitwise
+    equal to evaluating each pole alone through family_evaluator."""
 
     POLES = np.array([[0.7, -0.4], [-1.2, 0.3], [0.1, 0.9], [2.5, -1.5]])
 
-    @pytest.mark.parametrize("ev", [
-        lambda t, m: point("pedal", t, m), lambda t, m: point("contrapedal", t, m),
-        lambda t, m: point("hybrid", t, m), lambda t, m: point("negative_pedal", t, m),
-        lambda t, m: point("rotated", t, m, theta=0.6),
-        lambda t, m: point("interpolated", t, m, mu=1.0 / 3.0)])
+    @pytest.mark.parametrize("fam, kw", [
+        ("pedal", {}), ("contrapedal", {}), ("hybrid", {}), ("negative_pedal", {}),
+        ("rotated", dict(theta=0.6)), ("interpolated", dict(mu=1.0 / 3.0))])
     @pytest.mark.parametrize("per_pole_grid", [False, True])
-    def test_rows_equal_single_poles(self, ev, per_pole_grid):
+    def test_rows_equal_single_poles(self, fam, kw, per_pole_grid):
         base = (np.arange(64) + 0.5) * (TWO_PI / 64)
         starts = np.array([[0.0], [0.4], [1.1], [2.9]])
         t = starts + base if per_pole_grid else base
-        got = ev(t, (self.POLES[:, :1], self.POLES[:, 1:]))
+        got = frame_points(fam, t, self.POLES[:, :1], self.POLES[:, 1:], **kw)
         assert got.shape == (4, 64, 2)
         for j, (x, y) in enumerate(self.POLES):
-            assert np.array_equal(got[j], ev(t[j] if per_pole_grid else t, (x, y)))
+            assert np.array_equal(got[j], point(fam, t[j] if per_pole_grid else t, (x, y), **kw))
 
     def test_pseudo_talbot_rows_equal_single_poles(self):
         s = np.array([[0.0], [0.4], [1.1], [2.9]])
         u = s + (np.arange(64) + 0.5) * (TWO_PI / 64)
         poles = ellipse_point(E21, s[:, 0])
-        got = point("pseudo_talbot", u, (poles[:, :1], poles[:, 1:]))
+        got = frame_points("pseudo_talbot", u, poles[:, :1], poles[:, 1:])
         for j in range(4):
             assert np.array_equal(got[j], point("pseudo_talbot", u[j], tuple(poles[j])))
 
@@ -290,14 +296,17 @@ class TestPoleChunks:
         m_bad = ellipse_point(E21, 0.9) + 0.5 * ellipse_velocity(E21, 0.9)
         poles = np.array([[0.1, 0.2], m_bad])
         with pytest.raises(SingularParameter) as info:
-            point("hybrid", t, (poles[:, :1], poles[:, 1:]))
+            frame_points("hybrid", t, poles[:, :1], poles[:, 1:])
         assert info.value.t == pytest.approx(0.9)
 
     @pytest.mark.parametrize("bad", [np.zeros((2, 3)), np.zeros((3, 2, 1)),
-                                     np.full((2, 2, 1), np.nan)])
-    def test_rejects_malformed_chunks(self, bad):
-        with pytest.raises(DomainError):
-            point("pedal", 0.3, bad)
+                                     np.full((2, 2, 1), np.nan),
+                                     (POLES[:, :1], POLES[:, 1:])])
+    def test_family_evaluator_refuses_chunks(self, bad):
+        # family_evaluator takes one pole; a chunk, well formed or not, is
+        # refused when the evaluator is built
+        with pytest.raises(DomainError, match="expected a 2d point"):
+            family_evaluator(E21, "pedal", bad)
 
 
 # ---------------------------------------------------------------------------
@@ -307,10 +316,10 @@ class TestPoleChunks:
 def perpendicular_foot(m, p, d):
     """Foot of the perpendicular from m onto the line p + u d.
 
-    Broadcasts over leading axes of p and d; m is a pole, or a chunk of
-    poles whose (k, 1) coordinates broadcast against those axes.
+    Broadcasts over leading axes of p and d; m is a pole (x, y), or a chunk
+    of poles whose (k, 1) coordinates broadcast against those axes.
     """
-    x0, y0 = pole_xy(m)
+    x0, y0 = m
     p = np.asarray(p)
     d = np.asarray(d)
     dd = d[..., 0] ** 2 + d[..., 1] ** 2
@@ -344,8 +353,9 @@ def steiner_reference(e, t, m, kind, theta=0.6, mu=1.0 / 3.0):
     (x, y), with the foot columns F0 = p - ((p . d) / (d . d)) d,
     F1 = (dx / (d . d)) d and F2 = (dy / (d . d)) d, the x of F2 taken as
     the y of F1, and the interpolated blend as
-    (1 - 2 mu) pedal + mu (P(t) + m)."""
-    x, y = pole_xy(m)
+    (1 - 2 mu) pedal + mu (P(t) + m).  m is a pole (x, y), or a chunk of
+    poles as (k, 1) coordinate arrays."""
+    x, y = m
     p, d = ellipse_point(e, t), ellipse_velocity(e, t)
     if kind == "contrapedal":
         d = np.stack([-d[..., 1], d[..., 0]], axis=-1)
@@ -375,8 +385,11 @@ STEINER = {
 
 
 def steiner_point(kind, t, m):
-    """A Steiner family's points through family_evaluator, at steiner_reference's
-    theta and mu."""
+    """A Steiner family's points at steiner_reference's theta and mu: for one
+    pole through family_evaluator, for a chunk of poles through the
+    registry frame on their coordinates, as harness.scan calls it."""
+    if np.ndim(m[0]):
+        return frame_points(kind, t, *m, theta=0.6, mu=1.0 / 3.0)
     return point(kind, t, m, theta=0.6, mu=1.0 / 3.0)
 
 
@@ -402,9 +415,9 @@ class TestFootFrames:
         t = (np.arange(64) + 0.5) * (TWO_PI / 64)
         fr = STEINER[kind](E21, t)
         for x, y in zip(*self.CHUNK):
-            assert np.array_equal(fr((float(x[0]), float(y[0]))),
+            assert np.array_equal(fr(float(x[0]), float(y[0])),
                                   steiner_point(kind, t, (float(x[0]), float(y[0]))))
-        assert np.array_equal(fr(self.CHUNK), steiner_point(kind, t, self.CHUNK))
+        assert np.array_equal(fr(*self.CHUNK), steiner_point(kind, t, self.CHUNK))
 
     @pytest.mark.parametrize("kind", sorted(STEINER))
     def test_points_are_the_textbook_feet(self, kind):
@@ -415,7 +428,7 @@ class TestFootFrames:
         r, ang = np.geomspace(0.01, 30.0, 100), rng.uniform(0.0, TWO_PI, 100)
         m = ((r * np.cos(ang))[:, None], (r * np.sin(ang))[:, None])
         for e in ELLIPSES + [Ellipse(5.0, 2.0)]:
-            got = STEINER[kind](e, t)(m)
+            got = STEINER[kind](e, t)(*m)
             want = textbook_steiner(e, t, m, kind)
             err = np.hypot(*np.moveaxis(got - want, -1, 0))
             scale = np.hypot(*np.moveaxis(ellipse_point(e, t), -1, 0)) + r[:, None]
@@ -443,10 +456,6 @@ class TestFootFrames:
         monkeypatch.setattr(pedal_module, "ellipse_velocity", vanishing)
         with pytest.raises(DegenerateLine):
             STEINER[kind](E21, t)
-
-    def test_feet_validate_the_pole(self):
-        with pytest.raises(DomainError):
-            pedal_frame(E21, np.linspace(0.0, 1.0, 8))((math.nan, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +502,7 @@ class TestHybrid:
         s = 0.7
         m = tuple(ellipse_point(E21, s))
         with pytest.raises(SingularParameter):
-            hybrid_rational_frame(E21, s)(m)
+            hybrid_rational_frame(E21, s)(*m)
 
 
 # ---------------------------------------------------------------------------
@@ -632,16 +641,16 @@ class TestBoundaryFrames:
         # rational form, whose cancellation costs digits like 1 / tau^2
         t = s + np.array([tau, TWO_PI - tau, tau - TWO_PI])
         m = boundary_pole(e, s)
-        got = FRAMES[fam](e, t)(m)
+        got = FRAMES[fam](e, t)(*m)
         want = RATIONAL[fam](e, t, m)
-        scale = np.max(np.abs(FRAMES[fam](e, ParamGrid(64).nodes())(m)))
+        scale = np.max(np.abs(FRAMES[fam](e, ParamGrid(64).nodes())(*m)))
         assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
     @settings(max_examples=40, deadline=None)
     @given(e=st.sampled_from(ELLIPSES), s=st.floats(-TWO_PI, TWO_PI),
            u=st.floats(0.0, TWO_PI))
     def test_pseudo_talbot_frame_matches_its_formula(self, e, s, u):
-        got = pseudo_talbot_frame(e, u)(boundary_pole(e, s))
+        got = pseudo_talbot_frame(e, u)(*boundary_pole(e, s))
         want = pseudo_talbot_reference(e, s, u)
         assert np.max(np.abs(got - want)) <= 1e-14 * (1.0 + np.max(np.abs(want)))
 
@@ -659,7 +668,7 @@ class TestBoundaryFrames:
         (fx, fy), = columns
         s = np.random.default_rng(5).uniform(-TWO_PI, TWO_PI, (400, 1))
         poles = ellipse_point(e, s[:, 0])
-        got = frame((poles[:, :1], poles[:, 1:]))
+        got = frame(poles[:, :1], poles[:, 1:])
         cs, ss = np.cos(s), np.sin(s)
         want = np.stack([fx[0] + cs * fx[1] + ss * fx[2], fy[0] + cs * fy[1] + ss * fy[2]],
                         axis=-1)
@@ -671,23 +680,23 @@ class TestBoundaryFrames:
     def test_finite_at_the_pole_parameter(self, fam, s):
         m = boundary_pole(E21, s)
         t = np.array([s - 0.5, s, s + 0.5])
-        got = FRAMES[fam](E21, t)(m)
+        got = FRAMES[fam](E21, t)(*m)
         assert np.all(np.isfinite(got))
         np.testing.assert_allclose(got, reduced_reference(fam, E21, t, s), rtol=0, atol=1e-14)
         # a 0-d parameter gives one point
-        assert np.array_equal(FRAMES[fam](E21, s)(m), got[1])
+        assert np.array_equal(FRAMES[fam](E21, s)(*m), got[1])
         # the rational frame keeps its singularity and names t = s
         rational = {"hybrid": hybrid_rational_frame,
                     "negative_pedal": negative_pedal_rational_frame}[fam]
         with pytest.raises((SingularParameter, SingularFamily)) as info:
-            rational(E21, t)(m)
+            rational(E21, t)(*m)
         assert info.value.t == pytest.approx(s, abs=1e-15)
 
     @pytest.mark.parametrize("fam", list(RATIONAL))
     @pytest.mark.parametrize("e", ELLIPSES)
     def test_no_modes_above_two(self, fam, e):
         s = 0.7
-        p = FRAMES[fam](e, ParamGrid(256).nodes())(boundary_pole(e, s))
+        p = FRAMES[fam](e, ParamGrid(256).nodes())(*boundary_pole(e, s))
         modes = np.abs(np.fft.rfft(p, axis=0)) / 256
         assert np.max(modes[3:]) < 1e-14 * np.max(np.abs(p))
         assert np.min(np.max(modes[1:3], axis=1)) > 1e-3
@@ -702,11 +711,11 @@ class TestBoundaryFrames:
         t = s + tau
         frame = FRAMES[fam]
         for arg in (t, np.array([t, t + 1.0])):
-            z = frame(E21, arg + 1j * h)(m)
+            z = frame(E21, arg + 1j * h)(*m)
             assert z.dtype.kind == "c"
             got = z.imag / h
-            want = (frame(E21, arg + dt)(m) - frame(E21, arg - dt)(m)) / (2 * dt)
-            scale = 1.0 + np.max(np.abs(frame(E21, arg)(m))) + np.max(np.abs(want))
+            want = (frame(E21, arg + dt)(*m) - frame(E21, arg - dt)(*m)) / (2 * dt)
+            scale = 1.0 + np.max(np.abs(frame(E21, arg)(*m))) + np.max(np.abs(want))
             assert np.max(np.abs(got - want)) <= 1e-6 * scale
 
     @pytest.mark.parametrize("fam", list(RATIONAL))
@@ -726,7 +735,7 @@ class TestBoundaryFrames:
         # only the pole on the ellipse, P(0), takes the reduced frame
         poles = np.array([[0.3, 0.2], [2.0, 0.0], [-0.5, -0.6]])
         t = ParamGrid(64).nodes()
-        got = point(fam, t, (poles[:, :1], poles[:, 1:]))
+        got = FRAMES[fam](E21, t)(poles[:, :1], poles[:, 1:])
         assert got.shape == (3, 64, 2)
         for j, m in enumerate(poles):
             assert np.array_equal(got[j], point(fam, t, tuple(m)))
@@ -1150,7 +1159,7 @@ def negative_pedal_curve(s, n=2048, wrap=lambda ev: ev):
     pencil is singular at t = s, sampled half a step off it: an evaluator
     that raises at one parameter and loses its velocity next to it."""
     m = tuple(float(v) for v in ellipse_point(E21, s))
-    ev = wrap(lambda t: negative_pedal_rational_frame(E21, t)(m))
+    ev = wrap(lambda t: negative_pedal_rational_frame(E21, t)(*m))
     return sample_curve(ev, ParamGrid(n, start=s, offset=0.5))
 
 
