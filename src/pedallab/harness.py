@@ -379,7 +379,9 @@ def identity_suite(e: Ellipse, m=(0.7, -0.4), n: int = 2048,
     blend law A_mu = (1-2mu)((1-mu)A_pedal - mu A_contra) + mu(1-mu)A per mu.
     Every area a check reads from n points, by quadrature (_pole_areas) or
     by the support route, is settled against its re-run on 2n points
-    (areas.settled_area); one that is not raises QuadratureError.  A grid
+    (areas.settled_area); one that is not raises QuadratureError, whose
+    message names the area, e.g. "pedal area: quadrature not settled (gap
+    6.259e-01)" or "rotated pedal area at theta=0.523599: ...".  A grid
     size n below 8, a non-finite theta or mu, or a tol that is not finite
     and positive raises DomainError.
     """
@@ -392,11 +394,17 @@ def identity_suite(e: Ellipse, m=(0.7, -0.4), n: int = 2048,
     ap = closed_form_area(AreaFamily.PEDAL, e, m=mm)
     ac = closed_form_area(AreaFamily.CONTRAPEDAL, e, m=mm)
 
-    def quad(family, theta=0.0, mu=0.5):
-        return settled_area(*_pole_areas(e, family, mm, n, theta, mu))
+    def settle(what, coarse, fine):
+        try:
+            return settled_area(coarse, fine)
+        except QuadratureError as exc:
+            raise QuadratureError(f"{what}: {exc}") from exc
 
-    ap_q = quad(AreaFamily.PEDAL)
-    ac_q = quad(AreaFamily.CONTRAPEDAL)
+    def quad(what, family, theta=0.0, mu=0.5):
+        return settle(what, *_pole_areas(e, family, mm, n, theta, mu))
+
+    ap_q = quad("pedal area", AreaFamily.PEDAL)
+    ac_q = quad("contrapedal area", AreaFamily.CONTRAPEDAL)
 
     checks = [
         _check("closed_pedal_minus_contrapedal", ap - ac, base, tol),
@@ -404,17 +412,18 @@ def identity_suite(e: Ellipse, m=(0.7, -0.4), n: int = 2048,
     ]
 
     sup = ellipse_support(e)
-    sp, sc = (settled_area(area(sup, mm, n=n), area(sup, mm, n=2 * n))
-              for area in (support_pedal_area, support_contrapedal_area))
+    sp, sc = (settle(what, area(sup, mm, n=n), area(sup, mm, n=2 * n))
+              for what, area in (("support pedal area", support_pedal_area),
+                                 ("support contrapedal area", support_contrapedal_area)))
     checks.append(_check("support_pedal_minus_contrapedal", sp - sc, base, tol))
 
     for theta in thetas:
-        at_q = quad(AreaFamily.ROTATED, theta=theta)
+        at_q = quad(f"rotated pedal area at theta={theta:.6g}", AreaFamily.ROTATED, theta=theta)
         checks.append(_check(f"rotation_deficit_theta_{theta:.6g}",
                              ap_q - at_q, base * math.sin(theta) ** 2, tol))
 
     for mu in mus:
-        am_q = quad(AreaFamily.INTERPOLATED, mu=mu)
+        am_q = quad(f"interpolated pedal area at mu={mu:.6g}", AreaFamily.INTERPOLATED, mu=mu)
         target = (1 - 2 * mu) * ((1 - mu) * ap - mu * ac) + mu * (1 - mu) * base
         checks.append(_check(f"blend_mu_{mu:.6g}", am_q, target, tol))
 
@@ -446,7 +455,11 @@ def conjecture_check_contrapedal(e: Ellipse, m, n: int = 2048,
     two axis projections (x0, 0) and (0, y0) of the pole.
 
     Poles on a symmetry axis are skipped: the crossings degenerate there.
+    A grid size n below 8 or a tol that is not finite and positive raises
+    DomainError, for skipped poles too.
     """
+    _require_count("grid size n", n, 8)
+    _require_tol(tol)
     x0, y0 = as_xy(m)
     pole = [float(x0), float(y0)]
     if abs(x0) < AXIS_TOL or abs(y0) < AXIS_TOL:

@@ -549,47 +549,25 @@ def _speed_of(evaluator: Callable, t) -> List[float]:
     return [math.hypot(x, y) for x, y in _velocity_of(evaluator, t).tolist()]
 
 
-def _chord_speed(evaluator: Callable, t, delta: float = 1e-3) -> List[float]:
-    """Secant slopes |P(t+delta) - P(t-delta)| / (2 delta) at the 1-d
-    parameters t.
-
-    A robust stand-in for the speed: envelope evaluators lose their velocity
-    to rounding noise near a singular family parameter while their positions
-    stay clean, and a cusp pulls the two chord endpoints together anyway.
-    The chord is kept coarse so the position noise stays far below it.  All
-    chords take one evaluator call; when it raises GeometryError each chord
-    is tried alone, and one whose probe lands on the singular parameter
-    itself counts as fast (inf).
-    """
-    t = np.asarray(t, dtype=float)
-    try:
-        p = _points_at(evaluator, np.add.outer(t, (-delta, delta)))
-    except GeometryError:
-        if t.size == 1:
-            return [math.inf]
-        return [v for x in t for v in _chord_speed(evaluator, x[None], delta)]
-    d = (p[:, 1] - p[:, 0]).tolist()
-    return [math.hypot(x, y) / (2 * delta) for x, y in d]
-
-
-def _golden_min(steps: _Lockstep, f: Callable, rows: list, lo: list, hi: list,
+def _golden_min(steps: _Lockstep, f: Callable, lo: list, hi: list,
                 xtol: float = 1e-10) -> dict:
     """Golden-section minimizers of f on [lo[i], hi[i]] for the candidates
-    rows[i], run in lock-step; assumes a single interior minimum in each.
+    i, run in lock-step; assumes a single interior minimum in each.
 
     Each step evaluates the one new probe of every section still wider than
     xtol, all in one call f(probes) -> values.  Each section stops on its
     own, so its probes are exactly those it would make alone.  Returns
-    {row: midpoint of the final bracket} for the rows still running.
+    {i: midpoint of the final bracket} for the candidates still running.
     """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     # [lo, hi, x1, x2, f1, f2] of each section; f1 and f2 filled in below
     sec = [[l, h, h - invphi * (h - l), l + invphi * (h - l), 0.0, 0.0] for l, h in zip(lo, hi)]
     # the opening pair of each section, x1 then x2
-    vals = steps.call(f, [r for r in rows for _ in (0, 1)], np.array([s[2:4] for s in sec]).ravel())
+    vals = steps.call(f, [r for r in range(len(sec)) for _ in (0, 1)],
+                      np.array([s[2:4] for s in sec]).ravel())
     for s, f12 in zip(sec, zip(vals[::2], vals[1::2])):
         s[4:] = f12
-    active = list(zip(rows, sec))
+    active = list(enumerate(sec))
     while True:
         active = [(r, s) for r, s in active if r < steps.live and s[1] - s[0] > xtol]
         if not active:
@@ -609,7 +587,7 @@ def _golden_min(steps: _Lockstep, f: Callable, rows: list, lo: list, hi: list,
         vals = steps.call(f, [r for r, _ in active], np.array(probes))
         for (_, s), slot, v in zip(active, slots, vals):
             s[slot] = v
-    return {r: 0.5 * (s[0] + s[1]) for r, s in zip(rows, sec) if r < steps.live}
+    return {r: 0.5 * (s[0] + s[1]) for r, s in enumerate(sec) if r < steps.live}
 
 
 def _require_finite(curve: SampledCurve, what: str) -> None:
@@ -620,37 +598,30 @@ def _require_finite(curve: SampledCurve, what: str) -> None:
 def find_cusps(curve: SampledCurve, tol: float = 1e-5) -> np.ndarray:
     """Parameters (mod 2*pi) where the curve has a cusp.
 
-    Grid speeds flag candidate minima; each is refined by golden section on
-    the true parametric speed and accepted when the refined speed drops
-    below tol times the median grid speed *and* the velocity direction
-    reverses across the point.  Both conditions together reject smooth slow
-    spots and grazing near-cusps.  An outright velocity zero (refined speed
+    Grid speeds flag candidate minima; each is refined once, by golden
+    section on the true parametric speed, and accepted when the refined
+    speed drops below tol times the median grid speed *and* the velocity
+    direction reverses across the point.  Both conditions together reject
+    smooth slow spots and grazing near-cusps.  An outright velocity zero (refined speed
     below 1e-13 of the median) counts regardless of reversal: there the
     velocity vanishes to even order, as at the parameter where a pair of
     cusps is born, and its direction comes back unflipped.
 
-    A candidate whose refined speed stays too high gets a second golden
-    section on chord speeds (_chord_speed), and is accepted when the chord
-    speed drops below the same bound and the chord direction reverses.
-    This retry is load-bearing for an evaluator singular next to a cusp,
-    where its complex-step speed is rounding noise while its positions stay
-    clean: the deltoid of a boundary pole has a cusp at the pole's own
-    parameter s, where the rational negative pedal
-    (negative_pedal_rational_frame) is singular, and only the retry finds
-    it.  The reduced frame the registry gives such a pole has no
-    singularity, and its speeds find all three cusps.  Smooth slow spots
-    reach the retry too and are rejected there: the two candidates of an
-    evolutoid below the critical angle cost 82 chord evaluations.
+    The evaluator's velocity (complex step, else central differences;
+    _velocity_of) must resolve each cusp: next to a singular parameter of
+    the evaluator it is rounding noise, and a cusp there is missed.  The
+    registry frames meet this: a pole on the ellipse goes through its
+    reduced frame, finite at its own parameter s, while its rational
+    negative pedal (negative_pedal_rational_frame, built by no public path)
+    loses the deltoid's cusp at t = s.
 
     With an evaluator, all candidates are refined in lock-step: each golden
     step evaluates the one new probe of every candidate still refining, in
     one evaluator call, and each candidate keeps its own stop, so it makes
-    the probes it would make alone.  The retry is a second lock-step pass
-    over the candidates that need it, and the final reversal checks are
-    batched too.  Evaluator errors stay per candidate: a chord probe on a
-    singular parameter counts as fast for its candidate alone, a failed
-    complex step falls back to central differences for its probe alone,
-    and any other GeometryError is raised for the first candidate, in grid
+    the probes it would make alone.  The refined speeds and the reversal
+    checks are batched too.  Evaluator errors stay per candidate: a failed
+    complex step falls back to central differences for its probe alone, and
+    any other GeometryError is raised for the first candidate, in grid
     order, that meets one.
     """
     n = len(curve)
@@ -703,29 +674,13 @@ def _refine_cusps(ev: Callable, lo: list, hi: list, slow: float, zero: float) ->
     rules of find_cusps; each stage runs all its candidates in lock-step."""
     steps = _Lockstep(len(lo))
     speed = lambda x: _speed_of(ev, x)
-    chord = lambda x: _chord_speed(ev, x)
-    tr = _golden_min(steps, speed, list(range(len(lo))), lo, hi)
+    tr = _golden_min(steps, speed, lo, hi)
     rows = list(tr)
     s_min = dict(zip(rows, steps.call(speed, rows, np.array([tr[r] for r in rows]))))
-    found = []
-    # a refined speed too high gets a retry on chord speeds: a cusp sitting
-    # where the evaluator is nearly singular shows a noisy velocity but
-    # clean positions
-    retry = [r for r, s in s_min.items() if s >= slow]
-    tc = _golden_min(steps, chord, retry, [lo[r] for r in retry], [hi[r] for r in retry])
-    retry = list(tc)
-    c_min = steps.call(chord, retry, np.array([tc[r] for r in retry]))
-    retry = [r for r, c in zip(retry, c_min) if not c >= slow]
-    # the chord's direction must reverse across the point: u = P(t - 1e-3)
-    # - P(t - 2e-3) against w = P(t + 2e-3) - P(t + 1e-3), probed in that order
-    x = np.array([[tc[r] - 1e-3, tc[r] - 2e-3, tc[r] + 2e-3, tc[r] + 1e-3] for r in retry])
-    for r, q in zip(retry, steps.call(lambda x: _points_at(ev, x), retry, x.reshape(-1, 4))):
-        if not float((q[0] - q[1]) @ (q[2] - q[3])) >= 0.0:
-            found.append(tc[r] % TWO_PI)
     # a refined speed low enough is a cusp when the velocity reverses
     # across it, or outright when the speed vanishes
-    low = [r for r in steps.running(s_min) if not s_min[r] >= slow]
-    found += [tr[r] % TWO_PI for r in low if not s_min[r] >= zero]
+    low = [r for r, s in s_min.items() if not s >= slow]
+    found = [tr[r] % TWO_PI for r in low if not s_min[r] >= zero]
     low = [r for r in low if s_min[r] >= zero]
     x = np.array([[tr[r] - 1e-4, tr[r] + 1e-4] for r in low])
     for r, (va, vb) in zip(low, steps.call(lambda x: _velocity_of(ev, x), low, x.reshape(-1, 2))):

@@ -406,6 +406,12 @@ class TestIdentities:
         assert rc == 1 and out == ""
         assert "quadrature not settled" in err
 
+    def test_unsettled_area_is_named(self, capsys):
+        # the pedal quadrature is the first the suite takes
+        rc, out, err = run(capsys, "identities", "--n", "8")
+        assert rc == 1 and out == ""
+        assert err == "error: pedal area: quadrature not settled (gap 6.259e-01)\n"
+
 
 # ---------------------------------------------------------------------------
 # centroid / polygon / conjecture

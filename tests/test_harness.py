@@ -528,6 +528,36 @@ class TestIdentitySuite:
         with pytest.raises(QuadratureError, match="not settled"):
             identity_suite(E21, n=8)
 
+    @pytest.mark.parametrize("family, theta, mu, what", [
+        ("pedal", 0.0, 0.5, "pedal area"),
+        ("contrapedal", 0.0, 0.5, "contrapedal area"),
+        ("rotated", math.pi / 6, 0.5, "rotated pedal area at theta=0.523599"),
+        ("interpolated", 0.0, 0.25, "interpolated pedal area at mu=0.25"),
+    ])
+    def test_an_unsettled_quadrature_names_its_area(self, monkeypatch, family, theta, mu, what):
+        # the re-run of one area on 2n points is moved by 1
+        pole_areas = harness._pole_areas
+
+        def unsettled(e, fam, m, n, *kw):
+            coarse, fine = pole_areas(e, fam, m, n, *kw)
+            return coarse, fine + ((fam, *kw) == (family, theta, mu))
+
+        monkeypatch.setattr(harness, "_pole_areas", unsettled)
+        with pytest.raises(QuadratureError) as got:
+            identity_suite(E21, n=1024)
+        assert str(got.value) == f"{what}: quadrature not settled (gap 1.000e+00)"
+
+    @pytest.mark.parametrize("name, what", [
+        ("support_pedal_area", "support pedal area"),
+        ("support_contrapedal_area", "support contrapedal area"),
+    ])
+    def test_an_unsettled_support_area_names_its_area(self, monkeypatch, name, what):
+        area = getattr(harness, name)
+        monkeypatch.setattr(harness, name, lambda sup, m, n: area(sup, m, n=n) + (n == 2048))
+        with pytest.raises(QuadratureError) as got:
+            identity_suite(E21, n=1024)
+        assert str(got.value) == f"{what}: quadrature not settled (gap 1.000e+00)"
+
 
 class TestConjecture:
     def test_generic_pole_passes(self):
@@ -542,3 +572,19 @@ class TestConjecture:
         rep = conjecture_check_contrapedal(E21, (0.5, 0.0))
         assert rep.skipped and rep.passed
         assert rep.crossing_count == 0
+
+    @pytest.mark.parametrize("pole", [(0.7, -0.4), (0.5, 0.0)])
+    @pytest.mark.parametrize("kw, message", [
+        ({"tol": -1.0}, "tol must be finite and > 0, got -1.0"),
+        ({"tol": 0.0}, "tol must be finite and > 0, got 0.0"),
+        ({"tol": math.nan}, "tol must be finite and > 0, got nan"),
+        ({"tol": math.inf}, "tol must be finite and > 0, got inf"),
+        ({"n": True}, "grid size n must be an int, got True"),
+        ({"n": 4}, "grid size n must be >= 8, got 4"),
+        ({"n": 64.0}, "grid size n must be an int, got 64.0"),
+    ])
+    def test_inputs_are_refused_at_the_edge(self, pole, kw, message):
+        # the axis pole is refused too, before its skip
+        with pytest.raises(DomainError) as got:
+            conjecture_check_contrapedal(E21, pole, **kw)
+        assert str(got.value) == message

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from pedallab import (
     DegenerateLine,
     DomainError,
-    GeometryError,
     Ellipse,
     ParamGrid,
     SampledCurve,
@@ -1002,7 +1001,9 @@ class TestSelfIntersections:
 # The references below are the cusp and crossing refinements as they were
 # before they ran in lock-step: each candidate alone, one scalar evaluator
 # call per probe.  find_cusps and self_intersections must make the same
-# probes and return the same bits.
+# probes, return the same bits and raise for the same parameter.  The cusp
+# reference refines each candidate once, on complex-step speeds (central
+# differences where the complex step fails), as find_cusps does.
 
 _CS_STEP = 1e-200
 
@@ -1025,17 +1026,6 @@ def reference_velocity_of(evaluator: Callable, t: float) -> np.ndarray:
 def reference_speed_of(evaluator: Callable, t: float) -> float:
     v = reference_velocity_of(evaluator, t)
     return float(math.hypot(v[0], v[1]))
-
-
-def reference_chord_speed(evaluator: Callable, t: float, delta: float = 1e-3) -> float:
-    """Secant slope |P(t+delta) - P(t-delta)| / (2 delta); a probe landing
-    on the singular parameter itself counts as fast."""
-    try:
-        lo = np.asarray(evaluator(t - delta), dtype=float).reshape(2)
-        hi = np.asarray(evaluator(t + delta), dtype=float).reshape(2)
-    except GeometryError:
-        return math.inf
-    return float(math.hypot(hi[0] - lo[0], hi[1] - lo[1])) / (2 * delta)
 
 
 def reference_golden_min(f: Callable, lo: float, hi: float, xtol: float = 1e-10) -> float:
@@ -1081,18 +1071,6 @@ def reference_find_cusps(curve: SampledCurve, tol: float = 1e-5) -> np.ndarray:
             tr = float(t[k])
             s_min = float(speed[k])
         if s_min >= tol * ref:
-            if ev is None:
-                continue
-            tr = reference_golden_min(lambda x: reference_chord_speed(ev, x), lo, hi)
-            if reference_chord_speed(ev, tr) >= tol * ref:
-                continue
-            u = (np.asarray(ev(tr - 1e-3), dtype=float).reshape(2)
-                 - np.asarray(ev(tr - 2e-3), dtype=float).reshape(2))
-            w = (np.asarray(ev(tr + 2e-3), dtype=float).reshape(2)
-                 - np.asarray(ev(tr + 1e-3), dtype=float).reshape(2))
-            if float(u @ w) >= 0.0:
-                continue
-            found.append(tr % TWO_PI)
             continue
         if s_min >= 1e-13 * ref:
             if ev is not None:
@@ -1154,13 +1132,22 @@ def evolutoid_ev(theta):
     return lambda t: evolutoid_point(E21, theta, t)
 
 
-def negative_pedal_curve(s, n=2048, wrap=lambda ev: ev):
+def negative_pedal_curve(s):
     """The negative pedal of the pole P(s) from its rational frame, whose
     pencil is singular at t = s, sampled half a step off it: an evaluator
-    that raises at one parameter and loses its velocity next to it."""
+    that raises at one parameter.  No public path builds it; the fallback
+    tests below wrap it."""
     m = tuple(float(v) for v in ellipse_point(E21, s))
-    ev = wrap(lambda t: negative_pedal_rational_frame(E21, t)(*m))
-    return sample_curve(ev, ParamGrid(n, start=s, offset=0.5))
+    return sample_curve(lambda t: negative_pedal_rational_frame(E21, t)(*m),
+                        ParamGrid(2048, start=s, offset=0.5))
+
+
+def deltoid_curve(s):
+    """The negative pedal of the pole P(s) as the registry serves it, from
+    its reduced frame, finite at t = s, sampled half a step off s."""
+    m = tuple(float(v) for v in ellipse_point(E21, s))
+    return sample_curve(family_evaluator(E21, "negative_pedal", m),
+                        ParamGrid(2048, start=s, offset=0.5))
 
 
 class Counting:
@@ -1181,17 +1168,18 @@ class Counting:
         return self.ev(t)
 
 
+# case: (curve, number of cusps)
 CUSP_CASES = {
-    "evolutoid_0.9_theta0": lambda: sample_curve(evolutoid_ev(0.9 * THETA0), ParamGrid(2048)),
-    "evolutoid_theta0": lambda: sample_curve(evolutoid_ev(THETA0), ParamGrid(2048)),
-    "evolutoid_1.2_theta0": lambda: sample_curve(evolutoid_ev(1.2 * THETA0), ParamGrid(2048)),
-    "evolute": lambda: sample_curve(evolutoid_ev(math.pi / 2), ParamGrid(2048)),
+    "evolutoid_0.9_theta0": (lambda: sample_curve(evolutoid_ev(0.9 * THETA0), ParamGrid(2048)), 0),
+    "evolutoid_theta0": (lambda: sample_curve(evolutoid_ev(THETA0), ParamGrid(2048)), 2),
+    "evolutoid_1.2_theta0": (lambda: sample_curve(evolutoid_ev(1.2 * THETA0), ParamGrid(2048)), 4),
+    "evolute": (lambda: sample_curve(evolutoid_ev(math.pi / 2), ParamGrid(2048)), 4),
     # the imaginary part is dropped, so every velocity is a central difference
-    "evolute_real_only": lambda: sample_curve(
-        lambda t: evolutoid_point(E21, math.pi / 2, np.real(t)), ParamGrid(2048)),
-    "negative_pedal_s0": lambda: negative_pedal_curve(0.0),
-    "negative_pedal_s1.0": lambda: negative_pedal_curve(1.0),
-    "negative_pedal_s3.4": lambda: negative_pedal_curve(3.4),
+    "evolute_real_only": (lambda: sample_curve(
+        lambda t: evolutoid_point(E21, math.pi / 2, np.real(t)), ParamGrid(2048)), 4),
+    "negative_pedal_s0": (lambda: deltoid_curve(0.0), 3),
+    "negative_pedal_s1.0": (lambda: deltoid_curve(1.0), 3),
+    "negative_pedal_s3.4": (lambda: deltoid_curve(3.4), 3),
 }
 
 
@@ -1202,8 +1190,11 @@ class TestLockstepCusps:
         # and the last golden steps compare speeds that differ by rounding
         # alone; they match because an evolutoid point rounds the same for
         # the one-by-one reference's 0-d parameters as for arrays
-        curve = CUSP_CASES[case]()
-        assert np.array_equal(find_cusps(curve), reference_find_cusps(curve))
+        make, count = CUSP_CASES[case]
+        curve = make()
+        got = find_cusps(curve)
+        assert np.array_equal(got, reference_find_cusps(curve))
+        assert len(got) == count
 
     def test_evolute_makes_one_call_per_step_for_all_candidates(self):
         curve = sample_curve(evolutoid_ev(math.pi / 2), ParamGrid(2048))
@@ -1228,57 +1219,8 @@ class TestLockstepCusps:
         vel = pedal_module._velocity_of(ev, np.zeros(len(v)))
         assert got == [math.hypot(x, y) for x, y in vel.tolist()]
 
-    def test_cusp_at_the_singular_parameter_comes_from_the_lockstep_chord_retry(
-            self, monkeypatch):
-        # on the rational frame, the deltoid's cusp at t ~ 2 pi sits next to
-        # the pole's singular parameter, where the complex-step speed is
-        # noise: the chord retry finds it
-        curve = negative_pedal_curve(0.0)
-        chord = pedal_module._chord_speed
-        sizes = []
-
-        def recording(ev, t, delta=1e-3):
-            sizes.append(np.size(t))
-            return chord(ev, t, delta)
-
-        monkeypatch.setattr(pedal_module, "_chord_speed", recording)
-        cusps = find_cusps(curve)
-        assert len(cusps) == 3
-        assert min(cusps[0], TWO_PI - cusps[-1]) < 1e-6
-        # the opening pair in one call, then one call per golden step and
-        # one for the refined chord
-        assert sizes[0] == 2 and 0 < len(sizes) < 45
-        monkeypatch.setattr(pedal_module, "_chord_speed",
-                            lambda ev, t, delta=1e-3: [math.inf] * np.size(t))
-        assert len(find_cusps(curve)) == 2
-
-
 class TestLockstepErrors:
     """A GeometryError in a batched call is settled per candidate."""
-
-    def test_chord_probe_on_a_singular_parameter_is_fast_for_that_candidate_alone(self):
-        # velocities blurred by a constant imaginary offset: no refined speed
-        # is small, so all three deltoid cusps go through the chord retry
-        def blurred(ev):
-            def f(t):
-                p = ev(t)
-                return p + 1e-197j if np.iscomplexobj(t) else p
-            return f
-
-        curve = negative_pedal_curve(1.0, wrap=blurred)
-        clean = Counting(curve.evaluator)
-        curve.evaluator = clean
-        want = find_cusps(curve)
-        assert len(want) == 3
-        # a left chord end of the first candidate, from a step where all
-        # three candidates probe together
-        bad = next(float(t[0]) for t in clean.calls if np.size(t) == 6 and not np.iscomplexobj(t))
-        stub = Counting(clean.ev, raise_at=[bad])
-        curve.evaluator = stub
-        got = find_cusps(curve)
-        assert any(size > 2 for size in stub.raised)
-        assert np.array_equal(got, reference_find_cusps(curve))
-        assert len(got) == 3
 
     def test_complex_step_failure_falls_back_for_that_probe_alone(self):
         curve = negative_pedal_curve(3.4)
@@ -1295,14 +1237,6 @@ class TestLockstepErrors:
         assert np.array_equal(got, reference_find_cusps(curve))
         assert len(got) == 3
 
-    def test_batched_chord_is_inf_for_the_failing_candidate_alone(self):
-        ev = negative_pedal_curve(1.0).evaluator
-        x = [0.5, 2.5, 4.5]
-        stub = Counting(ev, raise_at=[x[1] + 1e-3])
-        got = pedal_module._chord_speed(stub, np.array(x))
-        assert stub.raised[0] == 6
-        assert got == [reference_chord_speed(ev, x[0]), math.inf, reference_chord_speed(ev, x[2])]
-
     def test_batched_velocity_falls_back_to_central_differences_for_one_probe(self):
         ev = negative_pedal_curve(1.0).evaluator
         x = [0.5, 2.5, 4.5]
@@ -1314,6 +1248,33 @@ class TestLockstepErrors:
         # only the failing probe took central differences
         assert not np.array_equal(want[1], reference_velocity_of(ev, x[1]))
         assert np.array_equal(want[0], reference_velocity_of(ev, x[0]))
+
+    def test_cusp_error_names_the_parameter_the_one_by_one_order_meets_first(self):
+        curve = sample_curve(evolutoid_ev(math.pi / 2), ParamGrid(2048))
+        clean = Counting(curve.evaluator)
+        curve.evaluator = clean
+        assert len(find_cusps(curve)) == 4
+        # calls[0] is the opening pair of each of the 4 candidates, and
+        # each later golden step probes every candidate once: a late probe
+        # of the first candidate, and the first probe of the third
+        late, early = float(np.real(clean.calls[25][0])), float(np.real(clean.calls[0][4]))
+
+        def failing(x):
+            # a failed complex step falls back to central differences, so
+            # the stub fails on their probes too
+            return [x, x - 1e-7, x + 1e-7]
+
+        # one by one, the first candidate is refined to the end before the
+        # third one starts
+        for raise_at, first in (([late, early], late), ([early], early)):
+            stub = Counting(clean.ev, raise_at=failing(raise_at[0]) + failing(raise_at[-1]))
+            curve.evaluator = stub
+            with pytest.raises(SingularParameter) as got:
+                find_cusps(curve)
+            assert any(size > 1 for size in stub.raised)
+            with pytest.raises(SingularParameter) as want:
+                reference_find_cusps(curve)
+            assert got.value.t == want.value.t == first - 1e-7
 
     def test_polish_error_names_the_parameter_the_one_by_one_order_meets_first(self):
         ev = family_evaluator(E21, "contrapedal", (0.7, -0.4))
