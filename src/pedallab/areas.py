@@ -75,15 +75,18 @@ class Family:
     has one shape: three columns per coordinate, F0 + c1 F1 + c2 F2, affine
     in (c1, c2) = (x, y) of the pole for the Steiner families and in
     (cos s, sin s) of a pole P(s) on the ellipse for the boundary families;
-    only the rational forms of hybrid and negative pedal, for a pole off
-    the ellipse, are not affine (see pedal._affine_frame).  Every
-    family is sampled on ParamGrid(n), whose n nodes are the even nodes of
-    its 2n grid.  on_ellipse marks the families whose closed form holds
-    only for poles on the ellipse (curves.pole_on_ellipse); hybrid and
-    negative pedal serve such a pole from their reduced form, finite at its
-    own parameter (see pedal.hybrid_frame).  ellipse_pole_only marks the
-    family that has no points at all for a pole off the ellipse
-    (pseudo-Talbot), which family_evaluator, scan and the CLI refuse.
+    only the negative pedal's pencil, for a pole off the ellipse, is not
+    affine (see pedal._affine_frame).  The hybrid is the negative pedal
+    reflected in P(t), H = 2P(t) - N: both lie on the line through P(t)
+    perpendicular to P(t) - m, and P' . (H - P) = (m - P) . P' =
+    -P' . (N - P) (see pedal.hybrid_frame).  Every family is sampled on
+    ParamGrid(n), whose n nodes are the even nodes of its 2n grid.
+    on_ellipse marks the families whose closed form holds only for poles on
+    the ellipse (curves.pole_on_ellipse); hybrid and negative pedal serve
+    such a pole from their reduced form, finite at its own parameter.
+    ellipse_pole_only marks the family that has no points at all for a pole
+    off the ellipse (pseudo-Talbot), which family_evaluator, scan and the
+    CLI refuse.
     """
 
     name: str

@@ -19,8 +19,8 @@ nodes and frame once, before its first chunk, and no trig is redone for a
 chunk: a frame holds three columns per coordinate, F0 + c1 F1 + c2 F2,
 affine in two coordinates read from each pole, (x, y) itself for the
 Steiner families and (cos s, sin s) of a pole P(s) on the ellipse for
-hybrid, pseudo-Talbot and the negative pedal (the rational forms of a
-pole off the ellipse excepted).  The n grid is the even half of the 2n
+hybrid, pseudo-Talbot and the negative pedal (the pencil of a pole off
+the ellipse excepted).  The n grid is the even half of the 2n
 grid, so a chunk is sampled once, at 2n, and its n-point areas are taken
 from the even samples.  The scan's epilogue (doubling gaps, the settled
 test, closed forms, spread) works on arrays over all poles; only a pole
@@ -147,8 +147,8 @@ def family_evaluator(e: Ellipse, family, m, theta: float = 0.0, mu: float = 0.5,
     included, raises DomainError, and a call of the evaluator reads it no
     more.  Hybrid and negative pedal serve a pole on the ellipse
     (curves.pole_on_ellipse) from their reduced form at its own parameter,
-    finite there, and any other pole from their rational form, as in a
-    scan.  Pseudo-Talbot has points only for a pole on the ellipse; any
+    finite there, and any other pole from the negative pedal's pencil, as
+    in a scan.  Pseudo-Talbot has points only for a pole on the ellipse; any
     other pole raises DomainError here.  s is not read: it stays for
     callers that still pass the pole's boundary parameter.
     """

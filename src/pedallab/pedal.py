@@ -8,8 +8,7 @@ ellipse P(t) = (a cos t, b sin t) and a fixed pole M:
 * rotated pedal: the projection line direction is the tangent turned by theta
 * interpolated pedal: affine blend of pedal and contrapedal feet
 * negative pedal: envelope of lines through P(t) perpendicular to P(t) - M
-* hybrid: intersection of the perpendicular to the tangent direction drawn
-  through M with the perpendicular to M - P(t) drawn through P(t)
+* hybrid: the negative pedal reflected in P(t) (hybrid_frame)
 * pseudo-Talbot: a cubic-harmonic curve defined for poles on the ellipse,
   traversed so that its signed area carries the orientation of the
   supporting line family
@@ -28,23 +27,23 @@ harness.scan hands over the coordinates of its locus poles, finite by
 construction.  The frames are called through the registry, areas.FAMILIES.
 
 Every family with a pole is affine in two coordinates (c1, c2) read from
-the pole, the rational forms below excepted: each coordinate of a point is
-F0(t) + c1 F1(t) + c2 F2(t), and the frame holds the three columns of each
-(_affine_frame, the one writer of coordinate planes).
+the pole, the pencil of a pole off the ellipse excepted: each coordinate of
+a point is F0(t) + c1 F1(t) + c2 F2(t), and the frame holds the three
+columns of each (_affine_frame, the one writer of coordinate planes).
 
 * pedal, contrapedal, rotated and interpolated: the feet from the pole
   (x, y) itself, (c1, c2) = (x, y).  A foot p + u d has u affine in the
   pole (_feet), and the interpolated blend is one foot too, since the
   pedal and contrapedal feet sum to P(t) + m.
 * pseudo-Talbot, hybrid and negative pedal: (c1, c2) = (cos s, sin s) of
-  a pole P(s) on the ellipse, read as (x/a, y/b).  For hybrid and
-  negative pedal this is the rational form with its removable singularity
-  at t = s divided out, a trigonometric polynomial of degree 2 in t,
-  finite at t = s.  It serves exactly the poles on the ellipse
-  (curves.xy_on_ellipse); any other pole takes the rational form, which
-  keeps its singularity and its SingularParameter / SingularFamily
-  errors.  Pseudo-Talbot has no other form: it has no points for a pole
-  off the ellipse.
+  a pole P(s) on the ellipse, read as (x/a, y/b).  For the negative pedal
+  this is its pencil with the removable singularity at t = s divided out,
+  a trigonometric polynomial of degree 2 in t, finite at t = s; the hybrid
+  takes the same columns reflected in P(t).  It serves exactly the poles
+  on the ellipse (curves.xy_on_ellipse); any other pole takes the pencil
+  itself, which keeps its singularity and its SingularFamily error, for
+  both families.  Pseudo-Talbot has no other form: it has no points for a
+  pole off the ellipse.
 
 The evolutoid has no pole and no frame: evolutoid_point evaluates it.
 """
@@ -71,9 +70,8 @@ from .errors import (
     DomainError,
     GeometryError,
     SingularFamily,
-    SingularParameter,
 )
-from .tolerances import PARALLEL_TOL, TANGENT_TOL
+from .tolerances import PARALLEL_TOL
 
 TWO_PI = 2.0 * math.pi
 
@@ -194,7 +192,9 @@ def _envelope_solve(t, nx, ny, mx, my, d, dd):
     nx, ny, mx, my, d, dd = (np.asarray(v) for v in (nx, ny, mx, my, d, dd))
     det = nx * my - ny * mx
     scale2 = nx * nx + ny * ny + mx * mx + my * my
-    bad = np.abs(det) < PARALLEL_TOL * np.abs(scale2)
+    # an overflowed scale is no evidence of parallel lines: such a pole's
+    # points come out non-finite instead
+    bad = (np.abs(det) < PARALLEL_TOL * np.abs(scale2)) & np.isfinite(scale2)
     if np.any(bad):
         t_bad = _param_at(t, bad)
         raise SingularFamily(
@@ -208,14 +208,16 @@ def _envelope_solve(t, nx, ny, mx, my, d, dd):
 # boundary families: the reduced or the rational form, by pole
 
 
-def _by_pole(e: Ellipse, t, reduced: Callable, rational: Callable) -> Callable:
+def _by_pole(e: Ellipse, t, columns: Callable, rational: Callable) -> Callable:
     """points(x, y) of a boundary family at the parameters t: for a pole on
     the ellipse (curves.xy_on_ellipse, one test on its coordinates), the
-    reduced frame reduced(e, t), an _affine_frame; for any other pole, the
-    rational frame rational(e, t).  Each frame is built on first use and
-    kept, so a call builds only the one it needs.  A chunk that mixes both
-    kinds of pole gets each row from its own frame."""
+    reduced frame, an _affine_frame in (cos s, sin s) over columns(e, t);
+    for any other pole, the rational frame rational(e, t).
+    Each frame is built on first use and kept, so a call builds only the
+    one it needs.  A chunk that mixes both kinds of pole gets each row from
+    its own frame."""
     frame = functools.cache(lambda build: build(e, t))
+    reduced = lambda e, t: _affine_frame(*columns(e, t), e.a, e.b)
 
     def points(x0, y0):
         on = xy_on_ellipse(e, x0, y0)
@@ -234,7 +236,7 @@ def _by_pole(e: Ellipse, t, reduced: Callable, rational: Callable) -> Callable:
 
 
 # ---------------------------------------------------------------------------
-# negative pedal
+# negative pedal and hybrid: one pencil
 
 
 def negative_pedal_rational_frame(e: Ellipse, t) -> Callable:
@@ -264,16 +266,14 @@ def negative_pedal_rational_frame(e: Ellipse, t) -> Callable:
     return points
 
 
-def _negative_pedal_reduced(e: Ellipse, t) -> Callable:
-    """points(x, y) of the negative pedal of the pole P(s), with the
-    removable singularity of its pencil at t = s divided out (see
-    negative_pedal_frame)."""
+def _negative_pedal_columns(e: Ellipse, t):
+    """The columns of the negative pedal of the pole P(s), its pencil's
+    singularity at t = s divided out (see negative_pedal_frame)."""
     t = np.asarray(t)
     al, be = (e.a * e.a + e.b * e.b) / (2 * e.a), (e.a * e.a + e.b * e.b) / (2 * e.b)
     ga, de = e.c2 / (2 * e.a), e.c2 / (2 * e.b)
     c1, s1, c2, s2 = np.cos(t), np.sin(t), np.cos(2 * t), np.sin(2 * t)
-    return _affine_frame((2 * ga * c1, ga * c2 - al, -ga * s2),
-                         (-2 * de * s1, de * s2, de * c2 - be), e.a, e.b)
+    return (2 * ga * c1, ga * c2 - al, -ga * s2), (-2 * de * s1, de * s2, de * c2 - be)
 
 
 def negative_pedal_frame(e: Ellipse, t) -> Callable:
@@ -291,74 +291,40 @@ def negative_pedal_frame(e: Ellipse, t) -> Callable:
     The pole gives s: (cos s, sin s) = (x/a, y/b).  Any other pole takes
     the pencil itself (negative_pedal_rational_frame).
     """
-    return _by_pole(e, t, _negative_pedal_reduced, negative_pedal_rational_frame)
+    return _by_pole(e, t, _negative_pedal_columns, negative_pedal_rational_frame)
 
 
-# ---------------------------------------------------------------------------
-# hybrid curve
+def _hybrid_columns(e: Ellipse, t):
+    # the negative pedal's columns reflected in P(t), once per frame
+    (x0, x1, x2), (y0, y1, y2) = _negative_pedal_columns(e, t)
+    p = ellipse_point(e, t)
+    return (2 * p[..., 0] - x0, -x1, -x2), (2 * p[..., 1] - y0, -y1, -y2)
 
 
-def hybrid_rational_frame(e: Ellipse, t) -> Callable:
-    """The hybrid curve of any pole at the ellipse parameters t, as a
-    rational function of the harmonics of t.
-
-    Returns points(x, y): the intersections of the perpendicular to the
-    tangent direction at P(t) drawn through the pole m = (x, y) with the
-    perpendicular to m - P(t) drawn through P(t).  The frame holds cos j t
-    and sin j t for j = 1, 2, 3.  A chunk of poles takes (k, 1) arrays.
-    The point blows up where m sits on the tangent line at P(t), which for
-    m on the ellipse at P(s) happens only at t = s; SingularParameter names
-    t.
-    """
-    t = np.asarray(t)
-    ct, st = np.cos(t), np.sin(t)
-    c2t, s2t = np.cos(2 * t), np.sin(2 * t)
-    c3t, s3t = np.cos(3 * t), np.sin(3 * t)
-
-    def points(x0, y0):
-        a, b = e.a, e.b
-        c2 = e.c2
-        den = 4.0 * (a * y0 * st + b * x0 * ct - a * b)
-        small = np.abs(den) <= TANGENT_TOL * 4.0 * a * b
-        if np.any(small):
-            t_bad = _param_at(t, small)
-            raise SingularParameter(
-                f"hybrid point undefined near t={t_bad:.6g} (pole on the tangent line)",
-                t=t_bad)
-        nx = (-b * (3 * a * a + b * b + 4 * y0 * y0) * ct + 4 * a * b * x0 * c2t
-              - b * c2 * c3t + 4 * a * x0 * y0 * st + 4 * b * b * y0 * s2t)
-        ny = (-a * (a * a + 3 * b * b + 4 * x0 * x0) * st + 4 * a * a * x0 * s2t
-              - a * c2 * s3t + 4 * b * x0 * y0 * ct - 4 * a * b * y0 * c2t)
-        return np.stack([nx / den, ny / den], axis=-1)
-
-    return points
-
-
-def _hybrid_reduced(e: Ellipse, t) -> Callable:
-    """points(x, y) of the hybrid of the pole P(s), with its removable
-    singularity at t = s divided out (see hybrid_frame)."""
-    t = np.asarray(t)
-    al, be = (e.a * e.a + e.b * e.b) / (2 * e.a), (e.a * e.a + e.b * e.b) / (2 * e.b)
-    ga, de = e.c2 / (2 * e.a), e.c2 / (2 * e.b)
-    c1, s1, c2, s2 = np.cos(t), np.sin(t), np.cos(2 * t), np.sin(2 * t)
-    return _affine_frame((2 * al * c1, al - ga * c2, ga * s2),
-                         (2 * be * s1, -de * s2, be - de * c2), e.a, e.b)
+def _hybrid_rational(e: Ellipse, t) -> Callable:
+    p2, negative = 2 * ellipse_point(e, t), negative_pedal_rational_frame(e, t)
+    return lambda x0, y0: p2 - negative(x0, y0)
 
 
 def hybrid_frame(e: Ellipse, t) -> Callable:
-    """The hybrid curve at the ellipse parameters t.
+    """The hybrid curve at the ellipse parameters t: the intersection of the
+    line through the pole m perpendicular to the tangent at P(t) with the
+    line L through P(t) perpendicular to P(t) - m.
 
-    Returns points(x, y).  For a pole on the ellipse, at P(s), the
-    denominator of the rational form is 4ab (cos(t - s) - 1) and its
-    numerators vanish there to the same order; divided out, the curve is a
-    trigonometric polynomial of degree 2 in t, affine in (cos s, sin s).  With alpha, beta, gamma
-    and delta as in negative_pedal_frame:
+    It is the negative pedal N reflected in P(t): H = 2P(t) - N.  Both
+    H - P and N - P lie along L.  N's envelope condition gives
+    P' . (N - P) = (P - m) . P', and H's line gives
+    P' . (H - P) = (m - P) . P'; a point of L is fixed by its dot product
+    with P' unless m sits on the tangent at P(t), where both are singular.
+
+    Returns points(x, y).  For a pole on the ellipse, at P(s), the frame
+    holds the negative pedal's reduced columns reflected, (2P - N0, -N1,
+    -N2); with alpha, beta, gamma and delta as in negative_pedal_frame,
     x = alpha cos s + 2 alpha cos t - gamma cos(2t + s) and
-    y = beta sin s + 2 beta sin t - delta sin(2t + s), finite at t = s.
-    The pole gives s: (cos s, sin s) = (x/a, y/b).  Any other pole takes
-    the rational form (hybrid_rational_frame).
+    y = beta sin s + 2 beta sin t - delta sin(2t + s).  Any other pole
+    takes 2P(t) minus the points of the pencil, and its SingularFamily.
     """
-    return _by_pole(e, t, _hybrid_reduced, hybrid_rational_frame)
+    return _by_pole(e, t, _hybrid_columns, _hybrid_rational)
 
 
 # ---------------------------------------------------------------------------

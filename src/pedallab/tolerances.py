@@ -37,11 +37,6 @@ TURNING_TOL = 1e-3
 # below this fraction of their squared normals
 PARALLEL_TOL = 1e-12
 
-# a point of the rational hybrid is singular when its denominator
-# 4 (a y0 sin t + b x0 cos t - a b) is below this fraction of 4 a b: the pole
-# sits on the tangent line
-TANGENT_TOL = 1e-9
-
 # the conjecture check skips a pole within this distance of a symmetry axis,
 # where the crossings degenerate
 AXIS_TOL = 1e-9

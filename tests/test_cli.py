@@ -269,8 +269,8 @@ class TestSample:
         rc, out, err = run(capsys, "sample", "--family", "hybrid", "--m", "2,0.5",
                            "--offset", "0")
         assert rc == 1 and out == ""
-        assert err == ("error: curve evaluation failed at t=0.0: hybrid point undefined "
-                       "near t=0 (pole on the tangent line)\n")
+        assert err == ("error: curve evaluation failed at t=0.0: envelope is singular "
+                       "near t=0 (parallel line pencil)\n")
 
     def test_boundary_pole_families_get_shifted_grid(self, capsys):
         rc, out, _ = run(capsys, "sample", "--family", "hybrid", "--s", "0.7",

@@ -202,14 +202,19 @@ class TestScan:
         assert rep.passed
         assert rep.closed_form == pytest.approx(-9 * math.pi / 4, rel=1e-12)
 
-    @pytest.mark.parametrize("a, b", [(3.0, 1.0), (1.5, 1.0), (5.0, 2.0)])
-    def test_negative_pedal_closed_form_off_a_equal_2b(self, a, b):
+    @pytest.mark.parametrize("fam, area", [
         # -pi (a^2 - b^2)^2 / (2ab) agrees with -pi (a + b)^2 / 4 only at a = 2b
-        rep = scan(Ellipse(a, b), "negative_pedal", LocusSpec(kind="boundary", count=16),
-                   n=512)
+        ("negative_pedal", lambda a, b: -math.pi * (a * a - b * b) ** 2 / (2 * a * b)),
+        # the hybrid shares the negative pedal's columns, reflected in P(t):
+        # a wrong shared column shows in both closed forms
+        ("hybrid", lambda a, b: math.pi * (3 * a ** 4 + 2 * a * a * b * b + 3 * b ** 4)
+         / (2 * a * b))])
+    @pytest.mark.parametrize("a, b", [(3.0, 1.0), (1.5, 1.0), (5.0, 2.0),
+                                      (1 + math.sqrt(2), 1.0), (1.25, 1.0)])
+    def test_boundary_closed_form_off_a_equal_2b(self, fam, area, a, b):
+        rep = scan(Ellipse(a, b), fam, LocusSpec(kind="boundary", count=16), n=512)
         assert rep.passed
-        assert rep.closed_form == pytest.approx(-math.pi * (a * a - b * b) ** 2 / (2 * a * b),
-                                                rel=1e-15)
+        assert rep.closed_form == pytest.approx(area(a, b), rel=1e-15)
         assert rep.max_closed_dev <= 1e-15
 
     def test_hybrid_boundary_scan_is_accurate_to_roundoff(self):
@@ -254,9 +259,11 @@ class TestScan:
         assert all("not finite" in err for err in rep.errors)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_samples_are_a_per_pole_error(self):
-        # the rational hybrid squares the pole's coordinates, which overflow
-        rep = scan(E21, "hybrid", LocusSpec(kind="circle", r=1e200, count=3), n=64)
+    @pytest.mark.parametrize("fam", ["hybrid", "negative_pedal"])
+    def test_non_finite_samples_are_a_per_pole_error(self, fam):
+        # the pencil squares the pole's coordinates, which overflow: its
+        # points are not finite, and its lines are not called parallel
+        rep = scan(E21, fam, LocusSpec(kind="circle", r=1e200, count=3), n=64)
         assert rep.areas == [None] * 3
         assert all("non-finite point" in err for err in rep.errors)
 

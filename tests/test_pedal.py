@@ -40,7 +40,6 @@ from pedallab.pedal import (
     _segment_hits,
     contrapedal_frame,
     hybrid_frame,
-    hybrid_rational_frame,
     interpolated_frame,
     negative_pedal_frame,
     negative_pedal_rational_frame,
@@ -290,11 +289,12 @@ class TestPoleChunks:
             assert np.array_equal(got[j], point("pseudo_talbot", u[j], tuple(poles[j])))
 
     def test_singular_pole_names_its_parameter(self):
-        # one pole of the chunk sits on the tangent line at t = 0.9
+        # one pole of the chunk sits on the tangent line at t = 0.9, where
+        # the pencil that the hybrid reflects is singular
         t = np.linspace(0.0, 1.8, 9)
         m_bad = ellipse_point(E21, 0.9) + 0.5 * ellipse_velocity(E21, 0.9)
         poles = np.array([[0.1, 0.2], m_bad])
-        with pytest.raises(SingularParameter) as info:
+        with pytest.raises(SingularFamily) as info:
             frame_points("hybrid", t, poles[:, :1], poles[:, 1:])
         assert info.value.t == pytest.approx(0.9)
 
@@ -489,6 +489,23 @@ class TestHybrid:
             worst = max(worst, float(np.max(np.abs(got - hybrid_oracle(E21, t, m)))))
         assert worst < 1e-12
 
+    def test_matches_two_line_construction_outside(self):
+        # a pole outside the ellipse takes 2P(t) minus the pencil's points;
+        # t stays away from the tangents through m, where both are singular
+        rng = np.random.default_rng(8)
+        worst, cases = 0.0, 0
+        while cases < 300:
+            m = rng.uniform(-4.0, 4.0, 2)
+            t = rng.uniform(0, TWO_PI)
+            w, v = m - ellipse_point(E21, t), ellipse_velocity(E21, t)
+            sine = abs(w[0] * v[1] - w[1] * v[0]) / (np.hypot(*w) * np.hypot(*v))
+            if E21.implicit(m) < 1.05 or sine < 0.05:
+                continue
+            want = hybrid_oracle(E21, t, m)
+            err = np.hypot(*(point("hybrid", t, m) - want)) / max(1.0, np.hypot(*want))
+            worst, cases = max(worst, float(err)), cases + 1
+        assert worst < 1e-12
+
     def test_pole_on_boundary(self):
         s = 0.7
         m = tuple(ellipse_point(E21, s))
@@ -496,12 +513,14 @@ class TestHybrid:
         np.testing.assert_allclose(got, hybrid_oracle(E21, 1.9, m), atol=1e-11)
 
     def test_singular_on_tangent_line(self):
-        # the rational form; family_evaluator serves this pole from the
-        # reduced frame, finite at t = s
+        # a pole off the ellipse on the tangent line at P(s) takes the
+        # pencil, singular at t = s; family_evaluator serves a pole on the
+        # ellipse from the reduced frame, finite at t = s
         s = 0.7
-        m = tuple(ellipse_point(E21, s))
-        with pytest.raises(SingularParameter):
-            hybrid_rational_frame(E21, s)(*m)
+        m = tuple(ellipse_point(E21, s) + 0.5 * ellipse_velocity(E21, s))
+        with pytest.raises(SingularFamily) as info:
+            hybrid_frame(E21, s)(*m)
+        assert info.value.t == pytest.approx(s)
 
 
 # ---------------------------------------------------------------------------
@@ -684,10 +703,10 @@ class TestBoundaryFrames:
         np.testing.assert_allclose(got, reduced_reference(fam, E21, t, s), rtol=0, atol=1e-14)
         # a 0-d parameter gives one point
         assert np.array_equal(FRAMES[fam](E21, s)(*m), got[1])
-        # the rational frame keeps its singularity and names t = s
-        rational = {"hybrid": hybrid_rational_frame,
+        # the rational frame keeps the pencil's singularity and names t = s
+        rational = {"hybrid": pedal_module._hybrid_rational,
                     "negative_pedal": negative_pedal_rational_frame}[fam]
-        with pytest.raises((SingularParameter, SingularFamily)) as info:
+        with pytest.raises(SingularFamily) as info:
             rational(E21, t)(*m)
         assert info.value.t == pytest.approx(s, abs=1e-15)
 
