@@ -18,6 +18,7 @@ from .areas import (
     curvature_centroid_polygon,
     curvature_centroid_samples,
     curvature_centroid_support,
+    doubling_rule,
     internal_angles,
     pedal_polygon,
     perimeter_quadrature,
@@ -49,7 +50,6 @@ from .errors import (
     GeometryError,
     QuadratureError,
     SingularFamily,
-    SingularParameter,
     ZeroRotationIndex,
     ZeroTotalWeight,
 )

@@ -7,12 +7,15 @@ quadrature that checks them.  The quadrature is spectral: the shoelace
 integral 1/2 int(x y' - y x') is taken in Fourier space by Parseval's
 identity, from the real FFTs of the two coordinate sample sequences, so it
 is exact for band-limited curves and converges geometrically for analytic
-ones (Trefethen & Weideman, SIAM Rev. 2014).  A plain finite-difference shoelace stalls near 1e-6 relative error
-at two thousand points, which is not enough to certify the invariants this
-package is about.  area_rule(params) checks a row of parameters once and
-returns the quadrature for any curve or stack of curves sampled on it;
+ones (Trefethen & Weideman, SIAM Rev. 2014).  A plain finite-difference
+shoelace stalls near 1e-6 relative error at two thousand points, which is
+not enough to certify the invariants this package is about.
+area_rule(params) checks a row of parameters once and returns the
+quadrature for any curve or stack of curves sampled on it;
 signed_area_quadrature is that rule for one SampledCurve.  Every certified
-area is re-run on a grid twice as fine; settled() is that doubling test.
+area is re-run on a grid twice as fine; settled() is that doubling test,
+and doubling_rule(params) gives both of its areas from one rfft of the
+samples on the fine row.
 """
 
 from __future__ import annotations
@@ -237,6 +240,42 @@ def _fft_derivative(vals: np.ndarray) -> np.ndarray:
     return np.fft.ifft(k * np.fft.fft(vals)).real
 
 
+def _mode_weights(n: int):
+    """The weights k of the modes 0..n//2 of an n-point rfft, the lone
+    Nyquist mode of an even n zeroed as a spectral derivative would zero
+    it, and the scale -4 pi / n^2 of the Parseval area."""
+    k = np.arange(n // 2 + 1, dtype=float)
+    if n % 2 == 0:
+        k[-1] = 0.0
+    return k, -4.0 * math.pi / (n * n)
+
+
+def _spectral_areas(re, im, k, scale) -> np.ndarray:
+    """scale * sum_k k Im(conj(X_k) Y_k) over the last axis, from the real
+    and the imaginary parts of the spectra X and Y, each stacked (X, Y)."""
+    # Im(conj(X_k) Y_k), weighted in place
+    cross = re[0] * im[1]
+    cross -= im[0] * re[1]
+    cross *= k
+    return np.asarray(scale * np.sum(cross, axis=-1))
+
+
+def _finite(area: np.ndarray) -> np.ndarray:
+    """area itself when all of it is finite, else QuadratureError."""
+    bad = area[~np.isfinite(area)]
+    if bad.size:
+        raise QuadratureError(f"quadrature area is not finite ({float(bad[0])})")
+    return area
+
+
+def _planes_spectra(points, size: int):
+    """rfft of both coordinate planes of points on a row of size params, in
+    one call; points of another shape raise DomainError."""
+    if np.shape(points)[-2:] != (size, 2):
+        raise DomainError(f"points of shape {np.shape(points)} are not on {size} params")
+    return np.fft.rfft(np.moveaxis(points, -1, 0), axis=-1)
+
+
 def area_rule(params) -> Callable:
     """The spectral area rule of one row of n parameters.
 
@@ -253,28 +292,65 @@ def area_rule(params) -> Callable:
     precision.  A row that fails a check raises DomainError (not one row,
     not increasing) or QuadratureError; points of another shape raise
     DomainError, and an area that overflows to a non-finite value raises
-    QuadratureError.  A scan builds one rule per grid size and hands it
-    every chunk of poles.
+    QuadratureError.  A scan takes its areas from doubling_rule instead.
     """
     _periodic_step(params)
     n = np.shape(params)[0]
-    k = np.arange(n // 2 + 1, dtype=float)
-    if n % 2 == 0:
-        k[-1] = 0.0
-    scale = -4.0 * math.pi / (n * n)
+    k, scale = _mode_weights(n)
 
     def rule(points):
-        if np.shape(points)[-2:] != (n, 2):
-            raise DomainError(f"points of shape {np.shape(points)} are not on {n} params")
-        # both coordinate planes in one rfft call
-        fx, fy = np.fft.rfft(np.moveaxis(points, -1, 0), axis=-1)
+        # non-finite samples or products give a non-finite area, refused here
         with np.errstate(over="ignore", invalid="ignore"):
-            cross = fx.real * fy.imag - fx.imag * fy.real  # Im(conj(X_k) Y_k)
-            area = np.asarray(scale * np.sum(k * cross, axis=-1))
-        bad = area[~np.isfinite(area)]
-        if bad.size:
-            raise QuadratureError(f"quadrature area is not finite ({float(bad[0])})")
+            spectra = _planes_spectra(points, n)
+            area = _finite(_spectral_areas(spectra.real, spectra.imag, k, scale))
         return float(area) if area.ndim == 0 else area
+
+    return rule
+
+
+def doubling_rule(params) -> Callable:
+    """The area rule of the doubling check, on the row of 2n parameters.
+
+    The row is checked once, as by area_rule, and must be even and at
+    least 16 long (else QuadratureError).  Returns rule(points), the areas
+    (coarse, fine) of a curve sampled on the row, shape (2,), or of a stack
+    of k curves, points (k, 2n, 2) and areas (2, k); each is bitwise the
+    pair of its curve alone.  fine is area_rule(params)(points), bitwise.
+    coarse is the area on the n even samples, taken from the same rfft:
+    with F the rfft over all 2n samples, the n-point DFT of the even
+    samples is X[k] = (F[k] + conj(F[n - k])) / 2, the aliasing identity
+    behind the trapezoidal rule (Trefethen & Weideman, SIAM Rev. 2014).
+    coarse sums the modes k < n/2: the lone Nyquist mode of an even n is
+    left out, as area_rule leaves it out.  coarse agrees with
+    area_rule(params[::2]) on the even samples to roundoff, not bitwise.
+    Points of another shape raise DomainError, and an area that overflows
+    to a non-finite value, coarse first, raises QuadratureError.
+    """
+    _periodic_step(params)
+    size = np.shape(params)[0]
+    if size % 2 or size < 16:
+        raise QuadratureError(
+            f"the doubling check needs an even row of at least 16 params, got {size}")
+    n = size // 2
+    k_fine, scale_fine = _mode_weights(size)
+    half = (n + 1) // 2
+    k_coarse = np.arange(half, dtype=float)
+    # the folded modes are 2 X[k], so their cross products are 4 times the
+    # coarse ones: a quarter of the scale -4 pi / n^2, exactly
+    scale_coarse = -math.pi / (n * n)
+
+    def rule(points):
+        # non-finite samples or products give a non-finite area, refused here
+        with np.errstate(over="ignore", invalid="ignore"):
+            spectra = _planes_spectra(points, size)
+            re, im = spectra.real, spectra.imag
+            area = np.empty((2,) + spectra.shape[1:-1])
+            # 2 X[k] = F[k] + conj(F[n - k]) for k < n/2, both planes at once
+            area[0] = _spectral_areas(re[..., :half] + re[..., n:n - half:-1],
+                                      im[..., :half] - im[..., n:n - half:-1],
+                                      k_coarse, scale_coarse)
+            area[1] = _spectral_areas(re, im, k_fine, scale_fine)
+        return _finite(area)
 
     return rule
 

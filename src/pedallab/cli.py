@@ -159,7 +159,11 @@ def _report_text(obj, nl: str) -> str:
             except TypeError:
                 pass
         if body is None:
-            body = sep.join([_report_text(v, inner) for v in obj])
+            try:
+                # a flat list of strings and None (the errors) in one pass
+                body = sep.join(["null" if v is None else _str_text(v) for v in obj])
+            except TypeError:
+                body = sep.join([_report_text(v, inner) for v in obj])
         elif "n" in body:
             raise _non_finite(next(v for v in np.ravel(obj) if not math.isfinite(v)))
         return "[" + inner + body + nl + "]"
@@ -178,9 +182,9 @@ def report_json(obj) -> str:
     every report file.  A non-finite number raises DomainError.
 
     With an indent, json.dumps runs its pure-Python encoder, one generator
-    step per value; this writer joins a flat list of floats in one pass and
-    a list of float pairs through one format string, and gives any type it
-    does not know to json.
+    step per value; this writer joins a flat list of floats, or of strings
+    and None, in one pass and a list of float pairs through one format
+    string, and gives any type it does not know to json.
     """
     return _report_text(obj, "\n") + "\n"
 

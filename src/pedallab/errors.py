@@ -29,14 +29,6 @@ class DegenerateLine(GeometryError):
     """A line of the family degenerates (zero normal vector)."""
 
 
-class SingularParameter(GeometryError):
-    """A curve formula hits a vanishing denominator at some parameter."""
-
-    def __init__(self, message, t=None):
-        super().__init__(message)
-        self.t = t
-
-
 class ZeroTotalWeight(GeometryError):
     """Polygon curvature-centroid weights sum to zero."""
 

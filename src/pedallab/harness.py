@@ -6,9 +6,9 @@ hybrid, pseudo-Talbot and negative-pedal areas do not depend on the pole at
 all while it stays on the ellipse (boundary locus).  A scan certifies such
 a claim numerically: it computes the signed area for every sampled pole at
 grid size n, re-checks each at 2n, and reports the spread.  Poles are
-sampled and integrated in chunks.  Each grid size has one area rule
-(areas.area_rule), whose row checks run once per scan, and each chunk's
-finite curves go to it in one stack.  Each family's one evaluator, its
+sampled and integrated in chunks.  A scan has one area rule for both grid
+sizes (areas.doubling_rule), whose row checks run once per scan, and each
+chunk's curves go to it in one stack.  Each family's one evaluator, its
 registry frame (areas.Family.frame), does the work that depends on the
 parameters alone and returns the points for a pole's plain coordinates.
 family_evaluator reads its one pole once, when it is built (curves.as_xy);
@@ -21,11 +21,13 @@ affine in two coordinates read from each pole, (x, y) itself for the
 Steiner families and (cos s, sin s) of a pole P(s) on the ellipse for
 hybrid, pseudo-Talbot and the negative pedal (the pencil of a pole off
 the ellipse excepted).  The n grid is the even half of the 2n
-grid, so a chunk is sampled once, at 2n, and its n-point areas are taken
-from the even samples.  The scan's epilogue (doubling gaps, the settled
+grid, so a chunk is sampled once, at 2n, and both areas come from one
+rfft per coordinate: the n-point spectrum of the even samples is a fold
+of the 2n-point one.  The scan's epilogue (doubling gaps, the settled
 test, closed forms, spread) works on arrays over all poles; only a pole
-whose chunk failed is re-run by itself.  The identity suite settles each
-area it certifies the same way, against its re-run at 2n.
+whose chunk failed is re-run by itself, through the same rule.  The
+identity suite settles each area it certifies the same way, against its
+re-run at 2n.
 
 Reports carry plain Python data and serialize to JSON deterministically:
 same inputs, byte-identical files.
@@ -43,12 +45,11 @@ from .areas import (
     FAMILIES,
     AreaFamily,
     Family,
-    area_rule,
     closed_form_area,
     closed_form_areas,
+    doubling_rule,
     settled,
     settled_area,
-    signed_area_quadrature,
     support_contrapedal_area,
     support_pedal_area,
 )
@@ -62,7 +63,7 @@ from .curves import (
     sample_curve,
     xy_on_ellipse,
 )
-from .errors import DomainError, GeometryError, QuadratureError
+from .errors import DomainError, EvaluationError, GeometryError, QuadratureError
 from .pedal import self_intersections
 from .tolerances import AXIS_TOL
 
@@ -73,13 +74,13 @@ SCANNABLE = tuple(AreaFamily(f.name) for f in FAMILIES.values() if f.frame is no
 
 # a scan evaluates at most this many grid points at once (a chunk of k poles
 # at 2n points each), so batching never grows its working set with the pole
-# count; at up to ~77 bytes per point (tracemalloc peak of a 256-pole
-# n=2048 scan over 2**13 points, shared frames included: on a circle 76 for
-# the pedal, 75 for the contrapedal, 73 for the rotated pedal and 77 for
-# the interpolated pedal; on the boundary 77 for the hybrid, pseudo-Talbot
-# and the negative pedal), 2**13 points fit in memory the process already
-# holds, where 2**16 raised peak RSS by ~8 MB
-CHUNK_POINTS = 2 ** 13
+# count; at up to ~65 bytes per point (tracemalloc peak of a 256-pole
+# n=2048 scan over 2**14 points, shared frames included: on a circle 63 for
+# the pedal, contrapedal and rotated pedal and 65 for the interpolated
+# pedal; on the boundary 65 for the hybrid, pseudo-Talbot and the negative
+# pedal), 2**14 points fit in memory the process already holds: the
+# battery's peak RSS reads ~38.0 MB against ~37.8 MB at 2**13
+CHUNK_POINTS = 2 ** 14
 
 
 def _require_count(what: str, value, least: int) -> None:
@@ -201,54 +202,43 @@ class InvarianceReport(_Report):
     errors: List[Optional[str]]
 
 
-def _pole_areas(e: Ellipse, fam: str, m, n: int, theta: float, mu: float):
-    """Areas at n and 2n points of one pole, sampled through sample_curve,
-    whose errors name the node that failed."""
+def _pole_areas(e: Ellipse, fam: str, m, n: int, theta: float, mu: float) -> np.ndarray:
+    """Areas at n and 2n points of one pole, as doubling_rule gives them: one
+    sampling through sample_curve, at 2n, whose errors name the node that
+    failed.  A pole that fails on the 2n grid is sampled on the n grid too,
+    so its error names the node the n-point area fails at first, if any."""
     ev = family_evaluator(e, fam, m, theta=theta, mu=mu)
-    return tuple(signed_area_quadrature(sample_curve(ev, ParamGrid(count)))
-                 for count in (n, 2 * n))
-
-
-def _chunk_areas(points: Callable, x, y, size: int, rules) -> np.ndarray:
-    """Areas of the curves of a chunk of poles at the (k, 1) coordinates x
-    and y, sampled by one points() call on a row of size nodes, as a
-    (len(rules), k) array.  rules holds (rule, stride) pairs: each area
-    rule takes every stride-th sample.  Rows not all finite come back NaN;
-    the samples are released on return."""
-    # the ellipse family has no pole: its one curve stands for all k
-    pts = np.broadcast_to(np.asarray(points(x, y), dtype=float), (len(x), size, 2))
-    ok = np.all(np.isfinite(pts), axis=(1, 2))
-    out = np.full((len(rules), len(ok)), np.nan)
-    if ok.any():
-        pts = pts if ok.all() else pts[ok]
-        for i, (rule, stride) in enumerate(rules):
-            out[i, ok] = rule(pts[:, ::stride])
-    return out
+    try:
+        curve = sample_curve(ev, ParamGrid(2 * n))
+    except EvaluationError:
+        sample_curve(ev, ParamGrid(n))
+        raise
+    return doubling_rule(curve.params)(curve.points)
 
 
 def _sweep(frame: Callable, poles: np.ndarray, n: int, per_chunk: int) -> np.ndarray:
     """Areas at n and at 2n points of all poles, in chunks of per_chunk, as
     a (2, count) array: the coarse row, then the fine one.
 
-    frame(t) builds the family's frame on the nodes t, once, before the
+    frame(t) builds the family's frame on the 2n nodes t, once, before the
     first chunk: no registry frame raises on real nodes, where
-    |P'(t)|^2 >= b^2 > 0.  The grid nests: the n nodes of ParamGrid(n) are
-    the even nodes of ParamGrid(2n), bit for bit, so the 2n nodes, their
-    frame and the area rules of both grid sizes (areas.area_rule, whose row
-    checks run once) serve all chunks.  A chunk makes one points() call at
-    2n on the (k, 1) coordinate views of its poles, and its n-point areas
-    come from the even samples, by the rule of t[::2]; its finite rows go
-    to each rule in one stack.  Poles whose chunk raised, or whose samples
-    are not all finite, come back NaN.
+    |P'(t)|^2 >= b^2 > 0.  The frame and the one rule of the doubling check
+    (areas.doubling_rule, whose row checks run once) serve all chunks.  A
+    chunk makes one points() call at 2n on the (k, 1) coordinate views of
+    its poles and hands the stack to the rule, which takes both areas from
+    one rfft per coordinate: the n-point spectrum of the even samples is a
+    fold of the 2n-point one.  A chunk that raised, a row not all finite
+    included, comes back NaN.
     """
     t = ParamGrid(2 * n).nodes()
-    points, rules = frame(t), [(area_rule(t[::2]), 2), (area_rule(t), 1)]
+    points, rule = frame(t), doubling_rule(t)
     out = np.full((2, len(poles)), np.nan)
     for c0 in range(0, len(poles), per_chunk):
         chunk = slice(c0, c0 + per_chunk)
+        x, y = poles[chunk, :1], poles[chunk, 1:]
         try:
-            out[:, chunk] = _chunk_areas(points, poles[chunk, :1], poles[chunk, 1:],
-                                         t.size, rules)
+            # the ellipse family has no pole: its one curve stands for all k
+            out[:, chunk] = rule(np.broadcast_to(points(x, y), (len(x), t.size, 2)))
         except GeometryError:
             pass
     return out
@@ -271,17 +261,18 @@ def scan(e: Ellipse, family, locus: LocusSpec, n: int = 2048,
 
     _sweep takes the poles in chunks of at most CHUNK_POINTS points at 2n
     and gives each chunk its areas at n and at 2n before the next, through
-    one area rule per grid size (areas.area_rule), built with the frame;
-    the frame gets each chunk's coordinates as they are, since LocusSpec's
-    own checks make its poles finite.
-    The grid nests: its n nodes are the even nodes of the 2n grid, bit for
-    bit, so the chunk is sampled once, at 2n, and its n-point areas come
-    from the even samples.  A pole whose chunk raised, or whose row came
-    back non-finite, is re-run alone by _pole_areas, so its error reads as
-    if it had been scanned by itself; every area is bitwise that of its
-    pole alone.  The rest is array work over all poles: the doubling gaps,
-    the settled() test (an unsettled pole takes settled_area's message),
-    the closed forms (areas.closed_form_areas) and the spread.
+    the one rule of the doubling check (areas.doubling_rule), built with
+    the frame; the frame gets each chunk's coordinates as they are, since
+    LocusSpec's own checks make its poles finite.  The grid nests: its n
+    nodes are the even nodes of the 2n grid, bit for bit, so the chunk is
+    sampled once, at 2n, and its n-point areas are folded out of the
+    2n-point spectrum.  A pole whose chunk raised, a row not all finite
+    included, is re-run alone by _pole_areas, sampled at 2n through the
+    same rule, so its error reads as if it had been scanned by itself;
+    every area is bitwise that of its pole alone.  The rest is array work
+    over all poles: the doubling gaps, the settled() test (an unsettled
+    pole takes settled_area's message), the closed forms
+    (areas.closed_form_areas) and the spread.
     """
     spec = Family.of(family)
     fam = spec.name

@@ -92,17 +92,24 @@ def _affine_frame(fx, fy, sx: float = 1.0, sy: float = 1.0) -> Callable:
     of the columns' dtype (complex under a complex step) and of any shape,
     0-d included; the (..., n, 2) view of it is returned, so the quadrature
     reads each plane contiguously.  A chunk of poles takes (k, 1) arrays.
+    The sums go into the planes in place, (F0 + c1 F1) + c2 F2, through
+    one scratch plane: no other full-size temporary.
     """
 
     def points(x0, y0):
         c1, c2 = x0 / sx, y0 / sy
-        # F0 + c1 F1 first, whose shape and dtype the planes take: the
-        # helpers that work them out from the columns cost more than the
-        # sums on the few parameters of a cusp-refinement step
-        x, y = fx[0] + c1 * fx[1], fy[0] + c1 * fy[1]
-        planes = np.empty((2,) + x.shape, dtype=np.result_type(x, y))
-        np.add(x, c2 * fx[2], out=planes[0, ...])
-        np.add(y, c2 * fy[2], out=planes[1, ...])
+        # c1 F1 first, whose shape and dtype the planes take: the helpers
+        # that work them out from the columns cost more than the products
+        # on the few parameters of a cusp-refinement step; as an array, as
+        # it is the scratch plane (a 0-d product is a numpy scalar)
+        scratch = np.asarray(c1 * fx[1])
+        planes = np.empty((2,) + scratch.shape, dtype=np.result_type(scratch, fy[1]))
+        px, py = planes[0, ...], planes[1, ...]
+        # outputs passed by position: the keyword costs more on few parameters
+        np.add(fx[0], scratch, px)
+        np.add(px, np.multiply(c2, fx[2], scratch), px)
+        np.add(fy[0], np.multiply(c1, fy[1], py), py)
+        np.add(py, np.multiply(c2, fy[2], scratch), py)
         return planes.transpose((*range(1, planes.ndim), 0))
 
     return points

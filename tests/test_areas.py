@@ -25,6 +25,7 @@ from pedallab import (
     curvature_centroid_polygon,
     curvature_centroid_samples,
     curvature_centroid_support,
+    doubling_rule,
     ellipse_point,
     ellipse_support,
     family_evaluator,
@@ -40,7 +41,7 @@ from pedallab import (
 )
 
 from pedallab.areas import DOUBLING_RTOL, FAMILIES, settled, settled_area
-from pedallab.harness import SCANNABLE
+from pedallab.harness import SCANNABLE, LocusSpec, scan
 from pedallab.pedal import evolutoid_point
 from pedallab.tolerances import TURNING_TOL
 
@@ -318,6 +319,85 @@ class TestAreaRule:
         pts = np.stack([ellipse_point(E21, t), 1e300 * ellipse_point(E21, t)])
         with pytest.raises(QuadratureError, match="not finite"):
             rule(pts)
+
+
+def doubling_pole(fam):
+    """A pole for each family: the Steiner families' pole inside the
+    ellipse, the boundary families' P(0.9) on it."""
+    if FAMILIES[fam].on_ellipse:
+        return tuple(float(v) for v in ellipse_point(E21, 0.9))
+    return (0.7, -0.4)
+
+
+class TestDoublingRule:
+    """doubling_rule(t2)(points) gives the areas on the n even samples and
+    on all 2n samples from one rfft per coordinate: the fine area bitwise
+    area_rule's, the coarse one area_rule's on the even samples to a few
+    ulps."""
+
+    @pytest.mark.parametrize("n", [8, 9, 64, 2048])
+    @pytest.mark.parametrize("fam", list(FAMILIES))
+    def test_fold_matches_the_two_rules(self, n, fam):
+        if FAMILIES[fam].frame is None:
+            return  # the evolutoid has no frame
+        t2 = ParamGrid(2 * n).nodes()
+        pts = np.asarray(FAMILIES[fam].frame(E21, t2, 0.6, 1 / 3)(*doubling_pole(fam)))
+        coarse, fine = doubling_rule(t2)(pts)
+        want = area_rule(t2[::2])(pts[::2])
+        assert abs(coarse - want) <= 8 * np.spacing(max(1.0, abs(want)))
+        assert fine == area_rule(t2)(pts)
+
+    @pytest.mark.parametrize("n", [9, 64])
+    @pytest.mark.parametrize("fam", [f.value for f in SCANNABLE])
+    def test_stack_equals_each_curve_alone_bitwise(self, n, fam):
+        t2 = ParamGrid(2 * n).nodes()
+        frame = FAMILIES[fam].frame(E21, t2, 0.6, 1 / 3)
+        if FAMILIES[fam].on_ellipse:
+            poles = ellipse_point(E21, np.array([0.2, 0.9, 2.5, 4.0]))
+        else:
+            poles = np.array([[0.7, -0.4], [-1.2, 0.3], [2.5, -1.5], [0.0, 0.1]])
+        rule = doubling_rule(t2)
+        # the chunk as harness.scan gives it; the ellipse's one curve stands for all
+        got = rule(np.broadcast_to(frame(poles[:, :1], poles[:, 1:]), (len(poles), 2 * n, 2)))
+        assert got.shape == (2, len(poles))
+        for j, (x, y) in enumerate(poles.tolist()):
+            assert np.array_equal(got[:, j], rule(frame(x, y)))
+
+    @pytest.mark.parametrize("params, error", [
+        (ParamGrid(17).nodes(), QuadratureError),  # odd
+        (ParamGrid(14).nodes(), QuadratureError),  # shorter than 16
+        (np.linspace(0, math.pi, 64, endpoint=False), QuadratureError),
+        (ParamGrid(16).nodes()[::-1], DomainError)])
+    def test_row_is_checked_when_the_rule_is_built(self, params, error):
+        with pytest.raises(error):
+            doubling_rule(params)
+
+    def test_points_off_the_row_raise(self):
+        rule = doubling_rule(ParamGrid(16).nodes())
+        assert np.array_equal(rule(np.zeros((3, 16, 2))), np.zeros((2, 3)))
+        for pts in (np.zeros((3, 8, 2)), np.zeros((16, 3)), np.zeros(16)):
+            with pytest.raises(DomainError):
+                rule(pts)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("node", [0, 1, 7, 30, 31])
+    def test_a_non_finite_sample_raises(self, bad, node):
+        t2 = ParamGrid(32).nodes()
+        pts = np.stack([ellipse_point(E21, t2)] * 3)
+        pts[1, node, node % 2] = bad
+        with pytest.raises(QuadratureError, match="not finite"):
+            doubling_rule(t2)(pts)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_pencil_keeps_its_errors(self):
+        # every pole's points overflow; pole 0 fails at node 1 of the n grid
+        # before node 1 of the 2n grid, and its error names the former
+        rep = scan(E21, "negative_pedal", LocusSpec("circle", r=1e200, count=3), n=64)
+        assert rep.areas == [None] * 3
+        assert rep.errors == [
+            "curve evaluation failed at t=0.09817477042468103: non-finite point",
+            "curve evaluation failed at t=0.0: non-finite point",
+            "curve evaluation failed at t=0.0: non-finite point"]
 
 
 class TestPerimeter:

@@ -508,8 +508,10 @@ REPORTS = st.recursive(
     lambda inner: st.one_of(
         st.lists(inner, max_size=5), st.lists(inner, max_size=3).map(tuple),
         st.dictionaries(KEYS, inner, max_size=5),
-        # the shapes the writer takes in one pass: flat floats, float pairs
+        # the shapes the writer takes in one pass: flat floats, float pairs,
+        # strings and None
         st.lists(FINITE_FLOATS, max_size=6),
+        st.lists(st.one_of(st.none(), st.text()), max_size=6),
         st.lists(st.lists(FINITE_FLOATS, min_size=2, max_size=2), max_size=4)),
     max_leaves=30)
 
@@ -527,6 +529,12 @@ class TestReportWriter:
         from pedallab import LocusSpec, scan
         rep = scan(E21, "hybrid", LocusSpec("circle", r=1.5, count=5), n=64).to_dict()
         assert report_json(rep) == json.dumps(rep, indent=2, allow_nan=False) + "\n"
+
+    @pytest.mark.parametrize("obj", [
+        [None] * 4, ["a", None, 'q"\u00e9\n', ""], [None, "x", 1.0], [None, 2, "x"],
+        [None, [1.0, 2.0]], ["x", True]])
+    def test_lists_of_strings_and_none(self, obj):
+        assert report_json(obj) == json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
     @pytest.mark.parametrize("obj", [
         [math.nan], [1.0, -math.inf], {"a": math.inf}, [[1.0, math.nan]],

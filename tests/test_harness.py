@@ -24,7 +24,7 @@ from pedallab import (
     signed_area_quadrature,
 )
 from pedallab import areas, curves, ellipse_point, harness, pedal
-from pedallab.areas import FAMILIES, Family, settled_area
+from pedallab.areas import FAMILIES, Family, doubling_rule, settled_area
 from pedallab.curves import pole_on_ellipse
 from pedallab.harness import SCANNABLE
 
@@ -337,7 +337,7 @@ class TestSharedFrames:
                        theta=0.6, mu=1 / 3)
             assert rep.passed
             totals.append(sum(sizes))
-        # 64 poles at n=2048 make 32 chunks of 2 poles
+        # 64 poles at n=2048 make 16 chunks of 4 poles
         assert totals[0] > 0
         assert totals[1] == totals[0]
 
@@ -374,13 +374,13 @@ class TestBoundaryFrames:
         monkeypatch.setattr(areas, builder, counted)
         rep = scan(E21, fam, LocusSpec("boundary", count=64), n=2048, tol=1e-6)
         assert rep.passed
-        # 64 poles at n=2048 make 32 chunks of 2 poles
+        # 64 poles at n=2048 make 16 chunks of 4 poles
         assert sum(sizes) == points
 
 
 class TestRowChecks:
-    """A scan checks each grid size's row of nodes once, in its area rule,
-    whatever the number of poles."""
+    """A scan checks its one row of 2n nodes once, in the rule of the
+    doubling check, whatever the number of poles."""
 
     @pytest.mark.parametrize("fam, kind", [
         ("pedal", "circle"), ("contrapedal", "circle"), ("rotated", "circle"),
@@ -400,19 +400,21 @@ class TestRowChecks:
                        mu=1 / 3, tol=1e-6 if kind == "boundary" else 1e-8)
             assert rep.passed
             checked.append(sorted(rows))
-        # 64 poles at n=2048 make 32 chunks of 2 poles; one rule per grid size
-        assert checked == [[2048, 4096]] * 2
+        # 64 poles at n=2048 make 16 chunks of 4 poles; one rule for both sizes
+        assert checked == [[4096]] * 2
 
 
 def scan_alone(e, fam, locus, j, n, theta=0.0, mu=0.5):
-    """(area, error) of pole j of the locus, sampled and integrated by itself."""
+    """(area, error) of pole j of the locus, sampled and integrated by itself:
+    sampled on the n grid, whose error comes first, and on the 2n grid,
+    whose samples give both areas through the rule of the doubling check."""
     pole = tuple(float(v) for v in locus.poles(e)[j])
     s = float(locus.angles()[j]) if locus.kind == "boundary" else 0.0
     try:
         ev = family_evaluator(e, fam, pole, theta=theta, mu=mu, s=s)
-        a1 = signed_area_quadrature(sample_curve(ev, family_grid(fam, n, s)))
-        a2 = signed_area_quadrature(sample_curve(ev, family_grid(fam, 2 * n, s)))
-        return settled_area(a1, a2), None
+        sample_curve(ev, family_grid(fam, n, s))
+        curve = sample_curve(ev, family_grid(fam, 2 * n, s))
+        return settled_area(*doubling_rule(curve.params)(curve.points)), None
     except GeometryError as exc:
         return None, str(exc)
 
