@@ -29,6 +29,7 @@ import numpy as np
 
 from .curves import (
     Ellipse,
+    ParamGrid,
     Point2,
     SampledCurve,
     SupportCurve,
@@ -408,7 +409,7 @@ class SupportAreas:
 
 
 def _support_area_pair(s: SupportCurve, n: int):
-    t = (np.arange(n) + 0.5) * (TWO_PI / n)
+    t = ParamGrid(n, offset=0.5).nodes()
     h = np.asarray(s.h(t), dtype=float)
     dh = np.asarray(s.dh(t), dtype=float)
     d2h = np.asarray(s.d2h(t), dtype=float)
@@ -417,7 +418,9 @@ def _support_area_pair(s: SupportCurve, n: int):
 
 
 def support_areas(s: SupportCurve, n: int = 2048) -> SupportAreas:
-    """Areas 1/2 int(h^2 - h'^2) and 1/2 int(h'^2 - h''^2) with a doubling check."""
+    """Areas 1/2 int(h^2 - h'^2) and 1/2 int(h'^2 - h''^2) with a doubling
+    check, on ParamGrid(n, offset=0.5) and its 2n grid; an n that is not an
+    int >= 8 raises DomainError, as for every support-route integral."""
     a1, e1 = _support_area_pair(s, n)
     a2, e2 = _support_area_pair(s, 2 * n)
     if not (settled(a1, a2) and settled(e1, e2)):
@@ -450,7 +453,7 @@ def support_contrapedal_point(s: SupportCurve, t, m):
 def support_pedal_area(s: SupportCurve, m, n: int = 2048) -> float:
     """Pedal area about m in polar form: 1/2 int (h - m . n(t))^2 dt."""
     x0, y0 = as_xy(m)
-    t = (np.arange(n) + 0.5) * (TWO_PI / n)
+    t = ParamGrid(n, offset=0.5).nodes()
     r = np.asarray(s.h(t), dtype=float) - x0 * np.cos(t) - y0 * np.sin(t)
     return float(0.5 * (TWO_PI / n) * np.sum(r * r))
 
@@ -458,7 +461,7 @@ def support_pedal_area(s: SupportCurve, m, n: int = 2048) -> float:
 def support_contrapedal_area(s: SupportCurve, m, n: int = 2048) -> float:
     """Contrapedal area about m: 1/2 int (h' + m x n(t))^2 dt."""
     x0, y0 = as_xy(m)
-    t = (np.arange(n) + 0.5) * (TWO_PI / n)
+    t = ParamGrid(n, offset=0.5).nodes()
     g = np.asarray(s.dh(t), dtype=float) + x0 * np.sin(t) - y0 * np.cos(t)
     return float(0.5 * (TWO_PI / n) * np.sum(g * g))
 
@@ -500,7 +503,7 @@ def curvature_centroid_samples(curve: SampledCurve) -> Point2:
 
 def curvature_centroid_support(s: SupportCurve, n: int = 2048) -> Point2:
     """Curvature centroid of a support curve: (1/pi) (int h cos, int h sin)."""
-    t = (np.arange(n) + 0.5) * (TWO_PI / n)
+    t = ParamGrid(n, offset=0.5).nodes()
     h = np.asarray(s.h(t), dtype=float)
     w = TWO_PI / n / math.pi
     return Point2(w * float(np.sum(h * np.cos(t))), w * float(np.sum(h * np.sin(t))))

@@ -241,23 +241,36 @@ class SampledCurve:
         return len(self.params)
 
 
+def finite_rows(t, points) -> np.ndarray:
+    """points, shape (n, 2) on the n nodes t, once every row is finite;
+    else EvaluationError naming the first node whose point is not."""
+    bad = ~np.isfinite(points).all(axis=-1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise EvaluationError(
+            f"curve evaluation failed at t={float(t[k])!r}: non-finite point", node=t[k])
+    return points
+
+
 def sample_curve(f: Callable, grid: ParamGrid) -> SampledCurve:
-    """Evaluate f on the grid nodes; failures name the offending node."""
+    """Evaluate f on the grid nodes, in one call; failures name the
+    offending node.  A non-finite point is named at its node (finite_rows).
+    Only a call that raises or returns the wrong shape is replayed node by
+    node, to name the first node that raises or is non-finite."""
     t = grid.nodes()
     try:
         pts = np.asarray(f(t), dtype=float)
-        if pts.shape != (t.size, 2) or not np.all(np.isfinite(pts)):
-            raise ValueError("bad vectorized evaluation")
+        vectorized = pts.shape == (t.size, 2)
     except Exception:
-        # locate the first failing node for the error report
+        vectorized = False
+    if not vectorized:
         pts = np.empty((t.size, 2))
         for k, tk in enumerate(t):
             try:
-                row = np.asarray(f(tk), dtype=float).reshape(2)
-                if not np.all(np.isfinite(row)):
-                    raise ValueError("non-finite point")
+                pts[k] = np.asarray(f(tk), dtype=float).reshape(2)
             except Exception as exc:
+                # a non-finite node before it comes first
+                finite_rows(t[:k], pts[:k])
                 raise EvaluationError(
                     f"curve evaluation failed at t={float(tk)!r}: {exc}", node=tk) from exc
-            pts[k] = row
-    return SampledCurve(params=t, points=pts, evaluator=f)
+    return SampledCurve(params=t, points=finite_rows(t, pts), evaluator=f)

@@ -25,9 +25,10 @@ grid, so a chunk is sampled once, at 2n, and both areas come from one
 rfft per coordinate: the n-point spectrum of the even samples is a fold
 of the 2n-point one.  The scan's epilogue (doubling gaps, the settled
 test, closed forms, spread) works on arrays over all poles; only a pole
-whose chunk failed is re-run by itself, through the same rule.  The
-identity suite settles each area it certifies the same way, against its
-re-run at 2n.
+whose chunk failed is re-run by itself, through the same frame and rule,
+and carries the error of its own points() call or rule as it is raised.
+The identity suite settles each area it certifies the same way, against
+its re-run at 2n, through one row and rule for all its quadratures.
 
 Reports carry plain Python data and serialize to JSON deterministically:
 same inputs, byte-identical files.
@@ -59,11 +60,12 @@ from .curves import (
     as_xy,
     ellipse_point,
     ellipse_support,
+    finite_rows,
     pole_on_ellipse,
     sample_curve,
     xy_on_ellipse,
 )
-from .errors import DomainError, EvaluationError, GeometryError, QuadratureError
+from .errors import DomainError, GeometryError, QuadratureError
 from .pedal import self_intersections
 from .tolerances import AXIS_TOL
 
@@ -142,8 +144,9 @@ def family_evaluator(e: Ellipse, family, m, theta: float = 0.0, mu: float = 0.5,
     """Point evaluator t -> (x, y) for a family with a fixed pole m.
 
     It is the family's registry frame (areas.Family.frame) built at the
-    ellipse parameters t and called on the pole's coordinates, the one way
-    to evaluate a family with a pole.  The pole is read here, once
+    ellipse parameters t and called on the pole's coordinates, the public
+    way to evaluate a family with a pole; scan and identity_suite call the
+    frames themselves, on their one row of nodes.  The pole is read here, once
     (curves.as_xy): a pole that is not one finite point, a chunk of poles
     included, raises DomainError, and a call of the evaluator reads it no
     more.  Hybrid and negative pedal serve a pole on the ellipse
@@ -202,23 +205,20 @@ class InvarianceReport(_Report):
     errors: List[Optional[str]]
 
 
-def _pole_areas(e: Ellipse, fam: str, m, n: int, theta: float, mu: float) -> np.ndarray:
-    """Areas at n and 2n points of one pole, as doubling_rule gives them: one
-    sampling through sample_curve, at 2n, whose errors name the node that
-    failed.  A pole that fails on the 2n grid is sampled on the n grid too,
-    so its error names the node the n-point area fails at first, if any."""
-    ev = family_evaluator(e, fam, m, theta=theta, mu=mu)
-    try:
-        curve = sample_curve(ev, ParamGrid(2 * n))
-    except EvaluationError:
-        sample_curve(ev, ParamGrid(n))
-        raise
-    return doubling_rule(curve.params)(curve.points)
+def _pole_areas(points: Callable, rule: Callable, t: np.ndarray, x, y) -> np.ndarray:
+    """Areas (coarse, fine) of one pole, at its (1, 1) coordinates x and y:
+    one points() call of its frame on the 2n nodes t, whose rows must be
+    finite (curves.finite_rows names the first node that is not), and the
+    doubling rule of t.  An error of either step is raised as it is."""
+    pts = np.broadcast_to(points(x, y), (1, t.size, 2))  # as in _sweep
+    finite_rows(t, pts[0])
+    return rule(pts)[:, 0]
 
 
-def _sweep(frame: Callable, poles: np.ndarray, n: int, per_chunk: int) -> np.ndarray:
+def _sweep(frame: Callable, poles: np.ndarray, n: int, per_chunk: int):
     """Areas at n and at 2n points of all poles, in chunks of per_chunk, as
-    a (2, count) array: the coarse row, then the fine one.
+    a (2, count) array, the coarse row then the fine one, and each pole's
+    error, None or its message.
 
     frame(t) builds the family's frame on the 2n nodes t, once, before the
     first chunk: no registry frame raises on real nodes, where
@@ -228,11 +228,14 @@ def _sweep(frame: Callable, poles: np.ndarray, n: int, per_chunk: int) -> np.nda
     its poles and hands the stack to the rule, which takes both areas from
     one rfft per coordinate: the n-point spectrum of the even samples is a
     fold of the 2n-point one.  A chunk that raised, a row not all finite
-    included, comes back NaN.
+    included, is re-run one pole at a time (_pole_areas), through the same
+    frame and rule: each pole gets its areas, bitwise those of the chunk,
+    or its own error, and areas NaN.
     """
     t = ParamGrid(2 * n).nodes()
     points, rule = frame(t), doubling_rule(t)
     out = np.full((2, len(poles)), np.nan)
+    errors: List[Optional[str]] = [None] * len(poles)
     for c0 in range(0, len(poles), per_chunk):
         chunk = slice(c0, c0 + per_chunk)
         x, y = poles[chunk, :1], poles[chunk, 1:]
@@ -240,8 +243,12 @@ def _sweep(frame: Callable, poles: np.ndarray, n: int, per_chunk: int) -> np.nda
             # the ellipse family has no pole: its one curve stands for all k
             out[:, chunk] = rule(np.broadcast_to(points(x, y), (len(x), t.size, 2)))
         except GeometryError:
-            pass
-    return out
+            for i in range(len(x)):
+                try:
+                    out[:, c0 + i] = _pole_areas(points, rule, t, x[i:i + 1], y[i:i + 1])
+                except GeometryError as exc:
+                    errors[c0 + i] = str(exc)
+    return out, errors
 
 
 def scan(e: Ellipse, family, locus: LocusSpec, n: int = 2048,
@@ -267,9 +274,12 @@ def scan(e: Ellipse, family, locus: LocusSpec, n: int = 2048,
     nodes are the even nodes of the 2n grid, bit for bit, so the chunk is
     sampled once, at 2n, and its n-point areas are folded out of the
     2n-point spectrum.  A pole whose chunk raised, a row not all finite
-    included, is re-run alone by _pole_areas, sampled at 2n through the
-    same rule, so its error reads as if it had been scanned by itself;
-    every area is bitwise that of its pole alone.  The rest is array work
+    included, is re-run alone (_pole_areas): one points() call of the same
+    frame at 2n, through the same rule.  Its error is that call's or the
+    rule's, as raised, e.g. "envelope is singular near t=0.343612
+    (parallel line pencil)", or names the first node of the 2n grid whose
+    point is not finite (curves.finite_rows); every area is bitwise that
+    of its pole alone.  The rest is array work
     over all poles: the doubling gaps, the settled() test (an unsettled
     pole takes settled_area's message), the closed forms
     (areas.closed_form_areas) and the spread.
@@ -287,18 +297,10 @@ def scan(e: Ellipse, family, locus: LocusSpec, n: int = 2048,
     _require_tol(tol)
 
     per_chunk = max(1, CHUNK_POINTS // (2 * n))
-    coarse, fine = _sweep(lambda t: spec.frame(e, t, theta, mu), poles, n, per_chunk)
+    (coarse, fine), errors = _sweep(lambda t: spec.frame(e, t, theta, mu), poles, n, per_chunk)
 
-    # a pole whose row came back non-finite is re-run alone, so its error
-    # names the node that failed
-    errors: List[Optional[str]] = [None] * len(poles)
-    have = np.isfinite(coarse) & np.isfinite(fine)
-    for j in np.flatnonzero(~have):
-        try:
-            coarse[j], fine[j] = _pole_areas(e, fam, tuple(poles[j].tolist()), n, theta, mu)
-            have[j] = True
-        except GeometryError as exc:
-            errors[j] = str(exc)
+    # a pole with an error has no areas
+    have = np.isfinite(coarse)
     max_gap = float(np.max(np.abs(coarse[have] - fine[have]), initial=0.0))
     good = have & settled(coarse, fine)
     for j in np.flatnonzero(have & ~good):
@@ -368,19 +370,24 @@ def identity_suite(e: Ellipse, m=(0.7, -0.4), n: int = 2048,
     (closed forms, then quadrature, then the support-function route); the
     rotated-pedal deficit A_pedal - A_rot = A sin^2(theta) per theta; the
     blend law A_mu = (1-2mu)((1-mu)A_pedal - mu A_contra) + mu(1-mu)A per mu.
-    Every area a check reads from n points, by quadrature (_pole_areas) or
-    by the support route, is settled against its re-run on 2n points
+    Every area a check reads from n points, by quadrature or by the
+    support route, is settled against its re-run on 2n points
     (areas.settled_area); one that is not raises QuadratureError, whose
     message names the area, e.g. "pedal area: quadrature not settled (gap
-    6.259e-01)" or "rotated pedal area at theta=0.523599: ...".  A grid
-    size n below 8, a non-finite theta or mu, or a tol that is not finite
-    and positive raises DomainError.
+    6.259e-01)" or "rotated pedal area at theta=0.523599: ...".  The 13
+    quadratures share one row of 2n nodes and its one doubling rule
+    (areas.doubling_rule): each builds its family's frame on the row and
+    makes one points() call on the pole (_pole_areas), as a scan re-runs a
+    pole.  A grid size n below 8, a non-finite theta or mu, or a tol that
+    is not finite and positive raises DomainError.
     """
     _require_count("grid size n", n, 8)
     _require_finite("thetas and mus", *thetas, *mus)
     _require_tol(tol)
     x0, y0 = as_xy(m)
     mm = (float(x0), float(y0))
+    t = ParamGrid(2 * n).nodes()
+    rule, x, y = doubling_rule(t), np.array([[x0]]), np.array([[y0]])
     base = closed_form_area(AreaFamily.ELLIPSE, e)
     ap = closed_form_area(AreaFamily.PEDAL, e, m=mm)
     ac = closed_form_area(AreaFamily.CONTRAPEDAL, e, m=mm)
@@ -392,7 +399,8 @@ def identity_suite(e: Ellipse, m=(0.7, -0.4), n: int = 2048,
             raise QuadratureError(f"{what}: {exc}") from exc
 
     def quad(what, family, theta=0.0, mu=0.5):
-        return settle(what, *_pole_areas(e, family, mm, n, theta, mu))
+        points = Family.of(family).frame(e, t, theta, mu)
+        return settle(what, *_pole_areas(points, rule, t, x, y))
 
     ap_q = quad("pedal area", AreaFamily.PEDAL)
     ac_q = quad("contrapedal area", AreaFamily.CONTRAPEDAL)

@@ -65,12 +65,7 @@ from .curves import (
     ellipse_velocity,
     xy_on_ellipse,
 )
-from .errors import (
-    DegenerateLine,
-    DomainError,
-    GeometryError,
-    SingularFamily,
-)
+from .errors import DegenerateLine, DomainError, SingularFamily
 from .tolerances import PARALLEL_TOL
 
 TWO_PI = 2.0 * math.pi
@@ -437,51 +432,6 @@ def evolutoid_support(s: SupportCurve, theta: float) -> SupportCurve:
 _CS_STEP = 1e-200
 
 
-class _Lockstep:
-    """Error bookkeeping for candidates that are refined together.
-
-    The detectors refine all their candidates (cusp candidates, crossings)
-    in lock-step, one evaluator call per step for all of them, yet fail as
-    refining them one after another would.  A candidate whose evaluation
-    raises GeometryError stops, and so does every candidate after it; those
-    before it run on, and raise_first() re-raises the error of the first
-    candidate that failed, which is the error the one-by-one order meets
-    first.  Candidates are numbered 0 .. count-1 in that order.
-    """
-
-    def __init__(self, count: int):
-        self.live = count  # candidates below this index still run
-        self.error = None
-
-    def running(self, rows) -> list:
-        return [r for r in rows if r < self.live]
-
-    def call(self, f: Callable, rows: list, x):
-        """f(x) in one call, where x[i] is a probe of candidate rows[i]
-        (ascending; a candidate may own several consecutive probes) and f
-        returns a sequence over the first axis of x.  When the call raises
-        GeometryError, f runs on each probe alone, in order, up to the first
-        that raises; the values before it are returned, so the result may be
-        shorter than rows."""
-        if not len(rows):
-            return []
-        try:
-            return f(x)
-        except GeometryError:
-            out = []
-            for i, r in enumerate(rows):
-                try:
-                    out.extend(f(x[i:i + 1]))
-                except GeometryError as exc:
-                    self.live, self.error = r, exc
-                    break
-            return out
-
-    def raise_first(self) -> None:
-        if self.error is not None:
-            raise self.error
-
-
 def _points_at(evaluator: Callable, t) -> np.ndarray:
     """Points of an evaluator at the parameters t, of any shape, as one call
     on the flattened parameters; returns t.shape + (2,) floats."""
@@ -522,31 +472,29 @@ def _speed_of(evaluator: Callable, t) -> List[float]:
     return [math.hypot(x, y) for x, y in _velocity_of(evaluator, t).tolist()]
 
 
-def _golden_min(steps: _Lockstep, f: Callable, lo: list, hi: list,
-                xtol: float = 1e-10) -> dict:
-    """Golden-section minimizers of f on [lo[i], hi[i]] for the candidates
-    i, run in lock-step; assumes a single interior minimum in each.
+def _golden_min(f: Callable, lo: list, hi: list, xtol: float = 1e-10) -> List[float]:
+    """Golden-section minimizers of f on [lo[i], hi[i]] for all i, run in
+    lock-step; assumes a single interior minimum in each.
 
     Each step evaluates the one new probe of every section still wider than
     xtol, all in one call f(probes) -> values.  Each section stops on its
-    own, so its probes are exactly those it would make alone.  Returns
-    {i: midpoint of the final bracket} for the candidates still running.
+    own, so its probes are exactly those it would make alone.  Returns the
+    midpoint of each final bracket.
     """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     # [lo, hi, x1, x2, f1, f2] of each section; f1 and f2 filled in below
     sec = [[l, h, h - invphi * (h - l), l + invphi * (h - l), 0.0, 0.0] for l, h in zip(lo, hi)]
     # the opening pair of each section, x1 then x2
-    vals = steps.call(f, [r for r in range(len(sec)) for _ in (0, 1)],
-                      np.array([s[2:4] for s in sec]).ravel())
+    vals = f(np.array([s[2:4] for s in sec]).ravel())
     for s, f12 in zip(sec, zip(vals[::2], vals[1::2])):
         s[4:] = f12
-    active = list(enumerate(sec))
+    active = sec
     while True:
-        active = [(r, s) for r, s in active if r < steps.live and s[1] - s[0] > xtol]
+        active = [s for s in active if s[1] - s[0] > xtol]
         if not active:
             break
         probes, slots = [], []
-        for _, s in active:
+        for s in active:
             if s[4] <= s[5]:
                 s[1], s[3], s[5] = s[3], s[2], s[4]
                 s[2] = s[1] - invphi * (s[1] - s[0])
@@ -557,10 +505,9 @@ def _golden_min(steps: _Lockstep, f: Callable, lo: list, hi: list,
                 s[3] = s[0] + invphi * (s[1] - s[0])
                 probes.append(s[3])
                 slots.append(5)
-        vals = steps.call(f, [r for r, _ in active], np.array(probes))
-        for (_, s), slot, v in zip(active, slots, vals):
+        for s, slot, v in zip(active, slots, f(np.array(probes))):
             s[slot] = v
-    return {r: 0.5 * (s[0] + s[1]) for r, s in enumerate(sec) if r < steps.live}
+    return [0.5 * (s[0] + s[1]) for s in sec]
 
 
 def _require_finite(curve: SampledCurve, what: str) -> None:
@@ -571,14 +518,16 @@ def _require_finite(curve: SampledCurve, what: str) -> None:
 def find_cusps(curve: SampledCurve, tol: float = 1e-5) -> np.ndarray:
     """Parameters (mod 2*pi) where the curve has a cusp.
 
-    Grid speeds flag candidate minima; each is refined once, by golden
-    section on the true parametric speed, and accepted when the refined
-    speed drops below tol times the median grid speed *and* the velocity
+    Grid speeds flag candidate minima.  With an evaluator, each is refined
+    once, by golden section on the true parametric speed; without one, it
+    keeps its node and grid speed.  A candidate is a cusp when its speed
+    drops below tol times the median grid speed *and* the velocity
     direction reverses across the point.  Both conditions together reject
-    smooth slow spots and grazing near-cusps.  An outright velocity zero (refined speed
-    below 1e-13 of the median) counts regardless of reversal: there the
-    velocity vanishes to even order, as at the parameter where a pair of
-    cusps is born, and its direction comes back unflipped.
+    smooth slow spots and grazing near-cusps.  An outright velocity zero
+    (speed below 1e-13 of the median) counts regardless of reversal: there
+    the velocity vanishes to even order, as at the parameter where a pair
+    of cusps is born, and its direction comes back unflipped.  A tol that
+    is not finite and > 0 raises DomainError.
 
     The evaluator's velocity (complex step, else central differences;
     _velocity_of) must resolve each cusp: next to a singular parameter of
@@ -592,11 +541,12 @@ def find_cusps(curve: SampledCurve, tol: float = 1e-5) -> np.ndarray:
     step evaluates the one new probe of every candidate still refining, in
     one evaluator call, and each candidate keeps its own stop, so it makes
     the probes it would make alone.  The refined speeds and the reversal
-    checks are batched too.  Evaluator errors stay per candidate: a failed
-    complex step falls back to central differences for its probe alone, and
-    any other GeometryError is raised for the first candidate, in grid
-    order, that meets one.
+    checks are batched too.  A failed complex step falls back to central
+    differences for its probe alone; any other GeometryError of a batched
+    call propagates as it is.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"tol must be finite and > 0, got {tol}")
     n = len(curve)
     if n < 8:
         raise DomainError("cusp detection needs at least 8 samples")
@@ -612,27 +562,35 @@ def find_cusps(curve: SampledCurve, tol: float = 1e-5) -> np.ndarray:
 
     prev = np.roll(speed, 1)
     nxt = np.roll(speed, -1)
-    candidates = np.nonzero((speed < prev) & (speed <= nxt))[0]
+    k = np.nonzero((speed < prev) & (speed <= nxt))[0]
+    if not k.size:
+        return np.empty(0)
 
     ev = curve.evaluator
-    if ev is not None:
-        found = _refine_cusps(ev, (t[candidates] - step).tolist(),
-                              (t[candidates] + step).tolist(), tol * ref, 1e-13 * ref)
+    if ev is None:
+        # a node keeps its grid speed, and its velocities are those of the
+        # grid segments into and out of it
+        seg = (np.roll(pts, -1, axis=0) - pts) / step
+        tr, s_min = t[k].tolist(), speed[k].tolist()
+        velocities = lambda rows: np.stack([seg[k[rows] - 1], seg[k[rows]]], axis=1)
     else:
-        found = []
-        for k in candidates:
-            if speed[k] >= tol * ref:
-                continue
-            if speed[k] >= 1e-13 * ref:
-                va = (pts[k] - pts[k - 1]) / step
-                vb = (pts[(k + 1) % n] - pts[k]) / step
-                if float(va @ vb) >= 0.0:
-                    continue
-            found.append(float(t[k]) % TWO_PI)
+        tr = _golden_min(lambda x: _speed_of(ev, x), (t[k] - step).tolist(),
+                         (t[k] + step).tolist())
+        s_min = _speed_of(ev, np.array(tr))
+        velocities = lambda rows: _velocity_of(
+            ev, np.array([[tr[r] - 1e-4, tr[r] + 1e-4] for r in rows]))
 
+    # a slow candidate is a cusp outright when its speed vanishes, else when
+    # the velocity reverses across it
+    slow = [r for r, s in enumerate(s_min) if not s >= tol * ref]
+    cusps = [r for r in slow if not s_min[r] >= 1e-13 * ref]
+    turning = [r for r in slow if s_min[r] >= 1e-13 * ref]
+    if turning:
+        cusps += [r for r, (va, vb) in zip(turning, velocities(turning))
+                  if not float(va @ vb) >= 0.0]
+    found = sorted(tr[r] % TWO_PI for r in cusps)
     if not found:
         return np.empty(0)
-    found.sort()
     merged = [found[0]]
     for x in found[1:]:
         if x - merged[-1] > 1e-7:
@@ -640,27 +598,6 @@ def find_cusps(curve: SampledCurve, tol: float = 1e-5) -> np.ndarray:
     if len(merged) > 1 and (merged[0] + TWO_PI) - merged[-1] <= 1e-7:
         merged.pop()
     return np.asarray(merged)
-
-
-def _refine_cusps(ev: Callable, lo: list, hi: list, slow: float, zero: float) -> List[float]:
-    """The cusps among the candidates bracketed by [lo[i], hi[i]], by the
-    rules of find_cusps; each stage runs all its candidates in lock-step."""
-    steps = _Lockstep(len(lo))
-    speed = lambda x: _speed_of(ev, x)
-    tr = _golden_min(steps, speed, lo, hi)
-    rows = list(tr)
-    s_min = dict(zip(rows, steps.call(speed, rows, np.array([tr[r] for r in rows]))))
-    # a refined speed low enough is a cusp when the velocity reverses
-    # across it, or outright when the speed vanishes
-    low = [r for r, s in s_min.items() if not s >= slow]
-    found = [tr[r] % TWO_PI for r in low if not s_min[r] >= zero]
-    low = [r for r in low if s_min[r] >= zero]
-    x = np.array([[tr[r] - 1e-4, tr[r] + 1e-4] for r in low])
-    for r, (va, vb) in zip(low, steps.call(lambda x: _velocity_of(ev, x), low, x.reshape(-1, 2))):
-        if not float(va @ vb) >= 0.0:
-            found.append(tr[r] % TWO_PI)
-    steps.raise_first()
-    return found
 
 
 # ---------------------------------------------------------------------------
@@ -780,22 +717,17 @@ def _polish_crossings(ev: Callable, hits: List[Crossing], width: float) -> List[
     intersects the two 8-segment arcs of each; the first hit in row-major
     (segment of the first arc, segment of the second) order becomes the
     crossing, and the windows shrink 6-fold around it.  A crossing whose
-    arcs do not meet keeps its last estimate and stops.
+    arcs do not meet keeps its last estimate and stops.  A GeometryError of
+    a round's call propagates as it is.
     """
     best = list(hits)
-    steps = _Lockstep(len(hits))
     tt = np.array([[c.t1, c.t2] for c in hits]).reshape(-1, 2)
     rows = list(range(len(hits)))
     for _ in range(3):
-        rows = steps.running(rows)
         if not rows:
             break
         g = np.linspace(tt[rows] - width, tt[rows] + width, 9, axis=-1)  # (m, 2, 9)
-        p = steps.call(lambda x: _points_at(ev, x), rows, g)
-        rows, g = rows[:len(p)], g[:len(p)]
-        if not rows:
-            break
-        p = np.asarray(p)
+        p = _points_at(ev, g)
         a, d = p[..., :-1, :], np.diff(p, axis=-2)
         ok, s, u = _segment_hits(a[:, 0, :, None], d[:, 0, :, None],
                                  a[:, 1, None, :], d[:, 1, None, :])
@@ -811,5 +743,4 @@ def _polish_crossings(ev: Callable, hits: List[Crossing], width: float) -> List[
             best[r] = Crossing(point=point[q], t1=float(t1[q]), t2=float(t2[q]))
         tt[rows, 0], tt[rows, 1] = t1, t2
         width /= 6.0
-    steps.raise_first()
     return best

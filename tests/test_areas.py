@@ -390,12 +390,12 @@ class TestDoublingRule:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_pencil_keeps_its_errors(self):
-        # every pole's points overflow; pole 0 fails at node 1 of the n grid
-        # before node 1 of the 2n grid, and its error names the former
+        # every pole's points overflow; each error names the pole's first
+        # non-finite node of the 2n grid, node 1 for pole 0
         rep = scan(E21, "negative_pedal", LocusSpec("circle", r=1e200, count=3), n=64)
         assert rep.areas == [None] * 3
         assert rep.errors == [
-            "curve evaluation failed at t=0.09817477042468103: non-finite point",
+            "curve evaluation failed at t=0.04908738521234052: non-finite point",
             "curve evaluation failed at t=0.0: non-finite point",
             "curve evaluation failed at t=0.0: non-finite point"]
 
@@ -478,6 +478,26 @@ class TestSupportAreas:
             m = rng.uniform(-3, 3, 2)
             gap = support_pedal_area(s, m) - support_contrapedal_area(s, m)
             assert gap == pytest.approx(base, rel=1e-11)
+
+    @pytest.mark.parametrize("n, message", [
+        (0, "grid count must be >= 8, got 0"),
+        (-5, "grid count must be >= 8, got -5"),
+        (7, "grid count must be >= 8, got 7"),
+        (2.5, "grid count must be an int, got 2.5"),
+        (True, "grid count must be >= 8, got True"),
+    ])
+    @pytest.mark.parametrize("integral", [
+        lambda s, n: support_areas(s, n=n),
+        lambda s, n: curvature_centroid_support(s, n=n),
+        lambda s, n: support_pedal_area(s, (0.7, -0.4), n=n),
+        lambda s, n: support_contrapedal_area(s, (0.7, -0.4), n=n),
+    ], ids=["areas", "centroid", "pedal", "contrapedal"])
+    def test_the_support_route_refuses_a_bad_grid_size(self, integral, n, message):
+        # the support route samples ParamGrid(n, offset=0.5), whose checks
+        # stand between such an n and a division by zero or an empty sum
+        with pytest.raises(DomainError) as got:
+            integral(ellipse_support(E21), n)
+        assert str(got.value) == message
 
     def test_support_pedal_matches_rational_constant(self):
         s = ellipse_support(E21)

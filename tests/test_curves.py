@@ -176,6 +176,36 @@ class TestSampleCurve:
             sample_curve(patchy, g)
         assert exc.value.node == pytest.approx(bad_node)
 
+    def test_a_vectorized_non_finite_node_is_named_after_one_call(self):
+        g = ParamGrid(16)
+        bad = float(g.nodes()[5])
+        calls = []
+
+        def overflowing(t):
+            calls.append(np.shape(t))
+            return np.where((t >= bad)[..., None], np.inf, ellipse_point(Ellipse(2.0, 1.0), t))
+
+        with pytest.raises(EvaluationError) as exc:
+            sample_curve(overflowing, g)
+        assert calls == [(16,)]
+        assert exc.value.node == bad
+        assert str(exc.value) == f"curve evaluation failed at t={bad!r}: non-finite point"
+
+    def test_the_node_by_node_replay_names_the_first_bad_node(self):
+        # a non-finite node before the node that raises comes first
+        def replayed(t):
+            if np.ndim(t):
+                raise ValueError("no arrays")
+            if t == 0.0:
+                return (math.nan, 0.0)
+            if t > 1.0:
+                raise ValueError("too far")
+            return ellipse_point(Ellipse(2.0, 1.0), t)
+
+        with pytest.raises(EvaluationError) as exc:
+            sample_curve(replayed, ParamGrid(16))
+        assert str(exc.value) == "curve evaluation failed at t=0.0: non-finite point"
+
     def test_failure_message_prints_the_node_as_a_plain_float(self):
         def pole_at_zero(t):
             if np.any(np.asarray(t) == 0.0):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -404,15 +405,22 @@ class TestRowChecks:
         assert checked == [[4096]] * 2
 
 
+def tangent_radius(n, node, phase):
+    """The radius of the circle locus whose pole at angle phase sits on the
+    tangent line of E21 at the given node of the n grid."""
+    t = node * 2 * math.pi / n
+    return E21.a * E21.b / (E21.a * math.sin(phase) * math.sin(t)
+                            + E21.b * math.cos(phase) * math.cos(t))
+
+
 def scan_alone(e, fam, locus, j, n, theta=0.0, mu=0.5):
     """(area, error) of pole j of the locus, sampled and integrated by itself:
-    sampled on the n grid, whose error comes first, and on the 2n grid,
-    whose samples give both areas through the rule of the doubling check."""
+    sampled once, on the 2n grid, whose samples give both areas through the
+    rule of the doubling check."""
     pole = tuple(float(v) for v in locus.poles(e)[j])
     s = float(locus.angles()[j]) if locus.kind == "boundary" else 0.0
     try:
         ev = family_evaluator(e, fam, pole, theta=theta, mu=mu, s=s)
-        sample_curve(ev, family_grid(fam, n, s))
         curve = sample_curve(ev, family_grid(fam, 2 * n, s))
         return settled_area(*doubling_rule(curve.params)(curve.points)), None
     except GeometryError as exc:
@@ -440,11 +448,9 @@ class TestBatchedScan:
         # pole 0 sits on the tangent line at a node of the n-grid, so the
         # chunk's evaluation raises; poles outside the ellipse do not settle
         n, count, phase = 256, 12, 0.3
-        t_node = 14 * 2 * math.pi / n
-        r = E21.a * E21.b / (E21.a * math.sin(phase) * math.sin(t_node)
-                             + E21.b * math.cos(phase) * math.cos(t_node))
+        r = tangent_radius(n, 14, phase)
         rep = scan(E21, "hybrid", LocusSpec("circle", r=r, count=count, phase=phase), n=n)
-        assert "curve evaluation failed" in rep.errors[0]
+        assert "envelope is singular" in rep.errors[0]
         assert any("not settled" in (err or "") for err in rep.errors)
         assert any(err is None for err in rep.errors)
         alone = [scan(E21, "hybrid", LocusSpec("circle", r=r, count=1,
@@ -453,6 +459,30 @@ class TestBatchedScan:
         assert [a.poles[0] for a in alone] == rep.poles
         assert [a.errors[0] for a in alone] == rep.errors
         assert [a.areas[0] for a in alone] == rep.areas
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("fam, r, count, n", [
+        # every pole's points overflow
+        ("negative_pedal", 1e200, 3, 64),
+        # poles 0 and 6 sit on tangent lines at nodes
+        ("hybrid", tangent_radius(256, 14, 0.3), 12, 256),
+    ])
+    def test_a_failed_chunk_reruns_each_pole_by_one_points_call(self, monkeypatch, fam, r,
+                                                               count, n):
+        # the re-run goes through the scan's one frame, one call on the
+        # (1, 1) coordinates of each pole: no 0-d call, no frame per pole
+        built, calls = [], []
+
+        def frame(e, t, theta, mu, build=FAMILIES[fam].frame):
+            built.append(np.shape(t))
+            points = build(e, t, theta, mu)
+            return lambda x, y: calls.append(np.shape(x)) or points(x, y)
+
+        monkeypatch.setitem(FAMILIES, fam, dataclasses.replace(FAMILIES[fam], frame=frame))
+        rep = scan(E21, fam, LocusSpec("circle", r=r, count=count, phase=0.3), n=n)
+        assert rep.errors[0] is not None
+        assert built == [(2 * n,)]
+        assert calls == [(count, 1)] + [(1, 1)] * count
 
     @pytest.mark.parametrize("fam", ["hybrid", "negative_pedal"])
     @pytest.mark.parametrize("e, r, count, phase", [
@@ -537,19 +567,31 @@ class TestIdentitySuite:
         with pytest.raises(QuadratureError, match="not settled"):
             identity_suite(E21, n=8)
 
-    @pytest.mark.parametrize("family, theta, mu, what", [
-        ("pedal", 0.0, 0.5, "pedal area"),
-        ("contrapedal", 0.0, 0.5, "contrapedal area"),
-        ("rotated", math.pi / 6, 0.5, "rotated pedal area at theta=0.523599"),
-        ("interpolated", 0.0, 0.25, "interpolated pedal area at mu=0.25"),
-    ])
-    def test_an_unsettled_quadrature_names_its_area(self, monkeypatch, family, theta, mu, what):
-        # the re-run of one area on 2n points is moved by 1
-        pole_areas = harness._pole_areas
+    def test_one_row_serves_every_quadrature(self, monkeypatch):
+        # the 13 quadratures share one row of 2n nodes and its rule
+        rows = []
+        monkeypatch.setattr(areas, "_periodic_step",
+                            lambda params, fn=areas._periodic_step:
+                            rows.append(np.shape(params)) or fn(params))
+        identity_suite(E21, n=1024)
+        assert rows == [(2048,)]
 
-        def unsettled(e, fam, m, n, *kw):
-            coarse, fine = pole_areas(e, fam, m, n, *kw)
-            return coarse, fine + ((fam, *kw) == (family, theta, mu))
+    @pytest.mark.parametrize("call, what", [
+        (0, "pedal area"),
+        (1, "contrapedal area"),
+        # after the 2 above, theta = pi/6 is the second of 5 rotations
+        (3, "rotated pedal area at theta=0.523599"),
+        # after the 7 above, mu = 0.25 is the third of 6 blends
+        (9, "interpolated pedal area at mu=0.25"),
+    ])
+    def test_an_unsettled_quadrature_names_its_area(self, monkeypatch, call, what):
+        # the re-run on 2n points of the suite's call-th quadrature is moved by 1
+        pole_areas, done = harness._pole_areas, []
+
+        def unsettled(*args):
+            coarse, fine = pole_areas(*args)
+            done.append(args)
+            return coarse, fine + (len(done) == call + 1)
 
         monkeypatch.setattr(harness, "_pole_areas", unsettled)
         with pytest.raises(QuadratureError) as got:

@@ -857,6 +857,15 @@ class TestFindCusps:
         with pytest.raises(DomainError):
             find_cusps(curve)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_rejects_a_tol_that_is_not_finite_and_positive(self, tol):
+        # with tol <= 0 no speed is slow enough, and the evolute's 4 cusps
+        # would go unfound
+        curve = sample_curve(evolutoid_ev(math.pi / 2), ParamGrid(2048))
+        with pytest.raises(DomainError) as got:
+            find_cusps(curve, tol=tol)
+        assert str(got.value) == f"tol must be finite and > 0, got {tol}"
+
 
 # ---------------------------------------------------------------------------
 # self intersections
@@ -1247,7 +1256,8 @@ class TestLockstepCusps:
         assert got == [math.hypot(x, y) for x, y in vel.tolist()]
 
 class TestLockstepErrors:
-    """A GeometryError in a batched call is settled per candidate."""
+    """A failed complex step falls back to central differences for its
+    probe alone; a GeometryError of a batched call propagates."""
 
     def test_complex_step_failure_falls_back_for_that_probe_alone(self):
         curve = negative_pedal_curve(3.4)
@@ -1276,52 +1286,33 @@ class TestLockstepErrors:
         assert not np.array_equal(want[1], reference_velocity_of(ev, x[1]))
         assert np.array_equal(want[0], reference_velocity_of(ev, x[0]))
 
-    def test_cusp_error_names_the_parameter_the_one_by_one_order_meets_first(self):
-        curve = sample_curve(evolutoid_ev(math.pi / 2), ParamGrid(2048))
+    def test_a_batched_error_propagates_from_both_detectors(self):
+        # the evaluator drops the imaginary part, so each velocity takes
+        # central differences in one call of its own, after the complex step
+        curve = CUSP_CASES["evolute_real_only"][0]()
         clean = Counting(curve.evaluator)
         curve.evaluator = clean
         assert len(find_cusps(curve)) == 4
-        # calls[0] is the opening pair of each of the 4 candidates, and
-        # each later golden step probes every candidate once: a late probe
-        # of the first candidate, and the first probe of the third
-        late, early = float(np.real(clean.calls[25][0])), float(np.real(clean.calls[0][4]))
+        # calls[1] holds the central-difference probes of the opening pairs
+        # of all 4 candidates: one raising probe fails the whole call once
+        bad = float(clean.calls[1][5])
+        stub = curve.evaluator = Counting(clean.ev, raise_at=[bad])
+        with pytest.raises(StubError) as got:
+            find_cusps(curve)
+        assert got.value.t == bad
+        assert stub.raised == [16] and len(stub.calls) == 2
 
-        def failing(x):
-            # a failed complex step falls back to central differences, so
-            # the stub fails on their probes too
-            return [x, x - 1e-7, x + 1e-7]
-
-        # one by one, the first candidate is refined to the end before the
-        # third one starts
-        for raise_at, first in (([late, early], late), ([early], early)):
-            stub = Counting(clean.ev, raise_at=failing(raise_at[0]) + failing(raise_at[-1]))
-            curve.evaluator = stub
-            with pytest.raises(StubError) as got:
-                find_cusps(curve)
-            assert any(size > 1 for size in stub.raised)
-            with pytest.raises(StubError) as want:
-                reference_find_cusps(curve)
-            assert got.value.t == want.value.t == first - 1e-7
-
-    def test_polish_error_names_the_parameter_the_one_by_one_order_meets_first(self):
         ev = family_evaluator(E21, "contrapedal", (0.7, -0.4))
         curve = sample_curve(ev, ParamGrid(2048, offset=0.5))
-        clean = Counting(ev)
-        curve.evaluator = clean
+        clean = curve.evaluator = Counting(ev)
         assert len(self_intersections(curve)) == 8
-        # rounds lay out (crossing, arc, 9 nodes): the middle node of the
-        # first crossing's first arc in round 3, and of the second
-        # crossing's first arc in round 1
-        late, early = float(clean.calls[2][4]), float(clean.calls[0][18 + 4])
-        # one by one, the first crossing runs all its rounds before the
-        # second crossing starts
-        for raise_at, first in (([late, early], late), ([early], early)):
-            curve.evaluator = Counting(ev, raise_at=raise_at)
-            with pytest.raises(StubError) as got:
-                self_intersections(curve)
-            with pytest.raises(StubError) as want:
-                reference_crossings(curve)
-            assert got.value.t == want.value.t == first
+        # round 2 resamples both windows of all 8 crossings at 9 points
+        bad = float(clean.calls[1][3 * 18 + 4])
+        stub = curve.evaluator = Counting(ev, raise_at=[bad])
+        with pytest.raises(StubError) as got:
+            self_intersections(curve)
+        assert got.value.t == bad
+        assert stub.raised == [8 * 2 * 9] and len(stub.calls) == 2
 
 
 CROSSING_CASES = {
