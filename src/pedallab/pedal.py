@@ -50,7 +50,6 @@ The evolutoid has no pole and no frame: evolutoid_point evaluates it.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, List
@@ -66,7 +65,7 @@ from .curves import (
     xy_on_ellipse,
 )
 from .errors import DegenerateLine, DomainError, SingularFamily
-from .tolerances import PARALLEL_TOL
+from .tolerances import CUSP_BOUND_MARGIN, PARALLEL_TOL
 
 TWO_PI = 2.0 * math.pi
 
@@ -218,18 +217,29 @@ def _by_pole(e: Ellipse, t, columns: Callable, rational: Callable) -> Callable:
     Each frame is built on first use and kept, so a call builds only the
     one it needs.  A chunk that mixes both kinds of pole gets each row from
     its own frame."""
-    frame = functools.cache(lambda build: build(e, t))
-    reduced = lambda e, t: _affine_frame(*columns(e, t), e.a, e.b)
+    red_frame = rat_frame = None
+
+    def reduced():
+        nonlocal red_frame
+        if red_frame is None:
+            red_frame = _affine_frame(*columns(e, t), e.a, e.b)
+        return red_frame
+
+    def unreduced():
+        nonlocal rat_frame
+        if rat_frame is None:
+            rat_frame = rational(e, t)
+        return rat_frame
 
     def points(x0, y0):
         on = xy_on_ellipse(e, x0, y0)
         if on.all():
-            return frame(reduced)(x0, y0)
+            return reduced()(x0, y0)
         if not on.any():
-            return frame(rational)(x0, y0)
+            return unreduced()(x0, y0)
         rows = on[:, 0]
-        red = frame(reduced)(x0[rows], y0[rows])
-        rat = frame(rational)(x0[~rows], y0[~rows])
+        red = reduced()(x0[rows], y0[rows])
+        rat = unreduced()(x0[~rows], y0[~rows])
         out = np.empty((len(rows),) + red.shape[1:], dtype=np.result_type(red, rat))
         out[rows], out[~rows] = red, rat
         return out
@@ -472,41 +482,77 @@ def _speed_of(evaluator: Callable, t) -> List[float]:
     return [math.hypot(x, y) for x, y in _velocity_of(evaluator, t).tolist()]
 
 
+# golden steps per evaluator call: each call holds every probe the next
+# _LOOKAHEAD steps of a section could make, both branches of each step
+_LOOKAHEAD = 3
+_TREE = 2 ** (_LOOKAHEAD + 1) - 2
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _probe_tree(lo: float, hi: float, x1: float, x2: float) -> List[float]:
+    """The probes of the next _LOOKAHEAD golden steps from the bracket
+    [lo, hi] with inner points x1 < x2, for either outcome of each step:
+    _TREE = 2 + 4 + 8 of them, level by level.  Each bracket of a level
+    gives two probes, first the one of the outcome f1 <= f2, then the one of
+    f1 > f2, and the next level holds their brackets in that order.  The
+    positions are _golden_min's own expressions."""
+    probes, level = [], [(lo, hi, x1, x2)]
+    for _ in range(_LOOKAHEAD):
+        below = []
+        for lo, hi, x1, x2 in level:
+            # f1 <= f2: the bracket becomes [lo, x2], its inner points
+            # (new x1, x1); else [x1, hi] with (x2, new x2)
+            left = x2 - _INVPHI * (x2 - lo)
+            right = x1 + _INVPHI * (hi - x1)
+            probes += (left, right)
+            below += ((lo, x2, left, x1), (x1, hi, x2, right))
+        level = below
+    return probes
+
+
 def _golden_min(f: Callable, lo: list, hi: list, xtol: float = 1e-10) -> List[float]:
     """Golden-section minimizers of f on [lo[i], hi[i]] for all i, run in
     lock-step; assumes a single interior minimum in each.
 
-    Each step evaluates the one new probe of every section still wider than
-    xtol, all in one call f(probes) -> values.  Each section stops on its
-    own, so its probes are exactly those it would make alone.  Returns the
-    midpoint of each final bracket.
+    Each call f(probes) -> values serves every section still wider than
+    xtol for up to _LOOKAHEAD steps: it holds the _TREE probes those
+    steps could make (_probe_tree), and the first call also the opening pair.
+    Each section then takes its steps, reading the values of the branches
+    it takes, and stops on its own, so its probes and their values are
+    exactly those it would make alone, one probe per call: f must give a
+    parameter the same value in any batch.  The probes of branches not
+    taken are evaluated too.  Returns the midpoint of each final bracket.
     """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    # [lo, hi, x1, x2, f1, f2] of each section; f1 and f2 filled in below
-    sec = [[l, h, h - invphi * (h - l), l + invphi * (h - l), 0.0, 0.0] for l, h in zip(lo, hi)]
-    # the opening pair of each section, x1 then x2
-    vals = f(np.array([s[2:4] for s in sec]).ravel())
-    for s, f12 in zip(sec, zip(vals[::2], vals[1::2])):
-        s[4:] = f12
-    active = sec
-    while True:
-        active = [s for s in active if s[1] - s[0] > xtol]
-        if not active:
-            break
-        probes, slots = [], []
-        for s in active:
-            if s[4] <= s[5]:
-                s[1], s[3], s[5] = s[3], s[2], s[4]
-                s[2] = s[1] - invphi * (s[1] - s[0])
-                probes.append(s[2])
-                slots.append(4)
-            else:
-                s[0], s[2], s[4] = s[2], s[3], s[5]
-                s[3] = s[0] + invphi * (s[1] - s[0])
-                probes.append(s[3])
-                slots.append(5)
-        for s, slot, v in zip(active, slots, f(np.array(probes))):
-            s[slot] = v
+    # [lo, hi, x1, x2, f1, f2] of each section; f1 and f2 come with the
+    # first call
+    sec = [[l, h, h - _INVPHI * (h - l), l + _INVPHI * (h - l), 0.0, 0.0] for l, h in zip(lo, hi)]
+    active, opening = sec, 2
+    while active:
+        width = opening + _TREE
+        vals = f(np.array([p for s in active
+                           for p in s[2:2 + opening] + _probe_tree(*s[:4])]))
+        for q, s in enumerate(active):
+            v = vals[q * width:(q + 1) * width]
+            if opening:
+                s[4:] = v[:2]
+            # the tree in heap order: node i's probe at i - 2, its children
+            # 2i (after f1 <= f2) and 2i + 1
+            node = 1
+            for _ in range(_LOOKAHEAD):
+                if not s[1] - s[0] > xtol:
+                    break
+                if s[4] <= s[5]:
+                    s[1], s[3], s[5] = s[3], s[2], s[4]
+                    s[2] = s[1] - _INVPHI * (s[1] - s[0])
+                    node = 2 * node
+                    s[4] = v[opening + node - 2]
+                else:
+                    s[0], s[2], s[4] = s[2], s[3], s[5]
+                    s[3] = s[0] + _INVPHI * (s[1] - s[0])
+                    node = 2 * node + 1
+                    s[5] = v[opening + node - 2]
+        active, opening = [s for s in active if s[1] - s[0] > xtol], 0
     return [0.5 * (s[0] + s[1]) for s in sec]
 
 
@@ -537,13 +583,22 @@ def find_cusps(curve: SampledCurve, tol: float = 1e-5) -> np.ndarray:
     negative pedal (negative_pedal_rational_frame, built by no public path)
     loses the deltoid's cusp at t = s.
 
-    With an evaluator, all candidates are refined in lock-step: each golden
-    step evaluates the one new probe of every candidate still refining, in
-    one evaluator call, and each candidate keeps its own stop, so it makes
-    the probes it would make alone.  The refined speeds and the reversal
-    checks are batched too.  A failed complex step falls back to central
-    differences for its probe alone; any other GeometryError of a batched
-    call propagates as it is.
+    A candidate whose grid speed exceeds tol times the median by more than
+    CUSP_BOUND_MARGIN * step * max|X''| (X'' from the grid's second
+    differences) is dropped before any refinement: within a step of its
+    node the speed changes by at most step * max|X''|, so it could never
+    pass the slow test.  A curve whose candidates are all dropped makes no
+    evaluator call.
+
+    With an evaluator, all candidates are refined in lock-step
+    (_golden_min): each evaluator call holds every probe the next _LOOKAHEAD
+    golden steps of every candidate still refining could make, and each
+    candidate keeps its own stop, so it makes the probes it would make
+    alone.  One closing call gives the refined speeds and the velocities on
+    both sides of every candidate.  A failed complex step falls back to
+    central differences for its probe alone; any other GeometryError of a
+    batched call propagates as it is, from a probe of a branch not taken
+    too, while a dropped candidate is never evaluated.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"tol must be finite and > 0, got {tol}")
@@ -554,7 +609,8 @@ def find_cusps(curve: SampledCurve, tol: float = 1e-5) -> np.ndarray:
     t = curve.params
     pts = curve.points
     step = t[1] - t[0]
-    diff = np.roll(pts, -1, axis=0) - np.roll(pts, 1, axis=0)
+    fwd, back = np.roll(pts, -1, axis=0), np.roll(pts, 1, axis=0)
+    diff = fwd - back
     speed = np.hypot(diff[:, 0], diff[:, 1]) / (2 * step)
     ref = float(np.median(speed))
     if ref <= 0:
@@ -563,6 +619,11 @@ def find_cusps(curve: SampledCurve, tol: float = 1e-5) -> np.ndarray:
     prev = np.roll(speed, 1)
     nxt = np.roll(speed, -1)
     k = np.nonzero((speed < prev) & (speed <= nxt))[0]
+    # the Taylor bound: step max|X''| from the second differences
+    # d2 = step^2 X''
+    d2 = fwd - 2 * pts + back
+    bound = CUSP_BOUND_MARGIN * float(np.max(np.hypot(d2[:, 0], d2[:, 1]))) / step
+    k = k[speed[k] <= bound + tol * ref]
     if not k.size:
         return np.empty(0)
 
@@ -570,24 +631,23 @@ def find_cusps(curve: SampledCurve, tol: float = 1e-5) -> np.ndarray:
     if ev is None:
         # a node keeps its grid speed, and its velocities are those of the
         # grid segments into and out of it
-        seg = (np.roll(pts, -1, axis=0) - pts) / step
+        seg = (fwd - pts) / step
         tr, s_min = t[k].tolist(), speed[k].tolist()
-        velocities = lambda rows: np.stack([seg[k[rows] - 1], seg[k[rows]]], axis=1)
+        vel = np.stack([seg[k - 1], seg[k]], axis=1)
     else:
         tr = _golden_min(lambda x: _speed_of(ev, x), (t[k] - step).tolist(),
                          (t[k] + step).tolist())
-        s_min = _speed_of(ev, np.array(tr))
-        velocities = lambda rows: _velocity_of(
-            ev, np.array([[tr[r] - 1e-4, tr[r] + 1e-4] for r in rows]))
+        # the refined speeds and the velocities across each point, one call
+        v = _velocity_of(ev, np.array([[x, x - 1e-4, x + 1e-4] for x in tr]))
+        s_min = [math.hypot(x, y) for x, y in v[:, 0].tolist()]
+        vel = v[:, 1:]
 
     # a slow candidate is a cusp outright when its speed vanishes, else when
     # the velocity reverses across it
     slow = [r for r, s in enumerate(s_min) if not s >= tol * ref]
     cusps = [r for r in slow if not s_min[r] >= 1e-13 * ref]
     turning = [r for r in slow if s_min[r] >= 1e-13 * ref]
-    if turning:
-        cusps += [r for r, (va, vb) in zip(turning, velocities(turning))
-                  if not float(va @ vb) >= 0.0]
+    cusps += [r for r in turning if not float(vel[r, 0] @ vel[r, 1]) >= 0.0]
     found = sorted(tr[r] % TWO_PI for r in cusps)
     if not found:
         return np.empty(0)

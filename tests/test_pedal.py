@@ -1232,18 +1232,52 @@ class TestLockstepCusps:
         assert np.array_equal(got, reference_find_cusps(curve))
         assert len(got) == count
 
-    def test_evolute_makes_one_call_per_step_for_all_candidates(self):
+    def test_evolute_refines_three_golden_steps_per_call(self):
         curve = sample_curve(evolutoid_ev(math.pi / 2), ParamGrid(2048))
         ev = curve.evaluator = Counting(curve.evaluator)
         assert len(find_cusps(curve)) == 4
         # each of the 4 golden sections shrinks its 2-step bracket by the
-        # golden ratio ~38 times down to xtol; one by one that took 172 calls
+        # golden ratio ~38 times down to xtol; one by one that took 172
+        # calls, one step per call 41
         step = TWO_PI / 2048
         golden = math.ceil(math.log(2 * step / 1e-10) / math.log((1 + math.sqrt(5)) / 2))
-        # the opening pair, one call per step, the refined speeds, the
-        # velocity reversals
-        assert len(ev.calls) <= golden + 3
-        assert all(np.size(t) == 4 for t in ev.calls[1:-1])
+        # three steps per call, then the closing call
+        assert len(ev.calls) <= math.ceil(golden / 3) + 1
+        # a call holds the 2 + 4 + 8 probes the next three steps of each
+        # candidate could make, the first also the opening pair; the closing
+        # call holds each refined point and the two reversal probes
+        sizes = [np.size(t) for t in ev.calls]
+        assert sizes[0] == 4 * 16 and sizes[-1] == 4 * 3
+        assert all(size == 4 * 14 for size in sizes[1:-1])
+
+    def test_a_bound_rules_out_every_candidate_below_the_cusp_birth_angle(self):
+        curve = sample_curve(evolutoid_ev(0.9 * THETA0), ParamGrid(2048))
+        alone = curve.evaluator = Counting(curve.evaluator)
+        assert len(reference_find_cusps(curve)) == 0
+        # the reference refines the grid's candidates and rejects them all
+        assert alone.calls
+        ev = curve.evaluator = Counting(alone.ev)
+        assert len(find_cusps(curve)) == 0
+        assert ev.calls == []
+
+    @pytest.mark.parametrize("ratio", [1.5, 1 + math.sqrt(2), 5.0])
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_equal_to_the_reference_that_keeps_every_candidate(self, ratio, n):
+        # the reference refines every candidate, so a bound that dropped a
+        # true cusp would show here
+        e = Ellipse(ratio, 1.0)
+        theta0 = math.atan2(2 * e.a * e.b, 3 * e.c2)
+        curves = [sample_curve(lambda t, th=th: evolutoid_point(e, th, t), ParamGrid(n))
+                  for th in [f * theta0 for f in (0.2, 0.9, 1.0, 1.2)] + [math.pi / 2]]
+        for s in (0.0, 1.0, 3.4):
+            m = tuple(float(v) for v in ellipse_point(e, s))
+            curves.append(sample_curve(family_evaluator(e, "negative_pedal", m),
+                                       ParamGrid(n, start=s, offset=0.5)))
+        got = [find_cusps(curve) for curve in curves]
+        for curve, cusps in zip(curves, got):
+            assert np.array_equal(cusps, reference_find_cusps(curve))
+        # the evolute and the deltoids keep their cusps
+        assert [len(c) for c in got[4:]] == [4, 3, 3, 3]
 
     def test_speeds_round_as_the_one_by_one_speeds(self):
         # np.hypot and math.hypot differ in the last bit on about 1 pair in
@@ -1264,13 +1298,18 @@ class TestLockstepErrors:
         clean = Counting(curve.evaluator)
         curve.evaluator = clean
         find_cusps(curve)
-        # a speed probe of the second candidate, in the middle of the golden
-        # sections
-        bad = float(np.real(clean.calls[20][1]))
+        # the probes each candidate makes when refined alone
+        alone = curve.evaluator = Counting(clean.ev)
+        reference_find_cusps(curve)
+        made = {float(np.real(t)) for t in alone.calls}
+        # a probe the second candidate makes, in a middle call of the golden
+        # sections, which holds 14 probes per candidate
+        middle = clean.calls[6]
+        bad = next(x for x in np.real(middle[14:28]).tolist() if x in made)
         stub = Counting(clean.ev, raise_at=[bad], complex_only=True, error=TypeError)
         curve.evaluator = stub
         got = find_cusps(curve)
-        assert stub.raised and stub.raised[0] == 3
+        assert stub.raised and stub.raised[0] == np.size(middle)
         assert np.array_equal(got, reference_find_cusps(curve))
         assert len(got) == 3
 
@@ -1293,14 +1332,15 @@ class TestLockstepErrors:
         clean = Counting(curve.evaluator)
         curve.evaluator = clean
         assert len(find_cusps(curve)) == 4
-        # calls[1] holds the central-difference probes of the opening pairs
-        # of all 4 candidates: one raising probe fails the whole call once
+        # calls[1] holds the central-difference probes of the first call,
+        # the opening pairs and the next three steps' 14 probes of all 4
+        # candidates: one raising probe fails the whole call once
         bad = float(clean.calls[1][5])
         stub = curve.evaluator = Counting(clean.ev, raise_at=[bad])
         with pytest.raises(StubError) as got:
             find_cusps(curve)
         assert got.value.t == bad
-        assert stub.raised == [16] and len(stub.calls) == 2
+        assert stub.raised == [4 * 16 * 2] and len(stub.calls) == 2
 
         ev = family_evaluator(E21, "contrapedal", (0.7, -0.4))
         curve = sample_curve(ev, ParamGrid(2048, offset=0.5))
