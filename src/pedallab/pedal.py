@@ -475,85 +475,51 @@ def _velocity_of(evaluator: Callable, t) -> np.ndarray:
     return np.asarray(p.imag, dtype=float).reshape(t.shape + (2,)) / _CS_STEP
 
 
-def _speed_of(evaluator: Callable, t) -> List[float]:
-    """Speeds at the 1-d parameters t, by math.hypot one pair at a time:
-    np.hypot rounds differently in the last bit now and then, which would
-    move the probes of a golden section."""
-    return [math.hypot(x, y) for x, y in _velocity_of(evaluator, t).tolist()]
+# The step of the forward difference that gives v' in _velocity_zeros.  Its
+# error only slows a step: v = 0 solves v.v' = 0 whatever v' reads.
+_GN_H = 1e-7
+# A candidate stops once its step is at most this.
+_GN_XTOL = 1e-10
+# The most calls a refinement makes.  It is what stops the double zero where
+# a pair of cusps is born: for v = c e^2 the forward difference reads
+# c (2e + _GN_H), so within about _GN_H of the zero the steps stay at 1e-9
+# to 1e-8; the speed there is already an outright zero.  With the closing
+# call, at most 13 calls per curve.
+_GN_CALLS = 12
 
 
-# golden steps per evaluator call: each call holds every probe the next
-# _LOOKAHEAD steps of a section could make, both branches of each step
-_LOOKAHEAD = 3
-_TREE = 2 ** (_LOOKAHEAD + 1) - 2
+def _velocity_zeros(evaluator: Callable, t: np.ndarray, step: float) -> np.ndarray:
+    """Minimizers of the speed |v| near the 1-d parameters t, each within a
+    step of its start, by Gauss-Newton steps on v: t <- t - (v.v')/(v'.v').
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _probe_tree(lo: float, hi: float, x1: float, x2: float) -> List[float]:
-    """The probes of the next _LOOKAHEAD golden steps from the bracket
-    [lo, hi] with inner points x1 < x2, for either outcome of each step:
-    _TREE = 2 + 4 + 8 of them, level by level.  Each bracket of a level
-    gives two probes, first the one of the outcome f1 <= f2, then the one of
-    f1 > f2, and the next level holds their brackets in that order.  The
-    positions are _golden_min's own expressions."""
-    probes, level = [], [(lo, hi, x1, x2)]
-    for _ in range(_LOOKAHEAD):
-        below = []
-        for lo, hi, x1, x2 in level:
-            # f1 <= f2: the bracket becomes [lo, x2], its inner points
-            # (new x1, x1); else [x1, hi] with (x2, new x2)
-            left = x2 - _INVPHI * (x2 - lo)
-            right = x1 + _INVPHI * (hi - x1)
-            probes += (left, right)
-            below += ((lo, x2, left, x1), (x1, hi, x2, right))
-        level = below
-    return probes
-
-
-def _golden_min(f: Callable, lo: list, hi: list, xtol: float = 1e-10) -> List[float]:
-    """Golden-section minimizers of f on [lo[i], hi[i]] for all i, run in
-    lock-step; assumes a single interior minimum in each.
-
-    Each call f(probes) -> values serves every section still wider than
-    xtol for up to _LOOKAHEAD steps: it holds the _TREE probes those
-    steps could make (_probe_tree), and the first call also the opening pair.
-    Each section then takes its steps, reading the values of the branches
-    it takes, and stops on its own, so its probes and their values are
-    exactly those it would make alone, one probe per call: f must give a
-    parameter the same value in any batch.  The probes of branches not
-    taken are evaluated too.  Returns the midpoint of each final bracket.
+    All candidates still moving go in one _velocity_of call per step.  At a
+    double zero of v the step is half the distance to it, so a step about
+    half the one before and of the same sign is doubled (Schroeder's
+    correction for multiplicity 2).  A v' that is zero or not finite gives
+    no step.
     """
-    # [lo, hi, x1, x2, f1, f2] of each section; f1 and f2 come with the
-    # first call
-    sec = [[l, h, h - _INVPHI * (h - l), l + _INVPHI * (h - l), 0.0, 0.0] for l, h in zip(lo, hi)]
-    active, opening = sec, 2
-    while active:
-        width = opening + _TREE
-        vals = f(np.array([p for s in active
-                           for p in s[2:2 + opening] + _probe_tree(*s[:4])]))
-        for q, s in enumerate(active):
-            v = vals[q * width:(q + 1) * width]
-            if opening:
-                s[4:] = v[:2]
-            # the tree in heap order: node i's probe at i - 2, its children
-            # 2i (after f1 <= f2) and 2i + 1
-            node = 1
-            for _ in range(_LOOKAHEAD):
-                if not s[1] - s[0] > xtol:
-                    break
-                if s[4] <= s[5]:
-                    s[1], s[3], s[5] = s[3], s[2], s[4]
-                    s[2] = s[1] - _INVPHI * (s[1] - s[0])
-                    node = 2 * node
-                    s[4] = v[opening + node - 2]
-                else:
-                    s[0], s[2], s[4] = s[2], s[3], s[5]
-                    s[3] = s[0] + _INVPHI * (s[1] - s[0])
-                    node = 2 * node + 1
-                    s[5] = v[opening + node - 2]
-        active, opening = [s for s in active if s[1] - s[0] > xtol], 0
-    return [0.5 * (s[0] + s[1]) for s in sec]
+    x = np.array(t, dtype=float)
+    lo, hi = x - step, x + step
+    last = np.zeros_like(x)
+    live = np.arange(x.size)
+    for _ in range(_GN_CALLS):
+        xs = x[live]
+        v = _velocity_of(evaluator, np.stack([xs, xs + _GN_H], axis=1))
+        dv = (v[:, 1] - v[:, 0]) / _GN_H
+        # (v.v')/(v'.v') as (v.u)/|v'| with u = v'/|v'|: v'.v' overflows
+        # from |v'| = 1e154 on
+        norm = np.hypot(dv[:, 0], dv[:, 1])
+        ok = (norm > 0) & (norm < np.inf)
+        d = np.zeros(len(xs))
+        d[ok] = -np.sum(v[ok, 0] * (dv[ok] / norm[ok, None]), axis=1) / norm[ok]
+        ratio = np.divide(d, last[live], out=np.zeros_like(d), where=last[live] != 0)
+        d[(ratio > 0.4) & (ratio < 0.6)] *= 2.0
+        x[live] = np.clip(xs + d, lo[live], hi[live])
+        last[live] = x[live] - xs
+        live = live[np.abs(last[live]) > _GN_XTOL]
+        if not live.size:
+            break
+    return x
 
 
 def _require_finite(curve: SampledCurve, what: str) -> None:
@@ -565,9 +531,10 @@ def find_cusps(curve: SampledCurve, tol: float = 1e-5) -> np.ndarray:
     """Parameters (mod 2*pi) where the curve has a cusp.
 
     Grid speeds flag candidate minima.  With an evaluator, each is refined
-    once, by golden section on the true parametric speed; without one, it
-    keeps its node and grid speed.  A candidate is a cusp when its speed
-    drops below tol times the median grid speed *and* the velocity
+    once, to the minimum of the true parametric speed within a step of its
+    node, by Gauss-Newton steps on the velocity (_velocity_zeros); without
+    one, it keeps its node and grid speed.  A candidate is a cusp when its
+    speed drops below tol times the median grid speed *and* the velocity
     direction reverses across the point.  Both conditions together reject
     smooth slow spots and grazing near-cusps.  An outright velocity zero
     (speed below 1e-13 of the median) counts regardless of reversal: there
@@ -590,15 +557,13 @@ def find_cusps(curve: SampledCurve, tol: float = 1e-5) -> np.ndarray:
     pass the slow test.  A curve whose candidates are all dropped makes no
     evaluator call.
 
-    With an evaluator, all candidates are refined in lock-step
-    (_golden_min): each evaluator call holds every probe the next _LOOKAHEAD
-    golden steps of every candidate still refining could make, and each
-    candidate keeps its own stop, so it makes the probes it would make
-    alone.  One closing call gives the refined speeds and the velocities on
-    both sides of every candidate.  A failed complex step falls back to
-    central differences for its probe alone; any other GeometryError of a
-    batched call propagates as it is, from a probe of a branch not taken
-    too, while a dropped candidate is never evaluated.
+    With an evaluator, all candidates are refined together: one evaluator
+    call per Gauss-Newton step holds the two probes of every candidate
+    still moving, and each candidate stops on its own.  One closing call
+    gives the refined speeds and the velocities on both sides of every
+    candidate.  A failed complex step falls back to central differences for
+    its probe alone; any other GeometryError of a batched call propagates
+    as it is, while a dropped candidate is never evaluated.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"tol must be finite and > 0, got {tol}")
@@ -635,8 +600,7 @@ def find_cusps(curve: SampledCurve, tol: float = 1e-5) -> np.ndarray:
         tr, s_min = t[k].tolist(), speed[k].tolist()
         vel = np.stack([seg[k - 1], seg[k]], axis=1)
     else:
-        tr = _golden_min(lambda x: _speed_of(ev, x), (t[k] - step).tolist(),
-                         (t[k] + step).tolist())
+        tr = _velocity_zeros(ev, t[k], step).tolist()
         # the refined speeds and the velocities across each point, one call
         v = _velocity_of(ev, np.array([[x, x - 1e-4, x + 1e-4] for x in tr]))
         s_min = [math.hypot(x, y) for x, y in v[:, 0].tolist()]

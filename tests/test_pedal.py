@@ -838,6 +838,30 @@ class TestFindCusps:
             circ = np.min(np.minimum(np.abs(got - w), TWO_PI - np.abs(got - w)))
             assert circ < 1e-8
 
+    @pytest.mark.parametrize("ratio", [1.5, 2.0, 1 + math.sqrt(2), 5.0])
+    @pytest.mark.parametrize("n", [256, 2048])
+    @pytest.mark.parametrize("offset", [0.0, 0.5])
+    def test_cusps_at_their_exact_parameters(self, ratio, n, offset):
+        # the evolute's cusps lie at k pi/2; the deltoid of the pole P(s)
+        # has x' ~ sin t + sin(2t + s) and y' ~ cos t - cos(2t + s), both
+        # zero at t = -s/3 + 2 pi k/3, whatever the ellipse
+        e = Ellipse(ratio, 1.0)
+        curve = sample_curve(lambda t: evolutoid_point(e, math.pi / 2, t),
+                             ParamGrid(n, offset=offset))
+        assert_same_cusps(find_cusps(curve), np.arange(4) * math.pi / 2, 1e-12)
+        for s in (0.0, 1.0, 3.4):
+            m = tuple(float(v) for v in ellipse_point(e, s))
+            curve = sample_curve(family_evaluator(e, "negative_pedal", m),
+                                 ParamGrid(n, start=s, offset=offset))
+            assert_same_cusps(find_cusps(curve), -s / 3 + np.arange(3) * TWO_PI / 3, 1e-12)
+
+    @pytest.mark.parametrize("size", [1e160, 1e300])
+    def test_a_huge_curve_keeps_its_cusps(self, size):
+        # the squared velocity derivative of this evolute overflows
+        curve = sample_curve(lambda t: size * evolutoid_point(E21, math.pi / 2, t),
+                             ParamGrid(256, offset=0.5))
+        assert_same_cusps(find_cusps(curve), np.arange(4) * math.pi / 2, 1e-12)
+
     def test_without_evaluator_counts_at_grid_level(self):
         t = ParamGrid(2048).nodes()
         pts = evolutoid_point(E21, math.pi / 2, t)
@@ -1024,14 +1048,17 @@ class TestSelfIntersections:
 
 
 # ---------------------------------------------------------------------------
-# lock-step refinement against the one-by-one references
+# batched refinement against the one-by-one references
 #
-# The references below are the cusp and crossing refinements as they were
-# before they ran in lock-step: each candidate alone, one scalar evaluator
-# call per probe.  find_cusps and self_intersections must make the same
-# probes, return the same bits and raise for the same parameter.  The cusp
-# reference refines each candidate once, on complex-step speeds (central
-# differences where the complex step fails), as find_cusps does.
+# The references below refine each candidate alone, one scalar evaluator
+# call per probe.  self_intersections must make the probes of the crossing
+# reference, return the same bits and raise for the same parameter.  The
+# cusp reference is an independent refinement: a golden section on
+# complex-step speeds (central differences where the complex step fails)
+# for every grid candidate.  find_cusps, by Gauss-Newton steps on the
+# velocity, must find the same cusps, to 1e-9, or to 1e-7 at the
+# cusp-birth angle, where the velocity vanishes to second order and the
+# two refinements stop at different points of its flat zero.
 
 _CS_STEP = 1e-200
 
@@ -1219,36 +1246,36 @@ CUSP_CASES = {
 }
 
 
+def assert_same_cusps(got, want, atol):
+    """got and want hold the same number of cusps, each of got within atol
+    of one of want, mod 2*pi."""
+    assert len(got) == len(want)
+    d = np.abs(np.subtract.outer(got, want)) % TWO_PI
+    assert np.all(np.min(np.minimum(d, TWO_PI - d), axis=1, initial=np.inf) <= atol)
+
+
 class TestLockstepCusps:
     @pytest.mark.parametrize("case", sorted(CUSP_CASES))
-    def test_equal_to_one_by_one_reference_bitwise(self, case):
-        # at the cusp-birth angle theta0 the speed vanishes to second order
-        # and the last golden steps compare speeds that differ by rounding
-        # alone; they match because an evolutoid point rounds the same for
-        # the one-by-one reference's 0-d parameters as for arrays
+    def test_agrees_with_the_one_by_one_reference(self, case):
         make, count = CUSP_CASES[case]
         curve = make()
         got = find_cusps(curve)
-        assert np.array_equal(got, reference_find_cusps(curve))
+        assert_same_cusps(got, reference_find_cusps(curve),
+                          1e-7 if case == "evolutoid_theta0" else 1e-9)
         assert len(got) == count
 
-    def test_evolute_refines_three_golden_steps_per_call(self):
-        curve = sample_curve(evolutoid_ev(math.pi / 2), ParamGrid(2048))
+    @pytest.mark.parametrize("case, budget", [("evolute", 5), ("evolutoid_1.2_theta0", 5),
+                                              ("negative_pedal_s1.0", 5),
+                                              ("evolutoid_theta0", 14)])
+    def test_refines_in_a_few_calls(self, case, budget):
+        # Gauss-Newton converges quadratically at a simple cusp; the golden
+        # section took 14 calls on each of these curves.  At the cusp-birth
+        # angle the capped steps stop it.
+        make, count = CUSP_CASES[case]
+        curve = make()
         ev = curve.evaluator = Counting(curve.evaluator)
-        assert len(find_cusps(curve)) == 4
-        # each of the 4 golden sections shrinks its 2-step bracket by the
-        # golden ratio ~38 times down to xtol; one by one that took 172
-        # calls, one step per call 41
-        step = TWO_PI / 2048
-        golden = math.ceil(math.log(2 * step / 1e-10) / math.log((1 + math.sqrt(5)) / 2))
-        # three steps per call, then the closing call
-        assert len(ev.calls) <= math.ceil(golden / 3) + 1
-        # a call holds the 2 + 4 + 8 probes the next three steps of each
-        # candidate could make, the first also the opening pair; the closing
-        # call holds each refined point and the two reversal probes
-        sizes = [np.size(t) for t in ev.calls]
-        assert sizes[0] == 4 * 16 and sizes[-1] == 4 * 3
-        assert all(size == 4 * 14 for size in sizes[1:-1])
+        assert len(find_cusps(curve)) == count
+        assert len(ev.calls) <= budget
 
     def test_a_bound_rules_out_every_candidate_below_the_cusp_birth_angle(self):
         curve = sample_curve(evolutoid_ev(0.9 * THETA0), ParamGrid(2048))
@@ -1262,7 +1289,7 @@ class TestLockstepCusps:
 
     @pytest.mark.parametrize("ratio", [1.5, 1 + math.sqrt(2), 5.0])
     @pytest.mark.parametrize("n", [64, 256])
-    def test_equal_to_the_reference_that_keeps_every_candidate(self, ratio, n):
+    def test_agrees_with_the_reference_that_keeps_every_candidate(self, ratio, n):
         # the reference refines every candidate, so a bound that dropped a
         # true cusp would show here
         e = Ellipse(ratio, 1.0)
@@ -1274,20 +1301,12 @@ class TestLockstepCusps:
             curves.append(sample_curve(family_evaluator(e, "negative_pedal", m),
                                        ParamGrid(n, start=s, offset=0.5)))
         got = [find_cusps(curve) for curve in curves]
-        for curve, cusps in zip(curves, got):
-            assert np.array_equal(cusps, reference_find_cusps(curve))
+        for i, (curve, cusps) in enumerate(zip(curves, got)):
+            # curves[2] is at the cusp-birth angle
+            assert_same_cusps(cusps, reference_find_cusps(curve), 1e-7 if i == 2 else 1e-9)
         # the evolute and the deltoids keep their cusps
         assert [len(c) for c in got[4:]] == [4, 3, 3, 3]
 
-    def test_speeds_round_as_the_one_by_one_speeds(self):
-        # np.hypot and math.hypot differ in the last bit on about 1 pair in
-        # 2000 of these; a golden section would then probe elsewhere
-        rng = np.random.default_rng(7)
-        v = rng.standard_normal((20000, 2)) * np.exp(rng.uniform(-30, 30, (20000, 1)))
-        ev = lambda t: np.asarray(t)[..., None] * 0 + v * 1e-200j
-        got = pedal_module._speed_of(ev, np.zeros(len(v)))
-        vel = pedal_module._velocity_of(ev, np.zeros(len(v)))
-        assert got == [math.hypot(x, y) for x, y in vel.tolist()]
 
 class TestLockstepErrors:
     """A failed complex step falls back to central differences for its
@@ -1298,19 +1317,20 @@ class TestLockstepErrors:
         clean = Counting(curve.evaluator)
         curve.evaluator = clean
         find_cusps(curve)
-        # the probes each candidate makes when refined alone
-        alone = curve.evaluator = Counting(clean.ev)
-        reference_find_cusps(curve)
-        made = {float(np.real(t)) for t in alone.calls}
-        # a probe the second candidate makes, in a middle call of the golden
-        # sections, which holds 14 probes per candidate
-        middle = clean.calls[6]
-        bad = next(x for x in np.real(middle[14:28]).tolist() if x in made)
+        # the second Gauss-Newton call holds the probes t and t + h of each
+        # of the 3 candidates; fail the complex step at the second one's t
+        middle = clean.calls[1]
+        bad = float(np.real(middle[2]))
         stub = Counting(clean.ev, raise_at=[bad], complex_only=True, error=TypeError)
         curve.evaluator = stub
         got = find_cusps(curve)
-        assert stub.raised and stub.raised[0] == np.size(middle)
-        assert np.array_equal(got, reference_find_cusps(curve))
+        # the batched call raised once, then each probe was tried alone
+        # and only the bad one failed
+        assert stub.raised == [np.size(middle), 1]
+        # its central differences: one call on bad -+ dt
+        assert any(np.size(t) == 2 and np.real(t[0]) < bad < np.real(t[1]) for t in stub.calls)
+        curve.evaluator = clean.ev
+        assert_same_cusps(got, reference_find_cusps(curve), 1e-9)
         assert len(got) == 3
 
     def test_batched_velocity_falls_back_to_central_differences_for_one_probe(self):
@@ -1332,15 +1352,16 @@ class TestLockstepErrors:
         clean = Counting(curve.evaluator)
         curve.evaluator = clean
         assert len(find_cusps(curve)) == 4
-        # calls[1] holds the central-difference probes of the first call,
-        # the opening pairs and the next three steps' 14 probes of all 4
-        # candidates: one raising probe fails the whole call once
-        bad = float(clean.calls[1][5])
+        # calls[1] holds the central-difference probes of the first
+        # Gauss-Newton call, t -+ dt and t + h -+ dt for all 4 candidates:
+        # one raising probe fails the whole call once.  t - dt of the second
+        # candidate, as t + dt is also its probe t + h
+        bad = float(clean.calls[1][4])
         stub = curve.evaluator = Counting(clean.ev, raise_at=[bad])
         with pytest.raises(StubError) as got:
             find_cusps(curve)
         assert got.value.t == bad
-        assert stub.raised == [4 * 16 * 2] and len(stub.calls) == 2
+        assert stub.raised == [4 * 2 * 2] and len(stub.calls) == 2
 
         ev = family_evaluator(E21, "contrapedal", (0.7, -0.4))
         curve = sample_curve(ev, ParamGrid(2048, offset=0.5))
