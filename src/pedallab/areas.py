@@ -70,9 +70,14 @@ class Family:
     name is the family's command-line name.  area(a, b, rho, theta, mu) is
     its closed-form signed area for a pole at squared distance rho from the
     center.  frame(e, t, theta, mu) does the family's work on the ellipse
-    parameters t alone and returns points(x, y), the points for the pole at
-    the plain coordinates (x, y), which it trusts: floats for one pole, or
-    (k, 1) arrays for a chunk of k poles, one curve per pole.  It is the
+    parameters t alone and returns points(x, y, out=None), the points for
+    the pole at the plain coordinates (x, y), which it trusts: floats for
+    one pole, or (k, 1) arrays for a chunk of k poles, one curve per pole.
+    out is an optional real (3, k, n) workspace for a chunk on n real
+    parameters: an affine frame writes its two coordinate planes into
+    out[:2], through the scratch plane out[2], and returns a view of it,
+    valid until the workspace is used again; any other frame may ignore
+    it (see pedal._affine_frame).  It is the
     family's one point evaluator, which harness.family_evaluator calls on
     the one pole it has read and harness.scan on the coordinates of its
     locus poles; the evolutoid has no pole and no frame.  Every frame
@@ -129,7 +134,7 @@ def _evolutoid_area(a, b, rho, theta, mu):
 # choices are derived from it
 FAMILIES = {f.name: f for f in (
     Family("ellipse", lambda a, b, rho, theta, mu: math.pi * a * b,
-           lambda e, t, theta, mu: lambda x, y: ellipse_point(e, t)),
+           lambda e, t, theta, mu: lambda x, y, out=None: ellipse_point(e, t)),
     Family("pedal", lambda a, b, rho, theta, mu: 0.5 * math.pi * (a * a + b * b + rho),
            lambda e, t, theta, mu: pedal_frame(e, t)),
     Family("contrapedal", lambda a, b, rho, theta, mu: 0.5 * math.pi * ((a - b) ** 2 + rho),
@@ -176,11 +181,13 @@ def closed_form_areas(family, e: Ellipse, poles: np.ndarray,
     each pole, and whether it holds there.  It holds everywhere except for
     the families whose constant holds only for poles on the ellipse
     (hybrid, pseudo-Talbot, negative pedal), at poles off it.  Each area
-    is bitwise closed_form_area of its pole alone.
+    is bitwise closed_form_area of its pole alone.  A pole so far out that
+    its form overflows gets a non-finite area, and no numpy warning.
     """
     fam = Family.of(family)
     x, y = poles[:, 0], poles[:, 1]
-    areas = np.broadcast_to(fam.area(e.a, e.b, x * x + y * y, theta, mu), x.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        areas = np.broadcast_to(fam.area(e.a, e.b, x * x + y * y, theta, mu), x.shape)
     holds = pole_on_ellipse(e, poles) if fam.on_ellipse else np.ones(x.shape, dtype=bool)
     return areas, holds
 

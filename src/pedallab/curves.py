@@ -90,8 +90,10 @@ class Ellipse:
         unchecked: the one expression of the implicit value.  Elementwise,
         so a point's value is bitwise the same alone and among others."""
         # squares by np.square, not **: a scalar ** 2 goes through pow(),
-        # which can round differently from the array loop
-        return np.square(x / self.a) + np.square(y / self.b)
+        # which can round differently from the array loop; a square that
+        # overflows is inf, a point far off the ellipse, and no warning
+        with np.errstate(over="ignore"):
+            return np.square(x / self.a) + np.square(y / self.b)
 
 
 def _points_xy(m):
@@ -254,23 +256,26 @@ def finite_rows(t, points) -> np.ndarray:
 
 def sample_curve(f: Callable, grid: ParamGrid) -> SampledCurve:
     """Evaluate f on the grid nodes, in one call; failures name the
-    offending node.  A non-finite point is named at its node (finite_rows).
-    Only a call that raises or returns the wrong shape is replayed node by
-    node, to name the first node that raises or is non-finite."""
+    offending node.  A non-finite point is named at its node (finite_rows),
+    with no numpy warning: f is evaluated with overflow, invalid operations
+    and division by zero ignored.  Only a call that raises or returns the
+    wrong shape is replayed node by node, to name the first node that
+    raises or is non-finite."""
     t = grid.nodes()
-    try:
-        pts = np.asarray(f(t), dtype=float)
-        vectorized = pts.shape == (t.size, 2)
-    except Exception:
-        vectorized = False
-    if not vectorized:
-        pts = np.empty((t.size, 2))
-        for k, tk in enumerate(t):
-            try:
-                pts[k] = np.asarray(f(tk), dtype=float).reshape(2)
-            except Exception as exc:
-                # a non-finite node before it comes first
-                finite_rows(t[:k], pts[:k])
-                raise EvaluationError(
-                    f"curve evaluation failed at t={float(tk)!r}: {exc}", node=tk) from exc
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            pts = np.asarray(f(t), dtype=float)
+            vectorized = pts.shape == (t.size, 2)
+        except Exception:
+            vectorized = False
+        if not vectorized:
+            pts = np.empty((t.size, 2))
+            for k, tk in enumerate(t):
+                try:
+                    pts[k] = np.asarray(f(tk), dtype=float).reshape(2)
+                except Exception as exc:
+                    # a non-finite node before it comes first
+                    finite_rows(t[:k], pts[:k])
+                    raise EvaluationError(
+                        f"curve evaluation failed at t={float(tk)!r}: {exc}", node=tk) from exc
     return SampledCurve(params=t, points=finite_rows(t, pts), evaluator=f)

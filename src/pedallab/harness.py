@@ -222,18 +222,23 @@ def _sweep(frame: Callable, poles: np.ndarray, n: int, per_chunk: int):
 
     frame(t) builds the family's frame on the 2n nodes t, once, before the
     first chunk: no registry frame raises on real nodes, where
-    |P'(t)|^2 >= b^2 > 0.  The frame and the one rule of the doubling check
-    (areas.doubling_rule, whose row checks run once) serve all chunks.  A
-    chunk makes one points() call at 2n on the (k, 1) coordinate views of
-    its poles and hands the stack to the rule, which takes both areas from
-    one rfft per coordinate: the n-point spectrum of the even samples is a
-    fold of the 2n-point one.  A chunk that raised, a row not all finite
-    included, is re-run one pole at a time (_pole_areas), through the same
-    frame and rule: each pole gets its areas, bitwise those of the chunk,
-    or its own error, and areas NaN.
+    |P'(t)|^2 >= b^2 > 0.  The frame, the one rule of the doubling check
+    (areas.doubling_rule, whose row checks run once) and one workspace of
+    three planes of per_chunk rows at 2n serve all chunks.  A chunk makes
+    one points() call at 2n on the (k, 1) coordinate views of its poles,
+    with the first k rows of the workspace, into which an affine frame
+    writes its points (see areas.Family), and hands the stack to the rule,
+    which takes both areas from one rfft per coordinate: the n-point
+    spectrum of the even samples is a fold of the 2n-point one.  The
+    workspace is allocated once per scan, so the chunks do not fault the
+    same pages in again, one after the other.  A chunk that raised, a row
+    not all finite included, is re-run one pole at a time (_pole_areas),
+    through the same frame and rule: each pole gets its areas, bitwise
+    those of the chunk, or its own error, and areas NaN.
     """
     t = ParamGrid(2 * n).nodes()
     points, rule = frame(t), doubling_rule(t)
+    work = np.empty((3, min(per_chunk, len(poles)), t.size))
     out = np.full((2, len(poles)), np.nan)
     errors: List[Optional[str]] = [None] * len(poles)
     for c0 in range(0, len(poles), per_chunk):
@@ -241,7 +246,8 @@ def _sweep(frame: Callable, poles: np.ndarray, n: int, per_chunk: int):
         x, y = poles[chunk, :1], poles[chunk, 1:]
         try:
             # the ellipse family has no pole: its one curve stands for all k
-            out[:, chunk] = rule(np.broadcast_to(points(x, y), (len(x), t.size, 2)))
+            pts = points(x, y, work[:, :len(x)])
+            out[:, chunk] = rule(np.broadcast_to(pts, (len(x), t.size, 2)))
         except GeometryError:
             for i in range(len(x)):
                 try:

@@ -21,7 +21,8 @@ is evaluated in two steps: a frame builder does the work that depends on
 the parameters alone and returns points(x, y), the points for the pole at
 the plain coordinates (x, y), so a scan can share one frame among all the
 poles of a grid.  For a chunk of k poles, x and y are (k, 1) arrays, and
-points() returns one curve per pole.  No function here reads or checks a
+points() returns one curve per pole; a scan may pass a workspace for the
+points as well (areas.Family).  No function here reads or checks a
 pole: harness.family_evaluator reads its pole once (curves.as_xy), and
 harness.scan hands over the coordinates of its locus poles, finite by
 construction.  The frames are called through the registry, areas.FAMILIES.
@@ -88,16 +89,26 @@ def _affine_frame(fx, fy, sx: float = 1.0, sy: float = 1.0) -> Callable:
     reads each plane contiguously.  A chunk of poles takes (k, 1) arrays.
     The sums go into the planes in place, (F0 + c1 F1) + c2 F2, through
     one scratch plane: no other full-size temporary.
+
+    points(x, y, out) writes into the workspace out instead, a real
+    (3, k, n) array for a chunk of k poles: the planes are out[:2] and the
+    scratch plane is out[2], so a scan that passes one workspace to every
+    chunk allocates no plane per chunk.  The points returned are then a
+    view of out, valid until its next use.
     """
 
-    def points(x0, y0):
+    def points(x0, y0, out=None):
         c1, c2 = x0 / sx, y0 / sy
-        # c1 F1 first, whose shape and dtype the planes take: the helpers
-        # that work them out from the columns cost more than the products
-        # on the few parameters of a cusp-refinement step; as an array, as
-        # it is the scratch plane (a 0-d product is a numpy scalar)
-        scratch = np.asarray(c1 * fx[1])
-        planes = np.empty((2,) + scratch.shape, dtype=np.result_type(scratch, fy[1]))
+        if out is None:
+            # c1 F1 first, whose shape and dtype the planes take: the
+            # helpers that work them out from the columns cost more than
+            # the products on the few parameters of a cusp-refinement step;
+            # as an array, as it is the scratch plane (a 0-d product is a
+            # numpy scalar)
+            scratch = np.asarray(c1 * fx[1])
+            planes = np.empty((2,) + scratch.shape, dtype=np.result_type(scratch, fy[1]))
+        else:
+            planes, scratch = out[:2], np.multiply(c1, fx[1], out[2])
         px, py = planes[0, ...], planes[1, ...]
         # outputs passed by position: the keyword costs more on few parameters
         np.add(fx[0], scratch, px)
@@ -210,13 +221,15 @@ def _envelope_solve(t, nx, ny, mx, my, d, dd):
 
 
 def _by_pole(e: Ellipse, t, columns: Callable, rational: Callable) -> Callable:
-    """points(x, y) of a boundary family at the parameters t: for a pole on
-    the ellipse (curves.xy_on_ellipse, one test on its coordinates), the
-    reduced frame, an _affine_frame in (cos s, sin s) over columns(e, t);
-    for any other pole, the rational frame rational(e, t).
-    Each frame is built on first use and kept, so a call builds only the
-    one it needs.  A chunk that mixes both kinds of pole gets each row from
-    its own frame."""
+    """points(x, y, out=None) of a boundary family at the parameters t: for
+    a pole on the ellipse (curves.xy_on_ellipse, one test on its
+    coordinates), the reduced frame, an _affine_frame in (cos s, sin s)
+    over columns(e, t); for any other pole, the rational frame
+    rational(e, t).  Each frame is built on first use and kept, so a call
+    builds only the one it needs.  A chunk that mixes both kinds of pole
+    gets each row from its own frame.  The workspace out goes to the
+    reduced frame when every pole of the chunk takes it, and is ignored
+    otherwise."""
     red_frame = rat_frame = None
 
     def reduced():
@@ -231,10 +244,10 @@ def _by_pole(e: Ellipse, t, columns: Callable, rational: Callable) -> Callable:
             rat_frame = rational(e, t)
         return rat_frame
 
-    def points(x0, y0):
+    def points(x0, y0, out=None):
         on = xy_on_ellipse(e, x0, y0)
         if on.all():
-            return reduced()(x0, y0)
+            return reduced()(x0, y0, out)
         if not on.any():
             return unreduced()(x0, y0)
         rows = on[:, 0]
@@ -255,12 +268,12 @@ def negative_pedal_rational_frame(e: Ellipse, t) -> Callable:
     """The negative pedal of any pole at the ellipse parameters t, as the
     envelope of its line pencil.
 
-    Returns points(x, y), the envelope points of the lines through P(t)
-    perpendicular to P(t) - m for the pole m = (x, y): each line n . X = d,
-    for n = P(t) - m and d = n . P(t), solved together with its
-    t-derivative.  A chunk of poles takes (k, 1) arrays.  For m on the
-    ellipse at P(s) the pencil is singular at t = s, where SingularFamily
-    names t.
+    Returns points(x, y, out=None), the envelope points of the lines
+    through P(t) perpendicular to P(t) - m for the pole m = (x, y): each
+    line n . X = d, for n = P(t) - m and d = n . P(t), solved together with
+    its t-derivative.  A chunk of poles takes (k, 1) arrays; the workspace
+    out is ignored.  For m on the ellipse at P(s) the pencil is singular at
+    t = s, where SingularFamily names t.
     """
     t = np.asarray(t)
     ct, st = np.cos(t), np.sin(t)
@@ -269,7 +282,7 @@ def negative_pedal_rational_frame(e: Ellipse, t) -> Callable:
     px, py = np.asarray(e.a * ct), np.asarray(e.b * st)
     vx, vy = np.asarray(-e.a * st), np.asarray(e.b * ct)
 
-    def points(x0, y0):
+    def points(x0, y0, out=None):
         nx, ny = px - x0, py - y0
         d = nx * px + ny * py
         dd = vx * (2 * px - x0) + vy * (2 * py - y0)
@@ -315,7 +328,7 @@ def _hybrid_columns(e: Ellipse, t):
 
 def _hybrid_rational(e: Ellipse, t) -> Callable:
     p2, negative = 2 * ellipse_point(e, t), negative_pedal_rational_frame(e, t)
-    return lambda x0, y0: p2 - negative(x0, y0)
+    return lambda x0, y0, out=None: p2 - negative(x0, y0)
 
 
 def hybrid_frame(e: Ellipse, t) -> Callable:
@@ -385,23 +398,30 @@ def pseudo_talbot_frame(e: Ellipse, u) -> Callable:
 def evolutoid_point(e: Ellipse, theta: float, t):
     """Envelope point of lines meeting the ellipse at angle theta to the tangent.
 
-    theta = 0 returns P(t); theta = pi/2 returns the evolute point.  A
-    parameter gives bitwise the same point alone, 0-d or not, as among
-    others.
+    theta = 0 returns P(t); theta = pi/2 returns the evolute point.  With
+    C = cos t, S = sin t and c^2 = a^2 - b^2,
+    x = a cos^2(theta) C + (c^2 / a) sin^2(theta) C^3
+        - sin(theta) cos(theta) S (b C^2 + (a^2 / b) S^2) and
+    y = a sin(theta) cos(theta) C - (c^2 / a) sin(theta) cos(theta) C^3
+        + (c^2 / b) sin^2(theta) S C^2 + ((b^2 cos^2(theta) - c^2 sin^2(theta)) / b) S.
+    The scalar coefficients are folded first, so the arrays see only
+    C^2, S^2 and a few products with them.  A parameter gives bitwise the
+    same point alone, 0-d or not, as among others.
     """
-    a, b = e.a, e.b
-    c2 = e.c2
+    a, b, c2 = e.a, e.b, e.c2
     cth, sth = math.cos(theta), math.sin(theta)
+    sc = sth * cth
     t = np.asarray(t)
     # on a 1-d array, reshaped on return: a 0-d t would turn the rest into
     # numpy scalar arithmetic, which can round differently from the array
     # loops
     ct, st = np.cos(t.reshape(-1)), np.sin(t.reshape(-1))
-    x = (a * cth * cth * ct + c2 * sth * sth * ct ** 3 / a
-         - st * sth * cth * (b * b * ct * ct + a * a * st * st) / b)
-    y = (a * sth * cth * ct
-         - c2 * sth * ct * ct * (b * ct * cth - a * sth * st) / (a * b)
-         + st * (b * b * cth * cth - c2 * sth * sth) / b)
+    cc = ct * ct
+    ccc = cc * ct
+    x = ((a * cth * cth) * ct + (c2 * sth * sth / a) * ccc
+         - st * ((sc * b) * cc + (sc * a * a / b) * (st * st)))
+    y = ((a * sc) * ct - (c2 * sc / a) * ccc
+         + st * ((b * b * cth * cth - c2 * sth * sth) / b + (c2 * sth * sth / b) * cc))
     # not np.stack: on the few parameters of a cusp-refinement step it
     # costs more than a tenth of the whole call
     return np.concatenate((x[:, None], y[:, None]), axis=-1).reshape(t.shape + (2,))
@@ -439,7 +459,10 @@ def evolutoid_support(s: SupportCurve, theta: float) -> SupportCurve:
 # feature detectors
 
 
-_CS_STEP = 1e-200
+# The complex step: a power of two, so dividing by it is exact, and small
+# enough that its truncation error, of order _CS_STEP^2, is nil, yet large
+# enough that the imaginary part of a curve of size 1e-250 stays normal.
+_CS_STEP = 2.0 ** -64
 
 
 def _points_at(evaluator: Callable, t) -> np.ndarray:
@@ -522,6 +545,12 @@ def _velocity_zeros(evaluator: Callable, t: np.ndarray, step: float) -> np.ndarr
     return x
 
 
+def _wrapped(v: np.ndarray) -> np.ndarray:
+    """The periodic samples v with the last one put before them and the
+    first after them."""
+    return np.concatenate((v[-1:], v, v[:1]))
+
+
 def _require_finite(curve: SampledCurve, what: str) -> None:
     if not np.all(np.isfinite(curve.points)):
         raise DomainError(f"{what} needs finite sample points")
@@ -572,22 +601,21 @@ def find_cusps(curve: SampledCurve, tol: float = 1e-5) -> np.ndarray:
         raise DomainError("cusp detection needs at least 8 samples")
     _require_finite(curve, "cusp detection")
     t = curve.params
-    pts = curve.points
     step = t[1] - t[0]
-    fwd, back = np.roll(pts, -1, axis=0), np.roll(pts, 1, axis=0)
-    diff = fwd - back
-    speed = np.hypot(diff[:, 0], diff[:, 1]) / (2 * step)
+    # the coordinate planes wrapped: x[:-2], x[1:-1] and x[2:] hold the
+    # nodes before, at and after each node
+    x, y = _wrapped(curve.points[:, 0]), _wrapped(curve.points[:, 1])
+    speed = np.hypot(x[2:] - x[:-2], y[2:] - y[:-2]) / (2 * step)
     ref = float(np.median(speed))
     if ref <= 0:
         raise DomainError("degenerate curve: median speed is zero")
 
-    prev = np.roll(speed, 1)
-    nxt = np.roll(speed, -1)
-    k = np.nonzero((speed < prev) & (speed <= nxt))[0]
+    around = _wrapped(speed)
+    k = np.flatnonzero((speed < around[:-2]) & (speed <= around[2:]))
     # the Taylor bound: step max|X''| from the second differences
     # d2 = step^2 X''
-    d2 = fwd - 2 * pts + back
-    bound = CUSP_BOUND_MARGIN * float(np.max(np.hypot(d2[:, 0], d2[:, 1]))) / step
+    d2 = np.hypot(x[2:] - 2 * x[1:-1] + x[:-2], y[2:] - 2 * y[1:-1] + y[:-2])
+    bound = CUSP_BOUND_MARGIN * float(np.max(d2)) / step
     k = k[speed[k] <= bound + tol * ref]
     if not k.size:
         return np.empty(0)
@@ -596,14 +624,14 @@ def find_cusps(curve: SampledCurve, tol: float = 1e-5) -> np.ndarray:
     if ev is None:
         # a node keeps its grid speed, and its velocities are those of the
         # grid segments into and out of it
-        seg = (fwd - pts) / step
+        seg = np.stack([x[2:] - x[1:-1], y[2:] - y[1:-1]], axis=-1) / step
         tr, s_min = t[k].tolist(), speed[k].tolist()
         vel = np.stack([seg[k - 1], seg[k]], axis=1)
     else:
         tr = _velocity_zeros(ev, t[k], step).tolist()
         # the refined speeds and the velocities across each point, one call
-        v = _velocity_of(ev, np.array([[x, x - 1e-4, x + 1e-4] for x in tr]))
-        s_min = [math.hypot(x, y) for x, y in v[:, 0].tolist()]
+        v = _velocity_of(ev, np.array([[r, r - 1e-4, r + 1e-4] for r in tr]))
+        s_min = [math.hypot(vx, vy) for vx, vy in v[:, 0].tolist()]
         vel = v[:, 1:]
 
     # a slow candidate is a cusp outright when its speed vanishes, else when
@@ -637,36 +665,48 @@ class Crossing:
     t2: float
 
 
-def _segment_hits(a1, d1, a2, d2):
-    """Intersection fractions of segment bundles a + s d, half-open in [0, 1)."""
-    den = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
-    r = a2 - a1
+def _plane_hits(x1, y1, dx1, dy1, x2, y2, dx2, dy2):
+    """_segment_hits on the coordinate planes of the two bundles."""
+    den = dx1 * dy2 - dy1 * dx2
+    rx, ry = x2 - x1, y2 - y1
     with np.errstate(divide="ignore", invalid="ignore"):
-        s = (r[..., 0] * d2[..., 1] - r[..., 1] * d2[..., 0]) / den
-        u = (r[..., 0] * d1[..., 1] - r[..., 1] * d1[..., 0]) / den
+        s = (rx * dy2 - ry * dx2) / den
+        u = (rx * dy1 - ry * dx1) / den
     ok = (np.abs(den) > 1e-14) & (s >= 0) & (s < 1) & (u >= 0) & (u < 1)
     return ok, s, u
 
 
-def _candidate_hits(a, d, order, first, k0: int, k1: int):
+def _segment_hits(a1, d1, a2, d2):
+    """Intersection fractions of segment bundles a + s d, half-open in [0, 1)."""
+    return _plane_hits(a1[..., 0], a1[..., 1], d1[..., 0], d1[..., 1],
+                       a2[..., 0], a2[..., 1], d2[..., 0], d2[..., 1])
+
+
+def _candidate_hits(planes, order, first, shift, k0: int, k1: int):
     """Hits among the sweep's candidate pairs k0 .. k1-1, as (i, j, s, u) with i < j.
 
-    Candidate k pairs the segments at sorted positions p and p + 1 + k -
-    first[p], where first[p] <= k < first[p + 1].  Adjacent pairs and the
-    wrap pair are dropped before the exact test.
+    planes holds the 1-d planes (x, y, dx, dy) of the segments.  The
+    candidates of the sorted position p are first[p] .. first[p + 1] - 1,
+    in one run, and candidate k pairs the segments at positions p and
+    k - shift[p], shift[p] = first[p] - p - 1.  The chunk's positions are
+    enumerated by run length, the runs at its two ends trimmed to it.
+    Adjacent pairs and the wrap pair are dropped before the exact test.
     """
+    n = len(order)
+    p0, p1 = np.searchsorted(first, (k0, k1 - 1), side="right") - 1
+    runs = np.diff(first[p0:p1 + 1], append=k1)
+    runs[0] -= k0 - first[p0]
     # each index array is dropped once used, so a full chunk's peak memory
     # stays near that of the coordinate arrays of its pairs
-    k = np.arange(k0, k1)
-    p = np.searchsorted(first, k, side="right") - 1
-    u, v = order[p], order[p + 1 + k - first[p]]
-    del k, p
+    u = np.repeat(order[p0:p1 + 1], runs)
+    v = order[np.arange(k0, k1) - np.repeat(shift[p0:p1 + 1], runs)]
     i, j = np.minimum(u, v), np.maximum(u, v)
     del u, v
-    keep = (j > i + 1) & ~((i == 0) & (j == len(a) - 1))
+    gap = j - i
+    keep = (gap > 1) & (gap < n - 1)
     i, j = i[keep], j[keep]
-    del keep
-    ok, s, w = _segment_hits(a[i], d[i], a[j], d[j])
+    del gap, keep
+    ok, s, w = _plane_hits(*(c[i] for c in planes), *(c[j] for c in planes))
     return i[ok], j[ok], s[ok], w[ok]
 
 
@@ -684,9 +724,12 @@ def self_intersections(curve: SampledCurve, refine: bool = True,
     up to roundoff stays a candidate.
 
     The candidates are tested in chunks of at most block * block pairs,
-    which bounds the memory even when every x-extent overlaps.  Hits come
-    in the order of a block-wise scan of the pairs i < j: sorted by
-    (i // block, j // block, i, j).  With an attached evaluator the hits
+    which bounds the memory even when every x-extent overlaps.  The
+    candidates of one sorted position are a run of consecutive positions,
+    so a chunk lists its pairs by run length, and gathers each pair's
+    coordinates from the 1-d planes x, y, dx and dy (_candidate_hits).
+    Hits come in the order of a block-wise scan of the pairs i < j: sorted
+    by (i // block, j // block, i, j).  With an attached evaluator the hits
     are polished by re-intersecting locally resampled arcs, all hits
     together: each of 3 rounds makes one evaluator call for every hit
     (_polish_crossings).  Parameters are reported inside the sampled window
@@ -702,34 +745,40 @@ def self_intersections(curve: SampledCurve, refine: bool = True,
     _require_finite(curve, "self-intersection scan")
     t = curve.params
     step = t[1] - t[0]
-    a = pts
-    d = np.roll(pts, -1, axis=0) - pts
+    x, y = pts[:, 0].copy(), pts[:, 1].copy()
+    dx, dy = np.roll(x, -1) - x, np.roll(y, -1) - y
 
-    pad = 1e-12 * float(np.max(np.abs(pts[:, 0])))
-    x_end = a[:, 0] + d[:, 0]
-    lo = np.minimum(a[:, 0], x_end) - pad
-    hi = np.maximum(a[:, 0], x_end) + pad
+    pad = 1e-12 * float(np.max(np.abs(x)))
+    x_end = x + dx
+    lo = np.minimum(x, x_end) - pad
+    hi = np.maximum(x, x_end) + pad
     order = np.argsort(lo, kind="stable")
     # the segment at sorted position p overlaps those at positions p+1 .. stop[p]-1
     stop = np.searchsorted(lo[order], hi[order], side="right")
     count = stop - np.arange(n) - 1
     first = np.cumsum(count) - count
+    shift = first - np.arange(n) - 1
     total = int(first[-1] + count[-1])
 
-    found = [_candidate_hits(a, d, order, first, k0, min(k0 + block * block, total))
+    planes = (x, y, dx, dy)
+    found = [_candidate_hits(planes, order, first, shift, k0, min(k0 + block * block, total))
              for k0 in range(0, total, block * block)]
 
     # never empty: neighbouring segments share a vertex, so their extents overlap
     i, j, s, u = (np.concatenate(col) for col in zip(*found))
     emit = np.lexsort((j, i, j // block, i // block))
-    hits = [Crossing(point=a[gi] + si * d[gi],
-                     t1=float(t[gi] + si * step),
-                     t2=float(t[gj] + ui * step))
-            for gi, gj, si, ui in zip(i[emit], j[emit], s[emit], u[emit])]
+    i, j, s, u = i[emit], j[emit], s[emit], u[emit]
+    point = np.stack([x[i] + s * dx[i], y[i] + s * dy[i]], axis=-1)
+    hits = [Crossing(point=p, t1=t1, t2=t2)
+            for p, t1, t2 in zip(point, (t[i] + s * step).tolist(), (t[j] + u * step).tolist())]
 
     if refine and curve.evaluator is not None:
         hits = _polish_crossings(curve.evaluator, hits, float(step))
     return hits
+
+
+# the node numbers 0 .. 8 of a polish window
+_NODES = np.arange(9.0)
 
 
 def _polish_crossings(ev: Callable, hits: List[Crossing], width: float) -> List[Crossing]:
@@ -746,25 +795,40 @@ def _polish_crossings(ev: Callable, hits: List[Crossing], width: float) -> List[
     """
     best = list(hits)
     tt = np.array([[c.t1, c.t2] for c in hits]).reshape(-1, 2)
-    rows = list(range(len(hits)))
+    rows = np.arange(len(hits))
     for _ in range(3):
-        if not rows:
+        if not rows.size:
             break
-        g = np.linspace(tt[rows] - width, tt[rows] + width, 9, axis=-1)  # (m, 2, 9)
+        mid = tt[rows]
+        lo, hi = mid - width, mid + width
+        # np.linspace(lo, hi, 9, axis=-1), bit for bit: its own formula
+        g = _NODES * ((hi - lo) / 8)[..., None] + lo[..., None]  # (m, 2, 9)
+        g[..., 8] = hi
         p = _points_at(ev, g)
-        a, d = p[..., :-1, :], np.diff(p, axis=-2)
-        ok, s, u = _segment_hits(a[:, 0, :, None], d[:, 0, :, None],
-                                 a[:, 1, None, :], d[:, 1, None, :])
+        x, y = p[..., 0], p[..., 1]
+        dx, dy = np.diff(x, axis=-1), np.diff(y, axis=-1)
+        ok, s, u = _plane_hits(x[:, 0, :-1, None], y[:, 0, :-1, None],
+                               dx[:, 0, :, None], dy[:, 0, :, None],
+                               x[:, 1, None, :-1], y[:, 1, None, :-1],
+                               dx[:, 1, None, :], dy[:, 1, None, :])
         ok = ok.reshape(len(rows), 64)
-        k = np.nonzero(ok.any(axis=1))[0]
-        i, j = np.divmod(ok[k].argmax(axis=1), 8)
-        si, ui = s[k, i, j], u[k, i, j]
-        t1 = g[k, 0, i] + si * (g[k, 0, i + 1] - g[k, 0, i])
-        t2 = g[k, 1, j] + ui * (g[k, 1, j + 1] - g[k, 1, j])
-        point = a[k, 0, i] + si[:, None] * d[k, 0, i]
-        rows = [rows[q] for q in k]
-        for q, r in enumerate(rows):
-            best[r] = Crossing(point=point[q], t1=float(t1[q]), t2=float(t2[q]))
+        k = np.flatnonzero(ok.any(axis=1))
+        # flat indices of the hit in s and u, and of the first node of
+        # each arc's segment in g and p
+        f = ok[k].argmax(axis=1)
+        i, j = np.divmod(f, 8)
+        f += 64 * k
+        si, ui = s.reshape(-1)[f], u.reshape(-1)[f]
+        n1 = 18 * k + i
+        n2 = n1 + (9 - i + j)
+        nodes, pts = g.reshape(-1), p.reshape(-1, 2)
+        t1 = nodes[n1] + si * (nodes[n1 + 1] - nodes[n1])
+        t2 = nodes[n2] + ui * (nodes[n2 + 1] - nodes[n2])
+        a1 = pts[n1]
+        point = a1 + si[:, None] * (pts[n1 + 1] - a1)
+        rows = rows[k]
+        for r, pt, x1, x2 in zip(rows.tolist(), point, t1.tolist(), t2.tolist()):
+            best[r] = Crossing(point=pt, t1=x1, t2=x2)
         tt[rows, 0], tt[rows, 1] = t1, t2
         width /= 6.0
     return best

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from xml.etree import ElementTree as ET
 
@@ -322,6 +323,20 @@ class TestArea:
         assert rc == 1
         assert json.loads(out)["doubling_gap"] > 1.0
         assert err.startswith("error: quadrature not settled (gap ")
+
+    @pytest.mark.parametrize("fam, m, err", [
+        ("negative_pedal", "1e200,0",
+         "error: curve evaluation failed at t=0.09817477042468103: non-finite point\n"),
+        ("hybrid", "1e300,1e300", "error: curve evaluation failed at t=0.0: non-finite point\n"),
+        ("pedal", "0,-1e200", "error: quadrature area is not finite (nan)\n"),
+        # the curve's area is finite, its closed form overflows
+        ("interpolated", "1e200,0", "error: report holds a non-finite number (nan)\n"),
+    ])
+    def test_a_pole_that_overflows_fails_typed_without_warnings(self, capsys, fam, m, err):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, _, got = run(capsys, "area", "--family", fam, f"--m={m}", "--n", "64")
+        assert (rc, got) == (1, err)
 
     def test_no_closed_form_for_interior_pole(self, capsys):
         rc, out, _ = run(capsys, "area", "--family", "hybrid", "--m", "0.3,0.2",

@@ -476,13 +476,42 @@ class TestBatchedScan:
         def frame(e, t, theta, mu, build=FAMILIES[fam].frame):
             built.append(np.shape(t))
             points = build(e, t, theta, mu)
-            return lambda x, y: calls.append(np.shape(x)) or points(x, y)
+            return lambda x, y, out=None: calls.append(np.shape(x)) or points(x, y, out)
 
         monkeypatch.setitem(FAMILIES, fam, dataclasses.replace(FAMILIES[fam], frame=frame))
         rep = scan(E21, fam, LocusSpec("circle", r=r, count=count, phase=0.3), n=n)
         assert rep.errors[0] is not None
         assert built == [(2 * n,)]
         assert calls == [(count, 1)] + [(1, 1)] * count
+
+    @pytest.mark.parametrize("fam, kind", [("contrapedal", "circle"),
+                                           ("negative_pedal", "boundary"),
+                                           ("pseudo_talbot", "boundary")])
+    def test_every_chunk_writes_into_the_one_workspace(self, monkeypatch, fam, kind):
+        # 10 poles at n = 2048 make chunks of 4, 4 and 2 poles; the frame
+        # writes each chunk's points into the scan's one workspace
+        seen = []
+
+        def frame(e, t, theta, mu, build=FAMILIES[fam].frame):
+            points = build(e, t, theta, mu)
+
+            def traced(x, y, out=None):
+                pts = points(x, y, out)
+                seen.append((out, out is not None and np.shares_memory(pts, out)))
+                return pts
+
+            return traced
+
+        monkeypatch.setitem(FAMILIES, fam, dataclasses.replace(FAMILIES[fam], frame=frame))
+        n, count = 2048, 10
+        locus = LocusSpec(kind, r=0.8, count=count, phase=0.3)
+        rep = scan(E21, fam, locus, n=n, theta=0.6, mu=1 / 3)
+        assert [np.shape(out) for out, _ in seen] == [(3, 4, 2 * n)] * 2 + [(3, 2, 2 * n)]
+        assert len({out.__array_interface__["data"][0] for out, _ in seen}) == 1
+        assert all(shared for _, shared in seen)
+        for j in range(count):
+            assert (rep.areas[j], rep.errors[j]) == scan_alone(E21, fam, locus, j, n,
+                                                               theta=0.6, mu=1 / 3)
 
     @pytest.mark.parametrize("fam", ["hybrid", "negative_pedal"])
     @pytest.mark.parametrize("e, r, count, phase", [

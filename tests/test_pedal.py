@@ -765,7 +765,33 @@ class TestBoundaryFrames:
 # evolutoids
 
 
+def evolutoid_reference(e, theta, t):
+    """The evolutoid point term by term, its scalar coefficients unfolded:
+    the envelope of the lines through P(t) at angle theta to the tangent."""
+    a, b, c2 = e.a, e.b, e.c2
+    cth, sth = math.cos(theta), math.sin(theta)
+    ct, st = np.cos(t), np.sin(t)
+    x = (a * cth * cth * ct + c2 * sth * sth * ct ** 3 / a
+         - st * sth * cth * (b * b * ct * ct + a * a * st * st) / b)
+    y = (a * sth * cth * ct
+         - c2 * sth * ct * ct * (b * ct * cth - a * sth * st) / (a * b)
+         + st * (b * b * cth * cth - c2 * sth * sth) / b)
+    return np.stack([x, y], axis=-1)
+
+
 class TestEvolutoid:
+    @pytest.mark.parametrize("ratio", [1.25, 2.0, 1 + math.sqrt(2), 5.0])
+    def test_agrees_with_the_reference_formula(self, ratio):
+        # the two forms round differently; both stay within a few units in
+        # the last place of the curve's extent (24 at a/b = 5)
+        e = Ellipse(ratio, 1.0)
+        t = np.linspace(0.0, TWO_PI, 4001)
+        for theta in np.linspace(0.0, math.pi / 2, 33):
+            want = evolutoid_reference(e, theta, t)
+            extent = max(1.0, float(np.max(np.abs(want))))
+            np.testing.assert_allclose(evolutoid_point(e, theta, t), want,
+                                       rtol=0, atol=1e-15 * extent)
+
     def test_limits(self):
         t = np.linspace(0, TWO_PI, 50)
         np.testing.assert_allclose(evolutoid_point(E21, 0.0, t),
@@ -858,6 +884,14 @@ class TestFindCusps:
     @pytest.mark.parametrize("size", [1e160, 1e300])
     def test_a_huge_curve_keeps_its_cusps(self, size):
         # the squared velocity derivative of this evolute overflows
+        curve = sample_curve(lambda t: size * evolutoid_point(E21, math.pi / 2, t),
+                             ParamGrid(256, offset=0.5))
+        assert_same_cusps(find_cusps(curve), np.arange(4) * math.pi / 2, 1e-12)
+
+    @pytest.mark.parametrize("size", [1e-120, 1e-160, 1e-250])
+    def test_a_tiny_curve_keeps_its_cusps(self, size):
+        # the complex step's imaginary part, size times the step, must not
+        # underflow: with a step of 1e-200 the velocity read 0 from here on
         curve = sample_curve(lambda t: size * evolutoid_point(E21, math.pi / 2, t),
                              ParamGrid(256, offset=0.5))
         assert_same_cusps(find_cusps(curve), np.arange(4) * math.pi / 2, 1e-12)
@@ -1036,6 +1070,18 @@ class TestSelfIntersections:
         for c, (point, t1, t2) in zip(got, want):
             assert np.array_equal(c.point, point) and c.t1 == t1 and c.t2 == t2
 
+    @pytest.mark.parametrize("m, count", [((0.7, -0.4), 8), ((1.5, 0.6), 3)])
+    def test_matches_brute_force_bitwise_at_workload_size(self, m, count):
+        # the sampled cases above stop at n = 400; the conjecture check runs
+        # at n = 1024 and more, where chunks end inside a position's run
+        curve = sample_curve(family_evaluator(E21, "contrapedal", m), ParamGrid(1024, offset=0.5))
+        for block in (1, 64, 512):
+            got = self_intersections(curve, refine=False, block=block)
+            want = brute_force_crossings(curve, block)
+            assert len(got) == len(want) == count
+            for c, (point, t1, t2) in zip(got, want):
+                assert np.array_equal(c.point, point) and c.t1 == t1 and c.t2 == t2
+
     def test_memory_stays_bounded_when_all_extents_overlap(self):
         curve = zigzag(1024, seed=0)  # every x-extent overlaps: ~520k candidate pairs
         tracemalloc.start()
@@ -1060,7 +1106,8 @@ class TestSelfIntersections:
 # cusp-birth angle, where the velocity vanishes to second order and the
 # two refinements stop at different points of its flat zero.
 
-_CS_STEP = 1e-200
+# the program's complex step (pedal._CS_STEP), so the velocities compare bitwise
+_CS_STEP = 2.0 ** -64
 
 
 def reference_velocity_of(evaluator: Callable, t: float) -> np.ndarray:
