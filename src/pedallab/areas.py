@@ -110,6 +110,14 @@ class Family:
         return FAMILIES[AreaFamily.coerce(value).value]
 
 
+def _ellipse_frame(e: Ellipse, t) -> Callable:
+    """The ellipse's points(x, y, out=None): P(t), evaluated once with the
+    frame and returned by every call, whatever the pole; a scan broadcasts
+    the one curve to the poles of a chunk, and out is ignored."""
+    p = ellipse_point(e, t)
+    return lambda x, y, out=None: p
+
+
 def _interpolated_area(a, b, rho, theta, mu):
     ap = 0.5 * math.pi * (a * a + b * b + rho)
     ac = 0.5 * math.pi * ((a - b) ** 2 + rho)
@@ -134,7 +142,7 @@ def _evolutoid_area(a, b, rho, theta, mu):
 # choices are derived from it
 FAMILIES = {f.name: f for f in (
     Family("ellipse", lambda a, b, rho, theta, mu: math.pi * a * b,
-           lambda e, t, theta, mu: lambda x, y, out=None: ellipse_point(e, t)),
+           lambda e, t, theta, mu: _ellipse_frame(e, t)),
     Family("pedal", lambda a, b, rho, theta, mu: 0.5 * math.pi * (a * a + b * b + rho),
            lambda e, t, theta, mu: pedal_frame(e, t)),
     Family("contrapedal", lambda a, b, rho, theta, mu: 0.5 * math.pi * ((a - b) ** 2 + rho),
@@ -260,28 +268,53 @@ def _mode_weights(n: int):
 
 def _spectral_areas(re, im, k, scale) -> np.ndarray:
     """scale * sum_k k Im(conj(X_k) Y_k) over the last axis, from the real
-    and the imaginary parts of the spectra X and Y, each stacked (X, Y)."""
+    and the imaginary parts of the spectra X and Y, each stacked (X, Y).
+    k is the row of mode weights, or that row tiled to a stack's rows
+    (_stack_weights): the products are the same either way."""
     # Im(conj(X_k) Y_k), weighted in place
     cross = re[0] * im[1]
     cross -= im[0] * re[1]
     cross *= k
-    return np.asarray(scale * np.sum(cross, axis=-1))
+    # np.sum's own reduction, without its wrapper
+    return np.asarray(scale * np.add.reduce(cross, axis=-1))
+
+
+def _stack_weights(k: np.ndarray) -> Callable:
+    """weights(shape) of the row of mode weights k, for cross products of
+    that shape: the row itself, or for a stack of rows, shape (m, len(k)),
+    the row tiled to m rows, so that weighting them is one full-shape
+    product (a row multiplied into m rows costs numpy about twice as
+    much).  The tallest tile yet is kept; a shorter stack reads its first
+    rows."""
+    tile = k[None]
+
+    def weights(shape):
+        nonlocal tile
+        if len(shape) != 2:
+            return k
+        if len(tile) < shape[0]:
+            tile = np.tile(k, (shape[0], 1))
+        return tile[:shape[0]]
+
+    return weights
 
 
 def _finite(area: np.ndarray) -> np.ndarray:
     """area itself when all of it is finite, else QuadratureError."""
-    bad = area[~np.isfinite(area)]
-    if bad.size:
-        raise QuadratureError(f"quadrature area is not finite ({float(bad[0])})")
+    ok = np.isfinite(area)
+    if not ok.all():
+        raise QuadratureError(f"quadrature area is not finite ({float(area[~ok][0])})")
     return area
 
 
 def _planes_spectra(points, size: int):
     """rfft of both coordinate planes of points on a row of size params, in
     one call; points of another shape raise DomainError."""
-    if np.shape(points)[-2:] != (size, 2):
-        raise DomainError(f"points of shape {np.shape(points)} are not on {size} params")
-    return np.fft.rfft(np.moveaxis(points, -1, 0), axis=-1)
+    points = np.asarray(points)
+    if points.shape[-2:] != (size, 2):
+        raise DomainError(f"points of shape {points.shape} are not on {size} params")
+    # np.moveaxis(points, -1, 0), without its axis checks
+    return np.fft.rfft(points.transpose(-1, *range(points.ndim - 1)), axis=-1)
 
 
 def area_rule(params) -> Callable:
@@ -333,6 +366,14 @@ def doubling_rule(params) -> Callable:
     area_rule(params[::2]) on the even samples to roundoff, not bitwise.
     Points of another shape raise DomainError, and an area that overflows
     to a non-finite value, coarse first, raises QuadratureError.
+
+    A stack goes to the rfft as its two coordinate planes, a transposed
+    view of points, with no copy.  Past the rfft, coarse takes the two
+    mirror folds (real and imaginary parts, both planes at once), and each
+    area its cross products, their weighting by the mode k and the row
+    sums.  The weight rows are tiled to the stack's height on first use
+    and kept with the rule (_stack_weights), as a scan calls one rule on
+    chunks of one height, so the weighting is a full-shape product too.
     """
     _periodic_step(params)
     size = np.shape(params)[0]
@@ -346,18 +387,20 @@ def doubling_rule(params) -> Callable:
     # the folded modes are 2 X[k], so their cross products are 4 times the
     # coarse ones: a quarter of the scale -4 pi / n^2, exactly
     scale_coarse = -math.pi / (n * n)
+    w_coarse, w_fine = _stack_weights(k_coarse), _stack_weights(k_fine)
 
     def rule(points):
         # non-finite samples or products give a non-finite area, refused here
         with np.errstate(over="ignore", invalid="ignore"):
             spectra = _planes_spectra(points, size)
             re, im = spectra.real, spectra.imag
-            area = np.empty((2,) + spectra.shape[1:-1])
+            rows = spectra.shape[1:-1]
+            area = np.empty((2,) + rows)
             # 2 X[k] = F[k] + conj(F[n - k]) for k < n/2, both planes at once
             area[0] = _spectral_areas(re[..., :half] + re[..., n:n - half:-1],
                                       im[..., :half] - im[..., n:n - half:-1],
-                                      k_coarse, scale_coarse)
-            area[1] = _spectral_areas(re, im, k_fine, scale_fine)
+                                      w_coarse(rows + (half,)), scale_coarse)
+            area[1] = _spectral_areas(re, im, w_fine(rows + (n + 1,)), scale_fine)
         return _finite(area)
 
     return rule

@@ -126,6 +126,14 @@ def ellipse_velocity(e: Ellipse, t):
     return np.stack([-e.a * np.sin(t), e.b * np.cos(t)], axis=-1)
 
 
+def ellipse_point_velocity(e: Ellipse, t):
+    """P(t) and P'(t) from one cos t and one sin t: bitwise ellipse_point
+    and ellipse_velocity, for a frame that needs both."""
+    t = np.asarray(t)
+    ct, st = np.cos(t), np.sin(t)
+    return np.stack([e.a * ct, e.b * st], axis=-1), np.stack([-e.a * st, e.b * ct], axis=-1)
+
+
 @dataclass
 class SupportCurve:
     """Convex-curve description by a support function h and its derivatives.

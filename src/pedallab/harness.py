@@ -76,12 +76,15 @@ SCANNABLE = tuple(AreaFamily(f.name) for f in FAMILIES.values() if f.frame is no
 
 # a scan evaluates at most this many grid points at once (a chunk of k poles
 # at 2n points each), so batching never grows its working set with the pole
-# count; at up to ~65 bytes per point (tracemalloc peak of a 256-pole
-# n=2048 scan over 2**14 points, shared frames included: on a circle 63 for
-# the pedal, contrapedal and rotated pedal and 65 for the interpolated
-# pedal; on the boundary 65 for the hybrid, pseudo-Talbot and the negative
-# pedal), 2**14 points fit in memory the process already holds: the
-# battery's peak RSS reads ~38.0 MB against ~37.8 MB at 2**13
+# count; at up to ~95 bytes per point (tracemalloc peak of a 256-pole
+# n=2048 scan over 2**14 points, shared frames included, and the frame's F0
+# planes and the rule's weight rows tiled to the chunk's height, ~22 of
+# them: on a circle 92.5 for the pedal, contrapedal and rotated pedal and
+# 94.5 for the interpolated pedal; on the boundary 94.6 for the hybrid,
+# pseudo-Talbot and the negative pedal; 81 at n=256), 2**14 points fit in
+# memory the process already holds: the battery's peak RSS reads ~38.5 MB
+# against ~37.9 MB at 2**13, and a 2**13 chunk costs the many_poles scans
+# a few percent more time
 CHUNK_POINTS = 2 ** 14
 
 
@@ -224,11 +227,14 @@ def _sweep(frame: Callable, poles: np.ndarray, n: int, per_chunk: int):
     first chunk: no registry frame raises on real nodes, where
     |P'(t)|^2 >= b^2 > 0.  The frame, the one rule of the doubling check
     (areas.doubling_rule, whose row checks run once) and one workspace of
-    three planes of per_chunk rows at 2n serve all chunks.  A chunk makes
-    one points() call at 2n on the (k, 1) coordinate views of its poles,
-    with the first k rows of the workspace, into which an affine frame
-    writes its points (see areas.Family), and hands the stack to the rule,
-    which takes both areas from one rfft per coordinate: the n-point
+    three planes of per_chunk rows at 2n serve all chunks, and each keeps
+    what it tiles to the chunk's height on the first chunk (F0, the mode
+    weights) for the rest.  A chunk makes one points() call at 2n on the
+    (k, 1) coordinate views of its poles, with the first k rows of the
+    workspace, into which an affine frame writes its points (see
+    areas.Family), and hands that stack of k curves straight to the rule;
+    only the ellipse family's one curve is broadcast to the k poles.  The
+    rule takes both areas from one rfft per coordinate: the n-point
     spectrum of the even samples is a fold of the 2n-point one.  The
     workspace is allocated once per scan, so the chunks do not fault the
     same pages in again, one after the other.  A chunk that raised, a row
@@ -245,9 +251,11 @@ def _sweep(frame: Callable, poles: np.ndarray, n: int, per_chunk: int):
         chunk = slice(c0, c0 + per_chunk)
         x, y = poles[chunk, :1], poles[chunk, 1:]
         try:
-            # the ellipse family has no pole: its one curve stands for all k
             pts = points(x, y, work[:, :len(x)])
-            out[:, chunk] = rule(np.broadcast_to(pts, (len(x), t.size, 2)))
+            if pts.ndim == 2:
+                # the ellipse family has no pole: its one curve stands for all k
+                pts = np.broadcast_to(pts, (len(x),) + pts.shape)
+            out[:, chunk] = rule(pts)
         except GeometryError:
             for i in range(len(x)):
                 try:
@@ -314,8 +322,10 @@ def scan(e: Ellipse, family, locus: LocusSpec, n: int = 2048,
             settled_area(coarse[j], fine[j])
         except QuadratureError as exc:
             errors[j] = str(exc)
-    areas: List[Optional[float]] = [a if g else None
-                                    for a, g in zip(coarse.tolist(), good.tolist())]
+    every = bool(good.all())
+    areas: List[Optional[float]] = (
+        coarse.tolist() if every
+        else [a if g else None for a, g in zip(coarse.tolist(), good.tolist())])
 
     mean: Optional[float] = None
     max_rel_dev: Optional[float] = None
@@ -332,7 +342,7 @@ def scan(e: Ellipse, family, locus: LocusSpec, n: int = 2048,
         closed_ref = float(c[0])
         max_closed_dev = float(np.max(np.abs(coarse[pairs] - c) / np.maximum(np.abs(c), 1.0)))
 
-    passed = (good.all() and max_rel_dev is not None and max_rel_dev <= tol
+    passed = (every and max_rel_dev is not None and max_rel_dev <= tol
               and (max_closed_dev is None or max_closed_dev <= tol))
 
     return InvarianceReport(

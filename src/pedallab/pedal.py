@@ -52,6 +52,7 @@ The evolutoid has no pole and no frame: evolutoid_point evaluates it.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, List
 
@@ -62,7 +63,7 @@ from .curves import (
     SampledCurve,
     SupportCurve,
     ellipse_point,
-    ellipse_velocity,
+    ellipse_point_velocity,
     xy_on_ellipse,
 )
 from .errors import DegenerateLine, DomainError, SingularFamily
@@ -91,24 +92,50 @@ def _affine_frame(fx, fy, sx: float = 1.0, sy: float = 1.0) -> Callable:
     one scratch plane: no other full-size temporary.
 
     points(x, y, out) writes into the workspace out instead, a real
-    (3, k, n) array for a chunk of k poles: the planes are out[:2] and the
-    scratch plane is out[2], so a scan that passes one workspace to every
-    chunk allocates no plane per chunk.  The points returned are then a
-    view of out, valid until its next use.
+    (3, k, n) array for a chunk of k poles on n real parameters: the
+    planes are out[:2] and the scratch plane is out[2], so a scan that
+    passes one workspace to every chunk allocates no plane per chunk.  The
+    points returned are then a view of out, valid until its next use.
+    Two things make this path cheaper per point:
+
+    * F0 is tiled to the chunk's height on the first call with a
+      workspace, once per frame (so once per scan), and kept; a shorter
+      chunk reads its first rows.  Adding the row F0 to k rows costs numpy
+      half as much again as adding two planes.
+    * Each c F stays a (k, 1) by (n,) product, which reads the one row F
+      and writes the plane.  numpy copies the operands of such a product
+      through its buffers when a row is shorter than a third of the buffer
+      (8192 elements by default; a scan at n = 256 has rows of 512), at
+      about three times the cost; on such rows the products run with the
+      buffer cut to a row (_row_buffer, restored on return), so each row
+      is one inner loop.
+
+    The sums and their order are those of points(x, y), so the points are
+    bitwise the same, and those of each pole alone.
     """
+    f0 = None
 
     def points(x0, y0, out=None):
+        nonlocal f0
         c1, c2 = x0 / sx, y0 / sy
-        if out is None:
-            # c1 F1 first, whose shape and dtype the planes take: the
-            # helpers that work them out from the columns cost more than
-            # the products on the few parameters of a cusp-refinement step;
-            # as an array, as it is the scratch plane (a 0-d product is a
-            # numpy scalar)
-            scratch = np.asarray(c1 * fx[1])
-            planes = np.empty((2,) + scratch.shape, dtype=np.result_type(scratch, fy[1]))
-        else:
-            planes, scratch = out[:2], np.multiply(c1, fx[1], out[2])
+        if out is not None:
+            px, py, scratch = out
+            k, n = px.shape
+            if f0 is None or len(f0[0]) < k:
+                f0 = np.empty((2, k, n), dtype=np.result_type(fx[0], fy[0]))
+                f0[0], f0[1] = fx[0], fy[0]
+            with _row_buffer(n):
+                np.add(f0[0, :k], np.multiply(c1, fx[1], scratch), px)
+                np.add(px, np.multiply(c2, fx[2], scratch), px)
+                np.add(f0[1, :k], np.multiply(c1, fy[1], py), py)
+                np.add(py, np.multiply(c2, fy[2], scratch), py)
+            return out[:2].transpose(1, 2, 0)
+        # c1 F1 first, whose shape and dtype the planes take: the helpers
+        # that work them out from the columns cost more than the products
+        # on the few parameters of a cusp-refinement step; as an array, as
+        # it is the scratch plane (a 0-d product is a numpy scalar)
+        scratch = np.asarray(c1 * fx[1])
+        planes = np.empty((2,) + scratch.shape, dtype=np.result_type(scratch, fy[1]))
         px, py = planes[0, ...], planes[1, ...]
         # outputs passed by position: the keyword costs more on few parameters
         np.add(fx[0], scratch, px)
@@ -118,6 +145,26 @@ def _affine_frame(fx, fy, sx: float = 1.0, sy: float = 1.0) -> Callable:
         return planes.transpose((*range(1, planes.ndim), 0))
 
     return points
+
+
+@contextmanager
+def _row_buffer(n: int):
+    """numpy's ufunc buffer cut to a row of n elements, rounded up to the
+    multiple of 16 that numpy requires, for the body of the with block,
+    if a row is shorter than a third of the buffer; the size before it is
+    restored on exit.  A longer row keeps the buffer as it is: numpy runs
+    its broadcast products without copies, and a buffer cut to the row
+    slows them (4 by 4096 products, a scan at n = 2048: ~25% more time).
+    np.setbufsize's setting is local to the thread, and under numpy 2 to
+    the context, so no other thread sees it."""
+    if 3 * n >= np.getbufsize():
+        yield
+        return
+    old = np.setbufsize(-(-n // 16) * 16)
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
 
 
 # ---------------------------------------------------------------------------
@@ -157,21 +204,22 @@ def _normal(v):
 
 def pedal_frame(e: Ellipse, t) -> Callable:
     """Tangent lines at P(t)."""
-    return _affine_frame(*_feet(ellipse_point(e, t), ellipse_velocity(e, t)))
+    return _affine_frame(*_feet(*ellipse_point_velocity(e, t)))
 
 
 def contrapedal_frame(e: Ellipse, t) -> Callable:
     """Normal lines at P(t)."""
-    return _affine_frame(*_feet(ellipse_point(e, t), _normal(ellipse_velocity(e, t))))
+    p, v = ellipse_point_velocity(e, t)
+    return _affine_frame(*_feet(p, _normal(v)))
 
 
 def rotated_frame(e: Ellipse, t, theta: float) -> Callable:
     """Lines through P(t) along the tangent turned by theta."""
-    v = ellipse_velocity(e, t)
+    p, v = ellipse_point_velocity(e, t)
     ct, st = math.cos(theta), math.sin(theta)
     d = np.stack([ct * v[..., 0] - st * v[..., 1],
                   st * v[..., 0] + ct * v[..., 1]], axis=-1)
-    return _affine_frame(*_feet(ellipse_point(e, t), d))
+    return _affine_frame(*_feet(p, d))
 
 
 def interpolated_frame(e: Ellipse, t, mu: float) -> Callable:
@@ -181,8 +229,8 @@ def interpolated_frame(e: Ellipse, t, mu: float) -> Callable:
     meet at P(t), so the blend (1 - mu) pedal + mu contrapedal is
     (1 - 2 mu) pedal + mu (P(t) + m): one foot per parameter.
     """
-    p = ellipse_point(e, t)
-    fx, fy = _feet(p, ellipse_velocity(e, t))
+    p, v = ellipse_point_velocity(e, t)
+    fx, fy = _feet(p, v)
     k = 1.0 - 2.0 * mu
     return _affine_frame((k * fx[0] + mu * p[..., 0], k * fx[1] + mu, k * fx[2]),
                          (k * fy[0] + mu * p[..., 1], k * fy[1], k * fy[2] + mu))
@@ -295,9 +343,14 @@ def _negative_pedal_columns(e: Ellipse, t):
     """The columns of the negative pedal of the pole P(s), its pencil's
     singularity at t = s divided out (see negative_pedal_frame)."""
     t = np.asarray(t)
+    return _reduced_columns(e, t, np.cos(t), np.sin(t))
+
+
+def _reduced_columns(e: Ellipse, t, c1, s1):
+    # _negative_pedal_columns on the array t, given its cos and sin
     al, be = (e.a * e.a + e.b * e.b) / (2 * e.a), (e.a * e.a + e.b * e.b) / (2 * e.b)
     ga, de = e.c2 / (2 * e.a), e.c2 / (2 * e.b)
-    c1, s1, c2, s2 = np.cos(t), np.sin(t), np.cos(2 * t), np.sin(2 * t)
+    c2, s2 = np.cos(2 * t), np.sin(2 * t)
     return (2 * ga * c1, ga * c2 - al, -ga * s2), (-2 * de * s1, de * s2, de * c2 - be)
 
 
@@ -320,10 +373,14 @@ def negative_pedal_frame(e: Ellipse, t) -> Callable:
 
 
 def _hybrid_columns(e: Ellipse, t):
-    # the negative pedal's columns reflected in P(t), once per frame
-    (x0, x1, x2), (y0, y1, y2) = _negative_pedal_columns(e, t)
-    p = ellipse_point(e, t)
-    return (2 * p[..., 0] - x0, -x1, -x2), (2 * p[..., 1] - y0, -y1, -y2)
+    # the negative pedal's columns reflected in P(t), once per frame, on one
+    # cos t and sin t; P(t) as ellipse_point gives it, an array even for a
+    # 0-d t
+    t = np.asarray(t)
+    ct, st = np.cos(t), np.sin(t)
+    (x0, x1, x2), (y0, y1, y2) = _reduced_columns(e, t, ct, st)
+    px, py = np.asarray(e.a * ct), np.asarray(e.b * st)
+    return (2 * px - x0, -x1, -x2), (2 * py - y0, -y1, -y2)
 
 
 def _hybrid_rational(e: Ellipse, t) -> Callable:

@@ -363,6 +363,27 @@ class TestDoublingRule:
         for j, (x, y) in enumerate(poles.tolist()):
             assert np.array_equal(got[:, j], rule(frame(x, y)))
 
+    @pytest.mark.parametrize("k, n", [(32, 256), (4, 2048)])
+    @pytest.mark.parametrize("fam", [f.value for f in SCANNABLE])
+    def test_stack_at_the_scan_chunk_shapes_equals_each_curve_alone_bitwise(self, k, n, fam):
+        # the chunk shapes of a scan at n = 256 and n = 2048; one rule takes
+        # a full chunk, a shorter one and a single curve, in any order
+        t2 = ParamGrid(2 * n).nodes()
+        frame = FAMILIES[fam].frame(E21, t2, 0.6, 1 / 3)
+        s = np.random.default_rng(k).uniform(0.0, 2 * math.pi, k)
+        if FAMILIES[fam].on_ellipse:
+            poles = ellipse_point(E21, s)
+        else:
+            poles = np.stack([1.3 * np.cos(s), 1.3 * np.sin(s)], axis=-1)
+        rule = doubling_rule(t2)
+        alone = [rule(frame(x, y)) for x, y in poles.tolist()]
+        for rows in (k, 1, k, max(1, k // 4)):
+            pts = frame(poles[:rows, :1], poles[:rows, 1:])
+            got = rule(np.broadcast_to(pts, (rows, 2 * n, 2)))
+            assert got.shape == (2, rows)
+            for j in range(rows):
+                assert got[:, j].tobytes() == alone[j].tobytes()
+
     @pytest.mark.parametrize("params, error", [
         (ParamGrid(17).nodes(), QuadratureError),  # odd
         (ParamGrid(14).nodes(), QuadratureError),  # shorter than 16

@@ -313,14 +313,16 @@ class TestScanEdge:
 
 
 def count_trig_points(monkeypatch):
-    """Patch ellipse_point and ellipse_velocity where the Steiner frames call
-    them; the returned list gathers the number of parameters of every call."""
+    """Patch ellipse_point_velocity, the one trig evaluation of a Steiner
+    frame, where the frames call it; the returned list gathers the number
+    of parameters of every call."""
     sizes = []
-    for name in ("ellipse_point", "ellipse_velocity"):
-        def counted(e, t, fn=getattr(pedal, name)):
-            sizes.append(np.size(t))
-            return fn(e, t)
-        monkeypatch.setattr(pedal, name, counted)
+
+    def counted(e, t, fn=pedal.ellipse_point_velocity):
+        sizes.append(np.size(t))
+        return fn(e, t)
+
+    monkeypatch.setattr(pedal, "ellipse_point_velocity", counted)
     return sizes
 
 
@@ -353,8 +355,9 @@ class TestNestedGrids:
         rep = scan(E21, fam, LocusSpec("circle", r=0.8, count=64), n=2048,
                    theta=0.6, mu=1 / 3)
         assert rep.passed
-        # P(t) and P'(t) on the 4096 nodes, once each; no 2048-point frame
-        assert sizes == [4096, 4096]
+        # P(t) and P'(t) on the 4096 nodes, from one cos and sin; no
+        # 2048-point frame
+        assert sizes == [4096]
 
 
 class TestBoundaryFrames:
@@ -511,6 +514,18 @@ class TestBatchedScan:
         assert all(shared for _, shared in seen)
         for j in range(count):
             assert (rep.areas[j], rep.errors[j]) == scan_alone(E21, fam, locus, j, n,
+                                                               theta=0.6, mu=1 / 3)
+
+    @pytest.mark.parametrize("fam", SCANNABLE)
+    def test_a_many_poles_scan_equals_each_pole_alone(self, fam):
+        # the many_poles workload's shape: 256 poles at n = 256, chunks of
+        # 32 poles on 512 nodes
+        kind = "boundary" if FAMILIES[fam.value].on_ellipse else "circle"
+        locus = LocusSpec(kind, r=1.7, count=256, phase=0.4)
+        rep = scan(E21, fam, locus, n=256, theta=0.6, mu=1 / 3)
+        assert rep.passed
+        for j in range(locus.count):
+            assert (rep.areas[j], rep.errors[j]) == scan_alone(E21, fam, locus, j, 256,
                                                                theta=0.6, mu=1 / 3)
 
     @pytest.mark.parametrize("fam", ["hybrid", "negative_pedal"])

@@ -31,7 +31,7 @@ from pedallab import (
     support_point,
 )
 import pedallab.pedal as pedal_module
-from pedallab.areas import Family
+from pedallab.areas import FAMILIES, Family
 from pedallab.curves import as_xy, pole_on_ellipse
 from pedallab.pedal import (
     Crossing,
@@ -51,6 +51,9 @@ from pedallab.pedal import (
 TWO_PI = 2.0 * math.pi
 E21 = Ellipse(2.0, 1.0)
 M = (0.7, -0.4)
+# the registry families with a pole, whose frames take a chunk's workspace
+POLE_FAMILIES = [name for name, fam in FAMILIES.items()
+                 if fam.frame is not None and name != "ellipse"]
 
 
 def rot(v, theta):
@@ -298,6 +301,58 @@ class TestPoleChunks:
             frame_points("hybrid", t, poles[:, :1], poles[:, 1:])
         assert info.value.t == pytest.approx(0.9)
 
+    @staticmethod
+    def workload_poles(fam, k):
+        """k poles for the registry family fam, signed zeros among them: on
+        the ellipse for the boundary families, anywhere for the others."""
+        rng = np.random.default_rng(k)
+        if FAMILIES[fam].on_ellipse:
+            poles = ellipse_point(E21, rng.uniform(0.0, TWO_PI, max(k, 3)))
+            poles[:3] = [[E21.a, 0.0], [-0.0, E21.b], [0.0, -E21.b]]
+        else:
+            poles = rng.normal(size=(max(k, 3), 2))
+            poles[:3] = [[0.0, 0.0], [-0.0, 0.5], [0.3, -0.0]]
+        return poles[:k]
+
+    @pytest.mark.parametrize("fam", POLE_FAMILIES)
+    @pytest.mark.parametrize("k, size", [(k, size) for k in (1, 4, 32)
+                                         for size in (16, 18, 512, 4096)])
+    def test_workspace_points_are_the_plain_points_bitwise(self, fam, k, size):
+        # the scan's path: a real (3, k, n) workspace, one frame for chunks
+        # of k rows and then of fewer, in the workspace's first rows; every
+        # point bitwise that of points(x, y) and of its pole alone, signed
+        # zeros included, and numpy's buffer size as it was
+        t = ParamGrid(size).nodes()
+        frame = FAMILIES[fam].frame(E21, t, 0.6, 1.0 / 3.0)
+        poles = self.workload_poles(fam, k)
+        work = np.full((3, k, size), np.nan)
+        bufsize = np.getbufsize()
+        for rows in (k, max(1, k // 4), k):
+            x, y = poles[:rows, :1], poles[:rows, 1:]
+            got = frame(x, y, work[:, :rows])
+            assert np.getbufsize() == bufsize
+            assert np.shares_memory(got, work)
+            want = frame(x, y)
+            assert got.shape == want.shape == (rows, size, 2)
+            assert got.tobytes() == want.tobytes()
+            for j in range(rows):
+                alone = frame(float(poles[j, 0]), float(poles[j, 1]))
+                assert got[j].tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("fam", POLE_FAMILIES)
+    @pytest.mark.parametrize("k, size", [(1, 16), (4, 512), (32, 512), (4, 4096)])
+    def test_complex_step_rows_equal_single_poles_bitwise(self, fam, k, size):
+        # a frame on complex parameters, as a complex step builds it, gives
+        # each pole of a chunk bitwise the points of the pole alone
+        t = ParamGrid(size).nodes() + 2.0 ** -64 * 1j
+        frame = FAMILIES[fam].frame(E21, t, 0.6, 1.0 / 3.0)
+        poles = self.workload_poles(fam, k)
+        got = frame(poles[:, :1], poles[:, 1:])
+        assert got.dtype == complex and got.shape == (k, size, 2)
+        for j in range(k):
+            alone = frame(float(poles[j, 0]), float(poles[j, 1]))
+            assert got[j].tobytes() == alone.tobytes()
+
     @pytest.mark.parametrize("bad", [np.zeros((2, 3)), np.zeros((3, 2, 1)),
                                      np.full((2, 2, 1), np.nan),
                                      (POLES[:, :1], POLES[:, 1:])])
@@ -445,14 +500,14 @@ class TestFootFrames:
     @pytest.mark.parametrize("kind", sorted(STEINER))
     def test_vanishing_direction_raises(self, monkeypatch, kind):
         t = np.linspace(0.0, 1.0, 8)
-        velocity = pedal_module.ellipse_velocity
+        point_velocity = pedal_module.ellipse_point_velocity
 
         def vanishing(e, t):
-            v = velocity(e, t)
+            p, v = point_velocity(e, t)
             v[3] = 0.0
-            return v
+            return p, v
 
-        monkeypatch.setattr(pedal_module, "ellipse_velocity", vanishing)
+        monkeypatch.setattr(pedal_module, "ellipse_point_velocity", vanishing)
         with pytest.raises(DegenerateLine):
             STEINER[kind](E21, t)
 
