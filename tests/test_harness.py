@@ -663,6 +663,22 @@ class TestConjecture:
         assert rep.dist_to_x_axis_point < 1e-6
         assert rep.dist_to_y_axis_point < 1e-6
 
+    @pytest.mark.parametrize("ratio, pole, n, bound", [
+        # a sweep hit between the crossing at (x0, 0) and one at the pole,
+        # within a step of both
+        (5.0, (-0.313, -0.182), 512, (1.5e-6, 1e-9)),
+        (5.0, (-0.313, -0.182), 1024, (1.9e-7, 3.7e-11)),
+        (5.0, (1.1253960427303076, -0.9121159840772333), 128, (3.4e-6, 5.9e-9)),
+        # the crossing at (x0, 0) lies just beyond a step from the sweep's hit
+        (1 + math.sqrt(2), (-2.128121325286305, -0.2247363977785426), 64, (6.6e-9, 2.7e-10)),
+    ])
+    def test_coarse_grids_of_flat_ellipses_keep_the_axis_crossings(self, ratio, pole, n, bound):
+        # the bounds are the distances of the window-only polish that
+        # Newton steps replaced, rounded up
+        rep = conjecture_check_contrapedal(Ellipse(ratio, 1.0), pole, n=n)
+        assert rep.passed
+        assert rep.dist_to_x_axis_point <= bound[0] and rep.dist_to_y_axis_point <= bound[1]
+
     def test_axis_pole_is_skipped(self):
         rep = conjecture_check_contrapedal(E21, (0.5, 0.0))
         assert rep.skipped and rep.passed
