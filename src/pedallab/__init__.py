@@ -23,7 +23,6 @@ from .areas import (
     pedal_polygon,
     perimeter_quadrature,
     polygon_signed_area,
-    signed_area_quadrature,
     support_areas,
     support_contrapedal_area,
     support_contrapedal_point,

@@ -11,11 +11,12 @@ ones (Trefethen & Weideman, SIAM Rev. 2014).  A plain finite-difference
 shoelace stalls near 1e-6 relative error at two thousand points, which is
 not enough to certify the invariants this package is about.
 area_rule(params) checks a row of parameters once and returns the
-quadrature for any curve or stack of curves sampled on it;
-signed_area_quadrature is that rule for one SampledCurve.  Every certified
+quadrature for any curve or stack of curves sampled on it; the area of a
+SampledCurve is area_rule(curve.params)(curve.points).  Every certified
 area is re-run on a grid twice as fine; settled() is that doubling test,
 and doubling_rule(params) gives both of its areas from one rfft of the
-samples on the fine row.
+samples on the fine row.  Scans, the identity suite and the CLI's area
+command sample once, on the fine row, and take both areas from it.
 """
 
 from __future__ import annotations
@@ -333,7 +334,8 @@ def area_rule(params) -> Callable:
     precision.  A row that fails a check raises DomainError (not one row,
     not increasing) or QuadratureError; points of another shape raise
     DomainError, and an area that overflows to a non-finite value raises
-    QuadratureError.  A scan takes its areas from doubling_rule instead.
+    QuadratureError.  Scans, the identity suite and the CLI's area command
+    take their areas from doubling_rule instead.
     """
     _periodic_step(params)
     n = np.shape(params)[0]
@@ -404,14 +406,6 @@ def doubling_rule(params) -> Callable:
         return _finite(area)
 
     return rule
-
-
-def signed_area_quadrature(curve: SampledCurve) -> float:
-    """Signed area 1/2 * integral(x y' - y x') of a closed sampled curve:
-    the area_rule of its params applied to its points.  The grid must be
-    uniform and must cover exactly one period.
-    """
-    return area_rule(curve.params)(curve.points)
 
 
 def settled(coarse, fine):

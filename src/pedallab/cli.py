@@ -32,10 +32,10 @@ from .areas import (
     curvature_centroid_polygon,
     curvature_centroid_samples,
     curvature_centroid_support,
+    doubling_rule,
     pedal_polygon,
     polygon_signed_area,
     settled_area,
-    signed_area_quadrature,
 )
 from .curves import (
     Ellipse,
@@ -215,8 +215,8 @@ def _resolve_pole(args, e: Ellipse):
     return (0.0, 0.0), None
 
 
-def _build_curve(args, e: Ellipse):
-    """Sampled curve plus serializable metadata for the chosen family."""
+def _family_curve(args, e: Ellipse):
+    """Evaluator, serializable metadata and n-point grid of the chosen family."""
     if args.offset is not None and not 0.0 <= args.offset < 1.0:
         raise UsageProblem(f"--offset must lie in [0, 1), got {args.offset}")
     fam, spec = args.family, FAMILIES[args.family]
@@ -238,7 +238,6 @@ def _build_curve(args, e: Ellipse):
         grid = ParamGrid(count=args.n)
     if args.offset is not None:
         grid = dataclasses.replace(grid, offset=args.offset)
-    curve = sample_curve(ev, grid)
     meta = {
         "family": fam,
         "a": e.a,
@@ -247,7 +246,7 @@ def _build_curve(args, e: Ellipse):
         "params": {"theta": args.theta, "mu": args.mu, "s": s,
                    "n": args.n, "offset": grid.offset},
     }
-    return curve, meta, grid
+    return ev, meta, grid
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +300,8 @@ def _format_svg(curve: SampledCurve) -> str:
 
 def cmd_sample(args) -> int:
     e = _ellipse(args)
-    curve, meta, _ = _build_curve(args, e)
+    ev, meta, grid = _family_curve(args, e)
+    curve = sample_curve(ev, grid)
     if args.format == "csv":
         text = _format_csv(curve)
     elif args.format == "json":
@@ -314,10 +314,12 @@ def cmd_sample(args) -> int:
 
 def cmd_area(args) -> int:
     e = _ellipse(args)
-    curve, meta, grid = _build_curve(args, e)
-    quad = signed_area_quadrature(curve)
-    grid2 = dataclasses.replace(grid, count=2 * grid.count)
-    quad2 = signed_area_quadrature(sample_curve(curve.evaluator, grid2))
+    ev, meta, grid = _family_curve(args, e)
+    # one sample at 2n: the n grid is its even nodes, or its odd nodes,
+    # rolled onto the even ones (ParamGrid), and doubling_rule gives both areas
+    odd = int(2 * grid.offset >= 1.0)
+    fine = sample_curve(ev, ParamGrid(2 * grid.count, grid.start, 2 * grid.offset - odd))
+    quad, quad2 = doubling_rule(fine.params)(np.roll(fine.points, -odd, axis=0)).tolist()
     try:
         # the evolutoid has no pole, and its closed form takes none
         closed = closed_form_area(args.family, e, m=meta["m"] or (0.0, 0.0),
@@ -372,9 +374,9 @@ def cmd_centroid(args) -> int:
         k = curvature_centroid_support(ellipse_support(e), n=args.n)
         meta = {"family": "ellipse", "a": e.a, "b": e.b, "source": "support"}
     else:
-        curve, meta, _ = _build_curve(args, e)
+        ev, meta, grid = _family_curve(args, e)
         meta["source"] = "samples"
-        k = curvature_centroid_samples(curve)
+        k = curvature_centroid_samples(sample_curve(ev, grid))
     out = dict(meta)
     out["kx"] = k.x
     out["ky"] = k.y

@@ -29,6 +29,10 @@ from .tolerances import ON_ELLIPSE_TOL
 
 TWO_PI = 2.0 * math.pi
 
+# the numpy error state of every evaluation: a point that overflows or is
+# undefined comes out inf or nan, which finite_rows names, with no warning
+QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
+
 
 @dataclass(frozen=True)
 class Point2:
@@ -199,8 +203,10 @@ class ParamGrid:
     The fractional offset shifts every node by the same sub-step amount,
     which keeps quadrature weights uniform while dodging isolated singular
     parameters (the CLI samples a pole P(s) on the ellipse at start=s with
-    offset=1/2).  With offset 0 and start 0 the grid nests: its nodes are
-    the even nodes of the grid of twice the count, bit for bit.
+    offset=1/2).  Every grid nests in one of twice the count, bit for bit:
+    the nodes of ParamGrid(n, s, o) are the even nodes of
+    ParamGrid(2n, s, 2o) when 2o < 1, and the odd nodes of
+    ParamGrid(2n, s, 2o - 1) otherwise.
     """
 
     count: int
@@ -263,27 +269,13 @@ def finite_rows(t, points) -> np.ndarray:
 
 
 def sample_curve(f: Callable, grid: ParamGrid) -> SampledCurve:
-    """Evaluate f on the grid nodes, in one call; failures name the
-    offending node.  A non-finite point is named at its node (finite_rows),
-    with no numpy warning: f is evaluated with overflow, invalid operations
-    and division by zero ignored.  Only a call that raises or returns the
-    wrong shape is replayed node by node, to name the first node that
-    raises or is non-finite."""
+    """Evaluate the vectorized f on the grid nodes, in one call, under
+    QUIET: a point that overflows or is undefined comes out non-finite,
+    with no numpy warning, and finite_rows names its node.  An error that
+    f raises propagates as it is; a result that is not one (x, y) row per
+    node raises SampledCurve's DomainError."""
     t = grid.nodes()
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        try:
-            pts = np.asarray(f(t), dtype=float)
-            vectorized = pts.shape == (t.size, 2)
-        except Exception:
-            vectorized = False
-        if not vectorized:
-            pts = np.empty((t.size, 2))
-            for k, tk in enumerate(t):
-                try:
-                    pts[k] = np.asarray(f(tk), dtype=float).reshape(2)
-                except Exception as exc:
-                    # a non-finite node before it comes first
-                    finite_rows(t[:k], pts[:k])
-                    raise EvaluationError(
-                        f"curve evaluation failed at t={float(tk)!r}: {exc}", node=tk) from exc
-    return SampledCurve(params=t, points=finite_rows(t, pts), evaluator=f)
+    with np.errstate(**QUIET):
+        curve = SampledCurve(params=t, points=f(t), evaluator=f)
+    finite_rows(t, curve.points)
+    return curve

@@ -10,7 +10,7 @@ class DomainError(GeometryError, ValueError):
 
 
 class EvaluationError(GeometryError):
-    """A curve evaluator failed at a specific parameter value."""
+    """A sampled curve has a non-finite point at the node it names."""
 
     def __init__(self, message, node=None):
         super().__init__(message)

@@ -55,6 +55,7 @@ from .areas import (
     support_pedal_area,
 )
 from .curves import (
+    QUIET,
     Ellipse,
     ParamGrid,
     as_xy,
@@ -212,8 +213,10 @@ def _pole_areas(points: Callable, rule: Callable, t: np.ndarray, x, y) -> np.nda
     """Areas (coarse, fine) of one pole, at its (1, 1) coordinates x and y:
     one points() call of its frame on the 2n nodes t, whose rows must be
     finite (curves.finite_rows names the first node that is not), and the
-    doubling rule of t.  An error of either step is raised as it is."""
-    pts = np.broadcast_to(points(x, y), (1, t.size, 2))  # as in _sweep
+    doubling rule of t.  An error of either step is raised as it is.  The
+    call runs under curves.QUIET, as sample_curve runs its evaluator."""
+    with np.errstate(**QUIET):
+        pts = np.broadcast_to(points(x, y), (1, t.size, 2))  # as in _sweep
     finite_rows(t, pts[0])
     return rule(pts)[:, 0]
 
@@ -224,8 +227,11 @@ def _sweep(frame: Callable, poles: np.ndarray, n: int, per_chunk: int):
     error, None or its message.
 
     frame(t) builds the family's frame on the 2n nodes t, once, before the
-    first chunk: no registry frame raises on real nodes, where
-    |P'(t)|^2 >= b^2 > 0.  The frame, the one rule of the doubling check
+    first chunk; an error it raises, such as a Steiner frame's
+    DegenerateLine on an ellipse too flat for its lines, fails the scan.
+    The chunks run under one curves.QUIET error state, as sample_curve runs
+    its evaluator: a pole that overflows gets non-finite points and no
+    numpy warning.  The frame, the one rule of the doubling check
     (areas.doubling_rule, whose row checks run once) and one workspace of
     three planes of per_chunk rows at 2n serve all chunks, and each keeps
     what it tiles to the chunk's height on the first chunk (F0, the mode
@@ -247,21 +253,22 @@ def _sweep(frame: Callable, poles: np.ndarray, n: int, per_chunk: int):
     work = np.empty((3, min(per_chunk, len(poles)), t.size))
     out = np.full((2, len(poles)), np.nan)
     errors: List[Optional[str]] = [None] * len(poles)
-    for c0 in range(0, len(poles), per_chunk):
-        chunk = slice(c0, c0 + per_chunk)
-        x, y = poles[chunk, :1], poles[chunk, 1:]
-        try:
-            pts = points(x, y, work[:, :len(x)])
-            if pts.ndim == 2:
-                # the ellipse family has no pole: its one curve stands for all k
-                pts = np.broadcast_to(pts, (len(x),) + pts.shape)
-            out[:, chunk] = rule(pts)
-        except GeometryError:
-            for i in range(len(x)):
-                try:
-                    out[:, c0 + i] = _pole_areas(points, rule, t, x[i:i + 1], y[i:i + 1])
-                except GeometryError as exc:
-                    errors[c0 + i] = str(exc)
+    with np.errstate(**QUIET):
+        for c0 in range(0, len(poles), per_chunk):
+            chunk = slice(c0, c0 + per_chunk)
+            x, y = poles[chunk, :1], poles[chunk, 1:]
+            try:
+                pts = points(x, y, work[:, :len(x)])
+                if pts.ndim == 2:
+                    # the ellipse family has no pole: its one curve stands for all k
+                    pts = np.broadcast_to(pts, (len(x),) + pts.shape)
+                out[:, chunk] = rule(pts)
+            except GeometryError:
+                for i in range(len(x)):
+                    try:
+                        out[:, c0 + i] = _pole_areas(points, rule, t, x[i:i + 1], y[i:i + 1])
+                    except GeometryError as exc:
+                        errors[c0 + i] = str(exc)
     return out, errors
 
 

@@ -176,21 +176,22 @@ def _param_at(t, mask) -> float:
     return float(np.real(np.broadcast_to(t, np.shape(mask)).flat[np.argmax(mask)]))
 
 
-def _feet(p, d):
+def _feet(t, p, d):
     """Columns of the feet of the perpendiculars from a pole (x, y) onto the
-    lines p + u d, one line per parameter.
+    lines p + u d, one line per parameter of t.
 
     u = ((m - p) . d) / (d . d) is affine in the pole, so each foot is
     F0 + x F1 + y F2 with F0 = p - ((p . d) / (d . d)) d,
     F1 = (dx / (d . d)) d and F2 = (dy / (d . d)) d.  Returns the columns
     (F0, F1, F2) of x and of y, as _affine_frame takes them.  A direction
-    that vanishes raises DegenerateLine.
+    that vanishes raises DegenerateLine, naming the first such parameter.
     """
     p, d = np.asarray(p), np.asarray(d)
     px, py, dx, dy = p[..., 0], p[..., 1], d[..., 0], d[..., 1]
     dd = dx ** 2 + dy ** 2
-    if np.min(np.abs(dd)) < 1e-24:
-        raise DegenerateLine("line direction vanishes")
+    bad = np.abs(dd) < 1e-24
+    if bad.any():
+        raise DegenerateLine(f"line direction vanishes near t={_param_at(t, bad):.6g}")
     w, gx, gy = (px * dx + py * dy) / dd, dx / dd, dy / dd
     # the y of F1 and the x of F2 are both dx dy / (d . d): one array
     q = gx * dy
@@ -204,13 +205,13 @@ def _normal(v):
 
 def pedal_frame(e: Ellipse, t) -> Callable:
     """Tangent lines at P(t)."""
-    return _affine_frame(*_feet(*ellipse_point_velocity(e, t)))
+    return _affine_frame(*_feet(t, *ellipse_point_velocity(e, t)))
 
 
 def contrapedal_frame(e: Ellipse, t) -> Callable:
     """Normal lines at P(t)."""
     p, v = ellipse_point_velocity(e, t)
-    return _affine_frame(*_feet(p, _normal(v)))
+    return _affine_frame(*_feet(t, p, _normal(v)))
 
 
 def rotated_frame(e: Ellipse, t, theta: float) -> Callable:
@@ -219,7 +220,7 @@ def rotated_frame(e: Ellipse, t, theta: float) -> Callable:
     ct, st = math.cos(theta), math.sin(theta)
     d = np.stack([ct * v[..., 0] - st * v[..., 1],
                   st * v[..., 0] + ct * v[..., 1]], axis=-1)
-    return _affine_frame(*_feet(p, d))
+    return _affine_frame(*_feet(t, p, d))
 
 
 def interpolated_frame(e: Ellipse, t, mu: float) -> Callable:
@@ -230,7 +231,7 @@ def interpolated_frame(e: Ellipse, t, mu: float) -> Callable:
     (1 - 2 mu) pedal + mu (P(t) + m): one foot per parameter.
     """
     p, v = ellipse_point_velocity(e, t)
-    fx, fy = _feet(p, v)
+    fx, fy = _feet(t, p, v)
     k = 1.0 - 2.0 * mu
     return _affine_frame((k * fx[0] + mu * p[..., 0], k * fx[1] + mu, k * fx[2]),
                          (k * fy[0] + mu * p[..., 1], k * fy[1], k * fy[2] + mu))

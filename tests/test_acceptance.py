@@ -20,6 +20,7 @@ from pedallab import (
     ParamGrid,
     Polygon,
     SupportCurve,
+    area_rule,
     circumcenter,
     closed_form_area,
     conjecture_check_contrapedal,
@@ -35,7 +36,6 @@ from pedallab import (
     polygon_signed_area,
     sample_curve,
     scan,
-    signed_area_quadrature,
     support_areas,
     support_contrapedal_area,
     support_pedal_area,
@@ -49,7 +49,8 @@ REPO = Path(__file__).resolve().parents[1]
 
 def quad_area(family, m, n=2048, theta=0.0, mu=0.5):
     ev = family_evaluator(E, family, m, theta=theta, mu=mu)
-    return signed_area_quadrature(sample_curve(ev, family_grid(family, n)))
+    curve = sample_curve(ev, family_grid(family, n))
+    return area_rule(curve.params)(curve.points)
 
 
 def cos3_support():
@@ -91,7 +92,7 @@ def test_c02_pedal_minus_contrapedal_equals_enclosed_area():
     assert abs(sup_gap - 96 * math.pi) < 1e-8
     # and the sampled pedal curve of that body integrates to the same value
     curve = sample_curve(lambda t: support_pedal_point(s, t, m), ParamGrid(2048))
-    assert abs(signed_area_quadrature(curve) - ap_closed) < 1e-8
+    assert abs(area_rule(curve.params)(curve.points) - ap_closed) < 1e-8
 
 
 def test_c03_rotated_pedal_deficit_is_area_times_sin_squared():
@@ -203,7 +204,7 @@ def test_c09d_evolutoid_area_quadrature_vs_printed_constant():
     theta = 0.6
     a, b, c2 = E.a, E.b, E.c2
     curve = sample_curve(lambda t: evolutoid_point(E, theta, t), ParamGrid(2048))
-    quad = signed_area_quadrature(curve)
+    quad = area_rule(curve.params)(curve.points)
     corrected = closed_form_area("evolutoid", E, theta=theta)
     printed_variant = (math.pi * a * b * math.cos(theta) ** 2
                        - (3 * c2 / (8 * a * b)) * math.sin(theta) ** 2)

@@ -34,7 +34,6 @@ from pedallab import (
     perimeter_quadrature,
     polygon_signed_area,
     sample_curve,
-    signed_area_quadrature,
     support_areas,
     support_contrapedal_area,
     support_pedal_area,
@@ -179,21 +178,21 @@ class TestSignedAreaQuadrature:
         r = 1.7
         curve = sample_curve(lambda t: np.stack([r * np.cos(t), r * np.sin(t)], axis=-1),
                              ParamGrid(256))
-        assert signed_area_quadrature(curve) == pytest.approx(math.pi * r * r, abs=1e-12)
+        assert area_rule(curve.params)(curve.points) == pytest.approx(math.pi * r * r, abs=1e-12)
 
     def test_band_limited_curves_are_exact_at_small_grids(self):
         curve = sample_curve(lambda t: ellipse_point(E21, t), ParamGrid(64))
-        assert signed_area_quadrature(curve) == pytest.approx(2 * math.pi, abs=1e-13)
+        assert area_rule(curve.params)(curve.points) == pytest.approx(2 * math.pi, abs=1e-13)
 
     def test_orientation_sign(self):
         curve = sample_curve(lambda t: np.stack([np.cos(-t), np.sin(-t)], axis=-1),
                              ParamGrid(64))
-        assert signed_area_quadrature(curve) == pytest.approx(-math.pi, abs=1e-13)
+        assert area_rule(curve.params)(curve.points) == pytest.approx(-math.pi, abs=1e-13)
 
     def test_pedal_matches_closed_form_to_machine_precision(self):
         m = (0.7, -0.4)
         curve = sample_curve(family_evaluator(E21, "pedal", m), ParamGrid(2048))
-        assert signed_area_quadrature(curve) == pytest.approx(
+        assert area_rule(curve.params)(curve.points) == pytest.approx(
             closed_form_area("pedal", E21, m), abs=1e-11)
 
     def test_rejects_non_uniform_grid(self):
@@ -201,18 +200,18 @@ class TestSignedAreaQuadrature:
         t[10] += 1e-3
         pts = np.stack([np.cos(t), np.sin(t)], axis=-1)
         with pytest.raises(QuadratureError):
-            signed_area_quadrature(SampledCurve(params=t, points=pts))
+            area_rule(t)(pts)
 
     def test_rejects_short_grids(self):
         t = np.linspace(0, TWO_PI, 5)[:-1]
         pts = np.stack([np.cos(t), np.sin(t)], axis=-1)
         with pytest.raises(QuadratureError):
-            signed_area_quadrature(SampledCurve(params=t, points=pts))
+            area_rule(t)(pts)
 
     def test_rejects_overflowing_area(self):
         curve = sample_curve(lambda t: 1e300 * ellipse_point(E21, t), ParamGrid(64))
         with pytest.raises(QuadratureError):
-            signed_area_quadrature(curve)
+            area_rule(curve.params)(curve.points)
 
     @pytest.mark.parametrize("n", [64, 65, 512, 2048])
     @pytest.mark.parametrize("make", [
@@ -224,7 +223,7 @@ class TestSignedAreaQuadrature:
         curve = sample_curve(make, ParamGrid(n, start=0.3, offset=0.5))
         want = shoelace_spectral_derivative(curve)
         # both sum about n products of size |area|: a few hundred ulps apart at most
-        assert abs(signed_area_quadrature(curve) - want) <= 1e-12 * max(1.0, abs(want))
+        assert abs(area_rule(curve.params)(curve.points) - want) <= 1e-12 * max(1.0, abs(want))
 
     def test_stack_on_a_shared_row_equals_each_curve_alone_bitwise(self):
         poles = np.array([[0.7, -0.4], [-1.2, 0.3], [2.5, -1.5]])
@@ -236,18 +235,18 @@ class TestSignedAreaQuadrature:
         assert shared.shape == (3,)
         for j, m in enumerate(poles):
             alone = sample_curve(family_evaluator(E21, "pedal", m), ParamGrid(256))
-            assert shared[j] == signed_area_quadrature(alone)
+            assert shared[j] == area_rule(alone.params)(alone.points)
 
     def test_overflowing_curve_is_rejected(self):
         t = ParamGrid(64).nodes()
         with pytest.raises(QuadratureError, match="not finite"):
-            signed_area_quadrature(SampledCurve(t, 1e300 * ellipse_point(E21, t)))
+            area_rule(t)(1e300 * ellipse_point(E21, t))
 
     def test_rejects_partial_window(self):
         t = np.linspace(0, math.pi, 64, endpoint=False)
         pts = np.stack([np.cos(t), np.sin(t)], axis=-1)
         with pytest.raises(QuadratureError):
-            signed_area_quadrature(SampledCurve(params=t, points=pts))
+            area_rule(t)(pts)
 
 
 def two_rfft_area(t, points):
@@ -288,7 +287,7 @@ class TestAreaRule:
             assert np.shape(got) == (() if k is None else (k,))
             assert np.array_equal(got, want)
         for j, curve in enumerate([pts] if k is None else pts):
-            assert signed_area_quadrature(SampledCurve(t, curve)) == np.reshape(got, -1)[j]
+            assert area_rule(t)(curve) == np.reshape(got, -1)[j]
 
     def test_stack_on_one_shared_row(self):
         t = ParamGrid(8).nodes()
@@ -593,7 +592,7 @@ class TestCentroids:
         t = np.arange(64) * (math.pi / 64)
         curve = SampledCurve(t, ellipse_point(E21, t))
         for quadrature in (curvature_centroid_samples, perimeter_quadrature,
-                           signed_area_quadrature):
+                           lambda c: area_rule(c.params)(c.points)):
             with pytest.raises(QuadratureError, match="one full period"):
                 quadrature(curve)
 

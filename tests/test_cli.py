@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pedallab import DomainError, Ellipse, closed_form_area, ellipse_point
+from pedallab import DomainError, Ellipse, ParamGrid, area_rule, closed_form_area, ellipse_point
+from pedallab import cli
 from pedallab.areas import FAMILIES
 from pedallab.cli import MAX_COUNT, MAX_N, build_parser, main, report_json
 from pedallab.harness import SCANNABLE, IdentityCheck
@@ -265,13 +266,21 @@ class TestSample:
         assert rc == 0 and out == ""
         assert target.read_text().startswith("t,x,y\n")
 
-    def test_evaluation_error_prints_the_node_as_a_plain_float(self, capsys):
-        # (2, 0.5) lies on the tangent line at P(0), the grid's first node
+    def test_a_raising_evaluator_prints_its_own_error(self, capsys):
+        # (2, 0.5) lies on the tangent line at P(0), the grid's first node;
+        # the pencil's message names the node, as a scan prints it
         rc, out, err = run(capsys, "sample", "--family", "hybrid", "--m", "2,0.5",
                            "--offset", "0")
         assert rc == 1 and out == ""
-        assert err == ("error: curve evaluation failed at t=0.0: envelope is singular "
-                       "near t=0 (parallel line pencil)\n")
+        assert err == "error: envelope is singular near t=0 (parallel line pencil)\n"
+
+    def test_sample_area_and_scan_name_the_same_degenerate_line(self, capsys):
+        # b = 1e-13: the tangent direction's length squared, b^2 at t = 0,
+        # is below the feet's floor
+        flat = ("--a", "2", "--b", "1e-13")
+        want = "error: line direction vanishes near t=0\n"
+        for argv in (("sample", *flat), ("area", *flat), ("scan", *flat, "--locus", "circle")):
+            assert run(capsys, *argv) == (1, "", want), argv
 
     def test_boundary_pole_families_get_shifted_grid(self, capsys):
         rc, out, _ = run(capsys, "sample", "--family", "hybrid", "--s", "0.7",
@@ -325,8 +334,9 @@ class TestArea:
         assert err.startswith("error: quadrature not settled (gap ")
 
     @pytest.mark.parametrize("fam, m, err", [
+        # the node of the 2n grid, as a scan names it
         ("negative_pedal", "1e200,0",
-         "error: curve evaluation failed at t=0.09817477042468103: non-finite point\n"),
+         "error: curve evaluation failed at t=0.04908738521234052: non-finite point\n"),
         ("hybrid", "1e300,1e300", "error: curve evaluation failed at t=0.0: non-finite point\n"),
         ("pedal", "0,-1e200", "error: quadrature area is not finite (nan)\n"),
         # the curve's area is finite, its closed form overflows
@@ -337,6 +347,35 @@ class TestArea:
             warnings.simplefilter("error")
             rc, _, got = run(capsys, "area", "--family", fam, f"--m={m}", "--n", "64")
         assert (rc, got) == (1, err)
+
+    @pytest.mark.parametrize("argv", [
+        ("--family", "pedal", "--m", "0.7,-0.4"),
+        ("--family", "rotated", "--m", "1,1", "--theta", "0.4", "--offset", "0.25"),
+        ("--family", "contrapedal", "--m", "0.3,0.9", "--offset", "0.7"),
+        ("--family", "hybrid", "--s", "0.7"),
+        ("--family", "negative_pedal", "--m", "2,0"),
+        ("--family", "evolutoid", "--theta", "0.3"),
+    ])
+    def test_both_areas_come_from_one_evaluator_call_at_2n(self, capsys, monkeypatch, argv):
+        sampled, calls = [], []
+        sample = cli.sample_curve
+
+        def counted(f, grid):
+            sampled.append((f, grid))
+            return sample(lambda t: calls.append(np.shape(t)) or f(t), grid)
+
+        monkeypatch.setattr(cli, "sample_curve", counted)
+        rc, out, _ = run(capsys, "area", *argv, "--n", "64")
+        assert rc == 0 and calls == [(128,)]
+        f, fine = sampled[0]
+        obj = json.loads(out)
+        # the report's grid is the even or the odd nodes of the 2n grid
+        offset = obj["params"]["offset"]
+        t = fine.nodes()[int(2 * offset >= 1.0)::2]
+        assert np.array_equal(t, ParamGrid(64, fine.start, offset).nodes())
+        coarse, fine_area = area_rule(t)(f(t)), area_rule(fine.nodes())(f(fine.nodes()))
+        assert obj["quadrature"] == pytest.approx(coarse, rel=1e-14, abs=1e-14)
+        assert obj["doubling_gap"] == pytest.approx(abs(coarse - fine_area), abs=1e-13)
 
     def test_no_closed_form_for_interior_pole(self, capsys):
         rc, out, _ = run(capsys, "area", "--family", "hybrid", "--m", "0.3,0.2",
@@ -385,6 +424,18 @@ class TestScan:
         assert rep["passed"] is True
         assert rep["family"] == "contrapedal"
         assert len(rep["areas"]) == 4
+
+    def test_a_pole_that_overflows_is_named_as_area_names_it(self, capsys, tmp_path):
+        target = tmp_path / "report.json"
+        want = "curve evaluation failed at t=0.04908738521234052: non-finite point"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, _, _ = run(capsys, "scan", "--family", "negative_pedal", "--locus", "circle",
+                           "--r", "1e200", "--count", "2", "--n", "64", "--output", str(target))
+            assert rc == 1
+            assert json.loads(target.read_text())["errors"][0] == want
+            assert run(capsys, "area", "--family", "negative_pedal", "--m", "1e200,0",
+                       "--n", "64") == (1, "", f"error: {want}\n")
 
     def test_reports_are_bit_identical(self, capsys, tmp_path):
         paths = [tmp_path / "r1.json", tmp_path / "r2.json"]

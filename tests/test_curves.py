@@ -12,6 +12,7 @@ from pedallab import (
     ParamGrid,
     Point2,
     SampledCurve,
+    SingularFamily,
     SupportCurve,
     ellipse_point,
     ellipse_support,
@@ -137,6 +138,18 @@ class TestParamGrid:
         for n in [*range(8, 513), 2048, 2 ** 19 + 1]:
             assert np.array_equal(ParamGrid(n).nodes(), ParamGrid(2 * n).nodes()[::2]), n
 
+    @pytest.mark.parametrize("offset", [0.0, 0.1, 0.25, 0.4999999999999999,
+                                        0.5, 0.7, 0.75, 0.9999999999999999])
+    def test_every_grid_nests_in_its_double_bitwise(self, offset):
+        # even nodes of ParamGrid(2n, s, 2o) when 2o < 1, else odd nodes of
+        # ParamGrid(2n, s, 2o - 1): the CLI's area command samples only the 2n grid
+        odd = int(2 * offset >= 1.0)
+        for count in (8, 9, 16, 17, 64, 100, 2048):
+            for start in (0.0, 0.7, -2.3, 1e3):
+                fine = ParamGrid(2 * count, start, 2 * offset - odd).nodes()
+                assert np.array_equal(ParamGrid(count, start, offset).nodes(), fine[odd::2]), \
+                    (count, start)
+
     def test_nodes_uniform_and_shifted(self):
         g = ParamGrid(count=16, start=0.5, offset=0.25)
         t = g.nodes()
@@ -191,30 +204,31 @@ class TestSampleCurve:
         assert exc.value.node == bad
         assert str(exc.value) == f"curve evaluation failed at t={bad!r}: non-finite point"
 
-    def test_the_node_by_node_replay_names_the_first_bad_node(self):
-        # a non-finite node before the node that raises comes first
-        def replayed(t):
-            if np.ndim(t):
-                raise ValueError("no arrays")
-            if t == 0.0:
-                return (math.nan, 0.0)
-            if t > 1.0:
-                raise ValueError("too far")
-            return ellipse_point(Ellipse(2.0, 1.0), t)
+    def test_a_raising_evaluator_is_called_exactly_once(self):
+        calls = []
 
-        with pytest.raises(EvaluationError) as exc:
-            sample_curve(replayed, ParamGrid(16))
-        assert str(exc.value) == "curve evaluation failed at t=0.0: non-finite point"
-
-    def test_failure_message_prints_the_node_as_a_plain_float(self):
         def pole_at_zero(t):
-            if np.any(np.asarray(t) == 0.0):
-                raise ValueError("singular at 0")
-            return ellipse_point(Ellipse(2.0, 1.0), t)
+            calls.append(np.shape(t))
+            raise ValueError("singular at 0")
 
-        with pytest.raises(EvaluationError) as exc:
+        with pytest.raises(ValueError, match="^singular at 0$"):
             sample_curve(pole_at_zero, ParamGrid(16))
-        assert str(exc.value) == "curve evaluation failed at t=0.0: singular at 0"
+        assert calls == [(16,)]
+
+    def test_a_raised_geometry_error_arrives_as_the_same_object(self):
+        raised = SingularFamily("envelope is singular near t=0 (parallel line pencil)", t=0.0)
+
+        def pencil(t):
+            raise raised
+
+        with pytest.raises(SingularFamily) as exc:
+            sample_curve(pencil, ParamGrid(16))
+        assert exc.value is raised
+
+    @pytest.mark.parametrize("shape", [(), (16,), (16, 3), (8, 2), (1, 16, 2)])
+    def test_a_wrong_shaped_result_raises_domain_error(self, shape):
+        with pytest.raises(DomainError, match="does not match params shape"):
+            sample_curve(lambda t: np.zeros(shape), ParamGrid(16))
 
 
 class TestSupportCurve:

@@ -15,6 +15,7 @@ from pedallab import (
     QuadratureError,
     LocusSpec,
     ParamGrid,
+    area_rule,
     closed_form_area,
     conjecture_check_contrapedal,
     family_evaluator,
@@ -22,7 +23,6 @@ from pedallab import (
     identity_suite,
     sample_curve,
     scan,
-    signed_area_quadrature,
 )
 from pedallab import areas, curves, ellipse_point, harness, pedal
 from pedallab.areas import FAMILIES, Family, doubling_rule, settled_area
@@ -175,7 +175,8 @@ class TestFamilyRegistry:
         s = 0.7 if on_ellipse else 0.0
         m = tuple(float(v) for v in ellipse_point(E21, s)) if on_ellipse else (0.7, -0.4)
         ev = family_evaluator(E21, fam, m, theta=0.6, mu=1 / 3)
-        area = signed_area_quadrature(sample_curve(ev, family_grid(fam, 1024)))
+        curve = sample_curve(ev, family_grid(fam, 1024))
+        area = area_rule(curve.params)(curve.points)
         assert area == pytest.approx(closed_form_area(fam, E21, m, theta=0.6, mu=1 / 3),
                                      rel=1e-12)
 

@@ -78,8 +78,8 @@ def frame_points(fam, t, xs, ys, e=E21, theta=0.0, mu=0.5):
 
 class TestFeet:
     def test_foot_on_degenerate_line(self):
-        with pytest.raises(DegenerateLine):
-            _feet(np.zeros(2), np.zeros(2))
+        with pytest.raises(DegenerateLine, match=r"^line direction vanishes near t=0\.5$"):
+            _feet(0.5, np.zeros(2), np.zeros(2))
 
     def test_contrapedal_quarter_turn_from_center(self):
         got = point("contrapedal", math.pi / 4, (0.0, 0.0))
@@ -508,7 +508,7 @@ class TestFootFrames:
             return p, v
 
         monkeypatch.setattr(pedal_module, "ellipse_point_velocity", vanishing)
-        with pytest.raises(DegenerateLine):
+        with pytest.raises(DegenerateLine, match=f"near t={t[3]:.6g}$"):
             STEINER[kind](E21, t)
 
 
