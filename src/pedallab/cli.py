@@ -21,7 +21,6 @@ import json
 import math
 import sys
 from typing import Optional, Tuple
-from xml.etree import ElementTree as ET
 
 import numpy as np
 
@@ -122,6 +121,20 @@ def _key_text(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
+def _floats_text(values, sep: str) -> str:
+    """The float.__repr__ texts of a non-empty list of floats, joined by
+    sep; TypeError if an entry is not a float.  A scan's areas repeat a
+    few values, which its laws hold constant, so each distinct value is
+    formatted once and looked up per entry when every entry is a plain
+    float (True and 1 equal 1.0) and none is zero (0.0 equals -0.0)."""
+    if type(values[0]) is float and set(map(type, values)) == {float}:
+        distinct = set(values)
+        if 0.0 not in distinct:
+            text = dict(zip(distinct, map(_float_text, distinct)))
+            return sep.join(map(text.__getitem__, values))
+    return sep.join(map(_float_text, values))
+
+
 def _report_text(obj, nl: str) -> str:
     """JSON text of obj, whose closing bracket goes after nl, a newline and
     the indentation of obj's own line; json.dumps' indent=2 layout and its
@@ -147,7 +160,7 @@ def _report_text(obj, nl: str) -> str:
             return "[]"
         try:
             # a flat list of floats in one pass; no finite float's repr has an n
-            body = sep.join(map(_float_text, obj))
+            body = _floats_text(obj, sep)
         except TypeError:
             body = None
         if body is None and all(type(p) is list and len(p) == 2 for p in obj):
@@ -182,9 +195,10 @@ def report_json(obj) -> str:
     every report file.  A non-finite number raises DomainError.
 
     With an indent, json.dumps runs its pure-Python encoder, one generator
-    step per value; this writer joins a flat list of floats, or of strings
-    and None, in one pass and a list of float pairs through one format
-    string, and gives any type it does not know to json.
+    step per value; this writer joins a flat list of floats (formatting
+    each distinct value once), or of strings and None, in one pass and a
+    list of float pairs through one format string, and gives any type it
+    does not know to json.
     """
     return _report_text(obj, "\n") + "\n"
 
@@ -273,6 +287,9 @@ def _format_json(curve: SampledCurve, meta: dict) -> str:
 
 
 def _format_svg(curve: SampledCurve) -> str:
+    # imported here, its one user: every other command is spared its import
+    from xml.etree import ElementTree as ET
+
     x = curve.points[:, 0]
     y = -curve.points[:, 1]  # svg y grows downward
     minx, maxx = float(np.min(x)), float(np.max(x))

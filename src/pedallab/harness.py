@@ -37,6 +37,7 @@ same inputs, byte-identical files.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from typing import Callable, List, Optional
 
@@ -209,6 +210,26 @@ class InvarianceReport(_Report):
     errors: List[Optional[str]]
 
 
+@contextmanager
+def _row_buffer(n: int):
+    """numpy's ufunc buffer cut to a row of n elements, rounded up to the
+    multiple of 16 that numpy requires, for the body of the with block,
+    if a row is shorter than a third of the buffer; the size before it is
+    restored on exit.  A longer row keeps the buffer as it is: numpy runs
+    its broadcast products without copies, and a buffer cut to the row
+    slows them (4 by 4096 products, a scan at n = 2048: ~25% more time).
+    np.setbufsize's setting is local to the thread, and under numpy 2 to
+    the context, so no other thread sees it."""
+    if 3 * n >= np.getbufsize():
+        yield
+        return
+    old = np.setbufsize(-(-n // 16) * 16)
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
+
+
 def _pole_areas(points: Callable, rule: Callable, t: np.ndarray, x, y) -> np.ndarray:
     """Areas (coarse, fine) of one pole, at its (1, 1) coordinates x and y:
     one points() call of its frame on the 2n nodes t, whose rows must be
@@ -231,7 +252,13 @@ def _sweep(frame: Callable, poles: np.ndarray, n: int, per_chunk: int):
     DegenerateLine on an ellipse too flat for its lines, fails the scan.
     The chunks run under one curves.QUIET error state, as sample_curve runs
     its evaluator: a pole that overflows gets non-finite points and no
-    numpy warning.  The frame, the one rule of the doubling check
+    numpy warning.  They run under one ufunc buffer cut to a row of 2n
+    points, too (_row_buffer; a long row keeps the buffer as it is), for
+    the frame's (k, 1) by (2n,) products (see pedal._affine_frame).  It is
+    entered once per scan, not once per chunk, so the rule runs under it
+    as well: every area is bitwise what the default buffer gives, and at
+    n = 256 the rule is no slower (at n <= 16 it can be, by up to about
+    0.1 ms per 256-pole scan).  The frame, the one rule of the doubling check
     (areas.doubling_rule, whose row checks run once) and one workspace of
     three planes of per_chunk rows at 2n serve all chunks, and each keeps
     what it tiles to the chunk's height on the first chunk (F0, the mode
@@ -253,7 +280,7 @@ def _sweep(frame: Callable, poles: np.ndarray, n: int, per_chunk: int):
     work = np.empty((3, min(per_chunk, len(poles)), t.size))
     out = np.full((2, len(poles)), np.nan)
     errors: List[Optional[str]] = [None] * len(poles)
-    with np.errstate(**QUIET):
+    with np.errstate(**QUIET), _row_buffer(t.size):
         for c0 in range(0, len(poles), per_chunk):
             chunk = slice(c0, c0 + per_chunk)
             x, y = poles[chunk, :1], poles[chunk, 1:]
@@ -303,7 +330,8 @@ def scan(e: Ellipse, family, locus: LocusSpec, n: int = 2048,
     of its pole alone.  The rest is array work
     over all poles: the doubling gaps, the settled() test (an unsettled
     pole takes settled_area's message), the closed forms
-    (areas.closed_form_areas) and the spread.
+    (areas.closed_form_areas) and the spread, on whole rows when every pole
+    settled and on the settled poles' selection otherwise.
     """
     spec = Family.of(family)
     fam = spec.name
@@ -320,34 +348,44 @@ def scan(e: Ellipse, family, locus: LocusSpec, n: int = 2048,
     per_chunk = max(1, CHUNK_POINTS // (2 * n))
     (coarse, fine), errors = _sweep(lambda t: spec.frame(e, t, theta, mu), poles, n, per_chunk)
 
-    # a pole with an error has no areas
-    have = np.isfinite(coarse)
-    max_gap = float(np.max(np.abs(coarse[have] - fine[have]), initial=0.0))
-    good = have & settled(coarse, fine)
-    for j in np.flatnonzero(have & ~good):
-        try:
-            settled_area(coarse[j], fine[j])
-        except QuadratureError as exc:
-            errors[j] = str(exc)
+    # a pole with an error has no areas, and a NaN never settles
+    gaps = np.abs(coarse - fine)
+    good = settled(coarse, fine)
     every = bool(good.all())
-    areas: List[Optional[float]] = (
-        coarse.tolist() if every
-        else [a if g else None for a, g in zip(coarse.tolist(), good.tolist())])
+    if every:
+        # the usual case: whole rows, views with no boolean-index copies
+        pick = slice(None)
+        max_gap = float(np.maximum.reduce(gaps))
+        areas: List[Optional[float]] = coarse.tolist()
+    else:
+        pick = good
+        have = np.isfinite(coarse)
+        max_gap = float(np.maximum.reduce(gaps[have], initial=0.0))
+        for j in np.flatnonzero(have & ~good):
+            try:
+                settled_area(coarse[j], fine[j])
+            except QuadratureError as exc:
+                errors[j] = str(exc)
+        areas = [a if g else None for a, g in zip(coarse.tolist(), good.tolist())]
 
+    # np.mean is add.reduce over the size and np.max is maximum.reduce: the same sums
     mean: Optional[float] = None
     max_rel_dev: Optional[float] = None
-    if good.any():
-        mean = float(np.mean(coarse[good]))
-        max_rel_dev = float(np.max(np.abs(coarse[good] - mean)) / max(abs(mean), 1.0))
+    kept = coarse[pick]
+    if kept.size:
+        mean = float(np.add.reduce(kept) / kept.size)
+        max_rel_dev = float(np.maximum.reduce(np.abs(kept - mean)) / max(abs(mean), 1.0))
 
     closed_ref: Optional[float] = None
     max_closed_dev: Optional[float] = None
     closed, holds = closed_form_areas(fam, e, poles, theta=theta, mu=mu)
-    pairs = good & holds
-    if pairs.any():
-        c = closed[pairs]
+    if not holds.all():
+        pick = good & holds
+    c = closed[pick]
+    if c.size:
         closed_ref = float(c[0])
-        max_closed_dev = float(np.max(np.abs(coarse[pairs] - c) / np.maximum(np.abs(c), 1.0)))
+        max_closed_dev = float(np.maximum.reduce(
+            np.abs(coarse[pick] - c) / np.maximum(np.abs(c), 1.0)))
 
     passed = (every and max_rel_dev is not None and max_rel_dev <= tol
               and (max_closed_dev is None or max_closed_dev <= tol))

@@ -52,7 +52,6 @@ The evolutoid has no pole and no frame: evolutoid_point evaluates it.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, List
 
@@ -106,9 +105,9 @@ def _affine_frame(fx, fy, sx: float = 1.0, sy: float = 1.0) -> Callable:
       and writes the plane.  numpy copies the operands of such a product
       through its buffers when a row is shorter than a third of the buffer
       (8192 elements by default; a scan at n = 256 has rows of 512), at
-      about three times the cost; on such rows the products run with the
-      buffer cut to a row (_row_buffer, restored on return), so each row
-      is one inner loop.
+      about three times the cost; a scan runs all its chunks with the
+      buffer cut to a row (harness._row_buffer), so each row is one inner
+      loop.
 
     The sums and their order are those of points(x, y), so the points are
     bitwise the same, and those of each pole alone.
@@ -124,11 +123,10 @@ def _affine_frame(fx, fy, sx: float = 1.0, sy: float = 1.0) -> Callable:
             if f0 is None or len(f0[0]) < k:
                 f0 = np.empty((2, k, n), dtype=np.result_type(fx[0], fy[0]))
                 f0[0], f0[1] = fx[0], fy[0]
-            with _row_buffer(n):
-                np.add(f0[0, :k], np.multiply(c1, fx[1], scratch), px)
-                np.add(px, np.multiply(c2, fx[2], scratch), px)
-                np.add(f0[1, :k], np.multiply(c1, fy[1], py), py)
-                np.add(py, np.multiply(c2, fy[2], scratch), py)
+            np.add(f0[0, :k], np.multiply(c1, fx[1], scratch), px)
+            np.add(px, np.multiply(c2, fx[2], scratch), px)
+            np.add(f0[1, :k], np.multiply(c1, fy[1], py), py)
+            np.add(py, np.multiply(c2, fy[2], scratch), py)
             return out[:2].transpose(1, 2, 0)
         # c1 F1 first, whose shape and dtype the planes take: the helpers
         # that work them out from the columns cost more than the products
@@ -145,26 +143,6 @@ def _affine_frame(fx, fy, sx: float = 1.0, sy: float = 1.0) -> Callable:
         return planes.transpose((*range(1, planes.ndim), 0))
 
     return points
-
-
-@contextmanager
-def _row_buffer(n: int):
-    """numpy's ufunc buffer cut to a row of n elements, rounded up to the
-    multiple of 16 that numpy requires, for the body of the with block,
-    if a row is shorter than a third of the buffer; the size before it is
-    restored on exit.  A longer row keeps the buffer as it is: numpy runs
-    its broadcast products without copies, and a buffer cut to the row
-    slows them (4 by 4096 products, a scan at n = 2048: ~25% more time).
-    np.setbufsize's setting is local to the thread, and under numpy 2 to
-    the context, so no other thread sees it."""
-    if 3 * n >= np.getbufsize():
-        yield
-        return
-    old = np.setbufsize(-(-n // 16) * 16)
-    try:
-        yield
-    finally:
-        np.setbufsize(old)
 
 
 # ---------------------------------------------------------------------------

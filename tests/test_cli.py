@@ -575,8 +575,11 @@ REPORTS = st.recursive(
         st.lists(inner, max_size=5), st.lists(inner, max_size=3).map(tuple),
         st.dictionaries(KEYS, inner, max_size=5),
         # the shapes the writer takes in one pass: flat floats, float pairs,
-        # strings and None
+        # strings and None; long flat lists of a few values repeated, as a
+        # scan's areas are
         st.lists(FINITE_FLOATS, max_size=6),
+        st.lists(FINITE_FLOATS, min_size=1, max_size=3).flatmap(
+            lambda pool: st.lists(st.sampled_from(pool), min_size=32, max_size=300)),
         st.lists(st.one_of(st.none(), st.text()), max_size=6),
         st.lists(st.lists(FINITE_FLOATS, min_size=2, max_size=2), max_size=4)),
     max_leaves=30)
@@ -603,9 +606,23 @@ class TestReportWriter:
         assert report_json(obj) == json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
     @pytest.mark.parametrize("obj", [
+        [1.5, -2.25, 1e-300] * 85 + [1.5],
+        [1.5, 0.0, -0.0] * 85 + [-0.0],
+        [0.0, -0.0, 0.0, -0.0] * 64,
+        [np.float64(1.5), 1.5, np.float64(-0.0), 0.0] * 64,
+        [np.float64(0.1)] * 256,
+        [1.0, True], [True, 1.0], [1.0, 1], [1, 1.0], [0.0, False], [2.0, np.float64(2.0)],
+        [1.0] * 255 + [True], [2.0] * 255 + [2]])
+    def test_lists_of_repeated_floats(self, obj):
+        # the writer formats each distinct float once: True, 1, 0.0 and -0.0
+        # must still each come out as json writes them
+        assert report_json(obj) == json.dumps(obj, indent=2, allow_nan=False) + "\n"
+
+    @pytest.mark.parametrize("obj", [
         [math.nan], [1.0, -math.inf], {"a": math.inf}, [[1.0, math.nan]],
         [[0.5, 1.0], [math.inf, 2.0]], {"x": [None, np.float64(math.nan)]},
-        {math.nan: 1}, {"a": [1, 2.0, -math.inf]}])
+        {math.nan: 1}, {"a": [1, 2.0, -math.inf]}, [1.5, -2.0] * 128 + [math.nan],
+        [math.inf] * 256, [np.float64(1.5)] * 255 + [np.float64(-math.inf)]])
     def test_non_finite_number_raises_domain_error(self, obj):
         with pytest.raises(ValueError):
             json.dumps(obj, indent=2, allow_nan=False)

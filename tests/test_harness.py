@@ -583,6 +583,67 @@ class TestBatchedScan:
         assert peak < 2 * 2 ** 20
 
 
+class TestScanSummary:
+    """A scan's summary numbers are bitwise those that the boolean selection
+    of its settled poles, np.mean and np.max give."""
+
+    @staticmethod
+    def bits(value):
+        return None if value is None else float(value).hex()
+
+    @pytest.mark.parametrize("fam, locus, n", [
+        # every pole settles: 256 poles at n = 256, the many_poles shape
+        ("pedal", LocusSpec("circle", r=1.7, count=256, phase=0.4), 256),
+        ("pseudo_talbot", LocusSpec("boundary", count=256, phase=0.4), 256),
+        # every pole fails
+        ("pedal", LocusSpec(kind="circle", r=1e300, count=2), 64),
+        # some poles fail: one on a tangent line, some outside the ellipse
+        ("hybrid", LocusSpec("circle", r=tangent_radius(256, 14, 0.3), count=12, phase=0.3),
+         256),
+        ("negative_pedal", LocusSpec("circle", r=E21.a, count=3), 256),
+    ])
+    def test_mean_spread_and_closed_form_recomputed_from_the_report(self, fam, locus, n):
+        theta, mu = 0.6, 1 / 3
+        rep = scan(E21, fam, locus, n=n, theta=theta, mu=mu)
+        good = np.array([err is None for err in rep.errors])
+        assert [a is not None for a in rep.areas] == good.tolist()
+        areas = np.array([np.nan if a is None else a for a in rep.areas])
+        mean = max_rel_dev = closed_ref = max_closed_dev = None
+        if good.any():
+            mean = float(np.mean(areas[good]))
+            max_rel_dev = float(np.max(np.abs(areas[good] - mean)) / max(abs(mean), 1.0))
+        closed, holds = [], []
+        for pole in rep.poles:
+            try:
+                closed.append(closed_form_area(fam, E21, tuple(pole), theta=theta, mu=mu))
+                holds.append(True)
+            except DomainError:
+                closed.append(np.nan)
+                holds.append(False)
+        pairs = good & np.array(holds)
+        if pairs.any():
+            c = np.array(closed)[pairs]
+            closed_ref = float(c[0])
+            max_closed_dev = float(np.max(np.abs(areas[pairs] - c) / np.maximum(np.abs(c), 1.0)))
+        got = [rep.mean, rep.max_rel_dev, rep.closed_form, rep.max_closed_dev]
+        want = [mean, max_rel_dev, closed_ref, max_closed_dev]
+        assert [self.bits(v) for v in got] == [self.bits(v) for v in want]
+        tol = 1e-8  # scan's default
+        assert rep.passed == (bool(good.all()) and max_rel_dev <= tol
+                              and (max_closed_dev is None or max_closed_dev <= tol))
+
+    @pytest.mark.parametrize("fam, locus", [
+        ("pedal", LocusSpec("circle", r=1.7, count=64)),
+        ("hybrid", LocusSpec("circle", r=tangent_radius(256, 14, 0.3), count=12, phase=0.3)),
+    ])
+    def test_numpy_buffer_size_is_restored(self, fam, locus):
+        # the chunks run under a buffer cut to a row of 2n = 512 points; a
+        # chunk that raised included
+        bufsize = np.getbufsize()
+        scan(E21, fam, locus, n=256)
+        assert np.getbufsize() == bufsize
+
+
 class TestIdentitySuite:
     def test_all_identities_hold(self):
         checks = identity_suite(E21, n=1024)
