@@ -63,7 +63,6 @@ from .curves import (
     ellipse_point,
     ellipse_support,
     finite_rows,
-    pole_on_ellipse,
     sample_curve,
     xy_on_ellipse,
 )
@@ -312,7 +311,10 @@ def scan(e: Ellipse, family, locus: LocusSpec, n: int = 2048,
     above unit area, absolute below it, so a family whose area is zero can
     certify.  With no area at all, mean and max_rel_dev are None.  A grid size n below 8, a
     non-finite theta or mu, or a tol that is not finite and positive raises
-    DomainError.
+    DomainError, and then a family with no points off the ellipse
+    (pseudo-Talbot) on a locus that leaves it: its poles are tested once,
+    by areas.closed_form_areas, whose holds serves the closed-form
+    comparison too.
 
     _sweep takes the poles in chunks of at most CHUNK_POINTS points at 2n
     and gives each chunk its areas at n and at 2n before the next, through
@@ -338,12 +340,13 @@ def scan(e: Ellipse, family, locus: LocusSpec, n: int = 2048,
     if spec.frame is None:
         raise DomainError(f"family {fam!r} has no pole to scan")
     poles = locus.poles(e)
-    if spec.ellipse_pole_only and not pole_on_ellipse(e, poles).all():
-        raise DomainError(f"{fam} poles live on the ellipse; use a boundary locus")
-
     _require_count("grid size n", n, 8)
     _require_finite("theta and mu", theta, mu)
     _require_tol(tol)
+    # an ellipse_pole_only family is an on_ellipse one: holds tests its poles
+    closed, holds = closed_form_areas(fam, e, poles, theta=theta, mu=mu)
+    if spec.ellipse_pole_only and not holds.all():
+        raise DomainError(f"{fam} poles live on the ellipse; use a boundary locus")
 
     per_chunk = max(1, CHUNK_POINTS // (2 * n))
     (coarse, fine), errors = _sweep(lambda t: spec.frame(e, t, theta, mu), poles, n, per_chunk)
@@ -378,7 +381,6 @@ def scan(e: Ellipse, family, locus: LocusSpec, n: int = 2048,
 
     closed_ref: Optional[float] = None
     max_closed_dev: Optional[float] = None
-    closed, holds = closed_form_areas(fam, e, poles, theta=theta, mu=mu)
     if not holds.all():
         pick = good & holds
     c = closed[pick]

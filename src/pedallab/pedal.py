@@ -731,19 +731,18 @@ def _segment_hits(a1, d1, a2, d2):
                        a2[..., 0], a2[..., 1], d2[..., 0], d2[..., 1])
 
 
-def _candidate_hits(planes, y_lo, y_hi, order, first, shift, k0: int, k1: int):
-    """Hits among the sweep's candidate pairs k0 .. k1-1, as (i, j, s, u) with i < j.
+def _candidate_pairs(y_lo, y_hi, order, first, shift, k0: int, k1: int):
+    """The sweep's candidate pairs k0 .. k1-1 that stay candidates, as
+    (i, j) with i < j.
 
-    planes holds the 1-d planes (x, y, dx, dy) of the segments, and y_lo
-    and y_hi their padded y-extents.  The candidates of the sorted
-    position p are first[p] .. first[p + 1] - 1, in one run, and
+    y_lo and y_hi are the segments' padded y-extents.  The candidates of
+    the sorted position p are first[p] .. first[p + 1] - 1, in one run, and
     candidate k pairs the segments at positions p and k - shift[p],
     shift[p] = first[p] - p - 1.  The chunk's positions are enumerated by
     run length, the runs at its two ends trimmed to it.  Adjacent pairs,
-    the wrap pair and pairs whose y-extents do not overlap are dropped
-    before the exact test: of the pairs whose x-extents overlap, most lie
-    on branches far apart in y (a contrapedal at n = 2048: ~7,500
-    candidates, ~15 left).
+    the wrap pair and pairs whose y-extents do not overlap are dropped: of
+    the pairs whose x-extents overlap, most lie on branches far apart in y
+    (a contrapedal at n = 2048: ~7,500 candidates, ~15 left).
     """
     n = len(order)
     p0, p1 = np.searchsorted(first, (k0, k1 - 1), side="right") - 1
@@ -757,42 +756,67 @@ def _candidate_hits(planes, y_lo, y_hi, order, first, shift, k0: int, k1: int):
     del u, v
     gap = j - i
     keep = (gap > 1) & (gap < n - 1) & (y_lo[i] <= y_hi[j]) & (y_lo[j] <= y_hi[i])
-    i, j = i[keep], j[keep]
-    del gap, keep
-    ok, s, w = _plane_hits(*(c[i] for c in planes), *(c[j] for c in planes))
-    return i[ok], j[ok], s[ok], w[ok]
+    return i[keep], j[keep]
+
+
+def _chord_hits(planes, i, j):
+    """The pairs (i, j) whose chords cross, as (i, j, s, u); planes holds
+    the 1-d planes (x, y, dx, dy) of the segments."""
+    ok, s, u = _plane_hits(*(c[i] for c in planes), *(c[j] for c in planes))
+    return i[ok], j[ok], s[ok], u[ok]
+
+
+def _spectral_bounds(points: np.ndarray):
+    """(M1, M2), M_r = sum_k k^r sqrt(|x_k|^2 + |y_k|^2) with x_k and y_k
+    the complex amplitudes of mode k of the samples' trigonometric
+    interpolant, from one rfft: bounds on its |P'| and |P''| over the
+    period, by the triangle inequality over the modes and Cauchy-Schwarz
+    within each.  The samples are one period, 2 pi, on an even grid."""
+    f = np.fft.rfft(points, axis=0)
+    k = np.arange(len(f))
+    # the amplitude of mode k > 0 is 2 |f_k| / n (the Nyquist mode's is
+    # half that, so the bounds hold)
+    amp = k * (2 / len(points)) * np.hypot(np.abs(f[:, 0]), np.abs(f[:, 1]))
+    return float(np.sum(amp)), float(k @ amp)
 
 
 def self_intersections(curve: SampledCurve, refine: bool = True,
                        block: int = 512) -> List[Crossing]:
-    """Transversal self-crossings of the closed polyline through the samples.
+    """Transversal self-crossings of the sampled closed curve.
 
     A sort-and-sweep prefilter (Shamos & Hoey 1976) picks the candidate
-    pairs: the segments are sorted by the left end of their x-extent, and a
-    binary search on each right end finds the segments that start before it
-    ends.  Only these overlapping, non-adjacent pairs whose y-extents
-    overlap too go through the exact intersection test, so the cost is
-    about O(n log n + candidates) instead of n^2/2 tests; a smooth curve
-    has a few candidates per segment.  The extents are padded by
-    1e-12 * max|x| and 1e-12 * max|y|, so a pair whose segments touch up
-    to roundoff stays a candidate.
+    pairs of segments: the segments are sorted by the left end of their
+    x-extent, and a binary search on each right end finds the segments that
+    start before it ends.  Only these overlapping, non-adjacent pairs whose
+    y-extents overlap too stay candidates, so the cost is about
+    O(n log n + candidates) instead of n^2/2 tests; a smooth curve has a
+    few candidates per segment.  The extents are padded by 1e-12 * max|x|
+    and 1e-12 * max|y|, so a pair whose segments touch up to roundoff stays
+    a candidate.  The candidates are listed in chunks of at most
+    block * block pairs, which bounds the memory even when every x-extent
+    overlaps.  The candidates of one sorted position are a run of
+    consecutive positions, so a chunk lists its pairs by run length
+    (_candidate_pairs).  Results come in the order of a block-wise scan of
+    the pairs i < j: sorted by (i // block, j // block, i, j).
 
-    The candidates are tested in chunks of at most block * block pairs,
-    which bounds the memory even when every x-extent overlaps.  The
-    candidates of one sorted position are a run of consecutive positions,
-    so a chunk lists its pairs by run length, and gathers each pair's
-    coordinates from the 1-d planes x, y, dx and dy (_candidate_hits).
-    Hits come in the order of a block-wise scan of the pairs i < j: sorted
-    by (i // block, j // block, i, j).  With an attached evaluator the hits
-    are polished by Newton steps on P(t1) = P(t2), all hits together: each
-    step is one evaluator call on both parameters of every hit still
-    moving, and one closing call gives the points (_polish_crossings).  A
-    hit the sweep did not resolve, one that Newton moves by more than a
-    twentieth of a step, is polished by re-intersecting resampled windows
-    first, as the polish did before Newton steps.  P(t1) - P(t2) reaches roundoff, that of rounding t1 and
-    t2 to doubles included, on grids that resolve the curve.  Parameters
-    are reported inside the sampled window (the second one may exceed the
-    start by up to a full period at the wrap segment), up to about a step.
+    Without an evaluator, or with refine false, the crossings are those of
+    the polyline through the samples: each candidate pair goes through the
+    exact intersection test of its two chords, on the 1-d planes x, y, dx
+    and dy, in its chunk.
+
+    With an evaluator, the crossings are those of the curve itself, found
+    in half-open parameter boxes [t_i, t_i+1) x [t_j, t_j+1).  The arc over
+    a step strays from its chord by at most h^2 M2 / 8, with h the step and
+    M2 >= max|P''| from the samples' spectrum (_spectral_bounds), so every
+    extent is padded by that too: a crossing of the curve then lies in a
+    candidate box pair, whether the chords cross or not.  Each box pair is
+    solved for P(t1) = P(t2) by Newton steps from its centre, kept inside
+    the box, all boxes together (_polish_crossings), and a root is kept
+    only when it lies in its own half-open box with its residual at
+    roundoff.  The boxes are disjoint, so each crossing is reported once,
+    whichever way the curve runs; two copies of a root that an edge
+    computed an ulp off splits are merged (_first_copies).  Parameters are
+    reported inside the sampled period [t_0, t_0 + 2 pi).
     """
     pts = curve.points
     n = len(pts)
@@ -805,12 +829,17 @@ def self_intersections(curve: SampledCurve, refine: bool = True,
     step = t[1] - t[0]
     x, y = pts[:, 0].copy(), pts[:, 1].copy()
     dx, dy = np.roll(x, -1) - x, np.roll(y, -1) - y
+    ev = curve.evaluator if refine else None
+    tube = 0.0
+    if ev is not None:
+        m1, m2 = _spectral_bounds(pts)
+        tube = step * step * m2 / 8
 
-    pad = 1e-12 * float(np.max(np.abs(x)))
+    pad = 1e-12 * float(np.max(np.abs(x))) + tube
     x_end = x + dx
     lo = np.minimum(x, x_end) - pad
     hi = np.maximum(x, x_end) + pad
-    ypad = 1e-12 * float(np.max(np.abs(y)))
+    ypad = 1e-12 * float(np.max(np.abs(y))) + tube
     y_end = y + dy
     y_lo = np.minimum(y, y_end) - ypad
     y_hi = np.maximum(y, y_end) + ypad
@@ -823,41 +852,42 @@ def self_intersections(curve: SampledCurve, refine: bool = True,
     total = int(first[-1] + count[-1])
 
     planes = (x, y, dx, dy)
-    found = [_candidate_hits(planes, y_lo, y_hi, order, first, shift, k0, min(k0 + block * block, total))
-             for k0 in range(0, total, block * block)]
+    pairs = (_candidate_pairs(y_lo, y_hi, order, first, shift, k0, min(k0 + block * block, total))
+             for k0 in range(0, total, block * block))
+    found = [pair if ev is not None else _chord_hits(planes, *pair) for pair in pairs]
 
     # never empty: neighbouring segments share a vertex, so their extents overlap
-    i, j, s, u = (np.concatenate(col) for col in zip(*found))
+    i, j, *su = (np.concatenate(col) for col in zip(*found))
     emit = np.lexsort((j, i, j // block, i // block))
-    i, j, s, u = i[emit], j[emit], s[emit], u[emit]
+    i, j = i[emit], j[emit]
+    if ev is not None:
+        return _polish_crossings(ev, np.append(t, t[0] + TWO_PI), i, j,
+                                 float(np.max(np.abs(pts))), m1)
+    s, u = (c[emit] for c in su)
     point = np.stack([x[i] + s * dx[i], y[i] + s * dy[i]], axis=-1)
-    hits = [Crossing(point=p, t1=t1, t2=t2)
+    return [Crossing(point=p, t1=t1, t2=t2)
             for p, t1, t2 in zip(point, (t[i] + s * step).tolist(), (t[j] + u * step).tolist())]
-
-    if refine and curve.evaluator is not None:
-        hits = _polish_crossings(curve.evaluator, hits, float(step))
-    return hits
 
 
 # A crossing's Newton polish is done once quadratic convergence predicts
 # its next step, |d|^3 / |d before|^2, to be at most _NEWTON_TTOL (a
 # fraction of the spacing of doubles near 1); a done crossing takes no
 # more steps, so the roundoff jitter of its steps cannot keep it going.
-# From the sweep's estimate, within about step^2 times the curve's bending,
-# that takes two or three steps at n = 2048 for a / b up to 2.4 and three
-# or four at a / b = 5; coarser grids may take more, up to _NEWTON_CALLS.
-_NEWTON_CALLS = 6
+# The first step, from half a grid step off, predicts nothing, so every
+# box takes at least two.  From a box's centre a root takes three or four
+# calls on random interior poles at n = 2048 (a / b from 1.25 to 5), and
+# up to seven where two crossings nearly coincide, next to the astroid.
+_NEWTON_CALLS = 8
 _NEWTON_TTOL = 1e-16
-# A hit whose Newton polish moves a parameter by more than _FAR grid steps
-# was not resolved by the sweep: another crossing may be as near to it.
-# On random interior poles of the 2:1 ellipse at n = 2048 that is 3 in 100
-# conjecture checks; the hits that Newton took to another crossing than
-# the window polish did moved 0.097 steps or more (a / b from 1.25 to 5,
-# n from 64 to 2048)
-_FAR = 0.05
-
-# the node numbers 0 .. 8 of a polish window
-_NODES = np.arange(9.0)
+# A root is kept when |P(t1) - P(t2)| is at most _ROUNDOFF times the
+# curve's extent plus (|t1| + |t2|) M1, M1 >= max|P'|: rounding t to a
+# double moves P by up to eps |t| |P'|.  Roots reach 0.51 of eps times that
+# and the boxes left without a root 3e7 or more (a / b from 1.25 to 5,
+# poles at random and 1e-6 to 6e-5 off the astroid, n = 2048)
+_ROUNDOFF = 8 * np.finfo(float).eps
+# Two roots that agree to _SAME grid steps in both parameters are one
+# crossing: two crossings that close are beyond the grid's resolution
+_SAME = 1e-6
 
 
 def _newton_crossings(ev: Callable, tt: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -874,7 +904,7 @@ def _newton_crossings(ev: Callable, tt: np.ndarray, lo: np.ndarray, hi: np.ndarr
     """
     tt = tt.copy()
     live, last = np.arange(len(tt)), np.zeros(len(tt))
-    for _ in range(_NEWTON_CALLS):
+    for call in range(_NEWTON_CALLS):
         cur = tt[live]
         p, v = _jet(ev, cur, point=True)
         f = p[:, 0] - p[:, 1]
@@ -890,78 +920,53 @@ def _newton_crossings(ev: Callable, tt: np.ndarray, lo: np.ndarray, hi: np.ndarr
         going = moved ** 3 > _NEWTON_TTOL * last ** 2
         if not going.any():
             break
-        live, last = live[going], moved[going]
+        live, last = live[going], moved[going] * (call > 0)
     return tt
 
 
-def _window_crossings(ev: Callable, tt: np.ndarray, width: float) -> np.ndarray:
-    """Shrink the two parameter windows around the crossings tt, shape
-    (m, 2), by re-intersection, all together; returns the new pairs.
+def _first_copies(tt: np.ndarray, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
+    """Mask of the roots tt, shape (m, 2), that are no copy of an earlier
+    one.  A root within tol of an edge of its boxes [lo, hi) may come out
+    of the box on the other side of the edge too, some ulps away: the node
+    that should be pi can be pi + 4.4e-16.  Of such roots, one that agrees
+    with an earlier one to tol in both parameters, mod 2 pi and in either
+    order (a crossing at the wrap comes as (t1, t2) and (t2, t1 + 2 pi)),
+    is a copy."""
+    first = np.ones(len(tt), dtype=bool)
+    edge = np.flatnonzero(np.any((tt - lo <= tol) | (hi - tt <= tol), axis=1))
+    if len(edge) > 1:
+        d = np.abs(tt[edge, None, :, None] - tt[None, edge, None, :]) % TWO_PI
+        close = np.minimum(d, TWO_PI - d) <= tol
+        same = (close[..., 0, 0] & close[..., 1, 1]) | (close[..., 0, 1] & close[..., 1, 0])
+        first[edge] = ~np.tril(same, -1).any(axis=1)
+    return first
 
-    Each of 3 rounds resamples both windows of every crossing still being
-    polished at 9 points, in one evaluator call for all of them, and
-    intersects the two 8-segment arcs of each; the first hit in row-major
-    (segment of the first arc, segment of the second) order becomes the
-    crossing, and the windows shrink 6-fold around it.  A crossing whose
-    arcs do not meet keeps its last estimate and stops.  A GeometryError of
-    a round's call propagates as it is.
+
+def _polish_crossings(ev: Callable, edges: np.ndarray, i: np.ndarray, j: np.ndarray,
+                      size: float, speed: float) -> List[Crossing]:
+    """The crossings of the curve in the box pairs
+    [edges[i], edges[i + 1]) x [edges[j], edges[j + 1]), at most one each.
+
+    Newton steps on P(t1) = P(t2) start from every box pair's centre, all
+    together, each parameter kept inside its closed box
+    (_newton_crossings).  One closing call evaluates P at both parameters
+    of every root that ends inside its half-open boxes, and a root is kept
+    when |P(t1) - P(t2)| is at roundoff (_ROUNDOFF, on the curve's extent
+    size and M1 = speed), and when it is no copy of an earlier one
+    (_first_copies); its point is P(t1).  A root on an edge belongs to the
+    box that starts there, so a crossing at a node is reported once.
     """
-    tt = tt.copy()
-    rows = np.arange(len(tt))
-    for _ in range(3):
-        if not rows.size:
-            break
-        mid = tt[rows]
-        lo, hi = mid - width, mid + width
-        # np.linspace(lo, hi, 9, axis=-1), bit for bit: its own formula
-        g = _NODES * ((hi - lo) / 8)[..., None] + lo[..., None]  # (m, 2, 9)
-        g[..., 8] = hi
-        p = _points_at(ev, g)
-        x, y = p[..., 0], p[..., 1]
-        dx, dy = np.diff(x, axis=-1), np.diff(y, axis=-1)
-        ok, s, u = _plane_hits(x[:, 0, :-1, None], y[:, 0, :-1, None],
-                               dx[:, 0, :, None], dy[:, 0, :, None],
-                               x[:, 1, None, :-1], y[:, 1, None, :-1],
-                               dx[:, 1, None, :], dy[:, 1, None, :])
-        ok = ok.reshape(len(rows), 64)
-        k = np.flatnonzero(ok.any(axis=1))
-        # flat indices of the hit in s and u, and of the first node of
-        # each arc's segment in g
-        f = ok[k].argmax(axis=1)
-        i, j = np.divmod(f, 8)
-        f += 64 * k
-        n1 = 18 * k + i
-        n2 = n1 + (9 - i + j)
-        nodes = g.reshape(-1)
-        rows = rows[k]
-        tt[rows, 0] = nodes[n1] + s.reshape(-1)[f] * (nodes[n1 + 1] - nodes[n1])
-        tt[rows, 1] = nodes[n2] + u.reshape(-1)[f] * (nodes[n2 + 1] - nodes[n2])
-        width /= 6.0
-    return tt
-
-
-def _polish_crossings(ev: Callable, hits: List[Crossing], width: float) -> List[Crossing]:
-    """Refine every crossing, all together, by Newton steps on
-    P(t1) = P(t2) from the sweep's estimate, each parameter within width
-    (a grid step) of it (_newton_crossings); one closing call evaluates
-    P(t1), the crossing's point.
-
-    Where two branches cross at a small angle, a sweep hit may lie between
-    two crossings of the curve, within a step of both, and Newton may take
-    it to either; or the crossing may lie just beyond a step.  So a hit
-    that Newton moves by more than _FAR steps is polished again from the
-    sweep's estimate: by re-intersecting windows (_window_crossings), whose
-    first hit in order of the first parameter is the crossing the
-    window-only polish before Newton steps chose, then by Newton steps kept
-    within its last window.
-    """
-    if not hits:
-        return hits
-    t0 = np.array([[c.t1, c.t2] for c in hits])
-    tt = _newton_crossings(ev, t0, t0 - width, t0 + width)
-    redo = np.abs(tt - t0).max(axis=1) > _FAR * width
-    if redo.any():
-        w, near = _window_crossings(ev, t0[redo], width), width / 36
-        tt[redo] = _newton_crossings(ev, w, w - near, w + near)
-    point = _points_at(ev, tt[:, 0])
-    return [Crossing(point=pt, t1=t1, t2=t2) for pt, (t1, t2) in zip(point, tt.tolist())]
+    if not i.size:
+        return []
+    lo = np.stack([edges[i], edges[j]], axis=1)
+    hi = np.stack([edges[i + 1], edges[j + 1]], axis=1)
+    tt = _newton_crossings(ev, (lo + hi) / 2, lo, hi)
+    inside = np.all((lo <= tt) & (tt < hi), axis=1)
+    tt, lo, hi = tt[inside], lo[inside], hi[inside]
+    if not len(tt):
+        return []
+    p = _points_at(ev, tt)
+    res = np.hypot(*(p[:, 0] - p[:, 1]).T)
+    at = np.flatnonzero(res <= _ROUNDOFF * (size + np.abs(tt).sum(axis=1) * speed))
+    at = at[_first_copies(tt[at], lo[at], hi[at], _SAME * (edges[1] - edges[0]))]
+    return [Crossing(point=pt, t1=t1, t2=t2) for pt, (t1, t2) in zip(p[at, 0], tt[at].tolist())]

@@ -243,6 +243,27 @@ class TestScan:
         with pytest.raises(DomainError, match="boundary locus"):
             scan(E21, "pseudo_talbot", LocusSpec(kind="circle", r=2.0, count=4))
 
+    def test_a_boundary_scan_tests_its_poles_against_the_ellipse_once(self, monkeypatch):
+        # one test serves the pseudo-Talbot locus check and the closed
+        # form's holds
+        calls = []
+
+        def counting(e, m):
+            calls.append(len(m))
+            return pole_on_ellipse(e, m)
+
+        monkeypatch.setattr(areas, "pole_on_ellipse", counting)
+        assert scan(E21, "pseudo_talbot", LocusSpec("boundary", count=16), n=64).passed
+        assert calls == [16]
+
+    def test_a_pseudo_talbot_scan_checks_its_arguments_before_its_poles(self):
+        # the poles are tested by the closed form, which reads theta
+        off = LocusSpec(kind="circle", r=1.0, count=4)
+        with pytest.raises(DomainError, match="grid size n"):
+            scan(E21, "pseudo_talbot", off, n=4)
+        with pytest.raises(DomainError, match="theta and mu"):
+            scan(E21, "pseudo_talbot", off, theta=math.inf)
+
     def test_evolutoid_has_no_pole(self):
         with pytest.raises(DomainError):
             scan(E21, "evolutoid", LocusSpec(kind="circle", r=1.0, count=4))

@@ -5,7 +5,7 @@ from typing import Callable
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pedallab import (
@@ -1469,18 +1469,20 @@ class TestLockstepErrors:
         curve = sample_curve(ev, ParamGrid(2048, offset=0.5))
         clean = curve.evaluator = Counting(ev)
         assert len(self_intersections(curve)) == 8
-        # two Newton steps, each one complex-step call on (t1, t2) of all 8
-        # crossings, and the closing call on the 8 t1
-        assert [np.size(t) for t in clean.calls] == [16, 16, 8]
-        # fail the second step at t2 of the fourth crossing: its batched
-        # call raises, each parameter is tried alone, and the bad one's
-        # central differences, on t - dt, t and t + dt, raise again
+        # three Newton steps, each one complex-step call on (t1, t2) of the
+        # 18 candidate boxes, then of the 16 still moving, and the closing
+        # call on both parameters of the 12 roots inside their boxes, 8 of
+        # them at roundoff
+        assert [np.size(t) for t in clean.calls] == [36, 32, 32, 24]
+        # fail the second step at t2 of the fourth box: its batched call
+        # raises, each parameter is tried alone, and the bad one's central
+        # differences, on t - dt, t and t + dt, raise again
         bad = float(np.real(clean.calls[1][2 * 3 + 1]))
         stub = curve.evaluator = Counting(ev, raise_at=[bad])
         with pytest.raises(StubError) as got:
             self_intersections(curve)
         assert got.value.t == bad
-        assert stub.raised == [16, 1, 3] and len(stub.calls) == 1 + 1 + 7 + 1 + 1
+        assert stub.raised == [32, 1, 3] and len(stub.calls) == 1 + 1 + 7 + 1 + 1
 
 
 CROSSING_CASES = {
@@ -1523,13 +1525,21 @@ class TestLockstepCrossings:
         curve = CROSSING_CASES["contrapedal_inside_astroid"]()
         ev = curve.evaluator = Counting(curve.evaluator)
         assert len(self_intersections(curve)) == 8
-        # one-by-one: 8 crossings x 3 rounds x 2 arcs = 48 calls
-        assert len(ev.calls) <= 3
+        # one-by-one: 18 candidate boxes x 3 Newton steps = 54 calls, and
+        # one call per crossing makes 8 at least
+        assert len(ev.calls) <= 5
 
     @pytest.mark.parametrize("ratio", [1.25, 2.0, 1 + math.sqrt(2), 5.0])
     @settings(max_examples=12, deadline=None)
     @given(fu=st.floats(0.0, 1.0), fw=st.floats(0.0, 1.0),
            signs=st.sampled_from([(1, 1), (-1, 1), (-1, -1), (1, -1)]))
+    # a / b = 5, (x/a, y/b) = (-+0.4245, -0.06): a sweep hit there lies about
+    # a step from two crossings that meet at a small angle
+    @example(fu=0.40625, fw=0.0, signs=(-1, -1))
+    @example(fu=0.40625, fw=0.0, signs=(1, -1))
+    # a crossing at t = 0: the sweep's hit reads (0.0019, pi), the box pair
+    # that holds it (pi, 2 pi)
+    @example(fu=1.0, fw=0.0, signs=(1, -1))
     def test_polish_keeps_count_and_window_and_reaches_roundoff(self, ratio, fu, fw, signs):
         # interior poles (x/a, y/b) = (u, w), u^2 + w^2 <= 0.92, drawn so,
         # kept off the astroid (the evolute) by 2e-3 relative: where a pair
@@ -1547,22 +1557,91 @@ class TestLockstepCrossings:
         step = float(curve.params[1] - curve.params[0])
         raw, hits = self_intersections(curve, refine=False), self_intersections(curve)
         assert len(hits) == len(raw)
-        for c, r in zip(hits, raw):
-            assert r.t1 - step <= c.t1 <= r.t1 + step and r.t2 - step <= c.t2 <= r.t2 + step
+
+        def near(s, t):
+            d = abs(s - t) % TWO_PI
+            return min(d, TWO_PI - d) <= step
+
+        for c in hits:
+            # each crossing comes from its own box, not from a raw hit, so
+            # it is paired with none: some raw hit lies within a step, mod
+            # 2 pi and in either order
+            assert any(near(c.t1, r.t1) and near(c.t2, r.t2) or near(c.t1, r.t2) and near(c.t2, r.t1)
+                       for r in raw)
             assert crossing_residual(ev, c) <= 8 * np.finfo(float).eps * crossing_scale(curve, c, e.a)
 
-    @pytest.mark.xfail(strict=True, reason="a sweep hit about a step from a crossing at a "
-                       "small angle, which neither Newton steps nor windows reach")
     def test_a_pole_at_the_axis_margin_of_a_flat_ellipse_reaches_roundoff(self):
         # a / b = 5, (x/a, y/b) = (0.66, 0.05): the branches near t = pi and
         # t = 2 pi meet at (x0, 0) at a small angle, and the sweep reports
-        # their chords crossing about a step away; Newton steps stall there.
-        # Poles with |y/b| up to about 0.052, |x/a| in [0.63, 0.67] do so
+        # their chords crossing about a step away, where Newton steps from
+        # the sweep's hit stalled.  Poles with |y/b| up to about 0.052,
+        # |x/a| in [0.63, 0.67] did so
         e = Ellipse(5.0, 1.0)
-        ev = family_evaluator(e, "contrapedal", (e.a * 0.66, e.b * 0.05))
+        x0 = e.a * 0.66
+        ev = family_evaluator(e, "contrapedal", (x0, e.b * 0.05))
         curve = sample_curve(ev, ParamGrid(2048, offset=0.5))
-        for c in self_intersections(curve):
+        hits = self_intersections(curve)
+        assert len(hits) == 8
+        for c in hits:
             assert crossing_residual(ev, c) <= 8 * np.finfo(float).eps * crossing_scale(curve, c, e.a)
+        assert min(math.hypot(c.point[0] - x0, c.point[1]) for c in hits) <= 1e-12 * e.a
+
+    @pytest.mark.parametrize("n", [50, 64, 300, 512])
+    def test_a_crossing_on_a_node_is_reported_once(self, n):
+        # the figure-eight crosses itself at t = 0 and t = pi, both nodes of
+        # the grid: the boxes [t_i, t_i + h) of the two parameters hold it,
+        # and the boxes that end there do not.  At n = 50 the node computed
+        # for pi is pi + 4.4e-16, and both boxes next to it hold a copy
+        curve = sample_curve(fig8, ParamGrid(n, offset=0))
+        hits = self_intersections(curve)
+        assert len(hits) == 1
+        np.testing.assert_allclose(hits[0].point, [0.0, 0.0], atol=1e-15)
+        assert (hits[0].t1, hits[0].t2) == pytest.approx((0.0, math.pi), abs=1e-15)
+
+    @pytest.mark.parametrize("ratio", [1.25, 2.0, 1 + math.sqrt(2), 5.0])
+    @settings(max_examples=10, deadline=None)
+    @given(fu=st.floats(0.0, 1.0), fw=st.floats(0.0, 1.0), sx=st.sampled_from([1, -1]))
+    @example(fu=0.40625, fw=0.0, sx=-1)
+    def test_the_pole_mirrored_in_the_x_axis_mirrors_the_crossings(self, ratio, fu, fw, sx):
+        # mirroring the pole in the x axis mirrors the curve and runs it the
+        # other way: its crossings are the mirrored points, as many.  Poles
+        # (x/a, y/b) = (u, w) inside 0.92, 0.05 off the axes, the CLI's
+        # margin.  The example is a / b = 5, pole (-2.1226, -0.06): the
+        # crossing at (x0, 0) used to be lost there, and not at its mirror
+        u = sx * (0.05 + fu * (math.sqrt(0.92 - 0.05 ** 2) - 0.05))
+        w = 0.05 + fw * (math.sqrt(0.92 - u * u) - 0.05)
+        e = Ellipse(ratio, 1.0)
+        below, above = (self_intersections(sample_curve(
+            family_evaluator(e, "contrapedal", (e.a * u, e.b * y)), ParamGrid(2048, offset=0.5)))
+            for y in (-w, w))
+        assert len(below) == len(above)
+        rest = [np.array([c.point[0], -c.point[1]]) for c in above]
+        for c in below:
+            d = [float(np.max(np.abs(c.point - p))) for p in rest]
+            assert min(d) <= 1e-12 * e.a
+            rest.pop(int(np.argmin(d)))
+
+    @pytest.mark.parametrize("ratio", [2.0, 5.0])
+    def test_crossings_near_the_astroid_reach_roundoff(self, ratio):
+        # 12 poles 1e-6 to 6e-5 (relative) inside or outside the astroid
+        # (a x)^(2/3) + (b y)^(2/3) = c^(4/3), where pairs of crossings are
+        # born and the polyline's chords cross where the curve may not.  A
+        # count there is not certain, but every crossing reported is one
+        e = Ellipse(ratio, 1.0)
+        on = [p for p in np.linspace(0.01, math.pi / 2 - 0.01, 400)
+              if (e.c2 * math.cos(p) ** 3 / e.a ** 2) ** 2 + (e.c2 * math.sin(p) ** 3 / e.b ** 2) ** 2 <= 0.9
+              and e.c2 * math.sin(p) ** 3 > 0.05 * e.b ** 2 and e.c2 * math.cos(p) ** 3 > 0.05 * e.a ** 2]
+        for k, d in enumerate(np.geomspace(1e-6, 6e-5, 12)):
+            p = on[(k * 131) % len(on)]
+            r = (1 + (d if k % 2 else -d)) ** 1.5
+            sx, sy = [(1, -1), (-1, 1), (1, 1)][k % 3]
+            m = (sx * r * e.c2 * math.cos(p) ** 3 / e.a, sy * r * e.c2 * math.sin(p) ** 3 / e.b)
+            ev = family_evaluator(e, "contrapedal", m)
+            curve = sample_curve(ev, ParamGrid(2048, offset=0.5))
+            hits = self_intersections(curve)
+            assert hits
+            for c in hits:
+                assert crossing_residual(ev, c) <= 8 * np.finfo(float).eps * crossing_scale(curve, c, e.a)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("case, count, size", [("figure_eight", 1, 1.0),
