@@ -66,7 +66,7 @@ from .curves import (
     xy_on_ellipse,
 )
 from .errors import DegenerateLine, DomainError, SingularFamily
-from .tolerances import CUSP_BOUND_MARGIN, PARALLEL_TOL
+from .tolerances import PARALLEL_TOL
 
 TWO_PI = 2.0 * math.pi
 
@@ -605,6 +605,30 @@ def _require_finite(curve: SampledCurve, what: str) -> None:
         raise DomainError(f"{what} needs finite sample points")
 
 
+def _spectral_bounds(points: np.ndarray):
+    """(M1, M2, M3), M_r = sum_k k^r sqrt(|x_k|^2 + |y_k|^2) with x_k and y_k
+    the complex amplitudes of mode k of the samples' trigonometric
+    interpolant X: bounds on its |X'|, |X''| and |X'''| over the period, by
+    the triangle inequality over the modes and Cauchy-Schwarz within each.
+    The samples are finite and one period, 2 pi, on an even grid.
+
+    One rfft of the two coordinate planes, C-contiguous, divided by the
+    samples' largest magnitude, so that no finite curve overflows inside
+    it; the sums are multiplied back as Python floats, so a bound past the
+    float range reads inf, never NaN, and raises no warning.
+    """
+    scale = float(np.max(np.abs(points))) or 1.0
+    f = np.fft.rfft(np.divide(points.T, scale, order="C"))
+    k = np.arange(f.shape[1], dtype=float)
+    # the amplitude of mode k > 0 is 2 |f_k| / n (the Nyquist mode's is
+    # half that, so the bounds hold); |f_k| <= n, so the squares are safe
+    sq = f.real * f.real + f.imag * f.imag
+    a1 = k * np.sqrt(sq[0] + sq[1])
+    a2 = k * a1
+    unit = scale * (2 / len(points))
+    return tuple(unit * float(m) for m in (np.sum(a1), np.sum(a2), k @ a2))
+
+
 def find_cusps(curve: SampledCurve, tol: float = 1e-5) -> np.ndarray:
     """Parameters (mod 2*pi) where the curve has a cusp.
 
@@ -629,11 +653,15 @@ def find_cusps(curve: SampledCurve, tol: float = 1e-5) -> np.ndarray:
     loses the deltoid's cusp at t = s.
 
     A candidate whose grid speed exceeds tol times the median by more than
-    CUSP_BOUND_MARGIN * step * max|X''| (X'' from the grid's second
-    differences) is dropped before any refinement: within a step of its
-    node the speed changes by at most step * max|X''|, so it could never
-    pass the slow test.  A curve whose candidates are all dropped makes no
-    evaluator call.
+    (h/2) M2 + (h^2/6) M3, with h the step and M2, M3 >= max|X''|, |X'''|
+    from the samples' spectrum (_spectral_bounds), is dropped before any
+    refinement, as it could never pass the slow test: a point slower than
+    tol times the median lies within h/2 of its nearest node, whose
+    central-difference speed is then at most that much above tol times the
+    median, and a candidate within a step of the point is that node or a
+    grid-speed minimum next to it, no faster.  A curve whose candidates are
+    all dropped makes no evaluator call; a bound past the float range keeps
+    every candidate.
 
     With an evaluator, all candidates are refined together: one evaluator
     call per Gauss-Newton step holds the two probes of every candidate
@@ -650,7 +678,8 @@ def find_cusps(curve: SampledCurve, tol: float = 1e-5) -> np.ndarray:
         raise DomainError("cusp detection needs at least 8 samples")
     _require_finite(curve, "cusp detection")
     t = curve.params
-    step = t[1] - t[0]
+    # a Python float, so the bound below overflows to inf without a warning
+    step = float(t[1] - t[0])
     # the coordinate planes wrapped: x[:-2], x[1:-1] and x[2:] hold the
     # nodes before, at and after each node
     x, y = _wrapped(curve.points[:, 0]), _wrapped(curve.points[:, 1])
@@ -661,11 +690,9 @@ def find_cusps(curve: SampledCurve, tol: float = 1e-5) -> np.ndarray:
 
     around = _wrapped(speed)
     k = np.flatnonzero((speed < around[:-2]) & (speed <= around[2:]))
-    # the Taylor bound: step max|X''| from the second differences
-    # d2 = step^2 X''
-    d2 = np.hypot(x[2:] - 2 * x[1:-1] + x[:-2], y[2:] - 2 * y[1:-1] + y[:-2])
-    bound = CUSP_BOUND_MARGIN * float(np.max(d2)) / step
-    k = k[speed[k] <= bound + tol * ref]
+    # the grid speed at the node nearest a slow point, from M2 and M3
+    _, m2, m3 = _spectral_bounds(curve.points)
+    k = k[speed[k] <= step / 2 * m2 + step * step / 6 * m3 + tol * ref]
     if not k.size:
         return np.empty(0)
 
@@ -766,20 +793,6 @@ def _chord_hits(planes, i, j):
     return i[ok], j[ok], s[ok], u[ok]
 
 
-def _spectral_bounds(points: np.ndarray):
-    """(M1, M2), M_r = sum_k k^r sqrt(|x_k|^2 + |y_k|^2) with x_k and y_k
-    the complex amplitudes of mode k of the samples' trigonometric
-    interpolant, from one rfft: bounds on its |P'| and |P''| over the
-    period, by the triangle inequality over the modes and Cauchy-Schwarz
-    within each.  The samples are one period, 2 pi, on an even grid."""
-    f = np.fft.rfft(points, axis=0)
-    k = np.arange(len(f))
-    # the amplitude of mode k > 0 is 2 |f_k| / n (the Nyquist mode's is
-    # half that, so the bounds hold)
-    amp = k * (2 / len(points)) * np.hypot(np.abs(f[:, 0]), np.abs(f[:, 1]))
-    return float(np.sum(amp)), float(k @ amp)
-
-
 def self_intersections(curve: SampledCurve, refine: bool = True,
                        block: int = 512) -> List[Crossing]:
     """Transversal self-crossings of the sampled closed curve.
@@ -816,7 +829,9 @@ def self_intersections(curve: SampledCurve, refine: bool = True,
     roundoff.  The boxes are disjoint, so each crossing is reported once,
     whichever way the curve runs; two copies of a root that an edge
     computed an ulp off splits are merged (_first_copies).  Parameters are
-    reported inside the sampled period [t_0, t_0 + 2 pi).
+    reported inside the sampled period [t_0, t_0 + 2 pi).  A curve so large
+    that M1, the tube or the residual scale overflows raises DomainError,
+    naming which: an infinite tube would make every pair a candidate.
     """
     pts = curve.points
     n = len(pts)
@@ -832,8 +847,16 @@ def self_intersections(curve: SampledCurve, refine: bool = True,
     ev = curve.evaluator if refine else None
     tube = 0.0
     if ev is not None:
-        m1, m2 = _spectral_bounds(pts)
+        m1, m2, _ = _spectral_bounds(pts)
         tube = step * step * m2 / 8
+        size = float(np.max(np.abs(pts)))
+        # the residual scale of _polish_crossings at its largest parameters
+        reach = size + 2 * (abs(float(t[0])) + TWO_PI) * m1
+        bad = [name for name, v in (("M1", m1), ("the tube", tube), ("the residual scale", reach))
+               if not math.isfinite(v)]
+        if bad:
+            raise DomainError(f"self-intersection scan: overflow in {', '.join(bad)}; "
+                              "scale the curve down")
 
     pad = 1e-12 * float(np.max(np.abs(x))) + tube
     x_end = x + dx
@@ -861,8 +884,7 @@ def self_intersections(curve: SampledCurve, refine: bool = True,
     emit = np.lexsort((j, i, j // block, i // block))
     i, j = i[emit], j[emit]
     if ev is not None:
-        return _polish_crossings(ev, np.append(t, t[0] + TWO_PI), i, j,
-                                 float(np.max(np.abs(pts))), m1)
+        return _polish_crossings(ev, np.append(t, t[0] + TWO_PI), i, j, size, m1)
     s, u = (c[emit] for c in su)
     point = np.stack([x[i] + s * dx[i], y[i] + s * dy[i]], axis=-1)
     return [Crossing(point=p, t1=t1, t2=t2)

@@ -33,21 +33,6 @@ PERIOD_TOL = 1e-9
 # the negative pedal of (0.7, -0.4) all stay within 5e-5 of one
 TURNING_TOL = 1e-3
 
-# find_cusps refines a candidate only when its grid speed is at most this
-# many times step * max|X''| (X'' from the grid's second differences) above
-# tol times the median speed: within a step of the node the speed changes by
-# at most step * max|X''|, so a faster candidate could never pass the slow
-# test.  The margin covers the grid's underestimate of max|X''| between
-# nodes and the central-difference error of the grid speed.  Measured on
-# ellipses with a/b from 1.25 to 5 at n = 64, 256 and 2048, grid offsets 0
-# and 1/2 (evolutoids from 0.05 to 1.95 times the cusp-birth angle, the
-# boundary families at four poles, six families at six poles off the
-# ellipse): true cusps read at most 0.501 of step * max|X''| (a cusp half
-# a step off its nearest node), while the candidates of the evolutoids
-# below the cusp-birth angle, all rejected, read 9.1 or more at n = 2048,
-# 1.14 or more at n = 256 and 0.31 or more at n = 64
-CUSP_BOUND_MARGIN = 2.0
-
 # two lines of an envelope's pencil are parallel when their determinant is
 # below this fraction of their squared normals
 PARALLEL_TOL = 1e-12

@@ -38,6 +38,7 @@ from pedallab.pedal import (
     _envelope_solve,
     _feet,
     _segment_hits,
+    _spectral_bounds,
     contrapedal_frame,
     hybrid_frame,
     interpolated_frame,
@@ -936,9 +937,11 @@ class TestFindCusps:
                                  ParamGrid(n, start=s, offset=offset))
             assert_same_cusps(find_cusps(curve), -s / 3 + np.arange(3) * TWO_PI / 3, 1e-12)
 
-    @pytest.mark.parametrize("size", [1e160, 1e300])
+    @pytest.mark.parametrize("size", [1e160, 1e300, 1e306, 1e307])
     def test_a_huge_curve_keeps_its_cusps(self, size):
-        # the squared velocity derivative of this evolute overflows
+        # the squared velocity derivative of this evolute overflows, and
+        # from 1e307 on the spectral bound M3 does: it reads inf, and every
+        # candidate is refined
         curve = sample_curve(lambda t: size * evolutoid_point(E21, math.pi / 2, t),
                              ParamGrid(256, offset=0.5))
         assert_same_cusps(find_cusps(curve), np.arange(4) * math.pi / 2, 1e-12)
@@ -970,6 +973,37 @@ class TestFindCusps:
         with pytest.raises(DomainError):
             find_cusps(curve)
 
+    @pytest.mark.parametrize("ratio", [1.25, 2.0, 1 + math.sqrt(2), 5.0])
+    @pytest.mark.parametrize("n", [256, 2048])
+    @settings(max_examples=8, deadline=None)
+    @given(fam=st.sampled_from(["pedal", "contrapedal", "rotated", "interpolated",
+                                "negative_pedal"]),
+           u=st.floats(0.06, 1.4), w=st.floats(0.06, 1.4), s=st.floats(0.0, TWO_PI),
+           theta=st.floats(0.2, 1.4), mu=st.floats(0.1, 0.9))
+    def test_a_mirrored_pole_mirrors_the_cusps(self, ratio, n, fam, u, w, s, theta, mu):
+        # the pole mirrored in the x axis, in the y axis or turned a half
+        # turn gives the mirrored curve at -t, pi - t or t + pi, and on a
+        # grid with offset 1/2 these are the same nodes, so its cusps are
+        # at the mapped parameters.  A single mirror turns the rotated
+        # pedal's theta into -theta.  Poles (x/a, y/b) = (u, w) at least
+        # 0.06 off the axes; the negative pedal takes the boundary pole P(s)
+        e = Ellipse(ratio, 1.0)
+        if fam == "negative_pedal":
+            assume(min(abs(math.cos(s)), abs(math.sin(s))) >= 0.06)
+            u, w = math.cos(s), math.sin(s)
+        grid = ParamGrid(n, offset=0.5)
+
+        def cusps(sx, sy):
+            mirrors = sx * sy < 0
+            ev = family_evaluator(e, fam, (sx * e.a * u, sy * e.b * w),
+                                  theta=-theta if mirrors else theta, mu=mu)
+            return find_cusps(sample_curve(ev, grid))
+
+        got = cusps(1, 1)
+        for (sx, sy), mapped in (((1, -1), -got), ((-1, 1), math.pi - got),
+                                 ((-1, -1), got + math.pi)):
+            assert_same_cusps(cusps(sx, sy), mapped, 1e-9)
+
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, -math.inf])
     def test_rejects_a_tol_that_is_not_finite_and_positive(self, tol):
         # with tol <= 0 no speed is slow enough, and the evolute's 4 cusps
@@ -978,6 +1012,46 @@ class TestFindCusps:
         with pytest.raises(DomainError) as got:
             find_cusps(curve, tol=tol)
         assert str(got.value) == f"tol must be finite and > 0, got {tol}"
+
+
+def interpolant_derivative_max(points, r, pad=16):
+    """max |X^(r)| of the samples' trigonometric interpolant X (the Nyquist
+    mode split evenly between the frequencies +-n/2), on a pad times finer
+    grid, by spectral derivatives of the zero-padded spectrum."""
+    n = len(points)
+    f = np.fft.rfft(points, axis=0)
+    f[-1] /= 2
+    k = np.arange(len(f))[:, None]
+    d = np.fft.irfft((1j * k) ** r * f, n=pad * n, axis=0) * pad
+    return float(np.max(np.hypot(d[:, 0], d[:, 1])))
+
+
+SPECTRAL_CASES = {
+    "evolute": lambda t: evolutoid_point(E21, math.pi / 2, t),
+    "deltoid": family_evaluator(E21, "negative_pedal", tuple(float(v) for v in ellipse_point(E21, 1.0))),
+    "contrapedal": family_evaluator(E21, "contrapedal", M),
+}
+
+
+class TestSpectralBounds:
+    @pytest.mark.parametrize("case", sorted(SPECTRAL_CASES))
+    @pytest.mark.parametrize("n", [64, 256, 2048])
+    def test_bounds_the_derivatives_of_the_interpolant(self, case, n):
+        pts = sample_curve(SPECTRAL_CASES[case], ParamGrid(n, offset=0.5)).points
+        for r, bound in enumerate(_spectral_bounds(pts), 1):
+            assert bound >= interpolant_derivative_max(pts, r)
+
+    def test_a_bound_past_the_float_range_reads_inf(self):
+        # the samples are divided by their largest magnitude before the
+        # rfft, so the bounds scale with the curve, to the roundoff of the
+        # high modes that k^3 weights, until they overflow
+        pts = sample_curve(SPECTRAL_CASES["contrapedal"], ParamGrid(512, offset=0.5)).points
+        base = _spectral_bounds(pts)
+        for size in (1e-300, 1e300, 1e306, 1e307, 1e308):
+            got = _spectral_bounds(size * pts)
+            assert got == pytest.approx([size * b for b in base], rel=1e-9)
+        assert math.isinf(_spectral_bounds(1e307 * pts)[2])
+        assert _spectral_bounds(np.zeros((64, 2))) == (0.0, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -1136,6 +1210,31 @@ class TestSelfIntersections:
             assert len(got) == len(want) == count
             for c, (point, t1, t2) in zip(got, want):
                 assert np.array_equal(c.point, point) and c.t1 == t1 and c.t2 == t2
+
+    def test_a_huge_curve_keeps_its_crossings(self):
+        # the samples are divided by their largest magnitude before the
+        # rfft, so at 1e306 the bounds stay finite and give the crossings
+        # found at 1e300
+        ev = family_evaluator(E21, "contrapedal", M)
+        want, got = (self_intersections(sample_curve(lambda t, size=size: size * ev(t),
+                                                     ParamGrid(512, offset=0.5)))
+                     for size in (1e300, 1e306))
+        assert len(got) == len(want) >= 2
+        for c, d in zip(got, want):
+            assert (c.t1, c.t2) == (d.t1, d.t2)
+            np.testing.assert_allclose(c.point / 1e306, d.point / 1e300, rtol=1e-12)
+
+    def test_a_curve_whose_bounds_overflow_is_refused(self):
+        # at 1e307 the tube h^2 M2 / 8 and the residual scale overflow: an
+        # infinite tube would make every pair a candidate box
+        ev = family_evaluator(E21, "contrapedal", M)
+        curve = sample_curve(lambda t: 1e307 * ev(t), ParamGrid(512, offset=0.5))
+        stub = curve.evaluator = Counting(curve.evaluator)
+        with pytest.raises(DomainError) as got:
+            self_intersections(curve)
+        assert str(got.value) == ("self-intersection scan: overflow in the tube, "
+                                  "the residual scale; scale the curve down")
+        assert stub.calls == []
 
     def test_memory_stays_bounded_when_all_extents_overlap(self):
         curve = zigzag(1024, seed=0)  # every x-extent overlaps: ~520k candidate pairs
@@ -1379,8 +1478,14 @@ class TestLockstepCusps:
         assert len(find_cusps(curve)) == count
         assert len(ev.calls) <= budget
 
-    def test_a_bound_rules_out_every_candidate_below_the_cusp_birth_angle(self):
-        curve = sample_curve(evolutoid_ev(0.9 * THETA0), ParamGrid(2048))
+    @pytest.mark.parametrize("ratio", [2.0, 1 + math.sqrt(2), 5.0])
+    @pytest.mark.parametrize("n", [256, 2048])
+    def test_a_bound_rules_out_every_candidate_below_the_cusp_birth_angle(self, ratio, n):
+        # the bound from the spectrum, (h/2) M2 + (h^2/6) M3, drops every
+        # candidate of these evolutoids, at n = 256 as at n = 2048
+        e = Ellipse(ratio, 1.0)
+        theta0 = math.atan2(2 * e.a * e.b, 3 * e.c2)
+        curve = sample_curve(lambda t: evolutoid_point(e, 0.9 * theta0, t), ParamGrid(n))
         alone = curve.evaluator = Counting(curve.evaluator)
         assert len(reference_find_cusps(curve)) == 0
         # the reference refines the grid's candidates and rejects them all
