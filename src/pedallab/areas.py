@@ -78,10 +78,12 @@ class Family:
     parameters: an affine frame writes its two coordinate planes into
     out[:2], through the scratch plane out[2], and returns a view of it,
     valid until the workspace is used again; any other frame may ignore
-    it (see pedal._affine_frame).  It is the
-    family's one point evaluator, which harness.family_evaluator calls on
-    the one pole it has read and harness.scan on the coordinates of its
-    locus poles; the evolutoid has no pole and no frame.  Every frame
+    it (see pedal._affine_frame).  A frame keeps nothing between calls, so
+    each pole's points are bitwise the same in a chunk of any height, or
+    alone.  It is the family's one point evaluator, which
+    harness.family_evaluator calls on the one pole it has read and
+    harness.scan on the coordinates of its locus poles; the evolutoid has
+    no pole and no frame.  Every frame
     has one shape: three columns per coordinate, F0 + c1 F1 + c2 F2, affine
     in (c1, c2) = (x, y) of the pole for the Steiner families and in
     (cos s, sin s) of a pole P(s) on the ellipse for the boundary families;
@@ -270,34 +272,13 @@ def _mode_weights(n: int):
 def _spectral_areas(re, im, k, scale) -> np.ndarray:
     """scale * sum_k k Im(conj(X_k) Y_k) over the last axis, from the real
     and the imaginary parts of the spectra X and Y, each stacked (X, Y).
-    k is the row of mode weights, or that row tiled to a stack's rows
-    (_stack_weights): the products are the same either way."""
+    k is the row of mode weights, broadcast over a stack's rows."""
     # Im(conj(X_k) Y_k), weighted in place
     cross = re[0] * im[1]
     cross -= im[0] * re[1]
     cross *= k
     # np.sum's own reduction, without its wrapper
     return np.asarray(scale * np.add.reduce(cross, axis=-1))
-
-
-def _stack_weights(k: np.ndarray) -> Callable:
-    """weights(shape) of the row of mode weights k, for cross products of
-    that shape: the row itself, or for a stack of rows, shape (m, len(k)),
-    the row tiled to m rows, so that weighting them is one full-shape
-    product (a row multiplied into m rows costs numpy about twice as
-    much).  The tallest tile yet is kept; a shorter stack reads its first
-    rows."""
-    tile = k[None]
-
-    def weights(shape):
-        nonlocal tile
-        if len(shape) != 2:
-            return k
-        if len(tile) < shape[0]:
-            tile = np.tile(k, (shape[0], 1))
-        return tile[:shape[0]]
-
-    return weights
 
 
 def _finite(area: np.ndarray) -> np.ndarray:
@@ -373,9 +354,9 @@ def doubling_rule(params) -> Callable:
     view of points, with no copy.  Past the rfft, coarse takes the two
     mirror folds (real and imaginary parts, both planes at once), and each
     area its cross products, their weighting by the mode k and the row
-    sums.  The weight rows are tiled to the stack's height on first use
-    and kept with the rule (_stack_weights), as a scan calls one rule on
-    chunks of one height, so the weighting is a full-shape product too.
+    sums, the rows of mode weights broadcast over the stack.  The rule
+    keeps nothing between calls: each curve's pair is bitwise the same in
+    a stack of any height, or alone.
     """
     _periodic_step(params)
     size = np.shape(params)[0]
@@ -389,7 +370,6 @@ def doubling_rule(params) -> Callable:
     # the folded modes are 2 X[k], so their cross products are 4 times the
     # coarse ones: a quarter of the scale -4 pi / n^2, exactly
     scale_coarse = -math.pi / (n * n)
-    w_coarse, w_fine = _stack_weights(k_coarse), _stack_weights(k_fine)
 
     def rule(points):
         # non-finite samples or products give a non-finite area, refused here
@@ -401,8 +381,8 @@ def doubling_rule(params) -> Callable:
             # 2 X[k] = F[k] + conj(F[n - k]) for k < n/2, both planes at once
             area[0] = _spectral_areas(re[..., :half] + re[..., n:n - half:-1],
                                       im[..., :half] - im[..., n:n - half:-1],
-                                      w_coarse(rows + (half,)), scale_coarse)
-            area[1] = _spectral_areas(re, im, w_fine(rows + (n + 1,)), scale_fine)
+                                      k_coarse, scale_coarse)
+            area[1] = _spectral_areas(re, im, k_fine, scale_fine)
         return _finite(area)
 
     return rule

@@ -77,15 +77,14 @@ SCANNABLE = tuple(AreaFamily(f.name) for f in FAMILIES.values() if f.frame is no
 
 # a scan evaluates at most this many grid points at once (a chunk of k poles
 # at 2n points each), so batching never grows its working set with the pole
-# count; at up to ~95 bytes per point (tracemalloc peak of a 256-pole
-# n=2048 scan over 2**14 points, shared frames included, and the frame's F0
-# planes and the rule's weight rows tiled to the chunk's height, ~22 of
-# them: on a circle 92.5 for the pedal, contrapedal and rotated pedal and
-# 94.5 for the interpolated pedal; on the boundary 94.6 for the hybrid,
-# pseudo-Talbot and the negative pedal; 81 at n=256), 2**14 points fit in
-# memory the process already holds: the battery's peak RSS reads ~38.5 MB
-# against ~37.9 MB at 2**13, and a 2**13 chunk costs the many_poles scans
-# a few percent more time
+# count; at up to ~73 bytes per point (tracemalloc peak of a 256-pole
+# n=2048 scan over 2**14 points, shared frames included: on a circle 70.7
+# for the pedal, contrapedal and rotated pedal and 72.7 for the
+# interpolated pedal; on the boundary 72.6 for the hybrid, pseudo-Talbot
+# and the negative pedal; 55 at n=256), 2**14 points fit in memory the
+# process already holds: a fresh process making one battery pass peaks at
+# ~38.0 MB RSS against ~37.7 MB at 2**13, and a 2**13 chunk costs the
+# many_poles scans a few percent more time
 CHUNK_POINTS = 2 ** 14
 
 
@@ -213,13 +212,17 @@ class InvarianceReport(_Report):
 def _row_buffer(n: int):
     """numpy's ufunc buffer cut to a row of n elements, rounded up to the
     multiple of 16 that numpy requires, for the body of the with block,
-    if a row is shorter than a third of the buffer; the size before it is
-    restored on exit.  A longer row keeps the buffer as it is: numpy runs
-    its broadcast products without copies, and a buffer cut to the row
-    slows them (4 by 4096 products, a scan at n = 2048: ~25% more time).
-    np.setbufsize's setting is local to the thread, and under numpy 2 to
-    the context, so no other thread sees it."""
-    if 3 * n >= np.getbufsize():
+    if a row is shorter than the buffer; the size before it is restored
+    on exit.  A scan's products and sums broadcast rows over a chunk's
+    rows, and under a buffer longer than a row numpy copies their operands
+    through it: at n = 256 (rows of 512) at about three times the cost,
+    and at n = 2048 (4 rows of 4096) a row added to the chunk takes ~13 us
+    against ~10 us under a buffer of one row.  A row as long as the
+    buffer, or longer, keeps it (a buffer past the default gains nothing,
+    and numpy refuses one past 1e7).  np.setbufsize's setting is local to
+    the thread, and under numpy 2 to the context, so no other thread sees
+    it."""
+    if n >= np.getbufsize():
         yield
         return
     old = np.setbufsize(-(-n // 16) * 16)
@@ -252,20 +255,21 @@ def _sweep(frame: Callable, poles: np.ndarray, n: int, per_chunk: int):
     The chunks run under one curves.QUIET error state, as sample_curve runs
     its evaluator: a pole that overflows gets non-finite points and no
     numpy warning.  They run under one ufunc buffer cut to a row of 2n
-    points, too (_row_buffer; a long row keeps the buffer as it is), for
-    the frame's (k, 1) by (2n,) products (see pedal._affine_frame).  It is
-    entered once per scan, not once per chunk, so the rule runs under it
-    as well: every area is bitwise what the default buffer gives, and at
+    points, too (_row_buffer; a row as long as the buffer keeps it), for
+    the rows that the frame and the rule broadcast over a chunk (see
+    pedal._affine_frame).  It is entered once per scan, not once per
+    chunk: every area is bitwise what the default buffer gives, and at
     n = 256 the rule is no slower (at n <= 16 it can be, by up to about
-    0.1 ms per 256-pole scan).  The frame, the one rule of the doubling check
-    (areas.doubling_rule, whose row checks run once) and one workspace of
-    three planes of per_chunk rows at 2n serve all chunks, and each keeps
-    what it tiles to the chunk's height on the first chunk (F0, the mode
-    weights) for the rest.  A chunk makes one points() call at 2n on the
-    (k, 1) coordinate views of its poles, with the first k rows of the
-    workspace, into which an affine frame writes its points (see
-    areas.Family), and hands that stack of k curves straight to the rule;
-    only the ellipse family's one curve is broadcast to the k poles.  The
+    0.1 ms per 256-pole scan).  The frame, the one rule of the doubling
+    check (areas.doubling_rule, whose row checks run once) and one
+    workspace of three planes of per_chunk rows at 2n serve all chunks;
+    neither the frame nor the rule keeps anything from one chunk to the
+    next, so the short last chunk gives what its poles give alone.  A
+    chunk makes one points() call at 2n on the (k, 1) coordinate views of
+    its poles, with the first k rows of the workspace, into which an
+    affine frame writes its points (see areas.Family), and hands that
+    stack of k curves straight to the rule; only the ellipse family's one
+    curve is broadcast to the k poles.  The
     rule takes both areas from one rfft per coordinate: the n-point
     spectrum of the even samples is a fold of the 2n-point one.  The
     workspace is allocated once per scan, so the chunks do not fault the

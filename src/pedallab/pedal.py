@@ -95,45 +95,29 @@ def _affine_frame(fx, fy, sx: float = 1.0, sy: float = 1.0) -> Callable:
     planes are out[:2] and the scratch plane is out[2], so a scan that
     passes one workspace to every chunk allocates no plane per chunk.  The
     points returned are then a view of out, valid until its next use.
-    Two things make this path cheaper per point:
-
-    * F0 is tiled to the chunk's height on the first call with a
-      workspace, once per frame (so once per scan), and kept; a shorter
-      chunk reads its first rows.  Adding the row F0 to k rows costs numpy
-      half as much again as adding two planes.
-    * Each c F stays a (k, 1) by (n,) product, which reads the one row F
-      and writes the plane.  numpy copies the operands of such a product
-      through its buffers when a row is shorter than a third of the buffer
-      (8192 elements by default; a scan at n = 256 has rows of 512), at
-      about three times the cost; a scan runs all its chunks with the
-      buffer cut to a row (harness._row_buffer), so each row is one inner
-      loop.
-
-    The sums and their order are those of points(x, y), so the points are
-    bitwise the same, and those of each pole alone.
+    Without out, the planes take the shape and dtype of c1 F1, which is
+    the scratch plane: the helpers that work them out from the columns
+    cost more than the products on the few parameters of a cusp-refinement
+    step.  Past that, both take one body, the rows F broadcast over a
+    chunk's rows: each c F is a (k, 1) by (n,) product, and F0 a row added
+    to the plane.  numpy copies the operands of such broadcasts through
+    its buffer when a row is shorter than the buffer (8192 elements by
+    default; a scan at n = 256 has rows of 512), at up to three times the
+    cost, so a scan runs its chunks with the buffer cut to a row
+    (harness._row_buffer).  The frame keeps nothing between calls: each
+    pole's points are bitwise the same in any chunk, or alone.
     """
-    f0 = None
 
     def points(x0, y0, out=None):
-        nonlocal f0
         c1, c2 = x0 / sx, y0 / sy
-        if out is not None:
-            px, py, scratch = out
-            k, n = px.shape
-            if f0 is None or len(f0[0]) < k:
-                f0 = np.empty((2, k, n), dtype=np.result_type(fx[0], fy[0]))
-                f0[0], f0[1] = fx[0], fy[0]
-            np.add(f0[0, :k], np.multiply(c1, fx[1], scratch), px)
-            np.add(px, np.multiply(c2, fx[2], scratch), px)
-            np.add(f0[1, :k], np.multiply(c1, fy[1], py), py)
-            np.add(py, np.multiply(c2, fy[2], scratch), py)
-            return out[:2].transpose(1, 2, 0)
-        # c1 F1 first, whose shape and dtype the planes take: the helpers
-        # that work them out from the columns cost more than the products
-        # on the few parameters of a cusp-refinement step; as an array, as
-        # it is the scratch plane (a 0-d product is a numpy scalar)
-        scratch = np.asarray(c1 * fx[1])
-        planes = np.empty((2,) + scratch.shape, dtype=np.result_type(scratch, fy[1]))
+        if out is None:
+            # as an array, as it is the scratch plane (a 0-d product is a
+            # numpy scalar)
+            scratch = np.asarray(c1 * fx[1])
+            planes = np.empty((2,) + scratch.shape, dtype=np.result_type(scratch, fy[1]))
+        else:
+            planes, scratch = out[:2], out[2]
+            np.multiply(c1, fx[1], scratch)
         px, py = planes[0, ...], planes[1, ...]
         # outputs passed by position: the keyword costs more on few parameters
         np.add(fx[0], scratch, px)
@@ -815,7 +799,10 @@ def self_intersections(curve: SampledCurve, refine: bool = True,
     Without an evaluator, or with refine false, the crossings are those of
     the polyline through the samples: each candidate pair goes through the
     exact intersection test of its two chords, on the 1-d planes x, y, dx
-    and dy, in its chunk.
+    and dy scaled by the power of two that brings the curve's extent into
+    [1/2, 1), in its chunk.  The scaling leaves the fractions s and u as
+    they are, keeps the products in range on a curve of any size, and
+    makes the parallel test |den| > 1e-14 relative to the extent squared.
 
     With an evaluator, the crossings are those of the curve itself, found
     in half-open parameter boxes [t_i, t_i+1) x [t_j, t_j+1).  The arc over
@@ -845,11 +832,11 @@ def self_intersections(curve: SampledCurve, refine: bool = True,
     x, y = pts[:, 0].copy(), pts[:, 1].copy()
     dx, dy = np.roll(x, -1) - x, np.roll(y, -1) - y
     ev = curve.evaluator if refine else None
+    size = float(np.max(np.abs(pts)))
     tube = 0.0
     if ev is not None:
         m1, m2, _ = _spectral_bounds(pts)
         tube = step * step * m2 / 8
-        size = float(np.max(np.abs(pts)))
         # the residual scale of _polish_crossings at its largest parameters
         reach = size + 2 * (abs(float(t[0])) + TWO_PI) * m1
         bad = [name for name, v in (("M1", m1), ("the tube", tube), ("the residual scale", reach))
@@ -874,7 +861,12 @@ def self_intersections(curve: SampledCurve, refine: bool = True,
     shift = first - np.arange(n) - 1
     total = int(first[-1] + count[-1])
 
-    planes = (x, y, dx, dy)
+    if ev is None:
+        # the chord tests on the planes times 2^down, the curve's extent in
+        # [1/2, 1): exact, so s and u are the raw planes' where those do
+        # not over- or underflow
+        down = -math.frexp(size)[1]
+        planes = tuple(np.ldexp(c, down) for c in (x, y, dx, dy))
     pairs = (_candidate_pairs(y_lo, y_hi, order, first, shift, k0, min(k0 + block * block, total))
              for k0 in range(0, total, block * block))
     found = [pair if ev is not None else _chord_hits(planes, *pair) for pair in pairs]
@@ -912,26 +904,33 @@ _ROUNDOFF = 8 * np.finfo(float).eps
 _SAME = 1e-6
 
 
-def _newton_crossings(ev: Callable, tt: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _newton_crossings(ev: Callable, tt: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                      down: int) -> np.ndarray:
     """Newton steps on F(t1, t2) = P(t1) - P(t2) from the parameter pairs
     tt, shape (m, 2), each parameter kept in [lo, hi]; returns the new pairs.
 
     Each step makes one _jet call on both parameters of every crossing
     still moving: P and P' (complex step, else central differences).  The
-    2 by 2 system P'(t1) d1 - P'(t2) d2 = -F is solved by Cramer's rule; a
-    singular or non-finite system gives no step.  Each crossing stops as
-    the constants above say, and the calls stop when all have.  A
-    GeometryError of a call propagates as it is, after _jet's
-    per-parameter retry of a failed complex step.
+    2 by 2 system P'(t1) d1 - P'(t2) d2 = -F is solved by Cramer's rule,
+    on P' and F times 2^down, the power of two that brings the curve's
+    bound on |P'| into [1/2, 1): that leaves the step as it is and keeps
+    the products in range on a curve of any size.  A singular or
+    non-finite system gives no step.  Each crossing stops as the constants
+    above say, and the calls stop when all have.  A GeometryError of a
+    call propagates as it is, after _jet's per-parameter retry of a failed
+    complex step.
     """
     tt = tt.copy()
     live, last = np.arange(len(tt)), np.zeros(len(tt))
     for call in range(_NEWTON_CALLS):
         cur = tt[live]
         p, v = _jet(ev, cur, point=True)
-        f = p[:, 0] - p[:, 1]
-        a, b = v[:, 0], v[:, 1]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # exact, so the step is the raw system's where its products do
+            # not over- or underflow
+            f = np.ldexp(p[:, 0] - p[:, 1], down)
+            v = np.ldexp(v, down)
+            a, b = v[:, 0], v[:, 1]
             det = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
             d = np.stack([f[:, 1] * b[:, 0] - f[:, 0] * b[:, 1],
                           a[:, 0] * f[:, 1] - a[:, 1] * f[:, 0]], axis=1) / det[:, None]
@@ -982,7 +981,7 @@ def _polish_crossings(ev: Callable, edges: np.ndarray, i: np.ndarray, j: np.ndar
         return []
     lo = np.stack([edges[i], edges[j]], axis=1)
     hi = np.stack([edges[i + 1], edges[j + 1]], axis=1)
-    tt = _newton_crossings(ev, (lo + hi) / 2, lo, hi)
+    tt = _newton_crossings(ev, (lo + hi) / 2, lo, hi, -math.frexp(speed)[1])
     inside = np.all((lo <= tt) & (tt < hi), axis=1)
     tt, lo, hi = tt[inside], lo[inside], hi[inside]
     if not len(tt):

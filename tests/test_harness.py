@@ -538,6 +538,36 @@ class TestBatchedScan:
             assert (rep.areas[j], rep.errors[j]) == scan_alone(E21, fam, locus, j, n,
                                                                theta=0.6, mu=1 / 3)
 
+    @pytest.mark.parametrize("n", [8, 256, 2048])
+    @pytest.mark.parametrize("fam", [f.value for f in SCANNABLE if f.value != "ellipse"])
+    def test_no_state_is_kept_between_chunk_heights(self, fam, n):
+        # one frame's points(x, y, out) and one doubling rule take stacks of
+        # 5, 2, 7 and 1 poles in that order, so a taller stack follows a
+        # shorter one, through one workspace under the scan's row buffer:
+        # every row is bitwise what its pole gives alone
+        t = ParamGrid(2 * n).nodes()
+        frame, rule = FAMILIES[fam].frame(E21, t, 0.6, 1 / 3), doubling_rule(t)
+        s = np.random.default_rng(n).uniform(0.0, 2 * math.pi, 15)
+        if FAMILIES[fam].on_ellipse:
+            poles = ellipse_point(E21, s)
+        else:
+            poles = np.stack([1.3 * np.cos(s), 1.3 * np.sin(s)], axis=-1)
+        alone = []
+        for x, y in poles.tolist():
+            pts = frame(x, y)
+            alone.append((pts.tobytes(), rule(pts).tobytes()))
+        work = np.full((3, 7, 2 * n), np.nan)
+        c0 = 0
+        with harness._row_buffer(2 * n):
+            for rows in (5, 2, 7, 1):
+                chunk = poles[c0:c0 + rows]
+                pts = frame(chunk[:, :1], chunk[:, 1:], work[:, :rows])
+                got = rule(pts)
+                assert got.shape == (2, rows)
+                for j in range(rows):
+                    assert (pts[j].tobytes(), got[:, j].tobytes()) == alone[c0 + j]
+                c0 += rows
+
     @pytest.mark.parametrize("fam", SCANNABLE)
     def test_a_many_poles_scan_equals_each_pole_alone(self, fam):
         # the many_poles workload's shape: 256 poles at n = 256, chunks of

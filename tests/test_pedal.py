@@ -1211,18 +1211,36 @@ class TestSelfIntersections:
             for c, (point, t1, t2) in zip(got, want):
                 assert np.array_equal(c.point, point) and c.t1 == t1 and c.t2 == t2
 
-    def test_a_huge_curve_keeps_its_crossings(self):
-        # the samples are divided by their largest magnitude before the
-        # rfft, so at 1e306 the bounds stay finite and give the crossings
-        # found at 1e300
+    @pytest.mark.parametrize("refine", [True, False])
+    @pytest.mark.parametrize("size", [1e-250, 1e-200, 1e-160, 1e154, 1e155, 1e200, 1e300, 1e306,
+                                      2.0 ** -830, 2.0 ** 1017])
+    def test_a_scaled_curve_keeps_its_crossings(self, size, refine):
+        # Newton steps and chord tests both work on values scaled by a power
+        # of two, so a curve scaled by size keeps its 8 crossings, at size
+        # times the points of the curve as it is, with no RuntimeWarning
+        # (an error in this suite); parameters match mod 2 pi, in either
+        # order.  Near 1e-300 the complex step's imaginary part goes
+        # subnormal (_CS_STEP).  A power of two scales every sample, bound
+        # and product exactly, so its crossings are bitwise the same
         ev = family_evaluator(E21, "contrapedal", M)
-        want, got = (self_intersections(sample_curve(lambda t, size=size: size * ev(t),
-                                                     ParamGrid(512, offset=0.5)))
-                     for size in (1e300, 1e306))
-        assert len(got) == len(want) >= 2
-        for c, d in zip(got, want):
-            assert (c.t1, c.t2) == (d.t1, d.t2)
-            np.testing.assert_allclose(c.point / 1e306, d.point / 1e300, rtol=1e-12)
+        want, got = (self_intersections(sample_curve(lambda t, s=s: s * ev(t),
+                                                     ParamGrid(512, offset=0.5)), refine=refine)
+                     for s in (1.0, size))
+        assert len(got) == len(want) == 8
+
+        def same_params(c, d):
+            dt = np.subtract.outer([c.t1, c.t2], [d.t1, d.t2]) % TWO_PI
+            close = np.minimum(dt, TWO_PI - dt) <= 1e-12
+            return (close[0, 0] and close[1, 1]) or (close[0, 1] and close[1, 0])
+
+        extent = max(float(np.max(np.abs(d.point))) for d in want)
+        for c in got:
+            match = [d for d in want if same_params(c, d)]
+            assert len(match) == 1
+            assert np.max(np.abs(c.point / size - match[0].point)) <= 1e-12 * extent
+        if math.frexp(size)[0] == 0.5:
+            assert [(c.t1, c.t2) for c in got] == [(d.t1, d.t2) for d in want]
+            assert all(np.array_equal(c.point, size * d.point) for c, d in zip(got, want))
 
     def test_a_curve_whose_bounds_overflow_is_refused(self):
         # at 1e307 the tube h^2 M2 / 8 and the residual scale overflow: an
