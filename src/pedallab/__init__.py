@@ -10,24 +10,17 @@ and over the ellipse itself.
 from .areas import (
     AreaFamily,
     Polygon,
-    SupportAreas,
     area_rule,
-    circumcenter,
     closed_form_area,
     closed_form_areas,
     curvature_centroid_polygon,
     curvature_centroid_samples,
     curvature_centroid_support,
     doubling_rule,
-    internal_angles,
     pedal_polygon,
-    perimeter_quadrature,
     polygon_signed_area,
-    support_areas,
     support_contrapedal_area,
-    support_contrapedal_point,
     support_pedal_area,
-    support_pedal_point,
 )
 from .curves import (
     Ellipse,
@@ -37,9 +30,7 @@ from .curves import (
     SupportCurve,
     ellipse_point,
     ellipse_support,
-    ellipse_velocity,
     sample_curve,
-    support_point,
 )
 from .errors import (
     CollinearVertices,
@@ -66,7 +57,6 @@ from .harness import (
 from .pedal import (
     Crossing,
     evolutoid_point,
-    evolutoid_support,
     find_cusps,
     self_intersections,
 )

@@ -1,5 +1,4 @@
-"""The curve-family registry; signed areas, perimeters and curvature-weighted
-centroids.
+"""The curve-family registry; signed areas and curvature-weighted centroids.
 
 FAMILIES declares each curve family once: its closed-form area, its point
 evaluator and where its pole lives.  The closed forms live next to the
@@ -192,13 +191,28 @@ def closed_form_areas(family, e: Ellipse, poles: np.ndarray,
     each pole, and whether it holds there.  It holds everywhere except for
     the families whose constant holds only for poles on the ellipse
     (hybrid, pseudo-Talbot, negative pedal), at poles off it.  Each area
-    is bitwise closed_form_area of its pole alone.  A pole so far out that
-    its form overflows gets a non-finite area, and no numpy warning.
+    is bitwise closed_form_area of its pole alone.
+
+    Every form is homogeneous of degree 2 in (a, b, pole): it is taken on
+    them scaled by the power of two 2^-k that brings a into [1/2, 1), and
+    scaled back by 4^k.  So an ellipse and poles scaled by 2^j give bitwise
+    4^j times the areas, and a huge ellipse's Python-float powers do not
+    overflow.  The scaling is exact, so an area is the raw form's wherever
+    that was finite, but for the last bit that a power (**) can round
+    differently at the scaled value.  A form still out of range (a pole so
+    far out that it overflows, or an ellipse so flat that a power of b
+    underflows to a zero divisor) gives a non-finite area, with no numpy
+    warning and no ArithmeticError.
     """
     fam = Family.of(family)
-    x, y = poles[:, 0], poles[:, 1]
+    k = math.frexp(e.a)[1]
+    x, y = np.ldexp(poles[:, 0], -k), np.ldexp(poles[:, 1], -k)
     with np.errstate(over="ignore", invalid="ignore"):
-        areas = np.broadcast_to(fam.area(e.a, e.b, x * x + y * y, theta, mu), x.shape)
+        try:
+            area = fam.area(math.ldexp(e.a, -k), math.ldexp(e.b, -k), x * x + y * y, theta, mu)
+        except ArithmeticError:
+            area = math.nan
+        areas = np.broadcast_to(np.ldexp(area, 2 * k), x.shape)
     holds = pole_on_ellipse(e, poles) if fam.on_ellipse else np.ones(x.shape, dtype=bool)
     return areas, holds
 
@@ -231,8 +245,8 @@ def _periodic_step(params) -> float:
     """The step of a periodic row of parameters, checked: one row, strictly
     increasing (else DomainError), at least 8 samples, one uniform step and
     exactly one period (else QuadratureError).  Every quadrature here
-    (area_rule, perimeter_quadrature, curvature_centroid_samples) assumes
-    all of it."""
+    (area_rule, doubling_rule, curvature_centroid_samples) assumes all of
+    it."""
     params = np.asarray(params, dtype=float)
     if params.ndim != 1:
         raise DomainError(f"expected one row of params, got shape {params.shape}")
@@ -404,74 +418,8 @@ def settled_area(coarse: float, fine: float) -> float:
     return coarse
 
 
-def perimeter_quadrature(curve: SampledCurve) -> float:
-    """Closed-polyline length with one Richardson step against the half grid.
-    The grid must be uniform and must cover exactly one period."""
-    _periodic_step(curve.params)
-    pts = curve.points
-    n = len(pts)
-    seg = np.roll(pts, -1, axis=0) - pts
-    full = float(np.sum(np.hypot(seg[:, 0], seg[:, 1])))
-    if n < 16 or n % 2:
-        return full
-    half_pts = pts[::2]
-    hseg = np.roll(half_pts, -1, axis=0) - half_pts
-    half = float(np.sum(np.hypot(hseg[:, 0], hseg[:, 1])))
-    return full + (full - half) / 3.0
-
-
 # ---------------------------------------------------------------------------
-# support-function curves and integrals
-
-
-@dataclass(frozen=True)
-class SupportAreas:
-    """Signed areas of a support curve and of its evolute."""
-
-    curve: float
-    evolute: float
-
-
-def _support_area_pair(s: SupportCurve, n: int):
-    t = ParamGrid(n, offset=0.5).nodes()
-    h = np.asarray(s.h(t), dtype=float)
-    dh = np.asarray(s.dh(t), dtype=float)
-    d2h = np.asarray(s.d2h(t), dtype=float)
-    w = 0.5 * TWO_PI / n
-    return (w * np.sum(h * h - dh * dh), w * np.sum(dh * dh - d2h * d2h))
-
-
-def support_areas(s: SupportCurve, n: int = 2048) -> SupportAreas:
-    """Areas 1/2 int(h^2 - h'^2) and 1/2 int(h'^2 - h''^2) with a doubling
-    check, on ParamGrid(n, offset=0.5) and its 2n grid; an n that is not an
-    int >= 8 raises DomainError, as for every support-route integral."""
-    a1, e1 = _support_area_pair(s, n)
-    a2, e2 = _support_area_pair(s, 2 * n)
-    if not (settled(a1, a2) and settled(e1, e2)):
-        raise QuadratureError(
-            f"support-area quadrature did not settle at n={n} "
-            f"(curve gap {abs(a1 - a2):.3e}, evolute gap {abs(e1 - e2):.3e})")
-    return SupportAreas(curve=float(a2), evolute=float(e2))
-
-
-def support_pedal_point(s: SupportCurve, t, m):
-    """Pedal of a support-function curve: foot from m onto the tangent with normal angle t."""
-    x0, y0 = as_xy(m)
-    t = np.asarray(t)
-    h = s.h(t)
-    ct, st = np.cos(t), np.sin(t)
-    return np.stack([x0 * st ** 2 + (h - y0 * st) * ct,
-                     (h - x0 * ct) * st + y0 * ct ** 2], axis=-1)
-
-
-def support_contrapedal_point(s: SupportCurve, t, m):
-    """Contrapedal of a support-function curve: foot from m onto the normal line."""
-    x0, y0 = as_xy(m)
-    t = np.asarray(t)
-    dh = s.dh(t)
-    ct, st = np.cos(t), np.sin(t)
-    return np.stack([x0 * ct ** 2 + y0 * ct * st - dh * st,
-                     y0 * st ** 2 + x0 * ct * st + dh * ct], axis=-1)
+# support-function integrals
 
 
 def support_pedal_area(s: SupportCurve, m, n: int = 2048) -> float:
@@ -578,14 +526,6 @@ def _corners(poly: Polygon):
             back[:, 0] ** 2 + back[:, 1] ** 2, fwd[:, 0] ** 2 + fwd[:, 1] ** 2)
 
 
-def internal_angles(poly: Polygon) -> np.ndarray:
-    """Unsigned vertex angles via the adjacent edge directions."""
-    cross, dot, _, _ = _corners(poly)
-    # atan2 of |cross| and dot keeps angles near 0 and pi accurate, where
-    # arccos of their cosine loses half the digits
-    return np.arctan2(cross, dot)
-
-
 def curvature_centroid_polygon(poly: Polygon) -> Point2:
     """Vertex centroid weighted by sin of twice the internal angle.
 
@@ -614,21 +554,3 @@ def pedal_polygon(poly: Polygon, m) -> Polygon:
         raise DegenerateLine("polygon has a zero-length side")
     u = ((p[0] - v[:, 0]) * d[:, 0] + (p[1] - v[:, 1]) * d[:, 1]) / dd
     return Polygon(v + u[:, None] * d)
-
-
-def circumcenter(p1, p2, p3) -> Point2:
-    """Center of the circle through three points; CollinearVertices if flat."""
-    ax, ay = as_xy(p1)
-    bx, by = as_xy(p2)
-    cx, cy = as_xy(p3)
-    ux, uy = bx - ax, by - ay
-    vx, vy = cx - ax, cy - ay
-    det = 2.0 * (ux * vy - uy * vx)
-    scale = math.hypot(ux, uy) * math.hypot(vx, vy)
-    if abs(det) <= 1e-12 * scale:
-        raise CollinearVertices("circumcenter of collinear points")
-    u2 = ux * ux + uy * uy
-    v2 = vx * vx + vy * vy
-    kx = ax + (vy * u2 - uy * v2) / det
-    ky = ay + (ux * v2 - vx * u2) / det
-    return Point2(kx, ky)

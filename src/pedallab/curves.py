@@ -124,15 +124,10 @@ def ellipse_point(e: Ellipse, t):
     return np.stack([e.a * np.cos(t), e.b * np.sin(t)], axis=-1)
 
 
-def ellipse_velocity(e: Ellipse, t):
-    """P'(t) = (-a sin t, b cos t); never the zero vector."""
-    t = np.asarray(t)
-    return np.stack([-e.a * np.sin(t), e.b * np.cos(t)], axis=-1)
-
-
 def ellipse_point_velocity(e: Ellipse, t):
-    """P(t) and P'(t) from one cos t and one sin t: bitwise ellipse_point
-    and ellipse_velocity, for a frame that needs both."""
+    """P(t) = (a cos t, b sin t) and P'(t) = (-a sin t, b cos t) from one
+    cos t and one sin t, for a frame that needs both; P(t) is bitwise
+    ellipse_point's, and P'(t) is never the zero vector."""
     t = np.asarray(t)
     ct, st = np.cos(t), np.sin(t)
     return np.stack([e.a * ct, e.b * st], axis=-1), np.stack([-e.a * st, e.b * ct], axis=-1)
@@ -158,20 +153,6 @@ class SupportCurve:
         gap = np.max(np.abs(np.asarray(self.h(probe + TWO_PI)) - vals))
         if gap > 1e-9 * scale:
             raise DomainError(f"support function is not 2*pi-periodic (gap {gap:.3e})")
-
-    def is_convex(self, n: int = 1024) -> bool:
-        """Radius of curvature h + h'' positive on an n-point grid."""
-        t = np.arange(n) * TWO_PI / n
-        return bool(np.all(np.asarray(self.h(t)) + np.asarray(self.d2h(t)) > 0))
-
-
-def support_point(s: SupportCurve, t):
-    """Point of the curve whose outward normal angle is t."""
-    t = np.asarray(t)
-    h = s.h(t)
-    dh = s.dh(t)
-    ct, st = np.cos(t), np.sin(t)
-    return np.stack([h * ct - dh * st, h * st + dh * ct], axis=-1)
 
 
 def ellipse_support(e: Ellipse) -> SupportCurve:

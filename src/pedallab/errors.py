@@ -38,7 +38,8 @@ class ZeroRotationIndex(GeometryError):
 
 
 class CollinearVertices(DomainError):
-    """Triangle vertices are collinear; no circumcenter exists."""
+    """A polygon repeats a vertex, so an edge there has no direction and the
+    vertex no angle (areas.curvature_centroid_polygon)."""
 
 
 class QuadratureError(GeometryError):

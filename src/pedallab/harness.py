@@ -252,17 +252,19 @@ def _sweep(frame: Callable, poles: np.ndarray, n: int, per_chunk: int):
     frame(t) builds the family's frame on the 2n nodes t, once, before the
     first chunk; an error it raises, such as a Steiner frame's
     DegenerateLine on an ellipse too flat for its lines, fails the scan.
-    The chunks run under one curves.QUIET error state, as sample_curve runs
-    its evaluator: a pole that overflows gets non-finite points and no
-    numpy warning.  They run under one ufunc buffer cut to a row of 2n
-    points, too (_row_buffer; a row as long as the buffer keeps it), for
-    the rows that the frame and the rule broadcast over a chunk (see
-    pedal._affine_frame).  It is entered once per scan, not once per
-    chunk: every area is bitwise what the default buffer gives, and at
-    n = 256 the rule is no slower (at n <= 16 it can be, by up to about
-    0.1 ms per 256-pole scan).  The frame, the one rule of the doubling
-    check (areas.doubling_rule, whose row checks run once) and one
-    workspace of three planes of per_chunk rows at 2n serve all chunks;
+    The frame is built and the chunks run under one curves.QUIET error
+    state, as sample_curve runs its evaluator: a pole, or a frame's column,
+    that overflows gives non-finite points, which the pole's error names
+    (curves.finite_rows), and no numpy warning.  The chunks run under one
+    ufunc buffer cut to a row of 2n points, too (_row_buffer; a row as
+    long as the buffer keeps it), for the rows that the frame and the rule
+    broadcast over a chunk (see pedal._affine_frame).  It is entered once
+    per scan, not once per chunk: every area is bitwise what the default
+    buffer gives, and at n = 256 the rule is no slower (at n <= 16 it can
+    be, by up to about 0.1 ms per 256-pole scan).  The frame, the one rule
+    of the doubling check (areas.doubling_rule, whose row checks run once)
+    and one workspace of three planes of per_chunk rows at 2n serve all
+    chunks;
     neither the frame nor the rule keeps anything from one chunk to the
     next, so the short last chunk gives what its poles give alone.  A
     chunk makes one points() call at 2n on the (k, 1) coordinate views of
@@ -279,11 +281,12 @@ def _sweep(frame: Callable, poles: np.ndarray, n: int, per_chunk: int):
     those of the chunk, or its own error, and areas NaN.
     """
     t = ParamGrid(2 * n).nodes()
-    points, rule = frame(t), doubling_rule(t)
+    rule = doubling_rule(t)
     work = np.empty((3, min(per_chunk, len(poles)), t.size))
     out = np.full((2, len(poles)), np.nan)
     errors: List[Optional[str]] = [None] * len(poles)
     with np.errstate(**QUIET), _row_buffer(t.size):
+        points = frame(t)
         for c0 in range(0, len(poles), per_chunk):
             chunk = slice(c0, c0 + per_chunk)
             x, y = poles[chunk, :1], poles[chunk, 1:]
@@ -466,7 +469,10 @@ def identity_suite(e: Ellipse, m=(0.7, -0.4), n: int = 2048,
             raise QuadratureError(f"{what}: {exc}") from exc
 
     def quad(what, family, theta=0.0, mu=0.5):
-        points = Family.of(family).frame(e, t, theta, mu)
+        # built as a scan builds it (_sweep): columns that overflow give
+        # non-finite points, which _pole_areas names, and no numpy warning
+        with np.errstate(**QUIET):
+            points = Family.of(family).frame(e, t, theta, mu)
         return settle(what, *_pole_areas(points, rule, t, x, y))
 
     ap_q = quad("pedal area", AreaFamily.PEDAL)

@@ -60,7 +60,6 @@ import numpy as np
 from .curves import (
     Ellipse,
     SampledCurve,
-    SupportCurve,
     ellipse_point,
     ellipse_point_velocity,
     xy_on_ellipse,
@@ -146,12 +145,17 @@ def _feet(t, p, d):
     F0 + x F1 + y F2 with F0 = p - ((p . d) / (d . d)) d,
     F1 = (dx / (d . d)) d and F2 = (dy / (d . d)) d.  Returns the columns
     (F0, F1, F2) of x and of y, as _affine_frame takes them.  A direction
-    that vanishes raises DegenerateLine, naming the first such parameter.
+    that vanishes raises DegenerateLine, naming the first such parameter:
+    one whose larger coordinate is at most 1e-12 times the largest
+    coordinate of the points p.  The floor is relative to the size of the
+    points, so a scaled ellipse keeps its lines and a zero line is refused
+    at any size, and it squares nothing, so it neither overflows nor
+    underflows before the columns do.
     """
     p, d = np.asarray(p), np.asarray(d)
     px, py, dx, dy = p[..., 0], p[..., 1], d[..., 0], d[..., 1]
     dd = dx ** 2 + dy ** 2
-    bad = np.abs(dd) < 1e-24
+    bad = np.maximum(np.abs(dx), np.abs(dy)) <= 1e-12 * np.max(np.abs(p))
     if bad.any():
         raise DegenerateLine(f"line direction vanishes near t={_param_at(t, bad):.6g}")
     w, gx, gy = (px * dx + py * dy) / dd, dx / dd, dy / dd
@@ -288,7 +292,7 @@ def negative_pedal_rational_frame(e: Ellipse, t) -> Callable:
     """
     t = np.asarray(t)
     ct, st = np.cos(t), np.sin(t)
-    # P(t) and P'(t) as arrays, as ellipse_point and ellipse_velocity give
+    # P(t) and P'(t) as arrays, as ellipse_point_velocity gives
     # them: a scalar t must not switch the rest to scalar arithmetic
     px, py = np.asarray(e.a * ct), np.asarray(e.b * st)
     vx, vy = np.asarray(-e.a * st), np.asarray(e.b * ct)
@@ -445,34 +449,6 @@ def evolutoid_point(e: Ellipse, theta: float, t):
     # not np.stack: on the few parameters of a cusp-refinement step it
     # costs more than a tenth of the whole call
     return np.concatenate((x[:, None], y[:, None]), axis=-1).reshape(t.shape + (2,))
-
-
-def evolutoid_support(s: SupportCurve, theta: float) -> SupportCurve:
-    """Evolutoid of a support-function curve, again as a support curve.
-
-    h_theta(t) = h(t - theta) cos theta + h'(t - theta) sin theta.  The third
-    derivative of h is not part of the SupportCurve contract, so the second
-    derivative of h_theta falls back to a fourth-order central difference of
-    s.d2h (step ~7.4e-4 balances truncation against roundoff).
-    """
-    cth, sth = math.cos(theta), math.sin(theta)
-    fd_step = 7.4e-4
-
-    def h(t):
-        u = np.asarray(t) - theta
-        return s.h(u) * cth + s.dh(u) * sth
-
-    def dh(t):
-        u = np.asarray(t) - theta
-        return s.dh(u) * cth + s.d2h(u) * sth
-
-    def d2h(t):
-        u = np.asarray(t) - theta
-        d3 = (-s.d2h(u + 2 * fd_step) + 8 * s.d2h(u + fd_step)
-              - 8 * s.d2h(u - fd_step) + s.d2h(u - 2 * fd_step)) / (12 * fd_step)
-        return s.d2h(u) * cth + d3 * sth
-
-    return SupportCurve(h=h, dh=dh, d2h=d2h)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from pedallab import (
     DomainError,
     Ellipse,
+    EvaluationError,
     GeometryError,
     QuadratureError,
     LocusSpec,
@@ -332,6 +334,44 @@ class TestScanEdge:
     def test_identity_suite_rejects(self, bad):
         with pytest.raises(DomainError):
             identity_suite(E21, **{"n": 64, **bad})
+
+
+def scaled_scan(family, k):
+    """The scan of a family on the 2:1 ellipse, with the circle of radius
+    1.3 for a Steiner family and the boundary otherwise, all scaled by
+    2^k: 16 poles, n = 256, theta = 0.6 and mu = 1/3."""
+    e = Ellipse(math.ldexp(2.0, k), math.ldexp(1.0, k))
+    kind = "boundary" if Family.of(family).on_ellipse else "circle"
+    locus = LocusSpec(kind, r=math.ldexp(1.3, k), count=16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return scan(e, family, locus, n=256, theta=0.6, mu=1.0 / 3.0)
+
+
+POLE_SCANS = [f for f in SCANNABLE if f != "ellipse"]
+
+
+class TestScaleOracle:
+    """Every area law is homogeneous of degree 2, and a power of two scales
+    exactly: a scan of the ellipse and locus scaled by 2^k gives bitwise
+    4^k times the areas and the closed form, and the same verdict."""
+
+    @pytest.mark.parametrize("family, k", [(f, k) for f in POLE_SCANS for k in (-60, -40, 40, 200)]
+                             + [("hybrid", 400), ("negative_pedal", 400)])
+    def test_a_scaled_scan_scales_by_four_to_the_k(self, family, k):
+        base, got = scaled_scan(family, 0), scaled_scan(family, k)
+        assert got.areas == [math.ldexp(a, 2 * k) for a in base.areas]
+        assert got.closed_form == math.ldexp(base.closed_form, 2 * k)
+        assert got.passed == base.passed
+        assert got.errors == base.errors
+
+    def test_a_pseudo_talbot_frame_past_the_range_fails_typed(self):
+        # its columns overflow at a = 2^401: every pole fails on non-finite
+        # points (a GeometryError, caught by the scan), with no RuntimeWarning
+        rep = scaled_scan("pseudo_talbot", 400)
+        assert not rep.passed
+        assert rep.areas == [None] * 16
+        assert rep.errors == ["curve evaluation failed at t=0.0: non-finite point"] * 16
 
 
 def count_trig_points(monkeypatch):
@@ -705,6 +745,12 @@ class TestIdentitySuite:
         assert names[0] == "closed_pedal_minus_contrapedal"
         assert sum(n.startswith("rotation_deficit") for n in names) == 5
         assert sum(n.startswith("blend_mu") for n in names) == 6
+
+    def test_frames_that_overflow_fail_typed(self):
+        # at a = 2e200 the squared line directions of the pedal's frame
+        # overflow: its points are not finite, and numpy warns nothing
+        with pytest.raises(EvaluationError, match="non-finite point"):
+            identity_suite(Ellipse(2e200, 1e200), m=(0.0, 0.0), n=64)
 
     def test_tolerance_is_enforced(self):
         checks = identity_suite(E21, n=1024, tol=1e-16)

@@ -18,17 +18,11 @@ from pedallab import (
     SingularFamily,
     ellipse_point,
     ellipse_support,
-    ellipse_velocity,
     evolutoid_point,
-    evolutoid_support,
     family_evaluator,
     find_cusps,
     sample_curve,
     self_intersections,
-    support_areas,
-    support_contrapedal_point,
-    support_pedal_point,
-    support_point,
 )
 import pedallab.pedal as pedal_module
 from pedallab.areas import FAMILIES, Family
@@ -48,6 +42,7 @@ from pedallab.pedal import (
     pseudo_talbot_frame,
     rotated_frame,
 )
+from references import ellipse_velocity, evolutoid_support, support_point
 
 TWO_PI = 2.0 * math.pi
 E21 = Ellipse(2.0, 1.0)
@@ -138,20 +133,6 @@ class TestFeet:
                                    point("pedal", t, M), atol=1e-14)
         np.testing.assert_allclose(point("interpolated", t, M, mu=1.0),
                                    point("contrapedal", t, M), atol=1e-14)
-
-    def test_support_feet_match_ellipse_geometry(self):
-        # support-form pedal/contrapedal agree with direct projection onto the
-        # tangent/normal lines of the support point
-        s = ellipse_support(E21)
-        rng = np.random.default_rng(5)
-        for t in rng.uniform(0, TWO_PI, 20):
-            z = support_point(s, t)
-            n = np.array([math.cos(t), math.sin(t)])
-            tangent = np.array([-n[1], n[0]])
-            np.testing.assert_allclose(support_pedal_point(s, t, M),
-                                       perpendicular_foot(M, z, tangent), atol=1e-12)
-            np.testing.assert_allclose(support_contrapedal_point(s, t, M),
-                                       perpendicular_foot(M, z, n), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -891,14 +872,6 @@ class TestEvolutoid:
             sup = evolutoid_support(ellipse_support(E21), theta)
             np.testing.assert_allclose(support_point(sup, phi + theta),
                                        evolutoid_point(E21, theta, tau), atol=1e-12)
-
-    def test_support_form_area_identity(self):
-        sup = ellipse_support(E21)
-        base = support_areas(sup)
-        for theta in (0.2, 0.7, 1.1):
-            got = support_areas(evolutoid_support(sup, theta)).curve
-            want = base.curve * math.cos(theta) ** 2 + base.evolute * math.sin(theta) ** 2
-            assert abs(got - want) < 1e-9
 
 
 # ---------------------------------------------------------------------------

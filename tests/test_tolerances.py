@@ -4,6 +4,7 @@ from pathlib import Path
 import pedallab
 
 PACKAGE = Path(pedallab.__file__).parent
+REPO = Path(__file__).resolve().parents[1]
 
 
 def tolerance_names():
@@ -48,3 +49,47 @@ def test_every_import_is_read():
     # an import no line reads outlived its reader; __init__ imports to export
     unread = {p.name: unread_imports(p) for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
     assert {name: names for name, names in unread.items() if names} == {}
+
+
+# exported names that no program line needs to read, each with its reason;
+# the classes __init__ imports from the errors module are kept beside them,
+# as what a caller of the package catches
+ENTRY_POINTS = {
+    "area_rule": "the documented area of a SampledCurve, and the bitwise "
+                 "reference for doubling_rule's fine area",
+    "find_cusps": "the cusp detector, documented beside self_intersections",
+    "ConjectureReport": "what conjecture_check_contrapedal returns",
+    "IdentityCheck": "what identity_suite returns a list of",
+    "InvarianceReport": "what scan returns",
+    "Crossing": "what self_intersections returns a list of",
+}
+
+
+def exported_names():
+    """Each name pedallab/__init__.py imports, with the package module it
+    imports it from (the package has no __all__)."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return {alias.asname or alias.name: node.module for node in tree.body
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def loaded_names(path):
+    """The names a file reads, as a name or as an attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_export_has_a_caller():
+    # a public name that only tests call is test code in the package: it
+    # moves into tests/ or goes, unless it is an entry point listed above
+    exported = exported_names()
+    program = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    program += [p for folder in ("scripts", "bench") for p in (REPO / folder).glob("*.py")]
+    reads = {p: loaded_names(p) for p in program}
+    uncalled = {name for name, module in exported.items()
+                if not any(name in names for p, names in reads.items()
+                           if p != PACKAGE / f"{module}.py")}
+    errors = {name for name, module in exported.items() if module == "errors"}
+    assert uncalled - errors - ENTRY_POINTS.keys() == set()
+    assert ENTRY_POINTS.keys() - exported.keys() == set()
