@@ -3,8 +3,10 @@ import importlib.util
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 from xml.etree import ElementTree as ET
@@ -14,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pedallab import DomainError, Ellipse, ParamGrid, area_rule, closed_form_area, ellipse_point
+from pedallab import (DomainError, Ellipse, ParamGrid, QuadratureError, area_rule, closed_form_area,
+                      ellipse_point)
 from pedallab import cli
 from pedallab.areas import FAMILIES
 from pedallab.cli import MAX_COUNT, MAX_N, build_parser, main, report_json
@@ -73,6 +76,143 @@ def test_run_invariance_refuses_bad_arguments_before_writing(tmp_path, capsys, b
     assert info.value.code == 2
     assert "error:" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def on_cpus(monkeypatch, w):
+    """Show the battery w usable CPUs, so that it runs on min(w, its
+    certificates) processes; the returned list gathers the pid of every
+    child it forks."""
+    forked, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(w)))
+    monkeypatch.setattr(os, "fork", counted)
+    return forked
+
+
+def plant(monkeypatch, mod, acts):
+    """Make the battery's scan of a (family, circle radius) in acts call
+    that act in place of scanning."""
+    real = mod.scan
+
+    def scan(e, fam, locus, **kwargs):
+        act = acts.get((fam, locus.r)) if locus.kind == "circle" else None
+        return act() if act else real(e, fam, locus, **kwargs)
+
+    monkeypatch.setattr(mod, "scan", scan)
+
+
+def raises(exc):
+    def act():
+        raise exc
+    return act
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestBatteryWorkers:
+    """run_invariance.py runs its certificates on one process per usable
+    CPU, at most one per certificate.  Its files, exit code and error line
+    are those of a run on one CPU, and no child outlives the run."""
+
+    @pytest.mark.parametrize("argv, files", [([], 22), (["--quick"], 14)])
+    def test_the_reports_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch,
+                                                           capsys, argv, files):
+        mod = load_script("run_invariance")
+        written = []
+        for w in (1, 2, 3):
+            forked = on_cpus(monkeypatch, w)
+            out = tmp_path / f"w{w}"
+            assert mod.main(["--outdir", str(out), *argv]) == 0
+            assert len(forked) == w - 1
+            assert_no_child_left()
+            written.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert len(written[0]) == files
+        assert written[0] == written[1] == written[2]
+
+    @pytest.mark.parametrize("w", [1, 2, 3])
+    def test_a_failing_battery_fails_as_on_one_cpu(self, tmp_path, monkeypatch, capsys, w):
+        # certificates 3 and 4 fail; on 2 processes 3 is the child's and 4,
+        # the later one, the parent's, which the parent meets first
+        mod = load_script("run_invariance")
+        plant(monkeypatch, mod, {("contrapedal", 1.0): raises(QuadratureError("planted at 3")),
+                                 ("rotated", 0.5): raises(QuadratureError("planted at 4"))})
+        forked = on_cpus(monkeypatch, w)
+        out = tmp_path / "out"
+        assert mod.main(["--outdir", str(out), "--quick"]) == 1
+        assert len(forked) == w - 1
+        assert capsys.readouterr() == ("", "error: planted at 3\n")
+        assert sorted(p.name for p in out.iterdir()) == [
+            "scan_contrapedal_circle_r0.5.json", "scan_pedal_circle_r0.5.json",
+            "scan_pedal_circle_r1.json"]
+        assert_no_child_left()
+
+    def test_a_childs_other_exception_is_raised_with_its_traceback(self, tmp_path,
+                                                                   monkeypatch):
+        mod = load_script("run_invariance")
+
+        def planted_in_the_child():
+            raise ZeroDivisionError("planted at 1")
+
+        plant(monkeypatch, mod, {("pedal", 1.0): planted_in_the_child})
+        forked = on_cpus(monkeypatch, 2)
+        with pytest.raises(ZeroDivisionError, match="planted at 1") as info:
+            mod.main(["--outdir", str(tmp_path), "--quick"])
+        cause = str(info.value.__cause__)
+        assert isinstance(info.value.__cause__, mod.WorkerTraceback)
+        assert cause.startswith(f"in battery worker {forked[0]}:\nTraceback")
+        assert "in planted_in_the_child" in cause
+        assert cause.endswith("ZeroDivisionError: planted at 1\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["scan_pedal_circle_r0.5.json"]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("die, ended", [
+        (lambda: os._exit(3), "exit code 3"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "signal 9")])
+    def test_a_child_that_ends_without_its_reports_is_named(self, tmp_path, monkeypatch,
+                                                            die, ended):
+        mod = load_script("run_invariance")
+        parent = os.getpid()
+
+        def act():
+            if os.getpid() == parent:
+                raise AssertionError("certificate 1 ran in the parent")
+            die()
+
+        plant(monkeypatch, mod, {("pedal", 1.0): act})
+        forked = on_cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeError) as info:
+            mod.main(["--outdir", str(tmp_path), "--quick"])
+        assert str(info.value) == (
+            f"battery worker {forked[0]} (its share starts at scan_pedal_circle_r1, step 2) "
+            f"ended by {ended} without sending its reports")
+        assert [p.name for p in tmp_path.iterdir()] == ["scan_pedal_circle_r0.5.json"]
+        assert_no_child_left()
+
+    def test_one_process_where_forking_is_missing_or_unsafe(self, monkeypatch):
+        mod = load_script("run_invariance")
+        on_cpus(monkeypatch, 3)
+        assert (mod.worker_count(21), mod.worker_count(2)) == (3, 2)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert mod.worker_count(21) == 1
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        for name in ("fork", "sched_getaffinity"):
+            with monkeypatch.context() as m:
+                m.delattr(os, name)
+                assert mod.worker_count(21) == 1
 
 
 @pytest.mark.parametrize("n", ["4", str(2 * MAX_N)])
@@ -650,3 +790,4 @@ class TestReportWriter:
         assert rc == 1
         assert capsys.readouterr().err == "error: report holds a non-finite number (nan)\n"
         assert not (tmp_path / "out" / "identities.json").exists()
+        assert not (tmp_path / "out" / "conjecture.json").exists()

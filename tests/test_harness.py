@@ -374,6 +374,49 @@ class TestScaleOracle:
         assert rep.errors == ["curve evaluation failed at t=0.0: non-finite point"] * 16
 
 
+def assert_same_areas(got, want, scale):
+    """Equal to roundoff, 1e-13 of the scan's scale, with None for None."""
+    assert [a is None for a in got] == [a is None for a in want]
+    assert all(abs(g - w) <= 1e-13 * scale for g, w in zip(got, want) if g is not None)
+
+
+class TestSymmetryOracle:
+    """The ellipse is symmetric in both axes.  The pole mirrored in the x
+    axis, in the y axis or turned a half turn gives the mirrored curve,
+    with the same signed area, and a single mirror turns the rotated
+    pedal's theta into -theta.  Pole j of a locus with phase phi sits at
+    the angle (circle) or parameter (boundary) phi + 2 pi j / count: the x
+    mirror sends it to pole -j of the locus with phase -phi, the y mirror
+    to pole -j of phase pi - phi, the half turn to pole j of phase
+    phi + pi.  A phase shifted by one pole spacing puts pole j + 1 at j."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(family=st.sampled_from(POLE_SCANS), ratio=st.floats(1.0, 5.0),
+           reflection=st.sampled_from(["x", "y", "half turn"]), n=st.sampled_from([128, 256, 512]),
+           count=st.sampled_from([7, 16]), r=st.floats(0.05, 4.0),
+           phase=st.floats(0.0, 2 * math.pi), theta=st.floats(-1.5, 1.5))
+    def test_mirrored_and_shifted_loci_permute_the_areas(self, family, ratio, reflection, n,
+                                                         count, r, phase, theta):
+        e = Ellipse(ratio, 1.0)
+        kind = "boundary" if Family.of(family).on_ellipse else "circle"
+
+        def scan_at(phase, theta):
+            locus = LocusSpec(kind, r=r, count=count, phase=phase)
+            return scan(e, family, locus, n=n, theta=theta, mu=1 / 3)
+
+        base = scan_at(phase, theta)
+        scale = max([1.0] + [abs(a) for a in base.areas if a is not None])
+        mirrored_phase, index_sign, theta_sign = {
+            "x": (-phase, -1, -1), "y": (math.pi - phase, -1, -1),
+            "half turn": (phase + math.pi, 1, 1)}[reflection]
+        mirrored = scan_at(mirrored_phase, theta_sign * theta)
+        assert_same_areas(mirrored.areas, [base.areas[index_sign * j % count]
+                                           for j in range(count)], scale)
+        shifted = scan_at(phase + 2 * math.pi / count, theta)
+        assert_same_areas(shifted.areas, base.areas[1:] + base.areas[:1], scale)
+        assert shifted.errors == base.errors[1:] + base.errors[:1]
+
+
 def count_trig_points(monkeypatch):
     """Patch ellipse_point_velocity, the one trig evaluation of a Steiner
     frame, where the frames call it; the returned list gathers the number
