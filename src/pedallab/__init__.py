@@ -8,7 +8,6 @@ and over the ellipse itself.
 """
 
 from .areas import (
-    AreaFamily,
     Polygon,
     area_rule,
     closed_form_area,

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
@@ -107,9 +106,13 @@ class Family:
     ellipse_pole_only: bool = False
 
     @staticmethod
-    def of(value) -> "Family":
-        """The entry of a family given by name or AreaFamily member."""
-        return FAMILIES[AreaFamily.coerce(value).value]
+    def of(name) -> "Family":
+        """The registry entry of the family name; any other value, a name
+        not in the registry or no name at all, raises DomainError."""
+        try:
+            return FAMILIES[name]
+        except (KeyError, TypeError):
+            raise DomainError(f"unknown curve family: {name!r}") from None
 
 
 def _ellipse_frame(e: Ellipse, t) -> Callable:
@@ -140,8 +143,8 @@ def _evolutoid_area(a, b, rho, theta, mu):
             - (3 * math.pi * c4 / (8 * a * b)) * math.sin(theta) ** 2)
 
 
-# in command-line order; AreaFamily, harness.SCANNABLE and the CLI's --family
-# choices are derived from it
+# in command-line order; harness.SCANNABLE and the CLI's --family choices
+# are derived from it
 FAMILIES = {f.name: f for f in (
     Family("ellipse", lambda a, b, rho, theta, mu: math.pi * a * b,
            lambda e, t, theta, mu: _ellipse_frame(e, t)),
@@ -165,22 +168,6 @@ FAMILIES = {f.name: f for f in (
            lambda e, t, theta, mu: negative_pedal_frame(e, t), on_ellipse=True),
     Family("evolutoid", _evolutoid_area, None),
 )}
-
-
-class _FamilyName(str, Enum):
-    """Base of AreaFamily, whose members come from the registry."""
-
-    @classmethod
-    def coerce(cls, value) -> "AreaFamily":
-        try:
-            return cls(value)
-        except ValueError:
-            raise DomainError(f"unknown curve family: {value!r}") from None
-
-
-# one member per registry entry, valued by its name: AreaFamily.PEDAL == "pedal"
-AreaFamily = _FamilyName("AreaFamily", [(name.upper(), name) for name in FAMILIES],
-                         module=__name__)
 
 
 def closed_form_areas(family, e: Ellipse, poles: np.ndarray,

@@ -501,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="area invariance over a pole locus")
     _add_ellipse(p)
-    _add_family(p, [f.value for f in SCANNABLE])
+    _add_family(p, list(SCANNABLE))
     p.add_argument("--locus", choices=("circle", "boundary"), required=True)
     p.add_argument("--r", type=float, default=1.0, help="circle locus radius")
     p.add_argument("--count", type=COUNT, default=64, help="poles on the locus")

@@ -135,7 +135,7 @@ def ellipse_point_velocity(e: Ellipse, t):
 
 @dataclass
 class SupportCurve:
-    """Convex-curve description by a support function h and its derivatives.
+    """Convex-curve description by a support function h and its derivative dh.
 
     h(t) is the signed distance from the origin to the tangent line whose
     outward normal has angle t.  The curve point is recovered by
@@ -144,7 +144,6 @@ class SupportCurve:
 
     h: Callable
     dh: Callable
-    d2h: Callable
 
     def __post_init__(self):
         probe = np.linspace(0.0, TWO_PI, 17)[:-1]
@@ -156,7 +155,7 @@ class SupportCurve:
 
 
 def ellipse_support(e: Ellipse) -> SupportCurve:
-    """Center-based support function of the ellipse, with analytic derivatives."""
+    """Center-based support function of the ellipse, with its analytic derivative."""
     a2, b2 = e.a * e.a, e.b * e.b
     c2 = e.c2
 
@@ -169,12 +168,7 @@ def ellipse_support(e: Ellipse) -> SupportCurve:
         t = np.asarray(t)
         return -(c2 / 2.0) * np.sin(2 * t) / h(t)
 
-    def d2h(t):
-        t = np.asarray(t)
-        ht = h(t)
-        return -c2 * np.cos(2 * t) / ht - (c2 * c2 / 4.0) * np.sin(2 * t) ** 2 / ht ** 3
-
-    return SupportCurve(h=h, dh=dh, d2h=d2h)
+    return SupportCurve(h=h, dh=dh)
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,6 @@ import numpy as np
 
 from .areas import (
     FAMILIES,
-    AreaFamily,
     Family,
     closed_form_area,
     closed_form_areas,
@@ -73,7 +72,7 @@ from .tolerances import AXIS_TOL
 TWO_PI = 2.0 * math.pi
 
 # the families with a pole, in registry order
-SCANNABLE = tuple(AreaFamily(f.name) for f in FAMILIES.values() if f.frame is not None)
+SCANNABLE = tuple(name for name, f in FAMILIES.items() if f.frame is not None)
 
 # a scan evaluates at most this many grid points at once (a chunk of k poles
 # at 2n points each), so batching never grows its working set with the pole
@@ -339,8 +338,8 @@ def scan(e: Ellipse, family, locus: LocusSpec, n: int = 2048,
     of its pole alone.  The rest is array work
     over all poles: the doubling gaps, the settled() test (an unsettled
     pole takes settled_area's message), the closed forms
-    (areas.closed_form_areas) and the spread, on whole rows when every pole
-    settled and on the settled poles' selection otherwise.
+    (areas.closed_form_areas) and the spread, on the settled poles'
+    selection.
     """
     spec = Family.of(family)
     fam = spec.name
@@ -361,42 +360,34 @@ def scan(e: Ellipse, family, locus: LocusSpec, n: int = 2048,
     # a pole with an error has no areas, and a NaN never settles
     gaps = np.abs(coarse - fine)
     good = settled(coarse, fine)
-    every = bool(good.all())
-    if every:
-        # the usual case: whole rows, views with no boolean-index copies
-        pick = slice(None)
-        max_gap = float(np.maximum.reduce(gaps))
-        areas: List[Optional[float]] = coarse.tolist()
-    else:
-        pick = good
-        have = np.isfinite(coarse)
-        max_gap = float(np.maximum.reduce(gaps[have], initial=0.0))
-        for j in np.flatnonzero(have & ~good):
-            try:
-                settled_area(coarse[j], fine[j])
-            except QuadratureError as exc:
-                errors[j] = str(exc)
-        areas = [a if g else None for a, g in zip(coarse.tolist(), good.tolist())]
+    have = np.isfinite(coarse)
+    max_gap = float(np.maximum.reduce(gaps[have], initial=0.0))
+    for j in np.flatnonzero(have & ~good):
+        try:
+            settled_area(coarse[j], fine[j])
+        except QuadratureError as exc:
+            errors[j] = str(exc)
+    areas: List[Optional[float]] = [a if g else None
+                                    for a, g in zip(coarse.tolist(), good.tolist())]
 
     # np.mean is add.reduce over the size and np.max is maximum.reduce: the same sums
     mean: Optional[float] = None
     max_rel_dev: Optional[float] = None
-    kept = coarse[pick]
+    kept = coarse[good]
     if kept.size:
         mean = float(np.add.reduce(kept) / kept.size)
         max_rel_dev = float(np.maximum.reduce(np.abs(kept - mean)) / max(abs(mean), 1.0))
 
     closed_ref: Optional[float] = None
     max_closed_dev: Optional[float] = None
-    if not holds.all():
-        pick = good & holds
+    pick = good & holds
     c = closed[pick]
     if c.size:
         closed_ref = float(c[0])
         max_closed_dev = float(np.maximum.reduce(
             np.abs(coarse[pick] - c) / np.maximum(np.abs(c), 1.0)))
 
-    passed = (every and max_rel_dev is not None and max_rel_dev <= tol
+    passed = (bool(good.all()) and max_rel_dev is not None and max_rel_dev <= tol
               and (max_closed_dev is None or max_closed_dev <= tol))
 
     return InvarianceReport(
@@ -430,16 +421,22 @@ def _check(name: str, lhs: float, rhs: float, tol: float) -> IdentityCheck:
                          residual=float(res), tol=tol, passed=bool(res <= tol))
 
 
+# the rotations of the rotation-deficit checks and the blends of the blend
+# law that the identity suite certifies
+IDENTITY_THETAS = (0.0, math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2)
+IDENTITY_MUS = (-0.5, 0.0, 0.25, 0.5, 1.0, 1.5)
+
+
 def identity_suite(e: Ellipse, m=(0.7, -0.4), n: int = 2048,
-                   thetas=(0.0, math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2),
-                   mus=(-0.5, 0.0, 0.25, 0.5, 1.0, 1.5),
                    tol: float = 1e-8) -> List[IdentityCheck]:
     """Area identities of the pedal family for one pole, closed and quadrature.
 
     Checks, in order: pedal minus contrapedal equals the ellipse area
     (closed forms, then quadrature, then the support-function route); the
-    rotated-pedal deficit A_pedal - A_rot = A sin^2(theta) per theta; the
-    blend law A_mu = (1-2mu)((1-mu)A_pedal - mu A_contra) + mu(1-mu)A per mu.
+    rotated-pedal deficit A_pedal - A_rot = A sin^2(theta) per theta of
+    IDENTITY_THETAS; the blend law
+    A_mu = (1-2mu)((1-mu)A_pedal - mu A_contra) + mu(1-mu)A per mu of
+    IDENTITY_MUS.
     Every area a check reads from n points, by quadrature or by the
     support route, is settled against its re-run on 2n points
     (areas.settled_area); one that is not raises QuadratureError, whose
@@ -448,19 +445,18 @@ def identity_suite(e: Ellipse, m=(0.7, -0.4), n: int = 2048,
     quadratures share one row of 2n nodes and its one doubling rule
     (areas.doubling_rule): each builds its family's frame on the row and
     makes one points() call on the pole (_pole_areas), as a scan re-runs a
-    pole.  A grid size n below 8, a non-finite theta or mu, or a tol that
-    is not finite and positive raises DomainError.
+    pole.  A grid size n below 8, or a tol that is not finite and positive,
+    raises DomainError.
     """
     _require_count("grid size n", n, 8)
-    _require_finite("thetas and mus", *thetas, *mus)
     _require_tol(tol)
     x0, y0 = as_xy(m)
     mm = (float(x0), float(y0))
     t = ParamGrid(2 * n).nodes()
     rule, x, y = doubling_rule(t), np.array([[x0]]), np.array([[y0]])
-    base = closed_form_area(AreaFamily.ELLIPSE, e)
-    ap = closed_form_area(AreaFamily.PEDAL, e, m=mm)
-    ac = closed_form_area(AreaFamily.CONTRAPEDAL, e, m=mm)
+    base = closed_form_area("ellipse", e)
+    ap = closed_form_area("pedal", e, m=mm)
+    ac = closed_form_area("contrapedal", e, m=mm)
 
     def settle(what, coarse, fine):
         try:
@@ -475,8 +471,8 @@ def identity_suite(e: Ellipse, m=(0.7, -0.4), n: int = 2048,
             points = Family.of(family).frame(e, t, theta, mu)
         return settle(what, *_pole_areas(points, rule, t, x, y))
 
-    ap_q = quad("pedal area", AreaFamily.PEDAL)
-    ac_q = quad("contrapedal area", AreaFamily.CONTRAPEDAL)
+    ap_q = quad("pedal area", "pedal")
+    ac_q = quad("contrapedal area", "contrapedal")
 
     checks = [
         _check("closed_pedal_minus_contrapedal", ap - ac, base, tol),
@@ -489,13 +485,13 @@ def identity_suite(e: Ellipse, m=(0.7, -0.4), n: int = 2048,
                                  ("support contrapedal area", support_contrapedal_area)))
     checks.append(_check("support_pedal_minus_contrapedal", sp - sc, base, tol))
 
-    for theta in thetas:
-        at_q = quad(f"rotated pedal area at theta={theta:.6g}", AreaFamily.ROTATED, theta=theta)
+    for theta in IDENTITY_THETAS:
+        at_q = quad(f"rotated pedal area at theta={theta:.6g}", "rotated", theta=theta)
         checks.append(_check(f"rotation_deficit_theta_{theta:.6g}",
                              ap_q - at_q, base * math.sin(theta) ** 2, tol))
 
-    for mu in mus:
-        am_q = quad(f"interpolated pedal area at mu={mu:.6g}", AreaFamily.INTERPOLATED, mu=mu)
+    for mu in IDENTITY_MUS:
+        am_q = quad(f"interpolated pedal area at mu={mu:.6g}", "interpolated", mu=mu)
         target = (1 - 2 * mu) * ((1 - mu) * ap - mu * ac) + mu * (1 - mu) * base
         checks.append(_check(f"blend_mu_{mu:.6g}", am_q, target, tol))
 
@@ -540,7 +536,7 @@ def conjecture_check_contrapedal(e: Ellipse, m, n: int = 2048,
                                 crossing_count=0, crossings=[],
                                 dist_to_x_axis_point=None, dist_to_y_axis_point=None,
                                 tol=tol, passed=True)
-    ev = family_evaluator(e, AreaFamily.CONTRAPEDAL, (float(x0), float(y0)))
+    ev = family_evaluator(e, "contrapedal", (float(x0), float(y0)))
     curve = sample_curve(ev, ParamGrid(count=n, offset=0.5))
     hits = self_intersections(curve)
     pts = [[float(c.point[0]), float(c.point[1])] for c in hits]

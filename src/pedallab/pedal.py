@@ -702,7 +702,9 @@ class Crossing:
 
 
 def _plane_hits(x1, y1, dx1, dy1, x2, y2, dx2, dy2):
-    """_segment_hits on the coordinate planes of the two bundles."""
+    """Intersection fractions (ok, s, u) of the segment bundles a + s d,
+    half-open in [0, 1), on the coordinate planes x, y, dx and dy of
+    each."""
     den = dx1 * dy2 - dy1 * dx2
     rx, ry = x2 - x1, y2 - y1
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -710,12 +712,6 @@ def _plane_hits(x1, y1, dx1, dy1, x2, y2, dx2, dy2):
         u = (rx * dy1 - ry * dx1) / den
     ok = (np.abs(den) > 1e-14) & (s >= 0) & (s < 1) & (u >= 0) & (u < 1)
     return ok, s, u
-
-
-def _segment_hits(a1, d1, a2, d2):
-    """Intersection fractions of segment bundles a + s d, half-open in [0, 1)."""
-    return _plane_hits(a1[..., 0], a1[..., 1], d1[..., 0], d1[..., 1],
-                       a2[..., 0], a2[..., 1], d2[..., 0], d2[..., 1])
 
 
 def _candidate_pairs(y_lo, y_hi, order, first, shift, k0: int, k1: int):
@@ -753,8 +749,12 @@ def _chord_hits(planes, i, j):
     return i[ok], j[ok], s[ok], u[ok]
 
 
-def self_intersections(curve: SampledCurve, refine: bool = True,
-                       block: int = 512) -> List[Crossing]:
+# self_intersections lists its candidate pairs in chunks of at most
+# _BLOCK * _BLOCK, and its results in the order of a block-wise scan
+_BLOCK = 512
+
+
+def self_intersections(curve: SampledCurve) -> List[Crossing]:
     """Transversal self-crossings of the sampled closed curve.
 
     A sort-and-sweep prefilter (Shamos & Hoey 1976) picks the candidate
@@ -766,17 +766,17 @@ def self_intersections(curve: SampledCurve, refine: bool = True,
     few candidates per segment.  The extents are padded by 1e-12 * max|x|
     and 1e-12 * max|y|, so a pair whose segments touch up to roundoff stays
     a candidate.  The candidates are listed in chunks of at most
-    block * block pairs, which bounds the memory even when every x-extent
+    _BLOCK * _BLOCK pairs, which bounds the memory even when every x-extent
     overlaps.  The candidates of one sorted position are a run of
     consecutive positions, so a chunk lists its pairs by run length
     (_candidate_pairs).  Results come in the order of a block-wise scan of
-    the pairs i < j: sorted by (i // block, j // block, i, j).
+    the pairs i < j: sorted by (i // _BLOCK, j // _BLOCK, i, j).
 
-    Without an evaluator, or with refine false, the crossings are those of
-    the polyline through the samples: each candidate pair goes through the
-    exact intersection test of its two chords, on the 1-d planes x, y, dx
-    and dy scaled by the power of two that brings the curve's extent into
-    [1/2, 1), in its chunk.  The scaling leaves the fractions s and u as
+    Without an evaluator, the crossings are those of the polyline through
+    the samples: each candidate pair goes through the exact intersection
+    test of its two chords, on the 1-d planes x, y, dx and dy scaled by
+    the power of two that brings the curve's extent into [1/2, 1), in its
+    chunk.  The scaling leaves the fractions s and u as
     they are, keeps the products in range on a curve of any size, and
     makes the parallel test |den| > 1e-14 relative to the extent squared.
 
@@ -800,14 +800,12 @@ def self_intersections(curve: SampledCurve, refine: bool = True,
     n = len(pts)
     if n < 8:
         raise DomainError("self-intersection scan needs at least 8 samples")
-    if block < 1:
-        raise DomainError(f"block must be >= 1, got {block}")
     _require_finite(curve, "self-intersection scan")
     t = curve.params
     step = t[1] - t[0]
     x, y = pts[:, 0].copy(), pts[:, 1].copy()
     dx, dy = np.roll(x, -1) - x, np.roll(y, -1) - y
-    ev = curve.evaluator if refine else None
+    ev = curve.evaluator
     size = float(np.max(np.abs(pts)))
     tube = 0.0
     if ev is not None:
@@ -843,13 +841,14 @@ def self_intersections(curve: SampledCurve, refine: bool = True,
         # not over- or underflow
         down = -math.frexp(size)[1]
         planes = tuple(np.ldexp(c, down) for c in (x, y, dx, dy))
-    pairs = (_candidate_pairs(y_lo, y_hi, order, first, shift, k0, min(k0 + block * block, total))
-             for k0 in range(0, total, block * block))
+    chunk = _BLOCK * _BLOCK
+    pairs = (_candidate_pairs(y_lo, y_hi, order, first, shift, k0, min(k0 + chunk, total))
+             for k0 in range(0, total, chunk))
     found = [pair if ev is not None else _chord_hits(planes, *pair) for pair in pairs]
 
     # never empty: neighbouring segments share a vertex, so their extents overlap
     i, j, *su = (np.concatenate(col) for col in zip(*found))
-    emit = np.lexsort((j, i, j // block, i // block))
+    emit = np.lexsort((j, i, j // _BLOCK, i // _BLOCK))
     i, j = i[emit], j[emit]
     if ev is not None:
         return _polish_crossings(ev, np.append(t, t[0] + TWO_PI), i, j, size, m1)

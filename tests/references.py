@@ -3,8 +3,9 @@
 Each is a second route to a quantity that a test compares with the
 package's own, or the one route to a paper claim that no report
 certifies: the support-function pedal of a body that is not an ellipse
-(acceptance claim c02), the evolutoid's area by the support route (c09a),
-the evolutoid's perimeter (c09c) and the triangle's circumcenter (c10).
+(acceptance claim c02), the evolutoid's area by the support route (c09a)
+with the ellipse's analytic h'' that it needs, the evolutoid's perimeter
+(c09c) and the triangle's circumcenter (c10).
 They stay out of the package's public surface, as bench/reference.py
 keeps the benchmark's reference outside it.
 """
@@ -47,18 +48,32 @@ def support_pedal_point(s, t, m):
     return m + (s.h(t) - n @ np.asarray(m))[..., None] * n
 
 
-def evolutoid_support(s, theta: float) -> Support:
-    """The evolutoid of a support curve s with an analytic d2h, whose lines
+def ellipse_d2h(e) -> Callable:
+    """h'' of the ellipse's center-based support function h (as
+    pedallab.ellipse_support builds it), analytic:
+    h'' = -c^2 cos 2t / h - (c^4 / 4) sin^2 2t / h^3, c^2 = a^2 - b^2."""
+    a2, b2, c2 = e.a * e.a, e.b * e.b, e.c2
+
+    def d2h(t):
+        t = np.asarray(t)
+        h = np.sqrt(a2 * np.cos(t) ** 2 + b2 * np.sin(t) ** 2)
+        return -c2 * np.cos(2 * t) / h - (c2 * c2 / 4.0) * np.sin(2 * t) ** 2 / h ** 3
+
+    return d2h
+
+
+def evolutoid_support(s, d2h: Callable, theta: float) -> Support:
+    """The evolutoid of a support curve s whose h'' is d2h, whose lines
     cross s at the angle theta to its tangent: h_theta(t) =
     h(t - theta) cos theta + h'(t - theta) sin theta, and its derivative."""
     c, si = math.cos(theta), math.sin(theta)
     return Support(h=lambda t: s.h(t - theta) * c + s.dh(t - theta) * si,
-                   dh=lambda t: s.dh(t - theta) * c + s.d2h(t - theta) * si)
+                   dh=lambda t: s.dh(t - theta) * c + d2h(t - theta) * si)
 
 
 def support_area(s, n: int = 4096) -> float:
     """Signed area 1/2 int (h^2 - h'^2) dt of the support curve s, on
-    ParamGrid(n, offset=0.5); Support(s.dh, s.d2h) gives its evolute's."""
+    ParamGrid(n, offset=0.5); Support(s.dh, d2h) gives its evolute's."""
     t = ParamGrid(n, offset=0.5).nodes()
     h, dh = s.h(t), s.dh(t)
     return 0.5 * (2.0 * math.pi / n) * float(np.sum(h * h - dh * dh))

@@ -45,7 +45,7 @@ class TestFamilyChoices:
         assert family_choices(command) == list(FAMILIES)
 
     def test_scan_offers_the_scannable_families(self):
-        assert family_choices("scan") == [f.value for f in SCANNABLE]
+        assert family_choices("scan") == list(SCANNABLE)
 
 
 def test_make_figures_renders_every_family(tmp_path):
@@ -222,6 +222,28 @@ def test_make_figures_refuses_a_bad_grid_before_drawing(tmp_path, capsys, n):
     assert info.value.code == 2
     assert "argument --n" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("source, count", [
+    ("x = 1\n", 1),
+    ("\n# a comment\n\nx = 1  # a trailing comment\n", 1),
+    ('"""A module docstring\nover two lines."""\nx = 1\n', 1),
+    ('class C:\n    """A class docstring."""\n    def f(self):\n        """A docstring."""\n'
+     '        return (1 +\n                2)\n', 4),
+    ('TEXT = """a string\nthat is no docstring"""\n', 2)],
+    ids=["statement", "comments", "module_docstring", "class_docstrings", "string"])
+def test_code_lines_counts_only_lines_of_code(source, count):
+    assert load_script("code_lines").code_lines(source) == count
+
+
+def test_code_lines_prints_each_module_and_the_total(tmp_path, monkeypatch, capsys):
+    (tmp_path / "a.py").write_text('"""Doc."""\nx = 1\ny = 2\n')
+    (tmp_path / "b.py").write_text("# only a comment\nz = 3\n")
+    module = load_script("code_lines")
+    monkeypatch.setattr(module, "PACKAGE", tmp_path)
+    assert module.main() == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows == [["a.py", "2"], ["b.py", "1"], ["total", "3"]]
 
 
 def test_parser_is_built_once_per_process(monkeypatch, capsys):

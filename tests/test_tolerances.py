@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 from pathlib import Path
 
 import pedallab
@@ -93,3 +94,41 @@ def test_every_export_has_a_caller():
     errors = {name for name, module in exported.items() if module == "errors"}
     assert uncalled - errors - ENTRY_POINTS.keys() == set()
     assert ENTRY_POINTS.keys() - exported.keys() == set()
+
+
+def attribute_reads(path):
+    """Each attribute name a file loads, with the names of the classes whose
+    bodies the load sits in."""
+    reads = []
+
+    def visit(node, classes):
+        if isinstance(node, ast.ClassDef):
+            classes = classes | {node.name}
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.append((node.attr, classes))
+        for child in ast.iter_child_nodes(node):
+            visit(child, classes)
+
+    visit(ast.parse(path.read_text()), frozenset())
+    return reads
+
+
+def test_every_dataclass_field_is_read():
+    # a field no program line reads is a setting no caller needs: it goes,
+    # or moves into tests/ with its reader; the result types on
+    # ENTRY_POINTS are exempt, as their fields are their output. A read in
+    # the class's own body (its __post_init__, say) does not count. Reads
+    # are matched by name, not by type: a load of .x on any object counts
+    # for every field called x, so the guard sees only a field whose name
+    # no other read shares
+    program = list(PACKAGE.glob("*.py"))
+    program += [p for folder in ("scripts", "bench") for p in (REPO / folder).glob("*.py")]
+    reads = [read for p in program for read in attribute_reads(p)]
+    types = [getattr(pedallab, name) for name in exported_names() if name not in ENTRY_POINTS]
+    fields = [(cls.__name__, f.name) for cls in types
+              if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+              for f in dataclasses.fields(cls)]
+    assert fields
+    unread = {f"{cls}.{name}" for cls, name in fields
+              if not any(attr == name and cls not in classes for attr, classes in reads)}
+    assert unread == set()
