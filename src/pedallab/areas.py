@@ -33,7 +33,6 @@ from .curves import (
     SampledCurve,
     SupportCurve,
     as_xy,
-    ellipse_point,
     pole_on_ellipse,
 )
 from .errors import (
@@ -46,6 +45,7 @@ from .errors import (
 )
 from .pedal import (
     contrapedal_frame,
+    ellipse_frame,
     hybrid_frame,
     interpolated_frame,
     negative_pedal_frame,
@@ -83,7 +83,8 @@ class Family:
     harness.scan on the coordinates of its locus poles; the evolutoid has
     no pole and no frame.  Every frame
     has one shape: three columns per coordinate, F0 + c1 F1 + c2 F2, affine
-    in (c1, c2) = (x, y) of the pole for the Steiner families and in
+    in (c1, c2) = (x, y) of the pole for the Steiner families (the
+    ellipse's pole columns are zero, pedal.ellipse_frame) and in
     (cos s, sin s) of a pole P(s) on the ellipse for the boundary families;
     only the negative pedal's pencil, for a pole off the ellipse, is not
     affine (see pedal._affine_frame).  The hybrid is the negative pedal
@@ -115,56 +116,54 @@ class Family:
             raise DomainError(f"unknown curve family: {name!r}") from None
 
 
-def _ellipse_frame(e: Ellipse, t) -> Callable:
-    """The ellipse's points(x, y, out=None): P(t), evaluated once with the
-    frame and returned by every call, whatever the pole; a scan broadcasts
-    the one curve to the poles of a chunk, and out is ignored."""
-    p = ellipse_point(e, t)
-    return lambda x, y, out=None: p
-
-
 def _interpolated_area(a, b, rho, theta, mu):
     ap = 0.5 * math.pi * (a * a + b * b + rho)
-    ac = 0.5 * math.pi * ((a - b) ** 2 + rho)
+    ac = 0.5 * math.pi * ((a - b) * (a - b) + rho)
     base = math.pi * a * b
     return (1 - 2 * mu) * ((1 - mu) * ap - mu * ac) + mu * (1 - mu) * base
 
 
+def _quartic(a, b):
+    # 3 a^4 + 2 a^2 b^2 + 3 b^4, of the hybrid and pseudo-Talbot areas
+    a2, b2 = a * a, b * b
+    return 3 * (a2 * a2) + 2 * a * a * b * b + 3 * (b2 * b2)
+
+
 def _pseudo_talbot_area(a, b, rho, theta, mu):
-    return (math.pi * (3 * a ** 4 + 2 * a * a * b * b + 3 * b ** 4)
+    return (math.pi * _quartic(a, b)
             * (a * a - 2 * a * b - b * b) * (a * a + 2 * a * b - b * b)
-            / (8 * a ** 3 * b ** 3))
+            / (8 * (a * a * a) * (b * b * b)))
 
 
 def _evolutoid_area(a, b, rho, theta, mu):
     c2 = a * a - b * b
     c4 = c2 * c2
-    return (math.pi * a * b * math.cos(theta) ** 2
-            - (3 * math.pi * c4 / (8 * a * b)) * math.sin(theta) ** 2)
+    ct, st = math.cos(theta), math.sin(theta)
+    return math.pi * a * b * (ct * ct) - (3 * math.pi * c4 / (8 * a * b)) * (st * st)
 
 
 # in command-line order; harness.SCANNABLE and the CLI's --family choices
 # are derived from it
 FAMILIES = {f.name: f for f in (
     Family("ellipse", lambda a, b, rho, theta, mu: math.pi * a * b,
-           lambda e, t, theta, mu: _ellipse_frame(e, t)),
+           lambda e, t, theta, mu: ellipse_frame(e, t)),
     Family("pedal", lambda a, b, rho, theta, mu: 0.5 * math.pi * (a * a + b * b + rho),
            lambda e, t, theta, mu: pedal_frame(e, t)),
-    Family("contrapedal", lambda a, b, rho, theta, mu: 0.5 * math.pi * ((a - b) ** 2 + rho),
+    Family("contrapedal", lambda a, b, rho, theta, mu: 0.5 * math.pi * ((a - b) * (a - b) + rho),
            lambda e, t, theta, mu: contrapedal_frame(e, t)),
     Family("rotated", lambda a, b, rho, theta, mu: 0.5 * math.pi * (
-               a * a + b * b - 2 * a * b * math.sin(theta) ** 2 + rho),
+               a * a + b * b - 2 * a * b * (math.sin(theta) * math.sin(theta)) + rho),
            lambda e, t, theta, mu: rotated_frame(e, t, theta)),
     Family("interpolated", _interpolated_area,
            lambda e, t, theta, mu: interpolated_frame(e, t, mu)),
     Family("hybrid", lambda a, b, rho, theta, mu: (
-               math.pi * (3 * a ** 4 + 2 * a * a * b * b + 3 * b ** 4) / (2 * a * b)),
+               math.pi * _quartic(a, b) / (2 * a * b)),
            lambda e, t, theta, mu: hybrid_frame(e, t), on_ellipse=True),
     Family("pseudo_talbot", _pseudo_talbot_area,
            lambda e, u, theta, mu: pseudo_talbot_frame(e, u), on_ellipse=True,
            ellipse_pole_only=True),
     Family("negative_pedal", lambda a, b, rho, theta, mu: (
-               -math.pi * (a * a - b * b) ** 2 / (2 * a * b)),
+               -math.pi * ((a * a - b * b) * (a * a - b * b)) / (2 * a * b)),
            lambda e, t, theta, mu: negative_pedal_frame(e, t), on_ellipse=True),
     Family("evolutoid", _evolutoid_area, None),
 )}
@@ -183,13 +182,13 @@ def closed_form_areas(family, e: Ellipse, poles: np.ndarray,
     Every form is homogeneous of degree 2 in (a, b, pole): it is taken on
     them scaled by the power of two 2^-k that brings a into [1/2, 1), and
     scaled back by 4^k.  So an ellipse and poles scaled by 2^j give bitwise
-    4^j times the areas, and a huge ellipse's Python-float powers do not
-    overflow.  The scaling is exact, so an area is the raw form's wherever
-    that was finite, but for the last bit that a power (**) can round
-    differently at the scaled value.  A form still out of range (a pole so
-    far out that it overflows, or an ellipse so flat that a power of b
-    underflows to a zero divisor) gives a non-finite area, with no numpy
-    warning and no ArithmeticError.
+    4^j times the areas, and a huge ellipse's products do not overflow.
+    The forms are written with products, not powers (**), so the scaling
+    is exact: an area is bitwise the raw form's wherever that is finite
+    and no product of either form is subnormal.  A form still out of range
+    (a pole so far out that it overflows, or an ellipse so flat that a
+    power of b underflows to a zero divisor) gives a non-finite area, with
+    no numpy warning and no ArithmeticError.
     """
     fam = Family.of(family)
     k = math.frexp(e.a)[1]

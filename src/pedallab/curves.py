@@ -8,7 +8,9 @@ point sets) are compared instead.
 
 All evaluators accept scalars or numpy arrays and are safe to call with
 complex parameter values, which enables complex-step differentiation in the
-cusp finder.
+feature detectors (pedal.find_cusps, pedal.self_intersections).  The
+detectors take no other derivative: they refuse an evaluator that drops the
+imaginary part with DomainError.
 
 A pole is a point at every public entry, read once by as_xy; past that
 read, code works on its plain coordinates (Ellipse.implicit_xy,

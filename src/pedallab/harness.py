@@ -238,7 +238,7 @@ def _pole_areas(points: Callable, rule: Callable, t: np.ndarray, x, y) -> np.nda
     doubling rule of t.  An error of either step is raised as it is.  The
     call runs under curves.QUIET, as sample_curve runs its evaluator."""
     with np.errstate(**QUIET):
-        pts = np.broadcast_to(points(x, y), (1, t.size, 2))  # as in _sweep
+        pts = points(x, y)
     finite_rows(t, pts[0])
     return rule(pts)[:, 0]
 
@@ -269,12 +269,11 @@ def _sweep(frame: Callable, poles: np.ndarray, n: int, per_chunk: int):
     chunk makes one points() call at 2n on the (k, 1) coordinate views of
     its poles, with the first k rows of the workspace, into which an
     affine frame writes its points (see areas.Family), and hands that
-    stack of k curves straight to the rule; only the ellipse family's one
-    curve is broadcast to the k poles.  The
-    rule takes both areas from one rfft per coordinate: the n-point
-    spectrum of the even samples is a fold of the 2n-point one.  The
-    workspace is allocated once per scan, so the chunks do not fault the
-    same pages in again, one after the other.  A chunk that raised, a row
+    stack of k curves straight to the rule.  The rule takes both areas
+    from one rfft per coordinate: the n-point spectrum of the even samples
+    is a fold of the 2n-point one.  The workspace is allocated once per
+    scan, so the chunks do not fault the same pages in again, one after
+    the other.  A chunk that raised, a row
     not all finite included, is re-run one pole at a time (_pole_areas),
     through the same frame and rule: each pole gets its areas, bitwise
     those of the chunk, or its own error, and areas NaN.
@@ -290,11 +289,7 @@ def _sweep(frame: Callable, poles: np.ndarray, n: int, per_chunk: int):
             chunk = slice(c0, c0 + per_chunk)
             x, y = poles[chunk, :1], poles[chunk, 1:]
             try:
-                pts = points(x, y, work[:, :len(x)])
-                if pts.ndim == 2:
-                    # the ellipse family has no pole: its one curve stands for all k
-                    pts = np.broadcast_to(pts, (len(x),) + pts.shape)
-                out[:, chunk] = rule(pts)
+                out[:, chunk] = rule(points(x, y, work[:, :len(x)]))
             except GeometryError:
                 for i in range(len(x)):
                     try:

@@ -15,9 +15,9 @@ ellipse P(t) = (a cos t, b sin t) and a fixed pole M:
 * evolutoid: envelope of lines crossing the curve at a fixed angle to the
   tangent (angle 0 gives the curve back, pi/2 the evolute)
 
-Point evaluators are vectorized over t and complex-safe, so the cusp finder
-can differentiate them by complex step.  Every ellipse family with a pole M
-is evaluated in two steps: a frame builder does the work that depends on
+Point evaluators are vectorized over t and complex-safe, so the feature
+detectors differentiate them by complex step.  Every ellipse family is
+evaluated in two steps: a frame builder does the work that depends on
 the parameters alone and returns points(x, y), the points for the pole at
 the plain coordinates (x, y), so a scan can share one frame among all the
 poles of a grid.  For a chunk of k poles, x and y are (k, 1) arrays, and
@@ -27,11 +27,12 @@ pole: harness.family_evaluator reads its pole once (curves.as_xy), and
 harness.scan hands over the coordinates of its locus poles, finite by
 construction.  The frames are called through the registry, areas.FAMILIES.
 
-Every family with a pole is affine in two coordinates (c1, c2) read from
-the pole, the pencil of a pole off the ellipse excepted: each coordinate of
-a point is F0(t) + c1 F1(t) + c2 F2(t), and the frame holds the three
-columns of each (_affine_frame, the one writer of coordinate planes).
+Every family is affine in two coordinates (c1, c2) read from the pole,
+the pencil of a pole off the ellipse excepted: each coordinate of a point
+is F0(t) + c1 F1(t) + c2 F2(t), and the frame holds the three columns of
+each (_affine_frame, the one writer of coordinate planes).
 
+* the ellipse: F0 = P(t), and zero columns for the pole.
 * pedal, contrapedal, rotated and interpolated: the feet from the pole
   (x, y) itself, (c1, c2) = (x, y).  A foot p + u d has u affine in the
   pole (_feet), and the interpolated blend is one foot too, since the
@@ -65,7 +66,7 @@ from .curves import (
     xy_on_ellipse,
 )
 from .errors import DegenerateLine, DomainError, SingularFamily
-from .tolerances import PARALLEL_TOL
+from .tolerances import CUSP_SPEED_TOL, PARALLEL_TOL
 
 TWO_PI = 2.0 * math.pi
 
@@ -167,6 +168,14 @@ def _feet(t, p, d):
 def _normal(v):
     """v turned a quarter turn counterclockwise."""
     return np.stack([-v[..., 1], v[..., 0]], axis=-1)
+
+
+def ellipse_frame(e: Ellipse, t) -> Callable:
+    """The ellipse itself, P(t), for every pole: the columns of its pole
+    are zero, and F0 plus a signed zero is F0, bitwise."""
+    p = ellipse_point(e, t)
+    zero = np.zeros_like(p[..., 0])
+    return _affine_frame((p[..., 0], zero, zero), (p[..., 1], zero, zero))
 
 
 def pedal_frame(e: Ellipse, t) -> Callable:
@@ -461,50 +470,23 @@ def evolutoid_point(e: Ellipse, theta: float, t):
 _CS_STEP = 2.0 ** -64
 
 
-def _points_at(evaluator: Callable, t) -> np.ndarray:
-    """Points of an evaluator at the parameters t, of any shape, as one call
-    on the flattened parameters; returns t.shape + (2,) floats."""
-    t = np.asarray(t)
-    return np.asarray(evaluator(t.ravel()), dtype=float).reshape(t.shape + (2,))
-
-
-def _jet(evaluator: Callable, t, point: bool = False):
+def _jet(evaluator: Callable, t):
     """Points and derivative of a point evaluator at the parameters t, of
-    any shape, as (p, v), each t.shape + (2,); p is None unless point.
+    any shape, as (p, v), each t.shape + (2,).
 
-    All parameters go in one complex-step call when the evaluator supports
-    complex input: the real part gives the points, the imaginary part over
-    the step the derivative.  An evaluator that discards the imaginary part
-    gets central differences, again in one call, which holds the points
-    themselves between the two probes of each parameter when point is
-    asked for.  When the complex-step call raises, each parameter is tried
-    alone, so only a parameter whose own complex step fails falls back to
-    central differences.
+    One complex-step call on all the parameters (Squire & Trapp, SIAM Rev.
+    40, 1998): the real part gives the points, the imaginary part over the
+    step the derivative.  An evaluator whose points come back real drops
+    the imaginary part, and the detectors refuse it with DomainError; an
+    error the evaluator raises propagates as it is, as in sample_curve.
     """
     t = np.asarray(t, dtype=float)
     shape = t.shape + (2,)
-    try:
-        p = np.asarray(evaluator(t.ravel() + 1j * _CS_STEP))
-    except Exception:
-        # any failure of the complex step, not only GeometryError: an
-        # evaluator may reject complex input outright
-        if t.size > 1:
-            each = [_jet(evaluator, x, point) for x in t.ravel()]
-            v = np.stack([v for _, v in each]).reshape(shape)
-            return (np.stack([p for p, _ in each]).reshape(shape) if point else None), v
-        p = None
-    if p is None or p.dtype.kind != "c":
-        dt = 1e-7
-        pts = _points_at(evaluator, np.add.outer(t, (-dt, 0.0, dt) if point else (-dt, dt)))
-        return (pts[..., 1, :] if point else None), (pts[..., -1, :] - pts[..., 0, :]) / (2 * dt)
-    return (np.asarray(p.real, dtype=float).reshape(shape) if point else None,
-            np.asarray(p.imag, dtype=float).reshape(shape) / _CS_STEP)
-
-
-def _velocity_of(evaluator: Callable, t) -> np.ndarray:
-    """Derivative of a point evaluator at the parameters t, of any shape;
-    returns t.shape + (2,) (_jet without the points)."""
-    return _jet(evaluator, t)[1]
+    p = np.asarray(evaluator(t.ravel() + 1j * _CS_STEP))
+    if p.dtype.kind != "c":
+        raise DomainError("the feature detectors need a complex-safe evaluator: "
+                          "this one drops the imaginary part of its parameters")
+    return p.real.reshape(shape), p.imag.reshape(shape) / _CS_STEP
 
 
 # The step of the forward difference that gives v' in _velocity_zeros.  Its
@@ -524,7 +506,7 @@ def _velocity_zeros(evaluator: Callable, t: np.ndarray, step: float) -> np.ndarr
     """Minimizers of the speed |v| near the 1-d parameters t, each within a
     step of its start, by Gauss-Newton steps on v: t <- t - (v.v')/(v'.v').
 
-    All candidates still moving go in one _velocity_of call per step.  At a
+    All candidates still moving go in one _jet call per step.  At a
     double zero of v the step is half the distance to it, so a step about
     half the one before and of the same sign is doubled (Schroeder's
     correction for multiplicity 2).  A v' that is zero or not finite gives
@@ -536,7 +518,7 @@ def _velocity_zeros(evaluator: Callable, t: np.ndarray, step: float) -> np.ndarr
     live = np.arange(x.size)
     for _ in range(_GN_CALLS):
         xs = x[live]
-        v = _velocity_of(evaluator, np.stack([xs, xs + _GN_H], axis=1))
+        _, v = _jet(evaluator, np.stack([xs, xs + _GN_H], axis=1))
         dv = (v[:, 1] - v[:, 0]) / _GN_H
         # (v.v')/(v'.v') as (v.u)/|v'| with u = v'/|v'|: v'.v' overflows
         # from |v'| = 1e154 on
@@ -589,50 +571,51 @@ def _spectral_bounds(points: np.ndarray):
     return tuple(unit * float(m) for m in (np.sum(a1), np.sum(a2), k @ a2))
 
 
-def find_cusps(curve: SampledCurve, tol: float = 1e-5) -> np.ndarray:
+def find_cusps(curve: SampledCurve) -> np.ndarray:
     """Parameters (mod 2*pi) where the curve has a cusp.
 
-    Grid speeds flag candidate minima.  With an evaluator, each is refined
-    once, to the minimum of the true parametric speed within a step of its
-    node, by Gauss-Newton steps on the velocity (_velocity_zeros); without
-    one, it keeps its node and grid speed.  A candidate is a cusp when its
-    speed drops below tol times the median grid speed *and* the velocity
-    direction reverses across the point.  Both conditions together reject
-    smooth slow spots and grazing near-cusps.  An outright velocity zero
-    (speed below 1e-13 of the median) counts regardless of reversal: there
-    the velocity vanishes to even order, as at the parameter where a pair
-    of cusps is born, and its direction comes back unflipped.  A tol that
-    is not finite and > 0 raises DomainError.
+    Grid speeds flag candidate minima.  Each is refined once, to the
+    minimum of the true parametric speed within a step of its node, by
+    Gauss-Newton steps on the velocity of the curve's evaluator
+    (_velocity_zeros).  A candidate is a cusp when its speed drops below
+    CUSP_SPEED_TOL times the median grid speed *and* the velocity direction
+    reverses across the point.  Both conditions together reject smooth
+    slow spots and grazing near-cusps.  An outright velocity zero (speed
+    below 1e-13 of the median) counts regardless of reversal: there the
+    velocity vanishes to even order, as at the parameter where a pair of
+    cusps is born, and its direction comes back unflipped.  A curve with
+    no evaluator raises DomainError: curves.sample_curve keeps it.
 
-    The evaluator's velocity (complex step, else central differences;
-    _velocity_of) must resolve each cusp: next to a singular parameter of
-    the evaluator it is rounding noise, and a cusp there is missed.  The
-    registry frames meet this: a pole on the ellipse goes through its
-    reduced frame, finite at its own parameter s, while its rational
-    negative pedal (negative_pedal_rational_frame, built by no public path)
-    loses the deltoid's cusp at t = s.
+    The velocity is the evaluator's complex step (_jet), and it must
+    resolve each cusp: next to a singular parameter of the evaluator it is
+    rounding noise, and a cusp there is missed.  The registry frames meet
+    this: a pole on the ellipse goes through its reduced frame, finite at
+    its own parameter s, while its rational negative pedal
+    (negative_pedal_rational_frame, built by no public path) loses the
+    deltoid's cusp at t = s.
 
-    A candidate whose grid speed exceeds tol times the median by more than
-    (h/2) M2 + (h^2/6) M3, with h the step and M2, M3 >= max|X''|, |X'''|
-    from the samples' spectrum (_spectral_bounds), is dropped before any
-    refinement, as it could never pass the slow test: a point slower than
-    tol times the median lies within h/2 of its nearest node, whose
-    central-difference speed is then at most that much above tol times the
-    median, and a candidate within a step of the point is that node or a
-    grid-speed minimum next to it, no faster.  A curve whose candidates are
-    all dropped makes no evaluator call; a bound past the float range keeps
-    every candidate.
+    A candidate whose grid speed exceeds the slow speed, CUSP_SPEED_TOL
+    times the median, by more than (h/2) M2 + (h^2/6) M3, with h the step
+    and M2, M3 >= max|X''|, |X'''| from the samples' spectrum
+    (_spectral_bounds), is dropped before any refinement, as it could
+    never pass the slow test: a point slower than the slow speed lies
+    within h/2 of its nearest node, whose central-difference speed is then
+    at most that much above it, and a candidate within a step of the point
+    is that node or a grid-speed minimum next to it, no faster.  A curve
+    whose candidates are all dropped makes no evaluator call; a bound past
+    the float range keeps every candidate.
 
-    With an evaluator, all candidates are refined together: one evaluator
-    call per Gauss-Newton step holds the two probes of every candidate
-    still moving, and each candidate stops on its own.  One closing call
-    gives the refined speeds and the velocities on both sides of every
-    candidate.  A failed complex step falls back to central differences for
-    its probe alone; any other GeometryError of a batched call propagates
-    as it is, while a dropped candidate is never evaluated.
+    All candidates are refined together: one evaluator call per
+    Gauss-Newton step holds the two probes of every candidate still
+    moving, and each candidate stops on its own.  One closing call gives
+    the refined speeds and the velocities on both sides of every
+    candidate.  An evaluator that drops the imaginary part raises
+    DomainError at its first call; an error the evaluator raises
+    propagates as it is, while a dropped candidate is never evaluated.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise DomainError(f"tol must be finite and > 0, got {tol}")
+    ev = curve.evaluator
+    if ev is None:
+        raise DomainError("cusp detection needs the curve's evaluator: sample it with sample_curve")
     n = len(curve)
     if n < 8:
         raise DomainError("cusp detection needs at least 8 samples")
@@ -640,39 +623,32 @@ def find_cusps(curve: SampledCurve, tol: float = 1e-5) -> np.ndarray:
     t = curve.params
     # a Python float, so the bound below overflows to inf without a warning
     step = float(t[1] - t[0])
-    # the coordinate planes wrapped: x[:-2], x[1:-1] and x[2:] hold the
-    # nodes before, at and after each node
+    # the coordinate planes wrapped: x[:-2] and x[2:] hold the nodes before
+    # and after each node
     x, y = _wrapped(curve.points[:, 0]), _wrapped(curve.points[:, 1])
     speed = np.hypot(x[2:] - x[:-2], y[2:] - y[:-2]) / (2 * step)
     ref = float(np.median(speed))
     if ref <= 0:
         raise DomainError("degenerate curve: median speed is zero")
+    slow_speed = CUSP_SPEED_TOL * ref
 
     around = _wrapped(speed)
     k = np.flatnonzero((speed < around[:-2]) & (speed <= around[2:]))
     # the grid speed at the node nearest a slow point, from M2 and M3
     _, m2, m3 = _spectral_bounds(curve.points)
-    k = k[speed[k] <= step / 2 * m2 + step * step / 6 * m3 + tol * ref]
+    k = k[speed[k] <= step / 2 * m2 + step * step / 6 * m3 + slow_speed]
     if not k.size:
         return np.empty(0)
 
-    ev = curve.evaluator
-    if ev is None:
-        # a node keeps its grid speed, and its velocities are those of the
-        # grid segments into and out of it
-        seg = np.stack([x[2:] - x[1:-1], y[2:] - y[1:-1]], axis=-1) / step
-        tr, s_min = t[k].tolist(), speed[k].tolist()
-        vel = np.stack([seg[k - 1], seg[k]], axis=1)
-    else:
-        tr = _velocity_zeros(ev, t[k], step).tolist()
-        # the refined speeds and the velocities across each point, one call
-        v = _velocity_of(ev, np.array([[r, r - 1e-4, r + 1e-4] for r in tr]))
-        s_min = [math.hypot(vx, vy) for vx, vy in v[:, 0].tolist()]
-        vel = v[:, 1:]
+    tr = _velocity_zeros(ev, t[k], step).tolist()
+    # the refined speeds and the velocities across each point, one call
+    _, v = _jet(ev, np.array([[r, r - 1e-4, r + 1e-4] for r in tr]))
+    s_min = [math.hypot(vx, vy) for vx, vy in v[:, 0].tolist()]
+    vel = v[:, 1:]
 
     # a slow candidate is a cusp outright when its speed vanishes, else when
     # the velocity reverses across it
-    slow = [r for r, s in enumerate(s_min) if not s >= tol * ref]
+    slow = [r for r, s in enumerate(s_min) if not s >= slow_speed]
     cusps = [r for r in slow if not s_min[r] >= 1e-13 * ref]
     turning = [r for r in slow if s_min[r] >= 1e-13 * ref]
     cusps += [r for r in turning if not float(vel[r, 0] @ vel[r, 1]) >= 0.0]
@@ -787,7 +763,9 @@ def self_intersections(curve: SampledCurve) -> List[Crossing]:
     extent is padded by that too: a crossing of the curve then lies in a
     candidate box pair, whether the chords cross or not.  Each box pair is
     solved for P(t1) = P(t2) by Newton steps from its centre, kept inside
-    the box, all boxes together (_polish_crossings), and a root is kept
+    the box, all boxes together (_polish_crossings), on the evaluator's
+    complex step (_jet), which refuses an evaluator that drops the
+    imaginary part with DomainError; a root is kept
     only when it lies in its own half-open box with its residual at
     roundoff.  The boxes are disjoint, so each crossing is reported once,
     whichever way the curve runs; two copies of a root that an edge
@@ -885,21 +863,20 @@ def _newton_crossings(ev: Callable, tt: np.ndarray, lo: np.ndarray, hi: np.ndarr
     tt, shape (m, 2), each parameter kept in [lo, hi]; returns the new pairs.
 
     Each step makes one _jet call on both parameters of every crossing
-    still moving: P and P' (complex step, else central differences).  The
-    2 by 2 system P'(t1) d1 - P'(t2) d2 = -F is solved by Cramer's rule,
-    on P' and F times 2^down, the power of two that brings the curve's
-    bound on |P'| into [1/2, 1): that leaves the step as it is and keeps
-    the products in range on a curve of any size.  A singular or
-    non-finite system gives no step.  Each crossing stops as the constants
-    above say, and the calls stop when all have.  A GeometryError of a
-    call propagates as it is, after _jet's per-parameter retry of a failed
-    complex step.
+    still moving: P and P' by complex step.  The 2 by 2 system
+    P'(t1) d1 - P'(t2) d2 = -F is solved by Cramer's rule, on P' and F
+    times 2^down, the power of two that brings the curve's bound on |P'|
+    into [1/2, 1): that leaves the step as it is and keeps the products in
+    range on a curve of any size.  A singular or non-finite system gives
+    no step.  Each crossing stops as the constants above say, and the
+    calls stop when all have.  An error of a call propagates as it is, and
+    an evaluator that drops the imaginary part raises _jet's DomainError.
     """
     tt = tt.copy()
     live, last = np.arange(len(tt)), np.zeros(len(tt))
     for call in range(_NEWTON_CALLS):
         cur = tt[live]
-        p, v = _jet(ev, cur, point=True)
+        p, v = _jet(ev, cur)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             # exact, so the step is the raw system's where its products do
             # not over- or underflow
@@ -961,7 +938,7 @@ def _polish_crossings(ev: Callable, edges: np.ndarray, i: np.ndarray, j: np.ndar
     tt, lo, hi = tt[inside], lo[inside], hi[inside]
     if not len(tt):
         return []
-    p = _points_at(ev, tt)
+    p = np.asarray(ev(tt.ravel()), dtype=float).reshape(tt.shape + (2,))
     res = np.hypot(*(p[:, 0] - p[:, 1]).T)
     at = np.flatnonzero(res <= _ROUNDOFF * (size + np.abs(tt).sum(axis=1) * speed))
     at = at[_first_copies(tt[at], lo[at], hi[at], _SAME * (edges[1] - edges[0]))]

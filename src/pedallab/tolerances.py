@@ -33,6 +33,11 @@ PERIOD_TOL = 1e-9
 # the negative pedal of (0.7, -0.4) all stay within 5e-5 of one
 TURNING_TOL = 1e-3
 
+# a cusp candidate is slow, and a cusp when its velocity reverses across
+# it, when its speed is below this fraction of the curve's median grid
+# speed (pedal.find_cusps)
+CUSP_SPEED_TOL = 1e-5
+
 # two lines of an envelope's pencil are parallel when their determinant is
 # below this fraction of their squared normals
 PARALLEL_TOL = 1e-12

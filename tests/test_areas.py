@@ -165,6 +165,29 @@ class TestClosedFormArrays:
         assert holds[:len(on)].all()
         assert holds[len(on):].tolist() == [not FAMILIES[fam].on_ellipse] * len(off)
 
+    # poles (u a, w a), each coordinate zero or at least 1e-6 a, so that no
+    # product of the raw or the scaled form is subnormal
+    @settings(max_examples=200, deadline=None)
+    @given(fam=st.sampled_from(list(FAMILIES)), a=st.floats(2.0 ** -100, 2.0 ** 100),
+           ratio=st.floats(1e-3, 1.0),
+           u=st.floats(-3.0, 3.0).filter(lambda v: v == 0 or abs(v) >= 1e-6),
+           w=st.floats(-3.0, 3.0).filter(lambda v: v == 0 or abs(v) >= 1e-6),
+           theta=st.floats(0.0, math.pi / 2), mu=st.floats(-0.5, 1.5))
+    # a power (**) rounded these differently at the scaled values
+    @example(fam="negative_pedal", a=2220.0, ratio=0.056, u=-2.81, w=-1.95, theta=0.43, mu=0.29)
+    @example(fam="pseudo_talbot", a=19600000.0, ratio=0.209, u=0.65, w=2.06, theta=1.06, mu=0.84)
+    def test_the_scaled_form_is_the_raw_form_bitwise(self, fam, a, ratio, u, w, theta, mu):
+        # the forms are products, so their power-of-two scaling is exact
+        e = Ellipse(a, a * ratio)
+        x, y = u * a, w * a
+        try:
+            raw = FAMILIES[fam].area(e.a, e.b, x * x + y * y, theta, mu)
+        except ArithmeticError:
+            raw = math.nan
+        assume(math.isfinite(raw))
+        areas, _ = closed_form_areas(fam, e, np.array([[x, y]]), theta=theta, mu=mu)
+        assert float(areas[0]) == raw
+
 
 # ---------------------------------------------------------------------------
 # spectral quadrature
@@ -353,8 +376,8 @@ class TestDoublingRule:
         else:
             poles = np.array([[0.7, -0.4], [-1.2, 0.3], [2.5, -1.5], [0.0, 0.1]])
         rule = doubling_rule(t2)
-        # the chunk as harness.scan gives it; the ellipse's one curve stands for all
-        got = rule(np.broadcast_to(frame(poles[:, :1], poles[:, 1:]), (len(poles), 2 * n, 2)))
+        # the chunk as harness.scan gives it
+        got = rule(frame(poles[:, :1], poles[:, 1:]))
         assert got.shape == (2, len(poles))
         for j, (x, y) in enumerate(poles.tolist()):
             assert np.array_equal(got[:, j], rule(frame(x, y)))
@@ -374,8 +397,7 @@ class TestDoublingRule:
         rule = doubling_rule(t2)
         alone = [rule(frame(x, y)) for x, y in poles.tolist()]
         for rows in (k, 1, k, max(1, k // 4)):
-            pts = frame(poles[:rows, :1], poles[:rows, 1:])
-            got = rule(np.broadcast_to(pts, (rows, 2 * n, 2)))
+            got = rule(frame(poles[:rows, :1], poles[:rows, 1:]))
             assert got.shape == (2, rows)
             for j in range(rows):
                 assert got[:, j].tobytes() == alone[j].tobytes()

@@ -17,6 +17,7 @@ from pedallab import (
     ParamGrid,
     SampledCurve,
     SingularFamily,
+    conjecture_check_contrapedal,
     ellipse_point,
     ellipse_support,
     evolutoid_point,
@@ -48,9 +49,8 @@ from references import ellipse_d2h, ellipse_velocity, evolutoid_support, support
 TWO_PI = 2.0 * math.pi
 E21 = Ellipse(2.0, 1.0)
 M = (0.7, -0.4)
-# the registry families with a pole, whose frames take a chunk's workspace
-POLE_FAMILIES = [name for name, fam in FAMILIES.items()
-                 if fam.frame is not None and name != "ellipse"]
+# the registry families with a frame, each of which takes a chunk's workspace
+FRAME_FAMILIES = [name for name, fam in FAMILIES.items() if fam.frame is not None]
 
 
 def rot(v, theta):
@@ -297,7 +297,7 @@ class TestPoleChunks:
             poles[:3] = [[0.0, 0.0], [-0.0, 0.5], [0.3, -0.0]]
         return poles[:k]
 
-    @pytest.mark.parametrize("fam", POLE_FAMILIES)
+    @pytest.mark.parametrize("fam", FRAME_FAMILIES)
     @pytest.mark.parametrize("k, size", [(k, size) for k in (1, 4, 32)
                                          for size in (16, 18, 512, 4096)])
     def test_workspace_points_are_the_plain_points_bitwise(self, fam, k, size):
@@ -322,7 +322,18 @@ class TestPoleChunks:
                 alone = frame(float(poles[j, 0]), float(poles[j, 1]))
                 assert got[j].tobytes() == alone.tobytes()
 
-    @pytest.mark.parametrize("fam", POLE_FAMILIES)
+    @pytest.mark.parametrize("size", [16, 512])
+    def test_the_ellipse_frame_gives_the_ellipse_for_every_pole_bitwise(self, size):
+        # its pole columns are zero, and P(t) plus a signed zero is P(t)
+        t = ParamGrid(size).nodes()
+        frame = FAMILIES["ellipse"].frame(E21, t, 0.0, 0.5)
+        poles = self.workload_poles("ellipse", 32)
+        want = ellipse_point(E21, t).tobytes()
+        got = frame(poles[:, :1], poles[:, 1:], np.empty((3, 32, size)))
+        assert all(row.tobytes() == want for row in got)
+        assert frame(-0.0, 3.5).tobytes() == want
+
+    @pytest.mark.parametrize("fam", FRAME_FAMILIES)
     @pytest.mark.parametrize("k, size", [(1, 16), (4, 512), (32, 512), (4, 4096)])
     def test_complex_step_rows_equal_single_poles_bitwise(self, fam, k, size):
         # a frame on complex parameters, as a complex step builds it, gives
@@ -928,12 +939,14 @@ class TestFindCusps:
                              ParamGrid(256, offset=0.5))
         assert_same_cusps(find_cusps(curve), np.arange(4) * math.pi / 2, 1e-12)
 
-    def test_without_evaluator_counts_at_grid_level(self):
+    def test_a_curve_without_evaluator_is_refused(self):
+        # the evolute's 4 cusps are refined by the evaluator's velocity,
+        # which the samples alone do not give
         t = ParamGrid(2048).nodes()
         pts = evolutoid_point(E21, math.pi / 2, t)
         curve = SampledCurve(params=t, points=pts, evaluator=None)
-        cusps = find_cusps(curve, tol=1e-2)
-        assert len(cusps) == 4
+        with pytest.raises(DomainError, match="needs the curve's evaluator"):
+            find_cusps(curve)
 
     def test_requires_enough_samples(self):
         t = np.linspace(0, TWO_PI, 5)[:-1]
@@ -977,15 +990,6 @@ class TestFindCusps:
         for (sx, sy), mapped in (((1, -1), -got), ((-1, 1), math.pi - got),
                                  ((-1, -1), got + math.pi)):
             assert_same_cusps(cusps(sx, sy), mapped, 1e-9)
-
-    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, -math.inf])
-    def test_rejects_a_tol_that_is_not_finite_and_positive(self, tol):
-        # with tol <= 0 no speed is slow enough, and the evolute's 4 cusps
-        # would go unfound
-        curve = sample_curve(evolutoid_ev(math.pi / 2), ParamGrid(2048))
-        with pytest.raises(DomainError) as got:
-            find_cusps(curve, tol=tol)
-        assert str(got.value) == f"tol must be finite and > 0, got {tol}"
 
 
 def interpolant_derivative_max(points, r, pad=16):
@@ -1268,8 +1272,7 @@ class TestSelfIntersections:
 # call per probe.  self_intersections must make the probes of the crossing
 # reference, return the same bits and raise for the same parameter.  The
 # cusp reference is an independent refinement: a golden section on
-# complex-step speeds (central differences where the complex step fails)
-# for every grid candidate.  find_cusps, by Gauss-Newton steps on the
+# complex-step speeds for every grid candidate.  find_cusps, by Gauss-Newton steps on the
 # velocity, must find the same cusps, to 1e-9, or to 1e-7 at the
 # cusp-birth angle, where the velocity vanishes to second order and the
 # two refinements stop at different points of its flat zero.
@@ -1279,18 +1282,10 @@ _CS_STEP = 2.0 ** -64
 
 
 def reference_velocity_of(evaluator: Callable, t: float) -> np.ndarray:
-    """Derivative of a point evaluator: complex step when the evaluator
-    supports it, otherwise central differences."""
-    try:
-        p = np.asarray(evaluator(t + 1j * _CS_STEP))
-        if not np.iscomplexobj(p):
-            raise TypeError("evaluator discarded the imaginary part")
-        return np.asarray(p.imag, dtype=float).reshape(2) / _CS_STEP
-    except Exception:
-        dt = 1e-7
-        lo = np.asarray(evaluator(t - dt), dtype=float).reshape(2)
-        hi = np.asarray(evaluator(t + dt), dtype=float).reshape(2)
-        return (hi - lo) / (2 * dt)
+    """Derivative of a complex-safe point evaluator at t, by complex step."""
+    p = np.asarray(evaluator(t + 1j * _CS_STEP))
+    assert np.iscomplexobj(p)
+    return np.asarray(p.imag, dtype=float).reshape(2) / _CS_STEP
 
 
 def reference_speed_of(evaluator: Callable, t: float) -> float:
@@ -1402,16 +1397,6 @@ def evolutoid_ev(theta):
     return lambda t: evolutoid_point(E21, theta, t)
 
 
-def negative_pedal_curve(s):
-    """The negative pedal of the pole P(s) from its rational frame, whose
-    pencil is singular at t = s, sampled half a step off it: an evaluator
-    that raises at one parameter.  No public path builds it; the fallback
-    tests below wrap it."""
-    m = tuple(float(v) for v in ellipse_point(E21, s))
-    return sample_curve(lambda t: negative_pedal_rational_frame(E21, t)(*m),
-                        ParamGrid(2048, start=s, offset=0.5))
-
-
 def deltoid_curve(s):
     """The negative pedal of the pole P(s) as the registry serves it, from
     its reduced frame, finite at t = s, sampled half a step off s."""
@@ -1431,18 +1416,17 @@ class StubError(GeometryError):
 class Counting:
     """An evaluator that counts its calls and records their parameters."""
 
-    def __init__(self, ev, raise_at=(), complex_only=False, error=StubError):
-        self.ev, self.raise_at, self.complex_only, self.error = ev, raise_at, complex_only, error
+    def __init__(self, ev, raise_at=()):
+        self.ev, self.raise_at = ev, raise_at
         self.calls = []
         self.raised = []
 
     def __call__(self, t):
         self.calls.append(np.array(t, copy=True))
-        if not self.complex_only or np.iscomplexobj(t):
-            for x in self.raise_at:
-                if np.any(np.real(t) == x):
-                    self.raised.append(np.size(t))
-                    raise self.error(f"stub fails at t={x!r}", t=x)
+        for x in self.raise_at:
+            if np.any(np.real(t) == x):
+                self.raised.append(np.size(t))
+                raise StubError(f"stub fails at t={x!r}", t=x)
         return self.ev(t)
 
 
@@ -1452,9 +1436,6 @@ CUSP_CASES = {
     "evolutoid_theta0": (lambda: sample_curve(evolutoid_ev(THETA0), ParamGrid(2048)), 2),
     "evolutoid_1.2_theta0": (lambda: sample_curve(evolutoid_ev(1.2 * THETA0), ParamGrid(2048)), 4),
     "evolute": (lambda: sample_curve(evolutoid_ev(math.pi / 2), ParamGrid(2048)), 4),
-    # the imaginary part is dropped, so every velocity is a central difference
-    "evolute_real_only": (lambda: sample_curve(
-        lambda t: evolutoid_point(E21, math.pi / 2, np.real(t)), ParamGrid(2048)), 4),
     "negative_pedal_s0": (lambda: deltoid_curve(0.0), 3),
     "negative_pedal_s1.0": (lambda: deltoid_curve(1.0), 3),
     "negative_pedal_s3.4": (lambda: deltoid_curve(3.4), 3),
@@ -1530,59 +1511,24 @@ class TestLockstepCusps:
 
 
 class TestLockstepErrors:
-    """A failed complex step falls back to central differences for its
-    probe alone; a GeometryError of a batched call propagates."""
-
-    def test_complex_step_failure_falls_back_for_that_probe_alone(self):
-        curve = negative_pedal_curve(3.4)
-        clean = Counting(curve.evaluator)
-        curve.evaluator = clean
-        find_cusps(curve)
-        # the second Gauss-Newton call holds the probes t and t + h of each
-        # of the 3 candidates; fail the complex step at the second one's t
-        middle = clean.calls[1]
-        bad = float(np.real(middle[2]))
-        stub = Counting(clean.ev, raise_at=[bad], complex_only=True, error=TypeError)
-        curve.evaluator = stub
-        got = find_cusps(curve)
-        # the batched call raised once, then each probe was tried alone
-        # and only the bad one failed
-        assert stub.raised == [np.size(middle), 1]
-        # its central differences: one call on bad -+ dt
-        assert any(np.size(t) == 2 and np.real(t[0]) < bad < np.real(t[1]) for t in stub.calls)
-        curve.evaluator = clean.ev
-        assert_same_cusps(got, reference_find_cusps(curve), 1e-9)
-        assert len(got) == 3
-
-    def test_batched_velocity_falls_back_to_central_differences_for_one_probe(self):
-        ev = negative_pedal_curve(1.0).evaluator
-        x = [0.5, 2.5, 4.5]
-        stub = Counting(ev, raise_at=[x[1]], complex_only=True, error=TypeError)
-        got = pedal_module._velocity_of(stub, np.array(x))
-        assert stub.raised[0] == 3
-        want = [reference_velocity_of(stub, t) for t in x]
-        assert np.array_equal(got, want)
-        # only the failing probe took central differences
-        assert not np.array_equal(want[1], reference_velocity_of(ev, x[1]))
-        assert np.array_equal(want[0], reference_velocity_of(ev, x[0]))
+    """Each detector makes one complex-step call per step, with no retry:
+    an error of a batched call propagates as it is, and an evaluator that
+    drops the imaginary part is refused."""
 
     def test_a_batched_error_propagates_from_both_detectors(self):
-        # the evaluator drops the imaginary part, so each velocity takes
-        # central differences in one call of its own, after the complex step
-        curve = CUSP_CASES["evolute_real_only"][0]()
-        clean = Counting(curve.evaluator)
-        curve.evaluator = clean
-        assert len(find_cusps(curve)) == 4
-        # calls[1] holds the central-difference probes of the first
-        # Gauss-Newton call, t -+ dt and t + h -+ dt for all 4 candidates:
-        # one raising probe fails the whole call once.  t - dt of the second
-        # candidate, as t + dt is also its probe t + h
-        bad = float(clean.calls[1][4])
+        curve = CUSP_CASES["negative_pedal_s3.4"][0]()
+        clean = curve.evaluator = Counting(curve.evaluator)
+        assert len(find_cusps(curve)) == 3
+        # three Gauss-Newton calls on the probes t and t + h of the 3
+        # candidates, then the closing call on r and r -+ 1e-4 of each:
+        # fail the second at t of the second candidate
+        assert [np.size(t) for t in clean.calls] == [6, 6, 6, 9]
+        bad = float(np.real(clean.calls[1][2]))
         stub = curve.evaluator = Counting(clean.ev, raise_at=[bad])
         with pytest.raises(StubError) as got:
             find_cusps(curve)
         assert got.value.t == bad
-        assert stub.raised == [4 * 2 * 2] and len(stub.calls) == 2
+        assert stub.raised == [6] and len(stub.calls) == 2
 
         ev = family_evaluator(E21, "contrapedal", (0.7, -0.4))
         curve = sample_curve(ev, ParamGrid(2048, offset=0.5))
@@ -1593,15 +1539,32 @@ class TestLockstepErrors:
         # call on both parameters of the 12 roots inside their boxes, 8 of
         # them at roundoff
         assert [np.size(t) for t in clean.calls] == [36, 32, 32, 24]
-        # fail the second step at t2 of the fourth box: its batched call
-        # raises, each parameter is tried alone, and the bad one's central
-        # differences, on t - dt, t and t + dt, raise again
+        # fail the second step at t2 of the fourth box
         bad = float(np.real(clean.calls[1][2 * 3 + 1]))
         stub = curve.evaluator = Counting(ev, raise_at=[bad])
         with pytest.raises(StubError) as got:
             self_intersections(curve)
         assert got.value.t == bad
-        assert stub.raised == [32, 1, 3] and len(stub.calls) == 1 + 1 + 7 + 1 + 1
+        assert stub.raised == [32] and len(stub.calls) == 2
+
+    @pytest.mark.parametrize("detector, case", [
+        (self_intersections, "figure_eight"),
+        (self_intersections, "contrapedal_inside_astroid"),
+        (find_cusps, "evolute"),
+        (find_cusps, "negative_pedal_s1.0"),
+    ])
+    def test_both_detectors_refuse_an_evaluator_without_complex_step(self, detector, case):
+        # the imaginary part is dropped: the first complex-step call comes
+        # back real, and the detector stops there.  find_cusps is given
+        # curves with cusps, as it calls no evaluator on a curve whose
+        # candidates all fall to its bound (the crossing cases)
+        make = CROSSING_CASES[case] if detector is self_intersections else CUSP_CASES[case][0]
+        curve = make()
+        plain = curve.evaluator
+        stub = curve.evaluator = Counting(lambda t: plain(np.real(t)))
+        with pytest.raises(DomainError, match="drops the imaginary part"):
+            detector(curve)
+        assert len(stub.calls) == 1 and np.iscomplexobj(stub.calls[0])
 
 
 CROSSING_CASES = {
@@ -1718,25 +1681,29 @@ class TestLockstepCrossings:
         assert (hits[0].t1, hits[0].t2) == pytest.approx((0.0, math.pi), abs=1e-15)
 
     @pytest.mark.parametrize("ratio", [1.25, 2.0, 1 + math.sqrt(2), 5.0])
+    @pytest.mark.parametrize("mirror", [(1, -1), (-1, 1), (-1, -1)])
     @settings(max_examples=10, deadline=None)
     @given(fu=st.floats(0.0, 1.0), fw=st.floats(0.0, 1.0), sx=st.sampled_from([1, -1]))
     @example(fu=0.40625, fw=0.0, sx=-1)
-    def test_the_pole_mirrored_in_the_x_axis_mirrors_the_crossings(self, ratio, fu, fw, sx):
-        # mirroring the pole in the x axis mirrors the curve and runs it the
-        # other way: its crossings are the mirrored points, as many.  Poles
-        # (x/a, y/b) = (u, w) inside 0.92, 0.05 off the axes, the CLI's
-        # margin.  The example is a / b = 5, pole (-2.1226, -0.06): the
-        # crossing at (x0, 0) used to be lost there, and not at its mirror
+    def test_a_mirrored_pole_mirrors_the_crossings(self, ratio, mirror, fu, fw, sx):
+        # mirroring the pole in the x axis, in the y axis or turning it a
+        # half turn does the same to the curve: its crossings are the
+        # mirrored points, as many, and the crossing conjecture, which
+        # reports them, gives the same verdict.  Poles (x/a, y/b) = (u, w)
+        # inside 0.92, 0.05 off the axes, the CLI's margin.  The example at
+        # a / b = 5 is the pole (-2.0941, 0.05): the crossing at (x0, 0)
+        # used to be lost at its mirror in the x axis
         u = sx * (0.05 + fu * (math.sqrt(0.92 - 0.05 ** 2) - 0.05))
         w = 0.05 + fw * (math.sqrt(0.92 - u * u) - 0.05)
         e = Ellipse(ratio, 1.0)
-        below, above = (self_intersections(sample_curve(
-            family_evaluator(e, "contrapedal", (e.a * u, e.b * y)), ParamGrid(2048, offset=0.5)))
-            for y in (-w, w))
-        assert len(below) == len(above)
-        rest = [np.array([c.point[0], -c.point[1]]) for c in above]
-        for c in below:
-            d = [float(np.max(np.abs(c.point - p))) for p in rest]
+        mx, my = mirror
+        base, image = (conjecture_check_contrapedal(e, (kx * e.a * u, ky * e.b * w))
+                       for kx, ky in ((1, 1), mirror))
+        verdict = lambda r: (r.skipped, r.reason, r.crossing_count, r.passed)
+        assert verdict(image) == verdict(base)
+        rest = [np.array([mx * x, my * y]) for x, y in base.crossings]
+        for c in image.crossings:
+            d = [float(np.max(np.abs(np.array(c) - p))) for p in rest]
             assert min(d) <= 1e-12 * e.a
             rest.pop(int(np.argmin(d)))
 
@@ -1761,21 +1728,3 @@ class TestLockstepCrossings:
             assert hits
             for c in hits:
                 assert crossing_residual(ev, c) <= 8 * np.finfo(float).eps * crossing_scale(curve, c, e.a)
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("case, count, size", [("figure_eight", 1, 1.0),
-                                                   ("contrapedal_inside_astroid", 8, E21.a)])
-    def test_an_evaluator_without_complex_step_takes_central_differences(self, case, count, size):
-        # the imaginary part is dropped: each Newton step is a complex-step
-        # call that comes back real, then one central-difference call on
-        # t - dt, t and t + dt; the closing call is real
-        curve = CROSSING_CASES[case]()
-        plain = curve.evaluator
-        stub = curve.evaluator = Counting(lambda t: plain(np.real(t)))
-        hits = self_intersections(curve)
-        assert len(hits) == count
-        steps = len(stub.calls) // 2
-        assert [np.iscomplexobj(t) for t in stub.calls] == [True, False] * steps + [False]
-        assert all(np.size(cd) == 3 * np.size(cs) for cs, cd in zip(stub.calls[::2], stub.calls[1::2]))
-        for c in hits:
-            assert crossing_residual(plain, c) <= 8 * np.finfo(float).eps * crossing_scale(curve, c, size)
