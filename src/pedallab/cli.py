@@ -7,7 +7,12 @@ curvature centroids, ``polygon`` handles the discrete analogue, and
 ``conjecture`` measures the contrapedal crossing claim.
 
 Exit codes: 0 success, 1 a computation or certification failed, 2 bad
-arguments.  Reports are strict JSON: a non-finite number fails the
+arguments.  Every refusal with exit 2 is argparse's own, printed as
+``pedallab <cmd>: error: ...``: a rule about one flag is that flag's type
+(``argument --m: ...``), and a rule that relates two flags (a >= b, a
+pole on the ellipse for pseudo-Talbot, ``--source support`` for the
+ellipse only) calls its subparser's ``error`` before anything is
+written.  Reports are strict JSON: a non-finite number fails the
 command instead of being written as NaN or Infinity.
 """
 
@@ -61,10 +66,6 @@ MAX_N = 2 ** 20
 MAX_COUNT = 2 ** 16
 
 
-class UsageProblem(Exception):
-    """Bad command line input; maps to exit code 2."""
-
-
 def _checked(kind, ok, want: str):
     """argparse type: kind(raw), refused unless ok(value); want says what it must be."""
     def parse(raw: str):
@@ -80,29 +81,23 @@ GRID = _checked(int, lambda v: 8 <= v <= MAX_N, f"at most {MAX_N} and at least 8
 COUNT = _checked(int, lambda v: 1 <= v <= MAX_COUNT, f"at most {MAX_COUNT} and at least 1")
 FINITE = _checked(float, math.isfinite, "finite")
 POSITIVE = _checked(float, lambda v: math.isfinite(v) and v > 0, "finite and > 0")
+OFFSET = _checked(float, lambda v: 0.0 <= v < 1.0, "in [0, 1)")
 
 
-def _parse_xy(raw: str) -> Tuple[float, float]:
-    parts = raw.split(",")
-    if len(parts) != 2:
-        raise UsageProblem(f"expected a point as 'x,y', got {raw!r}")
-    try:
-        x, y = float(parts[0]), float(parts[1])
-    except ValueError:
-        raise UsageProblem(f"expected a point as 'x,y', got {raw!r}") from None
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise UsageProblem(f"point components must be finite, got {raw!r}")
+def point(raw: str) -> Tuple[float, float]:
+    """'x,y' as a pair of floats; ValueError unless it is two numbers."""
+    x, y = map(float, raw.split(","))
     return x, y
 
 
-def _parse_vertices(raw: str) -> np.ndarray:
-    try:
-        rows = [_parse_xy(chunk) for chunk in raw.split(";") if chunk]
-    except UsageProblem:
-        raise UsageProblem(f"expected vertices as 'x1,y1;x2,y2;...', got {raw!r}") from None
-    if len(rows) < 3:
-        raise UsageProblem("a polygon needs at least 3 vertices")
-    return np.array(rows, dtype=float)
+def vertices(raw: str) -> np.ndarray:
+    """'x1,y1;x2,y2;...' as an array of vertices, one row each."""
+    return np.array([point(chunk) for chunk in raw.split(";") if chunk])
+
+
+POINT = _checked(point, lambda p: all(map(math.isfinite, p)), "finite")
+VERTICES = _checked(vertices, lambda v: len(v) >= 3 and np.isfinite(v).all(),
+                    "at least 3 finite vertices")
 
 
 def _non_finite(value) -> DomainError:
@@ -212,27 +207,21 @@ def _emit(text: str, path: Optional[str]) -> None:
 
 
 def _ellipse(args) -> Ellipse:
-    if not (math.isfinite(args.a) and math.isfinite(args.b) and args.a >= args.b > 0):
-        raise UsageProblem(f"require semi-axes a >= b > 0, got a={args.a}, b={args.b}")
+    if not args.a >= args.b:
+        args.parser.error(f"require semi-axes a >= b > 0, got a={args.a}, b={args.b}")
     return Ellipse(args.a, args.b)
 
 
 def _resolve_pole(args, e: Ellipse):
     """--m or --s into (pole, boundary parameter or None)."""
-    if args.m is not None and args.s is not None:
-        raise UsageProblem("give the pole as --m or --s, not both")
-    if args.s is not None:
-        p = ellipse_point(e, args.s)
-        return (float(p[0]), float(p[1])), float(args.s)
-    if args.m is not None:
-        return _parse_xy(args.m), None
-    return (0.0, 0.0), None
+    if args.s is None:
+        return args.m, None
+    p = ellipse_point(e, args.s)
+    return (float(p[0]), float(p[1])), float(args.s)
 
 
 def _family_curve(args, e: Ellipse):
     """Evaluator, serializable metadata and n-point grid of the chosen family."""
-    if args.offset is not None and not 0.0 <= args.offset < 1.0:
-        raise UsageProblem(f"--offset must lie in [0, 1), got {args.offset}")
     fam, spec = args.family, FAMILIES[args.family]
     if spec.frame is None:  # the evolutoid has no pole
         ev = lambda t: evolutoid_point(e, args.theta, t)
@@ -243,7 +232,7 @@ def _family_curve(args, e: Ellipse):
             # an --m on the ellipse names the same pole as --s at its parameter
             s = math.atan2(m[1] / e.b, m[0] / e.a)
         if spec.ellipse_pole_only and s is None:  # the pole is off the ellipse
-            raise UsageProblem(f"{fam} needs its pole on the ellipse: give --s")
+            args.parser.error(f"{fam} needs its pole on the ellipse: give --s")
         ev = family_evaluator(e, fam, m, theta=args.theta, mu=args.mu)
     if s is not None and spec.on_ellipse:
         # a pole on the ellipse: nodes half a step off its own parameter s
@@ -287,9 +276,6 @@ def _format_json(curve: SampledCurve, meta: dict) -> str:
 
 
 def _format_svg(curve: SampledCurve) -> str:
-    # imported here, its one user: every other command is spared its import
-    from xml.etree import ElementTree as ET
-
     x = curve.points[:, 0]
     y = -curve.points[:, 1]  # svg y grows downward
     minx, maxx = float(np.min(x)), float(np.max(x))
@@ -298,17 +284,9 @@ def _format_svg(curve: SampledCurve) -> str:
     mx = 0.05 * w if w > 0 else 0.5
     my = 0.05 * h if h > 0 else 0.5
     d = "M " + " L ".join(f"{px:.8g} {py:.8g}" for px, py in zip(x, y)) + " Z"
-    svg = ET.Element("svg", {
-        "xmlns": "http://www.w3.org/2000/svg",
-        "viewBox": f"{minx - mx:.8g} {miny - my:.8g} {w + 2 * mx:.8g} {h + 2 * my:.8g}",
-    })
-    ET.SubElement(svg, "path", {
-        "d": d,
-        "fill": "none",
-        "stroke": "black",
-        "stroke-width": f"{0.004 * max(w, h, 1e-9):.6g}",
-    })
-    return ET.tostring(svg, encoding="unicode") + "\n"
+    return (f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{minx - mx:.8g} {miny - my:.8g}'
+            f' {w + 2 * mx:.8g} {h + 2 * my:.8g}"><path d="{d}" fill="none" stroke="black"'
+            f' stroke-width="{0.004 * max(w, h, 1e-9):.6g}" /></svg>\n')
 
 
 # ---------------------------------------------------------------------------
@@ -354,10 +332,7 @@ def cmd_area(args) -> int:
 
 def cmd_scan(args) -> int:
     e = _ellipse(args)
-    try:
-        locus = LocusSpec(kind=args.locus, r=args.r, count=args.count, phase=args.phase)
-    except DomainError as exc:
-        raise UsageProblem(f"bad --r, --count or --phase: {exc}") from None
+    locus = LocusSpec(kind=args.locus, r=args.r, count=args.count, phase=args.phase)
     report = scan(e, args.family, locus, n=args.n, theta=args.theta, mu=args.mu, tol=args.tol)
     text = report_json(report.to_dict())
     if args.output:
@@ -371,8 +346,7 @@ def cmd_scan(args) -> int:
 
 def cmd_identities(args) -> int:
     e = _ellipse(args)
-    m = _parse_xy(args.m)
-    checks = identity_suite(e, m, n=args.n, tol=args.tol)
+    checks = identity_suite(e, args.m, n=args.n, tol=args.tol)
     if args.format == "json":
         text = report_json([c.to_dict() for c in checks])
     else:
@@ -387,7 +361,7 @@ def cmd_centroid(args) -> int:
     e = _ellipse(args)
     if args.source == "support":
         if args.family != "ellipse":
-            raise UsageProblem("--source support is defined for the ellipse family only")
+            args.parser.error("--source support is defined for the ellipse family only")
         k = curvature_centroid_support(ellipse_support(e), n=args.n)
         meta = {"family": "ellipse", "a": e.a, "b": e.b, "source": "support"}
     else:
@@ -402,9 +376,8 @@ def cmd_centroid(args) -> int:
 
 
 def cmd_polygon(args) -> int:
-    verts = _parse_vertices(args.vertices)
-    poly = Polygon(verts)
-    m = _parse_xy(args.m)
+    poly = Polygon(args.vertices)
+    m = args.m
     area = polygon_signed_area(poly)
     try:
         k = curvature_centroid_polygon(poly)
@@ -430,7 +403,7 @@ def cmd_polygon(args) -> int:
 def cmd_conjecture(args) -> int:
     e = _ellipse(args)
     if args.m is not None:
-        poles = [_parse_xy(args.m)]
+        poles = [args.m]
     else:
         rng = np.random.default_rng(args.seed)
         poles = []
@@ -453,14 +426,15 @@ def cmd_conjecture(args) -> int:
 
 
 def _add_ellipse(p):
-    p.add_argument("--a", type=float, default=2.0, help="semi-major axis (default 2)")
-    p.add_argument("--b", type=float, default=1.0, help="semi-minor axis (default 1)")
+    p.add_argument("--a", type=POSITIVE, default=2.0, help="semi-major axis (default 2)")
+    p.add_argument("--b", type=POSITIVE, default=1.0, help="semi-minor axis (default 1)")
 
 
 def _add_pole(p):
-    p.add_argument("--m", type=str, default=None, help="pole as 'x,y' (excludes --s)")
-    p.add_argument("--s", type=FINITE, default=None,
-                   help="pole on the ellipse at parameter s (excludes --m)")
+    pole = p.add_mutually_exclusive_group()
+    pole.add_argument("--m", type=POINT, default="0,0", help="pole as 'x,y' (excludes --s)")
+    pole.add_argument("--s", type=FINITE, default=None,
+                      help="pole on the ellipse at parameter s (excludes --m)")
 
 
 def _add_family(p, choices):
@@ -484,69 +458,69 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pole(p)
     _add_family(p, list(FAMILIES))
     p.add_argument("--n", type=GRID, default=512, help="number of samples")
-    p.add_argument("--offset", type=float, default=None,
+    p.add_argument("--offset", type=OFFSET, default=None,
                    help="fractional grid offset in [0, 1)")
     p.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
     p.add_argument("--output", type=str, default=None)
-    p.set_defaults(func=cmd_sample)
+    p.set_defaults(func=cmd_sample, parser=p)
 
     p = sub.add_parser("area", help="closed-form vs quadrature signed area")
     _add_ellipse(p)
     _add_pole(p)
     _add_family(p, list(FAMILIES))
     p.add_argument("--n", type=GRID, default=2048)
-    p.add_argument("--offset", type=float, default=None)
+    p.add_argument("--offset", type=OFFSET, default=None)
     p.add_argument("--output", type=str, default=None)
-    p.set_defaults(func=cmd_area)
+    p.set_defaults(func=cmd_area, parser=p)
 
     p = sub.add_parser("scan", help="area invariance over a pole locus")
     _add_ellipse(p)
     _add_family(p, list(SCANNABLE))
     p.add_argument("--locus", choices=("circle", "boundary"), required=True)
-    p.add_argument("--r", type=float, default=1.0, help="circle locus radius")
+    p.add_argument("--r", type=POSITIVE, default=1.0, help="circle locus radius")
     p.add_argument("--count", type=COUNT, default=64, help="poles on the locus")
-    p.add_argument("--phase", type=float, default=0.0, help="locus angular offset")
+    p.add_argument("--phase", type=FINITE, default=0.0, help="locus angular offset")
     p.add_argument("--n", type=GRID, default=2048)
     p.add_argument("--tol", type=POSITIVE, default=1e-8)
     p.add_argument("--output", type=str, default=None, help="write the full JSON report")
-    p.set_defaults(func=cmd_scan)
+    p.set_defaults(func=cmd_scan, parser=p)
 
     p = sub.add_parser("identities", help="pedal-family area identity suite")
     _add_ellipse(p)
-    p.add_argument("--m", type=str, default="0.7,-0.4", help="pole as 'x,y'")
+    p.add_argument("--m", type=POINT, default="0.7,-0.4", help="pole as 'x,y'")
     p.add_argument("--n", type=GRID, default=2048)
     p.add_argument("--tol", type=POSITIVE, default=1e-8)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--output", type=str, default=None)
-    p.set_defaults(func=cmd_identities)
+    p.set_defaults(func=cmd_identities, parser=p)
 
     p = sub.add_parser("centroid", help="curvature-weighted centroid of a curve")
     _add_ellipse(p)
     _add_pole(p)
     _add_family(p, list(FAMILIES))
     p.add_argument("--n", type=GRID, default=2048)
-    p.add_argument("--offset", type=float, default=None)
+    p.add_argument("--offset", type=OFFSET, default=None)
     p.add_argument("--source", choices=("samples", "support"), default="samples")
     p.add_argument("--output", type=str, default=None)
-    p.set_defaults(func=cmd_centroid)
+    p.set_defaults(func=cmd_centroid, parser=p)
 
     p = sub.add_parser("polygon", help="pedal polygon, area and centroid")
-    p.add_argument("--vertices", type=str, required=True,
+    p.add_argument("--vertices", type=VERTICES, required=True,
                    help="vertex list as 'x1,y1;x2,y2;...'")
-    p.add_argument("--m", type=str, default="0,0", help="pole as 'x,y'")
+    p.add_argument("--m", type=POINT, default="0,0", help="pole as 'x,y'")
     p.add_argument("--output", type=str, default=None)
-    p.set_defaults(func=cmd_polygon)
+    p.set_defaults(func=cmd_polygon, parser=p)
 
     p = sub.add_parser("conjecture", help="contrapedal self-crossing location check")
     _add_ellipse(p)
-    p.add_argument("--m", type=str, default=None,
+    p.add_argument("--m", type=POINT, default=None,
                    help="pole as 'x,y'; omitted: random interior poles")
     p.add_argument("--count", type=COUNT, default=10, help="random poles when --m is omitted")
     p.add_argument("--seed", type=_checked(int, lambda v: v >= 0, "at least 0"), default=0)
     p.add_argument("--n", type=GRID, default=2048)
     p.add_argument("--tol", type=POSITIVE, default=1e-4)
     p.add_argument("--output", type=str, default=None)
-    p.set_defaults(func=cmd_conjecture)
+    p.set_defaults(func=cmd_conjecture, parser=p)
 
     return parser
 
@@ -554,13 +528,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:  # a usage error (2), or --help (0)
-        return exc.code
-    try:
         return args.func(args)
-    except UsageProblem as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+    except SystemExit as exc:  # a refused command line (2), or --help (0)
+        return exc.code
     except GeometryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import os
+import shlex
 import signal
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from pedallab import (DomainError, Ellipse, ParamGrid, QuadratureError, area_rul
 from pedallab import cli
 from pedallab.areas import FAMILIES
 from pedallab.cli import MAX_COUNT, MAX_N, build_parser, main, report_json
+from pedallab.curves import SampledCurve
 from pedallab.harness import SCANNABLE, IdentityCheck
 
 E21 = Ellipse(2.0, 1.0)
@@ -33,10 +35,15 @@ def run(capsys, *argv):
     return rc, out.out, out.err
 
 
+def subparsers():
+    """The subcommands' parsers by name, as build_parser holds them."""
+    return next(a.choices for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+
+
 def family_choices(command):
     """The --family choices of a subcommand, as its parser holds them."""
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return next(a.choices for a in sub.choices[command]._actions if a.dest == "family")
+    return next(a.choices for a in subparsers()[command]._actions if a.dest == "family")
 
 
 class TestFamilyChoices:
@@ -46,6 +53,29 @@ class TestFamilyChoices:
 
     def test_scan_offers_the_scannable_families(self):
         assert family_choices("scan") == list(SCANNABLE)
+
+
+def test_every_option_is_parsed_by_its_rule():
+    # a rule about one flag is its argparse type: no option takes a bare
+    # float, and only --output takes any string
+    for command, p in subparsers().items():
+        for action in p._actions:
+            where = (command, action.option_strings)
+            assert action.type is not float, where
+            assert (action.type is str) == (action.dest == "output"), where
+
+
+def readme_commands():
+    """The command lines of README's "Command line" section, without "pedallab"."""
+    text = (REPO / "README.md").read_text()
+    block = text.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()]
+
+
+@pytest.mark.parametrize("argv", readme_commands())
+def test_readme_commands_exit_0(capsys, tmp_path, argv):
+    argv = [str(tmp_path / v) if flag == "--output" else v for flag, v in zip(["", *argv], argv)]
+    assert run(capsys, *argv)[0] == 0
 
 
 def test_make_figures_renders_every_family(tmp_path):
@@ -270,10 +300,6 @@ def test_parser_is_built_once_per_process(monkeypatch, capsys):
 
 
 class TestUsageErrors:
-    def test_axis_order(self, capsys):
-        rc, _, err = run(capsys, "sample", "--a", "1", "--b", "2")
-        assert rc == 2 and "a >= b > 0" in err
-
     @pytest.mark.parametrize("command", ["sample", "area", "centroid"])
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_s_must_be_finite(self, capsys, command, bad):
@@ -282,7 +308,7 @@ class TestUsageErrors:
 
     def test_pole_given_twice(self, capsys):
         rc, _, err = run(capsys, "sample", "--m", "0,0", "--s", "0.5")
-        assert rc == 2 and "not both" in err
+        assert rc == 2 and "argument --s: not allowed with argument --m" in err
 
     @pytest.mark.parametrize("command", ["sample", "area", "centroid"])
     def test_help_says_m_and_s_exclude_each_other(self, capsys, command):
@@ -297,10 +323,6 @@ class TestUsageErrors:
         rc, _, err = run(capsys, "sample", "--m", "1;2")
         assert rc == 2
 
-    def test_offset_range(self, capsys):
-        rc, _, _ = run(capsys, "sample", "--offset", "1.0")
-        assert rc == 2
-
     def test_tiny_grid(self, capsys):
         rc, _, _ = run(capsys, "area", "--n", "4")
         assert rc == 2
@@ -313,21 +335,9 @@ class TestUsageErrors:
             rc, _, err = run(capsys, cmd, "--family", "pseudo_talbot", "--m", "2,0.1")
             assert rc == 2 and "--s" in err
 
-    def test_scan_radius(self, capsys):
-        rc, _, _ = run(capsys, "scan", "--family", "pedal", "--locus", "circle", "--r", "-1")
-        assert rc == 2
-
     @pytest.mark.parametrize("bad", [("--r", "inf"), ("--phase", "nan"), ("--count", "0")])
     def test_scan_locus_out_of_domain(self, capsys, bad):
         rc, _, _ = run(capsys, "scan", "--family", "pedal", "--locus", "circle", *bad)
-        assert rc == 2
-
-    def test_polygon_needs_three_vertices(self, capsys):
-        rc, _, _ = run(capsys, "polygon", "--vertices", "0,0;1,0")
-        assert rc == 2
-
-    def test_support_centroid_is_ellipse_only(self, capsys):
-        rc, _, _ = run(capsys, "centroid", "--family", "pedal", "--source", "support")
         assert rc == 2
 
     @pytest.mark.parametrize("argv", [
@@ -360,12 +370,39 @@ class TestUsageErrors:
         ["identities", "--n", "4"],
         ["conjecture", "--n", "7"],
         ["conjecture", "--count", "0"],
-        ["conjecture", "--seed", "-1"]])
+        ["conjecture", "--seed", "-1"],
+        ["sample", "--m", "1,nan"],
+        ["identities", "--m", "1"],
+        ["polygon", "--m", "1;2"],
+        ["conjecture", "--m", "0,inf"],
+        ["sample", "--offset", "1.0"],
+        ["centroid", "--offset", "-0.5"],
+        ["area", "--a", "inf"],
+        ["sample", "--b", "0"],
+        ["scan", "--locus", "circle", "--r", "-1"],
+        ["scan", "--locus", "boundary", "--r", "0"],
+        ["scan", "--locus", "circle", "--phase", "nan"],
+        ["polygon", "--vertices", "0,0;1,0"]])
     def test_flag_out_of_range_exits_2_naming_the_flag(self, capsys, argv):
         # refused by the parser, before anything is computed
         rc, out, err = run(capsys, *argv)
         assert rc == 2 and out == ""
-        assert f"argument {argv[-2]}: must be" in err
+        assert f"pedallab {argv[0]}: error: argument {argv[-2]}: " in err
+
+    @pytest.mark.parametrize("argv, cause", [
+        (["sample", "--a", "1", "--b", "2"], "require semi-axes a >= b > 0, got a=1.0, b=2.0"),
+        (["area", "--family", "pseudo_talbot", "--m", "2,0.1"],
+         "pseudo_talbot needs its pole on the ellipse: give --s"),
+        (["centroid", "--family", "pedal", "--source", "support"],
+         "--source support is defined for the ellipse family only")],
+        ids=["a_below_b", "pseudo_talbot_off_the_ellipse", "support_off_the_ellipse"])
+    def test_cross_flag_refusals_are_the_subparsers_errors(self, capsys, tmp_path, argv, cause):
+        # refused by the command, before it writes anything
+        target = tmp_path / "report.json"
+        rc, out, err = run(capsys, *argv, "--output", str(target))
+        assert (rc, out) == (2, "")
+        assert err.splitlines()[-1] == f"pedallab {argv[0]}: error: {cause}"
+        assert not target.exists()
 
     def test_help_exits_0(self, capsys):
         rc, out, _ = run(capsys, "scan", "--help")
@@ -385,6 +422,26 @@ class TestUsageErrors:
 
 # ---------------------------------------------------------------------------
 # sample formats
+
+
+def elementtree_svg(points):
+    """The svg of sample --format svg as ElementTree writes it: the byte reference."""
+    x, y = points[:, 0], -points[:, 1]
+    minx, maxx, miny, maxy = map(float, (np.min(x), np.max(x), np.min(y), np.max(y)))
+    w, h = maxx - minx, maxy - miny
+    mx = 0.05 * w if w > 0 else 0.5
+    my = 0.05 * h if h > 0 else 0.5
+    svg = ET.Element("svg", {
+        "xmlns": "http://www.w3.org/2000/svg",
+        "viewBox": f"{minx - mx:.8g} {miny - my:.8g} {w + 2 * mx:.8g} {h + 2 * my:.8g}",
+    })
+    ET.SubElement(svg, "path", {
+        "d": "M " + " L ".join(f"{px:.8g} {py:.8g}" for px, py in zip(x, y)) + " Z",
+        "fill": "none",
+        "stroke": "black",
+        "stroke-width": f"{0.004 * max(w, h, 1e-9):.6g}",
+    })
+    return ET.tostring(svg, encoding="unicode") + "\n"
 
 
 class TestSample:
@@ -421,6 +478,20 @@ class TestSample:
         assert path.get("d").startswith("M ") and path.get("d").endswith(" Z")
         assert path.get("fill") == "none"
         assert len(root.get("viewBox").split()) == 4
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_svg_bytes_are_elementtrees(self, capsys, family):
+        pole = ["--s", "0.7"] if FAMILIES[family].on_ellipse else ["--m", "0.7,-0.4"]
+        argv = ["sample", "--family", family, *pole, "--theta", "0.6", "--n", "64"]
+        rc, out, _ = run(capsys, *argv, "--format", "json")
+        assert rc == 0
+        points = np.array(json.loads(out)["points"])[:, 1:]
+        assert run(capsys, *argv, "--format", "svg") == (0, elementtree_svg(points), "")
+
+    def test_a_zero_width_svg_takes_the_fixed_margin(self):
+        t = np.linspace(0.0, 2 * math.pi, 16, endpoint=False)
+        points = np.stack([np.full_like(t, 1.5), np.sin(t)], axis=-1)
+        assert cli._format_svg(SampledCurve(t, points)) == elementtree_svg(points)
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "curve.csv"
