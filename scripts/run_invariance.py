@@ -4,10 +4,11 @@
 Reports land in --outdir: one file per pole scan, one for the identity
 suite, one for the contrapedal crossing check, and a summary with the
 pass/fail roll-up, all written by the CLI's strict writer,
-pedallab.cli.report_json.  Runs are deterministic: identical arguments
-produce byte-identical files.  Exit code 0 only when every certificate
-passes; a failed computation, or a non-finite number in a report, exits 1;
-bad arguments exit 2 before any report is written.
+pedallab.cli.report_json, as JSON on one line (python -m json.tool
+--indent 2 FILE prints it indented).  Runs are deterministic: identical
+arguments produce byte-identical files.  Exit code 0 only when every
+certificate passes; a failed computation, or a non-finite number in a
+report, exits 1; bad arguments exit 2 before any report is written.
 
 The certificates are independent, so they run on W processes: this one
 and W - 1 children forked from it, with W = min(certificates, usable

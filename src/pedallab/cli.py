@@ -11,9 +11,13 @@ arguments.  Every refusal with exit 2 is argparse's own, printed as
 ``pedallab <cmd>: error: ...``: a rule about one flag is that flag's type
 (``argument --m: ...``), and a rule that relates two flags (a >= b, a
 pole on the ellipse for pseudo-Talbot, ``--source support`` for the
-ellipse only) calls its subparser's ``error`` before anything is
-written.  Reports are strict JSON: a non-finite number fails the
-command instead of being written as NaN or Infinity.
+ellipse only, and a flag that the chosen locus, source or mode never
+reads: ``--r`` with ``--locus boundary``, ``--count`` or ``--seed`` with
+a conjecture ``--m``, and ``--m``, ``--s`` or ``--offset`` with
+``--source support``) calls its subparser's ``error`` before anything is
+written.  Reports are strict JSON on one line, written by report_json
+alone: a non-finite number fails the command instead of being written as
+NaN or Infinity.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import sys
@@ -100,102 +103,30 @@ VERTICES = _checked(vertices, lambda v: len(v) >= 3 and np.isfinite(v).all(),
                     "at least 3 finite vertices")
 
 
-def _non_finite(value) -> DomainError:
-    return DomainError(f"report holds a non-finite number ({float(value)!r})")
-
-
-_float_text = float.__repr__
-_str_text = json.encoder.encode_basestring_ascii
-
-
-def _key_text(key) -> str:
-    if isinstance(key, str):
-        return _str_text(key)
-    if key is None or isinstance(key, (int, float)):
-        return '"' + _report_text(key, "") + '"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
-def _floats_text(values, sep: str) -> str:
-    """The float.__repr__ texts of a non-empty list of floats, joined by
-    sep; TypeError if an entry is not a float.  A scan's areas repeat a
-    few values, which its laws hold constant, so each distinct value is
-    formatted once and looked up per entry when every entry is a plain
-    float (True and 1 equal 1.0) and none is zero (0.0 equals -0.0)."""
-    if type(values[0]) is float and set(map(type, values)) == {float}:
-        distinct = set(values)
-        if 0.0 not in distinct:
-            text = dict(zip(distinct, map(_float_text, distinct)))
-            return sep.join(map(text.__getitem__, values))
-    return sep.join(map(_float_text, values))
-
-
-def _report_text(obj, nl: str) -> str:
-    """JSON text of obj, whose closing bracket goes after nl, a newline and
-    the indentation of obj's own line; json.dumps' indent=2 layout and its
-    order of type tests."""
-    if isinstance(obj, str):
-        return _str_text(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise _non_finite(obj)
-        return _float_text(obj)
-    inner = nl + "  "
-    sep = "," + inner
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        try:
-            # a flat list of floats in one pass; no finite float's repr has an n
-            body = _floats_text(obj, sep)
-        except TypeError:
-            body = None
-        if body is None and all(type(p) is list and len(p) == 2 for p in obj):
-            try:
-                # a list of float pairs (the poles) through one format string
-                pair = "[" + inner + "  {}," + inner + "  {}" + inner + "]"
-                body = sep.join([pair] * len(obj)).format(
-                    *map(_float_text, itertools.chain.from_iterable(obj)))
-            except TypeError:
-                pass
-        if body is None:
-            try:
-                # a flat list of strings and None (the errors) in one pass
-                body = sep.join(["null" if v is None else _str_text(v) for v in obj])
-            except TypeError:
-                body = sep.join([_report_text(v, inner) for v in obj])
-        elif "n" in body:
-            raise _non_finite(next(v for v in np.ravel(obj) if not math.isfinite(v)))
-        return "[" + inner + body + nl + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        return "{" + inner + sep.join([_key_text(k) + ": " + _report_text(v, inner)
-                                       for k, v in obj.items()]) + nl + "}"
-    # anything else is json's to serialize or to refuse
-    return json.dumps(obj, indent=2, allow_nan=False).replace("\n", nl)
+def _first_non_finite(obj, path=frozenset()):
+    """The first NaN or infinity of obj in json's order, keys included, or
+    None; a list or dict that holds itself is not searched again."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return obj
+    if isinstance(obj, (list, tuple, dict)) and id(obj) not in path:
+        values = [v for item in obj.items() for v in item] if isinstance(obj, dict) else obj
+        found = (_first_non_finite(v, path | {id(obj)}) for v in values)
+        return next((bad for bad in found if bad is not None), None)
+    return None
 
 
 def report_json(obj) -> str:
-    """Strict JSON text of a report: byte-identical to
-    json.dumps(obj, indent=2, allow_nan=False) + "\n", the one writer of
-    every report file.  A non-finite number raises DomainError.
-
-    With an indent, json.dumps runs its pure-Python encoder, one generator
-    step per value; this writer joins a flat list of floats (formatting
-    each distinct value once), or of strings and None, in one pass and a
-    list of float pairs through one format string, and gives any type it
-    does not know to json.
-    """
-    return _report_text(obj, "\n") + "\n"
+    """Strict JSON text of a report, on one line: json.dumps(obj,
+    allow_nan=False, separators=(",", ":")) plus a newline, the one writer
+    of every report.  A non-finite number raises DomainError that names it;
+    any other ValueError (a list that holds itself) is json's own."""
+    try:
+        return json.dumps(obj, allow_nan=False, separators=(",", ":")) + "\n"
+    except ValueError:
+        bad = _first_non_finite(obj)
+        if bad is None:
+            raise
+        raise DomainError(f"report holds a non-finite number ({float(bad)!r})") from None
 
 
 def _emit(text: str, path: Optional[str]) -> None:
@@ -204,6 +135,13 @@ def _emit(text: str, path: Optional[str]) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _refuse(args, flags, context: str) -> None:
+    """Exit 2, naming the first of flags on the command line: context never reads them."""
+    for flag in flags:
+        if getattr(args, flag) is not None:
+            args.parser.error(f"argument --{flag}: not allowed with {context}")
 
 
 def _ellipse(args) -> Ellipse:
@@ -215,7 +153,7 @@ def _ellipse(args) -> Ellipse:
 def _resolve_pole(args, e: Ellipse):
     """--m or --s into (pole, boundary parameter or None)."""
     if args.s is None:
-        return args.m, None
+        return (0.0, 0.0) if args.m is None else args.m, None
     p = ellipse_point(e, args.s)
     return (float(p[0]), float(p[1])), float(args.s)
 
@@ -269,10 +207,7 @@ def _format_json(curve: SampledCurve, meta: dict) -> str:
         "points": [[float(t), float(x), float(y)]
                    for t, (x, y) in zip(curve.params, curve.points)],
     }
-    try:
-        return json.dumps(obj, allow_nan=False, separators=(",", ":")) + "\n"
-    except ValueError as exc:
-        raise DomainError(f"report holds a non-finite number ({exc})") from None
+    return report_json(obj)
 
 
 def _format_svg(curve: SampledCurve) -> str:
@@ -332,7 +267,10 @@ def cmd_area(args) -> int:
 
 def cmd_scan(args) -> int:
     e = _ellipse(args)
-    locus = LocusSpec(kind=args.locus, r=args.r, count=args.count, phase=args.phase)
+    if args.locus == "boundary":
+        _refuse(args, ["r"], "--locus boundary")
+    locus = LocusSpec(kind=args.locus, r=1.0 if args.r is None else args.r,
+                      count=args.count, phase=args.phase)
     report = scan(e, args.family, locus, n=args.n, theta=args.theta, mu=args.mu, tol=args.tol)
     text = report_json(report.to_dict())
     if args.output:
@@ -362,6 +300,7 @@ def cmd_centroid(args) -> int:
     if args.source == "support":
         if args.family != "ellipse":
             args.parser.error("--source support is defined for the ellipse family only")
+        _refuse(args, ["m", "s", "offset"], "--source support")
         k = curvature_centroid_support(ellipse_support(e), n=args.n)
         meta = {"family": "ellipse", "a": e.a, "b": e.b, "source": "support"}
     else:
@@ -403,11 +342,12 @@ def cmd_polygon(args) -> int:
 def cmd_conjecture(args) -> int:
     e = _ellipse(args)
     if args.m is not None:
+        _refuse(args, ["count", "seed"], "argument --m")
         poles = [args.m]
     else:
-        rng = np.random.default_rng(args.seed)
+        rng = np.random.default_rng(0 if args.seed is None else args.seed)
         poles = []
-        while len(poles) < args.count:
+        while len(poles) < (10 if args.count is None else args.count):
             x = rng.uniform(-e.a, e.a)
             y = rng.uniform(-e.b, e.b)
             # interior with margin; off the axes so crossings stay transversal
@@ -432,7 +372,7 @@ def _add_ellipse(p):
 
 def _add_pole(p):
     pole = p.add_mutually_exclusive_group()
-    pole.add_argument("--m", type=POINT, default="0,0", help="pole as 'x,y' (excludes --s)")
+    pole.add_argument("--m", type=POINT, default=None, help="pole as 'x,y' (excludes --s)")
     pole.add_argument("--s", type=FINITE, default=None,
                       help="pole on the ellipse at parameter s (excludes --m)")
 
@@ -477,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ellipse(p)
     _add_family(p, list(SCANNABLE))
     p.add_argument("--locus", choices=("circle", "boundary"), required=True)
-    p.add_argument("--r", type=POSITIVE, default=1.0, help="circle locus radius")
+    p.add_argument("--r", type=POSITIVE, default=None, help="circle locus radius")
     p.add_argument("--count", type=COUNT, default=64, help="poles on the locus")
     p.add_argument("--phase", type=FINITE, default=0.0, help="locus angular offset")
     p.add_argument("--n", type=GRID, default=2048)
@@ -515,8 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ellipse(p)
     p.add_argument("--m", type=POINT, default=None,
                    help="pole as 'x,y'; omitted: random interior poles")
-    p.add_argument("--count", type=COUNT, default=10, help="random poles when --m is omitted")
-    p.add_argument("--seed", type=_checked(int, lambda v: v >= 0, "at least 0"), default=0)
+    p.add_argument("--count", type=COUNT, default=None, help="random poles when --m is omitted")
+    p.add_argument("--seed", type=_checked(int, lambda v: v >= 0, "at least 0"), default=None)
     p.add_argument("--n", type=GRID, default=2048)
     p.add_argument("--tol", type=POSITIVE, default=1e-4)
     p.add_argument("--output", type=str, default=None)

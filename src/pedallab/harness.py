@@ -517,7 +517,8 @@ def conjecture_check_contrapedal(e: Ellipse, m, n: int = 2048,
     """Check that the contrapedal of the ellipse about m self-crosses at the
     two axis projections (x0, 0) and (0, y0) of the pole.
 
-    Poles on a symmetry axis are skipped: the crossings degenerate there.
+    Poles on a symmetry axis, to AXIS_TOL times the semi-minor axis b, are
+    skipped: the crossings degenerate there.
     A grid size n below 8 or a tol that is not finite and positive raises
     DomainError, for skipped poles too.
     """
@@ -525,7 +526,7 @@ def conjecture_check_contrapedal(e: Ellipse, m, n: int = 2048,
     _require_tol(tol)
     x0, y0 = as_xy(m)
     pole = [float(x0), float(y0)]
-    if abs(x0) < AXIS_TOL or abs(y0) < AXIS_TOL:
+    if min(abs(x0), abs(y0)) < AXIS_TOL * e.b:
         return ConjectureReport(pole=pole, skipped=True,
                                 reason="pole on a symmetry axis: crossings degenerate",
                                 crossing_count=0, crossings=[],

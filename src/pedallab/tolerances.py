@@ -42,6 +42,7 @@ CUSP_SPEED_TOL = 1e-5
 # below this fraction of their squared normals
 PARALLEL_TOL = 1e-12
 
-# the conjecture check skips a pole within this distance of a symmetry axis,
-# where the crossings degenerate
+# the conjecture check skips a pole within this fraction of the semi-minor
+# axis b of a symmetry axis, where the crossings degenerate; relative to b,
+# so the rule does not move with the size of the ellipse
 AXIS_TOL = 1e-9

@@ -394,8 +394,23 @@ class TestUsageErrors:
         (["area", "--family", "pseudo_talbot", "--m", "2,0.1"],
          "pseudo_talbot needs its pole on the ellipse: give --s"),
         (["centroid", "--family", "pedal", "--source", "support"],
-         "--source support is defined for the ellipse family only")],
-        ids=["a_below_b", "pseudo_talbot_off_the_ellipse", "support_off_the_ellipse"])
+         "--source support is defined for the ellipse family only"),
+        # a flag that the chosen locus, mode or source never reads
+        (["scan", "--locus", "boundary", "--r", "2"],
+         "argument --r: not allowed with --locus boundary"),
+        (["conjecture", "--m", "0.7,-0.4", "--count", "3"],
+         "argument --count: not allowed with argument --m"),
+        (["conjecture", "--seed", "3", "--m", "0.7,-0.4"],
+         "argument --seed: not allowed with argument --m"),
+        (["centroid", "--family", "ellipse", "--source", "support", "--m", "1,1"],
+         "argument --m: not allowed with --source support"),
+        (["centroid", "--source", "support", "--family", "ellipse", "--s", "0.5"],
+         "argument --s: not allowed with --source support"),
+        (["centroid", "--family", "ellipse", "--offset", "0.5", "--source", "support"],
+         "argument --offset: not allowed with --source support")],
+        ids=["a_below_b", "pseudo_talbot_off_the_ellipse", "support_off_the_ellipse",
+             "r_on_the_boundary", "count_with_m", "seed_with_m", "m_with_support",
+             "s_with_support", "offset_with_support"])
     def test_cross_flag_refusals_are_the_subparsers_errors(self, capsys, tmp_path, argv, cause):
         # refused by the command, before it writes anything
         target = tmp_path / "report.json"
@@ -466,6 +481,7 @@ class TestSample:
         assert obj["meta"]["params"]["n"] == 32
         assert len(obj["points"]) == 32
         assert all(len(row) == 3 for row in obj["points"])
+        assert out == report_json(obj)  # the one report writer
 
     def test_svg_is_one_closed_path(self, capsys):
         rc, out, _ = run(capsys, "sample", "--family", "contrapedal", "--m", "0.7,-0.4",
@@ -801,42 +817,61 @@ FINITE_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                           st.sampled_from([-0.0, 5e-324, -5e-324, 1e16, 1e-7, 0.1]))
 SCALARS = st.one_of(FINITE_FLOATS, FINITE_FLOATS.map(np.float64), st.integers(),
                     st.booleans(), st.none(), st.text())
-KEYS = st.one_of(st.text(), st.integers(), FINITE_FLOATS, st.booleans(), st.none())
-REPORTS = st.recursive(
-    SCALARS,
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=5), st.lists(inner, max_size=3).map(tuple),
-        st.dictionaries(KEYS, inner, max_size=5),
-        # the shapes the writer takes in one pass: flat floats, float pairs,
-        # strings and None; long flat lists of a few values repeated, as a
-        # scan's areas are
-        st.lists(FINITE_FLOATS, max_size=6),
-        st.lists(FINITE_FLOATS, min_size=1, max_size=3).flatmap(
-            lambda pool: st.lists(st.sampled_from(pool), min_size=32, max_size=300)),
-        st.lists(st.one_of(st.none(), st.text()), max_size=6),
-        st.lists(st.lists(FINITE_FLOATS, min_size=2, max_size=2), max_size=4)),
-    max_leaves=30)
+
+
+def reports(keys):
+    """Report-like objects whose dict keys come from keys."""
+    return st.recursive(
+        SCALARS,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=5), st.lists(inner, max_size=3).map(tuple),
+            st.dictionaries(keys, inner, max_size=5),
+            # the shapes of a report: flat floats, float pairs, strings and
+            # None; long flat lists of a few values repeated, as a scan's
+            # areas are
+            st.lists(FINITE_FLOATS, max_size=6),
+            st.lists(FINITE_FLOATS, min_size=1, max_size=3).flatmap(
+                lambda pool: st.lists(st.sampled_from(pool), min_size=32, max_size=300)),
+            st.lists(st.one_of(st.none(), st.text()), max_size=6),
+            st.lists(st.lists(FINITE_FLOATS, min_size=2, max_size=2), max_size=4)),
+        max_leaves=30)
+
+
+REPORTS = reports(st.one_of(st.text(), st.integers(), FINITE_FLOATS, st.booleans(), st.none()))
+
+
+def indent_2(obj) -> str:
+    """The layout python -m json.tool --indent 2 prints, without its newline."""
+    return json.dumps(obj, indent=2, allow_nan=False)
 
 
 class TestReportWriter:
-    """report_json writes json.dumps(obj, indent=2, allow_nan=False)'s bytes,
-    and refuses a non-finite number with DomainError."""
+    """report_json writes json.dumps(obj, allow_nan=False, separators=(",", ":"))
+    and a newline, and refuses a non-finite number with DomainError; json.tool
+    at indent 2 restores the layout json.dumps(obj, indent=2) writes."""
 
     @settings(max_examples=300, deadline=None)
     @given(obj=REPORTS)
-    def test_bytes_equal_json_dumps_with_indent_2(self, obj):
-        assert report_json(obj) == json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    def test_bytes_equal_compact_json_dumps(self, obj):
+        assert report_json(obj) == json.dumps(obj, allow_nan=False, separators=(",", ":")) + "\n"
+
+    @settings(max_examples=300, deadline=None)
+    @given(obj=reports(st.text()))
+    def test_json_tool_restores_the_indent_2_layout(self, obj):
+        # str keys: json.loads reads every key back as a str
+        assert indent_2(json.loads(report_json(obj))) == indent_2(obj)
 
     def test_a_scan_report(self):
         from pedallab import LocusSpec, scan
         rep = scan(E21, "hybrid", LocusSpec("circle", r=1.5, count=5), n=64).to_dict()
-        assert report_json(rep) == json.dumps(rep, indent=2, allow_nan=False) + "\n"
+        assert report_json(rep).count("\n") == 1
+        assert indent_2(json.loads(report_json(rep))) == indent_2(rep)
 
     @pytest.mark.parametrize("obj", [
         [None] * 4, ["a", None, 'q"\u00e9\n', ""], [None, "x", 1.0], [None, 2, "x"],
         [None, [1.0, 2.0]], ["x", True]])
     def test_lists_of_strings_and_none(self, obj):
-        assert report_json(obj) == json.dumps(obj, indent=2, allow_nan=False) + "\n"
+        assert indent_2(json.loads(report_json(obj))) == indent_2(obj)
 
     @pytest.mark.parametrize("obj", [
         [1.5, -2.25, 1e-300] * 85 + [1.5],
@@ -847,9 +882,8 @@ class TestReportWriter:
         [1.0, True], [True, 1.0], [1.0, 1], [1, 1.0], [0.0, False], [2.0, np.float64(2.0)],
         [1.0] * 255 + [True], [2.0] * 255 + [2]])
     def test_lists_of_repeated_floats(self, obj):
-        # the writer formats each distinct float once: True, 1, 0.0 and -0.0
-        # must still each come out as json writes them
-        assert report_json(obj) == json.dumps(obj, indent=2, allow_nan=False) + "\n"
+        # True, 1, 0.0 and -0.0 each read back as json wrote them
+        assert indent_2(json.loads(report_json(obj))) == indent_2(obj)
 
     @pytest.mark.parametrize("obj", [
         [math.nan], [1.0, -math.inf], {"a": math.inf}, [[1.0, math.nan]],
@@ -861,6 +895,22 @@ class TestReportWriter:
             json.dumps(obj, indent=2, allow_nan=False)
         with pytest.raises(DomainError, match="non-finite number"):
             report_json(obj)
+
+    @pytest.mark.parametrize("obj, named", [
+        ([1.0, -math.inf, math.nan], "-inf"), ({"a": [0.5, math.inf], "b": math.nan}, "inf"),
+        ({math.nan: math.inf}, "nan"), ({1.0: 2.0, "k": (3.0, -math.inf)}, "-inf"),
+        ([[0.5], {"x": np.float64(math.nan)}], "nan")])
+    def test_the_error_names_the_first_non_finite_number(self, obj, named):
+        with pytest.raises(DomainError) as info:
+            report_json(obj)
+        assert str(info.value) == f"report holds a non-finite number ({named})"
+
+    def test_a_report_that_holds_itself_raises_jsons_error(self):
+        loop = [1.0, {"x": 2.0}]
+        loop[1]["y"] = loop
+        with pytest.raises(ValueError, match="Circular reference detected") as info:
+            report_json(loop)
+        assert not isinstance(info.value, DomainError)
 
     @pytest.mark.parametrize("obj", [{"x": np.int64(3)}, [np.bool_(True)], {(1, 2): 0}])
     def test_unknown_types_are_refused_as_json_refuses_them(self, obj):

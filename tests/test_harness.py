@@ -885,6 +885,15 @@ class TestConjecture:
         assert rep.skipped and rep.passed
         assert rep.crossing_count == 0
 
+    def test_the_axis_skip_is_relative_to_the_ellipse(self):
+        # a pole of a tiny ellipse, 4e-11 from the x axis, is checked: the
+        # skip's distance is AXIS_TOL times b, not AXIS_TOL
+        tiny = Ellipse(2e-10, 1e-10)
+        rep = conjecture_check_contrapedal(tiny, (7e-11, -4e-11), n=2048, tol=1e-14)
+        assert not rep.skipped and rep.passed
+        assert rep.crossing_count == 8
+        assert conjecture_check_contrapedal(tiny, (7e-11, -1e-20), n=2048).skipped
+
     @pytest.mark.parametrize("pole", [(0.7, -0.4), (0.5, 0.0)])
     @pytest.mark.parametrize("kw, message", [
         ({"tol": -1.0}, "tol must be finite and > 0, got -1.0"),
