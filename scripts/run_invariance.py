@@ -9,6 +9,9 @@ pedallab.cli.report_json, as JSON on one line (python -m json.tool
 arguments produce byte-identical files.  Exit code 0 only when every
 certificate passes; a failed computation, or a non-finite number in a
 report, exits 1; bad arguments exit 2 before any report is written.
+--quick sets small grids itself (n = 512, count = 8, radii 0.5 and 1.0),
+so --n, --count or --radii beside it is a bad argument, named in the
+error.
 
 The certificates are independent, so they run on W processes: this one
 and W - 1 children forked from it, with W = min(certificates, usable
@@ -69,17 +72,24 @@ def main(argv=None) -> int:
     ap.add_argument("--outdir", required=True)
     ap.add_argument("--a", type=POSITIVE, default=2.0)
     ap.add_argument("--b", type=POSITIVE, default=1.0)
-    ap.add_argument("--n", type=GRID, default=2048)
-    ap.add_argument("--count", type=COUNT, default=64)
-    ap.add_argument("--radii", type=POSITIVE, nargs="+", default=(0.1, 0.5, 1.0, 3.0))
+    ap.add_argument("--n", type=GRID, default=None, help="grid size (default 2048)")
+    ap.add_argument("--count", type=COUNT, default=None, help="poles per scan (default 64)")
+    ap.add_argument("--radii", type=POSITIVE, nargs="+", default=None,
+                    help="circle radii of the scans (default 0.1 0.5 1.0 3.0)")
     ap.add_argument("--quick", action="store_true",
-                    help="small grids: n=512, count=8, radii 0.5 and 1.0")
+                    help="small grids: n=512, count=8, radii 0.5 and 1.0 (excludes "
+                         "--n, --count and --radii)")
     args = ap.parse_args(argv)
     if args.a < args.b:
         ap.error(f"require semi-axes a >= b, got a={args.a}, b={args.b}")
 
-    if args.quick:
-        args.n, args.count, args.radii = 512, 8, (0.5, 1.0)
+    sizes = (dict(n=512, count=8, radii=(0.5, 1.0)) if args.quick
+             else dict(n=2048, count=64, radii=(0.1, 0.5, 1.0, 3.0)))
+    for flag, value in sizes.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, value)
+        elif args.quick:
+            ap.error(f"argument --{flag}: not allowed with argument --quick")
 
     try:
         return battery(Ellipse(args.a, args.b), args)

@@ -11,13 +11,14 @@ arguments.  Every refusal with exit 2 is argparse's own, printed as
 ``pedallab <cmd>: error: ...``: a rule about one flag is that flag's type
 (``argument --m: ...``), and a rule that relates two flags (a >= b, a
 pole on the ellipse for pseudo-Talbot, ``--source support`` for the
-ellipse only, and a flag that the chosen locus, source or mode never
-reads: ``--r`` with ``--locus boundary``, ``--count`` or ``--seed`` with
-a conjecture ``--m``, and ``--m``, ``--s`` or ``--offset`` with
-``--source support``) calls its subparser's ``error`` before anything is
-written.  Reports are strict JSON on one line, written by report_json
-alone: a non-finite number fails the command instead of being written as
-NaN or Infinity.
+ellipse only, and a flag that the chosen locus, source, mode or family
+never reads: ``--r`` with ``--locus boundary``, ``--count`` or ``--seed``
+with a conjecture ``--m``, ``--m`` or ``--s`` with ``--family
+evolutoid``, and ``--m``, ``--s`` or ``--offset`` with ``--source
+support``) calls its subparser's ``error`` before anything is written.
+Reports are strict JSON on one line, written by report_json alone: a
+non-finite number fails the command instead of being written as NaN or
+Infinity.
 """
 
 from __future__ import annotations
@@ -162,6 +163,7 @@ def _family_curve(args, e: Ellipse):
     """Evaluator, serializable metadata and n-point grid of the chosen family."""
     fam, spec = args.family, FAMILIES[args.family]
     if spec.frame is None:  # the evolutoid has no pole
+        _refuse(args, ["m", "s"], "--family evolutoid")
         ev = lambda t: evolutoid_point(e, args.theta, t)
         m, s = None, None
     else:

@@ -16,7 +16,9 @@ ellipse P(t) = (a cos t, b sin t) and a fixed pole M:
   tangent (angle 0 gives the curve back, pi/2 the evolute)
 
 Point evaluators are vectorized over t and complex-safe, so the feature
-detectors differentiate them by complex step.  Every ellipse family is
+detectors differentiate them by complex step: each takes a curve only with
+its evaluator (curves.sample_curve keeps it), and both check their input
+alike (_evaluator_of).  Every ellipse family is
 evaluated in two steps: a frame builder does the work that depends on
 the parameters alone and returns points(x, y), the points for the pole at
 the plain coordinates (x, y), so a scan can share one frame among all the
@@ -542,9 +544,17 @@ def _wrapped(v: np.ndarray) -> np.ndarray:
     return np.concatenate((v[-1:], v, v[:1]))
 
 
-def _require_finite(curve: SampledCurve, what: str) -> None:
+def _evaluator_of(curve: SampledCurve, what: str) -> Callable:
+    """The evaluator of a curve fit for the feature detector named what: a
+    curve with no evaluator, fewer than 8 samples or a non-finite point
+    raises DomainError."""
+    if curve.evaluator is None:
+        raise DomainError(f"{what} needs the curve's evaluator: sample it with sample_curve")
+    if len(curve) < 8:
+        raise DomainError(f"{what} needs at least 8 samples")
     if not np.all(np.isfinite(curve.points)):
         raise DomainError(f"{what} needs finite sample points")
+    return curve.evaluator
 
 
 def _spectral_bounds(points: np.ndarray):
@@ -584,7 +594,8 @@ def find_cusps(curve: SampledCurve) -> np.ndarray:
     below 1e-13 of the median) counts regardless of reversal: there the
     velocity vanishes to even order, as at the parameter where a pair of
     cusps is born, and its direction comes back unflipped.  A curve with
-    no evaluator raises DomainError: curves.sample_curve keeps it.
+    no evaluator, fewer than 8 samples or a non-finite point raises
+    DomainError (curves.sample_curve keeps the evaluator).
 
     The velocity is the evaluator's complex step (_jet), and it must
     resolve each cusp: next to a singular parameter of the evaluator it is
@@ -613,13 +624,7 @@ def find_cusps(curve: SampledCurve) -> np.ndarray:
     DomainError at its first call; an error the evaluator raises
     propagates as it is, while a dropped candidate is never evaluated.
     """
-    ev = curve.evaluator
-    if ev is None:
-        raise DomainError("cusp detection needs the curve's evaluator: sample it with sample_curve")
-    n = len(curve)
-    if n < 8:
-        raise DomainError("cusp detection needs at least 8 samples")
-    _require_finite(curve, "cusp detection")
+    ev = _evaluator_of(curve, "cusp detection")
     t = curve.params
     # a Python float, so the bound below overflows to inf without a warning
     step = float(t[1] - t[0])
@@ -677,19 +682,6 @@ class Crossing:
     t2: float
 
 
-def _plane_hits(x1, y1, dx1, dy1, x2, y2, dx2, dy2):
-    """Intersection fractions (ok, s, u) of the segment bundles a + s d,
-    half-open in [0, 1), on the coordinate planes x, y, dx and dy of
-    each."""
-    den = dx1 * dy2 - dy1 * dx2
-    rx, ry = x2 - x1, y2 - y1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = (rx * dy2 - ry * dx2) / den
-        u = (rx * dy1 - ry * dx1) / den
-    ok = (np.abs(den) > 1e-14) & (s >= 0) & (s < 1) & (u >= 0) & (u < 1)
-    return ok, s, u
-
-
 def _candidate_pairs(y_lo, y_hi, order, first, shift, k0: int, k1: int):
     """The sweep's candidate pairs k0 .. k1-1 that stay candidates, as
     (i, j) with i < j.
@@ -718,85 +710,32 @@ def _candidate_pairs(y_lo, y_hi, order, first, shift, k0: int, k1: int):
     return i[keep], j[keep]
 
 
-def _chord_hits(planes, i, j):
-    """The pairs (i, j) whose chords cross, as (i, j, s, u); planes holds
-    the 1-d planes (x, y, dx, dy) of the segments."""
-    ok, s, u = _plane_hits(*(c[i] for c in planes), *(c[j] for c in planes))
-    return i[ok], j[ok], s[ok], u[ok]
-
-
-# self_intersections lists its candidate pairs in chunks of at most
-# _BLOCK * _BLOCK, and its results in the order of a block-wise scan
+# _sweep lists its candidate pairs in chunks of at most _BLOCK * _BLOCK,
+# and returns them in the order of a block-wise scan
 _BLOCK = 512
 
 
-def self_intersections(curve: SampledCurve) -> List[Crossing]:
-    """Transversal self-crossings of the sampled closed curve.
+def _sweep(pts: np.ndarray, tube: float):
+    """The non-adjacent pairs (i, j), i < j, of the closed polyline's
+    segments pts[i] -> pts[i + 1] whose padded extents overlap, as two
+    index arrays sorted by (i // _BLOCK, j // _BLOCK, i, j).
 
-    A sort-and-sweep prefilter (Shamos & Hoey 1976) picks the candidate
-    pairs of segments: the segments are sorted by the left end of their
-    x-extent, and a binary search on each right end finds the segments that
-    start before it ends.  Only these overlapping, non-adjacent pairs whose
-    y-extents overlap too stay candidates, so the cost is about
-    O(n log n + candidates) instead of n^2/2 tests; a smooth curve has a
-    few candidates per segment.  The extents are padded by 1e-12 * max|x|
-    and 1e-12 * max|y|, so a pair whose segments touch up to roundoff stays
-    a candidate.  The candidates are listed in chunks of at most
-    _BLOCK * _BLOCK pairs, which bounds the memory even when every x-extent
+    A sort-and-sweep prefilter (Shamos & Hoey 1976): the segments are
+    sorted by the left end of their x-extent, and a binary search on each
+    right end finds the segments that start before it ends.  Only these
+    pairs whose y-extents overlap too stay, so the cost is about
+    O(n log n + pairs) instead of n^2/2 tests; a smooth curve has a few
+    pairs per segment.  The extents are padded by 1e-12 * max|x| (and
+    1e-12 * max|y|) plus tube, so a pair whose segments touch up to
+    roundoff stays.  The pairs are listed in chunks of at most
+    _BLOCK * _BLOCK, which bounds the memory even when every x-extent
     overlaps.  The candidates of one sorted position are a run of
     consecutive positions, so a chunk lists its pairs by run length
-    (_candidate_pairs).  Results come in the order of a block-wise scan of
-    the pairs i < j: sorted by (i // _BLOCK, j // _BLOCK, i, j).
-
-    Without an evaluator, the crossings are those of the polyline through
-    the samples: each candidate pair goes through the exact intersection
-    test of its two chords, on the 1-d planes x, y, dx and dy scaled by
-    the power of two that brings the curve's extent into [1/2, 1), in its
-    chunk.  The scaling leaves the fractions s and u as
-    they are, keeps the products in range on a curve of any size, and
-    makes the parallel test |den| > 1e-14 relative to the extent squared.
-
-    With an evaluator, the crossings are those of the curve itself, found
-    in half-open parameter boxes [t_i, t_i+1) x [t_j, t_j+1).  The arc over
-    a step strays from its chord by at most h^2 M2 / 8, with h the step and
-    M2 >= max|P''| from the samples' spectrum (_spectral_bounds), so every
-    extent is padded by that too: a crossing of the curve then lies in a
-    candidate box pair, whether the chords cross or not.  Each box pair is
-    solved for P(t1) = P(t2) by Newton steps from its centre, kept inside
-    the box, all boxes together (_polish_crossings), on the evaluator's
-    complex step (_jet), which refuses an evaluator that drops the
-    imaginary part with DomainError; a root is kept
-    only when it lies in its own half-open box with its residual at
-    roundoff.  The boxes are disjoint, so each crossing is reported once,
-    whichever way the curve runs; two copies of a root that an edge
-    computed an ulp off splits are merged (_first_copies).  Parameters are
-    reported inside the sampled period [t_0, t_0 + 2 pi).  A curve so large
-    that M1, the tube or the residual scale overflows raises DomainError,
-    naming which: an infinite tube would make every pair a candidate.
+    (_candidate_pairs).
     """
-    pts = curve.points
     n = len(pts)
-    if n < 8:
-        raise DomainError("self-intersection scan needs at least 8 samples")
-    _require_finite(curve, "self-intersection scan")
-    t = curve.params
-    step = t[1] - t[0]
     x, y = pts[:, 0].copy(), pts[:, 1].copy()
     dx, dy = np.roll(x, -1) - x, np.roll(y, -1) - y
-    ev = curve.evaluator
-    size = float(np.max(np.abs(pts)))
-    tube = 0.0
-    if ev is not None:
-        m1, m2, _ = _spectral_bounds(pts)
-        tube = step * step * m2 / 8
-        # the residual scale of _polish_crossings at its largest parameters
-        reach = size + 2 * (abs(float(t[0])) + TWO_PI) * m1
-        bad = [name for name, v in (("M1", m1), ("the tube", tube), ("the residual scale", reach))
-               if not math.isfinite(v)]
-        if bad:
-            raise DomainError(f"self-intersection scan: overflow in {', '.join(bad)}; "
-                              "scale the curve down")
-
     pad = 1e-12 * float(np.max(np.abs(x))) + tube
     x_end = x + dx
     lo = np.minimum(x, x_end) - pad
@@ -813,27 +752,55 @@ def self_intersections(curve: SampledCurve) -> List[Crossing]:
     shift = first - np.arange(n) - 1
     total = int(first[-1] + count[-1])
 
-    if ev is None:
-        # the chord tests on the planes times 2^down, the curve's extent in
-        # [1/2, 1): exact, so s and u are the raw planes' where those do
-        # not over- or underflow
-        down = -math.frexp(size)[1]
-        planes = tuple(np.ldexp(c, down) for c in (x, y, dx, dy))
     chunk = _BLOCK * _BLOCK
-    pairs = (_candidate_pairs(y_lo, y_hi, order, first, shift, k0, min(k0 + chunk, total))
-             for k0 in range(0, total, chunk))
-    found = [pair if ev is not None else _chord_hits(planes, *pair) for pair in pairs]
-
+    pairs = [_candidate_pairs(y_lo, y_hi, order, first, shift, k0, min(k0 + chunk, total))
+             for k0 in range(0, total, chunk)]
     # never empty: neighbouring segments share a vertex, so their extents overlap
-    i, j, *su = (np.concatenate(col) for col in zip(*found))
+    i, j = (np.concatenate(col) for col in zip(*pairs))
     emit = np.lexsort((j, i, j // _BLOCK, i // _BLOCK))
-    i, j = i[emit], j[emit]
-    if ev is not None:
-        return _polish_crossings(ev, np.append(t, t[0] + TWO_PI), i, j, size, m1)
-    s, u = (c[emit] for c in su)
-    point = np.stack([x[i] + s * dx[i], y[i] + s * dy[i]], axis=-1)
-    return [Crossing(point=p, t1=t1, t2=t2)
-            for p, t1, t2 in zip(point, (t[i] + s * step).tolist(), (t[j] + u * step).tolist())]
+    return i[emit], j[emit]
+
+
+def self_intersections(curve: SampledCurve) -> List[Crossing]:
+    """Transversal self-crossings of the sampled closed curve.
+
+    The crossings are those of the curve itself, found in half-open
+    parameter boxes [t_i, t_i+1) x [t_j, t_j+1).  The arc over a step
+    strays from its chord by at most h^2 M2 / 8, with h the step and
+    M2 >= max|P''| from the samples' spectrum (_spectral_bounds), so the
+    sweep (_sweep) pads every segment's extents by that tube: a crossing of
+    the curve then lies in a candidate box pair, whether the chords cross
+    or not.  Each box pair is solved for P(t1) = P(t2) by Newton steps
+    from its centre, kept inside the box, all boxes together
+    (_polish_crossings), on the evaluator's complex step (_jet), which
+    refuses an evaluator that drops the imaginary part with DomainError; a
+    root is kept only when it lies in its own half-open box with its
+    residual at roundoff.  The boxes are disjoint, so each crossing is
+    reported once, whichever way the curve runs; two copies of a root that
+    an edge computed an ulp off splits are merged (_first_copies).
+    Results come in the sweep's block-wise order of the box pairs, and
+    parameters are reported inside the sampled period [t_0, t_0 + 2 pi).
+
+    A curve with no evaluator, fewer than 8 samples or a non-finite point
+    raises DomainError (curves.sample_curve keeps the evaluator).  So does
+    a curve so large that M1, the tube or the residual scale overflows,
+    naming which: an infinite tube would make every pair a candidate.
+    """
+    ev = _evaluator_of(curve, "self-intersection scan")
+    pts, t = curve.points, curve.params
+    step = t[1] - t[0]
+    size = float(np.max(np.abs(pts)))
+    m1, m2, _ = _spectral_bounds(pts)
+    tube = step * step * m2 / 8
+    # the residual scale of _polish_crossings at its largest parameters
+    reach = size + 2 * (abs(float(t[0])) + TWO_PI) * m1
+    bad = [name for name, v in (("M1", m1), ("the tube", tube), ("the residual scale", reach))
+           if not math.isfinite(v)]
+    if bad:
+        raise DomainError(f"self-intersection scan: overflow in {', '.join(bad)}; "
+                          "scale the curve down")
+    i, j = _sweep(pts, tube)
+    return _polish_crossings(ev, np.append(t, t[0] + TWO_PI), i, j, size, m1)
 
 
 # A crossing's Newton polish is done once quadratic convergence predicts

@@ -99,13 +99,21 @@ def load_script(name):
 
 @pytest.mark.parametrize("bad", [
     ["--n", "4"], ["--count", "0"], ["--radii", "nan"], ["--a", "1", "--b", "2"],
-    ["--a", "inf"], ["--n", "64", "--count", "2", "--radii", "1", "-1"]])
+    ["--a", "inf"], ["--n", "64", "--count", "2", "--radii", "1", "-1"],
+    # --quick sets the sizes itself
+    ["--quick", "--n", "1024"], ["--count", "16", "--quick"], ["--quick", "--radii", "2.0"],
+    ["--quick", "--n", "1024", "--count", "16", "--radii", "2.0"]])
 def test_run_invariance_refuses_bad_arguments_before_writing(tmp_path, capsys, bad):
+    outdir = tmp_path / "reports"
     with pytest.raises(SystemExit) as info:
-        load_script("run_invariance").main(["--outdir", str(tmp_path), *bad])
+        load_script("run_invariance").main(["--outdir", str(outdir), *bad])
     assert info.value.code == 2
-    assert "error:" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+    err = capsys.readouterr().err
+    assert "error:" in err
+    if "--quick" in bad:
+        flag = next(f for f in ("--n", "--count", "--radii") if f in bad)
+        assert err.splitlines()[-1].endswith(f"error: argument {flag}: not allowed with argument --quick")
+    assert not outdir.exists()
 
 
 def on_cpus(monkeypatch, w):
@@ -407,10 +415,17 @@ class TestUsageErrors:
         (["centroid", "--source", "support", "--family", "ellipse", "--s", "0.5"],
          "argument --s: not allowed with --source support"),
         (["centroid", "--family", "ellipse", "--offset", "0.5", "--source", "support"],
-         "argument --offset: not allowed with --source support")],
+         "argument --offset: not allowed with --source support"),
+        (["sample", "--family", "evolutoid", "--m", "1,2"],
+         "argument --m: not allowed with --family evolutoid"),
+        (["area", "--family", "evolutoid", "--s", "0.3"],
+         "argument --s: not allowed with --family evolutoid"),
+        (["centroid", "--m", "5,5", "--family", "evolutoid"],
+         "argument --m: not allowed with --family evolutoid")],
         ids=["a_below_b", "pseudo_talbot_off_the_ellipse", "support_off_the_ellipse",
              "r_on_the_boundary", "count_with_m", "seed_with_m", "m_with_support",
-             "s_with_support", "offset_with_support"])
+             "s_with_support", "offset_with_support", "m_with_evolutoid_sample",
+             "s_with_evolutoid_area", "m_with_evolutoid_centroid"])
     def test_cross_flag_refusals_are_the_subparsers_errors(self, capsys, tmp_path, argv, cause):
         # refused by the command, before it writes anything
         target = tmp_path / "report.json"
@@ -497,7 +512,9 @@ class TestSample:
 
     @pytest.mark.parametrize("family", list(FAMILIES))
     def test_svg_bytes_are_elementtrees(self, capsys, family):
-        pole = ["--s", "0.7"] if FAMILIES[family].on_ellipse else ["--m", "0.7,-0.4"]
+        # the evolutoid has no pole and refuses one
+        pole = ([] if FAMILIES[family].frame is None
+                else ["--s", "0.7"] if FAMILIES[family].on_ellipse else ["--m", "0.7,-0.4"])
         argv = ["sample", "--family", family, *pole, "--theta", "0.6", "--n", "64"]
         rc, out, _ = run(capsys, *argv, "--format", "json")
         assert rc == 0

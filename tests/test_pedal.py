@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 from unittest import mock
 
@@ -33,8 +33,9 @@ from pedallab.pedal import (
     Crossing,
     _envelope_solve,
     _feet,
-    _plane_hits,
+    _polish_crossings,
     _spectral_bounds,
+    _sweep,
     contrapedal_frame,
     hybrid_frame,
     interpolated_frame,
@@ -939,20 +940,6 @@ class TestFindCusps:
                              ParamGrid(256, offset=0.5))
         assert_same_cusps(find_cusps(curve), np.arange(4) * math.pi / 2, 1e-12)
 
-    def test_a_curve_without_evaluator_is_refused(self):
-        # the evolute's 4 cusps are refined by the evaluator's velocity,
-        # which the samples alone do not give
-        t = ParamGrid(2048).nodes()
-        pts = evolutoid_point(E21, math.pi / 2, t)
-        curve = SampledCurve(params=t, points=pts, evaluator=None)
-        with pytest.raises(DomainError, match="needs the curve's evaluator"):
-            find_cusps(curve)
-
-    def test_requires_enough_samples(self):
-        t = np.linspace(0, TWO_PI, 5)[:-1]
-        with pytest.raises(DomainError):
-            find_cusps(SampledCurve(params=t, points=np.stack([np.cos(t), np.sin(t)], axis=-1)))
-
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_points(self, bad):
         curve = sample_curve(lambda t: ellipse_point(E21, t), ParamGrid(64))
@@ -1042,39 +1029,105 @@ def fig8(t):
 
 
 def segment_hits(a1, d1, a2, d2):
-    """Intersection fractions of segment bundles a + s d, half-open in
-    [0, 1): the package's _plane_hits on the bundles' coordinate planes."""
-    return _plane_hits(a1[..., 0], a1[..., 1], d1[..., 0], d1[..., 1],
-                       a2[..., 0], a2[..., 1], d2[..., 0], d2[..., 1])
-
-
-def polyline(curve):
-    """The curve's samples with no evaluator: self_intersections takes the
-    crossings of the polyline through them."""
-    return replace(curve, evaluator=None)
+    """Intersection fractions (ok, s, u) of the segment bundles a + s d,
+    half-open in [0, 1), each of a1, d1, a2 and d2 given as its coordinate
+    planes (x, y): the exact chord test, with chords parallel where
+    |d1 x d2| <= 1e-14."""
+    den = d1[0] * d2[1] - d1[1] * d2[0]
+    rx, ry = a2[0] - a1[0], a2[1] - a1[1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = (rx * d2[1] - ry * d2[0]) / den
+        u = (rx * d1[1] - ry * d1[0]) / den
+    ok = (np.abs(den) > 1e-14) & (s >= 0) & (s < 1) & (u >= 0) & (u < 1)
+    return ok, s, u
 
 
 def at_block(block):
-    """self_intersections' candidate chunks and output order at block
-    instead of its own _BLOCK, within the with block."""
+    """The sweep's candidate chunks and output order at block instead of
+    pedal._BLOCK, within the with block."""
     return mock.patch.object(pedal_module, "_BLOCK", block)
 
 
-def brute_force_crossings(curve, block):
-    """Raw hits of every non-adjacent segment pair, in block-scan order:
-    sorted by (i // block, j // block, i, j) for the pair i < j."""
-    pts, t = curve.points, curve.params
-    n = len(pts)
-    d = np.roll(pts, -1, axis=0) - pts
-    ii, jj = np.triu_indices(n, 2)
-    keep = ~((ii == 0) & (jj == n - 1))
-    ii, jj = ii[keep], jj[keep]
-    ok, s, u = segment_hits(pts[ii], d[ii], pts[jj], d[jj])
-    hits = sorted(zip(ii[ok], jj[ok], s[ok], u[ok]),
-                  key=lambda h: (h[0] // block, h[1] // block, h[0], h[1]))
+def block_order(i, j, block):
+    """The permutation that sorts the pairs (i, j) by (i // block,
+    j // block, i, j)."""
+    return np.lexsort((j, i, j // block, i // block))
+
+
+def non_adjacent_pairs(n):
+    """Every pair (i, j), i < j, of sides of a closed n-gon that share no
+    vertex."""
+    i, j = np.triu_indices(n, 2)
+    keep = j - i < n - 1
+    return i[keep], j[keep]
+
+
+def brute_force_crossings(curve):
+    """The crossings of the chords of every non-adjacent pair of segments,
+    in the block-scan order of pedal._BLOCK, each at its chord fractions s
+    and u: the polyline's crossings.  Rows of 32 segments go together,
+    each against every later segment."""
+    t = curve.params
+    n = len(t)
+    a = curve.points.T.copy()
+    d = np.roll(a, -1, axis=1) - a
+    hits = []
+    for r0 in range(0, n - 2, 32):
+        i = np.arange(r0, min(r0 + 32, n - 2))[:, None]
+        j = np.arange(r0 + 2, n)
+        ok, s, u = segment_hits(a[:, i], d[:, i], a[:, j], d[:, j])
+        r, c = np.nonzero(ok & (j - i > 1) & (j - i < n - 1))
+        hits += zip(i[r, 0], j[c], s[r, c], u[r, c])
+    block = pedal_module._BLOCK
+    hits.sort(key=lambda h: (h[0] // block, h[1] // block, h[0], h[1]))
     step = t[1] - t[0]
-    return [(pts[i] + si * d[i], float(t[i] + si * step), float(t[j] + ui * step))
-            for i, j, si, ui in hits]
+    return [Crossing(point=a[:, i] + s * d[:, i], t1=float(t[i] + s * step), t2=float(t[j] + u * step))
+            for i, j, s, u in hits]
+
+
+def tube_of(curve):
+    """The tube self_intersections pads the extents by: h^2 M2 / 8."""
+    step = curve.params[1] - curve.params[0]
+    return step * step * _spectral_bounds(curve.points)[1] / 8
+
+
+def overlapping_pairs(pts, tube, block):
+    """Every non-adjacent pair of segments whose x-extents and y-extents,
+    each padded by 1e-12 times the largest |coordinate| plus tube,
+    overlap, in block-scan order.  An extent spans a segment's start and
+    its start plus its difference, as _sweep computes them."""
+    i, j = non_adjacent_pairs(len(pts))
+    keep = np.ones(len(i), dtype=bool)
+    for c in (pts[:, 0], pts[:, 1]):
+        end = c + (np.roll(c, -1) - c)
+        pad = 1e-12 * float(np.max(np.abs(c))) + tube
+        lo, hi = np.minimum(c, end) - pad, np.maximum(c, end) + pad
+        keep &= (lo[i] <= hi[j]) & (lo[j] <= hi[i])
+    i, j = i[keep], j[keep]
+    emit = block_order(i, j, block)
+    return i[emit], j[emit]
+
+
+def every_box_pair(curve):
+    """self_intersections' Newton solve on every non-adjacent box pair, in
+    the block-scan order of pedal._BLOCK: what the sweep's candidates must
+    give.  The evaluator takes 2^14 parameters a call, which gives the same
+    points: at n = 1024 a Newton step holds ~1M parameters (~520k box
+    pairs), and one call on all of them would hold every intermediate of
+    the frame at that size."""
+    pts, t, ev = curve.points, curve.params, curve.evaluator
+    i, j = non_adjacent_pairs(len(pts))
+    emit = block_order(i, j, pedal_module._BLOCK)
+    chunked = lambda u: np.concatenate([ev(u[k:k + 2 ** 14]) for k in range(0, len(u), 2 ** 14)])
+    return _polish_crossings(chunked, np.append(t, t[0] + TWO_PI), i[emit], j[emit],
+                             float(np.max(np.abs(pts))), _spectral_bounds(pts)[0])
+
+
+def assert_same_crossings(got, want):
+    """got and want hold the same crossings, bitwise and in order."""
+    assert len(got) == len(want)
+    for c, w in zip(got, want):
+        assert np.array_equal(c.point, w.point) and (c.t1, c.t2) == (w.t1, w.t2)
 
 
 def zigzag(n, seed):
@@ -1137,6 +1190,32 @@ CURVE_CASES = {
 }
 
 
+class TestSweep:
+    @pytest.mark.parametrize("case", sorted(CURVE_CASES))
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_lists_every_overlapping_pair_in_block_order(self, case, data):
+        # the synthetic cases have no evaluator: the sweep reads samples alone
+        curve = CURVE_CASES[case](data)
+        block = data.draw(st.integers(1, 600), label="block")
+        tube = data.draw(st.sampled_from([0.0, tube_of(curve)]), label="tube")
+        with at_block(block):
+            i, j = _sweep(curve.points, tube)
+        want_i, want_j = overlapping_pairs(curve.points, tube, block)
+        assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
+
+    def test_memory_stays_bounded_when_all_extents_overlap(self):
+        curve = zigzag(1024, seed=0)  # every x-extent overlaps: ~520k candidate pairs
+        tracemalloc.start()
+        try:
+            with at_block(32):
+                _sweep(curve.points, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
+
+
 class TestSelfIntersections:
     def test_figure_eight_single_crossing(self):
         curve = sample_curve(fig8, ParamGrid(512, offset=0.5))
@@ -1159,7 +1238,7 @@ class TestSelfIntersections:
         assert dx < 1e-8 and dy < 1e-8
 
     def test_blockwise_matches_small_block(self):
-        curve = polyline(sample_curve(fig8, ParamGrid(300, offset=0.5)))
+        curve = sample_curve(fig8, ParamGrid(300, offset=0.5))
         with at_block(64):
             a = self_intersections(curve)
         with at_block(4096):
@@ -1175,54 +1254,48 @@ class TestSelfIntersections:
             self_intersections(curve)
 
     def test_contrapedal_raw_hits_inside_and_outside_astroid(self):
-        # 4 normals pass through a pole inside the astroid, 2 outside it
+        # 4 normals pass through a pole inside the astroid, 2 outside it;
+        # the polyline's chords cross as often as the curve
         for m, count in (((0.7, -0.4), 8), ((1.5, 0.6), 3)):
             curve = sample_curve(family_evaluator(E21, "contrapedal", m),
                                  ParamGrid(2048, offset=0.5))
-            assert len(self_intersections(polyline(curve))) == count
+            assert len(self_intersections(curve)) == len(brute_force_crossings(curve)) == count
 
-    @pytest.mark.parametrize("case", sorted(CURVE_CASES))
+    @pytest.mark.parametrize("case", ["figure_eight", "contrapedal"])
     @settings(max_examples=15, deadline=None)
     @given(data=st.data())
-    def test_matches_brute_force_bitwise(self, case, data):
+    def test_the_sweep_misses_no_box_pair_bitwise(self, case, data):
+        # the Newton solve on every non-adjacent box pair finds what the
+        # solve on the sweep's candidates finds, and no more: a box pair the
+        # sweep drops holds no crossing
         curve = CURVE_CASES[case](data)
-        block = data.draw(st.integers(1, 600), label="block")
-        with at_block(block):
-            got = self_intersections(polyline(curve))
-        want = brute_force_crossings(curve, block)
-        assert len(got) == len(want)
-        for c, (point, t1, t2) in zip(got, want):
-            assert np.array_equal(c.point, point) and c.t1 == t1 and c.t2 == t2
+        with at_block(data.draw(st.integers(1, 600), label="block")):
+            assert_same_crossings(self_intersections(curve), every_box_pair(curve))
 
     @pytest.mark.parametrize("m, count", [((0.7, -0.4), 8), ((1.5, 0.6), 3)])
-    def test_matches_brute_force_bitwise_at_workload_size(self, m, count):
+    def test_the_sweep_misses_no_box_pair_at_workload_size(self, m, count):
         # the sampled cases above stop at n = 400; the conjecture check runs
         # at n = 1024 and more, where chunks end inside a position's run
         curve = sample_curve(family_evaluator(E21, "contrapedal", m), ParamGrid(1024, offset=0.5))
-        for block in (1, 64, 512):
-            with at_block(block):
-                got = self_intersections(polyline(curve))
-            want = brute_force_crossings(curve, block)
-            assert len(got) == len(want) == count
-            for c, (point, t1, t2) in zip(got, want):
-                assert np.array_equal(c.point, point) and c.t1 == t1 and c.t2 == t2
+        with at_block(512):
+            got = self_intersections(curve)
+            assert_same_crossings(got, every_box_pair(curve))
+        assert len(got) == count
 
-    @pytest.mark.parametrize("refine", [True, False])
     @pytest.mark.parametrize("size", [1e-250, 1e-200, 1e-160, 1e154, 1e155, 1e200, 1e300, 1e306,
                                       2.0 ** -830, 2.0 ** 1017])
-    def test_a_scaled_curve_keeps_its_crossings(self, size, refine):
-        # Newton steps and chord tests both work on values scaled by a power
-        # of two, so a curve scaled by size keeps its 8 crossings, at size
-        # times the points of the curve as it is, with no RuntimeWarning
-        # (an error in this suite); parameters match mod 2 pi, in either
-        # order.  Near 1e-300 the complex step's imaginary part goes
-        # subnormal (_CS_STEP).  A power of two scales every sample, bound
-        # and product exactly, so its crossings are bitwise the same
+    def test_a_scaled_curve_keeps_its_crossings(self, size):
+        # Newton steps work on values scaled by a power of two, so a curve
+        # scaled by size keeps its 8 crossings, at size times the points of
+        # the curve as it is, with no RuntimeWarning (an error in this
+        # suite); parameters match mod 2 pi, in either order.  Near 1e-300
+        # the complex step's imaginary part goes subnormal (_CS_STEP).  A
+        # power of two scales every sample, bound and product exactly, so
+        # its crossings are bitwise the same
         ev = family_evaluator(E21, "contrapedal", M)
 
         def crossings(s):
-            curve = sample_curve(lambda t: s * ev(t), ParamGrid(512, offset=0.5))
-            return self_intersections(curve if refine else polyline(curve))
+            return self_intersections(sample_curve(lambda t: s * ev(t), ParamGrid(512, offset=0.5)))
 
         want, got = crossings(1.0), crossings(size)
         assert len(got) == len(want) == 8
@@ -1252,17 +1325,6 @@ class TestSelfIntersections:
         assert str(got.value) == ("self-intersection scan: overflow in the tube, "
                                   "the residual scale; scale the curve down")
         assert stub.calls == []
-
-    def test_memory_stays_bounded_when_all_extents_overlap(self):
-        curve = zigzag(1024, seed=0)  # every x-extent overlaps: ~520k candidate pairs
-        tracemalloc.start()
-        try:
-            with at_block(32):
-                self_intersections(curve)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -1367,27 +1429,27 @@ def reference_polish_crossing(ev: Callable, c: Crossing, width: float) -> Crossi
     for _ in range(3):
         g1 = np.linspace(t1 - width, t1 + width, 9)
         g2 = np.linspace(t2 - width, t2 + width, 9)
-        p1 = np.asarray(ev(g1), dtype=float)
-        p2 = np.asarray(ev(g2), dtype=float)
-        a1, d1 = p1[:-1], np.diff(p1, axis=0)
-        a2, d2 = p2[:-1], np.diff(p2, axis=0)
+        # the coordinate planes (x, y) of the points
+        p1 = np.asarray(ev(g1), dtype=float).T
+        p2 = np.asarray(ev(g2), dtype=float).T
+        a1, d1 = p1[:, :-1], np.diff(p1)
+        a2, d2 = p2[:, :-1], np.diff(p2)
         ii, jj = np.meshgrid(np.arange(8), np.arange(8), indexing="ij")
-        ok, s, u = segment_hits(a1[ii], d1[ii], a2[jj], d2[jj])
+        ok, s, u = segment_hits(a1[:, ii], d1[:, ii], a2[:, jj], d2[:, jj])
         if not np.any(ok):
             break
         i, j = next(zip(*np.nonzero(ok)))
         si, ui = s[i, j], u[i, j]
         t1 = float(g1[i] + si * (g1[i + 1] - g1[i]))
         t2 = float(g2[j] + ui * (g2[j + 1] - g2[j]))
-        best = Crossing(point=a1[i] + si * d1[i], t1=t1, t2=t2)
+        best = Crossing(point=a1[:, i] + si * d1[:, i], t1=t1, t2=t2)
         width /= 6.0
     return best
 
 
 def reference_crossings(curve: SampledCurve):
     step = float(curve.params[1] - curve.params[0])
-    return [reference_polish_crossing(curve.evaluator, c, step)
-            for c in self_intersections(polyline(curve))]
+    return [reference_polish_crossing(curve.evaluator, c, step) for c in brute_force_crossings(curve)]
 
 
 THETA0 = math.atan2(2 * E21.a * E21.b, 3 * E21.c2)  # evolutoid cusp birth
@@ -1513,7 +1575,8 @@ class TestLockstepCusps:
 class TestLockstepErrors:
     """Each detector makes one complex-step call per step, with no retry:
     an error of a batched call propagates as it is, and an evaluator that
-    drops the imaginary part is refused."""
+    drops the imaginary part is refused.  Both detectors check their input
+    alike: a curve with no evaluator or fewer than 8 samples is refused."""
 
     def test_a_batched_error_propagates_from_both_detectors(self):
         curve = CUSP_CASES["negative_pedal_s3.4"][0]()
@@ -1546,6 +1609,27 @@ class TestLockstepErrors:
             self_intersections(curve)
         assert got.value.t == bad
         assert stub.raised == [32] and len(stub.calls) == 2
+
+    @pytest.mark.parametrize("detector, what", [(find_cusps, "cusp detection"),
+                                                (self_intersections, "self-intersection scan")])
+    def test_a_curve_without_evaluator_is_refused(self, detector, what):
+        # the evolute's 4 cusps are refined by the evaluator's velocity, and
+        # its crossings solved on its points, which the samples alone do
+        # not give
+        t = ParamGrid(2048).nodes()
+        curve = SampledCurve(params=t, points=evolutoid_point(E21, math.pi / 2, t), evaluator=None)
+        with pytest.raises(DomainError) as got:
+            detector(curve)
+        assert str(got.value) == f"{what} needs the curve's evaluator: sample it with sample_curve"
+
+    @pytest.mark.parametrize("detector, what", [(find_cusps, "cusp detection"),
+                                                (self_intersections, "self-intersection scan")])
+    def test_requires_enough_samples(self, detector, what):
+        t = np.linspace(0, TWO_PI, 5)[:-1]
+        ev = lambda t: ellipse_point(E21, t)
+        with pytest.raises(DomainError) as got:
+            detector(SampledCurve(params=t, points=ev(t), evaluator=ev))
+        assert str(got.value) == f"{what} needs at least 8 samples"
 
     @pytest.mark.parametrize("detector, case", [
         (self_intersections, "figure_eight"),
@@ -1637,7 +1721,7 @@ class TestLockstepCrossings:
         ev = family_evaluator(e, "contrapedal", (e.a * u, e.b * w))
         curve = sample_curve(ev, ParamGrid(2048, offset=0.5))
         step = float(curve.params[1] - curve.params[0])
-        raw, hits = self_intersections(polyline(curve)), self_intersections(curve)
+        raw, hits = brute_force_crossings(curve), self_intersections(curve)
         assert len(hits) == len(raw)
 
         def near(s, t):
