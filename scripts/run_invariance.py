@@ -50,13 +50,12 @@ from pedallab import (
 )
 from pedallab.areas import FAMILIES
 from pedallab.cli import COUNT, GRID, POSITIVE, report_json
-from pedallab.harness import SCANNABLE
 
 # the battery's families, in registry order: each Steiner family, whose law
 # holds for any pole, on circles; each family whose law holds on the
 # ellipse on the boundary
-STEINER_FAMILIES = tuple(name for name in SCANNABLE
-                         if name != "ellipse" and not FAMILIES[name].on_ellipse)
+STEINER_FAMILIES = tuple(name for name, f in FAMILIES.items()
+                         if f.pole == "any" and not f.on_ellipse)
 BOUNDARY_FAMILIES = tuple(name for name, f in FAMILIES.items() if f.on_ellipse)
 # what Python 3.12 and later warn on os.fork in a process with more than one OS thread
 FORK_WARNING = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) may lead to deadlocks"

@@ -1,12 +1,12 @@
 """The curve-family registry; signed areas and curvature-weighted centroids.
 
 FAMILIES declares each curve family once: its closed-form area, its point
-evaluator and where its pole lives.  The closed forms live next to the
-quadrature that checks them.  The quadrature is spectral: the shoelace
-integral 1/2 int(x y' - y x') is taken in Fourier space by Parseval's
-identity, from the real FFTs of the two coordinate sample sequences, so it
-is exact for band-limited curves and converges geometrically for analytic
-ones (Trefethen & Weideman, SIAM Rev. 2014).  A plain finite-difference
+evaluator, where its pole lives and which parameters it reads.  The closed
+forms live next to the quadrature that checks them.  The quadrature is
+spectral: the shoelace integral 1/2 int(x y' - y x') is taken in Fourier
+space by Parseval's identity, from the real FFTs of the two coordinate
+sample sequences, so it is exact for band-limited curves and converges
+geometrically for analytic ones (Trefethen & Weideman, SIAM Rev. 2014).  A plain finite-difference
 shoelace stalls near 1e-6 relative error at two thousand points, which is
 not enough to certify the invariants this package is about.
 area_rule(params) checks a row of parameters once and returns the
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -64,14 +64,23 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class Family:
-    """One curve family, declared once.
+    """One curve family, declared once, with what it reads.
 
-    name is the family's command-line name.  area(a, b, rho, theta, mu) is
-    its closed-form signed area for a pole at squared distance rho from the
-    center.  frame(e, t, theta, mu) does the family's work on the ellipse
-    parameters t alone and returns points(x, y, out=None), the points for
-    the pole at the plain coordinates (x, y), which it trusts: floats for
-    one pole, or (k, 1) arrays for a chunk of k poles, one curve per pole.
+    name is the family's command-line name.  pole says where its pole
+    lives: "none" (the ellipse, whose points ignore it, and the evolutoid),
+    "ellipse" (pseudo-Talbot, which has no points at all for a pole off
+    the ellipse: family_evaluator, scan and the CLI refuse such a pole) or
+    "any".  params names the parameters out of (theta, mu) that it reads:
+    theta, the line rotation, for the rotated pedal and the tangent
+    crossing angle for the evolutoid, and mu, the blend's weight, for the
+    interpolated pedal.  reads(theta, mu) picks them out, by name, and
+    every caller of area and frame passes them through it.
+    area(a, b, rho, **params) is its closed-form signed area for a pole at
+    squared distance rho from the center.  frame(e, t, **params) does the
+    family's work on the ellipse parameters t alone and returns
+    points(x, y, out=None), the points for the pole at the plain
+    coordinates (x, y), which it trusts: floats for one pole, or (k, 1)
+    arrays for a chunk of k poles, one curve per pole.
     out is an optional real (3, k, n) workspace for a chunk on n real
     parameters: an affine frame writes its two coordinate planes into
     out[:2], through the scratch plane out[2], and returns a view of it,
@@ -81,7 +90,7 @@ class Family:
     alone.  It is the family's one point evaluator, which
     harness.family_evaluator calls on the one pole it has read and
     harness.scan on the coordinates of its locus poles; the evolutoid has
-    no pole and no frame.  Every frame
+    no frame (pedal.evolutoid_point).  Every frame
     has one shape: three columns per coordinate, F0 + c1 F1 + c2 F2, affine
     in (c1, c2) = (x, y) of the pole for the Steiner families (the
     ellipse's pole columns are zero, pedal.ellipse_frame) and in
@@ -95,16 +104,18 @@ class Family:
     on_ellipse marks the families whose closed form holds only for poles on
     the ellipse (curves.pole_on_ellipse); hybrid and negative pedal serve
     such a pole from their reduced form, finite at its own parameter.
-    ellipse_pole_only marks the family that has no points at all for a pole
-    off the ellipse (pseudo-Talbot), which family_evaluator, scan and the
-    CLI refuse.
     """
 
     name: str
     area: Callable
     frame: Optional[Callable]
+    pole: str = "any"
+    params: Tuple[str, ...] = ()
     on_ellipse: bool = False
-    ellipse_pole_only: bool = False
+
+    def reads(self, theta: float, mu: float) -> dict:
+        """theta and mu by name, those of them that the family reads."""
+        return {name: v for name, v in (("theta", theta), ("mu", mu)) if name in self.params}
 
     @staticmethod
     def of(name) -> "Family":
@@ -116,7 +127,7 @@ class Family:
             raise DomainError(f"unknown curve family: {name!r}") from None
 
 
-def _interpolated_area(a, b, rho, theta, mu):
+def _interpolated_area(a, b, rho, mu):
     ap = 0.5 * math.pi * (a * a + b * b + rho)
     ac = 0.5 * math.pi * ((a - b) * (a - b) + rho)
     base = math.pi * a * b
@@ -129,13 +140,13 @@ def _quartic(a, b):
     return 3 * (a2 * a2) + 2 * a * a * b * b + 3 * (b2 * b2)
 
 
-def _pseudo_talbot_area(a, b, rho, theta, mu):
+def _pseudo_talbot_area(a, b, rho):
     return (math.pi * _quartic(a, b)
             * (a * a - 2 * a * b - b * b) * (a * a + 2 * a * b - b * b)
             / (8 * (a * a * a) * (b * b * b)))
 
 
-def _evolutoid_area(a, b, rho, theta, mu):
+def _evolutoid_area(a, b, rho, theta):
     c2 = a * a - b * b
     c4 = c2 * c2
     ct, st = math.cos(theta), math.sin(theta)
@@ -145,27 +156,22 @@ def _evolutoid_area(a, b, rho, theta, mu):
 # in command-line order; harness.SCANNABLE and the CLI's --family choices
 # are derived from it
 FAMILIES = {f.name: f for f in (
-    Family("ellipse", lambda a, b, rho, theta, mu: math.pi * a * b,
-           lambda e, t, theta, mu: ellipse_frame(e, t)),
-    Family("pedal", lambda a, b, rho, theta, mu: 0.5 * math.pi * (a * a + b * b + rho),
-           lambda e, t, theta, mu: pedal_frame(e, t)),
-    Family("contrapedal", lambda a, b, rho, theta, mu: 0.5 * math.pi * ((a - b) * (a - b) + rho),
-           lambda e, t, theta, mu: contrapedal_frame(e, t)),
-    Family("rotated", lambda a, b, rho, theta, mu: 0.5 * math.pi * (
+    Family("ellipse", lambda a, b, rho: math.pi * a * b, ellipse_frame, pole="none"),
+    Family("pedal", lambda a, b, rho: 0.5 * math.pi * (a * a + b * b + rho), pedal_frame),
+    Family("contrapedal", lambda a, b, rho: 0.5 * math.pi * ((a - b) * (a - b) + rho),
+           contrapedal_frame),
+    Family("rotated", lambda a, b, rho, theta: 0.5 * math.pi * (
                a * a + b * b - 2 * a * b * (math.sin(theta) * math.sin(theta)) + rho),
-           lambda e, t, theta, mu: rotated_frame(e, t, theta)),
-    Family("interpolated", _interpolated_area,
-           lambda e, t, theta, mu: interpolated_frame(e, t, mu)),
-    Family("hybrid", lambda a, b, rho, theta, mu: (
-               math.pi * _quartic(a, b) / (2 * a * b)),
-           lambda e, t, theta, mu: hybrid_frame(e, t), on_ellipse=True),
-    Family("pseudo_talbot", _pseudo_talbot_area,
-           lambda e, u, theta, mu: pseudo_talbot_frame(e, u), on_ellipse=True,
-           ellipse_pole_only=True),
-    Family("negative_pedal", lambda a, b, rho, theta, mu: (
+           rotated_frame, params=("theta",)),
+    Family("interpolated", _interpolated_area, interpolated_frame, params=("mu",)),
+    Family("hybrid", lambda a, b, rho: math.pi * _quartic(a, b) / (2 * a * b), hybrid_frame,
+           on_ellipse=True),
+    Family("pseudo_talbot", _pseudo_talbot_area, pseudo_talbot_frame, pole="ellipse",
+           on_ellipse=True),
+    Family("negative_pedal", lambda a, b, rho: (
                -math.pi * ((a * a - b * b) * (a * a - b * b)) / (2 * a * b)),
-           lambda e, t, theta, mu: negative_pedal_frame(e, t), on_ellipse=True),
-    Family("evolutoid", _evolutoid_area, None),
+           negative_pedal_frame, on_ellipse=True),
+    Family("evolutoid", _evolutoid_area, None, pole="none", params=("theta",)),
 )}
 
 
@@ -195,7 +201,8 @@ def closed_form_areas(family, e: Ellipse, poles: np.ndarray,
     x, y = np.ldexp(poles[:, 0], -k), np.ldexp(poles[:, 1], -k)
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            area = fam.area(math.ldexp(e.a, -k), math.ldexp(e.b, -k), x * x + y * y, theta, mu)
+            area = fam.area(math.ldexp(e.a, -k), math.ldexp(e.b, -k), x * x + y * y,
+                            **fam.reads(theta, mu))
         except ArithmeticError:
             area = math.nan
         areas = np.broadcast_to(np.ldexp(area, 2 * k), x.shape)
@@ -208,7 +215,8 @@ def closed_form_area(family, e: Ellipse, m=(0.0, 0.0),
     """Signed area of the family member, from the closed-form constants.
 
     m is the pole, theta the line rotation (rotated pedal) or the tangent
-    crossing angle (evolutoid), mu the pedal/contrapedal blend.  Families
+    crossing angle (evolutoid), mu the pedal/contrapedal blend; a family
+    that does not read theta or mu (Family.params) ignores it.  Families
     whose constant only holds for poles on the ellipse (hybrid,
     pseudo-Talbot, negative pedal) reject other poles with DomainError.
     It is closed_form_areas for one pole.

@@ -13,9 +13,10 @@ arguments.  Every refusal with exit 2 is argparse's own, printed as
 pole on the ellipse for pseudo-Talbot, ``--source support`` for the
 ellipse only, and a flag that the chosen locus, source, mode or family
 never reads: ``--r`` with ``--locus boundary``, ``--count`` or ``--seed``
-with a conjecture ``--m``, ``--m`` or ``--s`` with ``--family
-evolutoid``, and ``--m``, ``--s`` or ``--offset`` with ``--source
-support``) calls its subparser's ``error`` before anything is written.
+with a conjecture ``--m``, ``--m``, ``--s``, ``--theta`` or ``--mu`` with
+a family that does not read it (areas.Family's pole and params), and
+``--m``, ``--s`` or ``--offset`` with ``--source support``) calls its
+subparser's ``error`` before anything is written.
 Reports are strict JSON on one line, written by report_json alone: a
 non-finite number fails the command instead of being written as NaN or
 Infinity.
@@ -68,6 +69,9 @@ from .pedal import evolutoid_point
 # upper bounds of the grid size and pole count flags
 MAX_N = 2 ** 20
 MAX_COUNT = 2 ** 16
+# the values of --theta and --mu where a family reads one not given, and
+# scan's defaults
+PARAMS = {"theta": 0.0, "mu": 0.5}
 
 
 def _checked(kind, ok, want: str):
@@ -159,21 +163,28 @@ def _resolve_pole(args, e: Ellipse):
     return (float(p[0]), float(p[1])), float(args.s)
 
 
+def _family_params(args, spec) -> dict:
+    """The family parameters that the family spec reads, by name, after
+    refusing a pole or a parameter given that it never reads."""
+    reads = spec.params + (() if spec.pole == "none" else ("m", "s"))
+    _refuse(args, [f for f in ("m", "s", *PARAMS) if f not in reads], f"--family {spec.name}")
+    return {n: PARAMS[n] if getattr(args, n) is None else getattr(args, n) for n in spec.params}
+
+
 def _family_curve(args, e: Ellipse):
     """Evaluator, serializable metadata and n-point grid of the chosen family."""
     fam, spec = args.family, FAMILIES[args.family]
-    if spec.frame is None:  # the evolutoid has no pole
-        _refuse(args, ["m", "s"], "--family evolutoid")
-        ev = lambda t: evolutoid_point(e, args.theta, t)
-        m, s = None, None
+    params = _family_params(args, spec)
+    m, s = (None, None) if spec.pole == "none" else _resolve_pole(args, e)
+    if s is None and spec.on_ellipse and pole_on_ellipse(e, m):
+        # an --m on the ellipse names the same pole as --s at its parameter
+        s = math.atan2(m[1] / e.b, m[0] / e.a)
+    if spec.pole == "ellipse" and s is None:  # the pole is off the ellipse
+        args.parser.error(f"{fam} needs its pole on the ellipse: give --s")
+    if spec.frame is None:  # the evolutoid
+        ev = lambda t: evolutoid_point(e, params["theta"], t)
     else:
-        m, s = _resolve_pole(args, e)
-        if s is None and spec.on_ellipse and pole_on_ellipse(e, m):
-            # an --m on the ellipse names the same pole as --s at its parameter
-            s = math.atan2(m[1] / e.b, m[0] / e.a)
-        if spec.ellipse_pole_only and s is None:  # the pole is off the ellipse
-            args.parser.error(f"{fam} needs its pole on the ellipse: give --s")
-        ev = family_evaluator(e, fam, m, theta=args.theta, mu=args.mu)
+        ev = family_evaluator(e, fam, (0.0, 0.0) if m is None else m, **params)
     if s is not None and spec.on_ellipse:
         # a pole on the ellipse: nodes half a step off its own parameter s
         grid = ParamGrid(count=args.n, start=s, offset=0.5)
@@ -186,8 +197,7 @@ def _family_curve(args, e: Ellipse):
         "a": e.a,
         "b": e.b,
         "m": None if m is None else [m[0], m[1]],
-        "params": {"theta": args.theta, "mu": args.mu, "s": s,
-                   "n": args.n, "offset": grid.offset},
+        "params": {**params, "s": s, "n": args.n, "offset": grid.offset},
     }
     return ev, meta, grid
 
@@ -253,9 +263,9 @@ def cmd_area(args) -> int:
     fine = sample_curve(ev, ParamGrid(2 * grid.count, grid.start, 2 * grid.offset - odd))
     quad, quad2 = doubling_rule(fine.params)(np.roll(fine.points, -odd, axis=0)).tolist()
     try:
-        # the evolutoid has no pole, and its closed form takes none
+        # the ellipse and the evolutoid have no pole, and their closed forms take none
         closed = closed_form_area(args.family, e, m=meta["m"] or (0.0, 0.0),
-                                  theta=args.theta, mu=args.mu)
+                                  **_family_params(args, FAMILIES[args.family]))
     except DomainError:
         closed = None
     out = dict(meta)
@@ -303,6 +313,7 @@ def cmd_centroid(args) -> int:
         if args.family != "ellipse":
             args.parser.error("--source support is defined for the ellipse family only")
         _refuse(args, ["m", "s", "offset"], "--source support")
+        _family_params(args, FAMILIES["ellipse"])  # refuses --theta and --mu
         k = curvature_centroid_support(ellipse_support(e), n=args.n)
         meta = {"family": "ellipse", "a": e.a, "b": e.b, "source": "support"}
     else:
@@ -380,10 +391,12 @@ def _add_pole(p):
 
 
 def _add_family(p, choices):
+    # a default of None marks a parameter not given, for _family_params
     p.add_argument("--family", choices=choices, default="pedal")
-    p.add_argument("--theta", type=FINITE, default=0.0,
-                   help="line rotation / tangent crossing angle")
-    p.add_argument("--mu", type=FINITE, default=0.5, help="pedal-contrapedal blend")
+    p.add_argument("--theta", type=FINITE, default=None,
+                   help="line rotation / tangent crossing angle (default 0)")
+    p.add_argument("--mu", type=FINITE, default=None,
+                   help="pedal-contrapedal blend (default 0.5)")
 
 
 @functools.cache
@@ -425,7 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=GRID, default=2048)
     p.add_argument("--tol", type=POSITIVE, default=1e-8)
     p.add_argument("--output", type=str, default=None, help="write the full JSON report")
-    p.set_defaults(func=cmd_scan, parser=p)
+    # scan reads --theta and --mu whatever the family (ROADMAP item 24)
+    p.set_defaults(func=cmd_scan, parser=p, **PARAMS)
 
     p = sub.add_parser("identities", help="pedal-family area identity suite")
     _add_ellipse(p)

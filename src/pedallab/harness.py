@@ -71,7 +71,7 @@ from .tolerances import AXIS_TOL
 
 TWO_PI = 2.0 * math.pi
 
-# the families with a pole, in registry order
+# the families with a frame, in registry order
 SCANNABLE = tuple(name for name, f in FAMILIES.items() if f.frame is not None)
 
 # a scan evaluates at most this many grid points at once (a chunk of k poles
@@ -146,7 +146,8 @@ def family_evaluator(e: Ellipse, family, m, theta: float = 0.0, mu: float = 0.5,
     """Point evaluator t -> (x, y) for a family with a fixed pole m.
 
     It is the family's registry frame (areas.Family.frame) built at the
-    ellipse parameters t and called on the pole's coordinates, the public
+    ellipse parameters t, on the ones of theta and mu that the family
+    reads (areas.Family.reads), and called on the pole's coordinates, the public
     way to evaluate a family with a pole; scan and identity_suite call the
     frames themselves, on their one row of nodes.  The pole is read here, once
     (curves.as_xy): a pole that is not one finite point, a chunk of poles
@@ -155,7 +156,8 @@ def family_evaluator(e: Ellipse, family, m, theta: float = 0.0, mu: float = 0.5,
     (curves.pole_on_ellipse) from their reduced form at its own parameter,
     finite there, and any other pole from the negative pedal's pencil, as
     in a scan.  Pseudo-Talbot has points only for a pole on the ellipse; any
-    other pole raises DomainError here.  s is not read: it stays for
+    other pole raises DomainError here.  A family whose pole is "none"
+    ignores m, but m is read all the same.  s is not read: it stays for
     callers that still pass the pole's boundary parameter.
     """
     fam = Family.of(family)
@@ -163,9 +165,10 @@ def family_evaluator(e: Ellipse, family, m, theta: float = 0.0, mu: float = 0.5,
     if build is None:
         raise DomainError(f"no point evaluator for family {family!r}")
     x, y = as_xy(m)
-    if fam.ellipse_pole_only and not xy_on_ellipse(e, x, y):
+    if fam.pole == "ellipse" and not xy_on_ellipse(e, x, y):
         raise DomainError(f"{fam.name} needs its pole on the ellipse")
-    return lambda t: build(e, t, theta, mu)(x, y)
+    params = fam.reads(theta, mu)
+    return lambda t: build(e, t, **params)(x, y)
 
 
 def family_grid(family, n: int, s=0.0) -> ParamGrid:
@@ -344,13 +347,15 @@ def scan(e: Ellipse, family, locus: LocusSpec, n: int = 2048,
     _require_count("grid size n", n, 8)
     _require_finite("theta and mu", theta, mu)
     _require_tol(tol)
-    # an ellipse_pole_only family is an on_ellipse one: holds tests its poles
+    # a family whose pole lives on the ellipse is an on_ellipse one: holds
+    # tests its poles
     closed, holds = closed_form_areas(fam, e, poles, theta=theta, mu=mu)
-    if spec.ellipse_pole_only and not holds.all():
+    if spec.pole == "ellipse" and not holds.all():
         raise DomainError(f"{fam} poles live on the ellipse; use a boundary locus")
 
     per_chunk = max(1, CHUNK_POINTS // (2 * n))
-    (coarse, fine), errors = _sweep(lambda t: spec.frame(e, t, theta, mu), poles, n, per_chunk)
+    params = spec.reads(theta, mu)
+    (coarse, fine), errors = _sweep(lambda t: spec.frame(e, t, **params), poles, n, per_chunk)
 
     # a pole with an error has no areas, and a NaN never settles
     gaps = np.abs(coarse - fine)
@@ -462,8 +467,9 @@ def identity_suite(e: Ellipse, m=(0.7, -0.4), n: int = 2048,
     def quad(what, family, theta=0.0, mu=0.5):
         # built as a scan builds it (_sweep): columns that overflow give
         # non-finite points, which _pole_areas names, and no numpy warning
+        spec = Family.of(family)
         with np.errstate(**QUIET):
-            points = Family.of(family).frame(e, t, theta, mu)
+            points = spec.frame(e, t, **spec.reads(theta, mu))
         return settle(what, *_pole_areas(points, rule, t, x, y))
 
     ap_q = quad("pedal area", "pedal")
@@ -526,27 +532,16 @@ def conjecture_check_contrapedal(e: Ellipse, m, n: int = 2048,
     _require_tol(tol)
     x0, y0 = as_xy(m)
     pole = [float(x0), float(y0)]
-    if min(abs(x0), abs(y0)) < AXIS_TOL * e.b:
-        return ConjectureReport(pole=pole, skipped=True,
-                                reason="pole on a symmetry axis: crossings degenerate",
-                                crossing_count=0, crossings=[],
-                                dist_to_x_axis_point=None, dist_to_y_axis_point=None,
-                                tol=tol, passed=True)
-    ev = family_evaluator(e, "contrapedal", (float(x0), float(y0)))
-    curve = sample_curve(ev, ParamGrid(count=n, offset=0.5))
-    hits = self_intersections(curve)
-    pts = [[float(c.point[0]), float(c.point[1])] for c in hits]
-    if not hits:
-        return ConjectureReport(pole=pole, skipped=False, reason="no self-crossings found",
-                                crossing_count=0, crossings=[],
-                                dist_to_x_axis_point=None, dist_to_y_axis_point=None,
-                                tol=tol, passed=False)
-    tx = np.array([x0, 0.0])
-    ty = np.array([0.0, y0])
-    arr = np.array(pts)
-    dx = float(np.min(np.hypot(arr[:, 0] - tx[0], arr[:, 1] - tx[1])))
-    dy = float(np.min(np.hypot(arr[:, 0] - ty[0], arr[:, 1] - ty[1])))
-    return ConjectureReport(pole=pole, skipped=False, reason=None,
-                            crossing_count=len(hits), crossings=pts,
-                            dist_to_x_axis_point=dx, dist_to_y_axis_point=dy,
-                            tol=tol, passed=bool(dx <= tol and dy <= tol))
+    skipped = min(abs(x0), abs(y0)) < AXIS_TOL * e.b
+    reason, pts, dx, dy = "pole on a symmetry axis: crossings degenerate", [], None, None
+    if not skipped:
+        curve = sample_curve(family_evaluator(e, "contrapedal", pole), ParamGrid(n, offset=0.5))
+        pts = [c.point.tolist() for c in self_intersections(curve)]
+        reason = None if pts else "no self-crossings found"
+    if pts:
+        # the nearest crossing to (x0, 0) and to (0, y0)
+        dx, dy = (float(np.min(np.hypot(*(np.array(pts) - p).T))) for p in ([x0, 0.0], [0.0, y0]))
+    return ConjectureReport(pole=pole, skipped=bool(skipped), reason=reason,
+                            crossing_count=len(pts), crossings=pts,
+                            dist_to_x_axis_point=dx, dist_to_y_axis_point=dy, tol=tol,
+                            passed=bool(skipped or (pts and dx <= tol and dy <= tol)))

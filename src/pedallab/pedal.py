@@ -255,7 +255,10 @@ def _by_pole(e: Ellipse, t, columns: Callable, rational: Callable) -> Callable:
     builds only the one it needs.  A chunk that mixes both kinds of pole
     gets each row from its own frame.  The workspace out goes to the
     reduced frame when every pole of the chunk takes it, and is ignored
-    otherwise."""
+    otherwise.  The two builders are plain closures, not functools.cache:
+    a cache costs about 2 us to create, twice per frame, which a feature
+    detector pays on every evaluator call of a hybrid or negative pedal
+    (some 15% of a call on a few parameters)."""
     red_frame = rat_frame = None
 
     def reduced():
@@ -470,6 +473,11 @@ def evolutoid_point(e: Ellipse, theta: float, t):
 # enough that its truncation error, of order _CS_STEP^2, is nil, yet large
 # enough that the imaginary part of a curve of size 1e-250 stays normal.
 _CS_STEP = 2.0 ** -64
+# The least extent of a curve that the detectors take, 2^-958 ~ 4.1e-289:
+# the imaginary part of a smaller curve's complex step, _CS_STEP times it,
+# is subnormal, and its velocities lose digits (near 1e-300, 2 of the
+# contrapedal's 8 crossings and every cusp of the deltoid and the evolute)
+_CS_FLOOR = np.finfo(float).tiny / _CS_STEP
 
 
 def _jet(evaluator: Callable, t):
@@ -544,17 +552,22 @@ def _wrapped(v: np.ndarray) -> np.ndarray:
     return np.concatenate((v[-1:], v, v[:1]))
 
 
-def _evaluator_of(curve: SampledCurve, what: str) -> Callable:
-    """The evaluator of a curve fit for the feature detector named what: a
-    curve with no evaluator, fewer than 8 samples or a non-finite point
-    raises DomainError."""
+def _evaluator_of(curve: SampledCurve, what: str):
+    """The evaluator of a curve fit for the feature detector named what,
+    and the curve's extent, its largest coordinate: a curve with no
+    evaluator, fewer than 8 samples, a non-finite point or an extent below
+    _CS_FLOOR raises DomainError."""
     if curve.evaluator is None:
         raise DomainError(f"{what} needs the curve's evaluator: sample it with sample_curve")
     if len(curve) < 8:
         raise DomainError(f"{what} needs at least 8 samples")
     if not np.all(np.isfinite(curve.points)):
         raise DomainError(f"{what} needs finite sample points")
-    return curve.evaluator
+    size = float(np.max(np.abs(curve.points)))
+    if size < _CS_FLOOR:
+        raise DomainError(f"{what}: the curve's extent {size:.3g} is below {_CS_FLOOR:.3g}, "
+                          "where the complex step underflows; scale the curve up")
+    return curve.evaluator, size
 
 
 def _spectral_bounds(points: np.ndarray):
@@ -594,8 +607,9 @@ def find_cusps(curve: SampledCurve) -> np.ndarray:
     below 1e-13 of the median) counts regardless of reversal: there the
     velocity vanishes to even order, as at the parameter where a pair of
     cusps is born, and its direction comes back unflipped.  A curve with
-    no evaluator, fewer than 8 samples or a non-finite point raises
-    DomainError (curves.sample_curve keeps the evaluator).
+    no evaluator, fewer than 8 samples, a non-finite point or an extent
+    below _CS_FLOOR, about 4.1e-289, raises DomainError
+    (curves.sample_curve keeps the evaluator).
 
     The velocity is the evaluator's complex step (_jet), and it must
     resolve each cusp: next to a singular parameter of the evaluator it is
@@ -624,7 +638,7 @@ def find_cusps(curve: SampledCurve) -> np.ndarray:
     DomainError at its first call; an error the evaluator raises
     propagates as it is, while a dropped candidate is never evaluated.
     """
-    ev = _evaluator_of(curve, "cusp detection")
+    ev, _ = _evaluator_of(curve, "cusp detection")
     t = curve.params
     # a Python float, so the bound below overflows to inf without a warning
     step = float(t[1] - t[0])
@@ -781,15 +795,16 @@ def self_intersections(curve: SampledCurve) -> List[Crossing]:
     Results come in the sweep's block-wise order of the box pairs, and
     parameters are reported inside the sampled period [t_0, t_0 + 2 pi).
 
-    A curve with no evaluator, fewer than 8 samples or a non-finite point
-    raises DomainError (curves.sample_curve keeps the evaluator).  So does
-    a curve so large that M1, the tube or the residual scale overflows,
-    naming which: an infinite tube would make every pair a candidate.
+    A curve with no evaluator, fewer than 8 samples, a non-finite point or
+    an extent below _CS_FLOOR, about 4.1e-289, where the complex step
+    underflows, raises DomainError (curves.sample_curve keeps the
+    evaluator).  So does a curve so large that M1, the tube or the residual
+    scale overflows, naming which: an infinite tube would make every pair a
+    candidate.
     """
-    ev = _evaluator_of(curve, "self-intersection scan")
+    ev, size = _evaluator_of(curve, "self-intersection scan")
     pts, t = curve.points, curve.params
     step = t[1] - t[0]
-    size = float(np.max(np.abs(pts)))
     m1, m2, _ = _spectral_bounds(pts)
     tube = step * step * m2 / 8
     # the residual scale of _polish_crossings at its largest parameters

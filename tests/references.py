@@ -5,7 +5,8 @@ package's own, or the one route to a paper claim that no report
 certifies: the support-function pedal of a body that is not an ellipse
 (acceptance claim c02), the evolutoid's area by the support route (c09a)
 with the ellipse's analytic h'' that it needs, the evolutoid's perimeter
-(c09c) and the triangle's circumcenter (c10).
+(c09c) and the triangle's circumcenter (c10); and a family's registry
+frame built as harness.scan builds it, which many tests call.
 They stay out of the package's public surface, as bench/reference.py
 keeps the benchmark's reference outside it.
 """
@@ -16,6 +17,15 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from pedallab import ParamGrid, Point2
+from pedallab.areas import Family
+
+
+def registry_frame(fam, t, e, theta=0.0, mu=0.5):
+    """The registry frame of the family fam on the ellipse e at the
+    parameters t, given the ones of theta and mu that it reads, as
+    harness.scan builds it."""
+    spec = Family.of(fam)
+    return spec.frame(e, t, **spec.reads(theta, mu))
 
 
 def ellipse_velocity(e, t):

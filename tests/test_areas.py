@@ -38,7 +38,7 @@ from pedallab.areas import DOUBLING_RTOL, FAMILIES, Family, settled, settled_are
 from pedallab.harness import SCANNABLE, LocusSpec, scan
 from pedallab.pedal import evolutoid_point
 from pedallab.tolerances import TURNING_TOL
-from references import circumcenter, internal_angles, support_area
+from references import circumcenter, internal_angles, registry_frame, support_area
 
 TWO_PI = 2.0 * math.pi
 E21 = Ellipse(2.0, 1.0)
@@ -181,7 +181,7 @@ class TestClosedFormArrays:
         e = Ellipse(a, a * ratio)
         x, y = u * a, w * a
         try:
-            raw = FAMILIES[fam].area(e.a, e.b, x * x + y * y, theta, mu)
+            raw = FAMILIES[fam].area(e.a, e.b, x * x + y * y, **FAMILIES[fam].reads(theta, mu))
         except ArithmeticError:
             raw = math.nan
         assume(math.isfinite(raw))
@@ -250,7 +250,7 @@ class TestSignedAreaQuadrature:
         t = ParamGrid(256).nodes()
         # the chunk as harness.scan gives it: the registry frame on the
         # poles' (k, 1) coordinates
-        pts = FAMILIES["pedal"].frame(E21, t, 0.0, 0.5)(poles[:, :1], poles[:, 1:])
+        pts = FAMILIES["pedal"].frame(E21, t)(poles[:, :1], poles[:, 1:])
         shared = area_rule(t)(pts)
         assert shared.shape == (3,)
         for j, m in enumerate(poles):
@@ -297,7 +297,7 @@ class TestAreaRule:
             ev = family_evaluator(E21, fam, tuple(poles[0]), mu=1 / 3)
         else:
             # a chunk goes to the registry frame as harness.scan gives it
-            ev = lambda t: FAMILIES[fam].frame(E21, t, 0.0, 1 / 3)(poles[:, :1], poles[:, 1:])
+            ev = lambda t: registry_frame(fam, t, E21, mu=1 / 3)(poles[:, :1], poles[:, 1:])
         t2 = ParamGrid(2 * n, offset=0.5).nodes()
         t = t2[::2]
         pts = ev(t)
@@ -360,7 +360,7 @@ class TestDoublingRule:
         if FAMILIES[fam].frame is None:
             return  # the evolutoid has no frame
         t2 = ParamGrid(2 * n).nodes()
-        pts = np.asarray(FAMILIES[fam].frame(E21, t2, 0.6, 1 / 3)(*doubling_pole(fam)))
+        pts = np.asarray(registry_frame(fam, t2, E21, 0.6, 1 / 3)(*doubling_pole(fam)))
         coarse, fine = doubling_rule(t2)(pts)
         want = area_rule(t2[::2])(pts[::2])
         assert abs(coarse - want) <= 8 * np.spacing(max(1.0, abs(want)))
@@ -370,7 +370,7 @@ class TestDoublingRule:
     @pytest.mark.parametrize("fam", list(SCANNABLE))
     def test_stack_equals_each_curve_alone_bitwise(self, n, fam):
         t2 = ParamGrid(2 * n).nodes()
-        frame = FAMILIES[fam].frame(E21, t2, 0.6, 1 / 3)
+        frame = registry_frame(fam, t2, E21, 0.6, 1 / 3)
         if FAMILIES[fam].on_ellipse:
             poles = ellipse_point(E21, np.array([0.2, 0.9, 2.5, 4.0]))
         else:
@@ -388,7 +388,7 @@ class TestDoublingRule:
         # the chunk shapes of a scan at n = 256 and n = 2048; one rule takes
         # a full chunk, a shorter one and a single curve, in any order
         t2 = ParamGrid(2 * n).nodes()
-        frame = FAMILIES[fam].frame(E21, t2, 0.6, 1 / 3)
+        frame = registry_frame(fam, t2, E21, 0.6, 1 / 3)
         s = np.random.default_rng(k).uniform(0.0, 2 * math.pi, k)
         if FAMILIES[fam].on_ellipse:
             poles = ellipse_point(E21, s)

@@ -421,11 +421,22 @@ class TestUsageErrors:
         (["area", "--family", "evolutoid", "--s", "0.3"],
          "argument --s: not allowed with --family evolutoid"),
         (["centroid", "--m", "5,5", "--family", "evolutoid"],
-         "argument --m: not allowed with --family evolutoid")],
+         "argument --m: not allowed with --family evolutoid"),
+        # a family parameter or a pole that the family never reads
+        (["area", "--family", "pedal", "--theta", "0.7", "--mu", "0.2"],
+         "argument --theta: not allowed with --family pedal"),
+        (["sample", "--family", "ellipse", "--m", "1,2"],
+         "argument --m: not allowed with --family ellipse"),
+        (["centroid", "--family", "ellipse", "--source", "support", "--theta", "0.3"],
+         "argument --theta: not allowed with --family ellipse"),
+        (["area", "--family", "evolutoid", "--mu", "0.9"],
+         "argument --mu: not allowed with --family evolutoid")],
         ids=["a_below_b", "pseudo_talbot_off_the_ellipse", "support_off_the_ellipse",
              "r_on_the_boundary", "count_with_m", "seed_with_m", "m_with_support",
              "s_with_support", "offset_with_support", "m_with_evolutoid_sample",
-             "s_with_evolutoid_area", "m_with_evolutoid_centroid"])
+             "s_with_evolutoid_area", "m_with_evolutoid_centroid", "theta_with_pedal_area",
+             "m_with_ellipse_sample", "theta_with_ellipse_support",
+             "mu_with_evolutoid_area"])
     def test_cross_flag_refusals_are_the_subparsers_errors(self, capsys, tmp_path, argv, cause):
         # refused by the command, before it writes anything
         target = tmp_path / "report.json"
@@ -433,6 +444,44 @@ class TestUsageErrors:
         assert (rc, out) == (2, "")
         assert err.splitlines()[-1] == f"pedallab {argv[0]}: error: {cause}"
         assert not target.exists()
+
+    # two values of each family flag; a boundary family's pole sits on the ellipse
+    FLAG_VALUES = {"m": ("0.7,-0.4", "0.3,0.2"), "s": ("0.7", "2.5"),
+                   "theta": ("0.3", "0.6"), "mu": ("0.2", "0.7")}
+    COMMANDS = {"sample": ["--format", "json", "--n", "16"], "area": ["--n", "64"],
+                "centroid": ["--n", "256"]}
+
+    @pytest.mark.parametrize("flag", list(FLAG_VALUES))
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_every_family_flag_changes_the_output_or_is_refused(self, capsys, command,
+                                                                family, flag):
+        # scan is the one exception: it accepts --theta and --mu for every
+        # family and records both, as the benchmark's many_poles workload
+        # passes both to every Steiner scan and its check reads both keys
+        values = ("2,0", "0,1") if flag == "m" and FAMILIES[family].on_ellipse \
+            else self.FLAG_VALUES[flag]
+        # pseudo-Talbot needs a pole on the ellipse to show any other flag
+        pole = ["--s", "0.7"] if family == "pseudo_talbot" and flag not in ("m", "s") else []
+        argv = [command, "--family", family, *pole, *self.COMMANDS[command]]
+        got = [run(capsys, *argv, f"--{flag}", v) for v in values]
+        refused = f"error: argument --{flag}: not allowed with --family {family}"
+        if got[0][0] == 2:
+            assert all(rc == 2 and err.splitlines()[-1] == f"pedallab {command}: {refused}"
+                       for rc, _, err in got)
+        else:
+            assert [rc for rc, _, _ in got] == [0, 0]
+            assert got[0][1] != got[1][1]
+
+    @pytest.mark.parametrize("flag", list(FLAG_VALUES))
+    def test_the_support_centroid_refuses_every_family_flag(self, capsys, flag):
+        # the ellipse's support function takes no pole and no parameter
+        context = "--source support" if flag in ("m", "s") else "--family ellipse"
+        rc, out, err = run(capsys, "centroid", "--family", "ellipse", "--source", "support",
+                           f"--{flag}", self.FLAG_VALUES[flag][0])
+        assert (rc, out) == (2, "")
+        assert err.splitlines()[-1] == (
+            f"pedallab centroid: error: argument --{flag}: not allowed with {context}")
 
     def test_help_exits_0(self, capsys):
         rc, out, _ = run(capsys, "scan", "--help")
@@ -512,10 +561,12 @@ class TestSample:
 
     @pytest.mark.parametrize("family", list(FAMILIES))
     def test_svg_bytes_are_elementtrees(self, capsys, family):
-        # the evolutoid has no pole and refuses one
-        pole = ([] if FAMILIES[family].frame is None
-                else ["--s", "0.7"] if FAMILIES[family].on_ellipse else ["--m", "0.7,-0.4"])
-        argv = ["sample", "--family", family, *pole, "--theta", "0.6", "--n", "64"]
+        # a pole and a theta where the family reads them: it refuses the rest
+        spec = FAMILIES[family]
+        pole = ([] if spec.pole == "none"
+                else ["--s", "0.7"] if spec.on_ellipse else ["--m", "0.7,-0.4"])
+        theta = ["--theta", "0.6"] if "theta" in spec.params else []
+        argv = ["sample", "--family", family, *pole, *theta, "--n", "64"]
         rc, out, _ = run(capsys, *argv, "--format", "json")
         assert rc == 0
         points = np.array(json.loads(out)["points"])[:, 1:]

@@ -88,8 +88,8 @@ class TestFamilyPlumbing:
         # are regular on the whole grid; pseudo-Talbot needs a pole on the
         # ellipse
         spec, t = Family.of(fam), ParamGrid(64, offset=0.5).nodes()
-        m = tuple(ellipse_point(E21, 0.7).tolist()) if spec.ellipse_pole_only else (0.3, 0.2)
-        want = spec.frame(E21, t, 0.6, 1 / 3)(*m)
+        m = tuple(ellipse_point(E21, 0.7).tolist()) if spec.pole == "ellipse" else (0.3, 0.2)
+        want = spec.frame(E21, t, **spec.reads(0.6, 1 / 3))(*m)
         got = family_evaluator(E21, fam, m, theta=0.6, mu=1 / 3)(t)
         assert got.dtype == want.dtype and np.array_equal(got, want)
         # s, still accepted, is not read
@@ -138,7 +138,7 @@ class TestPoleReads:
     @pytest.mark.parametrize("fam, m", [
         (fam, m) for fam in SCANNABLE
         for m in [(0.3, 0.2), tuple(ellipse_point(E21, 0.7).tolist())]
-        if not (Family.of(fam).ellipse_pole_only and m == (0.3, 0.2))])
+        if not (Family.of(fam).pole == "ellipse" and m == (0.3, 0.2))])
     def test_an_evaluator_call_reads_no_pole(self, monkeypatch, fam, m):
         reads = self.count_reads(monkeypatch)
         ev = family_evaluator(E21, fam, m, theta=0.6, mu=1 / 3)
@@ -164,7 +164,18 @@ class TestFamilyRegistry:
     def test_on_ellipse_families(self):
         on = [n for n, f in FAMILIES.items() if f.on_ellipse]
         assert on == ["hybrid", "pseudo_talbot", "negative_pedal"]
-        assert [n for n, f in FAMILIES.items() if f.ellipse_pole_only] == ["pseudo_talbot"]
+        assert [n for n, f in FAMILIES.items() if f.pole == "ellipse"] == ["pseudo_talbot"]
+
+    def test_what_each_family_reads(self):
+        # the pole ("none", "ellipse" or "any") and the parameters of each
+        # family, which its frame and closed form take by name
+        assert {n: f.pole for n, f in FAMILIES.items() if f.pole != "any"} == {
+            "ellipse": "none", "pseudo_talbot": "ellipse", "evolutoid": "none"}
+        assert {n: f.params for n, f in FAMILIES.items() if f.params} == {
+            "rotated": ("theta",), "interpolated": ("mu",), "evolutoid": ("theta",)}
+        assert FAMILIES["rotated"].reads(0.6, 1 / 3) == {"theta": 0.6}
+        assert FAMILIES["interpolated"].reads(0.6, 1 / 3) == {"mu": 1 / 3}
+        assert FAMILIES["pedal"].reads(0.6, 1 / 3) == {}
 
     @pytest.mark.parametrize("name", list(FAMILIES))
     def test_every_family_gets_the_nesting_grid(self, name):
@@ -347,7 +358,7 @@ def scaled_scan(family, k):
         return scan(e, family, locus, n=256, theta=0.6, mu=1.0 / 3.0)
 
 
-POLE_SCANS = [f for f in SCANNABLE if f != "ellipse"]
+POLE_SCANS = [f for f in SCANNABLE if FAMILIES[f].pole != "none"]
 
 
 class TestScaleOracle:
@@ -474,12 +485,14 @@ class TestBoundaryFrames:
         ("pseudo_talbot", "pseudo_talbot_frame", 2 * 2048)])
     def test_frame_points_do_not_grow_with_the_pole_count(self, monkeypatch, fam, builder,
                                                            points):
+        # the registry holds the builder itself, not a wrapper
+        assert FAMILIES[fam].frame is getattr(areas, builder)
         sizes = []
 
-        def counted(e, t, fn=getattr(areas, builder)):
+        def counted(e, t, fn=FAMILIES[fam].frame):
             sizes.append(np.size(t))
             return fn(e, t)
-        monkeypatch.setattr(areas, builder, counted)
+        monkeypatch.setitem(FAMILIES, fam, dataclasses.replace(FAMILIES[fam], frame=counted))
         rep = scan(E21, fam, LocusSpec("boundary", count=64), n=2048, tol=1e-6)
         assert rep.passed
         # 64 poles at n=2048 make 16 chunks of 4 poles
@@ -580,9 +593,9 @@ class TestBatchedScan:
         # (1, 1) coordinates of each pole: no 0-d call, no frame per pole
         built, calls = [], []
 
-        def frame(e, t, theta, mu, build=FAMILIES[fam].frame):
+        def frame(e, t, build=FAMILIES[fam].frame, **params):
             built.append(np.shape(t))
-            points = build(e, t, theta, mu)
+            points = build(e, t, **params)
             return lambda x, y, out=None: calls.append(np.shape(x)) or points(x, y, out)
 
         monkeypatch.setitem(FAMILIES, fam, dataclasses.replace(FAMILIES[fam], frame=frame))
@@ -599,8 +612,8 @@ class TestBatchedScan:
         # writes each chunk's points into the scan's one workspace
         seen = []
 
-        def frame(e, t, theta, mu, build=FAMILIES[fam].frame):
-            points = build(e, t, theta, mu)
+        def frame(e, t, build=FAMILIES[fam].frame, **params):
+            points = build(e, t, **params)
 
             def traced(x, y, out=None):
                 pts = points(x, y, out)
@@ -621,16 +634,17 @@ class TestBatchedScan:
                                                                theta=0.6, mu=1 / 3)
 
     @pytest.mark.parametrize("n", [8, 256, 2048])
-    @pytest.mark.parametrize("fam", [f for f in SCANNABLE if f != "ellipse"])
+    @pytest.mark.parametrize("fam", [f for f in SCANNABLE if FAMILIES[f].pole != "none"])
     def test_no_state_is_kept_between_chunk_heights(self, fam, n):
         # one frame's points(x, y, out) and one doubling rule take stacks of
         # 5, 2, 7 and 1 poles in that order, so a taller stack follows a
         # shorter one, through one workspace under the scan's row buffer:
         # every row is bitwise what its pole gives alone
         t = ParamGrid(2 * n).nodes()
-        frame, rule = FAMILIES[fam].frame(E21, t, 0.6, 1 / 3), doubling_rule(t)
+        spec, rule = FAMILIES[fam], doubling_rule(t)
+        frame = spec.frame(E21, t, **spec.reads(0.6, 1 / 3))
         s = np.random.default_rng(n).uniform(0.0, 2 * math.pi, 15)
-        if FAMILIES[fam].on_ellipse:
+        if spec.on_ellipse:
             poles = ellipse_point(E21, s)
         else:
             poles = np.stack([1.3 * np.cos(s), 1.3 * np.sin(s)], axis=-1)
@@ -884,6 +898,28 @@ class TestConjecture:
         rep = conjecture_check_contrapedal(E21, (0.5, 0.0))
         assert rep.skipped and rep.passed
         assert rep.crossing_count == 0
+
+    def test_the_three_outcomes_report_their_fields(self, monkeypatch):
+        # skipped, no crossing and crossings: one report, its fields worked
+        # out first
+        skip = conjecture_check_contrapedal(E21, (0.5, 0.0), tol=1e-4).to_dict()
+        assert skip == {"pole": [0.5, 0.0], "skipped": True,
+                        "reason": "pole on a symmetry axis: crossings degenerate",
+                        "crossing_count": 0, "crossings": [], "dist_to_x_axis_point": None,
+                        "dist_to_y_axis_point": None, "tol": 1e-4, "passed": True}
+        monkeypatch.setattr(harness, "self_intersections", lambda curve: [])
+        none = conjecture_check_contrapedal(E21, (0.7, -0.4), n=64, tol=1e-4).to_dict()
+        assert none == {**skip, "pole": [0.7, -0.4], "skipped": False,
+                        "reason": "no self-crossings found", "passed": False}
+        hit = pedal.Crossing(point=np.array([0.7 + 3e-5, 4e-5]), t1=0.1, t2=0.2)
+        monkeypatch.setattr(harness, "self_intersections", lambda curve: [hit, hit])
+        rep = conjecture_check_contrapedal(E21, (0.7, -0.4), n=64, tol=1e-4).to_dict()
+        dx, dy = rep["dist_to_x_axis_point"], rep["dist_to_y_axis_point"]
+        assert dx == pytest.approx(5e-5, rel=1e-9)
+        assert dy == pytest.approx(math.hypot(0.7 + 3e-5, 0.4 + 4e-5), rel=1e-15)
+        assert rep == {**none, "reason": None, "crossing_count": 2,
+                       "crossings": [[0.7 + 3e-5, 4e-5]] * 2, "dist_to_x_axis_point": dx,
+                       "dist_to_y_axis_point": dy, "passed": False}
 
     def test_the_axis_skip_is_relative_to_the_ellipse(self):
         # a pole of a tiny ellipse, 4e-11 from the x axis, is checked: the

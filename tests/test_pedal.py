@@ -27,7 +27,7 @@ from pedallab import (
     self_intersections,
 )
 import pedallab.pedal as pedal_module
-from pedallab.areas import FAMILIES, Family
+from pedallab.areas import FAMILIES
 from pedallab.curves import as_xy, pole_on_ellipse
 from pedallab.pedal import (
     Crossing,
@@ -45,7 +45,13 @@ from pedallab.pedal import (
     pseudo_talbot_frame,
     rotated_frame,
 )
-from references import ellipse_d2h, ellipse_velocity, evolutoid_support, support_point
+from references import (
+    ellipse_d2h,
+    ellipse_velocity,
+    evolutoid_support,
+    registry_frame,
+    support_point,
+)
 
 TWO_PI = 2.0 * math.pi
 E21 = Ellipse(2.0, 1.0)
@@ -67,7 +73,7 @@ def point(fam, t, m, e=E21, **kw):
 def frame_points(fam, t, xs, ys, e=E21, theta=0.0, mu=0.5):
     """The points of a family at t for poles at the plain coordinates
     (xs, ys), through its registry frame, as harness.scan calls it."""
-    return Family.of(fam).frame(e, t, theta, mu)(xs, ys)
+    return registry_frame(fam, t, e, theta, mu)(xs, ys)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +313,7 @@ class TestPoleChunks:
         # point bitwise that of points(x, y) and of its pole alone, signed
         # zeros included, and numpy's buffer size as it was
         t = ParamGrid(size).nodes()
-        frame = FAMILIES[fam].frame(E21, t, 0.6, 1.0 / 3.0)
+        frame = registry_frame(fam, t, E21, 0.6, 1.0 / 3.0)
         poles = self.workload_poles(fam, k)
         work = np.full((3, k, size), np.nan)
         bufsize = np.getbufsize()
@@ -327,7 +333,7 @@ class TestPoleChunks:
     def test_the_ellipse_frame_gives_the_ellipse_for_every_pole_bitwise(self, size):
         # its pole columns are zero, and P(t) plus a signed zero is P(t)
         t = ParamGrid(size).nodes()
-        frame = FAMILIES["ellipse"].frame(E21, t, 0.0, 0.5)
+        frame = registry_frame("ellipse", t, E21)
         poles = self.workload_poles("ellipse", 32)
         want = ellipse_point(E21, t).tobytes()
         got = frame(poles[:, :1], poles[:, 1:], np.empty((3, 32, size)))
@@ -340,7 +346,7 @@ class TestPoleChunks:
         # a frame on complex parameters, as a complex step builds it, gives
         # each pole of a chunk bitwise the points of the pole alone
         t = ParamGrid(size).nodes() + 2.0 ** -64 * 1j
-        frame = FAMILIES[fam].frame(E21, t, 0.6, 1.0 / 3.0)
+        frame = registry_frame(fam, t, E21, 0.6, 1.0 / 3.0)
         poles = self.workload_poles(fam, k)
         got = frame(poles[:, :1], poles[:, 1:])
         assert got.dtype == complex and got.shape == (k, size, 2)
@@ -1288,8 +1294,9 @@ class TestSelfIntersections:
         # Newton steps work on values scaled by a power of two, so a curve
         # scaled by size keeps its 8 crossings, at size times the points of
         # the curve as it is, with no RuntimeWarning (an error in this
-        # suite); parameters match mod 2 pi, in either order.  Near 1e-300
-        # the complex step's imaginary part goes subnormal (_CS_STEP).  A
+        # suite); parameters match mod 2 pi, in either order.  Below 2^-958
+        # the complex step's imaginary part goes subnormal, and the curve is
+        # refused (pedal._CS_FLOOR).  A
         # power of two scales every sample, bound and product exactly, so
         # its crossings are bitwise the same
         ev = family_evaluator(E21, "contrapedal", M)
@@ -1649,6 +1656,40 @@ class TestLockstepErrors:
         with pytest.raises(DomainError, match="drops the imaginary part"):
             detector(curve)
         assert len(stub.calls) == 1 and np.iscomplexobj(stub.calls[0])
+
+    # (detector, what it is called, SPECTRAL_CASES curve, what it finds)
+    SMALL_CASES = [(self_intersections, "self-intersection scan", "contrapedal", 8),
+                   (find_cusps, "cusp detection", "deltoid", 3),
+                   (find_cusps, "cusp detection", "evolute", 4)]
+
+    @pytest.mark.parametrize("detector, what, case, count", SMALL_CASES)
+    @pytest.mark.parametrize("size", [1e-290, 1e-298, 1e-300, 1e-303])
+    def test_a_curve_below_the_complex_step_floor_is_refused(self, detector, what, case,
+                                                              count, size):
+        # below 2^-958 the complex step's imaginary part, 2^-64 times the
+        # curve, is subnormal: near 1e-300 the contrapedal lost 2 of its 8
+        # crossings, and the deltoid and the evolute every cusp
+        assert pedal_module._CS_FLOOR == 2.0 ** -958
+        ev = SPECTRAL_CASES[case]
+        curve = sample_curve(lambda t: size * ev(t), ParamGrid(512, offset=0.5))
+        stub = curve.evaluator = Counting(curve.evaluator)
+        with pytest.raises(DomainError) as got:
+            detector(curve)
+        extent = float(np.max(np.abs(curve.points)))
+        assert str(got.value) == (f"{what}: the curve's extent {extent:.3g} is below 4.1e-289, "
+                                  "where the complex step underflows; scale the curve up")
+        assert stub.calls == []
+
+    @pytest.mark.parametrize("detector, what, case, count", SMALL_CASES)
+    @pytest.mark.parametrize("size", [1e-250, 1e-288])
+    def test_a_curve_above_the_floor_keeps_its_features(self, detector, what, case, count,
+                                                        size):
+        ev = SPECTRAL_CASES[case]
+        want = detector(sample_curve(ev, ParamGrid(512, offset=0.5)))
+        got = detector(sample_curve(lambda t: size * ev(t), ParamGrid(512, offset=0.5)))
+        assert len(got) == len(want) == count
+        if detector is find_cusps:
+            assert_same_cusps(got, want, 1e-12)
 
 
 CROSSING_CASES = {
